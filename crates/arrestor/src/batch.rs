@@ -359,6 +359,51 @@ mod tests {
     }
 
     #[test]
+    fn screaming_ea6_logs_one_first_detection_per_mechanism_on_every_path() {
+        // An `mscnt` MSB flip re-injected every 20 ms makes EA6 violate
+        // over and over; the log must still hold one event per fired
+        // mechanism, identical on the replay, scalar and batched paths.
+        let case = TestCase::new(12_000.0, 55.0);
+        let run_config = RunConfig::default();
+        let config = BatchConfig {
+            observation_ms: run_config.observation_ms,
+            injection_period_ms: 20,
+            analytic_settle: true,
+        };
+        let prefix = prefix_at(case, 20);
+        let mscnt = prefix.resume().master().signals().mscnt.addr();
+        let flip = BitFlip::new(Region::AppRam, mscnt + 1, 7);
+
+        let mut replay = System::new(case, run_config);
+        while replay.time_ms() < config.observation_ms {
+            let t = replay.time_ms();
+            if t > 0 && t.is_multiple_of(config.injection_period_ms) {
+                replay.inject(flip);
+            }
+            replay.tick();
+        }
+        let ea6 = ea_core::MonitorId(crate::detectors::EaId::Ea6.index());
+        assert!(replay.master().detectors().bank().monitor(ea6).violations() > 100);
+        let replay = replay.finish().detections;
+
+        let (scalar, ..) = scalar_lane(&prefix, flip, &config);
+        let scalar = scalar.finish().detections;
+        let batched = run_lockstep(&prefix, &[flip], &config)
+            .remove(0)
+            .system
+            .finish()
+            .detections;
+
+        let mut fired: Vec<_> = replay.iter().map(|e| e.monitor).collect();
+        assert!(fired.contains(&ea6));
+        fired.sort_unstable();
+        fired.dedup();
+        assert_eq!(fired.len(), replay.len(), "one event per mechanism");
+        assert_eq!(scalar, replay);
+        assert_eq!(batched, replay);
+    }
+
+    #[test]
     fn empty_batch_is_empty() {
         let prefix = prefix_at(TestCase::new(12_000.0, 55.0), 20);
         let config = BatchConfig {

@@ -70,16 +70,17 @@
 //!   (only the ARMED/ARRESTING arms write the mode variable, and this
 //!   flip cannot). If EA6's first detection is also already in the
 //!   log, every future EA6 check outcome is output-irrelevant — the
-//!   log only feeds per-mechanism *firsts* — so the whole trio is
+//!   log holds only per-mechanism *firsts* — so the whole trio is
 //!   ignored and any offset matches.
 //!
 //! Excluded from the projection on purpose, with why each is safe:
-//! the detection-event log (append-only and read only by
-//! [`System::finish`]; by recurrence, any mechanism that would fire
-//! for the first time after `t` already fired inside `(t − d, t]`),
-//! the monitors' check/violation counters (statistics, never read
-//! back), the slave's `mscnt` (incremented, never read), and the
-//! plant's `time_ms` (bookkeeping, never fed back).
+//! the detection-event log (one first detection per mechanism, never
+//! rewritten once logged and read only by [`System::finish`]; by
+//! recurrence, any mechanism that would fire for the first time after
+//! `t` already fired inside `(t − d, t]`), the monitors'
+//! check/violation counters (statistics, never read back), the
+//! slave's `mscnt` (incremented, never read), and the plant's
+//! `time_ms` (bookkeeping, never fed back).
 //!
 //! # The analytic absorbing-band relaxation
 //!
@@ -314,7 +315,7 @@ struct Fingerprint {
     prev_mscnt: u16,
     sys_mode: u16,
     /// Whether EA6's first detection was already logged at capture time
-    /// (monotone: the log is append-only).
+    /// (monotone: a logged first detection is never removed).
     ea6_decided: bool,
     /// Valve pressures as `f64` bit patterns — outside the invariant
     /// projection so [`SettleDetector::matches`] can accept either
@@ -575,7 +576,6 @@ impl SettleDetector {
         let ram = mem.app();
         let stack = mem.stack();
         let sig = master.signals();
-        let ea6_index = crate::detectors::EaId::Ea6.index();
         Fingerprint {
             hash: fnv1a(&bytes),
             at_ms: system.time_ms(),
@@ -585,11 +585,7 @@ impl SettleDetector {
             ea6_previous,
             prev_mscnt: master.calc_locals().prev_mscnt.read(stack),
             sys_mode: sig.sys_mode.read(ram),
-            ea6_decided: master
-                .detectors()
-                .events()
-                .iter()
-                .any(|e| e.monitor.0 == ea6_index),
+            ea6_decided: master.detectors().has_detected(crate::detectors::EaId::Ea6),
             p_master_bits: plant.pressure_master_bar.to_bits(),
             p_slave_bits: plant.pressure_slave_bar.to_bits(),
             cmd_master_pu: master_valve,
@@ -940,20 +936,10 @@ mod tests {
             full.verdict.final_distance_m.to_bits()
         );
         assert_eq!(early.verdict.failed(), full.verdict.failed());
-        // Continued injections keep appending periodic re-detections,
-        // so the full log extends the early one; what settling claims
-        // final is the per-EA *first* detections (what `fic::Trial`
-        // records): no monitor may fire for the first time after the
-        // stop.
-        assert_eq!(&full.detections[..early.detections.len()], early.detections);
-        let firsts = |events: &[ea_core::DetectionEvent]| {
-            let mut seen = std::collections::BTreeMap::new();
-            for e in events {
-                seen.entry(e.monitor).or_insert(e.at);
-            }
-            seen
-        };
-        assert_eq!(firsts(&early.detections), firsts(&full.detections));
+        // The log holds per-EA first detections only, so settling must
+        // leave it final: no monitor may fire for the first time after
+        // the stop.
+        assert_eq!(early.detections, full.detections);
     }
 
     #[test]

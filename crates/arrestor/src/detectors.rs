@@ -223,9 +223,14 @@ impl Detectors {
         }
     }
 
-    /// The time-ordered detection log.
+    /// Each enabled mechanism's first detection, in firing order.
     pub fn events(&self) -> &[DetectionEvent] {
         self.bank.events()
+    }
+
+    /// Whether mechanism `ea` has a detection in the log.
+    pub fn has_detected(&self, ea: EaId) -> bool {
+        self.bank.has_detected(self.ids[ea.index()])
     }
 
     /// Maps a logged monitor id back to its mechanism.

@@ -325,6 +325,7 @@ mod tests {
         assert_eq!(detectors.ea_of(detectors.events()[0].monitor), EaId::Ea6);
         // History committed the corrupt value (no recovery): +1 passes.
         detectors.check(EaId::Ea6, 501, 3);
-        assert_eq!(detectors.events().len(), 1);
+        let ea6 = ea_core::MonitorId(EaId::Ea6.index());
+        assert_eq!(detectors.bank().monitor(ea6).violations(), 1);
     }
 }

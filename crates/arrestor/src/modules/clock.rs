@@ -74,12 +74,9 @@ mod tests {
         // a repeated slot value is an illegal self-transition.
         ram.flip_bit(sig.ms_slot_nbr.addr(), 0).unwrap();
         run(&sig, &mut ram, &mut det, 6);
-        let slot_events: Vec<_> = det
-            .events()
-            .iter()
-            .filter(|e| det.ea_of(e.monitor) == EaId::Ea5)
-            .collect();
-        assert_eq!(slot_events.len(), 1);
+        assert!(det.has_detected(EaId::Ea5));
+        let ea5 = ea_core::MonitorId(EaId::Ea5.index());
+        assert_eq!(det.bank().monitor(ea5).violations(), 1);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl Default for RunConfig {
 pub struct RunOutcome {
     /// Failure classification of the arrestment.
     pub verdict: Verdict,
-    /// All raised detections, time-ordered.
+    /// Each enabled mechanism's first detection, in firing order.
     pub detections: Vec<DetectionEvent>,
     /// Timestamp of the first detection, ms.
     pub first_detection_ms: Option<Millis>,
@@ -311,7 +311,7 @@ impl System {
     /// arrestment and collects the detection log.
     pub fn finish(self) -> RunOutcome {
         let verdict = self.failmon.verdict(&self.config.constraints, self.case);
-        let detections: Vec<DetectionEvent> = self.master.detectors().events().to_vec();
+        let detections = self.master.detectors().events().to_vec();
         let first_detection_ms = detections.first().map(|e| e.at);
         RunOutcome {
             verdict,

@@ -7,8 +7,8 @@
 //!   comparison on a reduced protocol (statistical, slow-ish);
 //! * `cargo bench -p bench --bench bench_campaign -- --json [path]` —
 //!   one timed full-E1-grid campaign (112 errors × 25 cases, 40 s
-//!   windows) per ⟨mode, worker count⟩ across all three execution
-//!   modes (`replay`, `scalar`, `batched`), written as
+//!   windows) per ⟨mode, worker count⟩ across all four execution
+//!   modes (`replay`, `exact`, `scalar`, `batched`), written as
 //!   machine-readable JSON to `path` (default: `BENCH_campaign.json`
 //!   at the repo root). This regenerates the committed perf-trajectory
 //!   artefact quoted in `PERFORMANCE.md`;

@@ -50,6 +50,12 @@ pub struct DetectionEvent {
 /// target with a subset of assertions active while keeping run-to-run
 /// behaviour comparable.
 ///
+/// The log records each enabled mechanism's *first* detection, in
+/// firing order, so it never holds more than one event per monitor:
+/// coverage and latency ("first injection to first detection") read
+/// nothing else. Later violations still run the check, update the
+/// monitor's history and count in [`SignalMonitor::violations`].
+///
 /// # Example
 ///
 /// ```
@@ -74,30 +80,12 @@ pub struct DetectorBank {
     monitors: Vec<SignalMonitor>,
     enabled: Vec<bool>,
     events: Vec<DetectionEvent>,
-    /// Soft cap on the event log so that a screaming detector cannot eat
-    /// unbounded memory during a 40 s experiment; detections beyond the
-    /// cap still count in `suppressed`.
-    log_cap: usize,
-    suppressed: u64,
 }
 
 impl DetectorBank {
-    /// Creates an empty bank with the default log capacity (65 536).
+    /// Creates an empty bank.
     pub fn new() -> Self {
-        DetectorBank {
-            monitors: Vec::new(),
-            enabled: Vec::new(),
-            events: Vec::new(),
-            log_cap: 65_536,
-            suppressed: 0,
-        }
-    }
-
-    /// Overrides the event-log capacity.
-    #[must_use]
-    pub fn with_log_cap(mut self, cap: usize) -> Self {
-        self.log_cap = cap;
-        self
+        Self::default()
     }
 
     /// Adds a monitor (enabled) and returns its id.
@@ -166,8 +154,9 @@ impl DetectorBank {
     /// time `at`.
     ///
     /// Returns the pass/violation verdict; when the mechanism is enabled
-    /// and a violation occurs, it is appended to the detection log (the
-    /// paper's "digital output pin" plus the FIC3 timestamp).
+    /// and this is its first violation, the violation is appended to the
+    /// detection log (the paper's "digital output pin" plus the FIC3
+    /// timestamp).
     #[inline]
     pub fn observe(
         &mut self,
@@ -178,27 +167,23 @@ impl DetectorBank {
         let committed = self.monitors[id.0].previous();
         let result = self.monitors[id.0].check(sample);
         if let Err(violation) = &result {
-            if self.enabled[id.0] {
-                if self.events.len() < self.log_cap {
-                    self.events.push(DetectionEvent {
-                        monitor: id,
-                        at,
-                        violation: *violation,
-                        divergence: DivergenceMeta {
-                            observed: sample,
-                            committed,
-                            deviation: committed.map(|c| sample.wrapping_sub(c)),
-                        },
-                    });
-                } else {
-                    self.suppressed += 1;
-                }
+            if self.enabled[id.0] && !self.has_detected(id) {
+                self.events.push(DetectionEvent {
+                    monitor: id,
+                    at,
+                    violation: *violation,
+                    divergence: DivergenceMeta {
+                        observed: sample,
+                        committed,
+                        deviation: committed.map(|c| sample.wrapping_sub(c)),
+                    },
+                });
             }
         }
         result
     }
 
-    /// The time-ordered detection log.
+    /// Each enabled mechanism's first detection, in firing order.
     pub fn events(&self) -> &[DetectionEvent] {
         &self.events
     }
@@ -209,9 +194,11 @@ impl DetectorBank {
         self.events.first()
     }
 
-    /// Number of detections dropped after the log cap was reached.
-    pub const fn suppressed(&self) -> u64 {
-        self.suppressed
+    /// Whether mechanism `id` has a detection in the log. The log holds
+    /// at most one event per monitor, so the scan is bounded by
+    /// [`len`](Self::len).
+    pub fn has_detected(&self, id: MonitorId) -> bool {
+        self.events.iter().any(|e| e.monitor == id)
     }
 
     /// Whether any enabled mechanism has detected anything.
@@ -222,7 +209,6 @@ impl DetectorBank {
     /// Clears the log and every monitor's history (new experiment run).
     pub fn reset(&mut self) {
         self.events.clear();
-        self.suppressed = 0;
         for monitor in &mut self.monitors {
             monitor.reset();
         }
@@ -339,16 +325,19 @@ mod tests {
     }
 
     #[test]
-    fn log_cap_suppresses_overflow() {
-        let (bank, ..) = bank_with_two();
-        let mut bank = bank.with_log_cap(2);
-        let a = bank.find("a").unwrap();
+    fn screaming_monitor_cannot_hide_a_later_first_detection() {
+        let (mut bank, a, b) = bank_with_two();
         bank.observe(a, 0, 0).unwrap();
-        for t in 1..=5 {
-            let _ = bank.observe(a, 99, t); // every one violates the rate
+        // The default recovery holds the previous sample, so every jump
+        // to 99 violates the rate again.
+        for t in 1..=70_000 {
+            assert!(bank.observe(a, 99, t).is_err());
         }
-        assert_eq!(bank.events().len(), 2);
-        assert_eq!(bank.suppressed(), 3);
+        assert!(bank.observe(b, 7, 70_001).is_err());
+        assert_eq!(bank.monitor(a).violations(), 70_000);
+        let fired: Vec<_> = bank.events().iter().map(|e| (e.monitor, e.at)).collect();
+        assert_eq!(fired, vec![(a, 1), (b, 70_001)]);
+        assert!(bank.has_detected(a) && bank.has_detected(b));
     }
 
     #[test]

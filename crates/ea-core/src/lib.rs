@@ -37,8 +37,9 @@
 //!   previous sample, the current [`Mode`], and applies a
 //!   [`RecoveryStrategy`] when a violation is found;
 //! * a whole-system bank: [`DetectorBank`] — owns many monitors, timestamps
-//!   detections, and exposes the detection log that a fault-injection
-//!   harness (or a real digital output pin) would observe;
+//!   each mechanism's first detection, and exposes that detection log as
+//!   a fault-injection harness (or a real digital output pin) would
+//!   observe it;
 //! * the placement *process* of paper Section 2.3: [`process`] walks the
 //!   eight steps from signal inventory over FMECA-style criticality ranking
 //!   to an [`process::InstrumentationPlan`];

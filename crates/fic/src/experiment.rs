@@ -423,7 +423,7 @@ fn finish_outcome(system: System, first_injection_ms: u64) -> (Trial, arrestor::
     let mut per_ea_first_ms: [Option<u64>; 7] = [None; 7];
     for event in &outcome.detections {
         let idx = event.monitor.0;
-        if idx < 7 && per_ea_first_ms[idx].is_none() {
+        if idx < 7 {
             per_ea_first_ms[idx] = Some(event.at);
         }
     }

@@ -11,7 +11,7 @@
 //! soak in `tests/fleet_equivalence.rs` and the CI `fleet-smoke` job.
 
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -293,30 +293,19 @@ fn execute_slice(
     worker_id: u64,
     lease_ms: u64,
 ) -> Result<(Vec<TrialRecord>, TelemetrySnapshot), FleetError> {
-    let stop = Arc::new(AtomicBool::new(false));
+    let (stop, stopped) = mpsc::channel::<()>();
     let heartbeat = {
-        let stop = Arc::clone(&stop);
         let writer = Arc::clone(writer);
         let slice_id = slice.slice_id;
         // A third of the TTL keeps the lease alive through two missed
         // beats; heartbeat write errors are ignored here — the main
-        // thread sees the same dead stream on its next frame. Sleep in
-        // short hops so stopping the thread after a fast slice does
-        // not block the join for a whole beat interval.
+        // thread sees the same dead stream on its next frame. Waiting
+        // on the stop channel (signalled, or disconnected if the slice
+        // panics) ends the keep-alive at once, not after the current
+        // beat interval.
         let interval = Duration::from_millis((lease_ms / 3).max(1));
         std::thread::spawn(move || {
-            let hop = Duration::from_millis(25).min(interval);
-            let mut slept = Duration::ZERO;
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(hop);
-                slept += hop;
-                if slept < interval {
-                    continue;
-                }
-                slept = Duration::ZERO;
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                 let _ = send(
                     &writer,
                     &Command::Heartbeat {
@@ -369,8 +358,12 @@ fn execute_slice(
         }
     };
 
-    stop.store(true, Ordering::SeqCst);
-    let _ = heartbeat.join();
+    // The send fails only if the keep-alive already exited; `join`
+    // reports whether it panicked.
+    let _ = stop.send(());
+    heartbeat
+        .join()
+        .map_err(|_| FleetError::Protocol("the lease keep-alive thread panicked".to_owned()))?;
     Ok((records?, registry.snapshot()))
 }
 

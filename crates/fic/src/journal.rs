@@ -122,7 +122,7 @@ pub struct TrialRecord {
 /// An attribution line: one enrichable detection-story event. Wrapped
 /// in a single-key object so the line type is self-describing and can
 /// never be confused with a [`TrialRecord`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct AttributionLine {
     attribution: AttributionEvent,
 }
@@ -503,15 +503,15 @@ impl Journal {
         let mut attribution = Vec::new();
         let mut truncated_tail = false;
         while let Some((index, line)) = lines.next() {
-            match serde_json::from_str::<TrialRecord>(line) {
-                Ok(record) => records.push(record),
-                // Not a trial record — the only other record type is an
-                // attribution line (they are structurally disjoint).
-                Err(_) if serde_json::from_str::<AttributionLine>(line).is_ok() => {
-                    let parsed: AttributionLine =
-                        serde_json::from_str(line).expect("parsed a line ago");
-                    attribution.push(parsed.attribution);
-                }
+            // Parse once, then dispatch: an attribution line is the only
+            // record type with an `attribution` key.
+            let parsed =
+                serde_json::parse_value(line).and_then(|value| match value.get("attribution") {
+                    Some(event) => AttributionEvent::from_value(event).map(|e| attribution.push(e)),
+                    None => TrialRecord::from_value(&value).map(|r| records.push(r)),
+                });
+            match parsed {
+                Ok(()) => {}
                 Err(e) if lines.peek().is_none() => {
                     // Torn final line: the crash signature. Drop it;
                     // the trial will simply be re-run.
@@ -856,6 +856,47 @@ mod tests {
         lines[2] = "{\"garbage\": tru"; // corrupt a *middle* record
         std::fs::write(&path, lines.join("\n")).unwrap();
 
+        match Journal::load(&path) {
+            Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 3),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn attribution_lines_load_beside_records_and_tear_like_them() {
+        let path = temp_path("attribution");
+        let protocol = Protocol::scaled(1, 1_000);
+        let error = error_set::e1()[0];
+        let trial = sample_trial(Some(60));
+        let event = AttributionEvent::for_e1(&error, 0, &trial);
+        let mut writer = JournalWriter::create(&path, &protocol).unwrap();
+        writer
+            .append(CampaignKind::E1, error.number, 0, &trial)
+            .unwrap();
+        writer.append_attribution(&event).unwrap();
+        writer
+            .append(CampaignKind::E1, 2, 0, &sample_trial(None))
+            .unwrap();
+        writer.sync().unwrap();
+        drop(writer);
+        let intact = std::fs::read_to_string(&path).unwrap();
+
+        let journal = Journal::load(&path).unwrap();
+        assert_eq!(journal.records.len(), 2);
+        assert_eq!(journal.attribution, vec![event.clone()]);
+        assert!(!journal.truncated_tail);
+
+        // A torn attribution line at the tail is dropped like a torn record.
+        let line = intact.lines().nth(2).unwrap();
+        std::fs::write(&path, format!("{intact}{}", &line[..line.len() / 2])).unwrap();
+        let journal = Journal::load(&path).unwrap();
+        assert_eq!(journal.attribution, vec![event]);
+        assert!(journal.truncated_tail);
+
+        // A mis-shaped attribution line mid-file is corruption.
+        let mut lines: Vec<&str> = intact.lines().collect();
+        lines[2] = "{\"attribution\": {\"campaign\": \"E1\"}}";
+        std::fs::write(&path, lines.join("\n")).unwrap();
         match Journal::load(&path) {
             Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected Corrupt, got {other:?}"),

@@ -38,7 +38,7 @@ fn main() {
         );
     }
     println!(
-        "verdict: failed={}  stop at {:.1} m, peak {:.2} g / {:.0} kN, detections: {}",
+        "verdict: failed={}  stop at {:.1} m, peak {:.2} g / {:.0} kN, mechanisms fired: {}",
         outcome.verdict.failed(),
         outcome.verdict.final_distance_m,
         outcome.verdict.peak_retardation_g,
@@ -58,6 +58,22 @@ fn main() {
         }
         system.tick();
     }
+    // The detection log keeps each mechanism's first detection; the
+    // monitors themselves count every violation.
+    let detectors = system.master().detectors();
+    let violations: Vec<String> = detectors
+        .bank()
+        .iter()
+        .filter(|(_, monitor)| monitor.violations() > 0)
+        .map(|(id, monitor)| {
+            format!(
+                "{} ({}) x{}",
+                detectors.ea_of(id),
+                monitor.name(),
+                monitor.violations()
+            )
+        })
+        .collect();
     let outcome = system.finish();
     println!(
         "verdict: failed={} (causes {:?}), peak {:.2} g / {:.0} kN",
@@ -72,7 +88,7 @@ fn main() {
                 "first detection at t={at} ms (latency {} ms after first injection)",
                 at.saturating_sub(20)
             );
-            println!("total detections logged: {}", outcome.detections.len());
+            println!("violations per mechanism: {}", violations.join(", "));
         }
         None => println!("no detection (unexpected for an MSB error)"),
     }

@@ -102,5 +102,11 @@ fn main() -> Result<(), Error> {
         let name = bank.monitor(event.monitor).name();
         println!("  t={:>5} ms  {}  {}", event.at, name, event.violation);
     }
+    // The log keeps each mechanism's first detection; every monitor
+    // counts all of its violations.
+    println!("violations per mechanism:");
+    for (_, monitor) in bank.iter() {
+        println!("  {:<10} {}", monitor.name(), monitor.violations());
+    }
     Ok(())
 }
