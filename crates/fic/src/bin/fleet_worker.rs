@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! fleet_worker [--connect host:port] [--name label] [--threads n]
-//!              [--poll-ms ms] [--connect-timeout-ms ms]
-//!              [--die-after-leases n]
+//!              [--connect-timeout-ms ms] [--die-after-leases n]
 //! ```
 //!
 //! `--die-after-leases n` is the crash-drill hook: the process drops
@@ -25,7 +24,7 @@ fn main() -> ExitCode {
             eprintln!("fleet_worker: {e}");
             eprintln!(
                 "usage: fleet_worker [--connect host:port] [--name label] [--threads n] \
-                 [--poll-ms ms] [--connect-timeout-ms ms] [--die-after-leases n]"
+                 [--connect-timeout-ms ms] [--die-after-leases n]"
             );
             return ExitCode::from(2);
         }

@@ -192,6 +192,19 @@ impl Scheduler {
         expired
     }
 
+    /// The earliest instant any current lease lapses, or `None` when
+    /// nothing is leased: the latest a held lease request may sleep
+    /// before [`Scheduler::expire`] has a slice to hand out.
+    pub fn next_expiry(&self) -> Option<u64> {
+        self.slices
+            .iter()
+            .filter_map(|slice| match slice.status {
+                SliceStatus::Leased { expires_at_ms, .. } => Some(expires_at_ms),
+                _ => None,
+            })
+            .min()
+    }
+
     /// Leases the lowest-id pending slice to `worker_id` (expiring
     /// lapsed leases first, so a dead holder cannot starve the queue).
     /// Returns the slice id and spec, or `None` when nothing is
@@ -414,6 +427,24 @@ mod tests {
         assert_eq!(re_id, id);
         // The old holder's heartbeat is now a no-op.
         assert!(!s.heartbeat(dead, id, 902));
+    }
+
+    #[test]
+    fn next_expiry_is_the_earliest_lapse_and_follows_heartbeats() {
+        let mut s = Scheduler::new(500);
+        s.push(spec(0, 0));
+        s.push(spec(0, 1));
+        let w = s.register("w");
+        assert_eq!(s.next_expiry(), None);
+        let (id0, _) = s.lease(w, 0).unwrap();
+        let (id1, _) = s.lease(w, 100).unwrap();
+        assert_eq!(s.next_expiry(), Some(500));
+        assert!(s.heartbeat(w, id0, 300));
+        assert_eq!(s.next_expiry(), Some(600));
+        assert!(s.complete(w, id1));
+        assert_eq!(s.next_expiry(), Some(800));
+        assert_eq!(s.expire(800), vec![id0]);
+        assert_eq!(s.next_expiry(), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::attribution::{AttributionAggregate, MonitoredMap};
@@ -286,6 +286,10 @@ pub(super) struct Core {
 pub(super) struct Shared {
     pub(super) options: ServerOptions,
     pub(super) core: Mutex<Core>,
+    /// Signalled whenever a slice may have become leasable or the
+    /// fleet may be done (a result folded, a lease was released), so
+    /// idle lease requests wait here instead of workers polling.
+    work: Condvar,
     pub(super) done: AtomicBool,
     worker_conns: AtomicUsize,
     start: Instant,
@@ -394,6 +398,7 @@ impl Server {
                 scheduler,
                 campaigns: states,
             }),
+            work: Condvar::new(),
             done: AtomicBool::new(false),
             worker_conns: AtomicUsize::new(0),
             start: Instant::now(),
@@ -813,6 +818,7 @@ fn serve_worker(shared: &Shared, mut stream: TcpStream, prefix: [u8; 4]) {
     }
     drop(core);
     if !released.is_empty() {
+        shared.work.notify_all();
         shared
             .registry
             .counter("fleet.slices.reassigned")
@@ -827,18 +833,24 @@ fn handle_lease(shared: &Shared, worker_id: u64, claimed: u64) -> Response {
             message: format!("connection registered worker {worker_id}, command claims {claimed}"),
         };
     }
-    let now = shared.now_ms();
+    // With nothing pending the request is held, not answered: the
+    // worker gets a slice as soon as one frees up, with no poll delay.
+    // A result or a release wakes the wait; a lapsing lease wakes
+    // nothing, so the wait also ends when the next lease lapses. After
+    // one lease TTL the worker is told to ask again.
+    let deadline = shared.now_ms().saturating_add(shared.options.lease_ms);
     let mut core = shared.core.lock().expect("no panics while holding lock");
-    // Expire lapsed leases explicitly (lease() would do it anyway) so
-    // heartbeat-timeout reassignments land in the flight log; the old
-    // holder is unknown by the time the lease lapses.
-    for slice_id in core.scheduler.expire(now) {
-        if let Some(name) = core.campaign_name_of(slice_id) {
-            shared.record_span(now, &name, slice_id, SpanKind::Reassigned, None);
+    loop {
+        let now = shared.now_ms();
+        // Expire lapsed leases explicitly (lease() would do it anyway)
+        // so heartbeat-timeout reassignments land in the flight log;
+        // the old holder is unknown by the time the lease lapses.
+        for slice_id in core.scheduler.expire(now) {
+            if let Some(name) = core.campaign_name_of(slice_id) {
+                shared.record_span(now, &name, slice_id, SpanKind::Reassigned, None);
+            }
         }
-    }
-    match core.scheduler.lease(worker_id, now) {
-        Some((slice_id, spec)) => {
+        if let Some((slice_id, spec)) = core.scheduler.lease(worker_id, now) {
             let campaign = &core.campaigns[spec.campaign];
             let slice = SliceLease {
                 slice_id,
@@ -857,13 +869,21 @@ fn handle_lease(shared: &Shared, worker_id: u64, claimed: u64) -> Response {
                 Some(worker_id),
             );
             shared.registry.counter("fleet.slices.leased").inc();
-            Response::Lease { slice }
+            return Response::Lease { slice };
         }
-        None => {
-            let done = core.scheduler.all_done();
-            drop(core);
-            Response::NoWork { done }
+        let done = core.scheduler.all_done();
+        if done || now >= deadline {
+            return Response::NoWork { done };
         }
+        let wake = core
+            .scheduler
+            .next_expiry()
+            .map_or(deadline, |expiry| expiry.min(deadline));
+        core = shared
+            .work
+            .wait_timeout(core, Duration::from_millis(wake - now))
+            .expect("no panics while holding lock")
+            .0;
     }
 }
 
@@ -949,6 +969,7 @@ fn handle_result(
     );
     finalize_ready(shared, &mut core);
     drop(core);
+    shared.work.notify_all();
     shared.registry.counter("fleet.slices.completed").inc();
     shared
         .registry

@@ -114,10 +114,11 @@ pub enum Response {
         /// The work.
         slice: SliceLease,
     },
-    /// Nothing to lease right now.
+    /// Nothing to lease: either the fleet is done, or the server held
+    /// the request for a lease TTL and nothing freed up.
     NoWork {
         /// `true` once every slice of every campaign is complete —
-        /// the worker should shut down instead of polling again.
+        /// the worker should shut down instead of asking again.
         done: bool,
     },
     /// Answer to [`Command::SliceResult`].

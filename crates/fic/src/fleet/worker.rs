@@ -32,8 +32,6 @@ pub struct WorkerOptions {
     pub name: String,
     /// Worker threads per slice (0 = all available cores).
     pub threads: usize,
-    /// Idle poll interval when the server has no work yet, ms.
-    pub poll_ms: u64,
     /// How long to keep retrying the initial connect, ms.
     pub connect_timeout_ms: u64,
     /// Test hook: die abruptly (drop the connection without sending
@@ -54,7 +52,6 @@ impl Default for WorkerOptions {
             connect: "127.0.0.1:7700".to_owned(),
             name: "worker".to_owned(),
             threads: 0,
-            poll_ms: 200,
             connect_timeout_ms: 10_000,
             die_after_leases: None,
             no_analytic_settle: false,
@@ -85,11 +82,6 @@ impl WorkerOptions {
                     options.threads = value("--threads")?
                         .parse()
                         .map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--poll-ms" => {
-                    options.poll_ms = value("--poll-ms")?
-                        .parse()
-                        .map_err(|e| format!("--poll-ms: {e}"))?;
                 }
                 "--connect-timeout-ms" => {
                     options.connect_timeout_ms = value("--connect-timeout-ms")?
@@ -241,9 +233,10 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, FleetError> 
                 let _ = send(&writer, &Command::Shutdown { worker_id });
                 return Ok(summary);
             }
-            Response::NoWork { done: false } => {
-                std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
-            }
+            // The server held the request until work could appear (a
+            // result folded, a lease came back) or its wait lapsed:
+            // ask again at once.
+            Response::NoWork { done: false } => {}
             Response::Refused { kind, message } => {
                 return Err(FleetError::Refused(kind, message));
             }

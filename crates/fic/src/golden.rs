@@ -7,6 +7,14 @@
 //!   detection and **no** failure ("All test cases are such that if
 //!   they are run on the target system without error injection, none of
 //!   the error detection mechanisms report detection", Section 3.4).
+//!   Each case runs as the campaign's own fault-free reference trial
+//!   ([`crate::experiment::run_reference_trial_with`]): forked from the
+//!   case's fault-free prefix and stopped at the settle proof
+//!   (`docs/PROOFS.md`), not simulated to the end of the window. The
+//!   cases fan out over [`Protocol::effective_workers`] threads, and the
+//!   violation reported is always the lowest-index one, whatever the
+//!   worker count. `tests/golden_equivalence.rs` pins every
+//!   proof-stopped verdict against a full-window run.
 //! * **Golden tables** ([`check_dir`] / [`refresh_dir`]): committed
 //!   reference campaign results under `results/golden/`. A fresh
 //!   campaign (or a journal replay) is compared cell by cell against
@@ -20,12 +28,14 @@
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use arrestor::{RunConfig, System};
 use ea_core::stats::Z_95;
 use simenv::TestCase;
 
 use crate::error_set::E1Error;
+use crate::experiment::{fault_free_prefix, run_reference_trial_with};
 use crate::protocol::Protocol;
 use crate::results::{Cell, E1Report, E2Report, VERSION_LABELS};
 use crate::tables;
@@ -53,30 +63,57 @@ impl fmt::Display for GoldenViolation {
 
 impl std::error::Error for GoldenViolation {}
 
-/// Runs every grid case without injections; errors on the first case
-/// that detects or fails.
+/// Runs every grid case without injections; errors on the lowest-index
+/// case that detects or fails.
+///
+/// Each case is the campaign's fault-free reference trial, stopped at
+/// the settle proof, and the cases are spread over
+/// [`Protocol::effective_workers`] threads. The result does not depend
+/// on the worker count.
 ///
 /// # Errors
 ///
-/// The first [`GoldenViolation`] encountered, if any.
+/// The [`GoldenViolation`] of the first grid case that violates the
+/// requirement, if any.
 pub fn validate_fault_free(protocol: &Protocol) -> Result<(), GoldenViolation> {
-    for case in protocol.grid.cases() {
-        let config = RunConfig {
-            observation_ms: protocol.observation_ms,
-            ..RunConfig::default()
-        };
-        let outcome = System::new(case, config).run_to_completion();
-        let spurious_detection = !outcome.detections.is_empty();
-        let failed = outcome.verdict.failed();
-        if spurious_detection || failed {
-            return Err(GoldenViolation {
-                case,
-                spurious_detection,
-                failed,
+    let cases = protocol.grid.cases();
+    let workers = protocol.effective_workers().min(cases.len());
+    let next = AtomicUsize::new(0);
+    let violations = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let ci = next.fetch_add(1, Ordering::Relaxed);
+                if ci >= cases.len() {
+                    break;
+                }
+                if let Some(violation) = check_case(protocol, cases[ci]) {
+                    violations
+                        .lock()
+                        .expect("no panics while holding lock")
+                        .push((ci, violation));
+                }
             });
         }
-    }
-    Ok(())
+    });
+    violations
+        .into_inner()
+        .expect("no panics while holding lock")
+        .into_iter()
+        .min_by_key(|&(ci, _)| ci)
+        .map_or(Ok(()), |(_, violation)| Err(violation))
+}
+
+/// One golden run: the fault-free reference trial of `case`.
+fn check_case(protocol: &Protocol, case: TestCase) -> Option<GoldenViolation> {
+    let prefix = fault_free_prefix(protocol, case);
+    let trial = run_reference_trial_with(protocol, case, &prefix, true);
+    let spurious_detection = trial.per_ea_first_ms.iter().any(Option::is_some);
+    (spurious_detection || trial.failed).then_some(GoldenViolation {
+        case,
+        spurious_detection,
+        failed: trial.failed,
+    })
 }
 
 /// One golden-table cell whose current value falls outside the golden

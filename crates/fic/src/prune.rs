@@ -272,4 +272,51 @@ mod tests {
         assert!(!built);
         assert_eq!(*again, executed);
     }
+
+    #[test]
+    fn concurrent_references_build_each_case_exactly_once() {
+        let protocol = crate::protocol::Protocol::scaled(2, 3_000);
+        let cases = protocol.grid.cases();
+        let prefixes: Vec<_> = cases
+            .iter()
+            .map(|&case| fault_free_prefix(&protocol, case))
+            .collect();
+        let sequential: Vec<Trial> = cases
+            .iter()
+            .zip(&prefixes)
+            .map(|(&case, prefix)| run_reference_trial_with(&protocol, case, prefix, true))
+            .collect();
+        let cache = PruneCache::new();
+        // Every thread asks for every case, starting at a different
+        // one: the same case races across threads, distinct cases run
+        // side by side.
+        let threads = 6;
+        let start = std::sync::Barrier::new(threads);
+        let results: Vec<Vec<(usize, Arc<Trial>, bool)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (cache, protocol, cases, prefixes) = (&cache, &protocol, &cases, &prefixes);
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..cases.len())
+                            .map(|k| {
+                                let ci = (t + k) % cases.len();
+                                let (trial, built) =
+                                    cache.reference(protocol, ci, cases[ci], &prefixes[ci], true);
+                                (ci, trial, built)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut builds = vec![0; cases.len()];
+        for (ci, trial, built) in results.into_iter().flatten() {
+            assert_eq!(*trial, sequential[ci], "case {ci}");
+            builds[ci] += usize::from(built);
+        }
+        assert_eq!(builds, vec![1; cases.len()]);
+    }
 }

@@ -8,7 +8,8 @@
 //! that re-slices encoded streams at random frame boundaries.
 
 use std::io::Cursor;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use fic::fleet::wire::{
     decode_payload, encode_frame, read_frame, write_frame, Command, FrameBuffer, FrameError,
@@ -270,6 +271,157 @@ fn version_mismatched_worker_is_refused_with_typed_error() {
         Response::Registered { lease_ms, .. } => assert!(lease_ms > 0),
         other => panic!("expected Registered, got {other:?}"),
     }
+}
+
+/// Opens a connection and registers it as worker `name`.
+fn register(addr: SocketAddr, name: &str) -> (TcpStream, u64) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_frame(
+        &mut stream,
+        &Command::Register {
+            wire_version: WIRE_VERSION,
+            worker: name.to_owned(),
+        },
+    )
+    .unwrap();
+    match read_frame::<_, Response>(&mut stream).unwrap().unwrap() {
+        Response::Registered { worker_id, .. } => (stream, worker_id),
+        other => panic!("expected Registered, got {other:?}"),
+    }
+}
+
+/// A lease request that finds nothing pending is held by the server,
+/// not answered with `NoWork`: when the only slice's holder
+/// disconnects, the waiting worker is handed that slice at once, long
+/// before the lease TTL could lapse.
+#[test]
+fn an_idle_lease_request_waits_for_a_released_slice() {
+    let dir = std::env::temp_dir().join(format!("fic-fleet-held-{}", std::process::id()));
+    let options = ServerOptions {
+        listen: "127.0.0.1:0".to_owned(),
+        lease_ms: 600_000,
+        out_dir: dir.clone(),
+        journal_dir: Some(dir),
+        ..ServerOptions::default()
+    };
+    // One E1 error on a one-case grid: exactly one slice.
+    let spec = CampaignSpec {
+        name: "held".to_owned(),
+        protocol: Protocol::scaled(1, 500),
+        e1_numbers: vec![1],
+        e2_numbers: Vec::new(),
+    };
+    let server = Server::bind(options, vec![spec]).unwrap();
+    let addr = server.local_addr().unwrap();
+    std::thread::spawn(move || server.run());
+
+    let (mut holder, holder_id) = register(addr, "holder");
+    write_frame(
+        &mut holder,
+        &Command::LeaseRequest {
+            worker_id: holder_id,
+        },
+    )
+    .unwrap();
+    let Response::Lease { slice } = read_frame::<_, Response>(&mut holder).unwrap().unwrap() else {
+        panic!("the only slice goes to the first asker");
+    };
+
+    let (mut waiter, waiter_id) = register(addr, "waiter");
+    write_frame(
+        &mut waiter,
+        &Command::LeaseRequest {
+            worker_id: waiter_id,
+        },
+    )
+    .unwrap();
+    // While the holder keeps its lease, no answer arrives (`peek`
+    // consumes nothing, so the frame read below starts clean).
+    waiter
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    assert!(
+        waiter.peek(&mut [0u8; 1]).is_err(),
+        "an idle lease request must be held, not answered"
+    );
+    waiter
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    drop(holder);
+    match read_frame::<_, Response>(&mut waiter).unwrap().unwrap() {
+        Response::Lease { slice: reassigned } => assert_eq!(reassigned.slice_id, slice.slice_id),
+        other => panic!("expected the released slice, got {other:?}"),
+    }
+}
+
+/// A holder that stays connected but never heartbeats loses its slice
+/// when the lease lapses, and a request already held by the server is
+/// answered with that slice as soon as it lapses, not only when the
+/// held request's own wait ends one TTL after it was made.
+#[test]
+fn a_held_lease_request_gets_a_slice_as_soon_as_its_lease_lapses() {
+    const TTL_MS: u64 = 2_000;
+    let dir = std::env::temp_dir().join(format!("fic-fleet-lapse-{}", std::process::id()));
+    let options = ServerOptions {
+        listen: "127.0.0.1:0".to_owned(),
+        lease_ms: TTL_MS,
+        out_dir: dir.clone(),
+        journal_dir: Some(dir),
+        ..ServerOptions::default()
+    };
+    let spec = CampaignSpec {
+        name: "lapse".to_owned(),
+        protocol: Protocol::scaled(1, 500),
+        e1_numbers: vec![1],
+        e2_numbers: Vec::new(),
+    };
+    let server = Server::bind(options, vec![spec]).unwrap();
+    let addr = server.local_addr().unwrap();
+    std::thread::spawn(move || server.run());
+
+    let (mut holder, holder_id) = register(addr, "holder");
+    write_frame(
+        &mut holder,
+        &Command::LeaseRequest {
+            worker_id: holder_id,
+        },
+    )
+    .unwrap();
+    let Response::Lease { slice } = read_frame::<_, Response>(&mut holder).unwrap().unwrap() else {
+        panic!("the only slice goes to the first asker");
+    };
+    let leased = Instant::now();
+
+    // Ask three quarters of a TTL later: the lease lapses a quarter
+    // TTL into this request's wait.
+    std::thread::sleep(Duration::from_millis(TTL_MS * 3 / 4));
+    let (mut waiter, waiter_id) = register(addr, "waiter");
+    waiter
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let asked = Instant::now();
+    write_frame(
+        &mut waiter,
+        &Command::LeaseRequest {
+            worker_id: waiter_id,
+        },
+    )
+    .unwrap();
+    match read_frame::<_, Response>(&mut waiter).unwrap().unwrap() {
+        Response::Lease { slice: reassigned } => assert_eq!(reassigned.slice_id, slice.slice_id),
+        other => panic!("expected the lapsed slice, got {other:?}"),
+    }
+    assert!(
+        leased.elapsed() >= Duration::from_millis(TTL_MS),
+        "the slice must not move before its lease lapses"
+    );
+    assert!(
+        asked.elapsed() < Duration::from_millis(TTL_MS * 3 / 4),
+        "the held request must be answered when the lease lapses, not one TTL after it was made \
+         (answered after {:?})",
+        asked.elapsed()
+    );
+    drop(holder);
 }
 
 /// A generated conversation: indices into a fixed message pool.

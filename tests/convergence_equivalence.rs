@@ -161,13 +161,12 @@ fn fleet_serves_coverage_and_dashboard() {
             connect: addr.to_string(),
             name: format!("{label}-worker"),
             threads: 1,
-            poll_ms: 20,
             ..WorkerOptions::default()
         };
         let worker_thread = std::thread::spawn(move || run_worker(&worker_options).unwrap());
         // Probe while the worker is live so the scoreboard has a row;
-        // registration happens within the worker's first poll, long
-        // before the campaign completes.
+        // registration happens as the worker connects, long before
+        // the campaign completes.
         let probed = probe_http.then(|| {
             let coverage = http_get(addr, "/coverage");
             let dashboard = http_get(addr, "/dashboard");

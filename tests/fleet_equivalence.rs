@@ -145,7 +145,6 @@ fn fleet_with_worker_death_matches_single_process_reference() {
         connect: addr.clone(),
         name: name.to_owned(),
         threads: 1,
-        poll_ms: 20,
         ..WorkerOptions::default()
     };
 

@@ -132,7 +132,6 @@ fn flight_recorder_is_a_pure_observer() {
             connect: addr,
             name: format!("{label}-worker"),
             threads: 1,
-            poll_ms: 20,
             ..WorkerOptions::default()
         })
         .unwrap();
