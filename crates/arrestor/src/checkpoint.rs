@@ -408,7 +408,8 @@ impl SettleDetector {
     /// of [`crate::settle`] instead of bit-exact equality, which stops
     /// trials seconds earlier and gives never-recurring decays (e.g.
     /// towards a zero command) a sound early verdict. Off by default;
-    /// campaigns enable it (`--no-analytic-settle` opts out). Has no
+    /// campaigns enable it (`fic::CampaignRunner::with_analytic_settle`
+    /// opts out). Has no
     /// effect in readout mode, where the relaxation would be unsound
     /// (samples record the raw pressure `f64`s).
     #[must_use]

@@ -11,7 +11,8 @@
 //! * **lane-order invariance** — permuting the flip slice permutes the
 //!   slots and nothing else;
 //! * **split-point invariance** — cutting one batch into consecutive
-//!   sub-batches (the `--batch-size` knob) changes no outcome.
+//!   sub-batches (as the campaign's fixed lane cap does) changes no
+//!   outcome.
 //!
 //! Flips are drawn pseudo-randomly from the full RAM + stack
 //! coordinate space; a failure prints the generating inputs.

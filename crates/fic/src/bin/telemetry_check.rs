@@ -16,9 +16,9 @@
 //!   fresh runs, which is what CI produces.) The `campaign.prune.*`
 //!   counters are cross-checked the same way: the journal's error
 //!   numbers reconstruct each trial's flip, [`fic::InertMap`] says
-//!   which were prunable, and the counters must agree exactly — unless
-//!   every prune counter is zero (a `--no-prune` run), which skips the
-//!   check;
+//!   which were prunable, and the counters must agree exactly (all-zero
+//!   counters against a journal holding prunable trials are a
+//!   mismatch: checkpointed campaigns always prune);
 //! * `--shards <n>` — the report (and journal) came from `n` shard
 //!   runs merged together (`merge_telemetry` / `merge_journals`). Each
 //!   shard execution had its own checkpoint cache, so the ground truth
@@ -171,12 +171,8 @@ fn main() -> ExitCode {
             }
         }
         match check_prune_counters(report, path, shards) {
-            Ok(PruneCheck::Match { pruned, references }) => println!(
+            Ok((pruned, references)) => println!(
                 "journal {}: prune counters match ({pruned} pruned, {references} reference(s))",
-                path.display()
-            ),
-            Ok(PruneCheck::PruningDisabled) => println!(
-                "journal {}: prune counters all zero (run used --no-prune); skipped",
                 path.display()
             ),
             Err(e) => {
@@ -402,20 +398,6 @@ fn check_cache_counters(
     Ok((hits, misses))
 }
 
-/// Outcome of the prune-counter cross-check.
-enum PruneCheck {
-    /// Counters equal the journal-derived ground truth.
-    Match {
-        /// Total pruned trials the journal implies.
-        pruned: u64,
-        /// Shared reference executions the journal implies.
-        references: u64,
-    },
-    /// Every prune counter is zero while the journal holds prunable
-    /// trials: the run was made with `--no-prune`, nothing to check.
-    PruningDisabled,
-}
-
 /// The report's `campaign.prune.*` counters equal the values the
 /// journal implies. The inert coordinates are a pure function of the
 /// target's memory maps ([`InertMap`]), so each record's flip —
@@ -425,12 +407,13 @@ enum PruneCheck {
 /// `prune.references` counts one shared reference execution per
 /// ⟨campaign, shard, test case⟩ holding at least one of them (each
 /// shard execution has its own [`fic::PruneCache`], mirroring the
-/// checkpoint-cache model above).
+/// checkpoint-cache model above). Returns the pruned-trial and
+/// reference counts.
 fn check_prune_counters(
     report: &TelemetryReport,
     path: &std::path::Path,
     shards: usize,
-) -> Result<PruneCheck, String> {
+) -> Result<(u64, u64), String> {
     let journal = Journal::load(path).map_err(|e| e.to_string())?;
     let cases_per_error = journal.header.protocol.cases_per_error();
     let map = InertMap::new();
@@ -470,13 +453,6 @@ fn check_prune_counters(
         ("campaign.prune.unread_ram", unread_ram),
         ("campaign.prune.references", references),
     ];
-    if expected_pruned > 0
-        && counters
-            .iter()
-            .all(|(name, _)| report.snapshot.counter(name) == 0)
-    {
-        return Ok(PruneCheck::PruningDisabled);
-    }
     for (name, expected) in counters {
         let got = report.snapshot.counter(name);
         if got != expected {
@@ -485,10 +461,7 @@ fn check_prune_counters(
             ));
         }
     }
-    Ok(PruneCheck::Match {
-        pruned: expected_pruned,
-        references,
-    })
+    Ok((expected_pruned, references))
 }
 
 /// The attribution report's aggregate equals what the journal's trial

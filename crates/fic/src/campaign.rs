@@ -6,11 +6,12 @@
 //! simulated once and cached in a [`CheckpointCache`] shared across
 //! workers, and every trial of that case forks from the cached
 //! [`arrestor::Snapshot`] instead of replaying the prefix from t = 0.
-//! Combined with the steady-state fast-forward of
-//! [`arrestor::SettleDetector`], this cuts campaign wall clock without
-//! changing a single bit of any result (see `PERFORMANCE.md`);
-//! [`CampaignRunner::with_checkpointing`]`(false)` forces full replay
-//! as a cross-check.
+//! The trials of a case step in lockstep chunks of
+//! [`DEFAULT_BATCH_SIZE`] lanes. Combined with the steady-state
+//! fast-forward of [`arrestor::SettleDetector`], this cuts campaign
+//! wall clock without changing a single bit of any result (see
+//! `PERFORMANCE.md`); [`CampaignRunner::with_checkpointing`]`(false)`
+//! forces full replay, the paper-faithful oracle.
 //!
 //! The collector (the calling thread) folds every trial into the report
 //! *and* appends it to the optional crash-safe [`crate::journal`], so a killed
@@ -32,10 +33,7 @@ use simenv::TestCase;
 use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap};
 use crate::convergence::{CellKey, ConvergenceAggregate};
 use crate::error_set::{E1Error, E2Error};
-use crate::experiment::{
-    fault_free_prefix, run_case_batch_with, run_trial, run_trial_checkpointed_observed_with, Trial,
-    TrialExecution,
-};
+use crate::experiment::{fault_free_prefix, run_case_batch_with, run_trial, Trial, TrialExecution};
 use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter, ShardSpec};
 use crate::protocol::Protocol;
 use crate::results::{E1Report, E2Report};
@@ -357,11 +355,12 @@ pub struct ProgressOptions {
     pub stream_every: u64,
 }
 
-/// Default lane cap per lockstep batch. Eight lanes keep the working
-/// set of live [`arrestor::System`] clones inside the fast caches on
-/// one core while still amortising the shared-environment tick;
-/// whole-case batches (112 lanes under E1) measurably lose the
-/// locality they gain in sharing (see PERFORMANCE.md for the sweep).
+/// Lanes per lockstep batch. A checkpointed campaign splits each test
+/// case's pending trials into consecutive chunks of this many errors.
+/// Eight lanes keep the working set of live [`arrestor::System`]
+/// clones inside the fast caches on one core while still amortising
+/// the shared-environment tick. Split points cannot change any result:
+/// lanes never interact (pinned by `crates/arrestor/tests/prop_batch.rs`).
 pub const DEFAULT_BATCH_SIZE: usize = 8;
 
 /// Executes error-injection campaigns under a protocol.
@@ -369,8 +368,6 @@ pub const DEFAULT_BATCH_SIZE: usize = 8;
 pub struct CampaignRunner {
     protocol: Protocol,
     checkpointing: bool,
-    batching: bool,
-    batch_size: usize,
     analytic_settle: bool,
     pruning: bool,
     telemetry: Option<Arc<telemetry::Registry>>,
@@ -382,22 +379,19 @@ pub struct CampaignRunner {
 }
 
 impl CampaignRunner {
-    /// A runner for the given protocol. Checkpointed **batched**
-    /// execution is on by default: all trials of a test case fork from
-    /// the cached prefix and step in lockstep
-    /// ([`crate::experiment::run_case_batch`]). Disable batching with
-    /// [`CampaignRunner::with_batching`]`(false)` to run the scalar
-    /// one-trial-at-a-time checkpointed path, or disable checkpointing
-    /// with [`CampaignRunner::with_checkpointing`]`(false)` to force
-    /// full from-t=0 replay of every trial. Results are bit-identical
-    /// across all three paths. Telemetry, progress and sharding are
-    /// all off by default.
+    /// A runner for the given protocol. Checkpointed execution is on by
+    /// default: all trials of a test case fork from the cached prefix
+    /// and step in lockstep chunks of [`DEFAULT_BATCH_SIZE`] lanes
+    /// ([`crate::experiment::run_case_batch_with`]). Disable
+    /// checkpointing with [`CampaignRunner::with_checkpointing`]`(false)`
+    /// to replay every trial from t = 0 ([`crate::experiment::run_trial`]),
+    /// the paper-faithful oracle. Results are bit-identical across the
+    /// two paths. Telemetry, progress and sharding are all off by
+    /// default.
     pub fn new(protocol: Protocol) -> Self {
         CampaignRunner {
             protocol,
             checkpointing: true,
-            batching: true,
-            batch_size: DEFAULT_BATCH_SIZE,
             analytic_settle: true,
             pruning: true,
             telemetry: None,
@@ -410,11 +404,11 @@ impl CampaignRunner {
     }
 
     /// Enables or disables the settle detector's analytic absorbing-band
-    /// relaxation (on by default; the `--no-analytic-settle` escape
-    /// hatch). Results are bit-identical either way — the band changes
-    /// when a trial is proven final, never what it produced (pinned by
-    /// `tests/settle_prune_equivalence.rs`); off trades the ≈5 s settle
-    /// tail back for plain exact-recurrence proofs.
+    /// relaxation (on by default). Results are bit-identical either way
+    /// — the band changes when a trial is proven final, never what it
+    /// produced. Off is the exact-recurrence reference run that
+    /// `tests/settle_prune_equivalence.rs` compares against; it trades
+    /// the ≈5 s settle tail back for plain exact-recurrence proofs.
     #[must_use]
     pub fn with_analytic_settle(mut self, enabled: bool) -> Self {
         self.analytic_settle = enabled;
@@ -427,7 +421,8 @@ impl CampaignRunner {
     }
 
     /// Enables or disables dominance pruning of statically-inert errors
-    /// (on by default; the `--no-prune` escape hatch). A pruned trial
+    /// (on by default; off is the reference run the equivalence tests
+    /// compare against). A pruned trial
     /// is never simulated: it shares its test case's reference trial
     /// (see [`crate::prune`]), which is bit-identical to what executing
     /// it would produce. Requires checkpointing — under
@@ -508,44 +503,6 @@ impl CampaignRunner {
     /// Whether trials fork from cached fault-free prefixes.
     pub const fn checkpointing(&self) -> bool {
         self.checkpointing
-    }
-
-    /// Enables or disables lockstep batching of checkpointed trials
-    /// (on by default). With batching off, checkpointed trials run the
-    /// scalar one-at-a-time path — the `--scalar` escape hatch.
-    /// Results are bit-identical either way (pinned by
-    /// `tests/batch_equivalence.rs`). A no-op under
-    /// [`CampaignRunner::with_checkpointing`]`(false)`, which always
-    /// runs scalar replay.
-    #[must_use]
-    pub fn with_batching(mut self, enabled: bool) -> Self {
-        self.batching = enabled;
-        self
-    }
-
-    /// Whether checkpointed trials run in lockstep batches.
-    pub const fn batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Caps the number of lanes per lockstep batch (`--batch-size`).
-    /// `0` runs every trial of a test case in one batch; smaller caps
-    /// split a case into consecutive chunks, trading shared-environment
-    /// savings for smaller working sets. The default is
-    /// [`DEFAULT_BATCH_SIZE`]: on one core, whole-case batches walk
-    /// more live `System` state per tick than fits the fast caches and
-    /// lose to the scalar path (see PERFORMANCE.md). Split points
-    /// cannot change any result — lanes never interact (pinned by
-    /// `crates/arrestor/tests/prop_batch.rs`).
-    #[must_use]
-    pub fn with_batch_size(mut self, lanes: usize) -> Self {
-        self.batch_size = lanes;
-        self
-    }
-
-    /// The lane cap per lockstep batch (`0` = whole case).
-    pub const fn batch_size(&self) -> usize {
-        self.batch_size
     }
 
     /// Attaches a metrics registry: campaign/cache/settle metrics are
@@ -629,7 +586,7 @@ impl CampaignRunner {
 
     /// Runs exactly the given ⟨error index, case index⟩ E1 pairs and
     /// returns every completed trial sorted by ⟨case, error⟩ — the
-    /// scalar completion order, so the caller's fan-in is deterministic
+    /// 1-worker completion order, so the caller's fan-in is deterministic
     /// regardless of worker count. This is the fleet worker's entry
     /// point: a slice lease names one test case and a set of errors,
     /// and the server journals the returned trials itself.
@@ -915,8 +872,9 @@ impl CampaignRunner {
             .collect()
     }
 
-    /// Generic worker fan-out: workers pull ⟨error, case⟩ pairs from a
-    /// shared queue and stream completed trials back; the collector (on
+    /// Generic worker fan-out: workers pull per-case chunks of
+    /// ⟨error, case⟩ pairs from a shared queue and stream completed
+    /// trials back; the collector (on
     /// the calling thread) folds them into the report in arrival order
     /// and appends each to the journal. Reports are commutative, so
     /// arrival order does not affect the result.
@@ -987,28 +945,15 @@ impl CampaignRunner {
             None => None,
         };
 
-        let batched = self.checkpointing && self.batching;
-        let (work_tx, work_rx) = channel::unbounded::<WorkItem>();
-        if batched {
-            // One lockstep chunk per (case, batch-size slice): trials
-            // of a case step together, in error order within the
-            // chunk, so a 1-worker batched run completes trials in
-            // exactly the scalar (ci, ei) order.
-            for (ci, eis) in group_by_case(&pending) {
-                let cap = if self.batch_size == 0 {
-                    eis.len()
-                } else {
-                    self.batch_size
-                };
-                for chunk in eis.chunks(cap.max(1)) {
-                    work_tx
-                        .send(WorkItem::Case(ci, chunk.to_vec()))
-                        .expect("queue is open");
-                }
-            }
-        } else {
-            for &(ei, ci) in &pending {
-                work_tx.send(WorkItem::Pair(ei, ci)).expect("queue is open");
+        // One work item per test case and chunk of at most
+        // [`DEFAULT_BATCH_SIZE`] errors, in pending order. Checkpointed
+        // pending lists are case-major, so a 1-worker campaign completes
+        // trials in (case, error) order; replay keeps the caller's
+        // error-major order.
+        let (work_tx, work_rx) = channel::unbounded::<(usize, Vec<usize>)>();
+        for (ci, eis) in group_by_case(&pending) {
+            for chunk in eis.chunks(DEFAULT_BATCH_SIZE) {
+                work_tx.send((ci, chunk.to_vec())).expect("queue is open");
             }
         }
         drop(work_tx);
@@ -1032,20 +977,30 @@ impl CampaignRunner {
                         .map(|t| t.registry.counter(&format!("campaign.worker.{w}.trials")));
                     loop {
                         let waiting = tel.as_ref().map(|_| Instant::now());
-                        let Ok(item) = work_rx.recv() else { break };
+                        let Ok((ci, eis)) = work_rx.recv() else { break };
                         if let (Some(t), Some(started)) = (&tel, waiting) {
                             let micros =
                                 u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
                             t.queue_wait_us.record(micros);
                         }
-                        match item {
-                            WorkItem::Case(ci, eis) => {
-                                let cache = cache.as_ref().expect("batched work is checkpointed");
-                                // The scalar path resolves the prefix
-                                // once per trial; doing the same per
-                                // lane keeps the cache hit/miss
-                                // counters bit-identical between the
-                                // two paths.
+                        let trials: Vec<Trial> = match &cache {
+                            // Replay: every trial from t = 0.
+                            None => eis
+                                .iter()
+                                .map(|&ei| {
+                                    if let Some(t) = &tel {
+                                        t.trials_full_window.inc();
+                                        t.window_ms_simulated.add(protocol.observation_ms);
+                                    }
+                                    run_trial(protocol, errors[ei].flip(), cases[ci])
+                                })
+                                .collect(),
+                            Some(cache) => {
+                                // One prefix lookup per trial, not per chunk:
+                                // `campaign.checkpoint.cache.{hits,misses}` then
+                                // count trials, which is the ground truth that
+                                // `telemetry_check --journal` and the benchmark
+                                // ledger's traced mirror both re-derive.
                                 let mut prefix = None;
                                 for _ in &eis {
                                     prefix = Some(cache.prefix_observed(
@@ -1056,13 +1011,12 @@ impl CampaignRunner {
                                     ));
                                 }
                                 let prefix = prefix.expect("chunks are never empty");
-                                // Partition the chunk: statically-inert
-                                // errors skip execution and share the
-                                // case's reference trial; live lanes
-                                // run the lockstep batch. Results are
-                                // emitted in chunk order either way, so
-                                // journal bytes never depend on the
-                                // prune setting.
+                                // Partition the chunk: statically-inert errors
+                                // skip execution and share the case's reference
+                                // trial; live lanes run the lockstep batch.
+                                // Results are emitted in chunk order either way,
+                                // so journal bytes never depend on the prune
+                                // setting.
                                 let classes: Vec<Option<crate::prune::PruneClass>> = eis
                                     .iter()
                                     .map(|&ei| {
@@ -1106,78 +1060,19 @@ impl CampaignRunner {
                                         }
                                     }
                                 }
-                                for (i, trial) in trials.into_iter().enumerate() {
-                                    let trial = trial.expect("every lane resolved");
-                                    if let Some(c) = &worker_trials {
-                                        c.inc();
-                                    }
-                                    result_tx
-                                        .send((eis[i], ci, trial))
-                                        .expect("collector outlives workers");
-                                }
+                                trials
+                                    .into_iter()
+                                    .map(|trial| trial.expect("every lane resolved"))
+                                    .collect()
                             }
-                            WorkItem::Pair(ei, ci) => {
-                                let trial = match &cache {
-                                    Some(cache) => {
-                                        let prefix = cache.prefix_observed(
-                                            protocol,
-                                            ci,
-                                            cases[ci],
-                                            tel.as_ref(),
-                                        );
-                                        let class = prune
-                                            .as_ref()
-                                            .and_then(|p| p.classify(errors[ei].flip()));
-                                        if let Some(class) = class {
-                                            let p = prune.as_ref().expect("just classified");
-                                            let (reference, built) = p.reference(
-                                                protocol, ci, cases[ci], &prefix, analytic,
-                                            );
-                                            if let Some(t) = &tel {
-                                                if built {
-                                                    t.prune_references.inc();
-                                                }
-                                                t.observe_prune(class);
-                                            }
-                                            if let Some(pr) = &profile {
-                                                pr.record_prune();
-                                            }
-                                            (*reference).clone()
-                                        } else {
-                                            let (trial, execution) =
-                                                run_trial_checkpointed_observed_with(
-                                                    protocol,
-                                                    errors[ei].flip(),
-                                                    cases[ci],
-                                                    &prefix,
-                                                    analytic,
-                                                );
-                                            if let Some(t) = &tel {
-                                                t.observe_execution(&execution);
-                                            }
-                                            if let Some(pr) = &profile {
-                                                pr.record_execution(&execution);
-                                            }
-                                            trial
-                                        }
-                                    }
-                                    None => {
-                                        let trial =
-                                            run_trial(protocol, errors[ei].flip(), cases[ci]);
-                                        if let Some(t) = &tel {
-                                            t.trials_full_window.inc();
-                                            t.window_ms_simulated.add(protocol.observation_ms);
-                                        }
-                                        trial
-                                    }
-                                };
-                                if let Some(c) = &worker_trials {
-                                    c.inc();
-                                }
-                                result_tx
-                                    .send((ei, ci, trial))
-                                    .expect("collector outlives workers");
+                        };
+                        for (ei, trial) in eis.into_iter().zip(trials) {
+                            if let Some(c) = &worker_trials {
+                                c.inc();
                             }
+                            result_tx
+                                .send((ei, ci, trial))
+                                .expect("collector outlives workers");
                         }
                     }
                 });
@@ -1237,17 +1132,8 @@ impl CampaignRunner {
     }
 }
 
-/// One unit of worker work: a single ⟨error, case⟩ trial (the scalar
-/// and replay paths) or one lockstep chunk of a test case's trials
-/// (error indices, in order).
-#[derive(Debug)]
-enum WorkItem {
-    Pair(usize, usize),
-    Case(usize, Vec<usize>),
-}
-
-/// Groups a (case, error)-sorted pending list into per-case runs,
-/// preserving error order within each case.
+/// Groups a pending list into runs of consecutive pairs that share a
+/// test case, preserving order within each run.
 fn group_by_case(pending: &[(usize, usize)]) -> Vec<(usize, Vec<usize>)> {
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for &(ei, ci) in pending {
@@ -1358,31 +1244,6 @@ mod tests {
         let fast = runner.run_e1(subset);
         let slow = runner.clone().with_checkpointing(false).run_e1(subset);
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn batched_run_equals_scalar_run() {
-        let protocol = Protocol::scaled(2, 1_500);
-        let runner = CampaignRunner::new(protocol);
-        assert!(runner.batching());
-        let errors = error_set::e1();
-        let subset = &errors[78..84]; // spans the SetValue/mscnt boundary
-        let batched = runner.run_e1(subset);
-        let scalar = runner.clone().with_batching(false).run_e1(subset);
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn batch_size_split_points_do_not_change_results() {
-        let protocol = Protocol::scaled(2, 1_500);
-        let runner = CampaignRunner::new(protocol);
-        let errors = error_set::e2();
-        let subset = &errors[..5];
-        let whole_case = runner.clone().with_batch_size(0).run_e2(subset);
-        for lanes in [1, 2, 3, DEFAULT_BATCH_SIZE] {
-            let chunked = runner.clone().with_batch_size(lanes).run_e2(subset);
-            assert_eq!(chunked, whole_case, "batch size {lanes}");
-        }
     }
 
     #[test]

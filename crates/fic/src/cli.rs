@@ -3,7 +3,7 @@
 //! Flags understood by every binary:
 //!
 //! * `--scale <n>` — use an `n × n` test-case grid instead of the
-//!   paper's 5 × 5;
+//!   paper's 5 × 5 (`n ≥ 1`);
 //! * `--observation <ms>` — shorten the 40 s observation window;
 //! * `--workers <n>` — worker threads (default: all cores);
 //! * `--out <dir>` — artefact directory (default `results/`);
@@ -27,24 +27,8 @@
 //!   `results/repro`);
 //! * `--no-checkpoint` — disable checkpointed trial execution (prefix
 //!   forking and steady-state fast-forward) and replay every trial from
-//!   t = 0. Results are bit-identical either way; this is the slow
-//!   cross-check and benchmark baseline;
-//! * `--scalar` — run checkpointed trials one at a time instead of in
-//!   lockstep batches (the pre-batching execution path). Results are
-//!   bit-identical either way; this is the differential cross-check
-//!   the batch-equivalence suite runs against;
-//! * `--batch-size <n>` — cap the number of lanes per lockstep batch
-//!   (default [`crate::campaign::DEFAULT_BATCH_SIZE`]; `0` = all trials of a
-//!   test case in one batch). Split points cannot change any result;
-//! * `--no-analytic-settle` — restrict settle proofs to exact state
-//!   recurrence, disabling the analytic absorbing-band relaxation
-//!   (`arrestor::settle`). Results are bit-identical either way; trials
-//!   whose pressures are still creeping toward their fixed point run
-//!   longer;
-//! * `--no-prune` — execute statically-inert errors (`fic::prune`)
-//!   instead of sharing their test case's reference trial. Results are
-//!   bit-identical either way; this is the differential cross-check
-//!   for the dominance-prune pass;
+//!   t = 0. Results are bit-identical either way; this is the
+//!   paper-faithful oracle the lockstep path is checked against;
 //! * `--shard k/n` — run only shard `k` of `n` (1-based) of the trial
 //!   grid: a deterministic slice recorded in the journal header.
 //!   Combine shard journals with `merge_journals`;
@@ -56,8 +40,6 @@
 //!   per trial (first-firing assertion, signal class, latency split),
 //!   fold them into `<out>/attribution/<producer>.json`, and append
 //!   them to the journal when one is attached;
-//! * `--no-attribution` — explicitly disable attribution (the
-//!   default; the pair of flags exists so scripts can be explicit);
 //! * `--profile` — count every assertion check per EA during the run,
 //!   sample per-check wall clock afterwards, and write the
 //!   schema-versioned cost profile to `<out>/profile/` (see
@@ -116,16 +98,6 @@ pub struct CliOptions {
     /// Replay every trial from t = 0 instead of forking cached
     /// fault-free prefixes.
     pub no_checkpoint: bool,
-    /// Run checkpointed trials one at a time instead of in lockstep
-    /// batches.
-    pub scalar: bool,
-    /// Lane cap per lockstep batch (`None` = whole case per batch).
-    pub batch_size: Option<usize>,
-    /// Restrict settle proofs to exact recurrence (no analytic
-    /// absorbing band).
-    pub no_analytic_settle: bool,
-    /// Execute statically-inert errors instead of pruning them.
-    pub no_prune: bool,
     /// Run only this deterministic slice of the trial grid:
     /// `(index, count)`, 1-based, from `--shard k/n`.
     pub shard: Option<(usize, usize)>,
@@ -167,10 +139,6 @@ impl Default for CliOptions {
             trace: false,
             repro_dir: PathBuf::from("results/repro"),
             no_checkpoint: false,
-            scalar: false,
-            batch_size: None,
-            no_analytic_settle: false,
-            no_prune: false,
             shard: None,
             telemetry_jsonl: None,
             no_telemetry: false,
@@ -195,11 +163,8 @@ impl CliOptions {
                     "usage: [--scale n] [--observation ms] [--workers n] [--out dir] \
                      [--load file] [--journal file] [--resume] [--from-journal file] \
                      [--check-golden] [--refresh-golden] [--golden-dir dir] \
-                     [--trace] [--repro-dir dir] [--no-checkpoint] [--scalar] \
-                     [--batch-size n] [--no-analytic-settle] [--no-prune] \
-                     [--shard k/n] \
-                     [--telemetry-jsonl file] [--no-telemetry] \
-                     [--attribution] [--no-attribution] \
+                     [--trace] [--repro-dir dir] [--no-checkpoint] [--shard k/n] \
+                     [--telemetry-jsonl file] [--no-telemetry] [--attribution] \
                      [--profile] [--metrics-file path] \
                      [--convergence-jsonl file] [--precision-report]"
                 );
@@ -215,7 +180,6 @@ impl CliOptions {
     /// A human-readable message naming the offending flag or value.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut options = CliOptions::default();
-        let mut no_attribution = false;
         let mut iter = args.iter();
         while let Some(flag) = iter.next() {
             let mut value = |name: &str| {
@@ -224,13 +188,7 @@ impl CliOptions {
                     .ok_or_else(|| format!("{name} needs a value"))
             };
             match flag.as_str() {
-                "--scale" => {
-                    options.scale = Some(
-                        value("--scale")?
-                            .parse()
-                            .map_err(|e| format!("--scale: {e}"))?,
-                    );
-                }
+                "--scale" => options.scale = Some(parse_scale(&value("--scale")?)?),
                 "--observation" => {
                     options.observation_ms = Some(
                         value("--observation")?
@@ -258,23 +216,12 @@ impl CliOptions {
                 "--trace" => options.trace = true,
                 "--repro-dir" => options.repro_dir = PathBuf::from(value("--repro-dir")?),
                 "--no-checkpoint" => options.no_checkpoint = true,
-                "--scalar" => options.scalar = true,
-                "--batch-size" => {
-                    options.batch_size = Some(
-                        value("--batch-size")?
-                            .parse()
-                            .map_err(|e| format!("--batch-size: {e}"))?,
-                    );
-                }
-                "--no-analytic-settle" => options.no_analytic_settle = true,
-                "--no-prune" => options.no_prune = true,
                 "--shard" => options.shard = Some(parse_shard(&value("--shard")?)?),
                 "--telemetry-jsonl" => {
                     options.telemetry_jsonl = Some(PathBuf::from(value("--telemetry-jsonl")?));
                 }
                 "--no-telemetry" => options.no_telemetry = true,
                 "--attribution" => options.attribution = true,
-                "--no-attribution" => no_attribution = true,
                 "--profile" => options.profile = true,
                 "--metrics-file" => {
                     options.metrics_file = Some(PathBuf::from(value("--metrics-file")?));
@@ -297,14 +244,8 @@ impl CliOptions {
                  combined with --journal/--resume"
                 .to_owned());
         }
-        if options.attribution && no_attribution {
-            return Err("--attribution contradicts --no-attribution".to_owned());
-        }
         if options.no_telemetry && options.metrics_file.is_some() {
             return Err("--no-telemetry contradicts --metrics-file".to_owned());
-        }
-        if no_attribution {
-            options.attribution = false;
         }
         Ok(options)
     }
@@ -335,9 +276,6 @@ impl CliOptions {
     pub fn runner(&self, registry: Option<&Arc<telemetry::Registry>>) -> CampaignRunner {
         let mut runner = CampaignRunner::new(self.protocol())
             .with_checkpointing(!self.no_checkpoint)
-            .with_batching(!self.scalar)
-            .with_analytic_settle(!self.no_analytic_settle)
-            .with_pruning(!self.no_prune)
             .with_attribution(self.attribution);
         if self.profile {
             runner = runner.with_profile(Arc::new(profile::ProfileRecorder::new()));
@@ -353,9 +291,6 @@ impl CliOptions {
                 }
             }
             runner = runner.with_convergence(Arc::new(sink));
-        }
-        if let Some(lanes) = self.batch_size {
-            runner = runner.with_batch_size(lanes);
         }
         if let Some((index, count)) = self.shard {
             runner = runner.with_shard(index, count);
@@ -476,6 +411,17 @@ impl CliOptions {
     }
 }
 
+/// Parses a `--scale` grid side, which must be at least 1: a 0 × 0
+/// grid has no test cases, so every table cell would read `-`. The
+/// fleet server's parser shares it.
+pub(crate) fn parse_scale(value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) => Err("--scale: the grid needs at least one test case, got 0".to_owned()),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("--scale: {e}")),
+    }
+}
+
 /// Parses a `k/n` shard spec (1-based, `1 ≤ k ≤ n`).
 fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
     let (index, count) = spec
@@ -516,6 +462,8 @@ mod tests {
         assert!(!options.trace);
         assert_eq!(options.repro_dir, PathBuf::from("results/repro"));
         assert!(!options.no_checkpoint);
+        let runner = options.runner(None);
+        assert!(runner.checkpointing() && runner.analytic_settle() && runner.pruning());
     }
 
     #[test]
@@ -530,41 +478,6 @@ mod tests {
     fn parses_no_checkpoint() {
         let options = CliOptions::parse(&args(&["--no-checkpoint"])).unwrap();
         assert!(options.no_checkpoint);
-    }
-
-    #[test]
-    fn parses_scalar_and_batch_size() {
-        let options = CliOptions::parse(&[]).unwrap();
-        assert!(!options.scalar);
-        assert_eq!(options.batch_size, None);
-        let runner = options.runner(None);
-        assert!(runner.batching());
-        assert_eq!(runner.batch_size(), crate::campaign::DEFAULT_BATCH_SIZE);
-
-        let options = CliOptions::parse(&args(&["--scalar", "--batch-size", "16"])).unwrap();
-        assert!(options.scalar);
-        assert_eq!(options.batch_size, Some(16));
-        let runner = options.runner(None);
-        assert!(!runner.batching());
-        assert_eq!(runner.batch_size(), 16);
-
-        assert!(CliOptions::parse(&args(&["--batch-size"])).is_err());
-        assert!(CliOptions::parse(&args(&["--batch-size", "many"])).is_err());
-    }
-
-    #[test]
-    fn parses_settle_and_prune_escape_hatches() {
-        let options = CliOptions::parse(&[]).unwrap();
-        assert!(!options.no_analytic_settle && !options.no_prune);
-        let runner = options.runner(None);
-        assert!(runner.analytic_settle());
-        assert!(runner.pruning());
-
-        let options = CliOptions::parse(&args(&["--no-analytic-settle", "--no-prune"])).unwrap();
-        assert!(options.no_analytic_settle && options.no_prune);
-        let runner = options.runner(None);
-        assert!(!runner.analytic_settle());
-        assert!(!runner.pruning());
     }
 
     /// Every flag documented in the README's flag tables must be one
@@ -750,12 +663,6 @@ mod tests {
                 .unwrap()
                 .attribution
         );
-        assert!(
-            !CliOptions::parse(&args(&["--no-attribution"]))
-                .unwrap()
-                .attribution
-        );
-        assert!(CliOptions::parse(&args(&["--attribution", "--no-attribution"])).is_err());
     }
 
     #[test]
@@ -805,6 +712,16 @@ mod tests {
         assert!(CliOptions::parse(&args(&["--bogus"])).is_err());
         assert!(CliOptions::parse(&args(&["--scale"])).is_err());
         assert!(CliOptions::parse(&args(&["--scale", "two"])).is_err());
+    }
+
+    #[test]
+    fn rejects_an_empty_grid() {
+        let err = CliOptions::parse(&args(&["--scale", "0"])).unwrap_err();
+        assert!(err.starts_with("--scale:"), "{err}");
+        assert_eq!(
+            CliOptions::parse(&args(&["--scale", "1"])).unwrap().scale,
+            Some(1)
+        );
     }
 
     #[test]

@@ -157,8 +157,10 @@ pub fn run_trial_checkpointed_observed(
 /// bit-identical either way — the band only changes *when* a run is
 /// proven final, never what its outputs are — but the execution shape
 /// (stop time, proof kind) differs, which is why the plain name pins
-/// the historical `false` and the campaign layer passes its
-/// `--no-analytic-settle` setting here explicitly.
+/// the historical `false` and callers that mirror a campaign pass its
+/// [`crate::CampaignRunner::with_analytic_settle`] setting here
+/// explicitly. It is the scalar reference the lockstep lanes of
+/// [`run_case_batch_with`] are tested against.
 pub fn run_trial_checkpointed_observed_with(
     protocol: &Protocol,
     flip: BitFlip,

@@ -161,13 +161,7 @@ impl ServerOptions {
                     options.journal_dir = Some(PathBuf::from(value("--journal-dir")?));
                 }
                 "--once" => options.once = true,
-                "--scale" => {
-                    options.scale = Some(
-                        value("--scale")?
-                            .parse()
-                            .map_err(|e| format!("--scale: {e}"))?,
-                    );
-                }
+                "--scale" => options.scale = Some(crate::cli::parse_scale(&value("--scale")?)?),
                 "--observation" => {
                     options.observation_ms = Some(
                         value("--observation")?
@@ -1039,4 +1033,34 @@ pub(super) struct CampaignView {
     pub(super) attribution: AttributionAggregate,
     pub(super) coverage: ConvergenceAggregate,
     pub(super) protocol: Protocol,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn parses_protocol_flags() {
+        let options =
+            ServerOptions::parse(&args(&["--scale", "2", "--observation", "1500"])).unwrap();
+        let protocol = options.protocol();
+        assert_eq!(protocol.cases_per_error(), 4);
+        assert_eq!(protocol.observation_ms, 1_500);
+        assert_eq!(
+            ServerOptions::parse(&[]).unwrap().protocol(),
+            Protocol::paper()
+        );
+    }
+
+    #[test]
+    fn rejects_an_empty_grid() {
+        let err = ServerOptions::parse(&args(&["--scale", "0"])).unwrap_err();
+        assert!(err.starts_with("--scale:"), "{err}");
+        assert!(ServerOptions::parse(&args(&["--scale", "two"])).is_err());
+        assert!(ServerOptions::parse(&args(&["--lease-ms", "0"])).is_err());
+    }
 }

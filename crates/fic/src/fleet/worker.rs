@@ -38,12 +38,6 @@ pub struct WorkerOptions {
     /// anything, a SIGKILL equivalent) immediately after taking this
     /// many leases.
     pub die_after_leases: Option<usize>,
-    /// Restrict settle proofs to exact recurrence (no analytic
-    /// absorbing band) — must match the server's reference runs when
-    /// comparing journals bit for bit.
-    pub no_analytic_settle: bool,
-    /// Execute statically-inert errors instead of pruning them.
-    pub no_prune: bool,
 }
 
 impl Default for WorkerOptions {
@@ -54,8 +48,6 @@ impl Default for WorkerOptions {
             threads: 0,
             connect_timeout_ms: 10_000,
             die_after_leases: None,
-            no_analytic_settle: false,
-            no_prune: false,
         }
     }
 }
@@ -95,8 +87,6 @@ impl WorkerOptions {
                             .map_err(|e| format!("--die-after-leases: {e}"))?,
                     );
                 }
-                "--no-analytic-settle" => options.no_analytic_settle = true,
-                "--no-prune" => options.no_prune = true,
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -313,10 +303,7 @@ fn execute_slice(
     let mut protocol = slice.protocol.clone();
     protocol.workers = options.threads;
     let registry = Arc::new(Registry::new());
-    let runner = CampaignRunner::new(protocol)
-        .with_analytic_settle(!options.no_analytic_settle)
-        .with_pruning(!options.no_prune)
-        .with_telemetry(Arc::clone(&registry));
+    let runner = CampaignRunner::new(protocol).with_telemetry(Arc::clone(&registry));
     let pairs: Vec<(usize, usize)> = (0..slice.error_numbers.len())
         .map(|ei| (ei, slice.case_index))
         .collect();

@@ -28,7 +28,7 @@
 //! [`crate::experiment::run_reference_trial_with`]) across all inert
 //! errors of that case, and counts the skips exactly in the fold —
 //! journal bytes, tables and attribution stay byte-identical to a
-//! `--no-prune` run (pinned by `tests/settle_prune_equivalence.rs`).
+//! run with pruning off (pinned by `tests/settle_prune_equivalence.rs`).
 //!
 //! The E1 set targets monitored signals only, so it contains no inert
 //! errors; under the seeded E2 set 43 of the 50 stack flips and 135 of

@@ -10,8 +10,9 @@
 //! genuinely never-final (their corrupted commands never stabilise, so
 //! *no* sound early stop exists and both detectors correctly run to
 //! the horizon). Inside any window shorter than its exact-recurrence
-//! instant, a tail trial therefore runs to the horizon under
-//! `--no-analytic-settle` while the analytic absorbing-band proof
+//! instant, a tail trial therefore runs to the horizon with the analytic
+//! settle switched off (`with_analytic_settle(false)`) while the
+//! analytic absorbing-band proof
 //! (docs/PROOFS.md) still gives it a sound early verdict.
 //!
 //! This file pins the worst-tail pair — R183 case 1, analytic stop at

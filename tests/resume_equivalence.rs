@@ -144,17 +144,15 @@ fn truncate_after_records(path: &PathBuf, keep: usize, tail: &str) {
 
 #[test]
 fn batched_resume_after_mid_case_kill_is_byte_identical() {
-    // The PR 6 lockstep executor runs whole-case lane chunks; a resume
-    // after a kill *inside* a case hands it a partial chunk (some
-    // trials of the case already journaled). The batched resumed run
-    // must still be byte-identical to the uninterrupted batched run —
-    // reports, journal bytes (1 worker), and replay.
+    // The lockstep executor runs per-case lane chunks; a resume after
+    // a kill *inside* a case hands it a partial chunk (some trials of
+    // the case already journaled). The resumed run must still be
+    // byte-identical to the uninterrupted run — reports, journal bytes
+    // (1 worker), and replay.
     let path = temp_journal("batched-mid-case");
     let mut protocol = small_protocol();
     protocol.workers = 1; // deterministic journal append order
-    let runner = CampaignRunner::new(protocol.clone())
-        .with_batching(true)
-        .with_batch_size(2); // --batch-size > 1: two lanes per chunk
+    let runner = CampaignRunner::new(protocol.clone());
     let errors = error_set::e1();
     let subset = &errors[30..34]; // 4 errors × 4 cases = 16 trials
 
@@ -176,7 +174,7 @@ fn batched_resume_after_mid_case_kill_is_byte_identical() {
         "batched resumed E1 report must be byte-identical"
     );
 
-    // At one worker the batched executor completes trials in scalar
+    // At one worker the lockstep executor completes trials in
     // (case, error) order, and the resume's pending pairs are the
     // exact sorted remainder — so even the journal file is restored
     // byte for byte.
@@ -186,13 +184,12 @@ fn batched_resume_after_mid_case_kill_is_byte_identical() {
     let (replay_e1, _) = journal.replay().unwrap();
     assert_eq!(replay_e1, uninterrupted);
 
-    // Same drill on E2 with an odd batch split (batch-size 3 over 4
-    // errors → chunks of 3 + 1).
+    // Same drill on E2 with a split chunk: nine errors per case run as
+    // chunks of DEFAULT_BATCH_SIZE (8) + 1, and the kill lands inside
+    // case 0's first chunk.
     let e2_path = temp_journal("batched-mid-case-e2");
-    let e2_runner = CampaignRunner::new(protocol.clone())
-        .with_batching(true)
-        .with_batch_size(3);
-    let e2_subset = &error_set::e2()[..4];
+    let e2_runner = CampaignRunner::new(protocol.clone());
+    let e2_subset = &error_set::e2()[..9];
     let e2_uninterrupted = e2_runner.run_e2(e2_subset);
     let mut writer = JournalWriter::create(&e2_path, &protocol).unwrap();
     e2_runner.run_e2_journaled(e2_subset, &mut writer).unwrap();

@@ -3,8 +3,9 @@
 //!
 //! The fast campaign path — analytic absorbing-band settle proofs plus
 //! dominance pruning of statically-inert errors, both on by default —
-//! must be indistinguishable from the exact path
-//! (`--no-analytic-settle --no-prune`) in every result-bearing
+//! must be indistinguishable from the exact path (both switched off
+//! through `with_analytic_settle(false)` and `with_pruning(false)`) in
+//! every result-bearing
 //! artifact: the rendered Tables 6–9, the journal file byte for byte
 //! (at one worker, where append order is deterministic), the
 //! attribution aggregate, and the result-derived telemetry counters.

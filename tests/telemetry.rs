@@ -214,6 +214,78 @@ fn prune_counters_match_journal_ground_truth() {
     );
 }
 
+/// Runs the `telemetry_check` binary, built on demand in this test's
+/// profile, and returns what it printed and how it exited.
+fn telemetry_check(args: &[&std::ffi::OsStr]) -> std::process::Output {
+    let mut command = std::process::Command::new(env!("CARGO"));
+    command
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["run", "--quiet", "--offline", "-p", "fic", "--bin"])
+        .arg("telemetry_check");
+    if !cfg!(debug_assertions) {
+        command.arg("--release");
+    }
+    command.arg("--").args(args).output().unwrap()
+}
+
+/// `telemetry_check --journal` fails a report whose prune counters
+/// were zeroed. Checkpointed campaigns always prune, so all-zero prune
+/// counters against a journal holding prunable trials are a silent
+/// miss, never a pruning-off run to skip.
+#[test]
+fn zeroed_prune_counters_fail_the_journal_check() {
+    let dir = temp_dir("zeroed-prune");
+    let journal_path = dir.join("campaign.jsonl");
+    let protocol = small_protocol();
+    let registry = Arc::new(Registry::new());
+    let runner = CampaignRunner::new(protocol.clone()).with_telemetry(Arc::clone(&registry));
+    let subset = &error_set::e2()[..6];
+    let map = fic::InertMap::new();
+    assert!(
+        subset.iter().any(|e| map.classify(e.flip).is_some()),
+        "the slice must hold prunable errors"
+    );
+    let mut writer = JournalWriter::create(&journal_path, &protocol).unwrap();
+    runner.run_e2_journaled(subset, &mut writer).unwrap();
+    drop(writer);
+
+    let mut report = telemetry::TelemetryReport::assemble(
+        "full_campaign",
+        telemetry::RunMetadata::for_run(&protocol, true, None),
+        registry.snapshot(),
+    );
+    let fresh = telemetry::write_report(&dir, "fresh", &report).unwrap();
+    for (name, value) in report.snapshot.counters.iter_mut() {
+        if name.starts_with("campaign.prune.") {
+            *value = 0;
+        }
+    }
+    let zeroed = telemetry::write_report(&dir, "zeroed", &report).unwrap();
+
+    let check = |report: &std::path::Path| {
+        telemetry_check(&[
+            "--report".as_ref(),
+            report.as_os_str(),
+            "--journal".as_ref(),
+            journal_path.as_os_str(),
+        ])
+    };
+    let passed = check(&fresh);
+    assert!(
+        passed.status.success(),
+        "the fresh report must pass: {}",
+        String::from_utf8_lossy(&passed.stderr)
+    );
+    let failed = check(&zeroed);
+    let stderr = String::from_utf8_lossy(&failed.stderr);
+    assert!(
+        !failed.status.success(),
+        "zeroed prune counters must fail the check; stdout: {}",
+        String::from_utf8_lossy(&failed.stdout)
+    );
+    assert!(stderr.contains("PRUNE MISMATCH"), "{stderr}");
+}
+
 /// Shards partition the grid: disjoint, exhaustive, and their merged
 /// reports equal the unsharded campaign exactly.
 #[test]
