@@ -1,15 +1,15 @@
 //! Per-table regeneration benchmarks — one group per evaluation table
 //! and figure of the paper, exercising exactly the pipeline the
-//! corresponding `fic` binary runs (scaled down so Criterion can sample
+//! producing `fic` binary runs (scaled down so Criterion can sample
 //! it; the full-protocol run is `cargo run --release -p fic --bin
 //! full_campaign`).
 //!
-//! | group | paper artefact | full-scale binary |
+//! | group | paper artefact | full-scale producer |
 //! |---|---|---|
-//! | `table6` | Table 6 (E1 distribution) | `table6` |
-//! | `table7` | Table 7 (E1 coverage) | `table7` |
-//! | `table8` | Table 8 (E1 latencies) | `table8` |
-//! | `table9` | Table 9 (E2 coverage/latencies) | `table9` |
+//! | `table6` | Table 6 (E1 distribution) | `full_campaign` → `table6.txt` |
+//! | `table7` | Table 7 (E1 coverage) | `full_campaign` → `table7.txt` |
+//! | `table8` | Table 8 (E1 latencies) | `full_campaign` → `table8.txt` |
+//! | `table9` | Table 9 (E2 coverage/latencies) | `full_campaign` → `table9.txt` |
 //! | `figures` | Figures 1–3, 5/6 + Table 4 | `figures` |
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

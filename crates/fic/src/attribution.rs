@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error_set::{E1Error, E2Error};
 use crate::experiment::Trial;
-use crate::journal::{CampaignKind, Journal, JournalError};
+use crate::journal::{CampaignKind, Journal, JournalError, PaperError};
 use crate::results::{E1Report, E2Report};
 use crate::telemetry::RunMetadata;
 
@@ -759,59 +759,25 @@ pub fn check_against_golden(
 }
 
 /// Re-derives the deduplicated event stream from a journal: the cheap
-/// fields from the trial records (first occurrence wins, same rule as
-/// [`Journal::replay`]), the oracle fields overlaid from any persisted
-/// attribution lines.
+/// fields from the trials of [`Journal::walk`], the oracle fields
+/// overlaid from any persisted attribution lines.
 ///
 /// # Errors
 ///
-/// [`JournalError::Mismatch`] when a record names an unknown error
-/// number or an out-of-range case index.
+/// Same conditions as [`Journal::walk`].
 pub fn events_from_journal(journal: &Journal) -> Result<Vec<AttributionEvent>, JournalError> {
-    let e1_errors = crate::error_set::e1();
-    let e2_errors = crate::error_set::e2();
-    let cases = journal.header.protocol.cases_per_error();
     let map = MonitoredMap::new();
-    let mut seen = HashSet::new();
     let mut events = Vec::new();
-    for record in &journal.records {
-        if record.case_index >= cases {
-            return Err(JournalError::Mismatch(format!(
-                "case index {} out of range (protocol has {} cases/error)",
-                record.case_index, cases
-            )));
-        }
-        if !seen.insert((record.campaign, record.error_number, record.case_index)) {
-            continue;
-        }
-        let event = match record.campaign {
-            CampaignKind::E1 => {
-                let error = e1_errors
-                    .iter()
-                    .find(|e| e.number == record.error_number)
-                    .ok_or_else(|| {
-                        JournalError::Mismatch(format!(
-                            "unknown E1 error number S{}",
-                            record.error_number
-                        ))
-                    })?;
+    journal.walk(|record, error| {
+        events.push(match error {
+            PaperError::E1(error) => {
                 AttributionEvent::for_e1(error, record.case_index, &record.trial)
             }
-            CampaignKind::E2 => {
-                let error = e2_errors
-                    .iter()
-                    .find(|e| e.number == record.error_number)
-                    .ok_or_else(|| {
-                        JournalError::Mismatch(format!(
-                            "unknown E2 error number {}",
-                            record.error_number
-                        ))
-                    })?;
+            PaperError::E2(error) => {
                 AttributionEvent::for_e2(error, record.case_index, &record.trial, &map)
             }
-        };
-        events.push(event);
-    }
+        });
+    })?;
     let by_key: HashMap<(CampaignKind, usize, usize), usize> = events
         .iter()
         .enumerate()

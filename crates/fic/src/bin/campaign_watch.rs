@@ -4,9 +4,9 @@
 //!
 //! * `--journal <file>` tails a local trial journal (the
 //!   `full_campaign --journal` / fleet server file): each tick the
-//!   journal is re-read, folded through
-//!   [`fic::convergence::aggregate_journal`], and rendered as the
-//!   per-cell Wilson-CI table with the "trials remaining to ±δ"
+//!   journal is re-read, replayed ([`fic::Journal::replay`]), folded
+//!   through [`fic::ConvergenceAggregate::from_reports`], and rendered
+//!   as the per-cell Wilson-CI table with the "trials remaining to ±δ"
 //!   forecast.
 //! * `--connect <host:port>` polls a fleet server's `/coverage`
 //!   endpoint (and `/status` for the done flag) and renders the same
@@ -27,7 +27,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use fic::convergence::{self, CoverageSnapshot};
+use fic::convergence::{self, ConvergenceAggregate, CoverageSnapshot};
 use fic::journal::Journal;
 use serde::Value;
 
@@ -126,12 +126,13 @@ fn render_tick(options: &WatchOptions) -> Result<(String, bool), String> {
     if let Some(path) = &options.journal {
         let journal =
             Journal::load(path).map_err(|e| format!("cannot load {}: {e}", path.display()))?;
-        let aggregate = convergence::aggregate_journal(&journal).map_err(|e| {
+        let (e1, e2) = journal.replay().map_err(|e| {
             format!(
                 "{} does not match the paper error sets: {e}",
                 path.display()
             )
         })?;
+        let aggregate = ConvergenceAggregate::from_reports(&e1, &e2);
         let name = path.file_stem().map_or_else(
             || "campaign".to_owned(),
             |s| s.to_string_lossy().into_owned(),

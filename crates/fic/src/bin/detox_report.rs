@@ -9,8 +9,8 @@
 //! prices each mechanism in deterministic comparisons + mask probes
 //! per check ([`fic::profile`]). This binary folds the two:
 //!
-//! * **measured coverage** of a subset `S` — the fraction of journaled
-//!   trials where at least one mechanism in `S` detected;
+//! * **measured coverage** of a subset `S` — the fraction of distinct
+//!   journaled trials where at least one mechanism in `S` detected;
 //! * **predicted coverage** — the independence composition
 //!   `1 − Π_{i∈S} (1 − pᵢ)` from the per-EA singleton rates, the same
 //!   algebra the attribution decomposition uses; the gap between the
@@ -31,12 +31,13 @@
 //!
 //! Exits 0 on success, 1 on unreadable/invalid inputs.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use arrestor::{EaId, EaSet};
-use fic::journal::Journal;
+use fic::journal::{Journal, JournalError};
 use fic::profile::ProfileReport;
+use fic::Trial;
 use serde::{Serialize, Value};
 
 /// Schema version of the `detox_report.json` artefact.
@@ -93,14 +94,14 @@ fn main() -> ExitCode {
         usage();
     };
 
-    let journal = match Journal::load(&journal_path) {
-        Ok(journal) => journal,
+    let trials = match distinct_trials(&journal_path) {
+        Ok(trials) => trials,
         Err(e) => {
             eprintln!("cannot load journal {}: {e}", journal_path.display());
             return ExitCode::FAILURE;
         }
     };
-    if journal.records.is_empty() {
+    if trials.is_empty() {
         eprintln!("journal {} holds no trials", journal_path.display());
         return ExitCode::FAILURE;
     }
@@ -128,10 +129,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let rows = join(&journal, &profile);
-    print!("{}", render(&rows, journal.records.len()));
+    let rows = join(&trials, &profile);
+    print!("{}", render(&rows, trials.len()));
 
-    let artefact = to_artefact(&rows, &journal, &profile);
+    let artefact = to_artefact(&rows, trials.len(), &profile);
     let path = out_dir.join("detox_report.json");
     if let Err(e) = std::fs::create_dir_all(&out_dir).and_then(|()| {
         let json = serde_json::to_string_pretty(&artefact).expect("artefact serialises");
@@ -142,6 +143,15 @@ fn main() -> ExitCode {
     }
     eprintln!("detox report written to {}", path.display());
     ExitCode::SUCCESS
+}
+
+/// The journal's distinct trials ([`Journal::walk`]): a key repeated by
+/// a crash/retry counts once, as in every table.
+fn distinct_trials(path: &Path) -> Result<Vec<Trial>, JournalError> {
+    let journal = Journal::load(path)?;
+    let mut trials = Vec::with_capacity(journal.records.len());
+    journal.walk(|record, _| trials.push(record.trial.clone()))?;
+    Ok(trials)
 }
 
 /// Builds the subset from a 7-bit mask.
@@ -166,28 +176,23 @@ fn subset_name(mask: u8) -> String {
 }
 
 /// The full 128-row join, Pareto-marked, sorted by cost then mask.
-fn join(journal: &Journal, profile: &ProfileReport) -> Vec<SubsetRow> {
-    let trials = journal.records.len() as f64;
+fn join(trials: &[Trial], profile: &ProfileReport) -> Vec<SubsetRow> {
+    let count = trials.len() as f64;
     // Singleton rates feed the independence prediction.
     let singleton: Vec<f64> = EaId::ALL
         .iter()
         .map(|&ea| {
-            let hits = journal
-                .records
+            let hits = trials
                 .iter()
-                .filter(|r| r.trial.detected(EaSet::only(ea)))
+                .filter(|t| t.detected(EaSet::only(ea)))
                 .count();
-            hits as f64 / trials
+            hits as f64 / count
         })
         .collect();
     let mut rows: Vec<SubsetRow> = (1u8..=127)
         .map(|mask| {
             let set = subset(mask);
-            let hits = journal
-                .records
-                .iter()
-                .filter(|r| r.trial.detected(set))
-                .count();
+            let hits = trials.iter().filter(|t| t.detected(set)).count();
             let predicted = 1.0
                 - set
                     .iter()
@@ -207,7 +212,7 @@ fn join(journal: &Journal, profile: &ProfileReport) -> Vec<SubsetRow> {
             SubsetRow {
                 mask,
                 name: subset_name(mask),
-                measured: hits as f64 / trials,
+                measured: hits as f64 / count,
                 predicted,
                 cost_ops,
                 wall_ns,
@@ -256,7 +261,7 @@ fn render(rows: &[SubsetRow], trials: usize) -> String {
 }
 
 /// The schema-versioned JSON artefact.
-fn to_artefact(rows: &[SubsetRow], journal: &Journal, profile: &ProfileReport) -> Value {
+fn to_artefact(rows: &[SubsetRow], trials: usize, profile: &ProfileReport) -> Value {
     let subsets: Vec<Value> = rows
         .iter()
         .map(|row| {
@@ -280,10 +285,7 @@ fn to_artefact(rows: &[SubsetRow], journal: &Journal, profile: &ProfileReport) -
             Value::Int(i128::from(DETOX_SCHEMA_VERSION)),
         ),
         ("kind".to_owned(), Value::Str(DETOX_KIND.to_owned())),
-        (
-            "trials".to_owned(),
-            Value::Int(journal.records.len() as i128),
-        ),
+        ("trials".to_owned(), Value::Int(trials as i128)),
         (
             "profile_producer".to_owned(),
             Value::Str(profile.producer.clone()),

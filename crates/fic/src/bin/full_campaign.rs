@@ -53,14 +53,12 @@
 //! coverage-per-op Pareto table. `--metrics-file <path>` additionally
 //! writes the telemetry snapshot as Prometheus text exposition.
 //!
-//! Convergence: `--convergence-jsonl <file>` streams periodic per-cell
-//! Wilson-CI coverage snapshots while the campaign runs, and
-//! `--precision-report` prints the advisory "trials remaining to reach
-//! ±δ" forecast at the end. Either flag also writes the
-//! schema-versioned convergence report under `<out>/convergence/`.
-//! With `--from-journal` the report is re-derived from the journaled
-//! trials alone. Like telemetry, convergence never changes a result
-//! bit.
+//! Convergence: every run (live, resumed, sharded or `--from-journal`)
+//! derives the per-cell Wilson-CI coverage estimates from its final
+//! reports, prints the advisory "trials remaining to reach ±δ"
+//! forecast on stderr and writes the schema-versioned convergence
+//! report under `<out>/convergence/` (named after the journal stem
+//! under `--from-journal`).
 
 use std::time::Instant;
 
@@ -92,52 +90,7 @@ fn main() {
         if options.attribution {
             let aggregate = fic::attribution::aggregate_journal(&journal)
                 .expect("journal matches the paper error sets");
-            eprint!("{}", fic::attribution::render_league(&aggregate));
-            let run = fic::telemetry::RunMetadata::for_run(&journal.header.protocol, true, None);
-            let report =
-                fic::attribution::AttributionReport::assemble("full_campaign", run, aggregate);
-            eprint!(
-                "{}",
-                fic::attribution::render_decomposition(&report.decomposition)
-            );
-            match fic::attribution::write_report(
-                &options.out_dir.join("attribution"),
-                "full_campaign",
-                &report,
-            ) {
-                Ok(path) => eprintln!("attribution report written to {}", path.display()),
-                Err(e) => eprintln!("failed to write attribution report: {e}"),
-            }
-        }
-        if options.convergence_enabled() {
-            let aggregate = fic::convergence::aggregate_journal(&journal)
-                .expect("journal matches the paper error sets");
-            let delta = fic::convergence::DEFAULT_DELTA;
-            if options.precision_report {
-                eprint!(
-                    "{}",
-                    fic::convergence::render_coverage(&aggregate.coverage("full_campaign", delta))
-                );
-            }
-            let run = fic::telemetry::RunMetadata::for_run(&journal.header.protocol, true, None);
-            let report = fic::convergence::ConvergenceReport::assemble(
-                "full_campaign",
-                run,
-                aggregate,
-                delta,
-            );
-            let label = path.file_stem().map_or_else(
-                || "full_campaign".to_owned(),
-                |s| s.to_string_lossy().into_owned(),
-            );
-            match fic::convergence::write_report(
-                &options.out_dir.join("convergence"),
-                &label,
-                &report,
-            ) {
-                Ok(path) => eprintln!("convergence report written to {}", path.display()),
-                Err(e) => eprintln!("failed to write convergence report: {e}"),
-            }
+            options.emit_attribution("full_campaign", &journal.header.protocol, aggregate);
         }
         (journal.header.protocol, e1, e2)
     } else {
@@ -229,19 +182,17 @@ fn main() {
         }
 
         if let Some(registry) = &registry {
-            options.emit_telemetry("full_campaign", registry);
+            options.emit_telemetry("full_campaign", &protocol, registry);
         }
         if let Some(sink) = runner.attribution() {
-            options.emit_attribution("full_campaign", sink);
+            options.emit_attribution("full_campaign", &protocol, sink.snapshot());
         }
         if let Some(recorder) = runner.profile() {
-            options.emit_profile("full_campaign", recorder);
-        }
-        if let Some(sink) = runner.convergence() {
-            options.emit_convergence("full_campaign", sink);
+            options.emit_profile("full_campaign", &protocol, recorder);
         }
         (protocol, e1_report, e2_report)
     };
+    options.emit_convergence("full_campaign", &protocol, &e1_report, &e2_report);
 
     // Artefacts.
     std::fs::write(

@@ -18,7 +18,9 @@
 //!   numbers reconstruct each trial's flip, [`fic::InertMap`] says
 //!   which were prunable, and the counters must agree exactly (all-zero
 //!   counters against a journal holding prunable trials are a
-//!   mismatch: checkpointed campaigns always prune);
+//!   mismatch: checkpointed campaigns always prune). Each record is
+//!   first resolved to its paper error ([`fic::journal::PaperErrors`]);
+//!   an unknown error number fails the check with a message naming it;
 //! * `--shards <n>` — the report (and journal) came from `n` shard
 //!   runs merged together (`merge_telemetry` / `merge_journals`). Each
 //!   shard execution had its own checkpoint cache, so the ground truth
@@ -54,10 +56,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fic::attribution::{self, AttributionReport};
-use fic::convergence::{self, ConvergenceReport};
-use fic::journal::Journal;
+use fic::convergence::{ConvergenceAggregate, ConvergenceReport};
+use fic::journal::{Journal, PaperError, PaperErrors};
 use fic::telemetry::{ProgressEvent, TelemetryReport, SCHEMA_VERSION};
 use fic::{InertMap, PruneClass};
+use memsim::BitFlip;
 
 fn usage() -> ! {
     eprintln!(
@@ -160,23 +163,31 @@ fn main() -> ExitCode {
     }
 
     if let (Some(report), Some(path)) = (&report, &journal_path) {
-        match check_cache_counters(report, path, shards) {
-            Ok((hits, misses)) => println!(
-                "journal {}: cache counters match ({hits} hits, {misses} misses, {shards} shard(s))",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("journal {}: MISMATCH: {e}", path.display());
-                failures += 1;
+        match load_flips(path) {
+            Ok((journal, flips)) => {
+                match check_cache_counters(report, &journal, shards) {
+                    Ok((hits, misses)) => println!(
+                        "journal {}: cache counters match ({hits} hits, {misses} misses, {shards} shard(s))",
+                        path.display()
+                    ),
+                    Err(e) => {
+                        eprintln!("journal {}: MISMATCH: {e}", path.display());
+                        failures += 1;
+                    }
+                }
+                match check_prune_counters(report, &journal, &flips, shards) {
+                    Ok((pruned, references)) => println!(
+                        "journal {}: prune counters match ({pruned} pruned, {references} reference(s))",
+                        path.display()
+                    ),
+                    Err(e) => {
+                        eprintln!("journal {}: PRUNE MISMATCH: {e}", path.display());
+                        failures += 1;
+                    }
+                }
             }
-        }
-        match check_prune_counters(report, path, shards) {
-            Ok((pruned, references)) => println!(
-                "journal {}: prune counters match ({pruned} pruned, {references} reference(s))",
-                path.display()
-            ),
             Err(e) => {
-                eprintln!("journal {}: PRUNE MISMATCH: {e}", path.display());
+                eprintln!("journal {}: INVALID: {e}", path.display());
                 failures += 1;
             }
         }
@@ -357,6 +368,21 @@ fn check_jsonl(path: &std::path::Path) -> Result<usize, String> {
     Ok(events)
 }
 
+/// Loads a journal and resolves every record, duplicates included, to
+/// the flip of the paper error it names, so the counter checks below
+/// can index by error number safely.
+fn load_flips(path: &std::path::Path) -> Result<(Journal, Vec<BitFlip>), String> {
+    let journal = Journal::load(path).map_err(|e| e.to_string())?;
+    let errors = PaperErrors::new();
+    let flips = journal
+        .records
+        .iter()
+        .map(|record| errors.resolve(record).map(PaperError::flip))
+        .collect::<Result<_, _>>()
+        .map_err(|e| e.to_string())?;
+    Ok((journal, flips))
+}
+
 /// The report's checkpoint-cache hit/miss counters equal the values a
 /// fresh run's journal implies. With `shards > 1` the journal is a
 /// merge of that many shard runs, each with its own cache: misses
@@ -365,10 +391,9 @@ fn check_jsonl(path: &std::path::Path) -> Result<usize, String> {
 /// same formula `CampaignRunner::with_shard` slices by).
 fn check_cache_counters(
     report: &TelemetryReport,
-    path: &std::path::Path,
+    journal: &Journal,
     shards: usize,
 ) -> Result<(u64, u64), String> {
-    let journal = Journal::load(path).map_err(|e| e.to_string())?;
     let cases_per_error = journal.header.protocol.cases_per_error();
     let mut expected_misses = 0u64;
     for kind in [fic::CampaignKind::E1, fic::CampaignKind::E2] {
@@ -401,7 +426,7 @@ fn check_cache_counters(
 /// The report's `campaign.prune.*` counters equal the values the
 /// journal implies. The inert coordinates are a pure function of the
 /// target's memory maps ([`InertMap`]), so each record's flip —
-/// reconstructed from its error number via [`fic::error_set`] —
+/// `flips[k]` for `journal.records[k]`, from [`load_flips`] —
 /// classifies here exactly as it did inside the runner:
 /// `prune.trials` (split by class) counts the classifying records, and
 /// `prune.references` counts one shared reference execution per
@@ -411,31 +436,26 @@ fn check_cache_counters(
 /// reference counts.
 fn check_prune_counters(
     report: &TelemetryReport,
-    path: &std::path::Path,
+    journal: &Journal,
+    flips: &[BitFlip],
     shards: usize,
 ) -> Result<(u64, u64), String> {
-    let journal = Journal::load(path).map_err(|e| e.to_string())?;
     let cases_per_error = journal.header.protocol.cases_per_error();
     let map = InertMap::new();
-    let e1 = fic::error_set::e1();
-    let e2 = fic::error_set::e2();
     let (mut dead_stack, mut unread_ram, mut references) = (0u64, 0u64, 0u64);
     for kind in [fic::CampaignKind::E1, fic::CampaignKind::E2] {
         for shard in 0..shards {
             let mut cases = HashSet::new();
-            for record in journal
+            for (record, &flip) in journal
                 .records
                 .iter()
-                .filter(|r| r.campaign == kind)
-                .filter(|r| {
+                .zip(flips)
+                .filter(|(r, _)| r.campaign == kind)
+                .filter(|(r, _)| {
                     let pair = (r.error_number - 1) * cases_per_error + r.case_index;
                     pair % shards == shard
                 })
             {
-                let flip = match kind {
-                    fic::CampaignKind::E1 => e1[record.error_number - 1].flip,
-                    fic::CampaignKind::E2 => e2[record.error_number - 1].flip,
-                };
                 match map.classify(flip) {
                     Some(PruneClass::DeadStack) => dead_stack += 1,
                     Some(PruneClass::UnreadRam) => unread_ram += 1,
@@ -464,23 +484,19 @@ fn check_prune_counters(
     Ok((expected_pruned, references))
 }
 
-/// The attribution report's aggregate equals what the journal's trial
-/// records re-derive — attribution events are a pure function of the
-/// trials, so any difference means the report and journal are not from
-/// the same campaign (or one of them was tampered with). Oracle
-/// verdicts persisted in the journal overlay the derived events, so an
-/// enriched journal still matches a report produced alongside it only
-/// if the report saw the same enrichment; CI pairs fresh artefacts.
 /// The convergence report's aggregate equals what the journal's trial
 /// records re-derive — the estimator is a pure function of the trials,
 /// so any difference means the report and journal are not from the
-/// same campaign (or one of them was tampered with).
+/// same campaign (or one of them was tampered with). The journal's
+/// aggregate is derived from its replayed reports, as every producer
+/// derives it.
 fn check_convergence_against_journal(
     report: &ConvergenceReport,
     path: &std::path::Path,
 ) -> Result<u64, String> {
     let journal = Journal::load(path).map_err(|e| e.to_string())?;
-    let derived = convergence::aggregate_journal(&journal).map_err(|e| e.to_string())?;
+    let (e1, e2) = journal.replay().map_err(|e| e.to_string())?;
+    let derived = ConvergenceAggregate::from_reports(&e1, &e2);
     if derived != report.aggregate {
         return Err(format!(
             "journal re-derives {} E1 + {} E2 trials but the report aggregates \
@@ -494,6 +510,13 @@ fn check_convergence_against_journal(
     Ok(derived.trials())
 }
 
+/// The attribution report's aggregate equals what the journal's trial
+/// records re-derive — attribution events are a pure function of the
+/// trials, so any difference means the report and journal are not from
+/// the same campaign (or one of them was tampered with). Oracle
+/// verdicts persisted in the journal overlay the derived events, so an
+/// enriched journal still matches a report produced alongside it only
+/// if the report saw the same enrichment; CI pairs fresh artefacts.
 fn check_attribution_against_journal(
     report: &AttributionReport,
     path: &std::path::Path,

@@ -244,101 +244,38 @@ impl AttributionSink {
 }
 
 /// Folds per-trial detection outcomes into a shared
-/// [`ConvergenceAggregate`] — the live coverage-convergence monitor —
-/// and optionally streams periodic [`crate::convergence::CampaignCoverage`]
-/// snapshot lines to a JSONL file (`--convergence-jsonl`).
+/// [`ConvergenceAggregate`] while a campaign runs.
 ///
 /// Same observer contract as the attribution sink: the fold reads only
 /// data the collector already holds (the error's cell key and the
 /// trial's All-version detection bit), so enabling it cannot perturb a
 /// single bit of any journal, table, attribution or telemetry artefact
-/// (pinned by `tests/convergence_equivalence.rs`). Snapshot-line
-/// writes are best-effort — a full disk degrades the stream, never the
-/// campaign.
-#[derive(Debug)]
+/// (pinned by `tests/convergence_equivalence.rs`). The binaries derive
+/// convergence from the final reports instead
+/// ([`ConvergenceAggregate::from_reports`]); the campaign benchmark
+/// still attaches this sink to time the per-trial fold.
+#[derive(Debug, Default)]
 pub struct ConvergenceSink {
     aggregate: Mutex<ConvergenceAggregate>,
-    label: String,
-    delta: f64,
-    stream: Option<Mutex<std::fs::File>>,
-    stream_every: u64,
-}
-
-impl Default for ConvergenceSink {
-    fn default() -> Self {
-        ConvergenceSink::new()
-    }
 }
 
 impl ConvergenceSink {
-    /// An empty sink with the default ±δ forecast target and no
-    /// snapshot stream.
+    /// An empty sink.
     pub fn new() -> Self {
-        ConvergenceSink {
-            aggregate: Mutex::new(ConvergenceAggregate::new()),
-            label: "campaign".to_owned(),
-            delta: crate::convergence::DEFAULT_DELTA,
-            stream: None,
-            stream_every: 64,
-        }
-    }
-
-    /// Names the coverage views this sink emits (snapshot lines and
-    /// the final report both carry it).
-    #[must_use]
-    pub fn with_label(mut self, label: &str) -> Self {
-        self.label = label.to_owned();
-        self
-    }
-
-    /// Streams a [`crate::convergence::CampaignCoverage`] snapshot
-    /// line to `file` every `every` folded trials (0 keeps the default
-    /// of 64).
-    #[must_use]
-    pub fn with_stream(mut self, file: std::fs::File, every: u64) -> Self {
-        self.stream = Some(Mutex::new(file));
-        self.stream_every = if every == 0 { 64 } else { every };
-        self
-    }
-
-    /// The forecast's half-width target.
-    pub const fn delta(&self) -> f64 {
-        self.delta
+        ConvergenceSink::default()
     }
 
     /// Folds one completed trial into its table cell.
     pub fn record(&self, key: CellKey, trial: &Trial) {
-        let coverage = {
-            let mut aggregate = self.aggregate.lock().expect("no panics while holding lock");
-            aggregate.record(key, trial.detected(arrestor::EaSet::ALL));
-            (aggregate.trials().is_multiple_of(self.stream_every) && self.stream.is_some())
-                .then(|| aggregate.coverage(&self.label, self.delta))
-        };
-        if let Some(coverage) = coverage {
-            self.write_snapshot(&coverage);
-        }
+        self.aggregate
+            .lock()
+            .expect("no panics while holding lock")
+            .record(key, trial.detected(arrestor::EaSet::ALL));
     }
 
     /// A copy of the aggregate folded so far.
     pub fn snapshot(&self) -> ConvergenceAggregate {
         *self.aggregate.lock().expect("no panics while holding lock")
-    }
-
-    /// Writes one final snapshot line (end-of-campaign flush).
-    pub fn flush_stream(&self) {
-        if self.stream.is_some() {
-            let coverage = self.snapshot().coverage(&self.label, self.delta);
-            self.write_snapshot(&coverage);
-        }
-    }
-
-    fn write_snapshot(&self, coverage: &crate::convergence::CampaignCoverage) {
-        use std::io::Write;
-        if let Some(stream) = &self.stream {
-            let line = serde_json::to_string(coverage).expect("coverage serialises");
-            let mut file = stream.lock().expect("no panics while holding lock");
-            let _ = writeln!(file, "{line}");
-        }
     }
 }
 
@@ -483,11 +420,6 @@ impl CampaignRunner {
     pub fn with_convergence(mut self, sink: Arc<ConvergenceSink>) -> Self {
         self.convergence = Some(sink);
         self
-    }
-
-    /// The attached convergence monitor, if any.
-    pub fn convergence(&self) -> Option<&Arc<ConvergenceSink>> {
-        self.convergence.as_ref()
     }
 
     /// Enables or disables checkpointed trial execution (prefix

@@ -1,4 +1,5 @@
-//! Minimal shared argument parsing for the table/figure binaries.
+//! Minimal shared argument parsing for `full_campaign` and the
+//! figure/calibration binaries.
 //!
 //! Flags understood by every binary:
 //!
@@ -7,8 +8,6 @@
 //! * `--observation <ms>` — shorten the 40 s observation window;
 //! * `--workers <n>` — worker threads (default: all cores);
 //! * `--out <dir>` — artefact directory (default `results/`);
-//! * `--load <file>` — render from a previously saved JSON report
-//!   instead of re-running the campaign;
 //! * `--journal <file>` — stream every completed trial to a crash-safe
 //!   JSONL journal;
 //! * `--resume` — replay the journal named by `--journal` and run only
@@ -46,25 +45,22 @@
 //!   `fic::profile`); never changes a result bit;
 //! * `--metrics-file <path>` — additionally write the end-of-campaign
 //!   telemetry snapshot as Prometheus text exposition format 0.0.4
-//!   (the same body the fleet server serves on `/metrics`);
-//! * `--convergence-jsonl <file>` — enable the coverage-convergence
-//!   monitor (`fic::convergence`) and append periodic per-cell
-//!   Wilson-CI snapshot lines to `file`; also writes the final report
-//!   under `<out>/convergence/`; never changes a result bit;
-//! * `--precision-report` — enable the convergence monitor and print
-//!   the advisory end-of-campaign precision summary (per-cell interval
-//!   half-widths and trials-remaining forecast) on stderr; also writes
-//!   the report under `<out>/convergence/`.
+//!   (the same body the fleet server serves on `/metrics`).
+//!
+//! The coverage-convergence report (`fic::convergence`) needs no flag:
+//! [`CliOptions::emit_convergence`] derives it from the final reports
+//! of every run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::attribution;
-use crate::campaign::{AttributionSink, CampaignRunner, ConvergenceSink, ProgressOptions};
-use crate::convergence;
+use crate::attribution::{self, AttributionAggregate};
+use crate::campaign::{CampaignRunner, ProgressOptions};
+use crate::convergence::{self, ConvergenceAggregate};
 use crate::profile;
 use crate::protocol::Protocol;
-use crate::telemetry;
+use crate::results::{E1Report, E2Report};
+use crate::telemetry::{self, RunMetadata};
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -77,8 +73,6 @@ pub struct CliOptions {
     pub workers: Option<usize>,
     /// Artefact output directory.
     pub out_dir: PathBuf,
-    /// Load a saved report instead of running.
-    pub load: Option<PathBuf>,
     /// Stream completed trials to this journal file.
     pub journal: Option<PathBuf>,
     /// Replay the `--journal` file and run only missing trials.
@@ -114,12 +108,6 @@ pub struct CliOptions {
     /// Also write the telemetry snapshot as Prometheus text exposition
     /// to this file.
     pub metrics_file: Option<PathBuf>,
-    /// Stream periodic coverage-convergence snapshots (per-cell Wilson
-    /// CIs) to this JSONL file; implies the convergence monitor.
-    pub convergence_jsonl: Option<PathBuf>,
-    /// Print the advisory precision forecast at the end of the run;
-    /// implies the convergence monitor.
-    pub precision_report: bool,
 }
 
 impl Default for CliOptions {
@@ -129,7 +117,6 @@ impl Default for CliOptions {
             observation_ms: None,
             workers: None,
             out_dir: PathBuf::from("results"),
-            load: None,
             journal: None,
             resume: false,
             from_journal: None,
@@ -145,8 +132,6 @@ impl Default for CliOptions {
             attribution: false,
             profile: false,
             metrics_file: None,
-            convergence_jsonl: None,
-            precision_report: false,
         }
     }
 }
@@ -161,12 +146,11 @@ impl CliOptions {
                 eprintln!("{message}");
                 eprintln!(
                     "usage: [--scale n] [--observation ms] [--workers n] [--out dir] \
-                     [--load file] [--journal file] [--resume] [--from-journal file] \
+                     [--journal file] [--resume] [--from-journal file] \
                      [--check-golden] [--refresh-golden] [--golden-dir dir] \
                      [--trace] [--repro-dir dir] [--no-checkpoint] [--shard k/n] \
                      [--telemetry-jsonl file] [--no-telemetry] [--attribution] \
-                     [--profile] [--metrics-file path] \
-                     [--convergence-jsonl file] [--precision-report]"
+                     [--profile] [--metrics-file path]"
                 );
                 std::process::exit(2);
             }
@@ -204,7 +188,6 @@ impl CliOptions {
                     );
                 }
                 "--out" => options.out_dir = PathBuf::from(value("--out")?),
-                "--load" => options.load = Some(PathBuf::from(value("--load")?)),
                 "--journal" => options.journal = Some(PathBuf::from(value("--journal")?)),
                 "--resume" => options.resume = true,
                 "--from-journal" => {
@@ -226,10 +209,6 @@ impl CliOptions {
                 "--metrics-file" => {
                     options.metrics_file = Some(PathBuf::from(value("--metrics-file")?));
                 }
-                "--convergence-jsonl" => {
-                    options.convergence_jsonl = Some(PathBuf::from(value("--convergence-jsonl")?));
-                }
-                "--precision-report" => options.precision_report = true,
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -280,18 +259,6 @@ impl CliOptions {
         if self.profile {
             runner = runner.with_profile(Arc::new(profile::ProfileRecorder::new()));
         }
-        if self.convergence_enabled() {
-            let mut sink = ConvergenceSink::new();
-            if let Some(path) = &self.convergence_jsonl {
-                match std::fs::File::create(path) {
-                    Ok(file) => sink = sink.with_stream(file, 0),
-                    Err(e) => {
-                        eprintln!("failed to open convergence stream {}: {e}", path.display())
-                    }
-                }
-            }
-            runner = runner.with_convergence(Arc::new(sink));
-        }
         if let Some((index, count)) = self.shard {
             runner = runner.with_shard(index, count);
         }
@@ -307,11 +274,35 @@ impl CliOptions {
         runner
     }
 
+    /// The file label and run metadata every end-of-campaign report
+    /// shares. A live run describes its own settings under `protocol`
+    /// and is labelled `producer`, shard-suffixed so parallel shard
+    /// runs never clobber each other; a `--from-journal` replay
+    /// describes the journal's `protocol`, checkpointed and unsharded.
+    fn report_meta(&self, producer: &str, protocol: &Protocol) -> (String, RunMetadata) {
+        if self.from_journal.is_some() {
+            return (
+                producer.to_owned(),
+                RunMetadata::for_run(protocol, true, None),
+            );
+        }
+        let label = match self.shard {
+            Some((index, count)) => format!("{producer}-shard-{index}-of-{count}"),
+            None => producer.to_owned(),
+        };
+        let run = RunMetadata::for_run(protocol, !self.no_checkpoint, self.shard);
+        (label, run)
+    }
+
     /// End-of-campaign telemetry emission: prints the human summary on
     /// stderr and writes the schema-versioned report under
-    /// `<out>/telemetry/` (labelled by `producer`, with the shard
-    /// suffixed so parallel shard runs never clobber each other).
-    pub fn emit_telemetry(&self, producer: &str, registry: &telemetry::Registry) {
+    /// `<out>/telemetry/`.
+    pub fn emit_telemetry(
+        &self,
+        producer: &str,
+        protocol: &Protocol,
+        registry: &telemetry::Registry,
+    ) {
         let snapshot = registry.snapshot();
         eprint!("{}", telemetry::render_summary(&snapshot));
         if let Some(path) = &self.metrics_file {
@@ -320,13 +311,8 @@ impl CliOptions {
                 Err(e) => eprintln!("failed to write metrics exposition: {e}"),
             }
         }
-        let run =
-            telemetry::RunMetadata::for_run(&self.protocol(), !self.no_checkpoint, self.shard);
+        let (label, run) = self.report_meta(producer, protocol);
         let report = telemetry::TelemetryReport::assemble(producer, run, snapshot);
-        let label = match self.shard {
-            Some((index, count)) => format!("{producer}-shard-{index}-of-{count}"),
-            None => producer.to_owned(),
-        };
         match telemetry::write_report(&self.out_dir.join("telemetry"), &label, &report) {
             Ok(path) => eprintln!("telemetry report written to {}", path.display()),
             Err(e) => eprintln!("failed to write telemetry report: {e}"),
@@ -335,22 +321,20 @@ impl CliOptions {
 
     /// End-of-campaign attribution emission: prints the league table
     /// and coverage decomposition on stderr and writes the
-    /// schema-versioned report under `<out>/attribution/` (shard
-    /// suffixed, like telemetry).
-    pub fn emit_attribution(&self, producer: &str, sink: &AttributionSink) {
-        let aggregate = sink.snapshot();
+    /// schema-versioned report under `<out>/attribution/`.
+    pub fn emit_attribution(
+        &self,
+        producer: &str,
+        protocol: &Protocol,
+        aggregate: AttributionAggregate,
+    ) {
         eprint!("{}", attribution::render_league(&aggregate));
-        let run =
-            telemetry::RunMetadata::for_run(&self.protocol(), !self.no_checkpoint, self.shard);
+        let (label, run) = self.report_meta(producer, protocol);
         let report = attribution::AttributionReport::assemble(producer, run, aggregate);
         eprint!(
             "{}",
             attribution::render_decomposition(&report.decomposition)
         );
-        let label = match self.shard {
-            Some((index, count)) => format!("{producer}-shard-{index}-of-{count}"),
-            None => producer.to_owned(),
-        };
         match attribution::write_report(&self.out_dir.join("attribution"), &label, &report) {
             Ok(path) => eprintln!("attribution report written to {}", path.display()),
             Err(e) => eprintln!("failed to write attribution report: {e}"),
@@ -359,51 +343,46 @@ impl CliOptions {
 
     /// End-of-campaign profile emission: samples per-check wall clock,
     /// prints the cost league table on stderr and writes the
-    /// schema-versioned report under `<out>/profile/` (shard suffixed,
-    /// like telemetry).
-    pub fn emit_profile(&self, producer: &str, recorder: &profile::ProfileRecorder) {
+    /// schema-versioned report under `<out>/profile/`.
+    pub fn emit_profile(
+        &self,
+        producer: &str,
+        protocol: &Protocol,
+        recorder: &profile::ProfileRecorder,
+    ) {
         let wall = profile::sample_wall_ns();
-        let run =
-            telemetry::RunMetadata::for_run(&self.protocol(), !self.no_checkpoint, self.shard);
+        let (label, run) = self.report_meta(producer, protocol);
         let report = profile::ProfileReport::assemble(producer, run, recorder, Some(wall));
         eprint!("{}", profile::render_league(&report));
-        let label = match self.shard {
-            Some((index, count)) => format!("{producer}-shard-{index}-of-{count}"),
-            None => producer.to_owned(),
-        };
         match profile::write_report(&self.out_dir.join("profile"), &label, &report) {
             Ok(path) => eprintln!("profile report written to {}", path.display()),
             Err(e) => eprintln!("failed to write profile report: {e}"),
         }
     }
 
-    /// Whether either convergence flag switched the monitor on.
-    pub fn convergence_enabled(&self) -> bool {
-        self.convergence_jsonl.is_some() || self.precision_report
-    }
-
-    /// End-of-campaign convergence emission: flushes a final snapshot
-    /// line to the `--convergence-jsonl` stream, prints the advisory
-    /// precision forecast under `--precision-report`, and writes the
-    /// schema-versioned report under `<out>/convergence/` (shard
-    /// suffixed, like telemetry).
-    pub fn emit_convergence(&self, producer: &str, sink: &ConvergenceSink) {
-        sink.flush_stream();
-        let aggregate = sink.snapshot();
-        let run =
-            telemetry::RunMetadata::for_run(&self.protocol(), !self.no_checkpoint, self.shard);
-        let report =
-            convergence::ConvergenceReport::assemble(producer, run, aggregate, sink.delta());
-        if self.precision_report {
-            eprint!(
-                "{}",
-                convergence::render_coverage(&aggregate.coverage(producer, sink.delta()))
-            );
+    /// End-of-campaign convergence emission, on every run: derives the
+    /// per-cell coverage estimates from the final reports, prints the
+    /// precision forecast on stderr and writes the schema-versioned
+    /// report under `<out>/convergence/`. A `--from-journal` replay
+    /// names the report after the journal's file stem.
+    pub fn emit_convergence(
+        &self,
+        producer: &str,
+        protocol: &Protocol,
+        e1: &E1Report,
+        e2: &E2Report,
+    ) {
+        let aggregate = ConvergenceAggregate::from_reports(e1, e2);
+        let delta = convergence::DEFAULT_DELTA;
+        eprint!(
+            "{}",
+            convergence::render_coverage(&aggregate.coverage(producer, delta))
+        );
+        let (mut label, run) = self.report_meta(producer, protocol);
+        if let Some(stem) = self.from_journal.as_deref().and_then(Path::file_stem) {
+            label = stem.to_string_lossy().into_owned();
         }
-        let label = match self.shard {
-            Some((index, count)) => format!("{producer}-shard-{index}-of-{count}"),
-            None => producer.to_owned(),
-        };
+        let report = convergence::ConvergenceReport::assemble(producer, run, aggregate, delta);
         match convergence::write_report(&self.out_dir.join("convergence"), &label, &report) {
             Ok(path) => eprintln!("convergence report written to {}", path.display()),
             Err(e) => eprintln!("failed to write convergence report: {e}"),
@@ -481,9 +460,9 @@ mod tests {
     }
 
     /// Every flag documented in the README's flag tables must be one
-    /// that *some* parser knows — `fic::cli` for the table/figure
+    /// that *some* parser knows — `fic::cli` for the campaign/figure
     /// binaries, or the fleet server/worker parsers for theirs — so
-    /// the drift this PR fixes stays fixed.
+    /// the README and the parsers cannot drift apart.
     #[test]
     fn readme_documents_only_known_flags() {
         let readme =
@@ -682,29 +661,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_convergence_flags() {
-        let options = CliOptions::parse(&[]).unwrap();
-        assert!(options.convergence_jsonl.is_none() && !options.precision_report);
-        assert!(!options.convergence_enabled());
-        assert!(options.runner(None).convergence().is_none());
-
-        let options = CliOptions::parse(&args(&[
-            "--convergence-jsonl",
-            "/tmp/conv.jsonl",
-            "--precision-report",
-        ]))
-        .unwrap();
-        assert_eq!(
-            options.convergence_jsonl,
-            Some(PathBuf::from("/tmp/conv.jsonl"))
-        );
-        assert!(options.precision_report && options.convergence_enabled());
-
-        let options = CliOptions::parse(&args(&["--precision-report"])).unwrap();
-        assert!(options.convergence_enabled());
-        assert!(options.runner(None).convergence().is_some());
-
-        assert!(CliOptions::parse(&args(&["--convergence-jsonl"])).is_err());
+    fn rejects_the_removed_flags() {
+        for flag in ["--load", "--convergence-jsonl", "--precision-report"] {
+            for list in [args(&[flag]), args(&[flag, "x"])] {
+                let err = CliOptions::parse(&list).unwrap_err();
+                assert_eq!(err, format!("unknown flag `{flag}`"));
+            }
+        }
     }
 
     #[test]

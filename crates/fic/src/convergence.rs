@@ -1,39 +1,32 @@
-//! Streaming coverage-convergence estimation: how statistically
-//! settled are Tables 7–9 *right now*?
+//! Coverage-convergence estimation: how statistically settled are
+//! Tables 7–9?
 //!
 //! The paper's headline artefacts are binomial coverage estimates, but
-//! a running campaign only exposes throughput — nothing says how tight
-//! the Wilson intervals around `Pds` and `Pdetect` already are, or how
-//! many more trials it would take to pin a cell to a target precision.
-//! This module folds the same trial stream every other consumer uses
-//! (the campaign collector, `--resume` replay, the fleet server's
-//! journal fold) into a [`ConvergenceAggregate`]: one
-//! [`Proportion`] per E1 signal cell (the All-version column of
+//! the tables alone do not say how tight the Wilson intervals around
+//! `Pds` and `Pdetect` are, or how many more trials it would take to
+//! pin a cell to a target precision. This module reads the campaign
+//! reports as a [`ConvergenceAggregate`]: one [`Proportion`] per E1
+//! signal cell (the All-version column of
 //! Table 7), the E1 total, and the two E2 region cells of Table 9 —
 //! plus the recomposed §2.4 `Pdetect` and a per-cell precision
 //! forecast ("trials remaining to reach a ±δ half-width").
 //!
-//! The aggregate's `merge` is associative, commutative and
-//! permutation-invariant (`crates/fic/tests/prop_convergence.rs`), so
-//! worker fan-in, shard merges and resume replay all land on the same
-//! value, and [`aggregate_journal`] re-derives it from any journal —
-//! the artefact is a pure function of the journaled trials. Like
-//! telemetry, attribution and the cost profiler before it, the monitor
-//! is an **observer**: enabling it changes no journal byte, no table
-//! cell, no attribution or telemetry report
-//! (`tests/convergence_equivalence.rs`).
+//! Every producer derives the aggregate from the final campaign
+//! reports ([`ConvergenceAggregate::from_reports`]): `full_campaign`
+//! (live, resumed, sharded or `--from-journal`), the fleet server and
+//! `campaign_watch`. A journal's aggregate is therefore
+//! `from_reports(&journal.replay()?)` — the artefact is a pure function
+//! of the journaled trials and cannot drift from the tables. The
+//! aggregate's `merge` is associative, commutative and
+//! permutation-invariant (`crates/fic/tests/prop_convergence.rs`).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use arrestor::EaSet;
 use ea_core::stats::{Proportion, Z_95};
 use memsim::Region;
 use serde::{Deserialize, Serialize};
 
-use crate::error_set::{E1Error, E2Error};
-use crate::experiment::Trial;
-use crate::journal::{CampaignKind, Journal, JournalError};
 use crate::results::{E1Report, E2Report};
 use crate::telemetry::RunMetadata;
 
@@ -59,8 +52,8 @@ pub enum CellKey {
 }
 
 /// The incremental per-cell coverage estimator. Detection criterion is
-/// the All-mechanisms version ([`EaSet::ALL`]) — the same cells the
-/// paper's headline `Pds` and `Pdetect` come from.
+/// the All-mechanisms version ([`arrestor::EaSet::ALL`]) — the same
+/// cells the paper's headline `Pds` and `Pdetect` come from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ConvergenceAggregate {
     /// Per-signal All-version detection, Table 6 row order.
@@ -89,22 +82,6 @@ impl ConvergenceAggregate {
             CellKey::Region(Region::AppRam) => self.e2_ram.record(detected),
             CellKey::Region(Region::Stack) => self.e2_stack.record(detected),
         }
-    }
-
-    /// Folds one completed E1 trial.
-    pub fn record_e1(&mut self, error: &E1Error, trial: &Trial) {
-        self.record(
-            CellKey::Signal(error.ea.index()),
-            trial.detected(EaSet::ALL),
-        );
-    }
-
-    /// Folds one completed E2 trial.
-    pub fn record_e2(&mut self, error: &E2Error, trial: &Trial) {
-        self.record(
-            CellKey::Region(error.flip.region),
-            trial.detected(EaSet::ALL),
-        );
     }
 
     /// Merges another aggregate (worker fan-in, shard merge). The
@@ -194,8 +171,8 @@ impl ConvergenceAggregate {
     }
 
     /// One self-describing coverage view (the `/coverage` payload per
-    /// campaign, a `--convergence-jsonl` snapshot line, and the
-    /// campaign_watch frame all share this shape).
+    /// campaign, the end-of-run summary and the campaign_watch frame
+    /// all share this shape).
     pub fn coverage(&self, name: &str, delta: f64) -> CampaignCoverage {
         CampaignCoverage {
             name: name.to_owned(),
@@ -313,9 +290,8 @@ impl Recomposition {
     }
 }
 
-/// One campaign's live coverage view: the `/coverage` payload carries
-/// one of these per queued campaign, and `--convergence-jsonl` streams
-/// them as snapshot lines.
+/// One campaign's coverage view: the `/coverage` payload carries one
+/// of these per queued campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignCoverage {
     /// Campaign (or producer) name.
@@ -460,61 +436,6 @@ impl ConvergenceReport {
     }
 }
 
-/// Re-derives the aggregate from a journal: first-wins dedup on the
-/// trial key, then a fold of every record — the exact algebra the live
-/// collector and the fleet server use, which is what makes the
-/// artefact journal-checkable.
-///
-/// # Errors
-///
-/// [`JournalError::Mismatch`] when a record names an unknown error
-/// number or an out-of-range test case.
-pub fn aggregate_journal(journal: &Journal) -> Result<ConvergenceAggregate, JournalError> {
-    let e1_errors = crate::error_set::e1();
-    let e2_errors = crate::error_set::e2();
-    let cases = journal.header.protocol.cases_per_error();
-    let mut seen = std::collections::HashSet::new();
-    let mut aggregate = ConvergenceAggregate::new();
-    for record in &journal.records {
-        if record.case_index >= cases {
-            return Err(JournalError::Mismatch(format!(
-                "case index {} out of range (protocol has {} cases/error)",
-                record.case_index, cases
-            )));
-        }
-        if !seen.insert((record.campaign, record.error_number, record.case_index)) {
-            continue;
-        }
-        match record.campaign {
-            CampaignKind::E1 => {
-                let error = e1_errors
-                    .iter()
-                    .find(|e| e.number == record.error_number)
-                    .ok_or_else(|| {
-                        JournalError::Mismatch(format!(
-                            "unknown E1 error number S{}",
-                            record.error_number
-                        ))
-                    })?;
-                aggregate.record_e1(error, &record.trial);
-            }
-            CampaignKind::E2 => {
-                let error = e2_errors
-                    .iter()
-                    .find(|e| e.number == record.error_number)
-                    .ok_or_else(|| {
-                        JournalError::Mismatch(format!(
-                            "unknown E2 error number {}",
-                            record.error_number
-                        ))
-                    })?;
-                aggregate.record_e2(error, &record.trial);
-            }
-        }
-    }
-    Ok(aggregate)
-}
-
 /// Writes a report as `<dir>/<label>.json` (pretty-printed).
 ///
 /// # Errors
@@ -531,7 +452,7 @@ pub fn write_report(dir: &Path, label: &str, report: &ConvergenceReport) -> io::
 /// Renders one coverage view as a fixed-width TTY table: cell name,
 /// detections, point estimate, Wilson interval, half-width and the
 /// forecast — the frame `campaign_watch` repaints and the summary
-/// `--precision-report` prints.
+/// `full_campaign` prints at the end of every run.
 pub fn render_coverage(coverage: &CampaignCoverage) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -576,7 +497,10 @@ pub fn render_coverage(coverage: &CampaignCoverage) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::InjectableError;
     use crate::error_set;
+    use crate::experiment::Trial;
+    use arrestor::EaSet;
 
     fn trial(detections: &[(usize, u64)], failed: bool) -> Trial {
         let mut per_ea = [None; 7];
@@ -595,10 +519,10 @@ mod tests {
         let e1 = error_set::e1();
         let e2 = error_set::e2();
         let mut aggregate = ConvergenceAggregate::new();
-        aggregate.record_e1(&e1[0], &trial(&[(0, 40)], true));
-        aggregate.record_e1(&e1[30], &trial(&[], false));
-        aggregate.record_e2(&e2[0], &trial(&[(2, 60)], true));
-        aggregate.record_e2(&e2[1], &trial(&[], false));
+        aggregate.record(e1[0].convergence_key(), true);
+        aggregate.record(e1[30].convergence_key(), false);
+        aggregate.record(e2[0].convergence_key(), true);
+        aggregate.record(e2[1].convergence_key(), false);
         aggregate
     }
 
@@ -629,12 +553,12 @@ mod tests {
         for (k, error) in e1_errors.iter().take(12).enumerate() {
             let t = trial(&[(k % 7, 40 + k as u64)], k % 3 == 0);
             e1.record(error, &t);
-            aggregate.record_e1(error, &t);
+            aggregate.record(error.convergence_key(), t.detected(EaSet::ALL));
         }
         for (k, error) in e2_errors.iter().take(8).enumerate() {
             let t = trial(if k % 2 == 0 { &[(1, 80)] } else { &[] }, k % 2 == 0);
             e2.record(error, &t);
-            aggregate.record_e2(error, &t);
+            aggregate.record(error.convergence_key(), t.detected(EaSet::ALL));
         }
         assert_eq!(ConvergenceAggregate::from_reports(&e1, &e2), aggregate);
     }

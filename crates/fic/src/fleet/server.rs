@@ -17,7 +17,7 @@
 //! are byte-identical no matter how the fleet interleaved
 //! (`tests/fleet_equivalence.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -25,11 +25,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::attribution::{AttributionAggregate, MonitoredMap};
+use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap};
 use crate::campaign::InjectableError;
 use crate::convergence::{self, ConvergenceAggregate};
-use crate::error_set::{self, E1Error, E2Error};
-use crate::journal::{CampaignKind, Journal, JournalWriter, TrialRecord};
+use crate::error_set::{self, E1Error};
+use crate::journal::{CampaignKind, Journal, JournalWriter, PaperError, PaperErrors, TrialRecord};
 use crate::protocol::Protocol;
 use crate::results::{E1Report, E2Report};
 use crate::telemetry::{self, TelemetrySnapshot};
@@ -289,8 +289,7 @@ pub(super) struct Shared {
     start: Instant,
     registry: Arc<telemetry::Registry>,
     flight: Option<FlightRecorder>,
-    e1_by_number: HashMap<usize, E1Error>,
-    e2_by_number: HashMap<usize, E2Error>,
+    errors: PaperErrors,
     monitored: MonitoredMap,
 }
 
@@ -344,10 +343,6 @@ impl Server {
         let listener = TcpListener::bind(&options.listen)?;
         listener.set_nonblocking(true)?;
 
-        let e1_by_number: HashMap<usize, E1Error> =
-            error_set::e1().into_iter().map(|e| (e.number, e)).collect();
-        let e2_by_number: HashMap<usize, E2Error> =
-            error_set::e2().into_iter().map(|e| (e.number, e)).collect();
         let monitored = MonitoredMap::new();
 
         let mut scheduler = Scheduler::new(options.lease_ms);
@@ -368,7 +363,7 @@ impl Server {
                 finalized: false,
                 spec,
             };
-            replay_recorded(&mut state, &e1_by_number, &e2_by_number, &monitored)?;
+            replay_recorded(&mut state, &monitored)?;
             queue_slices(&mut scheduler, ci, &state);
             states.push(state);
         }
@@ -397,8 +392,7 @@ impl Server {
             worker_conns: AtomicUsize::new(0),
             start: Instant::now(),
             registry: Arc::new(telemetry::Registry::new()),
-            e1_by_number,
-            e2_by_number,
+            errors: PaperErrors::new(),
             monitored,
         });
         for (slice_id, campaign) in enqueued {
@@ -472,14 +466,10 @@ impl Server {
 }
 
 /// Loads an existing journal (if any) and pre-folds its records:
-/// dedup first-wins into the reports, the attribution aggregate and
-/// the recorded-key set, exactly as a replay would.
-fn replay_recorded(
-    state: &mut CampaignState,
-    e1_by_number: &HashMap<usize, E1Error>,
-    e2_by_number: &HashMap<usize, E2Error>,
-    monitored: &MonitoredMap,
-) -> io::Result<()> {
+/// every distinct trial of [`Journal::walk`] into the reports, the
+/// attribution aggregate and the recorded-key set, exactly as a replay
+/// would.
+fn replay_recorded(state: &mut CampaignState, monitored: &MonitoredMap) -> io::Result<()> {
     if !state.journal_path.exists() {
         return Ok(());
     }
@@ -494,61 +484,54 @@ fn replay_recorded(
             state.journal_path.display()
         )));
     }
-    let cases = state.spec.protocol.cases_per_error();
-    for record in &journal.records {
-        if record.case_index >= cases {
-            return Err(io::Error::other(format!(
-                "journal {} case index {} out of range",
-                state.journal_path.display(),
-                record.case_index
-            )));
-        }
-        let key = (record.campaign, record.error_number, record.case_index);
-        if !state.recorded.insert(key) {
-            continue;
-        }
-        fold_record(state, record, e1_by_number, e2_by_number, monitored, false)?;
-    }
-    Ok(())
+    let path = state.journal_path.display().to_string();
+    journal
+        .walk(|record, error| {
+            state.recorded.insert(record.key());
+            fold_record(state, record, error, monitored);
+        })
+        .map_err(|e| io::Error::other(format!("journal {path}: {e}")))
 }
 
-/// Folds one record into a campaign's reports and aggregate; appends
-/// it (and its derived attribution event) to the journal when `append`.
+/// Folds one resolved record into a campaign's reports and attribution
+/// aggregate; returns the record's attribution event.
 fn fold_record(
     state: &mut CampaignState,
     record: &TrialRecord,
-    e1_by_number: &HashMap<usize, E1Error>,
-    e2_by_number: &HashMap<usize, E2Error>,
+    error: PaperError<'_>,
     monitored: &MonitoredMap,
-    append: bool,
-) -> io::Result<()> {
-    let event = match record.campaign {
-        CampaignKind::E1 => {
-            let error = e1_by_number.get(&record.error_number).ok_or_else(|| {
-                io::Error::other(format!("unknown E1 error number S{}", record.error_number))
-            })?;
+) -> AttributionEvent {
+    let event = match error {
+        PaperError::E1(error) => {
             state.e1_report.record(error, &record.trial);
             error.attribution_event(record.case_index, &record.trial, monitored)
         }
-        CampaignKind::E2 => {
-            let error = e2_by_number.get(&record.error_number).ok_or_else(|| {
-                io::Error::other(format!("unknown E2 error number {}", record.error_number))
-            })?;
+        PaperError::E2(error) => {
             state.e2_report.record(error, &record.trial);
             error.attribution_event(record.case_index, &record.trial, monitored)
         }
     };
     state.attribution.record(&event);
-    if append {
-        state.journal.append(
-            record.campaign,
-            record.error_number,
-            record.case_index,
-            &record.trial,
-        )?;
-        state.journal.append_attribution(&event)?;
-        state.trials += 1;
-    }
+    event
+}
+
+/// Folds one worker-submitted record and appends it, with its
+/// attribution event, to the campaign journal.
+fn fold_and_append(
+    state: &mut CampaignState,
+    record: &TrialRecord,
+    shared: &Shared,
+) -> io::Result<()> {
+    let error = shared.errors.resolve(record).map_err(io::Error::other)?;
+    let event = fold_record(state, record, error, &shared.monitored);
+    state.journal.append(
+        record.campaign,
+        record.error_number,
+        record.case_index,
+        &record.trial,
+    )?;
+    state.journal.append_attribution(&event)?;
+    state.trials += 1;
     Ok(())
 }
 
@@ -938,18 +921,10 @@ fn handle_result(
     );
     let state = &mut core.campaigns[spec.campaign];
     for record in &records {
-        let key = (record.campaign, record.error_number, record.case_index);
-        if !state.recorded.insert(key) {
+        if !state.recorded.insert(record.key()) {
             continue;
         }
-        if let Err(e) = fold_record(
-            state,
-            record,
-            &shared.e1_by_number,
-            &shared.e2_by_number,
-            &shared.monitored,
-            true,
-        ) {
+        if let Err(e) = fold_and_append(state, record, shared) {
             eprintln!("fleet_server: journal append failed: {e}");
         }
     }

@@ -34,8 +34,10 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
+use memsim::BitFlip;
+
 use crate::attribution::AttributionEvent;
-use crate::error_set;
+use crate::error_set::{self, E1Error, E2Error};
 use crate::experiment::Trial;
 use crate::protocol::Protocol;
 use crate::results::{E1Report, E2Report};
@@ -117,6 +119,85 @@ pub struct TrialRecord {
     pub case_index: usize,
     /// The trial outcome.
     pub trial: Trial,
+}
+
+impl TrialRecord {
+    /// The deterministic ⟨campaign, error number, case index⟩ key.
+    pub const fn key(&self) -> (CampaignKind, usize, usize) {
+        (self.campaign, self.error_number, self.case_index)
+    }
+}
+
+/// The paper error a journal record names, as resolved by
+/// [`PaperErrors::resolve`].
+#[derive(Debug, Clone, Copy)]
+pub enum PaperError<'a> {
+    /// An error of set E1.
+    E1(&'a E1Error),
+    /// An error of set E2.
+    E2(&'a E2Error),
+}
+
+impl PaperError<'_> {
+    /// The SWIFI coordinates of the error.
+    pub const fn flip(self) -> BitFlip {
+        match self {
+            PaperError::E1(error) => error.flip,
+            PaperError::E2(error) => error.flip,
+        }
+    }
+}
+
+/// The paper's error sets ([`error_set::e1`] / [`error_set::e2`]),
+/// held for resolving journal records. Usable on its own by checkers
+/// that look at every record, duplicates included.
+#[derive(Debug)]
+pub struct PaperErrors {
+    e1: Vec<E1Error>,
+    e2: Vec<E2Error>,
+}
+
+impl Default for PaperErrors {
+    fn default() -> Self {
+        PaperErrors::new()
+    }
+}
+
+impl PaperErrors {
+    /// Builds both error sets.
+    pub fn new() -> Self {
+        PaperErrors {
+            e1: error_set::e1(),
+            e2: error_set::e2(),
+        }
+    }
+
+    /// The paper error `record` names. Both sets number their errors
+    /// densely from 1, so the number indexes the set directly.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Mismatch`] naming an unknown error number.
+    pub fn resolve(&self, record: &TrialRecord) -> Result<PaperError<'_>, JournalError> {
+        let number = record.error_number;
+        let index = number.wrapping_sub(1);
+        match record.campaign {
+            CampaignKind::E1 => self
+                .e1
+                .get(index)
+                .filter(|e| e.number == number)
+                .map(PaperError::E1)
+                .ok_or_else(|| {
+                    JournalError::Mismatch(format!("unknown E1 error number S{number}"))
+                }),
+            CampaignKind::E2 => self
+                .e2
+                .get(index)
+                .filter(|e| e.number == number)
+                .map(PaperError::E2)
+                .ok_or_else(|| JournalError::Mismatch(format!("unknown E2 error number {number}"))),
+        }
+    }
 }
 
 /// An attribution line: one enrichable detection-story event. Wrapped
@@ -463,7 +544,8 @@ pub struct Journal {
     /// The campaign configuration the trials were run under.
     pub header: JournalHeader,
     /// Every intact record, in append order (duplicates possible after
-    /// unusual crash/retry interleavings — replay helpers deduplicate).
+    /// unusual crash/retry interleavings — [`Journal::walk`]
+    /// deduplicates).
     pub records: Vec<TrialRecord>,
     /// Every intact attribution event, in append order (same
     /// duplicate caveat; consumers deduplicate first-wins by key).
@@ -534,21 +616,23 @@ impl Journal {
         })
     }
 
-    /// Rebuilds both campaign reports from this journal using the
-    /// paper's error sets ([`error_set::e1`] / [`error_set::e2`]).
-    /// Duplicate keys are counted once (first occurrence wins; trials
-    /// are deterministic per key, so duplicates are identical anyway).
+    /// Visits every distinct trial in file order together with the
+    /// paper error it names — the one journal walk every consumer
+    /// shares. Duplicate keys are visited once (first occurrence wins;
+    /// trials are deterministic per key, so duplicates are identical
+    /// anyway).
     ///
     /// # Errors
     ///
     /// [`JournalError::Mismatch`] when a record names an unknown error
-    /// number or an out-of-range case index.
-    pub fn replay(&self) -> Result<(E1Report, E2Report), JournalError> {
-        let e1_errors = error_set::e1();
-        let e2_errors = error_set::e2();
+    /// number or an out-of-range case index; records before it have
+    /// been visited.
+    pub fn walk(
+        &self,
+        mut visit: impl FnMut(&TrialRecord, PaperError<'_>),
+    ) -> Result<(), JournalError> {
+        let errors = PaperErrors::new();
         let cases = self.header.protocol.cases_per_error();
-        let mut e1_report = E1Report::new();
-        let mut e2_report = E2Report::new();
         let mut seen = std::collections::HashSet::new();
         for record in &self.records {
             if record.case_index >= cases {
@@ -557,36 +641,26 @@ impl Journal {
                     record.case_index, cases
                 )));
             }
-            if !seen.insert((record.campaign, record.error_number, record.case_index)) {
-                continue;
-            }
-            match record.campaign {
-                CampaignKind::E1 => {
-                    let error = e1_errors
-                        .iter()
-                        .find(|e| e.number == record.error_number)
-                        .ok_or_else(|| {
-                            JournalError::Mismatch(format!(
-                                "unknown E1 error number S{}",
-                                record.error_number
-                            ))
-                        })?;
-                    e1_report.record(error, &record.trial);
-                }
-                CampaignKind::E2 => {
-                    let error = e2_errors
-                        .iter()
-                        .find(|e| e.number == record.error_number)
-                        .ok_or_else(|| {
-                            JournalError::Mismatch(format!(
-                                "unknown E2 error number {}",
-                                record.error_number
-                            ))
-                        })?;
-                    e2_report.record(error, &record.trial);
-                }
+            if seen.insert(record.key()) {
+                visit(record, errors.resolve(record)?);
             }
         }
+        Ok(())
+    }
+
+    /// Rebuilds both campaign reports from this journal's
+    /// [`walk`](Self::walk).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Journal::walk`].
+    pub fn replay(&self) -> Result<(E1Report, E2Report), JournalError> {
+        let mut e1_report = E1Report::new();
+        let mut e2_report = E2Report::new();
+        self.walk(|record, error| match error {
+            PaperError::E1(error) => e1_report.record(error, &record.trial),
+            PaperError::E2(error) => e2_report.record(error, &record.trial),
+        })?;
         Ok((e1_report, e2_report))
     }
 
@@ -652,15 +726,13 @@ pub fn merge(paths: &[std::path::PathBuf]) -> Result<Journal, JournalError> {
     let mut seen_shards: Vec<ShardSpec> = first.header.shard.into_iter().collect();
     let mut truncated_tail = first.truncated_tail;
     let mut records = first.records;
-    let mut keys: std::collections::HashSet<(CampaignKind, usize, usize)> = records
-        .iter()
-        .map(|r| (r.campaign, r.error_number, r.case_index))
-        .collect();
+    let mut keys: std::collections::HashSet<(CampaignKind, usize, usize)> =
+        records.iter().map(TrialRecord::key).collect();
     records.retain({
         // Dedup the first journal itself (first occurrence wins), with
         // the same key set the later journals are checked against.
         let mut kept = std::collections::HashSet::new();
-        move |r| kept.insert((r.campaign, r.error_number, r.case_index))
+        move |r| kept.insert(r.key())
     });
     let mut attribution = first.attribution;
     let mut attribution_keys: std::collections::HashSet<(CampaignKind, usize, usize)> =
@@ -692,7 +764,7 @@ pub fn merge(paths: &[std::path::PathBuf]) -> Result<Journal, JournalError> {
         }
         truncated_tail |= journal.truncated_tail;
         for record in journal.records {
-            if keys.insert((record.campaign, record.error_number, record.case_index)) {
+            if keys.insert(record.key()) {
                 records.push(record);
             }
         }
@@ -930,6 +1002,102 @@ mod tests {
         assert_eq!(e2.trials(), 1);
     }
 
+    /// A journal under a 2 × 2 grid holding `records` in order.
+    fn journal_of(records: &[(CampaignKind, usize, usize, Trial)]) -> Journal {
+        Journal {
+            header: JournalHeader {
+                format_version: FORMAT_VERSION,
+                protocol: Protocol::scaled(2, 1_000),
+                shard: None,
+            },
+            records: records
+                .iter()
+                .map(|(campaign, error_number, case_index, trial)| TrialRecord {
+                    campaign: *campaign,
+                    error_number: *error_number,
+                    case_index: *case_index,
+                    trial: trial.clone(),
+                })
+                .collect(),
+            attribution: Vec::new(),
+            truncated_tail: false,
+        }
+    }
+
+    #[test]
+    fn walk_visits_a_duplicated_key_once_and_the_first_trial_wins() {
+        let first = sample_trial(Some(90));
+        let second = sample_trial(None);
+        assert_ne!(first, second);
+        let journal = journal_of(&[
+            (CampaignKind::E1, 3, 1, first.clone()),
+            (CampaignKind::E2, 3, 1, second.clone()),
+            (CampaignKind::E1, 3, 1, second),
+        ]);
+        let mut visited = Vec::new();
+        journal
+            .walk(|record, error| visited.push((record.key(), error.flip(), record.trial.clone())))
+            .unwrap();
+        assert_eq!(visited.len(), 2);
+        assert_eq!(visited[0].0, (CampaignKind::E1, 3, 1));
+        assert_eq!(visited[0].1, error_set::e1()[2].flip);
+        assert_eq!(visited[0].2, first);
+        assert_eq!(visited[1].0, (CampaignKind::E2, 3, 1));
+        assert_eq!(visited[1].1, error_set::e2()[2].flip);
+    }
+
+    fn walk_error(journal: &Journal) -> String {
+        match journal.walk(|_, _| {}) {
+            Err(JournalError::Mismatch(message)) => message,
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn walk_rejects_an_out_of_range_case() {
+        let journal = journal_of(&[(CampaignKind::E2, 1, 4, sample_trial(None))]);
+        assert_eq!(
+            walk_error(&journal),
+            "case index 4 out of range (protocol has 4 cases/error)"
+        );
+    }
+
+    #[test]
+    fn walk_rejects_unknown_error_numbers() {
+        for (campaign, number, message) in [
+            (CampaignKind::E1, 0, "unknown E1 error number S0"),
+            (CampaignKind::E1, 113, "unknown E1 error number S113"),
+            (CampaignKind::E2, 0, "unknown E2 error number 0"),
+            (CampaignKind::E2, 999, "unknown E2 error number 999"),
+        ] {
+            let journal = journal_of(&[(campaign, number, 0, sample_trial(None))]);
+            assert_eq!(walk_error(&journal), message);
+            assert!(matches!(
+                journal.replay(),
+                Err(JournalError::Mismatch(m)) if m == message
+            ));
+        }
+    }
+
+    #[test]
+    fn paper_errors_resolve_every_number_of_both_sets() {
+        let errors = PaperErrors::new();
+        let record = |campaign, error_number| TrialRecord {
+            campaign,
+            error_number,
+            case_index: 0,
+            trial: sample_trial(None),
+        };
+        for error in error_set::e1() {
+            let resolved = errors.resolve(&record(CampaignKind::E1, error.number));
+            assert!(matches!(resolved, Ok(PaperError::E1(e)) if *e == error));
+        }
+        for error in error_set::e2() {
+            let resolved = errors.resolve(&record(CampaignKind::E2, error.number));
+            assert!(matches!(resolved, Ok(PaperError::E2(e)) if *e == error));
+        }
+    }
+
     #[test]
     fn flush_stall_watchdog_counts_slow_syncs() {
         let path = temp_path("stalls");
@@ -962,21 +1130,5 @@ mod tests {
             .unwrap();
         calm.sync().unwrap();
         assert_eq!(calm.flush_stalls(), 0);
-    }
-
-    #[test]
-    fn replay_rejects_unknown_keys() {
-        let path = temp_path("badkeys");
-        let protocol = Protocol::scaled(2, 1_000);
-        let mut writer = JournalWriter::create(&path, &protocol).unwrap();
-        writer
-            .append(CampaignKind::E1, 9_999, 0, &sample_trial(None))
-            .unwrap();
-        writer.sync().unwrap();
-        drop(writer);
-        assert!(matches!(
-            Journal::load(&path).unwrap().replay(),
-            Err(JournalError::Mismatch(_))
-        ));
     }
 }

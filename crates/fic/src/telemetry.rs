@@ -690,7 +690,7 @@ pub struct TelemetryReport {
     pub schema_version: u32,
     /// Artefact discriminator, always `"campaign-telemetry"`.
     pub kind: String,
-    /// Which binary produced the report (`full_campaign`, `table7`, …).
+    /// Which binary produced the report (`full_campaign`, `fleet_server`, …).
     pub producer: String,
     /// Run attribution.
     pub run: RunMetadata,

@@ -5,10 +5,11 @@
 //! Pinned differentially, the same way telemetry, attribution and the
 //! PR 9 profiler were when they landed:
 //!
-//! * a journaled campaign with a convergence sink (including a JSONL
-//!   snapshot stream) produces byte-identical journal, reports and
-//!   attribution versus the bare run, while the sink's aggregate
-//!   equals both the journal re-derivation and the report fold —
+//! * a journaled campaign with a convergence sink produces
+//!   byte-identical journal, reports and attribution versus the bare
+//!   run, while the sink's aggregate equals the journal's replayed
+//!   reports folded by `ConvergenceAggregate::from_reports` and the
+//!   aggregate of the report `full_campaign` writes —
 //!   `results/convergence/*.json` is a pure function of the journal;
 //! * a fleet run finalizes a valid convergence artefact whose
 //!   aggregate re-derives exactly from the fleet journal, and serves
@@ -19,12 +20,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ea_repro::fic::campaign::ConvergenceSink;
-use ea_repro::fic::convergence::{
-    self, CampaignCoverage, ConvergenceAggregate, ConvergenceReport, CoverageSnapshot,
-};
+use ea_repro::fic::cli::CliOptions;
+use ea_repro::fic::convergence::{self, ConvergenceAggregate, ConvergenceReport, CoverageSnapshot};
 use ea_repro::fic::fleet::{run_worker, CampaignSpec, Server, ServerOptions, WorkerOptions};
 use ea_repro::fic::journal::Journal;
-use ea_repro::fic::telemetry::RunMetadata;
 use ea_repro::fic::{error_set, tables, CampaignRunner, JournalWriter, Protocol};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -42,7 +41,7 @@ fn protocol() -> Protocol {
 
 /// The convergence sink is an observer: journal bytes, reports and the
 /// attribution aggregate are identical with it on or off — and its
-/// fold equals the journal re-derivation and the report-side fold, so
+/// fold equals the journal re-derivation and the written report, so
 /// the persisted artefact is a pure function of the journaled trials.
 #[test]
 fn convergence_is_a_pure_observer() {
@@ -65,12 +64,7 @@ fn convergence_is_a_pure_observer() {
         (std::fs::read(&path).unwrap(), e1, e2, attribution, path)
     };
 
-    let stream_path = dir.join("convergence.jsonl");
-    let sink = Arc::new(
-        ConvergenceSink::new()
-            .with_label("conv-eq")
-            .with_stream(std::fs::File::create(&stream_path).unwrap(), 16),
-    );
+    let sink = Arc::new(ConvergenceSink::new());
     let (bare_journal, bare_e1, bare_e2, bare_attr, _) = run("bare", None);
     let (conv_journal, conv_e1, conv_e2, conv_attr, journal_path) =
         run("monitored", Some(Arc::clone(&sink)));
@@ -83,47 +77,33 @@ fn convergence_is_a_pure_observer() {
     assert_eq!(bare_e2, conv_e2);
     assert_eq!(bare_attr, conv_attr);
 
-    // The sink's incremental fold equals the journal re-derivation and
-    // the from-reports fold: three routes, one aggregate.
-    sink.flush_stream();
+    // Three routes, one aggregate: the sink's incremental fold, the
+    // journal's replayed reports, and the report the campaign binary
+    // writes from its final reports.
     let aggregate = sink.snapshot();
     let journal = Journal::load(&journal_path).unwrap();
-    assert_eq!(aggregate, convergence::aggregate_journal(&journal).unwrap());
+    let (replayed_e1, replayed_e2) = journal.replay().unwrap();
     assert_eq!(
         aggregate,
-        ConvergenceAggregate::from_reports(&conv_e1, &conv_e2)
+        ConvergenceAggregate::from_reports(&replayed_e1, &replayed_e2)
     );
     let cases = protocol.cases_per_error() as u64;
     assert_eq!(aggregate.e1_trials(), e1_errors.len() as u64 * cases);
     assert_eq!(aggregate.e2_trials(), e2_errors.len() as u64 * cases);
 
-    // The JSONL stream holds parseable snapshot lines ending in the
-    // final (flushed) state.
-    let stream = std::fs::read_to_string(&stream_path).unwrap();
-    let lines: Vec<CampaignCoverage> = stream
-        .lines()
-        .map(|line| serde_json::from_str(line).unwrap())
-        .collect();
-    assert!(!lines.is_empty(), "the stream must hold snapshots");
-    let last = lines.last().unwrap();
-    assert_eq!(last.name, "conv-eq");
-    assert_eq!(last.e1_trials + last.e2_trials, aggregate.trials());
-
-    // The assembled artefact validates, round-trips, and re-validates
-    // against the journal exactly (the telemetry_check --convergence
-    // contract).
-    let run_meta = RunMetadata::for_run(&protocol, true, None);
-    let report =
-        ConvergenceReport::assemble("conv-eq", run_meta, aggregate, convergence::DEFAULT_DELTA);
-    report.validate().unwrap();
-    let written = convergence::write_report(&dir.join("convergence"), "conv-eq", &report).unwrap();
-    let back: ConvergenceReport =
+    let options = CliOptions {
+        out_dir: dir.clone(),
+        ..CliOptions::default()
+    };
+    options.emit_convergence("conv-eq", &protocol, &conv_e1, &conv_e2);
+    let written = dir.join("convergence").join("conv-eq.json");
+    let report: ConvergenceReport =
         serde_json::from_str(&std::fs::read_to_string(written).unwrap()).unwrap();
-    assert_eq!(back, report);
+    report.validate().unwrap();
+    assert_eq!(report.producer, "conv-eq");
     assert_eq!(
-        back.aggregate,
-        convergence::aggregate_journal(&journal).unwrap(),
-        "the artefact must be re-derivable from the journal alone"
+        report.aggregate, aggregate,
+        "the written artefact must equal the journal re-derivation"
     );
 }
 
@@ -240,10 +220,13 @@ fn fleet_serves_coverage_and_dashboard() {
     let report: ConvergenceReport =
         serde_json::from_str(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
     report.validate().unwrap();
-    let journal = Journal::load(&outcome.journal_path).unwrap();
+    let (e1, e2) = Journal::load(&outcome.journal_path)
+        .unwrap()
+        .replay()
+        .unwrap();
     assert_eq!(
         report.aggregate,
-        convergence::aggregate_journal(&journal).unwrap()
+        ConvergenceAggregate::from_reports(&e1, &e2)
     );
     let cases = protocol.cases_per_error() as u64;
     assert_eq!(
