@@ -26,6 +26,12 @@
 //! ([`SettleDetector::next_check_ms`]), which is when a shared lane's
 //! environment is materialised for inspection.
 //!
+//! The reference lane ticks only while it stands in for at least two
+//! lanes. When forks and retirements leave a single shared lane, that
+//! lane adopts the reference's current environment and runs privately
+//! from then on, and the reference stops. A one-lane batch therefore
+//! never ticks the reference: it runs the scalar trial loop.
+//!
 //! Equivalence to the scalar loop is bit-exact, not approximate: the
 //! per-lane schedule (settle check, then injection, then tick) is the
 //! scalar trial loop verbatim, skipped settle calls are exactly the
@@ -124,6 +130,9 @@ pub fn run_lockstep(
     let period = config.injection_period_ms.max(1);
     let resumed_at = prefix.time_ms();
 
+    // A lone lane never shares: its own environment, resumed from the
+    // prefix, is already the reference's.
+    let sharing = flips.len() >= 2;
     let mut lanes: Vec<Lane> = flips
         .iter()
         .enumerate()
@@ -136,10 +145,13 @@ pub fn run_lockstep(
                 flip,
                 system,
                 settle,
-                shared: true,
+                shared: sharing,
             }
         })
         .collect();
+    // Lanes whose `shared` flag is set, kept in step with every flag
+    // change so the tick loop never rescans for it.
+    let mut shared = if sharing { lanes.len() } else { 0 };
     let mut retired: Vec<RetiredLane> = Vec::with_capacity(lanes.len());
 
     while !lanes.is_empty() {
@@ -167,8 +179,11 @@ pub fn run_lockstep(
             };
             if settled || t >= observation_ms {
                 let mut lane = lanes.swap_remove(i);
-                if lane.shared && !settled {
-                    lane.system.adopt_environment(&reference);
+                if lane.shared {
+                    shared -= 1;
+                    if !settled {
+                        lane.system.adopt_environment(&reference);
+                    }
                 }
                 retired.push(RetiredLane {
                     slot: lane.slot,
@@ -196,12 +211,26 @@ pub fn run_lockstep(
             }
         }
 
+        // A reference standing in for one lane costs a second node half
+        // per tick and saves nothing: that lane materialises the state
+        // after tick t, as a fork or a due settle check would, and runs
+        // privately from here on (lanes never re-share).
+        if shared == 1 {
+            let lane = lanes
+                .iter_mut()
+                .find(|l| l.shared)
+                .expect("the shared count tracks the flags");
+            lane.system.adopt_environment(&reference);
+            lane.shared = false;
+            shared = 0;
+        }
+
         // Advance t → t+1. The reference's node half runs first so
         // its commands gate the sharing decision, but its environment
         // steps last: a lane that diverges *this* tick adopts the
         // pre-step environment — the state after tick t, exactly what
         // the scalar trial would hold entering this step.
-        if lanes.iter().any(|l| l.shared) {
+        if shared > 0 {
             let sensors = reference.sensors();
             let reference_cmds = reference.tick_nodes(&sensors);
             for lane in &mut lanes {
@@ -209,6 +238,7 @@ pub fn run_lockstep(
                     let cmds = lane.system.tick_nodes(&sensors);
                     if cmds != reference_cmds {
                         lane.shared = false;
+                        shared -= 1;
                         lane.system.adopt_environment(&reference);
                         lane.system.tick_plant(&sensors);
                     }
@@ -221,7 +251,7 @@ pub fn run_lockstep(
             reference.tick_plant(&sensors);
         } else {
             // Every surviving lane is private: the reference has no
-            // reader left and stops ticking (lanes never re-share).
+            // reader left and stops ticking.
             for lane in &mut lanes {
                 let own = lane.system.sensors();
                 lane.system.tick_nodes(&own);
@@ -273,6 +303,96 @@ mod tests {
             system.tick();
         }
         (system, settle_stop_ms, settle.captures())
+    }
+
+    /// The first instant whose tick makes `flip`'s node half issue
+    /// commands other than the fault-free run's, within `horizon_ms`.
+    fn first_command_divergence(
+        prefix: &Snapshot,
+        flip: BitFlip,
+        period: u64,
+        horizon_ms: u64,
+    ) -> Option<u64> {
+        let mut clean = prefix.resume();
+        let mut faulty = prefix.resume();
+        while faulty.time_ms() < horizon_ms {
+            let t = faulty.time_ms();
+            if t > 0 && t.is_multiple_of(period) {
+                faulty.inject(flip);
+            }
+            let (clean_sensors, faulty_sensors) = (clean.sensors(), faulty.sensors());
+            let clean_cmds = clean.tick_nodes(&clean_sensors);
+            let faulty_cmds = faulty.tick_nodes(&faulty_sensors);
+            clean.tick_plant(&clean_sensors);
+            faulty.tick_plant(&faulty_sensors);
+            if clean_cmds != faulty_cmds {
+                return Some(t);
+            }
+        }
+        None
+    }
+
+    /// Asserts every retired lane matches its flip's scalar run on stop
+    /// instant, captures, verdict, detections and duration.
+    fn assert_lanes_match_scalar(prefix: &Snapshot, flips: &[BitFlip], config: &BatchConfig) {
+        let retired = run_lockstep(prefix, flips, config);
+        assert_eq!(retired.len(), flips.len());
+        for (slot, &flip) in flips.iter().enumerate() {
+            let (scalar, scalar_stop, scalar_captures) = scalar_lane(prefix, flip, config);
+            let lane = &retired[slot];
+            assert_eq!(lane.slot, slot);
+            assert_eq!(lane.settle_stop_ms, scalar_stop, "flip {flip:?}");
+            assert_eq!(lane.stopped_at_ms, scalar.time_ms(), "flip {flip:?}");
+            assert_eq!(lane.settle_captures, scalar_captures, "flip {flip:?}");
+            let batched_outcome = lane.system.clone().finish();
+            let scalar_outcome = scalar.finish();
+            assert_eq!(
+                batched_outcome.verdict, scalar_outcome.verdict,
+                "flip {flip:?}"
+            );
+            assert_eq!(
+                batched_outcome.detections, scalar_outcome.detections,
+                "flip {flip:?}"
+            );
+            assert_eq!(
+                batched_outcome.duration_ms, scalar_outcome.duration_ms,
+                "flip {flip:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lone_and_last_sharing_lanes_match_scalar() {
+        let case = TestCase::new(12_000.0, 55.0);
+        let config = BatchConfig {
+            observation_ms: 25_000,
+            injection_period_ms: 20,
+            analytic_settle: true,
+        };
+        let prefix = prefix_at(case, 20);
+        let diverging = BitFlip::new(Region::AppRam, 5, 7);
+        let dead = BitFlip::new(Region::Stack, 10, 3);
+        let (stack, _) = crate::stackmodel::master_stack();
+        assert_eq!(stack.classify(dead.addr), memsim::StackHit::Dead);
+        assert_eq!(
+            first_command_divergence(&prefix, dead, 20, config.observation_ms),
+            None,
+            "the dead-cell flip must never diverge"
+        );
+        let diverges_at = first_command_divergence(&prefix, diverging, 20, config.observation_ms)
+            .expect("the signal flip must diverge");
+        assert!(
+            diverges_at <= 40,
+            "the signal flip diverges at {diverges_at} ms"
+        );
+
+        // One lane: the scalar loop, no reference. Two lanes: the
+        // reference stands in for both until the signal lane forks,
+        // then the dead-cell lane takes its environment over.
+        assert_lanes_match_scalar(&prefix, &[diverging], &config);
+        assert_lanes_match_scalar(&prefix, &[dead], &config);
+        assert_lanes_match_scalar(&prefix, &[diverging, dead], &config);
+        assert_lanes_match_scalar(&prefix, &[dead, diverging], &config);
     }
 
     #[test]
@@ -341,21 +461,7 @@ mod tests {
             BitFlip::new(Region::Stack, memsim::STACK_BYTES - 4, 0),
             BitFlip::new(Region::Stack, 10, 3),
         ];
-        let retired = run_lockstep(&prefix, &flips, &config);
-        assert_eq!(retired.len(), flips.len());
-        for (slot, &flip) in flips.iter().enumerate() {
-            let (scalar, scalar_stop, scalar_captures) = scalar_lane(&prefix, flip, &config);
-            let lane = &retired[slot];
-            assert_eq!(lane.slot, slot);
-            assert_eq!(lane.settle_stop_ms, scalar_stop, "flip {flip:?}");
-            assert_eq!(lane.settle_captures, scalar_captures, "flip {flip:?}");
-            assert_eq!(lane.stopped_at_ms, scalar.time_ms(), "flip {flip:?}");
-            let batched_outcome = retired[slot].system.clone().finish();
-            let scalar_outcome = scalar.finish();
-            assert_eq!(batched_outcome.verdict, scalar_outcome.verdict);
-            assert_eq!(batched_outcome.detections, scalar_outcome.detections);
-            assert_eq!(batched_outcome.duration_ms, scalar_outcome.duration_ms);
-        }
+        assert_lanes_match_scalar(&prefix, &flips, &config);
     }
 
     #[test]
@@ -452,16 +558,6 @@ mod tests {
             BitFlip::new(Region::AppRam, 8, 0),
             BitFlip::new(Region::Stack, 10, 3),
         ];
-        let retired = run_lockstep(&prefix, &flips, &config);
-        for (slot, &flip) in flips.iter().enumerate() {
-            let (scalar, scalar_stop, scalar_captures) = scalar_lane(&prefix, flip, &config);
-            let lane = &retired[slot];
-            assert_eq!(lane.settle_stop_ms, scalar_stop, "flip {flip:?}");
-            assert_eq!(lane.settle_captures, scalar_captures, "flip {flip:?}");
-            let batched_outcome = lane.system.clone().finish();
-            let scalar_outcome = scalar.finish();
-            assert_eq!(batched_outcome.verdict, scalar_outcome.verdict);
-            assert_eq!(batched_outcome.detections, scalar_outcome.detections);
-        }
+        assert_lanes_match_scalar(&prefix, &flips, &config);
     }
 }

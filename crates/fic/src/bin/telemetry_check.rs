@@ -18,7 +18,12 @@
 //!   numbers reconstruct each trial's flip, [`fic::InertMap`] says
 //!   which were prunable, and the counters must agree exactly (all-zero
 //!   counters against a journal holding prunable trials are a
-//!   mismatch: checkpointed campaigns always prune). Each record is
+//!   mismatch: checkpointed campaigns always prune). So is the
+//!   `campaign.lockstep.lanes` histogram: a fresh run cuts each test
+//!   case's live trials into batches of `DEFAULT_BATCH_SIZE`
+//!   ([`fic::campaign::lockstep_items`]), so its count is
+//!   `Σ ⌈live / 8⌉` over ⟨campaign, shard, case⟩ and its sum is the
+//!   live trials. Each record is
 //!   first resolved to its paper error ([`fic::journal::PaperErrors`]);
 //!   an unknown error number fails the check with a message naming it;
 //! * `--shards <n>` — the report (and journal) came from `n` shard
@@ -51,11 +56,12 @@
 //!
 //! Exits 0 when every requested check passes, 1 otherwise.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fic::attribution::{self, AttributionReport};
+use fic::campaign::DEFAULT_BATCH_SIZE;
 use fic::convergence::{ConvergenceAggregate, ConvergenceReport};
 use fic::journal::{Journal, PaperError, PaperErrors};
 use fic::telemetry::{ProgressEvent, TelemetryReport, SCHEMA_VERSION};
@@ -165,7 +171,8 @@ fn main() -> ExitCode {
     if let (Some(report), Some(path)) = (&report, &journal_path) {
         match load_flips(path) {
             Ok((journal, flips)) => {
-                match check_cache_counters(report, &journal, shards) {
+                let executions = executions(&journal, shards);
+                match check_cache_counters(report, &journal, &executions) {
                     Ok((hits, misses)) => println!(
                         "journal {}: cache counters match ({hits} hits, {misses} misses, {shards} shard(s))",
                         path.display()
@@ -175,7 +182,17 @@ fn main() -> ExitCode {
                         failures += 1;
                     }
                 }
-                match check_prune_counters(report, &journal, &flips, shards) {
+                match check_lockstep_lanes(report, &journal, &flips, &executions) {
+                    Ok((batches, lanes)) => println!(
+                        "journal {}: lockstep lanes match ({batches} batches, {lanes} live lanes)",
+                        path.display()
+                    ),
+                    Err(e) => {
+                        eprintln!("journal {}: LANES MISMATCH: {e}", path.display());
+                        failures += 1;
+                    }
+                }
+                match check_prune_counters(report, &journal, &flips, &executions) {
                     Ok((pruned, references)) => println!(
                         "journal {}: prune counters match ({pruned} pruned, {references} reference(s))",
                         path.display()
@@ -383,34 +400,41 @@ fn load_flips(path: &std::path::Path) -> Result<(Journal, Vec<BitFlip>), String>
     Ok((journal, flips))
 }
 
+/// The journal's record indices grouped by the execution that produced
+/// them: one group per ⟨campaign, shard⟩, each run with its own
+/// checkpoint and prune caches. With `shards > 1` the journal is a
+/// merge of that many shard runs; a record's shard is recomputed from
+/// the canonical pair index `(error − 1) · cases + case` (the same
+/// formula `CampaignRunner::with_shard` slices by).
+fn executions(journal: &Journal, shards: usize) -> Vec<Vec<usize>> {
+    let cases_per_error = journal.header.protocol.cases_per_error();
+    let mut groups = vec![Vec::new(); 2 * shards];
+    for (k, r) in journal.records.iter().enumerate() {
+        let pair = (r.error_number - 1) * cases_per_error + r.case_index;
+        let kind = usize::from(r.campaign == fic::CampaignKind::E2);
+        groups[kind * shards + pair % shards].push(k);
+    }
+    groups
+}
+
 /// The report's checkpoint-cache hit/miss counters equal the values a
-/// fresh run's journal implies. With `shards > 1` the journal is a
-/// merge of that many shard runs, each with its own cache: misses
-/// accumulate per ⟨campaign, shard⟩ slice of the records, recomputed
-/// from the canonical pair index `(error − 1) · cases + case` (the
-/// same formula `CampaignRunner::with_shard` slices by).
+/// fresh run's journal implies: each execution misses once per
+/// distinct test case and hits on every further trial.
 fn check_cache_counters(
     report: &TelemetryReport,
     journal: &Journal,
-    shards: usize,
+    executions: &[Vec<usize>],
 ) -> Result<(u64, u64), String> {
-    let cases_per_error = journal.header.protocol.cases_per_error();
-    let mut expected_misses = 0u64;
-    for kind in [fic::CampaignKind::E1, fic::CampaignKind::E2] {
-        for shard in 0..shards {
-            let cases: HashSet<usize> = journal
-                .records
+    let expected_misses: u64 = executions
+        .iter()
+        .map(|records| {
+            let cases: HashSet<usize> = records
                 .iter()
-                .filter(|r| r.campaign == kind)
-                .filter(|r| {
-                    let pair = (r.error_number - 1) * cases_per_error + r.case_index;
-                    pair % shards == shard
-                })
-                .map(|r| r.case_index)
+                .map(|&k| journal.records[k].case_index)
                 .collect();
-            expected_misses += cases.len() as u64;
-        }
-    }
+            cases.len() as u64
+        })
+        .sum();
     let expected_hits = journal.records.len() as u64 - expected_misses;
     let hits = report.snapshot.counter("campaign.checkpoint.cache.hits");
     let misses = report.snapshot.counter("campaign.checkpoint.cache.misses");
@@ -423,6 +447,49 @@ fn check_cache_counters(
     Ok((hits, misses))
 }
 
+/// The report's `campaign.lockstep.lanes` histogram equals what a
+/// fresh run's journal implies. Each execution cuts one test case's
+/// trials into work items of at most `DEFAULT_BATCH_SIZE` live lanes
+/// ([`fic::campaign::lockstep_items`]), every item but the last full,
+/// and runs one batch per item holding a live lane. So per
+/// ⟨campaign, shard, case⟩ the batches are `⌈live / 8⌉`, where "live"
+/// means the records [`InertMap`] does not classify, and the lanes sum
+/// to the live trials. Returns the batch and lane counts.
+fn check_lockstep_lanes(
+    report: &TelemetryReport,
+    journal: &Journal,
+    flips: &[BitFlip],
+    executions: &[Vec<usize>],
+) -> Result<(u64, u64), String> {
+    let map = InertMap::new();
+    let (mut batches, mut lanes) = (0u64, 0u64);
+    for records in executions {
+        let mut live: HashMap<usize, u64> = HashMap::new();
+        for &k in records {
+            if map.classify(flips[k]).is_none() {
+                *live.entry(journal.records[k].case_index).or_default() += 1;
+            }
+        }
+        lanes += live.values().sum::<u64>();
+        batches += live
+            .values()
+            .map(|n| n.div_ceil(DEFAULT_BATCH_SIZE as u64))
+            .sum::<u64>();
+    }
+    let (count, sum) = report
+        .snapshot
+        .histograms
+        .get("campaign.lockstep.lanes")
+        .map_or((0, 0), |h| (h.count, h.sum));
+    if (count, sum) != (batches, lanes) {
+        return Err(format!(
+            "report says campaign.lockstep.lanes count {count} / sum {sum}; \
+             journal implies {batches} / {lanes}"
+        ));
+    }
+    Ok((batches, lanes))
+}
+
 /// The report's `campaign.prune.*` counters equal the values the
 /// journal implies. The inert coordinates are a pure function of the
 /// target's memory maps ([`InertMap`]), so each record's flip —
@@ -431,40 +498,28 @@ fn check_cache_counters(
 /// `prune.trials` (split by class) counts the classifying records, and
 /// `prune.references` counts one shared reference execution per
 /// ⟨campaign, shard, test case⟩ holding at least one of them (each
-/// shard execution has its own [`fic::PruneCache`], mirroring the
+/// execution has its own [`fic::PruneCache`], mirroring the
 /// checkpoint-cache model above). Returns the pruned-trial and
 /// reference counts.
 fn check_prune_counters(
     report: &TelemetryReport,
     journal: &Journal,
     flips: &[BitFlip],
-    shards: usize,
+    executions: &[Vec<usize>],
 ) -> Result<(u64, u64), String> {
-    let cases_per_error = journal.header.protocol.cases_per_error();
     let map = InertMap::new();
     let (mut dead_stack, mut unread_ram, mut references) = (0u64, 0u64, 0u64);
-    for kind in [fic::CampaignKind::E1, fic::CampaignKind::E2] {
-        for shard in 0..shards {
-            let mut cases = HashSet::new();
-            for (record, &flip) in journal
-                .records
-                .iter()
-                .zip(flips)
-                .filter(|(r, _)| r.campaign == kind)
-                .filter(|(r, _)| {
-                    let pair = (r.error_number - 1) * cases_per_error + r.case_index;
-                    pair % shards == shard
-                })
-            {
-                match map.classify(flip) {
-                    Some(PruneClass::DeadStack) => dead_stack += 1,
-                    Some(PruneClass::UnreadRam) => unread_ram += 1,
-                    None => continue,
-                }
-                cases.insert(record.case_index);
+    for records in executions {
+        let mut cases = HashSet::new();
+        for &k in records {
+            match map.classify(flips[k]) {
+                Some(PruneClass::DeadStack) => dead_stack += 1,
+                Some(PruneClass::UnreadRam) => unread_ram += 1,
+                None => continue,
             }
-            references += cases.len() as u64;
+            cases.insert(journal.records[k].case_index);
         }
+        references += cases.len() as u64;
     }
     let expected_pruned = dead_stack + unread_ram;
     let counters = [

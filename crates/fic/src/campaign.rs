@@ -6,10 +6,11 @@
 //! simulated once and cached in a [`CheckpointCache`] shared across
 //! workers, and every trial of that case forks from the cached
 //! [`arrestor::Snapshot`] instead of replaying the prefix from t = 0.
-//! The trials of a case step in lockstep chunks of
-//! [`DEFAULT_BATCH_SIZE`] lanes. Combined with the steady-state
-//! fast-forward of [`arrestor::SettleDetector`], this cuts campaign
-//! wall clock without changing a single bit of any result (see
+//! The trials of a case step in lockstep work items of at most
+//! [`DEFAULT_BATCH_SIZE`] live lanes ([`lockstep_items`]); statically
+//! inert errors ride along without a lane. Combined with the
+//! steady-state fast-forward of [`arrestor::SettleDetector`], this cuts
+//! campaign wall clock without changing a single bit of any result (see
 //! `PERFORMANCE.md`); [`CampaignRunner::with_checkpointing`]`(false)`
 //! forces full replay, the paper-faithful oracle.
 //!
@@ -23,6 +24,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -36,6 +38,7 @@ use crate::error_set::{E1Error, E2Error};
 use crate::experiment::{fault_free_prefix, run_case_batch_with, run_trial, Trial, TrialExecution};
 use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter, ShardSpec};
 use crate::protocol::Protocol;
+use crate::prune::PruneClass;
 use crate::results::{E1Report, E2Report};
 use crate::telemetry;
 
@@ -110,6 +113,7 @@ pub struct CampaignTelemetry {
     queue_wait_us: Arc<telemetry::Histogram>,
     settle_stop_ms: Arc<telemetry::Histogram>,
     settle_captures: Arc<telemetry::Histogram>,
+    lockstep_lanes: Arc<telemetry::Histogram>,
     trials: Arc<telemetry::Counter>,
     trials_settled: Arc<telemetry::Counter>,
     trials_full_window: Arc<telemetry::Counter>,
@@ -145,6 +149,8 @@ impl CampaignTelemetry {
                 .histogram("campaign.settle.stop_ms", &telemetry::latency_bounds_ms()),
             settle_captures: registry
                 .histogram("campaign.settle.captures", &telemetry::small_count_bounds()),
+            lockstep_lanes: registry
+                .histogram("campaign.lockstep.lanes", &telemetry::small_count_bounds()),
             trials: registry.counter("campaign.trials"),
             trials_settled: registry.counter("campaign.trials.settled"),
             trials_full_window: registry.counter("campaign.trials.full_window"),
@@ -196,11 +202,11 @@ impl CampaignTelemetry {
     }
 
     /// Folds one pruned (never-executed) trial into the metrics.
-    fn observe_prune(&self, class: crate::prune::PruneClass) {
+    fn observe_prune(&self, class: PruneClass) {
         self.prune_trials.inc();
         match class {
-            crate::prune::PruneClass::DeadStack => self.prune_dead_stack.inc(),
-            crate::prune::PruneClass::UnreadRam => self.prune_unread_ram.inc(),
+            PruneClass::DeadStack => self.prune_dead_stack.inc(),
+            PruneClass::UnreadRam => self.prune_unread_ram.inc(),
         }
     }
 }
@@ -292,13 +298,42 @@ pub struct ProgressOptions {
     pub stream_every: u64,
 }
 
-/// Lanes per lockstep batch. A checkpointed campaign splits each test
-/// case's pending trials into consecutive chunks of this many errors.
-/// Eight lanes keep the working set of live [`arrestor::System`]
-/// clones inside the fast caches on one core while still amortising
-/// the shared-environment tick. Split points cannot change any result:
-/// lanes never interact (pinned by `crates/arrestor/tests/prop_batch.rs`).
+/// Live lanes per lockstep batch. A checkpointed campaign cuts each
+/// test case's pending errors into consecutive work items of at most
+/// this many *live* errors ([`lockstep_items`]); pruned errors never
+/// take a lane. Eight lanes keep the working set of live
+/// [`arrestor::System`] clones inside the fast caches on one core while
+/// still amortising the shared-environment tick. Split points cannot
+/// change any result: lanes never interact (pinned by
+/// `crates/arrestor/tests/prop_batch.rs`).
 pub const DEFAULT_BATCH_SIZE: usize = 8;
+
+/// Cuts one test case's pending errors, given their prune classes in
+/// order (`None` = live), into lockstep work items: contiguous index
+/// ranges that concatenate back to the whole list, each holding at
+/// most [`DEFAULT_BATCH_SIZE`] live errors. A pruned error goes in
+/// whichever item it falls in; a new item starts only at a live error
+/// that would overfill the current item, so every item but the last
+/// holds exactly [`DEFAULT_BATCH_SIZE`] live errors. With everything
+/// live (pruning off, or replay) the items are
+/// `chunks(DEFAULT_BATCH_SIZE)`.
+pub fn lockstep_items(classes: &[Option<PruneClass>]) -> Vec<Range<usize>> {
+    let mut items = Vec::new();
+    let (mut start, mut live) = (0, 0);
+    for (i, class) in classes.iter().enumerate() {
+        if class.is_none() {
+            if live == DEFAULT_BATCH_SIZE {
+                items.push(start..i);
+                (start, live) = (i, 0);
+            }
+            live += 1;
+        }
+    }
+    if start < classes.len() {
+        items.push(start..classes.len());
+    }
+    items
+}
 
 /// Executes error-injection campaigns under a protocol.
 #[derive(Debug, Clone)]
@@ -318,8 +353,8 @@ pub struct CampaignRunner {
 impl CampaignRunner {
     /// A runner for the given protocol. Checkpointed execution is on by
     /// default: all trials of a test case fork from the cached prefix
-    /// and step in lockstep chunks of [`DEFAULT_BATCH_SIZE`] lanes
-    /// ([`crate::experiment::run_case_batch_with`]). Disable
+    /// and step in lockstep batches of at most [`DEFAULT_BATCH_SIZE`]
+    /// live lanes ([`crate::experiment::run_case_batch_with`]). Disable
     /// checkpointing with [`CampaignRunner::with_checkpointing`]`(false)`
     /// to replay every trial from t = 0 ([`crate::experiment::run_trial`]),
     /// the paper-faithful oracle. Results are bit-identical across the
@@ -804,7 +839,7 @@ impl CampaignRunner {
             .collect()
     }
 
-    /// Generic worker fan-out: workers pull per-case chunks of
+    /// Generic worker fan-out: workers pull per-case work items of
     /// ⟨error, case⟩ pairs from a shared queue and stream completed
     /// trials back; the collector (on
     /// the calling thread) folds them into the report in arrival order
@@ -839,6 +874,12 @@ impl CampaignRunner {
         // everything.
         let prune =
             (self.pruning && self.checkpointing).then(|| Arc::new(crate::prune::PruneCache::new()));
+        // Each error's prune class, decided once here: it both cuts the
+        // work items and tells the worker which lanes to skip.
+        let classes: Vec<Option<PruneClass>> = errors
+            .iter()
+            .map(|e| prune.as_ref().and_then(|p| p.classify(e.flip())))
+            .collect();
         let attribution = self.attribution_fold();
 
         let tel = self.telemetry.as_ref().map(CampaignTelemetry::register);
@@ -877,15 +918,19 @@ impl CampaignRunner {
             None => None,
         };
 
-        // One work item per test case and chunk of at most
-        // [`DEFAULT_BATCH_SIZE`] errors, in pending order. Checkpointed
-        // pending lists are case-major, so a 1-worker campaign completes
-        // trials in (case, error) order; replay keeps the caller's
+        // Work items cut each run of one test case's pairs at every
+        // [`DEFAULT_BATCH_SIZE`] live errors ([`lockstep_items`]), in
+        // pending order. Checkpointed pending lists are case-major, so a
+        // 1-worker campaign completes trials in (case, error) order
+        // whatever the prune classes; replay keeps the caller's
         // error-major order.
         let (work_tx, work_rx) = channel::unbounded::<(usize, Vec<usize>)>();
         for (ci, eis) in group_by_case(&pending) {
-            for chunk in eis.chunks(DEFAULT_BATCH_SIZE) {
-                work_tx.send((ci, chunk.to_vec())).expect("queue is open");
+            let case_classes: Vec<Option<PruneClass>> = eis.iter().map(|&ei| classes[ei]).collect();
+            for item in lockstep_items(&case_classes) {
+                work_tx
+                    .send((ci, eis[item].to_vec()))
+                    .expect("queue is open");
             }
         }
         drop(work_tx);
@@ -900,6 +945,7 @@ impl CampaignRunner {
                 let protocol = &self.protocol;
                 let cache = cache.clone();
                 let prune = prune.clone();
+                let classes = &classes;
                 let analytic = self.analytic_settle;
                 let tel = tel.clone();
                 let profile = self.profile.clone();
@@ -928,7 +974,7 @@ impl CampaignRunner {
                                 })
                                 .collect(),
                             Some(cache) => {
-                                // One prefix lookup per trial, not per chunk:
+                                // One prefix lookup per trial, not per item:
                                 // `campaign.checkpoint.cache.{hits,misses}` then
                                 // count trials, which is the ground truth that
                                 // `telemetry_check --journal` and the benchmark
@@ -942,24 +988,24 @@ impl CampaignRunner {
                                         tel.as_ref(),
                                     ));
                                 }
-                                let prefix = prefix.expect("chunks are never empty");
-                                // Partition the chunk: statically-inert errors
+                                let prefix = prefix.expect("work items are never empty");
+                                // Partition the item: statically-inert errors
                                 // skip execution and share the case's reference
                                 // trial; live lanes run the lockstep batch.
-                                // Results are emitted in chunk order either way,
+                                // Results are emitted in item order either way,
                                 // so journal bytes never depend on the prune
                                 // setting.
-                                let classes: Vec<Option<crate::prune::PruneClass>> = eis
-                                    .iter()
-                                    .map(|&ei| {
-                                        prune.as_ref().and_then(|p| p.classify(errors[ei].flip()))
-                                    })
+                                let live: Vec<usize> = (0..eis.len())
+                                    .filter(|&i| classes[eis[i]].is_none())
                                     .collect();
-                                let live: Vec<usize> =
-                                    (0..eis.len()).filter(|&i| classes[i].is_none()).collect();
                                 let flips: Vec<memsim::BitFlip> =
                                     live.iter().map(|&i| errors[eis[i]].flip()).collect();
                                 let mut trials: Vec<Option<Trial>> = vec![None; eis.len()];
+                                // One observation per executed batch: an item
+                                // whose errors all prune runs none.
+                                if let Some(t) = tel.as_ref().filter(|_| !flips.is_empty()) {
+                                    t.lockstep_lanes.record(flips.len() as u64);
+                                }
                                 for lane in run_case_batch_with(
                                     protocol, &flips, cases[ci], &prefix, analytic,
                                 ) {
@@ -980,10 +1026,10 @@ impl CampaignRunner {
                                             t.prune_references.inc();
                                         }
                                     }
-                                    for (i, class) in classes.iter().enumerate() {
-                                        if let Some(class) = class {
+                                    for (i, &ei) in eis.iter().enumerate() {
+                                        if let Some(class) = classes[ei] {
                                             if let Some(t) = &tel {
-                                                t.observe_prune(*class);
+                                                t.observe_prune(class);
                                             }
                                             if let Some(pr) = &profile {
                                                 pr.record_prune();
@@ -1150,6 +1196,68 @@ mod tests {
             std::env::temp_dir().join(format!("fic-campaign-test-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("journal.jsonl")
+    }
+
+    /// Prune-class patterns for the item cutter: a deterministic mix of
+    /// live and pruned errors at several densities, plus the extremes.
+    fn class_patterns() -> Vec<Vec<Option<PruneClass>>> {
+        let mut patterns = vec![
+            vec![],
+            vec![None; 1],
+            vec![None; 8],
+            vec![None; 17],
+            vec![Some(PruneClass::DeadStack); 5],
+        ];
+        for modulus in [2u64, 3, 7] {
+            for len in [9usize, 30, 200] {
+                let mut x = len as u64 * 31 + modulus;
+                patterns.push(
+                    (0..len)
+                        .map(|_| {
+                            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                            (x >> 33)
+                                .is_multiple_of(modulus)
+                                .then_some(PruneClass::UnreadRam)
+                        })
+                        .collect(),
+                );
+            }
+        }
+        patterns
+    }
+
+    #[test]
+    fn lockstep_items_cut_at_every_eighth_live_error() {
+        for classes in class_patterns() {
+            let items = lockstep_items(&classes);
+            let joined: Vec<usize> = items.iter().flat_map(Clone::clone).collect();
+            assert_eq!(
+                joined,
+                (0..classes.len()).collect::<Vec<_>>(),
+                "{classes:?}"
+            );
+            let live =
+                |item: &Range<usize>| classes[item.clone()].iter().filter(|c| c.is_none()).count();
+            for (k, item) in items.iter().enumerate() {
+                assert!(!item.is_empty());
+                assert!(live(item) <= DEFAULT_BATCH_SIZE, "{classes:?}");
+                if k + 1 < items.len() {
+                    assert_eq!(live(item), DEFAULT_BATCH_SIZE, "{classes:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_items_are_chunks_when_everything_is_live() {
+        for len in [0, 1, 7, 8, 9, 16, 23, 200] {
+            let chunks: Vec<Range<usize>> = (0..len)
+                .collect::<Vec<usize>>()
+                .chunks(DEFAULT_BATCH_SIZE)
+                .map(|c| c[0]..c[c.len() - 1] + 1)
+                .collect();
+            assert_eq!(lockstep_items(&vec![None; len]), chunks, "{len} errors");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Differential gate for the lockstep campaign path.
 //!
-//! The default campaign (checkpointed prefixes, lockstep chunks of
-//! `DEFAULT_BATCH_SIZE` lanes, analytic settle, dominance pruning) must
+//! The default campaign (checkpointed prefixes, lockstep work items of
+//! at most `DEFAULT_BATCH_SIZE` live lanes, analytic settle, dominance
+//! pruning) must
 //! be indistinguishable from its references in every result-bearing
 //! artifact. This suite runs it over grid slices and checks:
 //!
@@ -13,10 +14,11 @@
 //!   `run_trial_checkpointed_observed_with` executions plus the
 //!   `InertMap` prune classes over the same pairs.
 //!
-//! Slices are a deterministic E1 and E2 gate (`ci_slice_*` below) plus
+//! Slices are deterministic E1 and E2 gates (`ci_slice_*` below) plus
 //! proptest-driven random slices of both error sets; random starts and
-//! lengths leave partial lockstep chunks, so the chunk geometry is
-//! fuzzed rather than hand-picked.
+//! lengths leave partial work items, and E2 slices long enough to hold
+//! several live errors move the live-lane cut points, so the item
+//! geometry is fuzzed rather than hand-picked.
 //!
 //! When a journaled trial differs from its oracle trial, the suite
 //! re-runs that ⟨error, case⟩ pair under the `fic::trace` differential
@@ -30,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ea_repro::arrestor::SettleProof;
-use ea_repro::fic::campaign::DEFAULT_BATCH_SIZE;
+use ea_repro::fic::campaign::{lockstep_items, DEFAULT_BATCH_SIZE};
 use ea_repro::fic::experiment::{fault_free_prefix, run_trial_checkpointed_observed_with};
 use ea_repro::fic::journal::{Journal, TrialRecord};
 use ea_repro::fic::telemetry::Registry;
@@ -233,13 +235,29 @@ fn dump_divergence(
         .find(|e| e.number == record.error_number)
         .copied()
         .expect("journal record names an error outside the slice");
-    // Lane slot within the record's chunk: the slice is enqueued in
-    // order, split into chunks of DEFAULT_BATCH_SIZE per case.
-    let slot = errors
+    // Lane slot within the record's work item: each case enqueues the
+    // slice in order, cut by `lockstep_items`, and a lane's slot counts
+    // only the item's live errors (a pruned error runs no lane).
+    let map = InertMap::new();
+    let classes: Vec<_> = errors.iter().map(|e| map.classify(e.flip)).collect();
+    let position = errors
         .iter()
         .position(|e| e.number == record.error_number)
-        .unwrap()
-        % DEFAULT_BATCH_SIZE;
+        .unwrap();
+    let item = lockstep_items(&classes)
+        .into_iter()
+        .find(|item| item.contains(&position))
+        .expect("the items cover the slice");
+    let lane = match classes[position] {
+        None => format!(
+            "lane slot {} of its work item",
+            classes[item.start..position]
+                .iter()
+                .filter(|c| c.is_none())
+                .count()
+        ),
+        Some(class) => format!("pruned as {}, no lane", class.label()),
+    };
     let case = protocol.grid.cases()[record.case_index];
 
     let reference = trace::record_reference(protocol, case);
@@ -259,7 +277,7 @@ fn dump_divergence(
     let first_tick = bundle.divergence.first_divergence_ms();
     bundle.reason = format!(
         "lockstep/replay divergence: journal record #{at} is S{} case {} \
-         (lane slot {slot} of its chunk) and differs from run_trial; the \
+         ({lane}) and differs from run_trial; the \
          fault's trace first departs the fault-free reference at t={} ms",
         record.error_number,
         record.case_index,
@@ -359,7 +377,7 @@ fn refs_e2(range: std::ops::Range<usize>) -> Vec<ErrorRef> {
 }
 
 /// The deterministic CI gate: a fixed E1 slice spanning clock, stack
-/// and signal errors, one full lockstep chunk and a partial one per
+/// and signal errors, one full lockstep item and a partial one per
 /// case.
 #[test]
 fn ci_slice_e1_batched_path_is_byte_identical() {
@@ -367,19 +385,46 @@ fn ci_slice_e1_batched_path_is_byte_identical() {
     assert_matches_references(&protocol(), &errors, true, "ci-e1").unwrap();
 }
 
-/// The deterministic E2 gate: RAM and stack flips, live and pruned
-/// lanes in one chunk.
+/// The deterministic E2 gate: errors that all prune, so each case's
+/// one work item runs no lockstep batch and every trial shares the
+/// case's reference trial.
 #[test]
 fn ci_slice_e2_batched_path_is_byte_identical() {
     let errors = refs_e2(0..4);
     assert_matches_references(&protocol(), &errors, false, "ci-e2").unwrap();
 }
 
+/// The deterministic E2 live-lane gate: more live errors per case than
+/// one batch holds, so a case is cut into two work items, and the
+/// first item carries the pruned errors between its live ones — far
+/// more than `DEFAULT_BATCH_SIZE` raw errors.
+#[test]
+fn ci_slice_e2_live_lane_items_are_byte_identical() {
+    let errors = refs_e2(16..57);
+    let map = InertMap::new();
+    let classes: Vec<_> = errors.iter().map(|e| map.classify(e.flip)).collect();
+    let live = classes.iter().filter(|c| c.is_none()).count();
+    assert!(
+        live > DEFAULT_BATCH_SIZE,
+        "the slice holds {live} live errors per case"
+    );
+    let widest = lockstep_items(&classes)
+        .iter()
+        .map(ExactSizeIterator::len)
+        .max()
+        .unwrap();
+    assert!(
+        widest > DEFAULT_BATCH_SIZE,
+        "the widest item spans only {widest} raw errors"
+    );
+    assert_matches_references(&protocol(), &errors, false, "ci-e2-live").unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random E1 slices: lengths up to 12 errors give one or two
-    /// chunks per case, the second partial.
+    /// Random E1 slices: every E1 error is live, so lengths up to 12
+    /// errors give one or two work items per case, the second partial.
     #[test]
     fn random_e1_slices_are_equivalent(start: u64, len: u64) {
         let total = error_set::e1().len();
@@ -392,12 +437,14 @@ proptest! {
             &format!("fuzz-e1-{start}-{end}"))?;
     }
 
-    /// Random E2 slices, as for E1.
+    /// Random E2 slices: about one error in nine is live, so lengths up
+    /// to 80 errors can hold two live-lane items per case and move
+    /// their cut points.
     #[test]
     fn random_e2_slices_are_equivalent(start: u64, len: u64) {
         let total = error_set::e2().len();
         let start = (start % total as u64) as usize;
-        let len = 2 + (len % 11) as usize;
+        let len = 2 + (len % 79) as usize;
         let end = (start + len).min(total);
         prop_assume!(end > start);
         let errors = refs_e2(start..end);

@@ -5,8 +5,9 @@
 
 use std::path::PathBuf;
 
+use fic::campaign::DEFAULT_BATCH_SIZE;
 use fic::journal::{CampaignKind, Journal, JournalWriter};
-use fic::{error_set, CampaignRunner, Protocol};
+use fic::{error_set, CampaignRunner, InertMap, Protocol};
 
 fn temp_journal(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -144,8 +145,8 @@ fn truncate_after_records(path: &PathBuf, keep: usize, tail: &str) {
 
 #[test]
 fn batched_resume_after_mid_case_kill_is_byte_identical() {
-    // The lockstep executor runs per-case lane chunks; a resume after
-    // a kill *inside* a case hands it a partial chunk (some trials of
+    // The lockstep executor runs per-case work items; a resume after
+    // a kill *inside* a case hands it a partial item (some trials of
     // the case already journaled). The resumed run must still be
     // byte-identical to the uninterrupted run — reports, journal bytes
     // (1 worker), and replay.
@@ -184,12 +185,19 @@ fn batched_resume_after_mid_case_kill_is_byte_identical() {
     let (replay_e1, _) = journal.replay().unwrap();
     assert_eq!(replay_e1, uninterrupted);
 
-    // Same drill on E2 with a split chunk: nine errors per case run as
-    // chunks of DEFAULT_BATCH_SIZE (8) + 1, and the kill lands inside
-    // case 0's first chunk.
+    // Same drill on E2 with a split case: nine live errors per case run
+    // as work items of DEFAULT_BATCH_SIZE (8) live lanes + 1, the first
+    // carrying the pruned errors between its live ones, and the kill
+    // lands inside case 0's first item.
     let e2_path = temp_journal("batched-mid-case-e2");
     let e2_runner = CampaignRunner::new(protocol.clone());
-    let e2_subset = &error_set::e2()[..9];
+    let e2_subset = &error_set::e2()[16..56];
+    let map = InertMap::new();
+    let live = e2_subset
+        .iter()
+        .filter(|e| map.classify(e.flip).is_none())
+        .count();
+    assert_eq!(live, DEFAULT_BATCH_SIZE + 1, "live E2 errors per case");
     let e2_uninterrupted = e2_runner.run_e2(e2_subset);
     let mut writer = JournalWriter::create(&e2_path, &protocol).unwrap();
     e2_runner.run_e2_journaled(e2_subset, &mut writer).unwrap();

@@ -6,9 +6,11 @@
 //! with ground truth derivable from the journal. Sharded runs must
 //! partition the grid exactly and merge back to the unsharded answer.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use fic::campaign::DEFAULT_BATCH_SIZE;
+use fic::error_set::E2Error;
 use fic::journal::{self, CampaignKind, Journal, JournalWriter, ShardSpec};
 use fic::telemetry::{self, ProgressEvent, Registry};
 use fic::{error_set, CampaignRunner, E1Report, ProgressOptions, Protocol};
@@ -228,23 +230,20 @@ fn telemetry_check(args: &[&std::ffi::OsStr]) -> std::process::Output {
     command.arg("--").args(args).output().unwrap()
 }
 
-/// `telemetry_check --journal` fails a report whose prune counters
-/// were zeroed. Checkpointed campaigns always prune, so all-zero prune
-/// counters against a journal holding prunable trials are a silent
-/// miss, never a pruning-off run to skip.
-#[test]
-fn zeroed_prune_counters_fail_the_journal_check() {
-    let dir = temp_dir("zeroed-prune");
+/// Runs `subset` as a fresh journaled E2 campaign into `dir` and
+/// checks its telemetry report against the journal twice: as
+/// recorded, where `telemetry_check --journal` must pass, and after
+/// `doctor` edits it, where the check must fail and print `marker`.
+fn assert_doctored_report_fails_the_journal_check(
+    dir: &Path,
+    subset: &[E2Error],
+    doctor: impl FnOnce(&mut telemetry::TelemetryReport),
+    marker: &str,
+) {
     let journal_path = dir.join("campaign.jsonl");
     let protocol = small_protocol();
     let registry = Arc::new(Registry::new());
     let runner = CampaignRunner::new(protocol.clone()).with_telemetry(Arc::clone(&registry));
-    let subset = &error_set::e2()[..6];
-    let map = fic::InertMap::new();
-    assert!(
-        subset.iter().any(|e| map.classify(e.flip).is_some()),
-        "the slice must hold prunable errors"
-    );
     let mut writer = JournalWriter::create(&journal_path, &protocol).unwrap();
     runner.run_e2_journaled(subset, &mut writer).unwrap();
     drop(writer);
@@ -254,15 +253,11 @@ fn zeroed_prune_counters_fail_the_journal_check() {
         telemetry::RunMetadata::for_run(&protocol, true, None),
         registry.snapshot(),
     );
-    let fresh = telemetry::write_report(&dir, "fresh", &report).unwrap();
-    for (name, value) in report.snapshot.counters.iter_mut() {
-        if name.starts_with("campaign.prune.") {
-            *value = 0;
-        }
-    }
-    let zeroed = telemetry::write_report(&dir, "zeroed", &report).unwrap();
+    let fresh = telemetry::write_report(dir, "fresh", &report).unwrap();
+    doctor(&mut report);
+    let doctored = telemetry::write_report(dir, "doctored", &report).unwrap();
 
-    let check = |report: &std::path::Path| {
+    let check = |report: &Path| {
         telemetry_check(&[
             "--report".as_ref(),
             report.as_os_str(),
@@ -276,14 +271,88 @@ fn zeroed_prune_counters_fail_the_journal_check() {
         "the fresh report must pass: {}",
         String::from_utf8_lossy(&passed.stderr)
     );
-    let failed = check(&zeroed);
+    let failed = check(&doctored);
     let stderr = String::from_utf8_lossy(&failed.stderr);
     assert!(
         !failed.status.success(),
-        "zeroed prune counters must fail the check; stdout: {}",
+        "the doctored report must fail the check; stdout: {}",
         String::from_utf8_lossy(&failed.stdout)
     );
-    assert!(stderr.contains("PRUNE MISMATCH"), "{stderr}");
+    assert!(stderr.contains(marker), "{stderr}");
+}
+
+/// `telemetry_check --journal` fails a report whose prune counters
+/// were zeroed. Checkpointed campaigns always prune, so all-zero prune
+/// counters against a journal holding prunable trials are a silent
+/// miss, never a pruning-off run to skip.
+#[test]
+fn zeroed_prune_counters_fail_the_journal_check() {
+    let subset = &error_set::e2()[..6];
+    let map = fic::InertMap::new();
+    assert!(
+        subset.iter().any(|e| map.classify(e.flip).is_some()),
+        "the slice must hold prunable errors"
+    );
+    assert_doctored_report_fails_the_journal_check(
+        &temp_dir("zeroed-prune"),
+        subset,
+        |report| {
+            for (name, value) in report.snapshot.counters.iter_mut() {
+                if name.starts_with("campaign.prune.") {
+                    *value = 0;
+                }
+            }
+        },
+        "PRUNE MISMATCH",
+    );
+}
+
+/// `telemetry_check --journal` fails a report whose
+/// `campaign.lockstep.lanes` histogram carries the raw-error chunk
+/// geometry — every `DEFAULT_BATCH_SIZE` errors, pruned or not — instead
+/// of the live-lane items a fresh campaign runs.
+#[test]
+fn raw_chunk_lane_histogram_fails_the_journal_check() {
+    let subset = &error_set::e2()[..60];
+    let map = fic::InertMap::new();
+    let cases = small_protocol().cases_per_error();
+    let raw = Registry::new();
+    let lanes = raw.histogram("campaign.lockstep.lanes", &telemetry::small_count_bounds());
+    for _ in 0..cases {
+        for chunk in subset.chunks(DEFAULT_BATCH_SIZE) {
+            let live = chunk
+                .iter()
+                .filter(|e| map.classify(e.flip).is_none())
+                .count() as u64;
+            if live > 0 {
+                lanes.record(live);
+            }
+        }
+    }
+    let raw = raw.snapshot().histograms["campaign.lockstep.lanes"].clone();
+    let live = subset
+        .iter()
+        .filter(|e| map.classify(e.flip).is_none())
+        .count();
+    assert!(
+        live > DEFAULT_BATCH_SIZE,
+        "the slice must fill a live-lane item"
+    );
+    assert!(
+        raw.count > (cases * live.div_ceil(DEFAULT_BATCH_SIZE)) as u64,
+        "raw chunks must run more batches than live-lane items"
+    );
+    assert_doctored_report_fails_the_journal_check(
+        &temp_dir("raw-chunk-lanes"),
+        subset,
+        |report| {
+            report
+                .snapshot
+                .histograms
+                .insert("campaign.lockstep.lanes".to_owned(), raw);
+        },
+        "LANES MISMATCH",
+    );
 }
 
 /// Shards partition the grid: disjoint, exhaustive, and their merged
