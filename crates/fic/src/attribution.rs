@@ -23,7 +23,7 @@
 //! attribution lines in the journal so it survives `--resume` and
 //! `merge_journals`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -232,6 +232,12 @@ impl AttributionEvent {
     /// The deduplication key — same key space as trial records.
     pub fn key(&self) -> (CampaignKind, usize, usize) {
         (self.campaign, self.error_number, self.case_index)
+    }
+
+    /// Whether the differential oracle has filled either oracle field.
+    /// Only enriched events carry information a journal's trials do not.
+    pub fn enriched(&self) -> bool {
+        self.propagation.is_some() || self.first_divergence_ms.is_some()
     }
 
     /// Whether any assertion fired.
@@ -758,50 +764,62 @@ pub fn check_against_golden(
     failures
 }
 
+/// The differential-oracle verdicts persisted in a journal's
+/// attribution lines, by trial key. The first *enriched* line per key
+/// wins; un-enriched lines (which older campaigns journaled for every
+/// trial) carry nothing the trials do not, so they are skipped.
+#[derive(Debug, Default)]
+pub struct OracleVerdicts {
+    by_key: HashMap<(CampaignKind, usize, usize), AttributionEvent>,
+}
+
+impl OracleVerdicts {
+    /// Collects the verdicts of `journal`'s attribution lines.
+    pub fn from_journal(journal: &Journal) -> Self {
+        let mut by_key = HashMap::new();
+        for event in journal.attribution.iter().filter(|e| e.enriched()) {
+            by_key.entry(event.key()).or_insert_with(|| event.clone());
+        }
+        OracleVerdicts { by_key }
+    }
+
+    /// Copies the persisted verdict for `event`'s key, if any, onto it.
+    pub fn overlay(&self, event: &mut AttributionEvent) {
+        if let Some(verdict) = self.by_key.get(&event.key()) {
+            event.first_divergence_ms = verdict.first_divergence_ms;
+            event.propagation.clone_from(&verdict.propagation);
+        }
+    }
+}
+
 /// Re-derives the deduplicated event stream from a journal: the cheap
 /// fields from the trials of [`Journal::walk`], the oracle fields
-/// overlaid from any persisted attribution lines.
+/// overlaid from its persisted verdicts ([`OracleVerdicts`]).
 ///
 /// # Errors
 ///
 /// Same conditions as [`Journal::walk`].
 pub fn events_from_journal(journal: &Journal) -> Result<Vec<AttributionEvent>, JournalError> {
     let map = MonitoredMap::new();
+    let verdicts = OracleVerdicts::from_journal(journal);
     let mut events = Vec::new();
     journal.walk(|record, error| {
-        events.push(match error {
+        let mut event = match error {
             PaperError::E1(error) => {
                 AttributionEvent::for_e1(error, record.case_index, &record.trial)
             }
             PaperError::E2(error) => {
                 AttributionEvent::for_e2(error, record.case_index, &record.trial, &map)
             }
-        });
+        };
+        verdicts.overlay(&mut event);
+        events.push(event);
     })?;
-    let by_key: HashMap<(CampaignKind, usize, usize), usize> = events
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.key(), i))
-        .collect();
-    let mut overlaid = HashSet::new();
-    for persisted in &journal.attribution {
-        if persisted.propagation.is_none() && persisted.first_divergence_ms.is_none() {
-            continue;
-        }
-        if !overlaid.insert(persisted.key()) {
-            continue;
-        }
-        if let Some(&i) = by_key.get(&persisted.key()) {
-            events[i].first_divergence_ms = persisted.first_divergence_ms;
-            events[i].propagation = persisted.propagation.clone();
-        }
-    }
     Ok(events)
 }
 
 /// Rebuilds the full aggregate from a journal — the entry point of
-/// `attribution_report` and of `full_campaign --from-journal
-/// --attribution`.
+/// `attribution_report` and of `full_campaign --from-journal`.
 ///
 /// # Errors
 ///

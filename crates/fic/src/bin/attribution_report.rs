@@ -7,9 +7,10 @@
 //! Events are a pure function of the journaled trials, so any journal —
 //! including ones written before attribution existed, like the
 //! committed `results/campaign.jsonl` — decomposes after the fact.
-//! Persisted attribution lines (from `--attribution` runs or a previous
-//! `--oracle … --save-oracle` pass) overlay their differential-oracle
-//! verdicts onto the derived events.
+//! The journal's attribution lines hold the differential-oracle
+//! verdicts of earlier `--oracle … --save-oracle` passes; they overlay
+//! the derived events (un-enriched lines that older campaigns wrote
+//! per trial are skipped).
 //!
 //! ```text
 //! attribution_report <journal.jsonl> [--out dir] [--label name]

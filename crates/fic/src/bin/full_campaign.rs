@@ -26,32 +26,31 @@
 //! the window (bit-identical results; see PERFORMANCE.md).
 //! `--no-checkpoint` forces the straight-line replay of every trial.
 //!
-//! Observability: unless `--no-telemetry` is given, the run collects
-//! campaign/cache/settle/journal metrics, renders a live progress line
-//! on stderr (when it is a terminal), optionally streams progress
-//! snapshots to `--telemetry-jsonl <file>`, and writes a
-//! schema-versioned report under `<out>/telemetry/` at the end (see
-//! OBSERVABILITY.md). Telemetry never changes a result bit.
+//! Observability: every live run collects campaign/cache/settle/
+//! journal metrics, renders a live progress line on stderr (when it is
+//! a terminal) and writes a schema-versioned report under
+//! `<out>/telemetry/` at the end (see OBSERVABILITY.md).
+//! `--metrics-file <path>` additionally writes the snapshot as
+//! Prometheus text exposition.
 //!
 //! Scale-out: `--shard k/n` runs only the k-th of n deterministic grid
 //! slices; shard journals are combined with the `merge_journals`
 //! binary and rendered with `--from-journal`.
 //!
-//! Attribution: `--attribution` additionally records one
-//! assertion-level event per trial (first-firing assertion, signal
-//! class, latency split), appends the events to the journal when one
-//! is attached, and writes the aggregate report with the empirical
-//! coverage decomposition under `<out>/attribution/` (see
-//! OBSERVABILITY.md). Like telemetry, it never changes a result bit.
-//! With `--from-journal` the events are re-derived from the journaled
-//! trials instead.
+//! Attribution: every run folds one assertion-level event per trial
+//! (first-firing assertion, signal class, latency split) and writes
+//! the aggregate report with the empirical coverage decomposition
+//! under `<out>/attribution/` (see OBSERVABILITY.md). The events are a
+//! pure function of the trials, so the journal does not carry them;
+//! `--from-journal` re-derives them, with any oracle verdicts
+//! `attribution_report --save-oracle` persisted.
 //!
-//! Cost profiling: `--profile` counts every assertion check per EA
-//! during the run, samples per-check wall clock afterwards, and writes
-//! the schema-versioned cost profile under `<out>/profile/`. Join it
-//! with the attribution report via the `detox_report` binary for the
-//! coverage-per-op Pareto table. `--metrics-file <path>` additionally
-//! writes the telemetry snapshot as Prometheus text exposition.
+//! Cost profiling: every live run counts each assertion check per EA,
+//! samples per-check wall clock afterwards, and writes the
+//! schema-versioned cost profile under `<out>/profile/` (none when no
+//! checkpointed trial ran, as under `--no-checkpoint`). Join it with
+//! the attribution report via the `detox_report` binary for the
+//! coverage-per-op Pareto table.
 //!
 //! Convergence: every run (live, resumed, sharded or `--from-journal`)
 //! derives the per-cell Wilson-CI coverage estimates from its final
@@ -59,6 +58,8 @@
 //! forecast on stderr and writes the schema-versioned convergence
 //! report under `<out>/convergence/` (named after the journal stem
 //! under `--from-journal`).
+//!
+//! No observer changes a result bit.
 
 use std::time::Instant;
 
@@ -87,11 +88,9 @@ fn main() {
             e1.trials(),
             e2.trials()
         );
-        if options.attribution {
-            let aggregate = fic::attribution::aggregate_journal(&journal)
-                .expect("journal matches the paper error sets");
-            options.emit_attribution("full_campaign", &journal.header.protocol, aggregate);
-        }
+        let aggregate = fic::attribution::aggregate_journal(&journal)
+            .expect("journal matches the paper error sets");
+        options.emit_attribution("full_campaign", &journal.header.protocol, aggregate);
         (journal.header.protocol, e1, e2)
     } else {
         let protocol = options.protocol();
@@ -116,8 +115,8 @@ fn main() {
         }
         eprintln!("      ok ({:.1?})", t0.elapsed());
 
-        let registry = options.registry();
-        let runner = options.runner(registry.as_ref());
+        let runner = options.runner();
+        let registry = runner.telemetry().expect("CLI runners record telemetry");
         if let Some((index, count)) = options.shard {
             eprintln!("shard {index}/{count}: running that slice of the grid only");
             if options.check_golden {
@@ -154,11 +153,8 @@ fn main() {
                     .shard
                     .map(|(index, count)| ShardSpec { index, count });
                 let mut writer = JournalWriter::create_sharded(journal_path, &protocol, shard)
-                    .expect("create journal");
-                if let Some(registry) = &registry {
-                    writer =
-                        writer.with_telemetry(fic::journal::JournalTelemetry::register(registry));
-                }
+                    .expect("create journal")
+                    .with_telemetry(fic::journal::JournalTelemetry::register(registry));
                 e1_report = runner
                     .run_e1_journaled(&e1_errors, &mut writer)
                     .expect("journaled E1 campaign");
@@ -181,9 +177,7 @@ fn main() {
             }
         }
 
-        if let Some(registry) = &registry {
-            options.emit_telemetry("full_campaign", &protocol, registry);
-        }
+        options.emit_telemetry("full_campaign", &protocol, registry);
         if let Some(sink) = runner.attribution() {
             options.emit_attribution("full_campaign", &protocol, sink.snapshot());
         }

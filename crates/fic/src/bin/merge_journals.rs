@@ -11,8 +11,10 @@
 //!
 //! Inputs must agree on the protocol and claim distinct shards
 //! (duplicate ⟨campaign, error, case⟩ records are deduplicated
-//! first-wins, so re-merging is idempotent). The output is a fresh,
-//! unsharded journal that `--from-journal` and `--resume` accept.
+//! first-wins, so re-merging is idempotent). Attribution lines keep
+//! only oracle verdicts, the first enriched line per key. The output
+//! is a fresh, unsharded journal that `--from-journal` and `--resume`
+//! accept.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

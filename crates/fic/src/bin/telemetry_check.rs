@@ -3,10 +3,6 @@
 //!
 //! * `--report <file>` — parse a `results/telemetry/*.json` report and
 //!   run the structural schema checks ([`fic::telemetry::TelemetryReport::validate`]);
-//! * `--jsonl <file>` — parse a `--telemetry-jsonl` progress stream:
-//!   every line must be a well-formed progress event of the pinned
-//!   schema version, with `trials_done` monotone (and bounded by
-//!   `trials_total`) within each phase;
 //! * `--journal <file>` — cross-check the report's checkpoint-cache
 //!   counters against ground truth derivable from the trial journal of
 //!   the *same fresh run*: per campaign, the cache misses once per
@@ -64,13 +60,13 @@ use fic::attribution::{self, AttributionReport};
 use fic::campaign::DEFAULT_BATCH_SIZE;
 use fic::convergence::{ConvergenceAggregate, ConvergenceReport};
 use fic::journal::{Journal, PaperError, PaperErrors};
-use fic::telemetry::{ProgressEvent, TelemetryReport, SCHEMA_VERSION};
+use fic::telemetry::TelemetryReport;
 use fic::{InertMap, PruneClass};
 use memsim::BitFlip;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: telemetry_check [--report file] [--jsonl file] [--journal file] \
+        "usage: telemetry_check [--report file] [--journal file] \
          [--shards n] [--attribution file] [--convergence file] [--metrics file]"
     );
     std::process::exit(2);
@@ -78,7 +74,6 @@ fn usage() -> ! {
 
 fn main() -> ExitCode {
     let mut report_path: Option<PathBuf> = None;
-    let mut jsonl_path: Option<PathBuf> = None;
     let mut journal_path: Option<PathBuf> = None;
     let mut attribution_path: Option<PathBuf> = None;
     let mut convergence_path: Option<PathBuf> = None;
@@ -95,7 +90,6 @@ fn main() -> ExitCode {
         };
         match flag.as_str() {
             "--report" => report_path = Some(PathBuf::from(value("--report"))),
-            "--jsonl" => jsonl_path = Some(PathBuf::from(value("--jsonl"))),
             "--journal" => journal_path = Some(PathBuf::from(value("--journal"))),
             "--attribution" => attribution_path = Some(PathBuf::from(value("--attribution"))),
             "--convergence" => convergence_path = Some(PathBuf::from(value("--convergence"))),
@@ -114,7 +108,6 @@ fn main() -> ExitCode {
         }
     }
     if report_path.is_none()
-        && jsonl_path.is_none()
         && attribution_path.is_none()
         && convergence_path.is_none()
         && metrics_path.is_none()
@@ -153,16 +146,6 @@ fn main() -> ExitCode {
             Ok(()) => println!("report {}: schema ok", path.display()),
             Err(e) => {
                 eprintln!("report {}: INVALID: {e}", path.display());
-                failures += 1;
-            }
-        }
-    }
-
-    if let Some(path) = &jsonl_path {
-        match check_jsonl(path) {
-            Ok(events) => println!("stream {}: {events} event(s), monotone", path.display()),
-            Err(e) => {
-                eprintln!("stream {}: INVALID: {e}", path.display());
                 failures += 1;
             }
         }
@@ -329,60 +312,6 @@ fn check_metrics(
         }
     }
     Ok(snapshot.counters.len() + snapshot.gauges.len() + snapshot.histograms.len())
-}
-
-/// Every line parses, carries the pinned schema version, and is
-/// monotone in `trials_done` (bounded by `trials_total`) per phase.
-fn check_jsonl(path: &std::path::Path) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let mut last_done: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
-    let mut events = 0usize;
-    for (k, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event: ProgressEvent =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", k + 1))?;
-        if event.schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "line {}: schema_version {} (this build reads {})",
-                k + 1,
-                event.schema_version,
-                SCHEMA_VERSION
-            ));
-        }
-        if event.event != "progress" {
-            return Err(format!(
-                "line {}: unexpected event `{}`",
-                k + 1,
-                event.event
-            ));
-        }
-        if event.trials_done > event.trials_total {
-            return Err(format!(
-                "line {}: trials_done {} exceeds total {}",
-                k + 1,
-                event.trials_done,
-                event.trials_total
-            ));
-        }
-        let last = last_done.entry(event.phase.clone()).or_insert(0);
-        if event.trials_done < *last {
-            return Err(format!(
-                "line {}: trials_done regressed {} -> {} in phase {}",
-                k + 1,
-                *last,
-                event.trials_done,
-                event.phase
-            ));
-        }
-        *last = event.trials_done;
-        events += 1;
-    }
-    if events == 0 {
-        return Err("stream holds no events".to_owned());
-    }
-    Ok(events)
 }
 
 /// Loads a journal and resolves every record, duplicates included, to

@@ -25,14 +25,14 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crossbeam::channel;
 use simenv::TestCase;
 
-use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap};
+use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap, OracleVerdicts};
 use crate::convergence::{CellKey, ConvergenceAggregate};
 use crate::error_set::{E1Error, E2Error};
 use crate::experiment::{fault_free_prefix, run_case_batch_with, run_trial, Trial, TrialExecution};
@@ -285,19 +285,6 @@ impl ConvergenceSink {
     }
 }
 
-/// Live-progress configuration for [`CampaignRunner::with_progress`].
-#[derive(Debug, Clone, Default)]
-pub struct ProgressOptions {
-    /// Render the throttled single-line TTY status on stderr (only
-    /// when stderr actually is a terminal).
-    pub live: bool,
-    /// Append machine-readable [`telemetry::ProgressEvent`]s to this
-    /// JSONL file (`--telemetry-jsonl`).
-    pub stream_path: Option<PathBuf>,
-    /// Trials between stream events (0 means the default of 64).
-    pub stream_every: u64,
-}
-
 /// Live lanes per lockstep batch. A checkpointed campaign cuts each
 /// test case's pending errors into consecutive work items of at most
 /// this many *live* errors ([`lockstep_items`]); pruned errors never
@@ -343,7 +330,7 @@ pub struct CampaignRunner {
     analytic_settle: bool,
     pruning: bool,
     telemetry: Option<Arc<telemetry::Registry>>,
-    progress: Option<ProgressOptions>,
+    progress: bool,
     shard: Option<ShardSpec>,
     attribution: Option<Arc<AttributionSink>>,
     profile: Option<Arc<crate::profile::ProfileRecorder>>,
@@ -367,7 +354,7 @@ impl CampaignRunner {
             analytic_settle: true,
             pruning: true,
             telemetry: None,
-            progress: None,
+            progress: false,
             shard: None,
             attribution: None,
             profile: None,
@@ -413,8 +400,9 @@ impl CampaignRunner {
 
     /// Enables assertion-level attribution: every completed trial also
     /// yields an [`AttributionEvent`] folded into a shared
-    /// [`AttributionSink`] (and appended to the journal, when one is
-    /// attached). Disabled by default and zero-cost when off.
+    /// [`AttributionSink`]. The journal never carries these events —
+    /// they re-derive from its trials ([`crate::attribution::aggregate_journal`]).
+    /// Disabled by default and zero-cost when off.
     #[must_use]
     pub fn with_attribution(mut self, enabled: bool) -> Self {
         self.attribution = enabled.then(|| Arc::new(AttributionSink::new()));
@@ -487,10 +475,11 @@ impl CampaignRunner {
         self.telemetry.as_ref()
     }
 
-    /// Enables live progress (TTY status line and/or JSONL stream).
+    /// Enables the live progress line on stderr (rendered only when
+    /// stderr is a terminal).
     #[must_use]
-    pub fn with_progress(mut self, options: ProgressOptions) -> Self {
-        self.progress = Some(options);
+    pub fn with_progress(mut self) -> Self {
+        self.progress = true;
         self
     }
 
@@ -669,8 +658,9 @@ impl CampaignRunner {
     }
 
     /// Resumes (or starts) a journaled E1 campaign: trials already in
-    /// the journal at `path` are replayed into the report, only missing
-    /// ⟨error, case⟩ pairs are executed, and their outcomes are
+    /// the journal at `path` are replayed into the report (and into
+    /// every attached observer, with any persisted oracle verdicts), only
+    /// missing ⟨error, case⟩ pairs are executed, and their outcomes are
     /// appended to the same journal. With no journal file present this
     /// is a fresh journaled campaign.
     ///
@@ -680,36 +670,13 @@ impl CampaignRunner {
     /// incompatible protocol / unknown error numbers.
     pub fn resume_e1(&self, errors: &[E1Error], path: &Path) -> Result<E1Report, JournalError> {
         let mut report = E1Report::new();
-        let by_number: HashMap<usize, usize> = errors
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.number, i))
-            .collect();
-        let attribution = self.attribution_fold();
-        let (pending, mut journal) = self.replay_into(
+        self.resume(
+            errors,
             path,
             CampaignKind::E1,
-            &by_number,
-            |idx, case_index, trial| {
-                report.record(&errors[idx], trial);
-                if let Some((sink, map)) = &attribution {
-                    sink.record(&errors[idx].attribution_event(case_index, trial, map));
-                }
-                if let Some(sink) = &self.convergence {
-                    sink.record(errors[idx].convergence_key(), trial);
-                }
-            },
-        )?;
-        self.execute(
-            errors,
-            &pending,
             &mut report,
             E1Report::record,
-            CampaignKind::E1,
-            Some(&mut journal),
-            None,
         )?;
-        journal.sync()?;
         Ok(report)
     }
 
@@ -721,51 +688,37 @@ impl CampaignRunner {
     /// Journal I/O or parse failures, or an incompatible journal.
     pub fn resume_e2(&self, errors: &[E2Error], path: &Path) -> Result<E2Report, JournalError> {
         let mut report = E2Report::new();
-        let by_number: HashMap<usize, usize> = errors
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.number, i))
-            .collect();
-        let attribution = self.attribution_fold();
-        let (pending, mut journal) = self.replay_into(
+        self.resume(
+            errors,
             path,
             CampaignKind::E2,
-            &by_number,
-            |idx, case_index, trial| {
-                report.record(&errors[idx], trial);
-                if let Some((sink, map)) = &attribution {
-                    sink.record(&errors[idx].attribution_event(case_index, trial, map));
-                }
-                if let Some(sink) = &self.convergence {
-                    sink.record(errors[idx].convergence_key(), trial);
-                }
-            },
-        )?;
-        self.execute(
-            errors,
-            &pending,
             &mut report,
             E2Report::record,
-            CampaignKind::E2,
-            Some(&mut journal),
-            None,
         )?;
-        journal.sync()?;
         Ok(report)
     }
 
-    /// Loads the journal at `path` (if any), feeds the matching
-    /// campaign's recorded trials to `replay`, and returns the still-
-    /// missing ⟨error index, case index⟩ pairs plus a writer appending
-    /// to the same journal.
-    fn replay_into(
+    /// Loads the journal at `path` (if any), folds the `kind` campaign's
+    /// recorded trials (first record per key wins) into `report` and
+    /// the observers, then executes the still-missing ⟨error index,
+    /// case index⟩ pairs, appending them to the same journal.
+    fn resume<E, R>(
         &self,
+        errors: &[E],
         path: &Path,
         kind: CampaignKind,
-        by_number: &HashMap<usize, usize>,
-        mut replay: impl FnMut(usize, usize, &Trial),
-    ) -> Result<(Vec<(usize, usize)>, JournalWriter), JournalError> {
+        report: &mut R,
+        record: fn(&mut R, &E, &Trial),
+    ) -> Result<(), JournalError>
+    where
+        E: Sync + InjectableError,
+    {
         let cases = self.protocol.cases_per_error();
+        let by_number: HashMap<usize, usize> = errors
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.number(), i))
+            .collect();
         let mut done: HashSet<(usize, usize)> = HashSet::new();
         if path.exists() {
             let journal = Journal::load(path)?;
@@ -787,25 +740,38 @@ impl CampaignRunner {
                     describe(self.shard),
                 )));
             }
-            for record in &journal.records {
-                if record.campaign != kind {
+            let attribution = self
+                .attribution_fold()
+                .map(|fold| (fold, OracleVerdicts::from_journal(&journal)));
+            for entry in &journal.records {
+                if entry.campaign != kind {
                     continue;
                 }
-                let Some(&idx) = by_number.get(&record.error_number) else {
+                let Some(&idx) = by_number.get(&entry.error_number) else {
                     return Err(JournalError::Mismatch(format!(
                         "journal records error number {} absent from the \
                          current error set",
-                        record.error_number
+                        entry.error_number
                     )));
                 };
-                if record.case_index >= cases {
+                if entry.case_index >= cases {
                     return Err(JournalError::Mismatch(format!(
                         "journal case index {} out of range ({} cases/error)",
-                        record.case_index, cases
+                        entry.case_index, cases
                     )));
                 }
-                if done.insert((idx, record.case_index)) {
-                    replay(idx, record.case_index, &record.trial);
+                if !done.insert((idx, entry.case_index)) {
+                    continue;
+                }
+                let error = &errors[idx];
+                record(report, error, &entry.trial);
+                if let Some(((sink, map), verdicts)) = &attribution {
+                    let mut event = error.attribution_event(entry.case_index, &entry.trial, map);
+                    verdicts.overlay(&mut event);
+                    sink.record(&event);
+                }
+                if let Some(sink) = &self.convergence {
+                    sink.record(error.convergence_key(), &entry.trial);
                 }
             }
         }
@@ -813,12 +779,22 @@ impl CampaignRunner {
         if let Some(registry) = &self.telemetry {
             writer = writer.with_telemetry(crate::journal::JournalTelemetry::register(registry));
         }
-        let pending: Vec<(usize, usize)> = (0..by_number.len())
-            .flat_map(|ei| (0..cases).map(move |ci| (ei, ci)))
-            .filter(|&(ei, ci)| self.in_shard(ei * cases + ci))
+        let pending: Vec<(usize, usize)> = self
+            .all_pairs(errors.len())
+            .into_iter()
             .filter(|key| !done.contains(key))
             .collect();
-        Ok((pending, writer))
+        self.execute(
+            errors,
+            &pending,
+            report,
+            record,
+            kind,
+            Some(&mut writer),
+            None,
+        )?;
+        writer.sync()?;
+        Ok(())
     }
 
     /// The sink plus the address map event derivation needs — built
@@ -892,31 +868,17 @@ impl CampaignRunner {
                 &telemetry::latency_bounds_ms(),
             )
         });
-        let mut progress = match &self.progress {
-            Some(options) => {
-                let stream = match &options.stream_path {
-                    Some(path) => Some(telemetry::Progress::open_stream(path)?),
-                    None => None,
-                };
-                let every = if options.stream_every == 0 {
-                    64
-                } else {
-                    options.stream_every
-                };
-                let mut p =
-                    telemetry::Progress::new(kind.label(), pending.len() as u64, stream, every)
-                        .with_tty(options.live);
-                if let Some(t) = &tel {
-                    p = p.with_counters(
-                        Arc::clone(&t.cache_hits),
-                        Arc::clone(&t.cache_misses),
-                        Arc::clone(&t.trials_settled),
-                    );
-                }
-                Some(p)
+        let mut progress = self.progress.then(|| {
+            let p = telemetry::Progress::new(kind.label(), pending.len() as u64);
+            match &tel {
+                Some(t) => p.with_counters(
+                    Arc::clone(&t.cache_hits),
+                    Arc::clone(&t.cache_misses),
+                    Arc::clone(&t.trials_settled),
+                ),
+                None => p,
             }
-            None => None,
-        };
+        });
 
         // Work items cut each run of one test case's pairs at every
         // [`DEFAULT_BATCH_SIZE`] live errors ([`lockstep_items`]), in
@@ -1063,11 +1025,9 @@ impl CampaignRunner {
                 if let Some(out) = collect.as_deref_mut() {
                     out.push((ei, ci, trial.clone()));
                 }
-                let event = attribution.as_ref().map(|(sink, map)| {
-                    let event = error.attribution_event(ci, &trial, map);
-                    sink.record(&event);
-                    event
-                });
+                if let Some((sink, map)) = &attribution {
+                    sink.record(&error.attribution_event(ci, &trial, map));
+                }
                 if let Some(sink) = &self.convergence {
                     sink.record(error.convergence_key(), &trial);
                 }
@@ -1083,13 +1043,7 @@ impl CampaignRunner {
                     p.on_trial();
                 }
                 if let Some(writer) = journal.as_deref_mut() {
-                    let appended = writer
-                        .append(kind, error.number(), ci, &trial)
-                        .and_then(|()| match &event {
-                            Some(event) => writer.append_attribution(event),
-                            None => Ok(()),
-                        });
-                    if let Err(e) = appended {
+                    if let Err(e) = writer.append(kind, error.number(), ci, &trial) {
                         // Remember the first failure, stop journaling,
                         // but keep collecting so the report stays whole
                         // and the workers can drain.

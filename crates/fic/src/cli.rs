@@ -31,31 +31,23 @@
 //! * `--shard k/n` — run only shard `k` of `n` (1-based) of the trial
 //!   grid: a deterministic slice recorded in the journal header.
 //!   Combine shard journals with `merge_journals`;
-//! * `--telemetry-jsonl <file>` — append periodic machine-readable
-//!   progress snapshots (one JSON object per line) to `file`;
-//! * `--no-telemetry` — disable the metrics registry, the live
-//!   progress line and the end-of-campaign telemetry report;
-//! * `--attribution` — record one assertion-level attribution event
-//!   per trial (first-firing assertion, signal class, latency split),
-//!   fold them into `<out>/attribution/<producer>.json`, and append
-//!   them to the journal when one is attached;
-//! * `--profile` — count every assertion check per EA during the run,
-//!   sample per-check wall clock afterwards, and write the
-//!   schema-versioned cost profile to `<out>/profile/` (see
-//!   `fic::profile`); never changes a result bit;
 //! * `--metrics-file <path>` — additionally write the end-of-campaign
 //!   telemetry snapshot as Prometheus text exposition format 0.0.4
 //!   (the same body the fleet server serves on `/metrics`).
 //!
-//! The coverage-convergence report (`fic::convergence`) needs no flag:
-//! [`CliOptions::emit_convergence`] derives it from the final reports
-//! of every run.
+//! The observers need no flag. Every live run ([`CliOptions::runner`])
+//! records telemetry (with the live progress line), attribution and the
+//! per-EA cost profile, and the `emit_*` methods write their reports
+//! under `<out>/{telemetry,attribution,profile}/`;
+//! [`CliOptions::emit_convergence`] derives the coverage-convergence
+//! report (`fic::convergence`) from the final reports of every run. No
+//! observer changes a result bit.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::attribution::{self, AttributionAggregate};
-use crate::campaign::{CampaignRunner, ProgressOptions};
+use crate::campaign::CampaignRunner;
 use crate::convergence::{self, ConvergenceAggregate};
 use crate::profile;
 use crate::protocol::Protocol;
@@ -95,16 +87,6 @@ pub struct CliOptions {
     /// Run only this deterministic slice of the trial grid:
     /// `(index, count)`, 1-based, from `--shard k/n`.
     pub shard: Option<(usize, usize)>,
-    /// Append machine-readable progress snapshots to this JSONL file.
-    pub telemetry_jsonl: Option<PathBuf>,
-    /// Disable telemetry collection, progress and reports entirely.
-    pub no_telemetry: bool,
-    /// Record assertion-level attribution events and write the
-    /// aggregate report under `<out>/attribution/`.
-    pub attribution: bool,
-    /// Count per-EA assertion checks and write the cost profile under
-    /// `<out>/profile/`.
-    pub profile: bool,
     /// Also write the telemetry snapshot as Prometheus text exposition
     /// to this file.
     pub metrics_file: Option<PathBuf>,
@@ -127,10 +109,6 @@ impl Default for CliOptions {
             repro_dir: PathBuf::from("results/repro"),
             no_checkpoint: false,
             shard: None,
-            telemetry_jsonl: None,
-            no_telemetry: false,
-            attribution: false,
-            profile: false,
             metrics_file: None,
         }
     }
@@ -149,8 +127,7 @@ impl CliOptions {
                      [--journal file] [--resume] [--from-journal file] \
                      [--check-golden] [--refresh-golden] [--golden-dir dir] \
                      [--trace] [--repro-dir dir] [--no-checkpoint] [--shard k/n] \
-                     [--telemetry-jsonl file] [--no-telemetry] [--attribution] \
-                     [--profile] [--metrics-file path]"
+                     [--metrics-file path]"
                 );
                 std::process::exit(2);
             }
@@ -200,12 +177,6 @@ impl CliOptions {
                 "--repro-dir" => options.repro_dir = PathBuf::from(value("--repro-dir")?),
                 "--no-checkpoint" => options.no_checkpoint = true,
                 "--shard" => options.shard = Some(parse_shard(&value("--shard")?)?),
-                "--telemetry-jsonl" => {
-                    options.telemetry_jsonl = Some(PathBuf::from(value("--telemetry-jsonl")?));
-                }
-                "--no-telemetry" => options.no_telemetry = true,
-                "--attribution" => options.attribution = true,
-                "--profile" => options.profile = true,
                 "--metrics-file" => {
                     options.metrics_file = Some(PathBuf::from(value("--metrics-file")?));
                 }
@@ -215,16 +186,10 @@ impl CliOptions {
         if options.resume && options.journal.is_none() {
             return Err("--resume needs --journal <file>".to_owned());
         }
-        if options.no_telemetry && options.telemetry_jsonl.is_some() {
-            return Err("--no-telemetry contradicts --telemetry-jsonl".to_owned());
-        }
         if options.from_journal.is_some() && (options.journal.is_some() || options.resume) {
             return Err("--from-journal replays a finished journal; it cannot be \
                  combined with --journal/--resume"
                 .to_owned());
-        }
-        if options.no_telemetry && options.metrics_file.is_some() {
-            return Err("--no-telemetry contradicts --metrics-file".to_owned());
         }
         Ok(options)
     }
@@ -244,34 +209,21 @@ impl CliOptions {
         protocol
     }
 
-    /// A fresh metrics registry, or `None` under `--no-telemetry`.
-    pub fn registry(&self) -> Option<Arc<telemetry::Registry>> {
-        (!self.no_telemetry).then(|| Arc::new(telemetry::Registry::new()))
-    }
-
-    /// A campaign runner configured from these options: checkpointing,
-    /// shard slice, and (when `registry` is given) metrics plus live
-    /// progress with the optional `--telemetry-jsonl` stream.
-    pub fn runner(&self, registry: Option<&Arc<telemetry::Registry>>) -> CampaignRunner {
-        let mut runner = CampaignRunner::new(self.protocol())
+    /// A campaign runner configured from these options (checkpointing,
+    /// shard slice) with every observer attached: a fresh metrics
+    /// registry with the live progress line, attribution and the cost
+    /// profile recorder.
+    pub fn runner(&self) -> CampaignRunner {
+        let runner = CampaignRunner::new(self.protocol())
             .with_checkpointing(!self.no_checkpoint)
-            .with_attribution(self.attribution);
-        if self.profile {
-            runner = runner.with_profile(Arc::new(profile::ProfileRecorder::new()));
+            .with_telemetry(Arc::new(telemetry::Registry::new()))
+            .with_progress()
+            .with_attribution(true)
+            .with_profile(Arc::new(profile::ProfileRecorder::new()));
+        match self.shard {
+            Some((index, count)) => runner.with_shard(index, count),
+            None => runner,
         }
-        if let Some((index, count)) = self.shard {
-            runner = runner.with_shard(index, count);
-        }
-        if let Some(registry) = registry {
-            runner = runner
-                .with_telemetry(Arc::clone(registry))
-                .with_progress(ProgressOptions {
-                    live: true,
-                    stream_path: self.telemetry_jsonl.clone(),
-                    stream_every: 0,
-                });
-        }
-        runner
     }
 
     /// The file label and run metadata every end-of-campaign report
@@ -343,13 +295,20 @@ impl CliOptions {
 
     /// End-of-campaign profile emission: samples per-check wall clock,
     /// prints the cost league table on stderr and writes the
-    /// schema-versioned report under `<out>/profile/`.
+    /// schema-versioned report under `<out>/profile/`. A run that
+    /// executed no checkpointed trial (`--no-checkpoint`, or a resume
+    /// with nothing left to run) recorded nothing, so it writes no
+    /// report.
     pub fn emit_profile(
         &self,
         producer: &str,
         protocol: &Protocol,
         recorder: &profile::ProfileRecorder,
     ) {
+        if recorder.trials() + recorder.pruned_trials() == 0 {
+            eprintln!("no checkpointed trial ran; no profile written");
+            return;
+        }
         let wall = profile::sample_wall_ns();
         let (label, run) = self.report_meta(producer, protocol);
         let report = profile::ProfileReport::assemble(producer, run, recorder, Some(wall));
@@ -441,8 +400,10 @@ mod tests {
         assert!(!options.trace);
         assert_eq!(options.repro_dir, PathBuf::from("results/repro"));
         assert!(!options.no_checkpoint);
-        let runner = options.runner(None);
+        let runner = options.runner();
         assert!(runner.checkpointing() && runner.analytic_settle() && runner.pruning());
+        assert!(runner.telemetry().is_some());
+        assert!(runner.attribution().is_some() && runner.profile().is_some());
     }
 
     #[test]
@@ -603,22 +564,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_shard_and_telemetry_flags() {
-        let options = CliOptions::parse(&args(&[
-            "--shard",
-            "2/4",
-            "--telemetry-jsonl",
-            "/tmp/progress.jsonl",
-        ]))
-        .unwrap();
+    fn parses_shard_and_metrics_flags() {
+        let options = CliOptions::parse(&args(&["--shard", "2/4"])).unwrap();
         assert_eq!(options.shard, Some((2, 4)));
         assert_eq!(
-            options.telemetry_jsonl,
-            Some(PathBuf::from("/tmp/progress.jsonl"))
+            options.runner().shard().map(|s| (s.index, s.count)),
+            Some((2, 4))
         );
-        assert!(!options.no_telemetry);
-        let options = CliOptions::parse(&args(&["--no-telemetry"])).unwrap();
-        assert!(options.no_telemetry);
+
+        let options = CliOptions::parse(&args(&["--metrics-file", "/tmp/m.prom"])).unwrap();
+        assert_eq!(options.metrics_file, Some(PathBuf::from("/tmp/m.prom")));
+        assert!(CliOptions::parse(&args(&["--metrics-file"])).is_err());
     }
 
     #[test]
@@ -629,40 +585,19 @@ mod tests {
                 "accepted --shard {bad}"
             );
         }
-        assert!(
-            CliOptions::parse(&args(&["--no-telemetry", "--telemetry-jsonl", "x.jsonl"])).is_err()
-        );
-    }
-
-    #[test]
-    fn parses_attribution_flags() {
-        assert!(!CliOptions::parse(&[]).unwrap().attribution);
-        assert!(
-            CliOptions::parse(&args(&["--attribution"]))
-                .unwrap()
-                .attribution
-        );
-    }
-
-    #[test]
-    fn parses_profile_and_metrics_flags() {
-        let options = CliOptions::parse(&[]).unwrap();
-        assert!(!options.profile && options.metrics_file.is_none());
-        assert!(options.runner(None).profile().is_none());
-
-        let options =
-            CliOptions::parse(&args(&["--profile", "--metrics-file", "/tmp/m.prom"])).unwrap();
-        assert!(options.profile);
-        assert_eq!(options.metrics_file, Some(PathBuf::from("/tmp/m.prom")));
-        assert!(options.runner(None).profile().is_some());
-
-        assert!(CliOptions::parse(&args(&["--metrics-file"])).is_err());
-        assert!(CliOptions::parse(&args(&["--no-telemetry", "--metrics-file", "x"])).is_err());
     }
 
     #[test]
     fn rejects_the_removed_flags() {
-        for flag in ["--load", "--convergence-jsonl", "--precision-report"] {
+        for flag in [
+            "--load",
+            "--convergence-jsonl",
+            "--precision-report",
+            "--attribution",
+            "--profile",
+            "--no-telemetry",
+            "--telemetry-jsonl",
+        ] {
             for list in [args(&[flag]), args(&[flag, "x"])] {
                 let err = CliOptions::parse(&list).unwrap_err();
                 assert_eq!(err, format!("unknown flag `{flag}`"));

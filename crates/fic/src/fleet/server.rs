@@ -9,12 +9,13 @@
 //! conversation.
 //!
 //! Durability is the PR 4–5 algebra: every accepted slice result is
-//! appended to the campaign's crash-safe journal (trials *and* derived
-//! attribution events), and the in-memory reports are the same
-//! commutative folds a journal replay performs — so a restarted server
-//! resumes by loading the journal, pre-folding the recorded trials and
-//! queueing only the missing ⟨kind, case⟩ slices, and the final tables
-//! are byte-identical no matter how the fleet interleaved
+//! appended to the campaign's crash-safe journal (trials only — the
+//! attribution events re-derive from them), and the in-memory reports
+//! are the same commutative folds a journal replay performs — so a
+//! restarted server resumes by loading the journal, pre-folding the
+//! recorded trials (with any persisted oracle verdicts) and queueing
+//! only the missing ⟨kind, case⟩ slices, and the final tables are
+//! byte-identical no matter how the fleet interleaved
 //! (`tests/fleet_equivalence.rs`).
 
 use std::collections::HashSet;
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap};
+use crate::attribution::{AttributionAggregate, MonitoredMap, OracleVerdicts};
 use crate::campaign::InjectableError;
 use crate::convergence::{self, ConvergenceAggregate};
 use crate::error_set::{self, E1Error};
@@ -467,8 +468,8 @@ impl Server {
 
 /// Loads an existing journal (if any) and pre-folds its records:
 /// every distinct trial of [`Journal::walk`] into the reports, the
-/// attribution aggregate and the recorded-key set, exactly as a replay
-/// would.
+/// attribution aggregate (overlaid with the journal's oracle verdicts)
+/// and the recorded-key set, exactly as a replay would.
 fn replay_recorded(state: &mut CampaignState, monitored: &MonitoredMap) -> io::Result<()> {
     if !state.journal_path.exists() {
         return Ok(());
@@ -485,23 +486,25 @@ fn replay_recorded(state: &mut CampaignState, monitored: &MonitoredMap) -> io::R
         )));
     }
     let path = state.journal_path.display().to_string();
+    let verdicts = OracleVerdicts::from_journal(&journal);
     journal
         .walk(|record, error| {
             state.recorded.insert(record.key());
-            fold_record(state, record, error, monitored);
+            fold_record(state, record, error, monitored, Some(&verdicts));
         })
         .map_err(|e| io::Error::other(format!("journal {path}: {e}")))
 }
 
 /// Folds one resolved record into a campaign's reports and attribution
-/// aggregate; returns the record's attribution event.
+/// aggregate, overlaying its persisted oracle verdict, if any.
 fn fold_record(
     state: &mut CampaignState,
     record: &TrialRecord,
     error: PaperError<'_>,
     monitored: &MonitoredMap,
-) -> AttributionEvent {
-    let event = match error {
+    verdicts: Option<&OracleVerdicts>,
+) {
+    let mut event = match error {
         PaperError::E1(error) => {
             state.e1_report.record(error, &record.trial);
             error.attribution_event(record.case_index, &record.trial, monitored)
@@ -511,26 +514,27 @@ fn fold_record(
             error.attribution_event(record.case_index, &record.trial, monitored)
         }
     };
+    if let Some(verdicts) = verdicts {
+        verdicts.overlay(&mut event);
+    }
     state.attribution.record(&event);
-    event
 }
 
-/// Folds one worker-submitted record and appends it, with its
-/// attribution event, to the campaign journal.
+/// Folds one worker-submitted record and appends it to the campaign
+/// journal.
 fn fold_and_append(
     state: &mut CampaignState,
     record: &TrialRecord,
     shared: &Shared,
 ) -> io::Result<()> {
     let error = shared.errors.resolve(record).map_err(io::Error::other)?;
-    let event = fold_record(state, record, error, &shared.monitored);
+    fold_record(state, record, error, &shared.monitored, None);
     state.journal.append(
         record.campaign,
         record.error_number,
         record.case_index,
         &record.trial,
     )?;
-    state.journal.append_attribution(&event)?;
     state.trials += 1;
     Ok(())
 }

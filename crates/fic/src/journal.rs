@@ -13,8 +13,13 @@
 //!   that do not depend on worker count or completion order — or an
 //!   attribution line (`{"attribution": …}`) carrying one
 //!   [`AttributionEvent`] under the same key space. The two line types
-//!   are structurally disjoint, so no tagging byte is needed and
-//!   journals without attribution parse exactly as before.
+//!   are structurally disjoint, so no tagging byte is needed.
+//!   Campaigns write trial records only: every attribution field but
+//!   the differential oracle's re-derives from the trials, so
+//!   attribution lines hold oracle verdicts
+//!   (`attribution_report --save-oracle`). Older journals that carry
+//!   an un-enriched line per trial still load, resume and merge; their
+//!   un-enriched lines are skipped.
 //!
 //! Writes are batched and `fsync`'d every [`JournalWriter::batch_size`]
 //! records, so a crash loses at most one unsynced batch; the trailing
@@ -710,8 +715,10 @@ impl Journal {
 ///   still deduplicated first-wins, so re-merging a merged journal
 ///   stays idempotent).
 ///
-/// The merged header carries `shard: None` (it covers the whole
-/// recorded slice union).
+/// Attribution lines keep only oracle verdicts: un-enriched lines are
+/// dropped, so the first *enriched* line per key wins, as in
+/// [`crate::attribution::OracleVerdicts`]. The merged header carries
+/// `shard: None` (it covers the whole recorded slice union).
 ///
 /// # Errors
 ///
@@ -734,13 +741,16 @@ pub fn merge(paths: &[std::path::PathBuf]) -> Result<Journal, JournalError> {
         let mut kept = std::collections::HashSet::new();
         move |r| kept.insert(r.key())
     });
-    let mut attribution = first.attribution;
-    let mut attribution_keys: std::collections::HashSet<(CampaignKind, usize, usize)> =
-        attribution.iter().map(AttributionEvent::key).collect();
-    attribution.retain({
-        let mut kept = std::collections::HashSet::new();
-        move |e| kept.insert(e.key())
-    });
+    let mut attribution = Vec::new();
+    let mut attribution_keys = std::collections::HashSet::new();
+    let mut keep_verdicts = |events: Vec<AttributionEvent>| {
+        for event in events {
+            if event.enriched() && attribution_keys.insert(event.key()) {
+                attribution.push(event);
+            }
+        }
+    };
+    keep_verdicts(first.attribution);
     for path in rest {
         let journal = Journal::load(path)?;
         if !journal
@@ -768,11 +778,7 @@ pub fn merge(paths: &[std::path::PathBuf]) -> Result<Journal, JournalError> {
                 records.push(record);
             }
         }
-        for event in journal.attribution {
-            if attribution_keys.insert(event.key()) {
-                attribution.push(event);
-            }
-        }
+        keep_verdicts(journal.attribution);
     }
     Ok(Journal {
         header: JournalHeader {
@@ -972,6 +978,37 @@ mod tests {
         match Journal::load(&path) {
             Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// An old journal's un-enriched line must not shadow a later
+    /// oracle verdict for the same key: the merged (and re-merged)
+    /// journal still carries the verdict.
+    #[test]
+    fn merge_keeps_the_first_enriched_verdict() {
+        let path = temp_path("merge-verdict");
+        let protocol = Protocol::scaled(1, 1_000);
+        let error = error_set::e1()[0];
+        let trial = sample_trial(None);
+        let plain = AttributionEvent::for_e1(&error, 0, &trial);
+        let mut enriched = plain.clone();
+        enriched.first_divergence_ms = Some(2_000);
+        enriched.propagation = Some(crate::attribution::PROPAGATION_MASKED.to_owned());
+        let mut writer = JournalWriter::create(&path, &protocol).unwrap();
+        writer
+            .append(CampaignKind::E1, error.number, 0, &trial)
+            .unwrap();
+        writer.append_attribution(&plain).unwrap();
+        writer.append_attribution(&enriched).unwrap();
+        writer.finish().unwrap();
+
+        let merged = merge(std::slice::from_ref(&path)).unwrap();
+        assert_eq!(merged.attribution, vec![enriched.clone()]);
+        let remerged_path = temp_path("merge-verdict-again");
+        merged.write_to(&remerged_path).unwrap();
+        for journal in [merged, merge(&[remerged_path]).unwrap()] {
+            let events = crate::attribution::events_from_journal(&journal).unwrap();
+            assert_eq!(events, vec![enriched.clone()]);
         }
     }
 

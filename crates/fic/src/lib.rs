@@ -70,7 +70,6 @@ pub use attribution::{
 };
 pub use campaign::{
     AttributionSink, CampaignRunner, CampaignTelemetry, CheckpointCache, ConvergenceSink,
-    ProgressOptions,
 };
 pub use convergence::{CampaignCoverage, ConvergenceAggregate, ConvergenceReport};
 pub use error_set::{E1Error, E2Error};

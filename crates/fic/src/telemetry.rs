@@ -1,5 +1,5 @@
-//! Campaign telemetry: a dependency-free metrics registry, live
-//! progress stream, and end-of-campaign reports.
+//! Campaign telemetry: a dependency-free metrics registry, a live
+//! progress line, and end-of-campaign reports.
 //!
 //! A long fault-injection campaign used to be a black box: checkpoint
 //! cache behaviour, settle-detector effectiveness, journal flush cost
@@ -21,10 +21,7 @@
 //!   commutatively (the same algebra as the campaign reports), so
 //!   per-shard telemetry merges exactly like per-shard journals.
 //! * **Progress** — [`Progress`] renders a throttled single-line TTY
-//!   status (trials done/total, trials/sec, ETA, cache hit rate) and
-//!   optionally appends periodic machine-readable snapshot events to a
-//!   JSONL stream (`--telemetry-jsonl`). Snapshot events are monotone
-//!   in `trials_done`.
+//!   status (trials done/total, trials/sec, ETA, cache hit rate).
 //! * **Reports** — [`TelemetryReport`] is the end-of-campaign
 //!   artefact: schema-versioned JSON under `results/telemetry/` plus a
 //!   human summary table ([`render_summary`]) on stderr.
@@ -795,38 +792,11 @@ pub fn render_summary(snapshot: &TelemetrySnapshot) -> String {
     out
 }
 
-/// One machine-readable progress event on the `--telemetry-jsonl`
-/// stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProgressEvent {
-    /// [`SCHEMA_VERSION`].
-    pub schema_version: u32,
-    /// Event discriminator, always `"progress"`.
-    pub event: String,
-    /// Campaign phase label (`e1`, `e2`, …).
-    pub phase: String,
-    /// Trials completed so far (monotone within a stream).
-    pub trials_done: u64,
-    /// Total trials this campaign will run.
-    pub trials_total: u64,
-    /// Wall-clock seconds since the campaign started.
-    pub elapsed_s: f64,
-    /// Throughput over the whole campaign so far.
-    pub trials_per_s: f64,
-    /// Checkpoint-cache hits so far.
-    pub cache_hits: u64,
-    /// Checkpoint-cache misses (prefix builds) so far.
-    pub cache_misses: u64,
-    /// Trials stopped early by the settle detector so far.
-    pub settled: u64,
-}
-
 /// Live campaign progress: a throttled single-line TTY status on
-/// stderr plus an optional JSONL snapshot stream.
+/// stderr, rendered only when stderr is a terminal.
 ///
 /// The collector thread calls [`Progress::on_trial`] once per
-/// completed trial; rendering and stream appends are throttled (by
-/// wall clock for the TTY line, by trial count for the stream) so the
+/// completed trial; repaints are throttled by wall clock so the
 /// emitter never becomes the bottleneck it is measuring.
 #[derive(Debug)]
 pub struct Progress {
@@ -836,11 +806,6 @@ pub struct Progress {
     started: Instant,
     /// Next wall-clock instant at which the TTY line may repaint.
     next_render: Instant,
-    /// Trials between JSONL snapshot events.
-    stream_every: u64,
-    /// Trials done at the last JSONL event.
-    last_streamed: u64,
-    stream: Option<std::fs::File>,
     tty: bool,
     cache_hits: Option<Arc<Counter>>,
     cache_misses: Option<Arc<Counter>>,
@@ -866,19 +831,14 @@ const RATE_WINDOW: std::time::Duration = std::time::Duration::from_secs(10);
 const RATE_WINDOW_SAMPLES: usize = 2_048;
 
 impl Progress {
-    /// A progress emitter for `total` trials in phase `phase`. With
-    /// `stream`, a [`ProgressEvent`] is appended roughly every
-    /// `stream_every` trials (plus one final event at completion).
-    pub fn new(phase: &str, total: u64, stream: Option<std::fs::File>, stream_every: u64) -> Self {
+    /// A progress line for `total` trials in phase `phase`.
+    pub fn new(phase: &str, total: u64) -> Self {
         Progress {
             phase: phase.to_owned(),
             total,
             done: 0,
             started: Instant::now(),
             next_render: Instant::now(),
-            stream_every: stream_every.max(1),
-            last_streamed: 0,
-            stream,
             tty: io::stderr().is_terminal(),
             cache_hits: None,
             cache_misses: None,
@@ -888,35 +848,7 @@ impl Progress {
         }
     }
 
-    /// Opens (appending) the JSONL stream at `path` and returns the
-    /// file, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure.
-    pub fn open_stream(path: &Path) -> io::Result<std::fs::File> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-    }
-
-    /// Suppresses the TTY status line when `enabled` is false; the
-    /// JSONL stream is unaffected. (Even when enabled, the line only
-    /// renders when stderr actually is a terminal.)
-    #[must_use]
-    pub fn with_tty(mut self, enabled: bool) -> Self {
-        self.tty = self.tty && enabled;
-        self
-    }
-
-    /// Attaches the cache/settle counters surfaced in the status line
-    /// and the stream events.
+    /// Attaches the cache/settle counters surfaced in the status line.
     #[must_use]
     pub fn with_counters(
         mut self,
@@ -930,7 +862,7 @@ impl Progress {
         self
     }
 
-    /// Records one completed trial; repaints/streams when due.
+    /// Records one completed trial; repaints when due.
     pub fn on_trial(&mut self) {
         self.done += 1;
         let now = Instant::now();
@@ -943,12 +875,19 @@ impl Progress {
         {
             self.window.pop_front();
         }
-        if self.done >= self.last_streamed + self.stream_every || self.done == self.total {
-            self.stream_event();
-        }
         if self.tty && (now >= self.next_render || self.done == self.total) {
             self.next_render = now + RENDER_EVERY;
             self.render();
+        }
+    }
+
+    /// Throughput over the whole phase so far.
+    pub fn trials_per_s(&self) -> f64 {
+        let elapsed_s = self.started.elapsed().as_secs_f64();
+        if elapsed_s > 0.0 {
+            self.done as f64 / elapsed_s
+        } else {
+            0.0
         }
     }
 
@@ -963,57 +902,19 @@ impl Progress {
                 return (d1 - d0) as f64 / span;
             }
         }
-        self.event().trials_per_s
+        self.trials_per_s()
     }
 
-    /// Finishes the phase: emits a final stream event (if one is
-    /// pending) and terminates the TTY status line.
+    /// Finishes the phase: terminates the TTY status line.
     pub fn finish(&mut self) {
-        if self.done > self.last_streamed {
-            self.stream_event();
-        }
         if self.tty {
             self.render();
             eprintln!();
         }
     }
 
-    /// The current event, as it would be streamed.
-    pub fn event(&self) -> ProgressEvent {
-        let elapsed_s = self.started.elapsed().as_secs_f64();
-        ProgressEvent {
-            schema_version: SCHEMA_VERSION,
-            event: "progress".to_owned(),
-            phase: self.phase.clone(),
-            trials_done: self.done,
-            trials_total: self.total,
-            elapsed_s,
-            trials_per_s: if elapsed_s > 0.0 {
-                self.done as f64 / elapsed_s
-            } else {
-                0.0
-            },
-            cache_hits: self.cache_hits.as_ref().map_or(0, |c| c.get()),
-            cache_misses: self.cache_misses.as_ref().map_or(0, |c| c.get()),
-            settled: self.settled.as_ref().map_or(0, |c| c.get()),
-        }
-    }
-
-    fn stream_event(&mut self) {
-        self.last_streamed = self.done;
-        let event = self.event();
-        if let Some(file) = &mut self.stream {
-            let line = serde_json::to_string(&event).expect("event serialises");
-            // Telemetry must never fail the campaign: a full disk
-            // degrades to a silent stop of the stream.
-            if writeln!(file, "{line}").is_err() {
-                self.stream = None;
-            }
-        }
-    }
-
     fn render(&self) {
-        let event = self.event();
+        let count = |c: &Option<Arc<Counter>>| c.as_ref().map_or(0, |c| c.get());
         // The ETA extrapolates the *windowed* rate: after a pruned or
         // cache-warm opening burst the whole-run mean can overstate
         // current throughput by an order of magnitude.
@@ -1023,18 +924,22 @@ impl Progress {
         } else {
             String::new()
         };
-        let lookups = event.cache_hits + event.cache_misses;
-        let cache = if lookups > 0 {
+        let (hits, misses) = (count(&self.cache_hits), count(&self.cache_misses));
+        let cache = if hits + misses > 0 {
             format!(
                 "  cache {:.1}%",
-                100.0 * event.cache_hits as f64 / lookups as f64
+                100.0 * hits as f64 / (hits + misses) as f64
             )
         } else {
             String::new()
         };
         eprint!(
             "\r[{}] {}/{} trials  {:.1} trials/s{eta}{cache}  settled {}   ",
-            self.phase, self.done, self.total, event.trials_per_s, event.settled
+            self.phase,
+            self.done,
+            self.total,
+            self.trials_per_s(),
+            count(&self.settled)
         );
         let _ = io::stderr().flush();
     }
@@ -1207,24 +1112,6 @@ mod tests {
         assert!(report.validate().is_err());
     }
 
-    #[test]
-    fn progress_events_are_monotone_and_streamable() {
-        let mut progress = Progress::new("e1", 10, None, 3);
-        let mut last = 0;
-        for _ in 0..10 {
-            progress.on_trial();
-            let event = progress.event();
-            assert!(event.trials_done >= last);
-            last = event.trials_done;
-        }
-        assert_eq!(progress.event().trials_done, 10);
-        progress.finish();
-        let json = serde_json::to_string(&progress.event()).unwrap();
-        let back: ProgressEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.trials_done, 10);
-        assert_eq!(back.event, "progress");
-    }
-
     /// `to_prometheus` → `from_prometheus` reconstructs the snapshot
     /// exactly — including metric names outside the Prometheus
     /// alphabet, empty histograms, and histogram min/max.
@@ -1273,7 +1160,7 @@ mod tests {
     /// recent rate must sit well below the campaign mean.
     #[test]
     fn recent_rate_window_recovers_from_a_fast_opening_phase() {
-        let mut progress = Progress::new("e1", 1_000, None, u64::MAX);
+        let mut progress = Progress::new("e1", 1_000);
         // Shrink the window so the test exercises pruning without
         // multi-second sleeps.
         progress.rate_window = std::time::Duration::from_millis(50);
@@ -1288,7 +1175,7 @@ mod tests {
             progress.on_trial();
             std::thread::sleep(std::time::Duration::from_millis(15));
         }
-        let whole_run = progress.event().trials_per_s;
+        let whole_run = progress.trials_per_s();
         let recent = progress.recent_trials_per_s();
         assert!(recent > 0.0, "window rate must stay usable");
         assert!(
@@ -1302,11 +1189,8 @@ mod tests {
     /// to the whole-run mean instead of dividing by zero.
     #[test]
     fn recent_rate_falls_back_before_the_window_fills() {
-        let progress = Progress::new("e1", 10, None, 1);
-        assert_eq!(
-            progress.recent_trials_per_s(),
-            progress.event().trials_per_s
-        );
+        let progress = Progress::new("e1", 10);
+        assert_eq!(progress.recent_trials_per_s(), progress.trials_per_s());
     }
 
     #[test]

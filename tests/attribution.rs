@@ -10,6 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use fic::attribution::{self, AttributionReport, REGION_APP_RAM};
+use fic::fleet::{CampaignSpec, Server, ServerOptions};
 use fic::journal::{self, Journal, JournalWriter, ShardSpec};
 use fic::trace::ReferenceCache;
 use fic::{error_set, CampaignRunner, E1Report, E2Report, Protocol};
@@ -94,10 +95,9 @@ fn journal_rederives_the_live_aggregate() {
     drop(writer);
 
     let journal = Journal::load(&path).unwrap();
-    assert_eq!(
-        journal.attribution.len(),
-        journal.records.len(),
-        "an attribution-enabled run journals one event per trial"
+    assert!(
+        journal.attribution.is_empty(),
+        "a campaign journals trials only; its events re-derive from them"
     );
     let derived = attribution::aggregate_journal(&journal).unwrap();
     assert_eq!(
@@ -139,9 +139,9 @@ fn resume_preserves_attribution() {
     );
 }
 
-/// Sharded journals merge into one journal whose attribution events
-/// are deduplicated and whose re-derived aggregate equals the
-/// unsharded run's.
+/// Sharded journals merge into one journal whose re-derived
+/// attribution aggregate equals the unsharded run's; neither the
+/// shards nor the merge carry attribution lines.
 #[test]
 fn merged_shard_journals_rederive_the_unsharded_aggregate() {
     let dir = temp_dir("shards");
@@ -168,10 +168,9 @@ fn merged_shard_journals_rederive_the_unsharded_aggregate() {
 
     let merged = journal::merge(&paths).unwrap();
     assert_eq!(merged.records.len(), subset.len() * 4);
-    assert_eq!(
-        merged.attribution.len(),
-        merged.records.len(),
-        "merge must carry every shard's events exactly once"
+    assert!(
+        merged.attribution.is_empty(),
+        "shard campaigns journal no attribution lines"
     );
     assert_eq!(
         attribution::aggregate_journal(&merged).unwrap(),
@@ -182,10 +181,12 @@ fn merged_shard_journals_rederive_the_unsharded_aggregate() {
 
 /// A differential-oracle verdict appended to the journal overlays the
 /// re-derived event on the next load — enrichment survives the round
-/// trip (and therefore `--resume` and `merge_journals`).
+/// trip, and both a `--resume` and a fleet server restarted over the
+/// enriched journal fold the verdict into their live aggregates too.
 #[test]
 fn oracle_verdicts_survive_the_journal_round_trip() {
-    let path = temp_dir("oracle").join("campaign.jsonl");
+    let dir = temp_dir("oracle");
+    let path = dir.join("campaign.jsonl");
     let protocol = small_protocol();
     let errors = error_set::e2();
     let subset = &errors[..4];
@@ -226,6 +227,34 @@ fn oracle_verdicts_survive_the_journal_round_trip() {
     );
     let aggregate = attribution::aggregate_journal(&reloaded).unwrap();
     assert_eq!(aggregate.oracle.enriched, 1);
+
+    let resumed = CampaignRunner::new(protocol.clone()).with_attribution(true);
+    resumed.resume_e2(subset, &path).unwrap();
+    assert_eq!(
+        resumed.attribution().unwrap().snapshot(),
+        aggregate,
+        "resume must replay the persisted verdict into the sink"
+    );
+
+    // The journal is complete, so the restarted server only folds it.
+    let options = ServerOptions {
+        listen: "127.0.0.1:0".to_owned(),
+        out_dir: dir.join("fleet-out"),
+        journal_dir: Some(dir.clone()),
+        once: true,
+        ..ServerOptions::default()
+    };
+    let spec = CampaignSpec {
+        name: "campaign".to_owned(),
+        protocol,
+        e1_numbers: Vec::new(),
+        e2_numbers: subset.iter().map(|e| e.number).collect(),
+    };
+    let summary = Server::bind(options, vec![spec]).unwrap().run().unwrap();
+    assert_eq!(
+        summary.campaigns[0].attribution, aggregate,
+        "a fleet restart must replay the persisted verdict"
+    );
 }
 
 /// Acceptance gate: the committed full-grid journal decomposes into

@@ -202,6 +202,10 @@ fn fleet_with_worker_death_matches_single_process_reference() {
     // --- Attribution: server fold, journal re-derivation, reference.
     assert_eq!(outcome.attribution, ref_attribution);
     let fleet_journal = Journal::load(&outcome.journal_path).unwrap();
+    assert!(
+        fleet_journal.attribution.is_empty(),
+        "the fleet journals trials only; attribution re-derives from them"
+    );
     assert_eq!(aggregate_journal(&fleet_journal).unwrap(), ref_attribution);
 
     // --- Journal replay: the fleet journal re-folds to the reference

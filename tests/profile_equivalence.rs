@@ -5,7 +5,7 @@
 //! Pinned differentially, the same way telemetry and attribution were
 //! when they landed (`tests/telemetry.rs`, `tests/attribution.rs`):
 //!
-//! * a journaled campaign with `--profile` produces byte-identical
+//! * a journaled campaign with a profile recorder produces byte-identical
 //!   journal, reports and attribution versus the bare run, while the
 //!   recorder accounts for every trial (executed + pruned);
 //! * a fleet run with `--flight-recorder` produces byte-identical
