@@ -1,7 +1,7 @@
 //! The fleet campaign server: serves named campaigns to `fleet_worker`
 //! processes over the length-prefixed wire protocol, journals every
-//! accepted slice crash-safely, and exposes live status over HTTP/SSE
-//! on the same port.
+//! accepted slice crash-safely, and exposes live status as JSON over
+//! HTTP on the same port.
 //!
 //! ```text
 //! fleet_server [--listen host:port] [--campaign name]... [--once]
@@ -11,7 +11,8 @@
 //!
 //! With `--once` the server exits after every campaign converges and
 //! the last worker disconnects, printing a per-campaign summary —
-//! the CI `fleet-smoke` topology. Restarting against the same
+//! the CI `fleet-smoke` topology; a campaign whose artefacts cannot be
+//! written makes it exit non-zero. Restarting against the same
 //! `--journal-dir` resumes: recorded trials are pre-folded and only the
 //! missing slices are queued.
 

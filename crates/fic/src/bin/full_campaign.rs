@@ -30,8 +30,6 @@
 //! journal metrics, renders a live progress line on stderr (when it is
 //! a terminal) and writes a schema-versioned report under
 //! `<out>/telemetry/` at the end (see OBSERVABILITY.md).
-//! `--metrics-file <path>` additionally writes the snapshot as
-//! Prometheus text exposition.
 //!
 //! Scale-out: `--shard k/n` runs only the k-th of n deterministic grid
 //! slices; shard journals are combined with the `merge_journals`
@@ -59,7 +57,8 @@
 //! report under `<out>/convergence/` (named after the journal stem
 //! under `--from-journal`).
 //!
-//! No observer changes a result bit.
+//! No observer changes a result bit. A report that cannot be written
+//! fails the run (exit 1, naming the directory).
 
 use std::time::Instant;
 
@@ -90,7 +89,7 @@ fn main() {
         );
         let aggregate = fic::attribution::aggregate_journal(&journal)
             .expect("journal matches the paper error sets");
-        options.emit_attribution("full_campaign", &journal.header.protocol, aggregate);
+        written(options.emit_attribution("full_campaign", &journal.header.protocol, aggregate));
         (journal.header.protocol, e1, e2)
     } else {
         let protocol = options.protocol();
@@ -177,16 +176,16 @@ fn main() {
             }
         }
 
-        options.emit_telemetry("full_campaign", &protocol, registry);
+        written(options.emit_telemetry("full_campaign", &protocol, registry));
         if let Some(sink) = runner.attribution() {
-            options.emit_attribution("full_campaign", &protocol, sink.snapshot());
+            written(options.emit_attribution("full_campaign", &protocol, sink.snapshot()));
         }
         if let Some(recorder) = runner.profile() {
-            options.emit_profile("full_campaign", &protocol, recorder);
+            written(options.emit_profile("full_campaign", &protocol, recorder));
         }
         (protocol, e1_report, e2_report)
     };
-    options.emit_convergence("full_campaign", &protocol, &e1_report, &e2_report);
+    written(options.emit_convergence("full_campaign", &protocol, &e1_report, &e2_report));
 
     // Artefacts.
     std::fs::write(
@@ -269,6 +268,15 @@ fn main() {
             }
             std::process::exit(1);
         }
+    }
+}
+
+/// Exits 1 when an observer report could not be written: every run
+/// promises its reports, so a run without one has failed.
+fn written(result: std::io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }
 

@@ -41,14 +41,7 @@
 //!   conservation, Wilson intervals and forecasts re-derive exactly
 //!   from the aggregate); with `--journal`, also verify the report's
 //!   aggregate is exactly what the journal re-derives (convergence is
-//!   a pure function of the journaled trials);
-//! * `--metrics <file>` — parse a Prometheus text exposition written
-//!   by `--metrics-file` (or fetched from the fleet `/metrics`
-//!   endpoint), re-render it, and require the round-trip to be exact
-//!   ([`fic::telemetry::TelemetrySnapshot::from_prometheus`] ∘
-//!   `to_prometheus` must be the identity on its image); with
-//!   `--report`, also require the exposition to carry exactly the
-//!   report's snapshot.
+//!   a pure function of the journaled trials).
 //!
 //! Exits 0 when every requested check passes, 1 otherwise.
 
@@ -67,7 +60,7 @@ use memsim::BitFlip;
 fn usage() -> ! {
     eprintln!(
         "usage: telemetry_check [--report file] [--journal file] \
-         [--shards n] [--attribution file] [--convergence file] [--metrics file]"
+         [--shards n] [--attribution file] [--convergence file]"
     );
     std::process::exit(2);
 }
@@ -77,7 +70,6 @@ fn main() -> ExitCode {
     let mut journal_path: Option<PathBuf> = None;
     let mut attribution_path: Option<PathBuf> = None;
     let mut convergence_path: Option<PathBuf> = None;
-    let mut metrics_path: Option<PathBuf> = None;
     let mut shards = 1usize;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter();
@@ -93,7 +85,6 @@ fn main() -> ExitCode {
             "--journal" => journal_path = Some(PathBuf::from(value("--journal"))),
             "--attribution" => attribution_path = Some(PathBuf::from(value("--attribution"))),
             "--convergence" => convergence_path = Some(PathBuf::from(value("--convergence"))),
-            "--metrics" => metrics_path = Some(PathBuf::from(value("--metrics"))),
             "--shards" => {
                 shards = value("--shards").parse().unwrap_or_else(|e| {
                     eprintln!("--shards: {e}");
@@ -107,11 +98,7 @@ fn main() -> ExitCode {
             _ => usage(),
         }
     }
-    if report_path.is_none()
-        && attribution_path.is_none()
-        && convergence_path.is_none()
-        && metrics_path.is_none()
-    {
+    if report_path.is_none() && attribution_path.is_none() && convergence_path.is_none() {
         usage();
     }
     if journal_path.is_some()
@@ -271,47 +258,11 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &metrics_path {
-        match check_metrics(path, report.as_ref()) {
-            Ok(series) => println!(
-                "metrics {}: {series} series round-trip exactly",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("metrics {}: INVALID: {e}", path.display());
-                failures += 1;
-            }
-        }
-    }
-
     if failures > 0 {
         eprintln!("{failures} telemetry check(s) failed");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// The exposition parses, re-renders byte-identically (parse ∘ render
-/// is the identity on rendered expositions), and — when the
-/// schema-versioned JSON report is also given — carries exactly the
-/// report's snapshot, so the two artefact formats cannot drift apart.
-fn check_metrics(
-    path: &std::path::Path,
-    report: Option<&TelemetryReport>,
-) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let snapshot = fic::telemetry::TelemetrySnapshot::from_prometheus(&text)?;
-    let rendered = snapshot.to_prometheus();
-    let reparsed = fic::telemetry::TelemetrySnapshot::from_prometheus(&rendered)?;
-    if reparsed != snapshot {
-        return Err("exposition does not round-trip through parse/render".to_owned());
-    }
-    if let Some(report) = report {
-        if snapshot != report.snapshot {
-            return Err("exposition disagrees with the --report snapshot".to_owned());
-        }
-    }
-    Ok(snapshot.counters.len() + snapshot.gauges.len() + snapshot.histograms.len())
 }
 
 /// Loads a journal and resolves every record, duplicates included, to

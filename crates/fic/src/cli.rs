@@ -30,10 +30,7 @@
 //!   paper-faithful oracle the lockstep path is checked against;
 //! * `--shard k/n` — run only shard `k` of `n` (1-based) of the trial
 //!   grid: a deterministic slice recorded in the journal header.
-//!   Combine shard journals with `merge_journals`;
-//! * `--metrics-file <path>` — additionally write the end-of-campaign
-//!   telemetry snapshot as Prometheus text exposition format 0.0.4
-//!   (the same body the fleet server serves on `/metrics`).
+//!   Combine shard journals with `merge_journals`.
 //!
 //! The observers need no flag. Every live run ([`CliOptions::runner`])
 //! records telemetry (with the live progress line), attribution and the
@@ -41,8 +38,11 @@
 //! under `<out>/{telemetry,attribution,profile}/`;
 //! [`CliOptions::emit_convergence`] derives the coverage-convergence
 //! report (`fic::convergence`) from the final reports of every run. No
-//! observer changes a result bit.
+//! observer changes a result bit. A report that cannot be written is an
+//! error the `emit_*` methods return, naming the directory, so the run
+//! fails instead of finishing without it.
 
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -87,9 +87,6 @@ pub struct CliOptions {
     /// Run only this deterministic slice of the trial grid:
     /// `(index, count)`, 1-based, from `--shard k/n`.
     pub shard: Option<(usize, usize)>,
-    /// Also write the telemetry snapshot as Prometheus text exposition
-    /// to this file.
-    pub metrics_file: Option<PathBuf>,
 }
 
 impl Default for CliOptions {
@@ -109,7 +106,6 @@ impl Default for CliOptions {
             repro_dir: PathBuf::from("results/repro"),
             no_checkpoint: false,
             shard: None,
-            metrics_file: None,
         }
     }
 }
@@ -126,8 +122,7 @@ impl CliOptions {
                     "usage: [--scale n] [--observation ms] [--workers n] [--out dir] \
                      [--journal file] [--resume] [--from-journal file] \
                      [--check-golden] [--refresh-golden] [--golden-dir dir] \
-                     [--trace] [--repro-dir dir] [--no-checkpoint] [--shard k/n] \
-                     [--metrics-file path]"
+                     [--trace] [--repro-dir dir] [--no-checkpoint] [--shard k/n]"
                 );
                 std::process::exit(2);
             }
@@ -177,9 +172,6 @@ impl CliOptions {
                 "--repro-dir" => options.repro_dir = PathBuf::from(value("--repro-dir")?),
                 "--no-checkpoint" => options.no_checkpoint = true,
                 "--shard" => options.shard = Some(parse_shard(&value("--shard")?)?),
-                "--metrics-file" => {
-                    options.metrics_file = Some(PathBuf::from(value("--metrics-file")?));
-                }
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -246,40 +238,62 @@ impl CliOptions {
         (label, run)
     }
 
+    /// Writes one `kind` of report under `<out>/<kind>/` and names the
+    /// file on stderr, or returns the error naming the directory.
+    fn save_report(
+        &self,
+        kind: &str,
+        write: impl FnOnce(&Path) -> io::Result<PathBuf>,
+    ) -> io::Result<()> {
+        let dir = self.out_dir.join(kind);
+        let path = write(&dir).map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!(
+                    "cannot write the {kind} report under {}: {e}",
+                    dir.display()
+                ),
+            )
+        })?;
+        eprintln!("{kind} report written to {}", path.display());
+        Ok(())
+    }
+
     /// End-of-campaign telemetry emission: prints the human summary on
     /// stderr and writes the schema-versioned report under
     /// `<out>/telemetry/`.
+    ///
+    /// # Errors
+    ///
+    /// The report could not be written; the error names the directory.
     pub fn emit_telemetry(
         &self,
         producer: &str,
         protocol: &Protocol,
         registry: &telemetry::Registry,
-    ) {
+    ) -> io::Result<()> {
         let snapshot = registry.snapshot();
         eprint!("{}", telemetry::render_summary(&snapshot));
-        if let Some(path) = &self.metrics_file {
-            match std::fs::write(path, snapshot.to_prometheus()) {
-                Ok(()) => eprintln!("metrics exposition written to {}", path.display()),
-                Err(e) => eprintln!("failed to write metrics exposition: {e}"),
-            }
-        }
         let (label, run) = self.report_meta(producer, protocol);
         let report = telemetry::TelemetryReport::assemble(producer, run, snapshot);
-        match telemetry::write_report(&self.out_dir.join("telemetry"), &label, &report) {
-            Ok(path) => eprintln!("telemetry report written to {}", path.display()),
-            Err(e) => eprintln!("failed to write telemetry report: {e}"),
-        }
+        self.save_report("telemetry", |dir| {
+            telemetry::write_report(dir, &label, &report)
+        })
     }
 
     /// End-of-campaign attribution emission: prints the league table
     /// and coverage decomposition on stderr and writes the
     /// schema-versioned report under `<out>/attribution/`.
+    ///
+    /// # Errors
+    ///
+    /// The report could not be written; the error names the directory.
     pub fn emit_attribution(
         &self,
         producer: &str,
         protocol: &Protocol,
         aggregate: AttributionAggregate,
-    ) {
+    ) -> io::Result<()> {
         eprint!("{}", attribution::render_league(&aggregate));
         let (label, run) = self.report_meta(producer, protocol);
         let report = attribution::AttributionReport::assemble(producer, run, aggregate);
@@ -287,10 +301,9 @@ impl CliOptions {
             "{}",
             attribution::render_decomposition(&report.decomposition)
         );
-        match attribution::write_report(&self.out_dir.join("attribution"), &label, &report) {
-            Ok(path) => eprintln!("attribution report written to {}", path.display()),
-            Err(e) => eprintln!("failed to write attribution report: {e}"),
-        }
+        self.save_report("attribution", |dir| {
+            attribution::write_report(dir, &label, &report)
+        })
     }
 
     /// End-of-campaign profile emission: samples per-check wall clock,
@@ -299,24 +312,25 @@ impl CliOptions {
     /// executed no checkpointed trial (`--no-checkpoint`, or a resume
     /// with nothing left to run) recorded nothing, so it writes no
     /// report.
+    ///
+    /// # Errors
+    ///
+    /// The report could not be written; the error names the directory.
     pub fn emit_profile(
         &self,
         producer: &str,
         protocol: &Protocol,
         recorder: &profile::ProfileRecorder,
-    ) {
+    ) -> io::Result<()> {
         if recorder.trials() + recorder.pruned_trials() == 0 {
             eprintln!("no checkpointed trial ran; no profile written");
-            return;
+            return Ok(());
         }
         let wall = profile::sample_wall_ns();
         let (label, run) = self.report_meta(producer, protocol);
         let report = profile::ProfileReport::assemble(producer, run, recorder, Some(wall));
         eprint!("{}", profile::render_league(&report));
-        match profile::write_report(&self.out_dir.join("profile"), &label, &report) {
-            Ok(path) => eprintln!("profile report written to {}", path.display()),
-            Err(e) => eprintln!("failed to write profile report: {e}"),
-        }
+        self.save_report("profile", |dir| profile::write_report(dir, &label, &report))
     }
 
     /// End-of-campaign convergence emission, on every run: derives the
@@ -324,13 +338,17 @@ impl CliOptions {
     /// precision forecast on stderr and writes the schema-versioned
     /// report under `<out>/convergence/`. A `--from-journal` replay
     /// names the report after the journal's file stem.
+    ///
+    /// # Errors
+    ///
+    /// The report could not be written; the error names the directory.
     pub fn emit_convergence(
         &self,
         producer: &str,
         protocol: &Protocol,
         e1: &E1Report,
         e2: &E2Report,
-    ) {
+    ) -> io::Result<()> {
         let aggregate = ConvergenceAggregate::from_reports(e1, e2);
         let delta = convergence::DEFAULT_DELTA;
         eprint!(
@@ -342,10 +360,9 @@ impl CliOptions {
             label = stem.to_string_lossy().into_owned();
         }
         let report = convergence::ConvergenceReport::assemble(producer, run, aggregate, delta);
-        match convergence::write_report(&self.out_dir.join("convergence"), &label, &report) {
-            Ok(path) => eprintln!("convergence report written to {}", path.display()),
-            Err(e) => eprintln!("failed to write convergence report: {e}"),
-        }
+        self.save_report("convergence", |dir| {
+            convergence::write_report(dir, &label, &report)
+        })
     }
 }
 
@@ -564,17 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_shard_and_metrics_flags() {
+    fn parses_shard_flag() {
         let options = CliOptions::parse(&args(&["--shard", "2/4"])).unwrap();
         assert_eq!(options.shard, Some((2, 4)));
         assert_eq!(
             options.runner().shard().map(|s| (s.index, s.count)),
             Some((2, 4))
         );
-
-        let options = CliOptions::parse(&args(&["--metrics-file", "/tmp/m.prom"])).unwrap();
-        assert_eq!(options.metrics_file, Some(PathBuf::from("/tmp/m.prom")));
-        assert!(CliOptions::parse(&args(&["--metrics-file"])).is_err());
     }
 
     #[test]
@@ -597,6 +610,7 @@ mod tests {
             "--profile",
             "--no-telemetry",
             "--telemetry-jsonl",
+            "--metrics-file",
         ] {
             for list in [args(&[flag]), args(&[flag, "x"])] {
                 let err = CliOptions::parse(&list).unwrap_err();
@@ -633,5 +647,26 @@ mod tests {
         ]))
         .is_err());
         assert!(CliOptions::parse(&args(&["--from-journal", "a.jsonl", "--resume"])).is_err());
+    }
+
+    /// A report directory that cannot be created is an error the
+    /// caller sees (and `full_campaign` exits on), naming the
+    /// directory — not a line on stderr and a run that exits 0.
+    #[test]
+    fn an_unwritable_report_directory_is_an_error() {
+        let out = std::env::temp_dir().join(format!("fic-cli-test-{}", std::process::id()));
+        std::fs::create_dir_all(&out).unwrap();
+        std::fs::write(out.join("telemetry"), "a file, not a directory").unwrap();
+        let options = CliOptions::parse(&args(&["--out", out.to_str().unwrap()])).unwrap();
+        let registry = telemetry::Registry::new();
+        let err = options
+            .emit_telemetry("cli-test", &options.protocol(), &registry)
+            .unwrap_err();
+        let message = err.to_string();
+        std::fs::remove_dir_all(&out).unwrap();
+        assert!(
+            message.contains(&out.join("telemetry").display().to_string()),
+            "{message}"
+        );
     }
 }

@@ -313,7 +313,8 @@ pub struct CampaignCoverage {
 pub struct CoverageSnapshot {
     /// [`SCHEMA_VERSION`].
     pub schema_version: u32,
-    /// Always [`REPORT_KIND`] — lets dashboards sanity-check the URL.
+    /// Always [`REPORT_KIND`] — lets pollers such as `campaign_watch`
+    /// sanity-check the URL.
     pub kind: String,
     /// One entry per campaign.
     pub campaigns: Vec<CampaignCoverage>,

@@ -1,11 +1,11 @@
-//! The server's HTTP side-channel: live fleet status, merged telemetry
-//! and attribution snapshots, and an SSE stream for dashboards.
+//! The server's HTTP side-channel: live fleet status and the merged
+//! telemetry, attribution and coverage snapshots, all as JSON.
 //!
 //! Served on the *same* port as the worker protocol — the accept loop
 //! sniffs the first four bytes and hands `"GET "` connections here with
-//! that prefix already consumed. Responses are plain HTTP/1.1 with
-//! `Connection: close`; no keep-alive, no chunking (except the SSE
-//! stream, which is unframed by design).
+//! that prefix already consumed. Responses are plain HTTP/1.1 JSON with
+//! `Connection: close`; no keep-alive, no chunking. Any other path
+//! answers `404 Not Found` with a `no such route` JSON error.
 //!
 //! Routes:
 //!
@@ -17,17 +17,12 @@
 //! | `/telemetry`   | per-campaign merged worker telemetry + fleet counters  |
 //! | `/attribution` | per-campaign live attribution reports                  |
 //! | `/coverage`    | per-campaign Wilson-CI convergence snapshot            |
-//! | `/dashboard`   | self-contained HTML page polling the JSON endpoints    |
-//! | `/metrics`     | Prometheus text exposition of the fleet-wide snapshot  |
 //! | `/trace`       | Chrome `trace_event` JSON of the flight recorder       |
-//! | `/events`      | `text/event-stream` of `/status` documents until done, |
-//! |                | `: keep-alive` comment frames between changes          |
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use serde::{Serialize, Value};
 
@@ -39,14 +34,6 @@ use super::server::Shared;
 
 /// Upper bound on the request head (line + headers) we will buffer.
 const MAX_REQUEST_HEAD: usize = 16 * 1024;
-
-/// How often the SSE stream re-snapshots the fleet.
-const SSE_TICK: Duration = Duration::from_millis(200);
-
-/// Quiet [`SSE_TICK`]s (status unchanged) between `: keep-alive`
-/// comment frames — 15 ticks ≈ 3 s, well inside common proxy idle
-/// timeouts.
-const SSE_KEEP_ALIVE_TICKS: u32 = 15;
 
 /// Serves one HTTP connection whose `"GET "` prefix was already read.
 pub(super) fn handle(shared: &Arc<Shared>, stream: TcpStream) {
@@ -75,18 +62,6 @@ pub(super) fn handle(shared: &Arc<Shared>, stream: TcpStream) {
         "/telemetry" => respond_json(&mut stream, "200 OK", &telemetry_value(shared)),
         "/attribution" => respond_json(&mut stream, "200 OK", &attribution_value(shared)),
         "/coverage" => respond_json(&mut stream, "200 OK", &coverage_value(shared)),
-        "/dashboard" => respond_text(
-            &mut stream,
-            "200 OK",
-            "text/html; charset=utf-8",
-            DASHBOARD_HTML,
-        ),
-        "/metrics" => respond_text(
-            &mut stream,
-            "200 OK",
-            "text/plain; version=0.0.4",
-            &metrics_exposition(shared),
-        ),
         "/trace" => match shared.flight() {
             Some(flight) => respond_json(
                 &mut stream,
@@ -106,7 +81,6 @@ pub(super) fn handle(shared: &Arc<Shared>, stream: TcpStream) {
                 )]),
             ),
         },
-        "/events" => serve_events(shared, &mut stream),
         _ => respond_json(
             &mut stream,
             "404 Not Found",
@@ -239,186 +213,13 @@ fn coverage_value(shared: &Shared) -> Value {
     CoverageSnapshot::new(campaigns).to_value()
 }
 
-/// The `/events` SSE stream: a `status` event with the `/status`
-/// document whenever it changes (checked every [`SSE_TICK`]), a
-/// `: keep-alive` comment frame every [`SSE_KEEP_ALIVE_TICKS`] quiet
-/// ticks so proxies and `EventSource` clients survive idle campaigns,
-/// then a final `done` event and a clean close.
-fn serve_events(shared: &Shared, stream: &mut TcpStream) {
-    let head = "HTTP/1.1 200 OK\r\n\
-                Content-Type: text/event-stream\r\n\
-                Cache-Control: no-cache\r\n\
-                Connection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
-    let mut last_body = String::new();
-    let mut quiet_ticks = 0u32;
-    loop {
-        let done = shared.done.load(Ordering::SeqCst);
-        let body = serde_json::to_string(&status_value(shared)).expect("status serialises");
-        let frame = if done {
-            format!("event: done\ndata: {body}\n\n")
-        } else if body != last_body {
-            quiet_ticks = 0;
-            format!("event: status\ndata: {body}\n\n")
-        } else {
-            quiet_ticks += 1;
-            if quiet_ticks < SSE_KEEP_ALIVE_TICKS {
-                std::thread::sleep(SSE_TICK);
-                continue;
-            }
-            quiet_ticks = 0;
-            ": keep-alive\n\n".to_owned()
-        };
-        if stream.write_all(frame.as_bytes()).is_err() || stream.flush().is_err() {
-            return;
-        }
-        if done {
-            return;
-        }
-        last_body = body;
-        std::thread::sleep(SSE_TICK);
-    }
-}
-
-/// The `/metrics` body: the server's own fleet counters merged with
-/// every campaign's accepted worker telemetry, in Prometheus text
-/// exposition format 0.0.4 (the snapshot merge is additive, so the
-/// exposition reads as fleet-wide totals).
-fn metrics_exposition(shared: &Shared) -> String {
-    let views = {
-        let core = shared.core.lock().expect("no panics while holding lock");
-        core.campaign_views()
-    };
-    let mut snapshot = shared.registry().snapshot();
-    for view in views {
-        snapshot.merge(&view.telemetry);
-    }
-    snapshot.to_prometheus()
-}
-
-/// Writes a plain JSON response with `Content-Length` and closes.
+/// Writes a JSON response with `Content-Length` and closes.
 fn respond_json(stream: &mut TcpStream, status: &str, value: &Value) {
     let mut body = serde_json::to_string_pretty(value).expect("value serialises");
     body.push('\n');
-    respond_text(stream, status, "application/json", &body);
-}
-
-/// The `/dashboard` page: a single self-contained HTML document with
-/// inline CSS and vanilla JS, no external assets or libraries — it
-/// polls `/coverage`, `/status` and `/metrics` and renders per-cell CI
-/// bars, the worker liveness scoreboard and a trials-rate ETA.
-const DASHBOARD_HTML: &str = r##"<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>fleet convergence dashboard</title>
-<style>
-body{font-family:ui-monospace,Menlo,Consolas,monospace;background:#111;color:#ddd;margin:1.5em}
-h1{font-size:1.2em}h2{font-size:1em;margin:1.2em 0 .4em;color:#9cf}
-table{border-collapse:collapse;width:100%;max-width:64em}
-th,td{text-align:left;padding:.15em .8em .15em 0;font-size:.85em;white-space:nowrap}
-th{color:#888;font-weight:normal;border-bottom:1px solid #333}
-.bar{position:relative;width:16em;height:.9em;background:#222;border:1px solid #333;display:inline-block;vertical-align:middle}
-.ci{position:absolute;top:0;bottom:0;background:#2a4d69}
-.pt{position:absolute;top:-2px;bottom:-2px;width:2px;background:#9cf}
-.ok{color:#8c8}.warn{color:#ec5}.dead{color:#e66}
-#eta,#meta{color:#888;font-size:.85em}
-</style>
-</head>
-<body>
-<h1>fleet convergence dashboard</h1>
-<div id="meta">connecting&hellip;</div>
-<div id="eta"></div>
-<div id="campaigns"></div>
-<h2>workers</h2>
-<table id="workers"><thead><tr>
-<th>id</th><th>name</th><th>state</th><th>done</th><th>in flight</th>
-<th>lease age</th><th>heartbeat</th></tr></thead><tbody></tbody></table>
-<script>
-"use strict";
-let lastTrials=null,lastAt=null,rate=null;
-const ms=v=>v==null?"-":(v/1000).toFixed(1)+"s";
-const pct=v=>v==null?"  -  ":(100*v).toFixed(1)+"%";
-function bar(c){
-  const lo=c.wilson_low==null?0:c.wilson_low, hi=c.wilson_high==null?0:c.wilson_high;
-  const est=c.estimate==null?0:c.estimate;
-  return '<span class="bar"><span class="ci" style="left:'+(100*lo).toFixed(1)+
-    '%;width:'+(100*(hi-lo)).toFixed(1)+'%"></span><span class="pt" style="left:'+
-    (100*est).toFixed(1)+'%"></span></span>';
-}
-function renderCoverage(doc){
-  let html="",maxRemaining=0,totalTrials=0;
-  for(const c of doc.campaigns){
-    totalTrials+=c.e1_trials+c.e2_trials;
-    html+="<h2>"+c.name+" &middot; "+c.e1_trials+" E1 + "+c.e2_trials+
-      " E2 trials &middot; target &plusmn;"+c.delta+"</h2>";
-    html+="<table><thead><tr><th>cell</th><th>det/trials</th><th>p&#770;</th>"+
-      "<th>wilson 95%</th><th></th><th>need</th></tr></thead><tbody>";
-    for(const cell of c.cells){
-      maxRemaining=Math.max(maxRemaining,cell.trials_remaining);
-      html+="<tr><td>"+cell.label+"</td><td>"+cell.detected+"/"+cell.trials+
-        "</td><td>"+pct(cell.estimate)+"</td><td>["+pct(cell.wilson_low)+", "+
-        pct(cell.wilson_high)+"]</td><td>"+bar(cell)+"</td><td>"+
-        (cell.trials_remaining===0?'<span class="ok">ok</span>':"+"+cell.trials_remaining)+
-        "</td></tr>";
-    }
-    html+="</tbody></table>";
-    if(c.recomposition){
-      const r=c.recomposition;
-      html+="<div id='meta'>Pdetect recomposed = (Pen&middot;Pprop + Pem)&middot;Pds = "+
-        pct(r.p_detect_recomposed)+" (Pds "+pct(r.p_ds)+", Pem "+pct(r.p_em)+
-        ", Pprop "+pct(r.p_prop)+")</div>";
-    }
-  }
-  document.getElementById("campaigns").innerHTML=html;
-  const now=Date.now();
-  if(lastTrials!=null&&now>lastAt&&totalTrials>lastTrials){
-    const inst=(totalTrials-lastTrials)/((now-lastAt)/1000);
-    rate=rate==null?inst:0.7*rate+0.3*inst;
-  }
-  const eta=document.getElementById("eta");
-  if(maxRemaining===0){eta.textContent="every cell at target precision";}
-  else if(rate&&rate>0){eta.textContent="slowest cell needs "+maxRemaining+
-    " more trials; ~"+(maxRemaining/rate).toFixed(0)+"s at "+rate.toFixed(1)+" trials/s";}
-  else{eta.textContent="slowest cell needs "+maxRemaining+" more trials";}
-  lastTrials=totalTrials;lastAt=now;
-}
-function renderStatus(doc){
-  const rows=doc.workers.map(w=>{
-    const cls=!w.connected?"dead":(w.heartbeat_staleness_ms>5000?"warn":"ok");
-    const state=!w.connected?"gone":(w.slices_in_flight>0?"busy":"idle");
-    return "<tr><td>"+w.id+"</td><td>"+w.name+"</td><td class='"+cls+"'>"+state+
-      "</td><td>"+w.completed+"</td><td>"+w.slices_in_flight+"</td><td>"+
-      ms(w.oldest_lease_age_ms)+"</td><td>"+ms(w.heartbeat_staleness_ms)+"</td></tr>";
-  }).join("");
-  document.querySelector("#workers tbody").innerHTML=rows;
-  document.getElementById("meta").textContent=
-    (doc.done?"fleet done":"fleet running")+" | "+doc.workers.length+" workers";
-}
-async function poll(){
-  try{
-    const[cov,st]=await Promise.all([
-      fetch("/coverage").then(r=>r.json()),
-      fetch("/status").then(r=>r.json())]);
-    renderCoverage(cov);renderStatus(st);
-    fetch("/metrics").then(r=>r.text()).catch(()=>{});
-  }catch(e){
-    document.getElementById("meta").textContent="poll failed: "+e;
-  }
-}
-poll();setInterval(poll,1000);
-</script>
-</body>
-</html>
-"##;
-
-/// Writes a response with an explicit content type and closes.
-fn respond_text(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
     let head = format!(
         "HTTP/1.1 {status}\r\n\
-         Content-Type: {content_type}\r\n\
+         Content-Type: application/json\r\n\
          Content-Length: {}\r\n\
          Connection: close\r\n\r\n",
         body.len()

@@ -14,8 +14,8 @@
 //!   first-wins result dedup.
 //! - [`server`] — the `std::net::TcpListener` campaign server: a
 //!   multi-tenant queue of named campaigns, journals as the durability
-//!   layer (resume on restart), artefact finalization, and an HTTP +
-//!   SSE status side-channel on the same port ([`http`]).
+//!   layer (resume on restart), artefact finalization, and a JSON
+//!   HTTP status side-channel on the same port ([`http`]).
 //! - [`worker`] — the stateless slice executor built on
 //!   [`crate::campaign::CampaignRunner`].
 //!

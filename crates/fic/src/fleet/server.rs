@@ -1,6 +1,6 @@
 //! The campaign server: a multi-tenant queue of named campaigns served
 //! to workers over the wire protocol, journaled for durability, with a
-//! streaming HTTP/SSE status side-channel.
+//! JSON-over-HTTP status side-channel.
 //!
 //! One `std::net::TcpListener` serves both protocols: the first four
 //! bytes of each connection route it — ASCII `"GET "` (a length prefix
@@ -274,6 +274,9 @@ struct CampaignState {
 pub(super) struct Core {
     scheduler: Scheduler,
     campaigns: Vec<CampaignState>,
+    /// The first campaign whose artefacts could not be written;
+    /// [`Server::run`] returns it in `once` mode.
+    finalize_error: Option<io::Error>,
 }
 
 /// State shared between the accept loop, connection threads and the
@@ -346,7 +349,11 @@ impl Server {
 
         let monitored = MonitoredMap::new();
 
-        let mut scheduler = Scheduler::new(options.lease_ms);
+        // The server clock truncates to whole ms, so a lease stamped at
+        // floor(t) + lease_ms could lapse up to 1 ms of real time early.
+        // One more logical ms keeps every lease alive for at least
+        // `lease_ms` of real time after its grant or last heartbeat.
+        let mut scheduler = Scheduler::new(options.lease_ms.saturating_add(1));
         let mut states = Vec::with_capacity(campaigns.len());
         for (ci, spec) in campaigns.into_iter().enumerate() {
             let journal_path = options.journal_path(&spec.name);
@@ -387,6 +394,7 @@ impl Server {
             core: Mutex::new(Core {
                 scheduler,
                 campaigns: states,
+                finalize_error: None,
             }),
             work: Condvar::new(),
             done: AtomicBool::new(false),
@@ -425,7 +433,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Accept-loop failures other than the nonblocking wait.
+    /// Accept-loop failures other than the nonblocking wait, and in
+    /// `once` mode the first campaign whose artefacts could not be
+    /// written.
     pub fn run(self) -> io::Result<FleetSummary> {
         let Server { listener, shared } = self;
         loop {
@@ -446,7 +456,10 @@ impl Server {
                 Err(e) => return Err(e),
             }
         }
-        let core = shared.core.lock().expect("no panics while holding lock");
+        let mut core = shared.core.lock().expect("no panics while holding lock");
+        if let Some(e) = core.finalize_error.take() {
+            return Err(e);
+        }
         Ok(FleetSummary {
             campaigns: core
                 .campaigns
@@ -568,16 +581,28 @@ fn queue_slices(scheduler: &mut Scheduler, campaign: usize, state: &CampaignStat
     }
 }
 
-/// Finalizes every campaign whose slices are all done, and raises the
-/// fleet-wide done flag when nothing is left anywhere.
+/// Finalizes every campaign whose slices are all done, keeping the
+/// first failure for [`Server::run`], and raises the fleet-wide done
+/// flag when nothing is left anywhere.
 fn finalize_ready(shared: &Shared, core: &mut Core) {
     for ci in 0..core.campaigns.len() {
         if core.scheduler.campaign_done(ci) && !core.campaigns[ci].finalized {
-            if let Err(e) = finalize_campaign(&mut core.campaigns[ci], shared.flight.as_ref()) {
-                eprintln!(
-                    "fleet_server: finalizing campaign `{}` failed: {e}",
-                    core.campaigns[ci].spec.name
+            let state = &mut core.campaigns[ci];
+            if let Err(e) = finalize_campaign(state, shared.flight.as_ref()) {
+                let e = io::Error::new(
+                    e.kind(),
+                    format!(
+                        "finalizing campaign `{}` under {} failed: {e}",
+                        state.spec.name,
+                        state.out_dir.display()
+                    ),
                 );
+                // A `once` server returns the error from `run()`; a
+                // long-running one can only log it.
+                if !shared.options.once {
+                    eprintln!("fleet_server: {e}");
+                }
+                core.finalize_error.get_or_insert(e);
             }
             core.campaigns[ci].finalized = true;
         }

@@ -6,11 +6,11 @@
 //! and worker utilisation were invisible without a debugger. This
 //! module is the instrument panel. It follows the same philosophy as
 //! the vendored serde/rand shims — no external dependency, a small
-//! API surface shaped exactly like the well-known thing it stands in
-//! for (a Prometheus-style registry) — and the same zero-cost contract
-//! as [`arrestor::RunConfig`]'s `trace` flag: every instrumented call
-//! site is gated on an `Option`, so a campaign run without telemetry
-//! executes the identical instruction stream it always did.
+//! API surface of named counters, gauges and histograms — and the
+//! same zero-cost contract as [`arrestor::RunConfig`]'s `trace` flag:
+//! every instrumented call site is gated on an `Option`, so a campaign
+//! run without telemetry executes the identical instruction stream it
+//! always did.
 //!
 //! Three layers:
 //!
@@ -432,199 +432,6 @@ impl TelemetrySnapshot {
             }
         }
     }
-
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): `# HELP` / `# TYPE` per family, counters and
-    /// gauges as single samples, histograms as cumulative
-    /// `_bucket{le="…"}` series plus `_sum` and `_count`.
-    ///
-    /// Metric names are sanitised for Prometheus (every character
-    /// outside `[a-zA-Z0-9_:]` becomes `_`); the HELP line carries the
-    /// original dotted name, so [`TelemetrySnapshot::from_prometheus`]
-    /// reconstructs the exact registry names and the exposition
-    /// round-trips losslessly. Histogram min/max — which the format has
-    /// no series for — travel on `# MIN` / `# MAX` comment lines, which
-    /// standard scrapers skip.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let m = prometheus_name(name);
-            out.push_str(&format!("# HELP {m} {name}\n# TYPE {m} counter\n"));
-            out.push_str(&format!("{m} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            let m = prometheus_name(name);
-            out.push_str(&format!("# HELP {m} {name}\n# TYPE {m} gauge\n"));
-            out.push_str(&format!("{m} {value}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let m = prometheus_name(name);
-            out.push_str(&format!("# HELP {m} {name}\n# TYPE {m} histogram\n"));
-            let mut cumulative = 0u64;
-            for (bound, bucket) in h.bounds.iter().zip(&h.buckets) {
-                cumulative += bucket;
-                out.push_str(&format!("{m}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{m}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{m}_sum {}\n", h.sum));
-            out.push_str(&format!("{m}_count {}\n", h.count));
-            if let (Some(min), Some(max)) = (h.min, h.max) {
-                out.push_str(&format!("# MIN {m} {min}\n# MAX {m} {max}\n"));
-            }
-        }
-        out
-    }
-
-    /// Parses a [`TelemetrySnapshot::to_prometheus`] exposition back
-    /// into a snapshot. `telemetry_check --metrics` uses this to prove
-    /// an exported exposition still carries exactly the snapshot it was
-    /// rendered from.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed line or
-    /// structural inconsistency (unknown family, bucket sums
-    /// disagreeing with `_count`, …).
-    pub fn from_prometheus(text: &str) -> Result<TelemetrySnapshot, String> {
-        #[derive(Default)]
-        struct HistAcc {
-            bounds: Vec<u64>,
-            cumulative: Vec<u64>,
-            inf: Option<u64>,
-            sum: Option<u64>,
-            count: Option<u64>,
-            min: Option<u64>,
-            max: Option<u64>,
-        }
-        let mut help: BTreeMap<String, String> = BTreeMap::new();
-        let mut kinds: BTreeMap<String, String> = BTreeMap::new();
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, u64> = BTreeMap::new();
-        let mut hists: BTreeMap<String, HistAcc> = BTreeMap::new();
-        let parse_u64 = |s: &str, k: usize| {
-            s.parse::<u64>()
-                .map_err(|e| format!("line {}: `{s}`: {e}", k + 1))
-        };
-        for (k, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
-                let mut words = rest.split_whitespace();
-                let directive = words.next().unwrap_or("");
-                let name = words.next().unwrap_or("").to_owned();
-                let tail = words.collect::<Vec<_>>().join(" ");
-                match directive {
-                    "HELP" => {
-                        help.insert(name, tail);
-                    }
-                    "TYPE" => {
-                        kinds.insert(name, tail);
-                    }
-                    "MIN" => hists.entry(name).or_default().min = Some(parse_u64(&tail, k)?),
-                    "MAX" => hists.entry(name).or_default().max = Some(parse_u64(&tail, k)?),
-                    // Any other comment is legal in the format; skip it.
-                    _ => {}
-                }
-                continue;
-            }
-            let (series, value) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| format!("line {}: no sample value", k + 1))?;
-            let value = parse_u64(value, k)?;
-            if let Some((base, labels)) = series.split_once('{') {
-                let family = base.strip_suffix("_bucket").ok_or_else(|| {
-                    format!("line {}: labelled non-bucket series `{base}`", k + 1)
-                })?;
-                let le = labels
-                    .strip_prefix("le=\"")
-                    .and_then(|l| l.strip_suffix("\"}"))
-                    .ok_or_else(|| format!("line {}: expected le=\"…\" label", k + 1))?;
-                let acc = hists.entry(family.to_owned()).or_default();
-                if le == "+Inf" {
-                    acc.inf = Some(value);
-                } else {
-                    acc.bounds.push(parse_u64(le, k)?);
-                    acc.cumulative.push(value);
-                }
-            } else if kinds.get(series).is_some_and(|kind| kind == "counter") {
-                counters.insert(series.to_owned(), value);
-            } else if kinds.get(series).is_some_and(|kind| kind == "gauge") {
-                gauges.insert(series.to_owned(), value);
-            } else if let Some(family) = series.strip_suffix("_sum") {
-                hists.entry(family.to_owned()).or_default().sum = Some(value);
-            } else if let Some(family) = series.strip_suffix("_count") {
-                hists.entry(family.to_owned()).or_default().count = Some(value);
-            } else {
-                return Err(format!("line {}: series `{series}` has no TYPE", k + 1));
-            }
-        }
-        let original = |m: &str| {
-            help.get(m)
-                .cloned()
-                .ok_or_else(|| format!("family `{m}` has no HELP line to carry its name"))
-        };
-        let mut snapshot = TelemetrySnapshot::new();
-        for (m, value) in counters {
-            snapshot.counters.insert(original(&m)?, value);
-        }
-        for (m, value) in gauges {
-            snapshot.gauges.insert(original(&m)?, value);
-        }
-        for (m, acc) in hists {
-            if kinds.get(&m).map(String::as_str) != Some("histogram") {
-                return Err(format!("family `{m}` has histogram series but no TYPE"));
-            }
-            let count = acc
-                .count
-                .ok_or_else(|| format!("histogram `{m}`: no _count"))?;
-            let sum = acc.sum.ok_or_else(|| format!("histogram `{m}`: no _sum"))?;
-            if acc.inf != Some(count) {
-                return Err(format!("histogram `{m}`: +Inf bucket != _count"));
-            }
-            let mut buckets = Vec::with_capacity(acc.bounds.len() + 1);
-            let mut previous = 0u64;
-            for &cumulative in &acc.cumulative {
-                buckets.push(
-                    cumulative.checked_sub(previous).ok_or_else(|| {
-                        format!("histogram `{m}`: cumulative buckets not monotone")
-                    })?,
-                );
-                previous = cumulative;
-            }
-            buckets.push(
-                count
-                    .checked_sub(previous)
-                    .ok_or_else(|| format!("histogram `{m}`: bucket total exceeds _count"))?,
-            );
-            snapshot.histograms.insert(
-                original(&m)?,
-                HistogramSnapshot {
-                    bounds: acc.bounds,
-                    buckets,
-                    count,
-                    sum,
-                    min: acc.min,
-                    max: acc.max,
-                },
-            );
-        }
-        Ok(snapshot)
-    }
-}
-
-/// A registry name mapped into the Prometheus metric-name alphabet:
-/// every character outside `[a-zA-Z0-9_:]` becomes `_`.
-fn prometheus_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// Run metadata attached to every telemetry report, making the numbers
@@ -1110,49 +917,6 @@ mod tests {
         broken.count += 1; // bucket sum no longer matches
         report.snapshot.histograms.insert("bad".into(), broken);
         assert!(report.validate().is_err());
-    }
-
-    /// `to_prometheus` → `from_prometheus` reconstructs the snapshot
-    /// exactly — including metric names outside the Prometheus
-    /// alphabet, empty histograms, and histogram min/max.
-    #[test]
-    fn prometheus_exposition_round_trips() {
-        let registry = Registry::new();
-        registry.counter("campaign.trials").add(42);
-        registry.counter("fleet.worker.3.slices").add(7);
-        registry.gauge("campaign.workers").set(8);
-        let h = registry.histogram("campaign.e1.detection_latency_ms", &latency_bounds_ms());
-        for v in [1, 19, 40, 39_999, 80_000] {
-            h.record(v);
-        }
-        registry.histogram("journal.flush_latency_us", &span_bounds_us()); // empty
-        let snapshot = registry.snapshot();
-
-        let text = snapshot.to_prometheus();
-        assert!(text.contains("# TYPE campaign_trials counter"));
-        assert!(text.contains("# HELP campaign_trials campaign.trials"));
-        assert!(text.contains("campaign_e1_detection_latency_ms_bucket{le=\"+Inf\"} 5"));
-        assert!(text.contains("campaign_e1_detection_latency_ms_sum"));
-
-        let back = TelemetrySnapshot::from_prometheus(&text).unwrap();
-        assert_eq!(back, snapshot);
-    }
-
-    #[test]
-    fn prometheus_parser_rejects_malformed_expositions() {
-        // A series with no TYPE line.
-        assert!(TelemetrySnapshot::from_prometheus("orphan 3\n").is_err());
-        // A family whose HELP line (the original-name carrier) is gone.
-        let text = "# TYPE x counter\nx 3\n";
-        assert!(TelemetrySnapshot::from_prometheus(text)
-            .unwrap_err()
-            .contains("HELP"));
-        // Cumulative buckets that regress.
-        let registry = Registry::new();
-        registry.histogram("h", &[1, 2]).record(1);
-        let good = registry.snapshot().to_prometheus();
-        let bad = good.replace("h_bucket{le=\"2\"} 1", "h_bucket{le=\"2\"} 0");
-        assert!(TelemetrySnapshot::from_prometheus(&bad).is_err());
     }
 
     /// The ETA's windowed rate tracks recent throughput instead of the

@@ -11,15 +11,17 @@ use std::io::Cursor;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use fic::attribution::AttributionReport;
 use fic::fleet::wire::{
     decode_payload, encode_frame, read_frame, write_frame, Command, FrameBuffer, FrameError,
     RefusalKind, Response, SliceLease, MAX_FRAME_LEN, WIRE_VERSION,
 };
-use fic::fleet::{CampaignSpec, Server, ServerOptions};
+use fic::fleet::{run_worker, CampaignSpec, Server, ServerOptions, WorkerOptions};
 use fic::journal::{CampaignKind, TrialRecord};
-use fic::telemetry::{Registry, TelemetrySnapshot};
+use fic::telemetry::{Registry, TelemetryReport, TelemetrySnapshot};
 use fic::{Protocol, Trial};
 use proptest::prelude::*;
+use serde::{Deserialize, Value};
 
 fn sample_trial(detected_at: Option<u64>) -> Trial {
     let mut per_ea_first_ms = [None; 7];
@@ -380,6 +382,8 @@ fn a_held_lease_request_gets_a_slice_as_soon_as_its_lease_lapses() {
     std::thread::spawn(move || server.run());
 
     let (mut holder, holder_id) = register(addr, "holder");
+    // The grant cannot come before the request is written.
+    let leased = Instant::now();
     write_frame(
         &mut holder,
         &Command::LeaseRequest {
@@ -390,7 +394,6 @@ fn a_held_lease_request_gets_a_slice_as_soon_as_its_lease_lapses() {
     let Response::Lease { slice } = read_frame::<_, Response>(&mut holder).unwrap().unwrap() else {
         panic!("the only slice goes to the first asker");
     };
-    let leased = Instant::now();
 
     // Ask three quarters of a TTL later: the lease lapses a quarter
     // TTL into this request's wait.
@@ -522,24 +525,100 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     response
 }
 
-/// Pins the `/metrics` response shape: the 200 status line, the
-/// Prometheus content type (scrapers dispatch on it), and an
-/// exposition body that parses back into a telemetry snapshot.
-#[test]
-fn metrics_endpoint_serves_prometheus_exposition() {
-    let addr = spin_http_server("metrics", false);
-    let response = http_get(addr, "/metrics");
+/// The JSON body of a response, after asserting its status line and
+/// the JSON content type.
+fn json_response(response: &str, status: &str) -> Value {
     let (head, body) = response.split_once("\r\n\r\n").unwrap();
     assert!(
-        head.starts_with("HTTP/1.1 200 OK\r\n"),
+        head.starts_with(&format!("HTTP/1.1 {status}\r\n")),
         "status line pinned: {head}"
     );
+    assert!(head.contains("Content-Type: application/json"), "{head}");
+    serde_json::parse_value(body).unwrap()
+}
+
+/// The second expositions are gone: `/metrics`, `/dashboard` and
+/// `/events` fall through to the `no such route` 404.
+#[test]
+fn removed_routes_answer_no_such_route() {
+    let addr = spin_http_server("removed", false);
+    for path in ["/metrics", "/dashboard", "/events"] {
+        let body = json_response(&http_get(addr, path), "404 Not Found");
+        assert_eq!(
+            body,
+            Value::Object(vec![(
+                "error".to_owned(),
+                Value::Str(format!("no such route `{path}`"))
+            )]),
+            "{path}"
+        );
+    }
+}
+
+/// `/telemetry` and `/attribution` answer 200 JSON whose per-campaign
+/// documents are valid reports, and `/telemetry` carries the fleet's
+/// own counters under `fleet`, their one exposition.
+#[test]
+fn telemetry_and_attribution_endpoints_serve_valid_reports() {
+    let addr = spin_http_server("reports", false);
+    let campaign = |body: &Value| {
+        body.get("campaigns")
+            .and_then(|campaigns| campaigns.get("wire"))
+            .cloned()
+            .expect("a document for the served campaign")
+    };
+    let telemetry = json_response(&http_get(addr, "/telemetry"), "200 OK");
+    TelemetryReport::from_value(&campaign(&telemetry))
+        .unwrap()
+        .validate()
+        .unwrap();
+    TelemetrySnapshot::from_value(telemetry.get("fleet").expect("fleet counters")).unwrap();
+    let attribution = json_response(&http_get(addr, "/attribution"), "200 OK");
+    AttributionReport::from_value(&campaign(&attribution))
+        .unwrap()
+        .validate()
+        .unwrap();
+}
+
+/// A campaign whose artefact directory cannot be created fails a
+/// `once` server: `run()` returns the error, naming the directory,
+/// instead of a summary.
+#[test]
+fn a_once_server_fails_when_a_campaign_cannot_be_finalized() {
+    let dir = std::env::temp_dir().join(format!("fic-fleet-unwritable-{}", std::process::id()));
+    let out_dir = dir.join("out");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    std::fs::write(out_dir.join("blocked"), "a file, not a directory").unwrap();
+    let options = ServerOptions {
+        listen: "127.0.0.1:0".to_owned(),
+        out_dir: out_dir.clone(),
+        journal_dir: Some(dir.join("journal")),
+        once: true,
+        ..ServerOptions::default()
+    };
+    let spec = CampaignSpec {
+        name: "blocked".to_owned(),
+        protocol: Protocol::scaled(1, 500),
+        e1_numbers: vec![1],
+        e2_numbers: Vec::new(),
+    };
+    let server = Server::bind(options, vec![spec]).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+    run_worker(&WorkerOptions {
+        connect: addr.to_string(),
+        name: "blocked-worker".to_owned(),
+        threads: 1,
+        ..WorkerOptions::default()
+    })
+    .unwrap();
+    let err = server_thread.join().unwrap().unwrap_err();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let message = err.to_string();
     assert!(
-        head.contains("Content-Type: text/plain; version=0.0.4"),
-        "Prometheus content type pinned: {head}"
+        message.contains(&out_dir.join("blocked").display().to_string()),
+        "{message}"
     );
-    let snapshot = TelemetrySnapshot::from_prometheus(body).expect("body is valid exposition");
-    assert_eq!(snapshot.to_prometheus(), body, "exposition round-trips");
 }
 
 /// Pins the `/trace` response shape in both server configurations:

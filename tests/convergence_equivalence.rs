@@ -13,8 +13,7 @@
 //!   `results/convergence/*.json` is a pure function of the journal;
 //! * a fleet run finalizes a valid convergence artefact whose
 //!   aggregate re-derives exactly from the fleet journal, and serves
-//!   `/coverage` (a parseable snapshot) and `/dashboard` (a
-//!   self-contained HTML page) over the status port.
+//!   `/coverage` (a parseable snapshot) over the status port.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -95,7 +94,9 @@ fn convergence_is_a_pure_observer() {
         out_dir: dir.clone(),
         ..CliOptions::default()
     };
-    options.emit_convergence("conv-eq", &protocol, &conv_e1, &conv_e2);
+    options
+        .emit_convergence("conv-eq", &protocol, &conv_e1, &conv_e2)
+        .expect("convergence report written");
     let written = dir.join("convergence").join("conv-eq.json");
     let report: ConvergenceReport =
         serde_json::from_str(&std::fs::read_to_string(written).unwrap()).unwrap();
@@ -110,10 +111,10 @@ fn convergence_is_a_pure_observer() {
 /// The fleet server derives convergence from the same folded reports
 /// it serves everywhere else: the finalized artefact validates and
 /// re-derives from the fleet journal, `/coverage` parses as a
-/// coverage snapshot, `/dashboard` is a self-contained HTML page, and
-/// serving all of it leaves the tables identical to a bare fleet run.
+/// coverage snapshot, and serving it leaves the tables identical to a
+/// bare fleet run.
 #[test]
-fn fleet_serves_coverage_and_dashboard() {
+fn fleet_serves_coverage() {
     let protocol = protocol();
     let e1_limit = 4usize;
     let e2_limit = 2usize;
@@ -149,7 +150,6 @@ fn fleet_serves_coverage_and_dashboard() {
         // the campaign completes.
         let probed = probe_http.then(|| {
             let coverage = http_get(addr, "/coverage");
-            let dashboard = http_get(addr, "/dashboard");
             let mut status = http_get(addr, "/status");
             for _ in 0..300 {
                 if status.contains("slices_in_flight") {
@@ -158,7 +158,7 @@ fn fleet_serves_coverage_and_dashboard() {
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 status = http_get(addr, "/status");
             }
-            (coverage, dashboard, status)
+            (coverage, status)
         });
         worker_thread.join().unwrap();
         (server_thread.join().unwrap(), probed)
@@ -179,9 +179,9 @@ fn fleet_serves_coverage_and_dashboard() {
     assert_eq!(render(outcome), render(&bare.campaigns[0]));
 
     // The pre-completion probes: /coverage parses as a snapshot (the
-    // campaign_watch contract), /dashboard is a self-contained HTML
-    // page, /status carries the liveness scoreboard fields.
-    let (coverage, dashboard, status) = probed.unwrap();
+    // campaign_watch contract), /status carries the liveness
+    // scoreboard fields.
+    let (coverage, status) = probed.unwrap();
     let (head, body) = coverage.split_once("\r\n\r\n").unwrap();
     assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
     assert!(head.contains("Content-Type: application/json"));
@@ -189,19 +189,6 @@ fn fleet_serves_coverage_and_dashboard() {
     assert_eq!(snapshot.kind, convergence::REPORT_KIND);
     assert_eq!(snapshot.campaigns.len(), 1);
     assert_eq!(snapshot.campaigns[0].name, "conv");
-
-    let (head, body) = dashboard.split_once("\r\n\r\n").unwrap();
-    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
-    assert!(head.contains("Content-Type: text/html"));
-    assert!(body.starts_with("<!DOCTYPE html>"));
-    assert!(body.trim_end().ends_with("</html>"));
-    for needle in ["/coverage", "/status", "/metrics", "<script>", "</script>"] {
-        assert!(body.contains(needle), "dashboard must reference {needle}");
-    }
-    assert!(
-        !body.contains("http://") && !body.contains("https://"),
-        "dashboard must be dependency-free (no external URLs)"
-    );
 
     let (_, body) = status.split_once("\r\n\r\n").unwrap();
     for field in [
