@@ -79,7 +79,8 @@ pub struct RetiredLane {
     /// The settle instant, when the lane retired early; `None` when it
     /// ran out the window.
     pub settle_stop_ms: Option<u64>,
-    /// What proved the early stop sound.
+    /// What proved the early stop sound; `None` with a stop instant is
+    /// a record-final stop ([`crate::record_final`]).
     pub settle_proof: Option<SettleProof>,
     /// Fingerprint captures the lane's detector took.
     pub settle_captures: u64,

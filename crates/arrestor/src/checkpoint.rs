@@ -107,6 +107,21 @@
 //! unsound — samples record the raw pressure `f64`s — and is gated
 //! off; exact-bit recurrence (whose samples replay exactly) remains.
 //!
+//! # The record-final stop
+//!
+//! A recurrence proves the *whole* state final; the record only needs
+//! its verdict and first detections final. With the analytic
+//! relaxation enabled (and no readout capture, trace or recovery), each
+//! due check after arrest first asks [`crate::record_final::is_final`]
+//! whether the verdict is frozen, the set point is absorbing, the
+//! schedule is nominal and every mechanism that has not fired carries a
+//! certificate that it never will. If so the trial stops there with no state proof:
+//! [`SettleDetector::check`] returns `true` while
+//! [`SettleDetector::proof`] and [`SettleDetector::recurrence_ms`] stay
+//! `None`. Callers report that pairing (a stop instant without a proof)
+//! as a record-final stop. The argument is in `docs/PROOFS.md`
+//! §Record-final certificates.
+//!
 //! # Recovery write-back
 //!
 //! Runs with recovery enabled keep the detector: a repair writes
@@ -289,6 +304,14 @@ pub struct SettleDetector {
     /// true, δ ≠ 0 translations are rejected if an EA6 repair could
     /// occur during the replayed interval.
     recovery_noncovariant: bool,
+    /// What the trial's flip can reach after arrest (record-final
+    /// certificates).
+    reach: crate::record_final::FlipReach,
+    /// Whether record-final stops are sound for this run at all: no
+    /// readout capture (samples record raw state), no recovery
+    /// write-back (repairs by fired mechanisms write cells) and a flip
+    /// that leaves the premises reachable. Used only with `analytic`.
+    record_final: bool,
     /// Fingerprints taken so far (telemetry: fingerprinting cost).
     captures: u64,
     /// What proved the run settled, once [`SettleDetector::check`]
@@ -373,6 +396,9 @@ impl SettleDetector {
         // Fold the readout grid into the alignment so every recurrence
         // distance is a whole number of sample periods.
         let readout_every_ms = config.record_every_ms;
+        let reach = crate::record_final::FlipReach::of(system.master(), flip, injection_period_ms);
+        let record_final =
+            readout_every_ms == 0 && config.recovery.is_none() && reach.admits_certificates();
         let period_ms = lcm(
             lcm(u64::from(slot::COUNT), injection_period_ms.max(1)),
             readout_every_ms.max(1),
@@ -397,21 +423,25 @@ impl SettleDetector {
             readout_every_ms,
             analytic: false,
             recovery_noncovariant,
+            reach,
+            record_final,
             captures: 0,
             proof: None,
             recurrence_ms: None,
         }
     }
 
-    /// Enables (or disables) the analytic absorbing-band relaxation:
-    /// pressure recurrence may then be proven by the convergence bound
-    /// of [`crate::settle`] instead of bit-exact equality, which stops
-    /// trials seconds earlier and gives never-recurring decays (e.g.
-    /// towards a zero command) a sound early verdict. Off by default;
-    /// campaigns enable it (`fic::CampaignRunner::with_analytic_settle`
-    /// opts out). Has no
-    /// effect in readout mode, where the relaxation would be unsound
-    /// (samples record the raw pressure `f64`s).
+    /// Enables (or disables) the analytic stops: the absorbing-band
+    /// relaxation — pressure recurrence may then be proven by the
+    /// convergence bound of [`crate::settle`] instead of bit-exact
+    /// equality, which stops trials seconds earlier and gives
+    /// never-recurring decays (e.g. towards a zero command) a sound
+    /// early verdict — and the record-final stop (module docs). Off by
+    /// default, so a detector without it stops on exact recurrence
+    /// only; campaigns enable it
+    /// (`fic::CampaignRunner::with_analytic_settle` opts out). Has no
+    /// effect in readout mode, where both would be unsound (samples
+    /// record the raw pressure `f64`s).
     #[must_use]
     pub const fn with_analytic(mut self, enabled: bool) -> Self {
         self.analytic = enabled;
@@ -436,7 +466,8 @@ impl SettleDetector {
 
     /// The argument that proved the run settled, once
     /// [`SettleDetector::check`] has returned `true`; `None` while the
-    /// run is still live.
+    /// run is still live, and also after a record-final stop (module
+    /// docs), which proves the record final but no state recurrence.
     pub const fn proof(&self) -> Option<SettleProof> {
         self.proof
     }
@@ -486,6 +517,11 @@ impl SettleDetector {
         // recurrence is possible and capturing would be wasted work.
         if !system.failmon().arrested() {
             return false;
+        }
+        // The record can be final long before the state recurs; the
+        // certificates cost a few cell reads, a capture far more.
+        if self.analytic && self.record_final && crate::record_final::is_final(system, self.reach) {
+            return true;
         }
         let current = self.capture(system);
         self.captures += 1;
@@ -861,7 +897,14 @@ mod tests {
         // Two detectors over one system: the analytic one must stop
         // strictly earlier (it does not wait for the f64 pressure bits
         // to recur) and the early outputs must equal the full window's.
-        let mut system = system();
+        // Recovery write-back turns the record-final stop off, so the
+        // band is the first analytic stop; a fault-free run never
+        // repairs anything.
+        let config = RunConfig {
+            recovery: Some(ea_core::RecoveryStrategy::HoldPrevious),
+            ..RunConfig::default()
+        };
+        let mut system = System::new(TestCase::new(12_000.0, 55.0), config);
         let mut plain = SettleDetector::new(&system, None, 20);
         let mut analytic = SettleDetector::new(&system, None, 20).with_analytic(true);
         let mut analytic_at = None;
@@ -887,6 +930,44 @@ mod tests {
             early.verdict.final_distance_m.to_bits(),
             full.verdict.final_distance_m.to_bits()
         );
+        assert_eq!(early.detections, full.detections);
+    }
+
+    #[test]
+    fn record_final_stop_precedes_recurrence_with_identical_outputs() {
+        // A fault-free run: every mechanism is certified once the
+        // set point rests, so the record-final stop comes before any
+        // recurrence, reports no state proof, and finishes with the
+        // full window's outputs.
+        let mut system = system();
+        let mut exact = SettleDetector::new(&system, None, 20);
+        let mut record = SettleDetector::new(&system, None, 20).with_analytic(true);
+        let mut record_at = None;
+        let mut exact_at = None;
+        let mut early = None;
+        while system.time_ms() < 40_000 && exact_at.is_none() {
+            if record_at.is_none() && record.check(&system) {
+                record_at = Some(system.time_ms());
+                early = Some(system.clone());
+            }
+            if exact.check(&system) {
+                exact_at = Some(system.time_ms());
+            }
+            system.tick();
+        }
+        let tr = record_at.expect("the record-final stop fires inside the window");
+        let te = exact_at.expect("exact recurrence settles inside the window");
+        assert!(tr < te, "record-final {tr} ms must beat exact {te} ms");
+        assert_eq!(record.proof(), None);
+        assert_eq!(record.recurrence_ms(), None);
+        assert!(record.captures() < exact.captures());
+        let early = early.expect("cloned at the record-final stop").finish();
+        let full = system.run_to_completion();
+        assert_eq!(
+            early.verdict.final_distance_m.to_bits(),
+            full.verdict.final_distance_m.to_bits()
+        );
+        assert_eq!(early.verdict.failed(), full.verdict.failed());
         assert_eq!(early.detections, full.detections);
     }
 

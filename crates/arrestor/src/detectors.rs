@@ -233,6 +233,16 @@ impl Detectors {
         self.bank.has_detected(self.ids[ea.index()])
     }
 
+    /// Whether mechanism `ea` logs detections in this version.
+    pub fn is_enabled(&self, ea: EaId) -> bool {
+        self.bank.is_enabled(self.ids[ea.index()])
+    }
+
+    /// Mechanism `ea`'s monitor: its parameters and previous sample.
+    pub fn monitor(&self, ea: EaId) -> &ea_core::SignalMonitor {
+        self.bank.monitor(self.ids[ea.index()])
+    }
+
     /// Maps a logged monitor id back to its mechanism.
     pub fn ea_of(&self, monitor: MonitorId) -> EaId {
         EaId::from_index(monitor.0).expect("bank holds exactly EA1..EA7")
@@ -254,7 +264,7 @@ impl Detectors {
     pub fn check_counts(&self) -> [u64; 7] {
         let mut counts = [0u64; 7];
         for ea in EaId::ALL {
-            counts[ea.index()] = self.bank.monitor(self.ids[ea.index()]).checks();
+            counts[ea.index()] = self.monitor(ea).checks();
         }
         counts
     }
@@ -264,8 +274,7 @@ impl Detectors {
     pub fn check_costs(&self) -> [ea_core::CheckCost; 7] {
         let mut costs = [ea_core::CheckCost::ZERO; 7];
         for ea in EaId::ALL {
-            costs[ea.index()] =
-                ea_core::cost::monitor_cost(self.bank.monitor(self.ids[ea.index()]));
+            costs[ea.index()] = ea_core::cost::monitor_cost(self.monitor(ea));
         }
         costs
     }

@@ -64,6 +64,12 @@ impl KernelState {
         self.calc_halted
     }
 
+    /// Whether no fault is in effect or pending: the schedule runs
+    /// every module in its slot.
+    pub const fn is_clean(&self) -> bool {
+        !self.hung && !self.calc_halted && !self.skip_slot && self.skip_module.is_none()
+    }
+
     /// Applies a fault to the kernel state.
     pub fn apply(&mut self, fault: ControlFlowFault) {
         match fault {

@@ -2,7 +2,13 @@
 //! observability layer:
 //!
 //! * `--report <file>` — parse a `results/telemetry/*.json` report and
-//!   run the structural schema checks ([`fic::telemetry::TelemetryReport::validate`]);
+//!   run the structural schema checks ([`fic::telemetry::TelemetryReport::validate`])
+//!   and the trial-accounting equations: every settled trial carries
+//!   exactly one stop label (`campaign.trials.settled` = Σ
+//!   `campaign.settle.proof.*` + `campaign.settle.record_final.stops`),
+//!   and every trial is pruned, settled or run to the horizon
+//!   (`trials.settled` + `trials.full_window` = `campaign.trials` −
+//!   `campaign.prune.trials`);
 //! * `--journal <file>` — cross-check the report's checkpoint-cache
 //!   counters against ground truth derivable from the trial journal of
 //!   the *same fresh run*: per campaign, the cache misses once per
@@ -133,6 +139,16 @@ fn main() -> ExitCode {
             Ok(()) => println!("report {}: schema ok", path.display()),
             Err(e) => {
                 eprintln!("report {}: INVALID: {e}", path.display());
+                failures += 1;
+            }
+        }
+        match check_trial_accounting(report) {
+            Ok((settled, trials)) => println!(
+                "report {}: trial accounting balances ({settled} settled of {trials} trials)",
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("report {}: ACCOUNTING MISMATCH: {e}", path.display());
                 failures += 1;
             }
         }
@@ -295,6 +311,44 @@ fn executions(journal: &Journal, shards: usize) -> Vec<Vec<usize>> {
         groups[kind * shards + pair % shards].push(k);
     }
     groups
+}
+
+/// The stop proofs of a report's settled trials, one counter per
+/// label: four state proofs, the analytic band, and the record-final
+/// stops that carry no state proof.
+const STOP_LABELS: [&str; 6] = [
+    "campaign.settle.proof.exact",
+    "campaign.settle.proof.translated",
+    "campaign.settle.proof.retired_clock",
+    "campaign.settle.proof.frozen_hung",
+    "campaign.settle.proof.analytic_band",
+    "campaign.settle.record_final.stops",
+];
+
+/// The report's trial counters balance: each settled trial carries
+/// exactly one stop label, and each trial was pruned, settled or run to
+/// its horizon. Both equations are sums of per-trial increments, so
+/// they hold for merged shard and fleet reports too. Returns the
+/// settled and total trial counts.
+fn check_trial_accounting(report: &TelemetryReport) -> Result<(u64, u64), String> {
+    let counter = |name: &str| report.snapshot.counter(name);
+    let settled = counter("campaign.trials.settled");
+    let labelled: u64 = STOP_LABELS.iter().map(|name| counter(name)).sum();
+    if settled != labelled {
+        return Err(format!(
+            "campaign.trials.settled = {settled} but the stop labels sum to {labelled}"
+        ));
+    }
+    let trials = counter("campaign.trials");
+    let pruned = counter("campaign.prune.trials");
+    let full_window = counter("campaign.trials.full_window");
+    if settled + full_window + pruned != trials {
+        return Err(format!(
+            "settled {settled} + full_window {full_window} + pruned {pruned} != \
+             campaign.trials {trials}"
+        ));
+    }
+    Ok((settled, trials))
 }
 
 /// The report's checkpoint-cache hit/miss counters equal the values a

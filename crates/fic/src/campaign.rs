@@ -125,6 +125,7 @@ pub struct CampaignTelemetry {
     proof_frozen: Arc<telemetry::Counter>,
     proof_analytic: Arc<telemetry::Counter>,
     analytic_stops: Arc<telemetry::Counter>,
+    record_final_stops: Arc<telemetry::Counter>,
     prune_trials: Arc<telemetry::Counter>,
     prune_dead_stack: Arc<telemetry::Counter>,
     prune_unread_ram: Arc<telemetry::Counter>,
@@ -162,6 +163,7 @@ impl CampaignTelemetry {
             proof_frozen: registry.counter("campaign.settle.proof.frozen_hung"),
             proof_analytic: registry.counter("campaign.settle.proof.analytic_band"),
             analytic_stops: registry.counter("campaign.settle.analytic.stops"),
+            record_final_stops: registry.counter("campaign.settle.record_final.stops"),
             prune_trials: registry.counter("campaign.prune.trials"),
             prune_dead_stack: registry.counter("campaign.prune.dead_stack"),
             prune_unread_ram: registry.counter("campaign.prune.unread_ram"),
@@ -187,17 +189,19 @@ impl CampaignTelemetry {
             }
             None => self.trials_full_window.inc(),
         }
-        if let Some(proof) = exec.settle_proof {
-            match proof {
-                arrestor::SettleProof::ExactRecurrence => self.proof_exact.inc(),
-                arrestor::SettleProof::TranslatedRecurrence => self.proof_translated.inc(),
-                arrestor::SettleProof::RetiredClock => self.proof_retired.inc(),
-                arrestor::SettleProof::FrozenHung => self.proof_frozen.inc(),
-                arrestor::SettleProof::AnalyticBand => {
-                    self.proof_analytic.inc();
-                    self.analytic_stops.inc();
-                }
+        match exec.settle_proof {
+            Some(arrestor::SettleProof::ExactRecurrence) => self.proof_exact.inc(),
+            Some(arrestor::SettleProof::TranslatedRecurrence) => self.proof_translated.inc(),
+            Some(arrestor::SettleProof::RetiredClock) => self.proof_retired.inc(),
+            Some(arrestor::SettleProof::FrozenHung) => self.proof_frozen.inc(),
+            Some(arrestor::SettleProof::AnalyticBand) => {
+                self.proof_analytic.inc();
+                self.analytic_stops.inc();
             }
+            // A stop without a state proof: the record-final certificates
+            // (`arrestor::record_final`) closed the trial.
+            None if exec.settle_stop_ms.is_some() => self.record_final_stops.inc(),
+            None => {}
         }
     }
 

@@ -99,7 +99,10 @@ pub struct TrialExecution {
     /// Simulation time at which the settle detector stopped the run,
     /// ms; `None` when the trial ran its full observation window.
     pub settle_stop_ms: Option<u64>,
-    /// What proved the early stop sound.
+    /// What proved the early stop sound. `None` together with a
+    /// `settle_stop_ms` is a record-final stop: the record-final
+    /// certificates (`arrestor::record_final`) proved the record final
+    /// without any state recurrence.
     pub settle_proof: Option<arrestor::SettleProof>,
     /// Fingerprint captures the detector took.
     pub settle_captures: u64,

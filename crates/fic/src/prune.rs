@@ -37,7 +37,7 @@
 //! 417-byte RAM map).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use arrestor::{EaSet, MasterNode};
 use memsim::{BitFlip, Region, StackHit, StackLayout};
@@ -142,12 +142,15 @@ impl Default for InertMap {
 
 /// The campaign-wide prune state: the inert-coordinate map plus one
 /// shared reference trial per test case, built lazily by the first
-/// worker that prunes a trial of that case (the same sharing idiom as
-/// [`crate::campaign::CheckpointCache`]).
+/// worker that prunes a trial of that case.
+///
+/// Each case has its own once-cell: the map's lock is held only to find
+/// or insert the cell, never while a reference trial simulates, so a
+/// worker waits only for the case it needs.
 #[derive(Debug)]
 pub struct PruneCache {
     map: InertMap,
-    references: Mutex<HashMap<usize, Arc<Trial>>>,
+    references: Mutex<HashMap<usize, Arc<OnceLock<Arc<Trial>>>>>,
 }
 
 impl PruneCache {
@@ -175,21 +178,29 @@ impl PruneCache {
         prefix: &arrestor::Snapshot,
         analytic_settle: bool,
     ) -> (Arc<Trial>, bool) {
-        let mut map = self
-            .references
-            .lock()
-            .expect("no panics while holding lock");
-        if let Some(existing) = map.get(&case_index) {
-            return (Arc::clone(existing), false);
-        }
-        let trial = Arc::new(run_reference_trial_with(
-            protocol,
-            case,
-            prefix,
-            analytic_settle,
-        ));
-        map.insert(case_index, Arc::clone(&trial));
-        (trial, true)
+        self.shared(case_index, || {
+            run_reference_trial_with(protocol, case, prefix, analytic_settle)
+        })
+    }
+
+    /// The trial cached for `case_index`, built by `build` on first
+    /// use; whether this call built it.
+    fn shared(&self, case_index: usize, build: impl FnOnce() -> Trial) -> (Arc<Trial>, bool) {
+        let cell = Arc::clone(
+            self.references
+                .lock()
+                .expect("no panics while holding lock")
+                .entry(case_index)
+                .or_default(),
+        );
+        // `get_or_init` runs exactly one initialiser per cell; callers
+        // racing on the same case block on that cell alone.
+        let mut built = false;
+        let trial = cell.get_or_init(|| {
+            built = true;
+            Arc::new(build())
+        });
+        (Arc::clone(trial), built)
     }
 }
 
@@ -318,5 +329,52 @@ mod tests {
             builds[ci] += usize::from(built);
         }
         assert_eq!(builds, vec![1; cases.len()]);
+    }
+
+    #[test]
+    fn a_reference_build_blocks_only_its_own_case() {
+        // One thread is mid-build on case 0, parked on a rendezvous
+        // inside its build; a second thread must still get case 1 built
+        // and returned. Were the cache locked while a reference
+        // simulates, it would wait for case 0 and time out.
+        let protocol = crate::protocol::Protocol::scaled(2, 3_000);
+        let case = protocol.grid.cases()[1];
+        let prefix = fault_free_prefix(&protocol, case);
+        let cache = PruneCache::new();
+        let (entered, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let placeholder = Trial {
+            failed: false,
+            per_ea_first_ms: [None; 7],
+            first_injection_ms: 0,
+            final_distance_m: 0.0,
+        };
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                cache.shared(0, || {
+                    entered.wait();
+                    release.wait();
+                    placeholder.clone()
+                })
+            });
+            entered.wait();
+            let (sender, receiver) = std::sync::mpsc::channel();
+            let (cache, protocol, prefix) = (&cache, &protocol, &prefix);
+            scope.spawn(move || {
+                let _ = sender.send(cache.reference(protocol, 1, case, prefix, true));
+            });
+            let other = receiver.recv_timeout(std::time::Duration::from_secs(60));
+            release.wait();
+            assert!(holder.join().unwrap().1, "the holder built case 0");
+            let (trial, built) = other.expect("case 1 must build while case 0 is mid-build");
+            assert!(built);
+            assert_eq!(
+                *trial,
+                run_reference_trial_with(protocol, case, prefix, true)
+            );
+        });
+        // Later lookups of case 0 share the holder's build.
+        let (trial, built) = cache.shared(0, || unreachable!("case 0 is built"));
+        assert!(!built);
+        assert_eq!(*trial, placeholder);
     }
 }

@@ -62,6 +62,7 @@ const COMPARED_COUNTERS: &[&str] = &[
     "campaign.settle.proof.frozen_hung",
     "campaign.settle.proof.analytic_band",
     "campaign.settle.analytic.stops",
+    "campaign.settle.record_final.stops",
     "campaign.prune.trials",
     "campaign.prune.dead_stack",
     "campaign.prune.unread_ram",
@@ -201,6 +202,9 @@ fn reference_counters(protocol: &Protocol, errors: &[ErrorRef]) -> Vec<(String, 
                         Some(SettleProof::AnalyticBand) => {
                             bump("campaign.settle.proof.analytic_band", 1);
                             bump("campaign.settle.analytic.stops", 1);
+                        }
+                        None if exec.settle_stop_ms.is_some() => {
+                            bump("campaign.settle.record_final.stops", 1);
                         }
                         None => {}
                     }

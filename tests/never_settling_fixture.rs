@@ -5,23 +5,30 @@
 //! exact recurrence detector cannot fire until the decay bottoms out,
 //! seconds after every output froze. Probing the whole seeded E2 set
 //! at the paper's 40 s window (the ignored probe below) measures that
-//! tail: 790 of 800 trials close analytically a median 840 ms / mean
-//! 1.65 s / max 3.64 s before exact recurrence, and the other 10 are
+//! tail. With the analytic stops on, 750 of the 800 trials now stop on
+//! a record-final certificate (docs/PROOFS.md), 16 on the absorbing
+//! band (tails up to 3.64 s before exact recurrence) and 25 on a
+//! recurrence the exact detector finds at the same instant; 9 are
 //! genuinely never-final (their corrupted commands never stabilise, so
-//! *no* sound early stop exists and both detectors correctly run to
-//! the horizon). Inside any window shorter than its exact-recurrence
-//! instant, a tail trial therefore runs to the horizon with the analytic
-//! settle switched off (`with_analytic_settle(false)`) while the
-//! analytic absorbing-band proof
-//! (docs/PROOFS.md) still gives it a sound early verdict.
+//! no sound early stop exists and both detectors correctly run to the
+//! horizon). One pair the exact detector never closes, R19 case 1, now
+//! stops record-final at 25.76 s: its state never recurs, but its
+//! record is final. Inside any window shorter than its
+//! exact-recurrence instant, a tail trial therefore runs to the
+//! horizon with the analytic settle switched off
+//! (`with_analytic_settle(false)`) while the analytic absorbing-band
+//! proof still gives it a sound early verdict.
 //!
-//! This file pins the worst-tail pair — R183 case 1, analytic stop at
+//! This file pins the worst band tail — R183 case 1, analytic stop at
 //! 10 360 ms, exact recurrence at 14 000 ms — inside a 12 s window and
 //! asserts the analytic stop yields the identical [`Trial`] (and
 //! therefore identical journal bytes) to the horizon run, at a
-//! fraction of the simulated time. The probe that found the pair is
-//! kept (ignored) so the fixture can be re-derived if the seed or the
-//! plant model changes.
+//! fraction of the simulated time. Its flip hits the CLOCK frame's
+//! control word, which skips CLOCK whenever it is injected, so the
+//! record-final certificates never apply and the band still closes it.
+//! The probe that found the pair is kept (ignored) so the fixture can
+//! be re-derived if the seed, the plant model or the stop rules
+//! change.
 
 use ea_repro::fic::experiment::{fault_free_prefix, run_trial_checkpointed_observed_with};
 use ea_repro::fic::{error_set, Protocol};
@@ -61,12 +68,12 @@ fn probe_never_settling_pairs() {
                     error.number
                 ),
                 (exact_stop, Some(fast_stop)) => println!(
-                    "R{} case {ci}: analytic {} ms, exact {} — tail {} ms ({:?})",
+                    "R{} case {ci}: analytic {} ms, exact {} — tail {} ms ({})",
                     error.number,
                     fast_stop,
                     exact_stop.map_or("horizon".into(), |t| t.to_string()),
                     exact_stop.map_or(protocol.observation_ms - fast_stop, |t| t - fast_stop),
-                    fast.settle_proof,
+                    fast.settle_proof.map_or("record-final", |p| p.label()),
                 ),
                 (Some(t), None) => println!(
                     "R{} case {ci}: REGRESSION — exact stops at {t} ms, analytic never",

@@ -176,6 +176,7 @@ fn assert_configs_equivalent(
         "campaign.prune.references",
         "campaign.settle.proof.analytic_band",
         "campaign.settle.analytic.stops",
+        "campaign.settle.record_final.stops",
     ] {
         prop_assert_eq!(exact.snapshot.counter(name), 0, "exact path ran {}", name);
     }

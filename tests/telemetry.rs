@@ -251,6 +251,30 @@ fn zeroed_prune_counters_fail_the_journal_check() {
     );
 }
 
+/// `telemetry_check --report` balances the trial counters: a stop
+/// label without a settled trial, or a trial counted twice, fails the
+/// accounting equations.
+#[test]
+fn unbalanced_trial_counters_fail_the_report_check() {
+    let subset = &error_set::e2()[..6];
+    let bump = |name: &'static str| {
+        move |report: &mut telemetry::TelemetryReport| {
+            *report.snapshot.counters.entry(name.to_owned()).or_default() += 1;
+        }
+    };
+    for (tag, name) in [
+        ("label", "campaign.settle.record_final.stops"),
+        ("trials", "campaign.trials.full_window"),
+    ] {
+        assert_doctored_report_fails_the_journal_check(
+            &temp_dir(&format!("unbalanced-{tag}")),
+            subset,
+            bump(name),
+            "ACCOUNTING MISMATCH",
+        );
+    }
+}
+
 /// `telemetry_check --journal` fails a report whose
 /// `campaign.lockstep.lanes` histogram carries the raw-error chunk
 /// geometry — every `DEFAULT_BATCH_SIZE` errors, pruned or not — instead
