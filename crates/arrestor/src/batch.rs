@@ -80,7 +80,8 @@ pub struct RetiredLane {
     /// ran out the window.
     pub settle_stop_ms: Option<u64>,
     /// What proved the early stop sound; `None` with a stop instant is
-    /// a record-final stop ([`crate::record_final`]).
+    /// a record-final stop, or a command-final one when the plant still
+    /// rolls ([`crate::record_final`]).
     pub settle_proof: Option<SettleProof>,
     /// Fingerprint captures the lane's detector took.
     pub settle_captures: u64,

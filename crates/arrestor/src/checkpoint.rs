@@ -122,6 +122,18 @@
 //! as a record-final stop. The argument is in `docs/PROOFS.md`
 //! §Record-final certificates.
 //!
+//! # The command-final stop
+//!
+//! Before arrest the record still needs the final distance, so no
+//! check proves it final. Under the same gating, each due check while
+//! the aircraft rolls asks [`crate::record_final::commands_final`]
+//! whether the node can no longer change the valve commands or log a
+//! detection. If so the trial stops there, again with no state proof,
+//! and [`System::finish`] completes the window on the plant alone;
+//! callers tell the two proof-less stops apart by whether the plant had
+//! arrested at the stop. The argument is in `docs/PROOFS.md`
+//! §Command-final tails.
+//!
 //! # Recovery write-back
 //!
 //! Runs with recovery enabled keep the detector: a repair writes
@@ -312,6 +324,13 @@ pub struct SettleDetector {
     /// write-back (repairs by fired mechanisms write cells) and a flip
     /// that leaves the premises reachable. Used only with `analytic`.
     record_final: bool,
+    /// The trial's flip: a command-final stop needs the system to have
+    /// recorded it, since [`System::finish`] continues on that record.
+    flip: Option<BitFlip>,
+    /// Whether command-final stops are sound for this run: no readout
+    /// capture and no recovery write-back, exactly where
+    /// [`System::finish`] continues. Used only with `analytic`.
+    command_final: bool,
     /// Fingerprints taken so far (telemetry: fingerprinting cost).
     captures: u64,
     /// What proved the run settled, once [`SettleDetector::check`]
@@ -397,8 +416,8 @@ impl SettleDetector {
         // distance is a whole number of sample periods.
         let readout_every_ms = config.record_every_ms;
         let reach = crate::record_final::FlipReach::of(system.master(), flip, injection_period_ms);
-        let record_final =
-            readout_every_ms == 0 && config.recovery.is_none() && reach.admits_certificates();
+        let command_final = readout_every_ms == 0 && config.recovery.is_none();
+        let record_final = command_final && reach.admits_certificates();
         let period_ms = lcm(
             lcm(u64::from(slot::COUNT), injection_period_ms.max(1)),
             readout_every_ms.max(1),
@@ -425,6 +444,8 @@ impl SettleDetector {
             recovery_noncovariant,
             reach,
             record_final,
+            flip,
+            command_final,
             captures: 0,
             proof: None,
             recurrence_ms: None,
@@ -436,9 +457,9 @@ impl SettleDetector {
     /// convergence bound of [`crate::settle`] instead of bit-exact
     /// equality, which stops trials seconds earlier and gives
     /// never-recurring decays (e.g. towards a zero command) a sound
-    /// early verdict — and the record-final stop (module docs). Off by
-    /// default, so a detector without it stops on exact recurrence
-    /// only; campaigns enable it
+    /// early verdict — and the record-final and command-final stops
+    /// (module docs). Off by default, so a detector without it stops on
+    /// exact recurrence only; campaigns enable it
     /// (`fic::CampaignRunner::with_analytic_settle` opts out). Has no
     /// effect in readout mode, where both would be unsound (samples
     /// record the raw pressure `f64`s).
@@ -466,8 +487,9 @@ impl SettleDetector {
 
     /// The argument that proved the run settled, once
     /// [`SettleDetector::check`] has returned `true`; `None` while the
-    /// run is still live, and also after a record-final stop (module
-    /// docs), which proves the record final but no state recurrence.
+    /// run is still live, and also after a record-final or command-final
+    /// stop (module docs), which prove the record final but no state
+    /// recurrence.
     pub const fn proof(&self) -> Option<SettleProof> {
         self.proof
     }
@@ -514,9 +536,14 @@ impl SettleDetector {
         }
         self.next_check_ms = t + self.stride_ms;
         // While the aircraft rolls, distance strictly increases: no
-        // recurrence is possible and capturing would be wasted work.
+        // recurrence is possible and capturing would be wasted work. The
+        // node half may still stop once its commands are final:
+        // `System::finish` then completes the window on the plant alone.
         if !system.failmon().arrested() {
-            return false;
+            return self.analytic
+                && self.command_final
+                && system.injected() == self.flip
+                && system.commands_final();
         }
         // The record can be final long before the state recurs; the
         // certificates cost a few cell reads, a capture far more.

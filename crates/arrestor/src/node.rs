@@ -191,6 +191,11 @@ impl MasterNode {
         &self.det
     }
 
+    #[cfg(test)]
+    pub(crate) fn detectors_mut(&mut self) -> &mut Detectors {
+        &mut self.det
+    }
+
     /// The node's signal map (addresses for error-set construction).
     pub fn signals(&self) -> &SignalMap {
         &self.sig

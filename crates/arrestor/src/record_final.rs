@@ -50,6 +50,46 @@
 //! [`out_value_envelope`] bounds the regulator output — its next value,
 //! its step and its maximum — under a set point held inside a hull. The
 //! full argument is in `docs/PROOFS.md` §Record-final certificates.
+//!
+//! # Command-final tails
+//!
+//! While the aircraft still rolls the record also needs its final
+//! distance, so [`is_final`] cannot hold. [`commands_final`] proves the
+//! weaker fact that only the plant still needs integrating: from the
+//! current instant on, whatever further injections of the trial's flip
+//! do, the valve-command pair stays constant and no mechanism without a
+//! logged detection can fire. [`crate::System::finish`] then completes
+//! the window with the plant and the failure monitor alone. Five
+//! premises, any instant, no injection period:
+//!
+//! 1. **Absorbing controller.** The master has hung (nothing on it runs
+//!    again, its valve latch is frozen), or `sys_mode` is STOPPED, or
+//!    ARRESTING with every checkpoint passed (`i ≥ 6`); `SetValue` rests
+//!    on `set_target`, the kernel is clean and the slot counter in range.
+//! 2. **Digital fixed point.** The master's filter cells and `IsValue`
+//!    hold its reading, V_REG's update maps `(SetValue, reading,
+//!    pid_integ, pid_prev_err)` onto the stored output and PID cells, and
+//!    the valve latch holds the output; the slave, fed the same set point
+//!    (or a frozen one when the master hung), sits at the same kind of
+//!    fixed point over its own reading.
+//! 3. **Readings stay put.** Each valve's pressure lies in the absorbing
+//!    band of its command ([`crate::settle::absorbing_cell`]), whose cell
+//!    is that valve's reading.
+//! 4. **Flip reach** ([`CommandReach`]). The flip lands on no cell of the
+//!    command path and on no stack byte some slot phase turns into a
+//!    control-flow fault, unless the master already hung. What is left —
+//!    `pulscnt`, `mscnt`, CALC's estimates, locals and tables, the mass
+//!    setting, unread RAM — feeds only the velocity estimate, the stall
+//!    detector (ARRESTING → STOPPED, which ramps to the same target),
+//!    the checkpoint branch that `i ≥ 6` and STOPPED never enter, and
+//!    EA4/EA6.
+//! 5. **Record.** The master hung, or EA4 has a logged detection; every
+//!    other enabled mechanism without one tests a repeated sample that
+//!    passes (EA1, EA2, EA3, EA7) or the nominal slot and clock
+//!    sequences (EA5, EA6, the latter only when the flip misses the
+//!    clock).
+//!
+//! The argument is in `docs/PROOFS.md` §Command-final tails.
 
 use ea_core::{Params, Sample};
 use memsim::{BitFlip, Region};
@@ -63,7 +103,8 @@ use crate::consts::{
 use crate::control::pid_step;
 use crate::detectors::EaId;
 use crate::kernel::interpret_stack_hit;
-use crate::node::MasterNode;
+use crate::node::{MasterNode, SlaveNode};
+use crate::settle::absorbing_cell;
 use crate::signals::FILTER_DEPTH;
 use crate::system::System;
 
@@ -463,23 +504,8 @@ fn certificate(
             master.last_pulse_total() == system.sensors().pulse_total
                 && constant(value(sig.pulscnt))
         }
-        // The nominal slot cycle from the current slot.
-        EaId::Ea5 => {
-            let count = Sample::from(slot::COUNT);
-            previous == Some(value(sig.ms_slot_nbr))
-                && (0..count).all(|s| params.check(Some(s), (s + 1) % count).is_ok())
-        }
-        // The nominal clock: +1 per tick, wrapping at 2^16.
-        EaId::Ea6 => {
-            let Params::Continuous(p) = params else {
-                return false;
-            };
-            previous == Some(value(sig.mscnt))
-                && p.smin() <= 0
-                && p.smax() >= Sample::from(u16::MAX)
-                && p.increase().contains(1)
-                && params.check(Some(Sample::from(u16::MAX)), 0).is_ok()
-        }
+        EaId::Ea5 => nominal_slots(params, previous, value(sig.ms_slot_nbr)),
+        EaId::Ea6 => nominal_clock(params, previous, value(sig.mscnt)),
         // The output envelope; an OutValue flip moves one sample of a
         // pair by its mask, on top of an output at most `envelope.max`.
         EaId::Ea7 => {
@@ -501,6 +527,198 @@ fn certificate(
             pairs_pass(params, 0, top, envelope.step.max(first_step) + mask)
         }
     }
+}
+
+/// EA5's certificate under a nominal schedule: the slot counter last
+/// tested `slot` and every step of the slot cycle passes.
+fn nominal_slots(params: &Params, previous: Option<Sample>, slot: Sample) -> bool {
+    let count = Sample::from(slot::COUNT);
+    previous == Some(slot) && (0..count).all(|s| params.check(Some(s), (s + 1) % count).is_ok())
+}
+
+/// EA6's certificate for a clock no flip reaches: it last tested
+/// `mscnt`, and the nominal clock (+1 per tick, wrapping at 2^16)
+/// passes.
+fn nominal_clock(params: &Params, previous: Option<Sample>, mscnt: Sample) -> bool {
+    let Params::Continuous(p) = params else {
+        return false;
+    };
+    previous == Some(mscnt)
+        && p.smin() <= 0
+        && p.smax() >= Sample::from(u16::MAX)
+        && p.increase().contains(1)
+        && params.check(Some(Sample::from(u16::MAX)), 0).is_ok()
+}
+
+/// What a trial's flip can reach while the plant still rolls (module
+/// docs §Command-final tails, premise 4), decided once per trial from
+/// the flip's coordinates alone. Unlike [`FlipReach`] it does not depend
+/// on the injection period: [`System::finish`] decides from it without
+/// knowing the period, so every argument built on it must hold for any
+/// injection instants.
+///
+/// The default reaches nothing: a run that is never injected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CommandReach {
+    /// The flip can move a valve command of a running master: it lands
+    /// on a cell of the command path, or on a stack byte that some slot
+    /// phase turns into a control-flow fault.
+    moves_commands: bool,
+    /// The flip lands in `mscnt`, so EA6's samples leave the nominal
+    /// clock.
+    hits_clock: bool,
+}
+
+impl CommandReach {
+    /// The reach of a run injected with more than one distinct flip:
+    /// anything. Only a hung master can still be certified.
+    pub const ANYTHING: CommandReach = CommandReach {
+        moves_commands: true,
+        hits_clock: true,
+    };
+
+    /// The reach of `flip` in `master`'s memory, re-injected at any
+    /// instants.
+    pub fn of(master: &MasterNode, flip: BitFlip) -> Self {
+        match flip.region {
+            // CALC's locals and dead space are data no slot phase
+            // interprets; every other frame byte derails some phase.
+            Region::Stack => {
+                let hit = master.memory().layout().classify(flip.addr);
+                CommandReach {
+                    moves_commands: (0..slot::COUNT)
+                        .any(|s| interpret_stack_hit(&hit, s).is_some()),
+                    hits_clock: false,
+                }
+            }
+            Region::AppRam => {
+                let sig = master.signals();
+                let in_cell = |cell: memsim::CellU16| {
+                    flip.addr == cell.addr() || flip.addr == cell.addr() + 1
+                };
+                let in_block = |name: &str| {
+                    sig.symbols()
+                        .symbol(name)
+                        .is_some_and(|s| (s.addr..s.addr + s.width).contains(&flip.addr))
+                };
+                // Cells that feed no valve command once `i ≥ 6` or
+                // STOPPED: the pulse count and the clock (velocity
+                // estimate, stall detector, EA4, EA6), the checkpoint
+                // law's inputs and tables, and RAM nothing reads.
+                let inert = [
+                    sig.pulscnt,
+                    sig.mscnt,
+                    sig.mass_cfg,
+                    sig.calc_x_cm,
+                    sig.calc_cos1000,
+                ]
+                .into_iter()
+                .any(in_cell)
+                    || ["cp_table", "cap_table", "dbg_trace", "reserved"]
+                        .into_iter()
+                        .any(in_block);
+                CommandReach {
+                    moves_commands: !inert,
+                    hits_clock: in_cell(sig.mscnt),
+                }
+            }
+        }
+    }
+}
+
+/// Whether `system`'s valve commands are final and its record needs
+/// the plant alone from now on: premises 1–5 of the module docs hold
+/// for a run whose flips reach at most `reach`. Sound at any instant
+/// between two ticks, for any later injection instants.
+pub fn commands_final(system: &System, reach: CommandReach) -> bool {
+    let master = system.master();
+    let detectors = master.detectors();
+    let logged = |ea: EaId| detectors.has_detected(ea) || !detectors.is_enabled(ea);
+    // A hung master runs nothing again and sends no set point, and no
+    // flip can wake it: only the slave's loop is left to settle.
+    let hung = master.hung();
+    if !hung && (reach.moves_commands || !logged(EaId::Ea4) || !master.kernel().is_clean()) {
+        return false;
+    }
+    let slave = system.slave();
+    let (master_cmd, slave_cmd) = system.valve_commands_pu();
+    if master.valve_latch() != master_cmd || slave.valve_latch() != slave_cmd {
+        return false;
+    }
+    let plant = system.plant_state();
+    let reading = |pressure_bar: f64, cmd: u16| absorbing_cell(pressure_bar, pressure_bar, cmd);
+    let Some(slave_reading) = reading(plant.pressure_slave_bar, slave_cmd) else {
+        return false;
+    };
+    if hung {
+        return slave_at_fixed_point(slave, slave.set_value(), slave_reading);
+    }
+    let ram = master.memory().app();
+    let sig = master.signals();
+    let set_value = sig.set_value.read(ram);
+    let absorbing = match sig.sys_mode.read(ram) {
+        mode::STOPPED => true,
+        mode::ARRESTING => usize::from(sig.i.read(ram)) >= CHECKPOINT_X_CM.len(),
+        _ => false,
+    };
+    if !absorbing
+        || set_value != sig.set_target.read(ram)
+        || sig.ms_slot_nbr.read(ram) >= slot::COUNT
+    {
+        return false;
+    }
+    let Some(master_reading) = reading(plant.pressure_master_bar, master_cmd) else {
+        return false;
+    };
+    let out_value = sig.out_value.read(ram);
+    let (integ, prev_err) = (sig.pid_integ.read(ram), sig.pid_prev_err.read(ram));
+    let master_fixed = (0..FILTER_DEPTH).all(|k| sig.filt_read(ram, k) == master_reading)
+        && sig.is_value.read(ram) == master_reading
+        && pid_step(set_value, master_reading, integ, prev_err) == (out_value, integ, prev_err)
+        && master_cmd == out_value;
+    if !master_fixed || !slave_at_fixed_point(slave, set_value, slave_reading) {
+        return false;
+    }
+    EaId::ALL.into_iter().all(|ea| {
+        if logged(ea) {
+            return true;
+        }
+        let monitor = detectors.monitor(ea);
+        let (params, previous) = (monitor.active_params(), monitor.previous());
+        // A cell nothing writes any more: every later sample repeats it.
+        let repeated = |cell: memsim::CellU16| {
+            let v = Sample::from(cell.read(ram));
+            previous == Some(v) && params.check(Some(v), v).is_ok()
+        };
+        match ea {
+            EaId::Ea1 => repeated(sig.set_value),
+            EaId::Ea2 => repeated(sig.is_value),
+            EaId::Ea3 => repeated(sig.i),
+            // Logged, or the predicate refused above.
+            EaId::Ea4 => false,
+            EaId::Ea5 => nominal_slots(params, previous, Sample::from(sig.ms_slot_nbr.read(ram))),
+            EaId::Ea6 => {
+                !reach.hits_clock
+                    && nominal_clock(params, previous, Sample::from(sig.mscnt.read(ram)))
+            }
+            EaId::Ea7 => repeated(sig.out_value),
+        }
+    })
+}
+
+/// Whether the slave, fed `set_value` from now on and reading
+/// `reading`, maps its state onto itself at every slot: its set point
+/// and reading are the ones it will keep receiving, its PID update is a
+/// fixed point, and its latch holds the output.
+fn slave_at_fixed_point(slave: &SlaveNode, set_value: u16, reading: u16) -> bool {
+    let ram = slave.ram();
+    let sig = slave.signals();
+    let out = sig.out_value.read(ram);
+    let (integ, prev_err) = (sig.pid_integ.read(ram), sig.pid_prev_err.read(ram));
+    sig.set_value.read(ram) == set_value
+        && sig.is_value.read(ram) == reading
+        && pid_step(set_value, reading, integ, prev_err) == (out, integ, prev_err)
+        && slave.valve_latch() == out
 }
 
 /// Whether every pair `(a, b)` with `a, b ∈ [lo, hi]` and `|a − b| ≤

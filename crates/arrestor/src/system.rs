@@ -7,6 +7,7 @@ use simenv::{Constraints, FailureMonitor, Plant, PlantState, Readout, TestCase, 
 
 use crate::detectors::EaSet;
 use crate::node::{MasterNode, SensorFrame, SlaveNode};
+use crate::record_final::CommandReach;
 
 /// Configuration of one run.
 #[derive(Debug, Clone)]
@@ -57,7 +58,9 @@ pub struct RunOutcome {
     pub detections: Vec<DetectionEvent>,
     /// Timestamp of the first detection, ms.
     pub first_detection_ms: Option<Millis>,
-    /// Ticks simulated.
+    /// Ticks the node half simulated: the instant [`System::finish`]
+    /// was called at, even when it completed the window with the plant
+    /// alone.
     pub duration_ms: Millis,
     /// Captured plant readout (empty unless configured).
     pub readout: Readout,
@@ -79,6 +82,10 @@ pub struct System {
     master_valve_pu: u16,
     slave_valve_pu: u16,
     cmds_stable_since_ms: Millis,
+    /// The first flip injected, if any, and what every flip injected so
+    /// far can reach ([`System::finish`]'s command-final continuation).
+    injected: Option<BitFlip>,
+    reach: CommandReach,
     trace: Option<crate::trace::Trace>,
 }
 
@@ -109,6 +116,8 @@ impl System {
             master_valve_pu: 0,
             slave_valve_pu: 0,
             cmds_stable_since_ms: 0,
+            injected: None,
+            reach: CommandReach::default(),
             trace,
         }
     }
@@ -166,8 +175,30 @@ impl System {
         self.cmds_stable_since_ms
     }
 
-    /// Injects one SWIFI bit flip into the master's memory.
+    /// The first flip [`System::inject`] applied, if any.
+    pub(crate) const fn injected(&self) -> Option<BitFlip> {
+        self.injected
+    }
+
+    /// Whether the valve commands are final and only the plant still
+    /// needs integrating, for the flips injected so far re-injected at
+    /// any later instants ([`crate::record_final::commands_final`]).
+    pub(crate) fn commands_final(&self) -> bool {
+        crate::record_final::commands_final(self, self.reach)
+    }
+
+    /// Injects one SWIFI bit flip into the master's memory, and records
+    /// it: [`System::finish`] assumes that later injections, had the run
+    /// gone on, would repeat the flips recorded so far.
     pub fn inject(&mut self, flip: BitFlip) {
+        match self.injected {
+            None => {
+                self.injected = Some(flip);
+                self.reach = CommandReach::of(&self.master, flip);
+            }
+            Some(first) if first != flip => self.reach = CommandReach::ANYTHING,
+            Some(_) => {}
+        }
         self.master.inject(flip);
     }
 
@@ -307,9 +338,31 @@ impl System {
         self.finish()
     }
 
-    /// Finalises the run: classifies the (possibly still rolling)
-    /// arrestment and collects the detection log.
-    pub fn finish(self) -> RunOutcome {
+    /// Finalises the run: classifies the arrestment and collects the
+    /// detection log.
+    ///
+    /// A run that stops before its window ends with the aircraft still
+    /// rolling is classified at its window end when its commands are
+    /// final ([`crate::record_final::commands_final`]): no later tick of
+    /// the node, under further injections of the recorded flips at any
+    /// instants, could change the valve commands or log a detection, so
+    /// the plant and the failure monitor alone complete the window under
+    /// the latched commands, up to arrest or the window end. The verdict
+    /// and final distance are then bit-identical to running the node
+    /// on; `docs/PROOFS.md` §Command-final tails has the argument. Any
+    /// other run is classified as it stands. The continuation is off for
+    /// runs that trace, capture readouts or write repairs back, whose
+    /// outputs need every tick of the node.
+    pub fn finish(mut self) -> RunOutcome {
+        if self.config.observation_ms > self.time_ms
+            && !self.failmon.arrested()
+            && !self.config.trace
+            && self.config.record_every_ms == 0
+            && self.config.recovery.is_none()
+            && self.commands_final()
+        {
+            self.run_plant_tail();
+        }
         let verdict = self.failmon.verdict(&self.config.constraints, self.case);
         let detections = self.master.detectors().events().to_vec();
         let first_detection_ms = detections.first().map(|e| e.at);
@@ -322,11 +375,157 @@ impl System {
             trace: self.trace,
         }
     }
+
+    /// Steps the plant and the failure monitor under the latched valve
+    /// commands up to arrest or the window end, exactly as
+    /// [`System::tick_plant`] would.
+    fn run_plant_tail(&mut self) {
+        let master_bar = f64::from(self.master_valve_pu) / simenv::spec::PRESSURE_UNITS_PER_BAR;
+        let slave_bar = f64::from(self.slave_valve_pu) / simenv::spec::PRESSURE_UNITS_PER_BAR;
+        for _ in self.time_ms..self.config.observation_ms {
+            let state = self.plant.step(master_bar, slave_bar);
+            self.failmon.observe(&state);
+            if state.arrested {
+                break;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detectors::EaId;
+    use memsim::Region;
+
+    /// The heaviest, fastest aircraft under a flip of `mscnt`'s top bit
+    /// every 20 ms: the clock jumps corrupt CALC's velocity estimate,
+    /// the schedule brakes too little, and the aircraft overruns under
+    /// commands that stop changing seconds in.
+    fn overrun_run(version: EaSet) -> (System, BitFlip) {
+        let config = RunConfig {
+            version,
+            ..RunConfig::default()
+        };
+        let system = System::new(TestCase::new(20_000.0, 70.0), config);
+        let flip = BitFlip::new(
+            Region::AppRam,
+            system.master().signals().mscnt.addr() + 1,
+            7,
+        );
+        (system, flip)
+    }
+
+    /// Runs `system` on, injecting `flip` every 20 ms, up to the first
+    /// 140 ms check instant at which its commands are final.
+    fn run_until_commands_final(system: &mut System, flip: BitFlip) -> Millis {
+        while system.time_ms() < system.config().observation_ms {
+            let t = system.time_ms();
+            if t > 0 && t.is_multiple_of(140) && system.commands_final() {
+                return t;
+            }
+            if t > 0 && t.is_multiple_of(20) {
+                system.inject(flip);
+            }
+            system.tick();
+        }
+        panic!("the commands never became final");
+    }
+
+    #[test]
+    fn finish_at_a_command_final_instant_equals_running_the_node_on() {
+        let (mut system, flip) = overrun_run(EaSet::ALL);
+        let t = run_until_commands_final(&mut system, flip);
+        assert!(!system.plant_state().arrested, "certified at {t} ms");
+        let early = system.clone().finish();
+        assert_eq!(early.duration_ms, t);
+        while system.time_ms() < system.config().observation_ms {
+            if system.time_ms().is_multiple_of(20) {
+                system.inject(flip);
+            }
+            system.tick();
+        }
+        let full = system.finish();
+        assert!(full.verdict.causes.contains(&simenv::FailureCause::Overrun));
+        assert_eq!(early.verdict.causes, full.verdict.causes);
+        assert_eq!(early.verdict.arrested, full.verdict.arrested);
+        for (a, b) in [
+            (
+                early.verdict.final_distance_m,
+                full.verdict.final_distance_m,
+            ),
+            (early.verdict.peak_force_n, full.verdict.peak_force_n),
+            (
+                early.verdict.peak_retardation_g,
+                full.verdict.peak_retardation_g,
+            ),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(early.detections, full.detections);
+    }
+
+    #[test]
+    fn finish_at_an_uncertified_rolling_instant_classifies_the_run_as_it_stands() {
+        // Fault-free and rolling: EA4 has logged nothing, so the
+        // commands are not final and nothing continues the window.
+        let mut system = System::new(TestCase::new(12_000.0, 55.0), RunConfig::default());
+        while system.time_ms() < 2_000 {
+            system.tick();
+        }
+        assert!(!system.commands_final());
+        let distance = system.plant_state().distance_m;
+        let outcome = system.finish();
+        assert!(!outcome.verdict.arrested);
+        assert_eq!(
+            outcome.verdict.final_distance_m.to_bits(),
+            distance.to_bits()
+        );
+        assert!(outcome
+            .verdict
+            .causes
+            .contains(&simenv::FailureCause::Overrun));
+    }
+
+    #[test]
+    fn command_final_predicate_refuses_each_broken_premise() {
+        let (mut system, flip) = overrun_run(EaSet::ALL);
+        run_until_commands_final(&mut system, flip);
+        let master = system.master();
+        let sig = master.signals();
+        let reach = |f| crate::record_final::CommandReach::of(master, f);
+        let holds = |s: &System, f| crate::record_final::commands_final(s, reach(f));
+        assert!(holds(&system, flip));
+        // A flip into SetValue could move the set point and the commands.
+        let set_value = BitFlip::new(Region::AppRam, sig.set_value.addr(), 3);
+        assert!(!holds(&system, set_value));
+        // `i < 6`: the checkpoint branch could set a new target.
+        let mut before_last_checkpoint = system.clone();
+        let i = before_last_checkpoint.master().signals().i;
+        before_last_checkpoint
+            .master
+            .inject(BitFlip::new(Region::AppRam, i.addr(), 1));
+        assert!(i.read(before_last_checkpoint.master().memory().app()) < 6);
+        assert!(!before_last_checkpoint.commands_final());
+        // A pressure outside its command's cell still moves its reading.
+        let mut depressurised = system.clone();
+        assert_ne!(depressurised.valve_commands_pu(), (0, 0));
+        depressurised.plant = Plant::new(depressurised.case);
+        assert!(!depressurised.commands_final());
+
+        // EA4 without a logged detection on a running master: the pulse
+        // count could still leave its range. A version without EA4 is
+        // certified; logging EA4 from then on voids the certificate.
+        let version = EaId::ALL
+            .into_iter()
+            .filter(|&ea| ea != EaId::Ea4)
+            .fold(EaSet::NONE, |set, ea| set.union(EaSet::only(ea)));
+        let (mut system, flip) = overrun_run(version);
+        run_until_commands_final(&mut system, flip);
+        assert!(!system.master().detectors().has_detected(EaId::Ea4));
+        system.master.detectors_mut().set_version(EaSet::ALL);
+        assert!(!system.commands_final());
+    }
 
     #[test]
     fn nominal_arrestment_succeeds_without_detection() {

@@ -5,7 +5,8 @@
 //!   run the structural schema checks ([`fic::telemetry::TelemetryReport::validate`])
 //!   and the trial-accounting equations: every settled trial carries
 //!   exactly one stop label (`campaign.trials.settled` = Σ
-//!   `campaign.settle.proof.*` + `campaign.settle.record_final.stops`),
+//!   `campaign.settle.proof.*` + `campaign.settle.record_final.stops` +
+//!   `campaign.settle.command_final.stops`),
 //!   and every trial is pruned, settled or run to the horizon
 //!   (`trials.settled` + `trials.full_window` = `campaign.trials` −
 //!   `campaign.prune.trials`);
@@ -315,14 +316,15 @@ fn executions(journal: &Journal, shards: usize) -> Vec<Vec<usize>> {
 
 /// The stop proofs of a report's settled trials, one counter per
 /// label: four state proofs, the analytic band, and the record-final
-/// stops that carry no state proof.
-const STOP_LABELS: [&str; 6] = [
+/// and command-final stops that carry no state proof.
+const STOP_LABELS: [&str; 7] = [
     "campaign.settle.proof.exact",
     "campaign.settle.proof.translated",
     "campaign.settle.proof.retired_clock",
     "campaign.settle.proof.frozen_hung",
     "campaign.settle.proof.analytic_band",
     "campaign.settle.record_final.stops",
+    "campaign.settle.command_final.stops",
 ];
 
 /// The report's trial counters balance: each settled trial carries

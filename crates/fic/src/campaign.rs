@@ -35,10 +35,10 @@ use simenv::TestCase;
 use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap, OracleVerdicts};
 use crate::convergence::{CellKey, ConvergenceAggregate};
 use crate::error_set::{E1Error, E2Error};
-use crate::experiment::{fault_free_prefix, run_case_batch_with, run_trial, Trial, TrialExecution};
+use crate::experiment::{fault_free_prefix, run_case_batch_with, run_trial, BatchTrial, Trial};
 use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter, ShardSpec};
 use crate::protocol::Protocol;
-use crate::prune::PruneClass;
+use crate::prune::{CaseCells, PruneClass};
 use crate::results::{E1Report, E2Report};
 use crate::telemetry;
 
@@ -51,10 +51,11 @@ use crate::telemetry;
 /// once per case and the resulting [`arrestor::Snapshot`] is forked by
 /// every trial of that case. The cache is lazy: a prefix is built by
 /// the first worker that needs it and shared (via [`Arc`]) with the
-/// rest.
+/// rest. Each case has its own cell, so a build blocks only the
+/// workers waiting for that case.
 #[derive(Debug, Default)]
 pub struct CheckpointCache {
-    prefixes: Mutex<HashMap<usize, Arc<arrestor::Snapshot>>>,
+    prefixes: CaseCells<arrestor::Snapshot>,
 }
 
 impl CheckpointCache {
@@ -82,20 +83,29 @@ impl CheckpointCache {
         case: TestCase,
         tel: Option<&CampaignTelemetry>,
     ) -> Arc<arrestor::Snapshot> {
-        let mut map = self.prefixes.lock().expect("no panics while holding lock");
-        if let Some(existing) = map.get(&case_index) {
-            if let Some(t) = tel {
+        self.shared(case_index, tel, || fault_free_prefix(protocol, case))
+    }
+
+    /// The snapshot cached for `case_index`, built by `build` on first
+    /// use. The builder counts the miss and times the build, every
+    /// other caller counts a hit.
+    fn shared(
+        &self,
+        case_index: usize,
+        tel: Option<&CampaignTelemetry>,
+        build: impl FnOnce() -> arrestor::Snapshot,
+    ) -> Arc<arrestor::Snapshot> {
+        let (snapshot, built) = self.prefixes.get_or_build(case_index, || {
+            let _span = tel.map(|t| telemetry::SpanTimer::start(Arc::clone(&t.snapshot_build_us)));
+            build()
+        });
+        if let Some(t) = tel {
+            if built {
+                t.cache_misses.inc();
+            } else {
                 t.cache_hits.inc();
             }
-            return Arc::clone(existing);
         }
-        if let Some(t) = tel {
-            t.cache_misses.inc();
-        }
-        let span = tel.map(|t| telemetry::SpanTimer::start(Arc::clone(&t.snapshot_build_us)));
-        let snapshot = Arc::new(fault_free_prefix(protocol, case));
-        drop(span);
-        map.insert(case_index, Arc::clone(&snapshot));
         snapshot
     }
 }
@@ -126,6 +136,7 @@ pub struct CampaignTelemetry {
     proof_analytic: Arc<telemetry::Counter>,
     analytic_stops: Arc<telemetry::Counter>,
     record_final_stops: Arc<telemetry::Counter>,
+    command_final_stops: Arc<telemetry::Counter>,
     prune_trials: Arc<telemetry::Counter>,
     prune_dead_stack: Arc<telemetry::Counter>,
     prune_unread_ram: Arc<telemetry::Counter>,
@@ -164,6 +175,7 @@ impl CampaignTelemetry {
             proof_analytic: registry.counter("campaign.settle.proof.analytic_band"),
             analytic_stops: registry.counter("campaign.settle.analytic.stops"),
             record_final_stops: registry.counter("campaign.settle.record_final.stops"),
+            command_final_stops: registry.counter("campaign.settle.command_final.stops"),
             prune_trials: registry.counter("campaign.prune.trials"),
             prune_dead_stack: registry.counter("campaign.prune.dead_stack"),
             prune_unread_ram: registry.counter("campaign.prune.unread_ram"),
@@ -177,8 +189,9 @@ impl CampaignTelemetry {
         &self.registry
     }
 
-    /// Folds one trial's execution shape into the metrics.
-    fn observe_execution(&self, exec: &TrialExecution) {
+    /// Folds one executed lane's shape into the metrics.
+    fn observe_lane(&self, lane: &BatchTrial) {
+        let exec = &lane.execution;
         self.window_ms_simulated.add(exec.simulated_ms);
         self.window_ms_skipped.add(exec.skipped_ms);
         self.settle_captures.record(exec.settle_captures);
@@ -198,9 +211,16 @@ impl CampaignTelemetry {
                 self.proof_analytic.inc();
                 self.analytic_stops.inc();
             }
-            // A stop without a state proof: the record-final certificates
-            // (`arrestor::record_final`) closed the trial.
-            None if exec.settle_stop_ms.is_some() => self.record_final_stops.inc(),
+            // A stop without a state proof: the certificates of
+            // `arrestor::record_final` closed the trial, over an arrested
+            // plant (record-final) or a rolling one (command-final).
+            None if exec.settle_stop_ms.is_some() => {
+                if lane.arrested_at_stop {
+                    self.record_final_stops.inc();
+                } else {
+                    self.command_final_stops.inc();
+                }
+            }
             None => {}
         }
     }
@@ -976,7 +996,7 @@ impl CampaignRunner {
                                     protocol, &flips, cases[ci], &prefix, analytic,
                                 ) {
                                     if let Some(t) = &tel {
-                                        t.observe_execution(&lane.execution);
+                                        t.observe_lane(&lane);
                                     }
                                     if let Some(pr) = &profile {
                                         pr.record_execution(&lane.execution);
@@ -1347,5 +1367,47 @@ mod tests {
             other.resume_e1(subset, &path),
             Err(JournalError::Mismatch(_))
         ));
+    }
+
+    #[test]
+    fn a_prefix_build_blocks_only_its_own_case() {
+        // One thread is mid-build on case 0, parked on a rendezvous
+        // inside its build; a second thread must still get case 1 built
+        // and returned. Were the cache locked while a prefix simulates,
+        // it would wait for case 0 and time out.
+        let protocol = Protocol::scaled(2, 3_000);
+        let cases = protocol.grid.cases();
+        let registry = Arc::new(telemetry::Registry::new());
+        let tel = CampaignTelemetry::register(&registry);
+        let cache = CheckpointCache::new();
+        let (entered, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                cache.shared(0, Some(&tel), || {
+                    entered.wait();
+                    release.wait();
+                    fault_free_prefix(&protocol, cases[0])
+                })
+            });
+            entered.wait();
+            let (sender, receiver) = std::sync::mpsc::channel();
+            let (cache, protocol, tel, case) = (&cache, &protocol, &tel, cases[1]);
+            scope.spawn(move || {
+                let _ = sender.send(cache.prefix_observed(protocol, 1, case, Some(tel)));
+            });
+            let other = receiver.recv_timeout(std::time::Duration::from_secs(60));
+            release.wait();
+            assert_eq!(holder.join().unwrap().case(), cases[0]);
+            let other = other.expect("case 1 must build while case 0 is mid-build");
+            assert_eq!(other.case(), cases[1]);
+        });
+        // Later lookups share the builds: two misses, then hits only.
+        for (ci, &case) in cases.iter().enumerate().take(2) {
+            let again = cache.shared(ci, Some(&tel), || unreachable!("case {ci} is built"));
+            assert_eq!(again.case(), case);
+        }
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("campaign.checkpoint.cache.misses"), 2);
+        assert_eq!(snapshot.counter("campaign.checkpoint.cache.hits"), 2);
     }
 }

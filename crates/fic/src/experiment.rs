@@ -100,9 +100,11 @@ pub struct TrialExecution {
     /// ms; `None` when the trial ran its full observation window.
     pub settle_stop_ms: Option<u64>,
     /// What proved the early stop sound. `None` together with a
-    /// `settle_stop_ms` is a record-final stop: the record-final
-    /// certificates (`arrestor::record_final`) proved the record final
-    /// without any state recurrence.
+    /// `settle_stop_ms` is a stop without any state recurrence, proven by
+    /// the certificates of `arrestor::record_final`: a record-final stop
+    /// when the plant had arrested, a command-final stop (the plant
+    /// completes the window alone) when it still rolled.
+    /// [`BatchTrial::arrested_at_stop`] tells the two apart.
     pub settle_proof: Option<arrestor::SettleProof>,
     /// Fingerprint captures the detector took.
     pub settle_captures: u64,
@@ -171,6 +173,20 @@ pub fn run_trial_checkpointed_observed_with(
     prefix: &arrestor::Snapshot,
     analytic_settle: bool,
 ) -> (Trial, TrialExecution) {
+    let lane = run_trial_checkpointed_lane(protocol, flip, case, prefix, analytic_settle);
+    (lane.trial, lane.execution)
+}
+
+/// [`run_trial_checkpointed_observed_with`] as a one-lane
+/// [`BatchTrial`] (slot 0), which also says whether the plant had
+/// arrested when the loop stopped.
+pub fn run_trial_checkpointed_lane(
+    protocol: &Protocol,
+    flip: BitFlip,
+    case: TestCase,
+    prefix: &arrestor::Snapshot,
+    analytic_settle: bool,
+) -> BatchTrial {
     debug_assert_eq!(prefix.case(), case, "prefix belongs to another case");
     let mut system = prefix.resume();
     let resumed_at = system.time_ms();
@@ -200,7 +216,12 @@ pub fn run_trial_checkpointed_observed_with(
         skipped_ms: resumed_at + protocol.observation_ms.saturating_sub(stopped_at),
         ea_checks: system.master().detectors().check_counts(),
     };
-    (finish_trial(system, period).0, execution)
+    BatchTrial {
+        slot: 0,
+        arrested_at_stop: system.plant_state().arrested,
+        trial: finish_trial(system, period).0,
+        execution,
+    }
 }
 
 /// One lane's outcome from [`run_case_batch`]: the slot ties it back
@@ -215,6 +236,10 @@ pub struct BatchTrial {
     pub trial: Trial,
     /// The execution shape, for telemetry.
     pub execution: TrialExecution,
+    /// Whether the plant had arrested when the lane stopped: a stop
+    /// without a proof over an arrested plant is record-final, over a
+    /// rolling one command-final (see [`TrialExecution::settle_proof`]).
+    pub arrested_at_stop: bool,
 }
 
 /// Runs every flip in `flips` against the same test case as one
@@ -268,6 +293,7 @@ pub fn run_case_batch_with(
             };
             BatchTrial {
                 slot: lane.slot,
+                arrested_at_stop: lane.system.plant_state().arrested,
                 trial: finish_trial(lane.system, period).0,
                 execution,
             }

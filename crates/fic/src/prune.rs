@@ -140,17 +140,58 @@ impl Default for InertMap {
     }
 }
 
+/// Values built lazily, once per test case, and shared by every worker
+/// that needs them.
+///
+/// Each case has its own once-cell: the map's lock is held only to find
+/// or insert the cell, never while a value builds, so a worker waits
+/// only for the case it needs.
+#[derive(Debug)]
+pub(crate) struct CaseCells<V> {
+    cells: Mutex<HashMap<usize, Arc<OnceLock<Arc<V>>>>>,
+}
+
+impl<V> Default for CaseCells<V> {
+    fn default() -> Self {
+        CaseCells {
+            cells: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
+impl<V> CaseCells<V> {
+    /// The value cached for `case_index`, built by `build` on first
+    /// use; whether this call built it.
+    pub(crate) fn get_or_build(
+        &self,
+        case_index: usize,
+        build: impl FnOnce() -> V,
+    ) -> (Arc<V>, bool) {
+        let cell = Arc::clone(
+            self.cells
+                .lock()
+                .expect("no panics while holding lock")
+                .entry(case_index)
+                .or_default(),
+        );
+        // `get_or_init` runs exactly one initialiser per cell; callers
+        // racing on the same case block on that cell alone.
+        let mut built = false;
+        let value = cell.get_or_init(|| {
+            built = true;
+            Arc::new(build())
+        });
+        (Arc::clone(value), built)
+    }
+}
+
 /// The campaign-wide prune state: the inert-coordinate map plus one
 /// shared reference trial per test case, built lazily by the first
 /// worker that prunes a trial of that case.
-///
-/// Each case has its own once-cell: the map's lock is held only to find
-/// or insert the cell, never while a reference trial simulates, so a
-/// worker waits only for the case it needs.
 #[derive(Debug)]
 pub struct PruneCache {
     map: InertMap,
-    references: Mutex<HashMap<usize, Arc<OnceLock<Arc<Trial>>>>>,
+    references: CaseCells<Trial>,
 }
 
 impl PruneCache {
@@ -158,7 +199,7 @@ impl PruneCache {
     pub fn new() -> Self {
         PruneCache {
             map: InertMap::new(),
-            references: Mutex::new(HashMap::new()),
+            references: CaseCells::default(),
         }
     }
 
@@ -178,29 +219,9 @@ impl PruneCache {
         prefix: &arrestor::Snapshot,
         analytic_settle: bool,
     ) -> (Arc<Trial>, bool) {
-        self.shared(case_index, || {
+        self.references.get_or_build(case_index, || {
             run_reference_trial_with(protocol, case, prefix, analytic_settle)
         })
-    }
-
-    /// The trial cached for `case_index`, built by `build` on first
-    /// use; whether this call built it.
-    fn shared(&self, case_index: usize, build: impl FnOnce() -> Trial) -> (Arc<Trial>, bool) {
-        let cell = Arc::clone(
-            self.references
-                .lock()
-                .expect("no panics while holding lock")
-                .entry(case_index)
-                .or_default(),
-        );
-        // `get_or_init` runs exactly one initialiser per cell; callers
-        // racing on the same case block on that cell alone.
-        let mut built = false;
-        let trial = cell.get_or_init(|| {
-            built = true;
-            Arc::new(build())
-        });
-        (Arc::clone(trial), built)
     }
 }
 
@@ -350,7 +371,7 @@ mod tests {
         };
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| {
-                cache.shared(0, || {
+                cache.references.get_or_build(0, || {
                     entered.wait();
                     release.wait();
                     placeholder.clone()
@@ -373,7 +394,9 @@ mod tests {
             );
         });
         // Later lookups of case 0 share the holder's build.
-        let (trial, built) = cache.shared(0, || unreachable!("case 0 is built"));
+        let (trial, built) = cache
+            .references
+            .get_or_build(0, || unreachable!("case 0 is built"));
         assert!(!built);
         assert_eq!(*trial, placeholder);
     }

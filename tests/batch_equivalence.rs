@@ -11,7 +11,7 @@
 //! * the rendered Tables 7–9 and the attribution aggregate against the
 //!   replay campaign's (`with_checkpointing(false)`);
 //! * the result-derived telemetry counters against a fold of the scalar
-//!   `run_trial_checkpointed_observed_with` executions plus the
+//!   `run_trial_checkpointed_lane` executions plus the
 //!   `InertMap` prune classes over the same pairs.
 //!
 //! Slices are deterministic E1 and E2 gates (`ci_slice_*` below) plus
@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use ea_repro::arrestor::SettleProof;
 use ea_repro::fic::campaign::{lockstep_items, DEFAULT_BATCH_SIZE};
-use ea_repro::fic::experiment::{fault_free_prefix, run_trial_checkpointed_observed_with};
+use ea_repro::fic::experiment::{fault_free_prefix, run_trial_checkpointed_lane};
 use ea_repro::fic::journal::{Journal, TrialRecord};
 use ea_repro::fic::telemetry::Registry;
 use ea_repro::fic::trace::{self, ReproError};
@@ -63,6 +63,7 @@ const COMPARED_COUNTERS: &[&str] = &[
     "campaign.settle.proof.analytic_band",
     "campaign.settle.analytic.stops",
     "campaign.settle.record_final.stops",
+    "campaign.settle.command_final.stops",
     "campaign.prune.trials",
     "campaign.prune.dead_stack",
     "campaign.prune.unread_ram",
@@ -177,9 +178,9 @@ fn reference_counters(protocol: &Protocol, errors: &[ErrorRef]) -> Vec<(String, 
                     );
                 }
                 None => {
-                    let (_, exec) = run_trial_checkpointed_observed_with(
-                        protocol, error.flip, case, &prefix, true,
-                    );
+                    let lane =
+                        run_trial_checkpointed_lane(protocol, error.flip, case, &prefix, true);
+                    let exec = lane.execution;
                     bump("campaign.window_ms.simulated", exec.simulated_ms);
                     bump("campaign.window_ms.skipped", exec.skipped_ms);
                     match exec.settle_stop_ms {
@@ -203,9 +204,14 @@ fn reference_counters(protocol: &Protocol, errors: &[ErrorRef]) -> Vec<(String, 
                             bump("campaign.settle.proof.analytic_band", 1);
                             bump("campaign.settle.analytic.stops", 1);
                         }
-                        None if exec.settle_stop_ms.is_some() => {
-                            bump("campaign.settle.record_final.stops", 1);
-                        }
+                        None if exec.settle_stop_ms.is_some() => bump(
+                            if lane.arrested_at_stop {
+                                "campaign.settle.record_final.stops"
+                            } else {
+                                "campaign.settle.command_final.stops"
+                            },
+                            1,
+                        ),
                         None => {}
                     }
                 }

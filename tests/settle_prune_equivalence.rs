@@ -177,6 +177,7 @@ fn assert_configs_equivalent(
         "campaign.settle.proof.analytic_band",
         "campaign.settle.analytic.stops",
         "campaign.settle.record_final.stops",
+        "campaign.settle.command_final.stops",
     ] {
         prop_assert_eq!(exact.snapshot.counter(name), 0, "exact path ran {}", name);
     }

@@ -264,6 +264,7 @@ fn unbalanced_trial_counters_fail_the_report_check() {
     };
     for (tag, name) in [
         ("label", "campaign.settle.record_final.stops"),
+        ("command-final", "campaign.settle.command_final.stops"),
         ("trials", "campaign.trials.full_window"),
     ] {
         assert_doctored_report_fails_the_journal_check(
