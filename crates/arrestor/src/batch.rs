@@ -39,7 +39,7 @@
 //! path, and a shared lane's implied environment equals the one the
 //! scalar trial would have integrated. The differential suite
 //! (`tests/batch_equivalence.rs`) and the lane-invariance properties
-//! (`crates/arrestor/tests/prop_batch.rs`) pin this.
+//! (`tests/prop_batch.rs`) pin this.
 
 use memsim::BitFlip;
 

@@ -91,6 +91,68 @@ fn bench_monitor_and_bank(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // Two passes over a 10 s trace: the harness's default 100 ticks
+    // would time the first tenth of a second only.
+    let mut group = c.benchmark_group("lockstep");
+    group.sample_size(20_000);
+    group.bench_function("eight_lane_bank_tick", |b| {
+        // The lockstep executor's shape: eight lanes, each with its own
+        // bank, run the same nominal tick in turn — EA6, EA5, EA4 and
+        // EA3 every tick, EA1, EA2 and EA7 every seventh (V_REG and
+        // PRES_A run in one slot of seven). Each lane's monitors live
+        // in their own allocation, which a one-monitor hot loop hides.
+        let trace = nominal_e1_trace(10_000);
+        let mut lanes = vec![arrestor::build_detectors(arrestor::EaSet::ALL); 8];
+        let mut probe = lanes[0].clone();
+        for (t, tick) in trace.iter().enumerate() {
+            for &(ea, value) in tick {
+                probe.check(ea, value, t as u64);
+            }
+        }
+        assert!(probe.events().is_empty(), "the nominal trace must pass");
+        let mut t = 0usize;
+        b.iter(|| {
+            if t == trace.len() {
+                t = 0;
+                lanes.iter_mut().for_each(arrestor::Detectors::reset);
+            }
+            let tick = &trace[t];
+            for detectors in &mut lanes {
+                for &(ea, value) in tick {
+                    detectors.check(ea, black_box(value), t as u64);
+                }
+            }
+            t += 1;
+        })
+    });
+    group.finish();
+}
+
+/// The checks of a fault-free E1 run, tick by tick, in node order:
+/// `mscnt` counts, the slot cycles 0..7, `i` and `pulscnt` climb, and
+/// the three continuous values follow slow ramps inside their rate
+/// bounds. Every check passes.
+fn nominal_e1_trace(ticks: usize) -> Vec<Vec<(arrestor::EaId, u16)>> {
+    use arrestor::EaId;
+    // A triangle wave of period 2·half, one unit per step.
+    let tri = |x: usize, half: usize| (x % (2 * half)).abs_diff(half) as u16;
+    (0..ticks)
+        .map(|t| {
+            let mut tick = vec![
+                (EaId::Ea6, t as u16),
+                (EaId::Ea5, (t % 7) as u16),
+                (EaId::Ea4, (t * 13 / 10).min(6_500) as u16),
+                (EaId::Ea3, (t / 1_700).min(6) as u16),
+            ];
+            if t % 7 == 0 {
+                tick.push((EaId::Ea1, 4_000 + tri(t, 3_000)));
+                tick.push((EaId::Ea2, 3_000 + tri(2 * t, 5_000)));
+                tick.push((EaId::Ea7, 6_000 + tri(3 * t, 4_000)));
+            }
+            tick
+        })
+        .collect()
 }
 
 criterion_group!(

@@ -86,9 +86,7 @@ impl From<DiscreteParams> for Params {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModedParams {
-    /// Sorted by mode. A sorted vector instead of a tree map: the
-    /// common case is one or two modes, and [`ModedParams::params_for`]
-    /// sits on the per-check hot path of every executable assertion.
+    /// Sorted by mode; families hold a handful of modes at most.
     sets: Vec<(Mode, Params)>,
     initial: Mode,
 }
@@ -129,18 +127,7 @@ impl ModedParams {
     /// # Errors
     ///
     /// [`Error::UnknownMode`] when no set was registered for `mode`.
-    #[inline]
     pub fn params_for(&self, mode: Mode) -> Result<&Params, Error> {
-        // Single-mode families (the common case) resolve with one
-        // compare; larger families scan — they hold a handful of modes
-        // at most, so a linear pass beats binary-search bookkeeping.
-        if let [(m, p)] = self.sets.as_slice() {
-            return if *m == mode {
-                Ok(p)
-            } else {
-                Err(Error::UnknownMode { mode })
-            };
-        }
         self.sets
             .iter()
             .find(|(m, _)| *m == mode)

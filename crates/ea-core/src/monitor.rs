@@ -1,13 +1,157 @@
 //! Stateful per-signal monitoring: one [`SignalMonitor`] per monitored
 //! signal, holding the previous sample, current mode and recovery policy.
+//!
+//! # The pass kernel
+//!
+//! Almost every check of a healthy system passes, so each monitor keeps
+//! an inline, `Copy` *pass kernel* compiled from its active mode's
+//! parameters: `smin`/`smax`, the two rate bands and the test 3c/4c/5c
+//! verdict for an unchanged sample of a continuous signal; a base value,
+//! a domain mask and per-value transition masks for a discrete signal
+//! whose domain spans at most [`KERNEL_DOMAIN_SPAN`] values.
+//! [`SignalMonitor::check`] consults it before anything else.
+//!
+//! Its contract:
+//!
+//! * it admits only samples that Table 2 / Table 3 admit, and returns
+//!   the [`Pass`] those procedures return — wrap-arounds (tests 4a/4b),
+//!   wider discrete domains and every violation fall through to
+//!   [`crate::assert_cont`] / [`crate::assert_disc`], which stay the one
+//!   definition of a violation;
+//! * it is derived state: built by every constructor, rebuilt by
+//!   [`SignalMonitor::set_mode`] and by deserialisation, and never
+//!   serialised.
 
 use serde::{Deserialize, Serialize};
 
+use crate::cont::RateBand;
 use crate::error::Error;
 use crate::mode::{Mode, ModedParams, Params};
 use crate::recovery::RecoveryStrategy;
 use crate::verdict::{Pass, Violation};
 use crate::Sample;
+
+/// The widest discrete domain (`max D − min D + 1` values) a pass kernel
+/// covers; wider domains check through [`crate::assert_disc`] alone.
+pub const KERNEL_DOMAIN_SPAN: Sample = 16;
+
+/// The inline pass path of one monitor's active parameter set (see the
+/// module docs). Admits a sample only where Table 2 / Table 3 would, and
+/// returns `None` for everything else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PassKernel {
+    /// Tests 1, 2, 3a, 3b and 3c/4c/5c of Table 2.
+    Continuous {
+        smin: Sample,
+        smax: Sample,
+        incr: RateBand,
+        decr: RateBand,
+        /// What tests 3c/4c/5c make of an unchanged sample; `None` when
+        /// they reject it.
+        unchanged: Option<Pass>,
+    },
+    /// Table 3 over a domain inside `base .. base + KERNEL_DOMAIN_SPAN`:
+    /// bit `i` stands for sample `base + i`.
+    Discrete {
+        base: Sample,
+        domain: u16,
+        /// `transitions[i]`: the admitted successors of `base + i`.
+        transitions: [u16; KERNEL_DOMAIN_SPAN as usize],
+    },
+    /// A discrete domain wider than [`KERNEL_DOMAIN_SPAN`].
+    Absent,
+}
+
+impl PassKernel {
+    /// Compiles `params`, reading every fact through the accessors the
+    /// Table 2 / Table 3 procedures read.
+    fn compile(params: &Params) -> PassKernel {
+        match params {
+            Params::Continuous(p) => PassKernel::Continuous {
+                smin: p.smin(),
+                smax: p.smax(),
+                incr: p.increase(),
+                decr: p.decrease(),
+                // `smin` is in range, so this runs tests 3c/4c/5c.
+                unchanged: crate::assert_cont::check(p, Some(p.smin()), p.smin()).ok(),
+            },
+            Params::Discrete(p) => {
+                let (Some(&base), Some(&max)) = (p.domain().first(), p.domain().last()) else {
+                    return PassKernel::Absent;
+                };
+                if max
+                    .checked_sub(base)
+                    .is_none_or(|span| span >= KERNEL_DOMAIN_SPAN)
+                {
+                    return PassKernel::Absent;
+                }
+                let mut domain = 0u16;
+                let mut transitions = [0u16; KERNEL_DOMAIN_SPAN as usize];
+                for i in 0..KERNEL_DOMAIN_SPAN {
+                    if p.in_domain(base + i) {
+                        domain |= 1 << i;
+                    }
+                    for j in 0..KERNEL_DOMAIN_SPAN {
+                        if p.transition_allowed(base + i, base + j) {
+                            transitions[i as usize] |= 1 << j;
+                        }
+                    }
+                }
+                PassKernel::Discrete {
+                    base,
+                    domain,
+                    transitions,
+                }
+            }
+        }
+    }
+
+    /// The [`Pass`] Table 2 / Table 3 return for `current` after
+    /// `previous`, if the kernel can tell it is one.
+    #[inline(always)]
+    fn admit(&self, previous: Option<Sample>, current: Sample) -> Option<Pass> {
+        match *self {
+            PassKernel::Continuous {
+                smin,
+                smax,
+                incr,
+                decr,
+                unchanged,
+            } => {
+                if current > smax || current < smin {
+                    return None;
+                }
+                let Some(prev) = previous else {
+                    return Some(Pass::FirstSample);
+                };
+                if current > prev {
+                    incr.contains(current - prev).then_some(Pass::Increase)
+                } else if current < prev {
+                    decr.contains(prev - current).then_some(Pass::Decrease)
+                } else {
+                    unchanged
+                }
+            }
+            PassKernel::Discrete {
+                base,
+                domain,
+                ref transitions,
+            } => {
+                let c = current.wrapping_sub(base);
+                if !(0..KERNEL_DOMAIN_SPAN).contains(&c) || domain >> c & 1 == 0 {
+                    return None;
+                }
+                let Some(prev) = previous else {
+                    return Some(Pass::FirstSample);
+                };
+                let p = prev.wrapping_sub(base);
+                ((0..KERNEL_DOMAIN_SPAN).contains(&p) && transitions[p as usize] >> c & 1 == 1)
+                    .then_some(Pass::Discrete)
+            }
+            PassKernel::Absent => None,
+        }
+    }
+}
 
 /// The result of a successful [`SignalMonitor::check`] including recovery
 /// information when a violation occurred but was repaired.
@@ -40,7 +184,7 @@ pub struct Checked {
 /// assert!(monitor.check(7).is_err());
 /// # Ok::<(), ea_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalMonitor {
     name: String,
     params: ModedParams,
@@ -49,12 +193,53 @@ pub struct SignalMonitor {
     recovery: RecoveryStrategy,
     checks: u64,
     violations: u64,
+    /// Compiled from `params` at `mode`; see the module docs.
+    kernel: PassKernel,
+}
+
+impl Serialize for SignalMonitor {
+    fn to_value(&self) -> serde::Value {
+        // The derive layout of the logical fields; the kernel is not
+        // written.
+        serde::Value::Object(vec![
+            ("name".into(), self.name.to_value()),
+            ("params".into(), self.params.to_value()),
+            ("mode".into(), self.mode.to_value()),
+            ("previous".into(), self.previous.to_value()),
+            ("recovery".into(), self.recovery.to_value()),
+            ("checks".into(), self.checks.to_value()),
+            ("violations".into(), self.violations.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for SignalMonitor {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let params: ModedParams = serde::de_field(value, "params")?;
+        let mode: Mode = serde::de_field(value, "mode")?;
+        let kernel = PassKernel::compile(params.params_for(mode).map_err(serde::Error::msg)?);
+        Ok(SignalMonitor {
+            name: serde::de_field(value, "name")?,
+            params,
+            mode,
+            previous: serde::de_field(value, "previous")?,
+            recovery: serde::de_field(value, "recovery")?,
+            checks: serde::de_field(value, "checks")?,
+            violations: serde::de_field(value, "violations")?,
+            kernel,
+        })
+    }
 }
 
 impl SignalMonitor {
     /// Creates a monitor from a full per-mode parameter family.
     pub fn new(name: impl Into<String>, params: ModedParams) -> Self {
         let mode = params.initial_mode();
+        let kernel = PassKernel::compile(
+            params
+                .params_for(mode)
+                .expect("a family always holds its initial mode"),
+        );
         SignalMonitor {
             name: name.into(),
             params,
@@ -63,6 +248,7 @@ impl SignalMonitor {
             recovery: RecoveryStrategy::default(),
             checks: 0,
             violations: 0,
+            kernel,
         }
     }
 
@@ -108,6 +294,13 @@ impl SignalMonitor {
         self.violations
     }
 
+    /// Whether the active parameter set compiled to a pass kernel (every
+    /// continuous set does; a discrete one does when its domain spans at
+    /// most [`KERNEL_DOMAIN_SPAN`] values).
+    pub const fn has_pass_kernel(&self) -> bool {
+        !matches!(self.kernel, PassKernel::Absent)
+    }
+
     /// The active parameter set for the current mode.
     pub fn active_params(&self) -> &Params {
         self.params
@@ -127,7 +320,7 @@ impl SignalMonitor {
     /// [`Error::UnknownMode`] if no parameter set is registered for
     /// `mode`.
     pub fn set_mode(&mut self, mode: Mode) -> Result<(), Error> {
-        self.params.params_for(mode)?;
+        self.kernel = PassKernel::compile(self.params.params_for(mode)?);
         self.mode = mode;
         Ok(())
     }
@@ -147,6 +340,20 @@ impl SignalMonitor {
     #[inline]
     pub fn check(&mut self, sample: Sample) -> Result<Checked, Violation> {
         self.checks += 1;
+        if let Some(pass) = self.kernel.admit(self.previous, sample) {
+            self.previous = Some(sample);
+            return Ok(Checked {
+                pass,
+                committed: sample,
+            });
+        }
+        self.check_full(sample)
+    }
+
+    /// The Table 2 / Table 3 procedure for a sample the kernel did not
+    /// admit (the check is already counted).
+    #[inline(never)]
+    fn check_full(&mut self, sample: Sample) -> Result<Checked, Violation> {
         let params = self
             .params
             .params_for(self.mode)

@@ -127,3 +127,46 @@ fn signal_class_serialises_stably() {
         assert_eq!(back, class);
     }
 }
+
+/// The monitor's wire format: its logical fields in declaration order.
+/// The pass kernel is derived state and never reaches the JSON.
+const PINNED_MONITOR_JSON: &str = r#"{"name":"pressure","params":{"sets":[[1,{"Continuous":{"smin":-5,"smax":400,"incr":{"min":0,"max":30},"decr":{"min":2,"max":20},"wrap":"Allowed","class":{"Continuous":"Random"}}}],[4,{"Discrete":{"domain":[1,2,3],"transitions":[[1,[2]],[2,[3]],[3,[1]]],"class":{"Discrete":{"Sequential":"Linear"}}}}]],"initial":1},"mode":4,"previous":390,"recovery":"Clamp","checks":3,"violations":1}"#;
+
+#[test]
+fn monitor_json_is_pinned_and_rebuilds_the_kernel() {
+    let cont = ContinuousParams::builder(-5, 400)
+        .increase_rate(0, 30)
+        .decrease_rate(2, 20)
+        .wrap_allowed()
+        .build()
+        .unwrap();
+    let disc = DiscreteParams::linear([3, 1, 2], true).unwrap();
+    let moded = ModedParams::new(1, cont).with(4, disc);
+    let mut monitor = SignalMonitor::new("pressure", moded).with_recovery(RecoveryStrategy::Clamp);
+    monitor.check(100).unwrap();
+    monitor.check(120).unwrap();
+    let _ = monitor.check(390);
+    monitor.set_mode(4).unwrap();
+    assert_eq!(
+        serde_json::to_string(&monitor).unwrap(),
+        PINNED_MONITOR_JSON
+    );
+
+    let mut back: SignalMonitor = serde_json::from_str(PINNED_MONITOR_JSON).unwrap();
+    assert_eq!(back, monitor);
+    assert!(back.has_pass_kernel());
+    // The rebuilt kernel is mode 4's, the discrete cycle 3 → 1 → 2: a
+    // move from the out-of-domain 390 violates, then 2 and 3 pass.
+    for sample in [1, 2, 3] {
+        assert_eq!(back.check(sample), monitor.check(sample));
+    }
+    assert_eq!(back, monitor);
+    assert_eq!(back.violations(), 2);
+    assert_eq!(back.previous(), Some(3));
+}
+
+#[test]
+fn monitor_with_an_unregistered_mode_does_not_deserialise() {
+    let json = PINNED_MONITOR_JSON.replace(r#""mode":4"#, r#""mode":7"#);
+    assert!(serde_json::from_str::<SignalMonitor>(&json).is_err());
+}

@@ -316,7 +316,7 @@ impl ConvergenceSink {
 /// [`arrestor::System`] clones inside the fast caches on one core while
 /// still amortising the shared-environment tick. Split points cannot
 /// change any result: lanes never interact (pinned by
-/// `crates/arrestor/tests/prop_batch.rs`).
+/// `tests/prop_batch.rs`).
 pub const DEFAULT_BATCH_SIZE: usize = 8;
 
 /// Cuts one test case's pending errors, given their prune classes in

@@ -251,7 +251,7 @@ pub struct BatchTrial {
 /// what [`run_trial_checkpointed_observed`] produces for the same
 /// flip — the batch changes the execution schedule, never the
 /// results. Pinned by `tests/batch_equivalence.rs` and the lane
-/// invariance properties in `crates/arrestor/tests/prop_batch.rs`.
+/// invariance properties in `tests/prop_batch.rs`.
 pub fn run_case_batch(
     protocol: &Protocol,
     flips: &[BitFlip],

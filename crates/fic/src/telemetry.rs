@@ -438,7 +438,8 @@ impl TelemetrySnapshot {
 /// attributable: which code, which machine shape, which configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunMetadata {
-    /// `git rev-parse HEAD` of the working tree, or `unknown`.
+    /// `git rev-parse HEAD` of the working tree, suffixed `-dirty` when a
+    /// tracked file differs from it, or `unknown` (see [`git_sha_in`]).
     pub git_sha: String,
     /// Resolved worker-thread count.
     pub workers: usize,
@@ -470,21 +471,49 @@ impl RunMetadata {
     }
 }
 
-/// The HEAD commit of the enclosing git checkout, or `unknown`.
+/// The HEAD commit of the enclosing git checkout, or `unknown`: the
+/// current directory's [`git_sha_in`], resolved once per process —
+/// every report and fleet status request asks, and `git status` walks
+/// the whole tree.
+pub fn git_sha() -> String {
+    static SHA: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    SHA.get_or_init(|| git_sha_in(Path::new("."))).clone()
+}
+
+/// The HEAD commit of the git checkout enclosing `dir`, suffixed
+/// `-dirty` when a tracked file differs from `HEAD` (untracked files do
+/// not count), or `unknown`.
 ///
 /// Shells out to `git`; any failure (no git, not a checkout) degrades
 /// to `unknown` rather than an error — telemetry must never fail a
 /// campaign.
-pub fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
+pub fn git_sha_in(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(sha) = git(&["rev-parse", "HEAD"])
         .map(|s| s.trim().to_owned())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+    else {
+        return "unknown".to_owned();
+    };
+    match git(&[
+        "--no-optional-locks",
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+    ]) {
+        Some(changes) if changes.trim().is_empty() => sha,
+        Some(_) => format!("{sha}-dirty"),
+        None => "unknown".to_owned(),
+    }
 }
 
 /// The end-of-campaign telemetry artefact (`results/telemetry/*.json`).
@@ -774,6 +803,54 @@ pub fn small_count_bounds() -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn git_sha_marks_a_dirty_tree() {
+        let dir = std::env::temp_dir().join(format!("fic-git-sha-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(git_sha_in(&dir), "unknown", "not a checkout yet");
+        let git = |args: &[&str]| {
+            let status = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args([
+                    "-c",
+                    "user.name=t",
+                    "-c",
+                    "user.email=t@example.invalid",
+                    "-c",
+                    "commit.gpgsign=false",
+                ])
+                .args(args)
+                .output()
+                .unwrap()
+                .status;
+            assert!(status.success(), "git {args:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("a.txt"), "one\n").unwrap();
+        git(&["add", "a.txt"]);
+        git(&["commit", "-q", "-m", "first"]);
+
+        let clean = git_sha_in(&dir);
+        assert_eq!(clean.len(), 40, "{clean}");
+        assert!(clean.bytes().all(|b| b.is_ascii_hexdigit()), "{clean}");
+        // Untracked files do not make the tree dirty.
+        std::fs::write(dir.join("untracked.txt"), "x\n").unwrap();
+        assert_eq!(git_sha_in(&dir), clean);
+        // A modified tracked file does, staged or not.
+        std::fs::write(dir.join("a.txt"), "two\n").unwrap();
+        assert_eq!(git_sha_in(&dir), format!("{clean}-dirty"));
+        git(&["add", "a.txt"]);
+        assert_eq!(git_sha_in(&dir), format!("{clean}-dirty"));
+        // Committing names the new HEAD, clean again.
+        git(&["commit", "-q", "-m", "second"]);
+        let second = git_sha_in(&dir);
+        assert_ne!(second, clean);
+        assert!(!second.ends_with("-dirty"), "{second}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn schema_version_is_pinned() {
