@@ -415,7 +415,7 @@ impl SettleDetector {
         // Fold the readout grid into the alignment so every recurrence
         // distance is a whole number of sample periods.
         let readout_every_ms = config.record_every_ms;
-        let reach = crate::record_final::FlipReach::of(system.master(), flip, injection_period_ms);
+        let reach = crate::record_final::FlipReach::of(flip, injection_period_ms);
         let command_final = readout_every_ms == 0 && config.recovery.is_none();
         let record_final = command_final && reach.admits_certificates();
         let period_ms = lcm(

@@ -3,31 +3,18 @@
 //!
 //! Signal-level executable assertions are "not aimed at" control-flow
 //! errors (paper Section 5.2); this module is where those errors come
-//! from in the reproduction. A bit flip hitting live stack *control*
-//! data derails execution:
-//!
-//! * `ISR_CTX` or `KERNEL` control → the node **hangs**: no module —
-//!   including the assertions — runs again; valve commands freeze.
-//! * `CALC` control → the background process **halts**: the pressure
-//!   schedule freezes at its current target, while the periodic modules
-//!   keep running.
-//! * `KERNEL` locals → the dispatcher's slot scratch is clobbered: the
-//!   next slot dispatch is skipped once.
-//! * A periodic module's frame (control or locals) is only live while
-//!   the module executes; a hit in the same tick the module is
-//!   scheduled makes that run misbehave — modelled as skipping the run
-//!   (stale outputs). At any other time the frame is dormant and the
-//!   next push overwrites the corruption: no effect.
+//! from in the reproduction. A bit flip hitting live stack control data,
+//! or the dispatcher's scratch, derails execution: the node hangs, the
+//! background process halts, or one dispatch or module run is skipped.
+//! Which part of which frame raises which fault, and in which slots, is
+//! the [`crate::reach::FRAMES`] table; [`interpret_stack_hit`] reads it.
 
 use serde::{Deserialize, Serialize};
 
-use memsim::{FramePart, Liveness, StackHit};
-
-use crate::consts::slot;
-use crate::stackmodel::frame;
+use crate::reach;
 
 /// A control-flow fault pending or in effect.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ControlFlowFault {
     /// The node stops executing entirely (scheduler corruption).
     Hang,
@@ -107,123 +94,78 @@ impl KernelState {
     }
 }
 
-/// Interprets a stack hit into a control-flow fault, given the slot that
-/// will execute in the tick right after the injection.
+/// Interprets a flip into stack byte `addr` as a control-flow fault,
+/// given the slot that will execute in the tick right after the
+/// injection: the [`reach::FRAMES`] row's fault for the part hit.
 ///
-/// Returns `None` for dead space, dormant periodic frames, and the CALC
+/// Returns `None` for dead space, dormant per-run frames, and the CALC
 /// locals (those bytes are real data storage — the corruption is already
 /// in the bytes and needs no control-flow interpretation).
-pub fn interpret_stack_hit(hit: &StackHit, upcoming_slot: u16) -> Option<ControlFlowFault> {
-    let StackHit::Frame {
-        module,
-        part,
-        liveness,
-        ..
-    } = hit
-    else {
-        return None;
-    };
-    match (module.as_str(), part, liveness) {
-        (frame::ISR_CTX | frame::KERNEL, FramePart::Control, _) => Some(ControlFlowFault::Hang),
-        (frame::KERNEL, FramePart::Locals, _) => Some(ControlFlowFault::SkipSlotOnce),
-        (frame::CALC, FramePart::Control, _) => Some(ControlFlowFault::CalcHalt),
-        (frame::CALC, FramePart::Locals, _) => None,
-        (name, _, Liveness::WhenScheduled) => scheduled_this_tick(name, upcoming_slot)
-            .then(|| ControlFlowFault::SkipModuleOnce(static_name(name))),
-        (_, _, Liveness::Always) => None,
-    }
-}
-
-/// Whether the named periodic module executes in the given slot.
-fn scheduled_this_tick(module: &str, slot_nbr: u16) -> bool {
-    match module {
-        frame::CLOCK | frame::DIST_S => true,
-        frame::PRES_S => slot_nbr == slot::PRES_S,
-        frame::V_REG => slot_nbr == slot::V_REG,
-        frame::PRES_A => slot_nbr == slot::PRES_A,
-        _ => false,
-    }
-}
-
-fn static_name(module: &str) -> &'static str {
-    match module {
-        frame::CLOCK => frame::CLOCK,
-        frame::DIST_S => frame::DIST_S,
-        frame::PRES_S => frame::PRES_S,
-        frame::V_REG => frame::V_REG,
-        frame::PRES_A => frame::PRES_A,
-        _ => frame::KERNEL,
-    }
+pub fn interpret_stack_hit(addr: usize, upcoming_slot: u16) -> Option<ControlFlowFault> {
+    let (row, part) = reach::frame_at(addr)?;
+    row.fault(part, upcoming_slot)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consts::slot;
+    use crate::stackmodel::{frame, master_stack};
+    use memsim::FramePart;
 
-    fn hit(module: &str, part: FramePart, liveness: Liveness) -> StackHit {
-        StackHit::Frame {
-            module: module.to_owned(),
-            part,
-            offset: 0,
-            liveness,
+    /// The first byte of `module`'s frame part in the master stack.
+    fn at(module: &str, part: FramePart) -> usize {
+        let (layout, _) = master_stack();
+        let frame = layout.frame(module).expect("a master frame");
+        match part {
+            FramePart::Control => frame.base,
+            FramePart::Locals => frame.base + frame.control,
         }
     }
 
     #[test]
     fn kernel_control_hits_hang() {
         for name in [frame::ISR_CTX, frame::KERNEL] {
-            let fault =
-                interpret_stack_hit(&hit(name, FramePart::Control, Liveness::Always), 0).unwrap();
+            let fault = interpret_stack_hit(at(name, FramePart::Control), 0).unwrap();
             assert_eq!(fault, ControlFlowFault::Hang);
         }
     }
 
     #[test]
     fn calc_control_halts_background() {
-        let fault = interpret_stack_hit(&hit(frame::CALC, FramePart::Control, Liveness::Always), 0)
-            .unwrap();
+        let fault = interpret_stack_hit(at(frame::CALC, FramePart::Control), 0).unwrap();
         assert_eq!(fault, ControlFlowFault::CalcHalt);
     }
 
     #[test]
     fn calc_locals_are_data_not_control() {
         assert_eq!(
-            interpret_stack_hit(&hit(frame::CALC, FramePart::Locals, Liveness::Always), 0),
+            interpret_stack_hit(at(frame::CALC, FramePart::Locals), 0),
             None
         );
     }
 
     #[test]
     fn dead_space_is_inert() {
-        assert_eq!(interpret_stack_hit(&StackHit::Dead, 3), None);
+        assert_eq!(interpret_stack_hit(10, 3), None);
+        assert_eq!(interpret_stack_hit(memsim::STACK_BYTES, 3), None);
     }
 
     #[test]
     fn dormant_periodic_frames_are_inert() {
         // V_REG runs in slot 3; a hit while slot 0 is upcoming is dormant.
         assert_eq!(
-            interpret_stack_hit(
-                &hit(frame::V_REG, FramePart::Control, Liveness::WhenScheduled),
-                0
-            ),
+            interpret_stack_hit(at(frame::V_REG, FramePart::Control), 0),
             None
         );
     }
 
     #[test]
     fn scheduled_periodic_frames_skip_once() {
-        let fault = interpret_stack_hit(
-            &hit(frame::V_REG, FramePart::Control, Liveness::WhenScheduled),
-            slot::V_REG,
-        )
-        .unwrap();
+        let fault = interpret_stack_hit(at(frame::V_REG, FramePart::Control), slot::V_REG).unwrap();
         assert_eq!(fault, ControlFlowFault::SkipModuleOnce(frame::V_REG));
         // CLOCK runs every tick: always vulnerable.
-        let fault = interpret_stack_hit(
-            &hit(frame::CLOCK, FramePart::Locals, Liveness::WhenScheduled),
-            5,
-        )
-        .unwrap();
+        let fault = interpret_stack_hit(at(frame::CLOCK, FramePart::Locals), 5).unwrap();
         assert_eq!(fault, ControlFlowFault::SkipModuleOnce(frame::CLOCK));
     }
 

@@ -52,6 +52,7 @@ pub mod kernel;
 pub mod math;
 pub mod modules;
 pub mod node;
+pub mod reach;
 pub mod record_final;
 pub mod settle;
 pub mod signals;

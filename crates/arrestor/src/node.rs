@@ -3,7 +3,7 @@
 //! second drum).
 
 use ea_core::Millis;
-use memsim::{BitFlip, MemoryMap, Ram, StackHit, TargetMemory};
+use memsim::{BitFlip, MemoryMap, Ram, TargetMemory};
 
 use crate::consts::slot;
 use crate::control;
@@ -154,11 +154,9 @@ impl MasterNode {
                 s + 1
             }
         };
-        if let Ok(Some(hit)) = self.mem.inject(flip) {
-            if hit != StackHit::Dead {
-                if let Some(fault) = interpret_stack_hit(&hit, upcoming_slot) {
-                    self.kernel.apply(fault);
-                }
+        if let Ok(Some(_)) = self.mem.inject(flip) {
+            if let Some(fault) = interpret_stack_hit(flip.addr, upcoming_slot) {
+                self.kernel.apply(fault);
             }
         }
     }

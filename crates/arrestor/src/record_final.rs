@@ -18,31 +18,29 @@
 //! 2. **The set point is absorbing.** `sys_mode` is STOPPED, or
 //!    ARRESTING with the checkpoint branch unreachable — every
 //!    checkpoint passed (`i ≥ 6`), or the next threshold above every
-//!    pulse count the flip can produce — and the flip cannot reach
-//!    `sys_mode`, `set_target` or (while ARRESTING) `i` and the
-//!    threshold table. In both arms CALC then only ramps `SetValue`
+//!    pulse count the flip can produce — and the flip's row of the
+//!    reach table ([`crate::reach`]) has neither `PREMISES` nor, while
+//!    ARRESTING, `CHECKPOINTS`. In both arms CALC then only ramps `SetValue`
 //!    towards `set_target` and may move ARRESTING on to STOPPED:
 //!    `set_target` and `i` are written only by the ARMED arm and
 //!    ARRESTING's checkpoint branch. A trial whose flip keeps the
 //!    drum's pulse count moving never stalls into STOPPED, so this arm
 //!    matters.
 //! 3. **The schedule is nominal.** The kernel state is clean, the flip
-//!    cannot reach `ms_slot_nbr` and cannot raise a control-flow fault
-//!    in any slot phase, and the slot counter reads 0. So PRES_S, V_REG
+//!    breaks no premise (its RAM row has no `PREMISES`, its stack part
+//!    derails no slot phase), and the slot counter reads 0. So PRES_S, V_REG
 //!    and PRES_A last ran at `t − 6`, `t − 4` and `t − 2`, and run every
 //!    7 ms from `t + 1`, `t + 3` and `t + 5` on.
 //! 4. **Every enabled mechanism without a logged detection has a
 //!    certificate:** every (previous, current) sample pair it will ever
-//!    test lies in the pass set of its own parameters. A flip that lands
-//!    in a cell the mechanism's samples depend on ([`FlipReach`]) voids
-//!    the certificate, except a flip of mask `m` into one of the three
-//!    control-law cells: `SetValue` (when CALC's ramp undoes it before
-//!    the next injection, the set point stays in the hull of its target
-//!    and the flipped target), `IsValue` or `OutValue` (V_REG and PRES_S
-//!    overwrite them every 7 ms, so at most one of two successive
-//!    samples carries the flip, and it moves that sample by at most
-//!    `m`). A mechanism that already fired needs no certificate, since
-//!    the log keeps first detections only.
+//!    test lies in the pass set of its own parameters. A flip whose
+//!    reach-table row taints the mechanism voids the certificate, unless
+//!    the row's control-law rule absorbs it
+//!    ([`crate::reach::Tracked`]): a `SetValue` flip keeps the set point
+//!    in the hull of its target and the flipped target, an `IsValue` or
+//!    `OutValue` flip moves at most one of two successive samples by its
+//!    mask `m`. A mechanism that already fired needs no certificate,
+//!    since the log keeps first detections only.
 //!
 //! The certificates rest on envelopes derived from the code:
 //! [`is_value_step_pu`] bounds how far the filtered pressure reading can
@@ -75,14 +73,12 @@
 //! 3. **Readings stay put.** Each valve's pressure lies in the absorbing
 //!    band of its command ([`crate::settle::absorbing_cell`]), whose cell
 //!    is that valve's reading.
-//! 4. **Flip reach** ([`CommandReach`]). The flip lands on no cell of the
-//!    command path and on no stack byte some slot phase turns into a
-//!    control-flow fault, unless the master already hung. What is left —
-//!    `pulscnt`, `mscnt`, CALC's estimates, locals and tables, the mass
-//!    setting, unread RAM — feeds only the velocity estimate, the stall
-//!    detector (ARRESTING → STOPPED, which ramps to the same target),
-//!    the checkpoint branch that `i ≥ 6` and STOPPED never enter, and
-//!    EA4/EA6.
+//! 4. **Flip reach** ([`CommandReach`]). Unless the master already
+//!    hung, the flip's RAM row has no `COMMAND` and its stack part
+//!    derails no slot phase ([`crate::reach`]). What such a flip reaches
+//!    feeds only the velocity estimate, the stall detector (ARRESTING →
+//!    STOPPED, which ramps to the same target), the checkpoint branch
+//!    that `i ≥ 6` and STOPPED never enter, and EA4/EA6.
 //! 5. **Record.** The master hung, or EA4 has a logged detection; every
 //!    other enabled mechanism without one tests a repeated sample that
 //!    passes (EA1, EA2, EA3, EA7) or the nominal slot and clock
@@ -98,12 +94,12 @@ use simenv::spec;
 
 use crate::consts::{
     mode, slot, CHECKPOINT_X_CM, OUT_MAX_PU, PID_ERR_DIV, PID_INTEG_CLAMP, PID_INTEG_DIV,
-    PID_KD_DIV, SLEW_PU_PER_MS,
+    PID_KD_DIV,
 };
 use crate::control::pid_step;
 use crate::detectors::EaId;
-use crate::kernel::interpret_stack_hit;
-use crate::node::{MasterNode, SlaveNode};
+use crate::node::SlaveNode;
+use crate::reach::{self, Tracked};
 use crate::settle::absorbing_cell;
 use crate::signals::FILTER_DEPTH;
 use crate::system::System;
@@ -230,18 +226,18 @@ struct LawMasks {
 }
 
 /// What a trial's flip can reach after arrest, decided once per trial
-/// from the flip's coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// from the flip's coordinates. The default reaches nothing: a
+/// fault-free run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlipReach {
-    /// The flip can leave STOPPED or perturb the schedule: `sys_mode`,
-    /// `set_target`, `ms_slot_nbr`, or a stack byte that some slot
-    /// phase interprets as a control-flow fault. No certificate holds.
+    /// The flip can leave STOPPED or perturb the schedule (its RAM row's
+    /// `PREMISES`, or a stack part that derails). No certificate holds.
     breaks_premises: bool,
-    /// Bit `k` set: the flip lands in a cell that EA`k+1`'s post-arrest
-    /// samples depend on, so EA`k+1` has no certificate.
+    /// Bit `k` set: the flip's row taints EA`k+1` and no control-law
+    /// rule absorbs it, so EA`k+1` has no certificate.
     tainted: u8,
-    /// The flip hits `i` or the checkpoint threshold table, so
-    /// ARRESTING's checkpoint branch may run again.
+    /// The flip's row has `CHECKPOINTS`: ARRESTING's checkpoint branch
+    /// may run again.
     hits_checkpoints: bool,
     /// The XOR mask the flip applies to `pulscnt`; 0 for other flips.
     pulscnt_mask: u16,
@@ -251,93 +247,37 @@ pub struct FlipReach {
 
 impl FlipReach {
     /// The reach of `flip` (`None`: a fault-free run), re-injected every
-    /// `injection_period_ms`, into `master`'s memory.
-    pub fn of(master: &MasterNode, flip: Option<BitFlip>, injection_period_ms: u64) -> Self {
-        let none = FlipReach {
-            breaks_premises: false,
-            tainted: 0,
-            hits_checkpoints: false,
-            pulscnt_mask: 0,
-            masks: LawMasks::default(),
-        };
+    /// `injection_period_ms`: its row of the reach table.
+    pub fn of(flip: Option<BitFlip>, injection_period_ms: u64) -> Self {
+        let mut reach = FlipReach::default();
         let Some(flip) = flip else {
-            return none;
+            return reach;
         };
-        match flip.region {
-            Region::Stack => {
-                let hit = master.memory().layout().classify(flip.addr);
-                FlipReach {
-                    breaks_premises: (0..slot::COUNT)
-                        .any(|s| interpret_stack_hit(&hit, s).is_some()),
-                    ..none
-                }
+        if flip.region == Region::Stack {
+            reach.breaks_premises = reach::stack_derails(flip.addr);
+            return reach;
+        }
+        let Some((row, offset)) = reach::ram_row(flip.addr) else {
+            return reach;
+        };
+        reach.breaks_premises = row.has(reach::PREMISES);
+        reach.hits_checkpoints = row.has(reach::CHECKPOINTS);
+        reach.tainted = row.taints.iter().fold(0, |bits, ea| bits | 1 << ea.index());
+        if let Some(cell) = row.tracked {
+            let mask = 1u16 << (8 * offset + usize::from(flip.bit));
+            let absorbed = cell.absorbs(mask, injection_period_ms);
+            if absorbed {
+                reach.tainted = 0;
             }
-            Region::AppRam => {
-                let sig = master.signals();
-                let in_cell = |addr: usize| flip.addr == addr || flip.addr == addr + 1;
-                let in_block = |name: &str| {
-                    sig.symbols()
-                        .symbol(name)
-                        .is_some_and(|s| (s.addr..s.addr + s.width).contains(&flip.addr))
-                };
-                let filter = in_cell(sig.filt_idx.addr()) || in_block("filt_buf");
-                let mask_of = |cell: memsim::CellU16| {
-                    if in_cell(cell.addr()) {
-                        1u16 << ((flip.addr - cell.addr()) * 8 + usize::from(flip.bit))
-                    } else {
-                        0
-                    }
-                };
-                let period = i64::try_from(injection_period_ms).unwrap_or(i64::MAX);
-                // CALC's ramp (SLEW_PU_PER_MS per tick) must undo a
-                // SetValue flip before the next injection.
-                let set_value = mask_of(sig.set_value);
-                let set_value_absorbed = i64::from(set_value) <= SLEW_PU_PER_MS * period;
-                // IsValue and OutValue are rewritten every 7 ms and
-                // sampled 2 ms later: with injections at least 9 ms
-                // apart, no two successive samples both carry the flip.
-                let rewritten_absorbed = period > i64::from(slot::COUNT) + 1;
-                let (is_value, out_value) = (mask_of(sig.is_value), mask_of(sig.out_value));
-                let masks = LawMasks {
-                    set_value: if set_value_absorbed { set_value } else { 0 },
-                    is_value: if rewritten_absorbed { is_value } else { 0 },
-                    out_value: if rewritten_absorbed { out_value } else { 0 },
-                };
-                let unabsorbed = (set_value != 0 && !set_value_absorbed)
-                    || ((is_value != 0 || out_value != 0) && !rewritten_absorbed);
-                let mut tainted = 0u8;
-                let mut taint = |ea: EaId, hit: bool| {
-                    if hit {
-                        tainted |= 1 << ea.index();
-                    }
-                };
-                taint(EaId::Ea1, set_value != 0 && !set_value_absorbed);
-                taint(EaId::Ea2, filter || (is_value != 0 && !rewritten_absorbed));
-                taint(EaId::Ea3, in_cell(sig.i.addr()));
-                taint(EaId::Ea4, in_cell(sig.pulscnt.addr()));
-                taint(EaId::Ea6, in_cell(sig.mscnt.addr()));
-                taint(
-                    EaId::Ea7,
-                    filter
-                        || unabsorbed
-                        || in_cell(sig.pid_integ.addr())
-                        || in_cell(sig.pid_prev_err.addr()),
-                );
-                FlipReach {
-                    breaks_premises: [
-                        sig.sys_mode.addr(),
-                        sig.set_target.addr(),
-                        sig.ms_slot_nbr.addr(),
-                    ]
-                    .into_iter()
-                    .any(in_cell),
-                    tainted,
-                    hits_checkpoints: in_cell(sig.i.addr()) || in_block("cp_table"),
-                    pulscnt_mask: mask_of(sig.pulscnt),
-                    masks,
-                }
+            match cell {
+                Tracked::Pulses => reach.pulscnt_mask = mask,
+                _ if !absorbed => {}
+                Tracked::SetValue => reach.masks.set_value = mask,
+                Tracked::IsValue => reach.masks.is_value = mask,
+                Tracked::OutValue => reach.masks.out_value = mask,
             }
         }
+        reach
     }
 
     /// Whether the flip leaves premises 2 and 3 reachable at all.
@@ -560,11 +500,10 @@ fn nominal_clock(params: &Params, previous: Option<Sample>, mscnt: Sample) -> bo
 /// The default reaches nothing: a run that is never injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommandReach {
-    /// The flip can move a valve command of a running master: it lands
-    /// on a cell of the command path, or on a stack byte that some slot
-    /// phase turns into a control-flow fault.
+    /// The flip can move a valve command of a running master: its RAM
+    /// row has `COMMAND`, or its stack part derails.
     moves_commands: bool,
-    /// The flip lands in `mscnt`, so EA6's samples leave the nominal
+    /// The flip's row is the `CLOCK`, so EA6's samples leave the nominal
     /// clock.
     hits_clock: bool,
 }
@@ -577,50 +516,19 @@ impl CommandReach {
         hits_clock: true,
     };
 
-    /// The reach of `flip` in `master`'s memory, re-injected at any
-    /// instants.
-    pub fn of(master: &MasterNode, flip: BitFlip) -> Self {
+    /// The reach of `flip`, re-injected at any instants: its row of the
+    /// reach table. RAM past the bank counts as reaching anything.
+    pub fn of(flip: BitFlip) -> Self {
         match flip.region {
-            // CALC's locals and dead space are data no slot phase
-            // interprets; every other frame byte derails some phase.
-            Region::Stack => {
-                let hit = master.memory().layout().classify(flip.addr);
-                CommandReach {
-                    moves_commands: (0..slot::COUNT)
-                        .any(|s| interpret_stack_hit(&hit, s).is_some()),
-                    hits_clock: false,
-                }
-            }
+            Region::Stack => CommandReach {
+                moves_commands: reach::stack_derails(flip.addr),
+                hits_clock: false,
+            },
             Region::AppRam => {
-                let sig = master.signals();
-                let in_cell = |cell: memsim::CellU16| {
-                    flip.addr == cell.addr() || flip.addr == cell.addr() + 1
-                };
-                let in_block = |name: &str| {
-                    sig.symbols()
-                        .symbol(name)
-                        .is_some_and(|s| (s.addr..s.addr + s.width).contains(&flip.addr))
-                };
-                // Cells that feed no valve command once `i ≥ 6` or
-                // STOPPED: the pulse count and the clock (velocity
-                // estimate, stall detector, EA4, EA6), the checkpoint
-                // law's inputs and tables, and RAM nothing reads.
-                let inert = [
-                    sig.pulscnt,
-                    sig.mscnt,
-                    sig.mass_cfg,
-                    sig.calc_x_cm,
-                    sig.calc_cos1000,
-                ]
-                .into_iter()
-                .any(in_cell)
-                    || ["cp_table", "cap_table", "dbg_trace", "reserved"]
-                        .into_iter()
-                        .any(in_block);
-                CommandReach {
-                    moves_commands: !inert,
-                    hits_clock: in_cell(sig.mscnt),
-                }
+                reach::ram_row(flip.addr).map_or(Self::ANYTHING, |(row, _)| CommandReach {
+                    moves_commands: row.has(reach::COMMAND),
+                    hits_clock: row.has(reach::CLOCK),
+                })
             }
         }
     }

@@ -9,6 +9,7 @@ use memsim::{CellU16, Error, MemoryMap, Ram, APP_RAM_BYTES};
 
 use crate::consts::{self, mode};
 use crate::math::{distance_cm_from_payout, isqrt};
+use crate::reach;
 
 /// The application-RAM variables of the master node.
 ///
@@ -66,7 +67,8 @@ pub const FILTER_DEPTH: usize = 4;
 
 impl SignalMap {
     /// Allocates the complete master RAM image (exactly
-    /// [`APP_RAM_BYTES`] bytes).
+    /// [`APP_RAM_BYTES`] bytes): the [`crate::reach::RAM`] table, in
+    /// order.
     ///
     /// # Errors
     ///
@@ -74,49 +76,32 @@ impl SignalMap {
     /// (covered by tests).
     pub fn allocate() -> Result<Self, Error> {
         let mut map = MemoryMap::new(APP_RAM_BYTES);
-        let mscnt = map.alloc_u16("mscnt")?;
-        let ms_slot_nbr = map.alloc_u16("ms_slot_nbr")?;
-        let pulscnt = map.alloc_u16("pulscnt")?;
-        let i = map.alloc_u16("i")?;
-        let set_value = map.alloc_u16("SetValue")?;
-        let is_value = map.alloc_u16("IsValue")?;
-        let out_value = map.alloc_u16("OutValue")?;
-        let mass_cfg = map.alloc_u16("mass_cfg")?;
-        let sys_mode = map.alloc_u16("sys_mode")?;
-        let set_target = map.alloc_u16("set_target")?;
-        let link_out = map.alloc_u16("link_out")?;
-        let pid_integ = map.alloc_u16("pid_integ")?;
-        let pid_prev_err = map.alloc_u16("pid_prev_err")?;
-        let calc_x_cm = map.alloc_u16("calc_x_cm")?;
-        let calc_cos1000 = map.alloc_u16("calc_cos1000")?;
-        let filt_idx = map.alloc_u16("filt_idx")?;
-        let filt_buf = map.alloc_block("filt_buf", 2 * FILTER_DEPTH)?;
-        let cp_table = map.alloc_block("cp_table", 2 * consts::CHECKPOINT_X_CM.len())?;
-        let cap_table = map.alloc_block("cap_table", 2 * consts::CHECKPOINT_X_CM.len())?;
-        map.alloc_block("dbg_trace", 32)?;
-        let rest = map.remaining();
-        map.alloc_block("reserved", rest)?;
+        for (row, span) in reach::ram_layout() {
+            map.alloc_block(row.name, span.len())?;
+        }
         debug_assert_eq!(map.remaining(), 0);
+        let at = |name: &str| map.symbol(name).expect("a row of the table").addr;
+        let cell = |name: &str| CellU16::at(at(name));
         Ok(SignalMap {
-            mscnt,
-            ms_slot_nbr,
-            pulscnt,
-            i,
-            set_value,
-            is_value,
-            out_value,
-            mass_cfg,
-            sys_mode,
-            set_target,
-            link_out,
-            pid_integ,
-            pid_prev_err,
-            calc_x_cm,
-            calc_cos1000,
-            filt_idx,
-            filt_buf,
-            cp_table,
-            cap_table,
+            mscnt: cell("mscnt"),
+            ms_slot_nbr: cell("ms_slot_nbr"),
+            pulscnt: cell("pulscnt"),
+            i: cell("i"),
+            set_value: cell("SetValue"),
+            is_value: cell("IsValue"),
+            out_value: cell("OutValue"),
+            mass_cfg: cell("mass_cfg"),
+            sys_mode: cell("sys_mode"),
+            set_target: cell("set_target"),
+            link_out: cell("link_out"),
+            pid_integ: cell("pid_integ"),
+            pid_prev_err: cell("pid_prev_err"),
+            calc_x_cm: cell("calc_x_cm"),
+            calc_cos1000: cell("calc_cos1000"),
+            filt_idx: cell("filt_idx"),
+            filt_buf: at("filt_buf"),
+            cp_table: at("cp_table"),
+            cap_table: at("cap_table"),
             map,
         })
     }

@@ -1,29 +1,18 @@
-//! The master node's stack layout.
-//!
-//! Frames, top of the 1008-byte stack downwards:
-//!
-//! | Frame | Control | Locals | Liveness |
-//! |---|---|---|---|
-//! | `ISR_CTX` (interrupt context / scheduler return chain) | 32 | 0 | always |
-//! | `KERNEL` (cyclic-executive dispatcher) | 16 | 8 | always |
-//! | `CALC` (background process — never pops) | 12 | 40 | always |
-//! | `CLOCK`, `DIST_S`, `PRES_S`, `V_REG`, `PRES_A` | 4 each | 8–16 | when scheduled |
-//!
-//! Everything below the deepest frame is dead space (≈ 83 % of the
-//! bank), so most stack injections are inert — matching the target's
-//! real stack, which is sized for the worst-case call depth.
+//! The master node's stack layout: the [`crate::reach::FRAMES`] table
+//! pushed top of the 1008-byte stack downwards, with everything below
+//! the deepest frame dead space.
 //!
 //! The CALC frame's locals are *real storage*: [`crate::CalcLocals`]
 //! binds the velocity-estimation state to those bytes, so flips there
 //! are genuine data errors. Control-slot hits are interpreted by
 //! [`crate::kernel`] as control-flow faults.
 
-use memsim::{Liveness, StackLayout, STACK_BYTES};
+use memsim::{StackLayout, STACK_BYTES};
 
+use crate::reach::FRAMES;
 use crate::signals::CalcLocals;
 
-/// Frame names used in the layout (shared with `kernel`'s
-/// interpretation).
+/// Frame names used in the layout (shared with the node's dispatch).
 pub mod frame {
     /// Interrupt context / scheduler return chain.
     pub const ISR_CTX: &str = "ISR_CTX";
@@ -50,27 +39,12 @@ pub mod frame {
 /// Never for the paper's stack size; the layout totals ≈ 170 bytes.
 pub fn master_stack() -> (StackLayout, CalcLocals) {
     let mut layout = StackLayout::new(STACK_BYTES);
-    layout
-        .push_frame(frame::ISR_CTX, 32, 0, Liveness::Always)
-        .expect("fits");
-    layout
-        .push_frame(frame::KERNEL, 16, 8, Liveness::Always)
-        .expect("fits");
-    layout
-        .push_frame(frame::CALC, 12, 40, Liveness::Always)
-        .expect("fits");
-    for (name, locals) in [
-        (frame::CLOCK, 8),
-        (frame::DIST_S, 8),
-        (frame::PRES_S, 8),
-        (frame::V_REG, 16),
-        (frame::PRES_A, 8),
-    ] {
+    for row in &FRAMES {
         layout
-            .push_frame(name, 4, locals, Liveness::WhenScheduled)
+            .push_frame(row.name, row.control, row.locals, row.liveness())
             .expect("fits");
     }
-    let calc = layout.frame(frame::CALC).expect("just pushed");
+    let calc = layout.frame(frame::CALC).expect("a row of the table");
     let locals_base = calc.base + calc.control;
     debug_assert!(CalcLocals::BYTES <= calc.locals);
     (layout, CalcLocals::at(locals_base))

@@ -194,7 +194,7 @@ impl System {
         match self.injected {
             None => {
                 self.injected = Some(flip);
-                self.reach = CommandReach::of(&self.master, flip);
+                self.reach = CommandReach::of(flip);
             }
             Some(first) if first != flip => self.reach = CommandReach::ANYTHING,
             Some(_) => {}
@@ -493,7 +493,7 @@ mod tests {
         run_until_commands_final(&mut system, flip);
         let master = system.master();
         let sig = master.signals();
-        let reach = |f| crate::record_final::CommandReach::of(master, f);
+        let reach = crate::record_final::CommandReach::of;
         let holds = |s: &System, f| crate::record_final::commands_final(s, reach(f));
         assert!(holds(&system, flip));
         // A flip into SetValue could move the set point and the commands.

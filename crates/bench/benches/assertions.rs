@@ -92,10 +92,9 @@ fn bench_monitor_and_bank(c: &mut Criterion) {
     });
     group.finish();
 
-    // Two passes over a 10 s trace: the harness's default 100 ticks
-    // would time the first tenth of a second only.
+    // Each sample's batch lasts at least a millisecond (a few thousand
+    // ticks), so the samples walk the whole 10 s trace.
     let mut group = c.benchmark_group("lockstep");
-    group.sample_size(20_000);
     group.bench_function("eight_lane_bank_tick", |b| {
         // The lockstep executor's shape: eight lanes, each with its own
         // bank, run the same nominal tick in turn — EA6, EA5, EA4 and

@@ -306,7 +306,7 @@ pub fn run_case_batch_with(
 /// as [`run_trial_checkpointed_observed_with`], minus the injections.
 ///
 /// An inert error (`fic::prune`) flips bits that no instruction ever
-/// reads — dead stack space, or the `reserved`/`dbg_trace` RAM blocks —
+/// reads — dead stack space, or RAM the reach table marks unread —
 /// so its trial's entire *read* history, and therefore its [`Trial`],
 /// is bit-identical to this fault-free run's. The dominance-prune pass
 /// executes this once per test case and shares the result across every

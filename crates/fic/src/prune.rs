@@ -6,21 +6,12 @@
 //! write-only (never even that — simply unreferenced), so the entire
 //! read-visible execution, and therefore the [`Trial`], is bit-identical
 //! to the fault-free continuation of the same test case. Two such
-//! classes are provable statically, straight off the target's own
-//! memory maps (the full argument, with the liveness case analysis, is
-//! in `docs/PROOFS.md` §Dominance rules):
-//!
-//! * **Dead stack space** — addresses where
-//!   [`memsim::StackLayout::classify`] returns [`memsim::StackHit::Dead`]:
-//!   bytes outside every frame of the master's stack model.
-//!   [`arrestor::MasterNode::inject`] applies the XOR and then
-//!   explicitly discards `Dead` hits without raising a control-flow
-//!   fault, and no module addresses the space (≈ 83 % of the 1008-byte
-//!   stack).
-//! * **Unread RAM** — the `reserved` and `dbg_trace` blocks of the
-//!   master's application-RAM image ([`arrestor::SignalMap`]):
-//!   allocated to fill the paper's 417-byte map, written by nothing,
-//!   read by nothing.
+//! classes are provable statically, straight off the reach table
+//! ([`arrestor::reach`]) that lays out the target's memory (the full
+//! argument, with the liveness case analysis, is in `docs/PROOFS.md`
+//! §Dominance rules): stack bytes outside every frame
+//! ([`PruneClass::DeadStack`]) and RAM symbols nothing reads
+//! ([`PruneClass::UnreadRam`]).
 //!
 //! The campaign runner skips execution for every trial whose flip
 //! classifies ([`InertMap::classify`]), shares one **reference trial**
@@ -29,18 +20,13 @@
 //! errors of that case, and counts the skips exactly in the fold —
 //! journal bytes, tables and attribution stay byte-identical to a
 //! run with pruning off (pinned by `tests/settle_prune_equivalence.rs`).
-//!
-//! The E1 set targets monitored signals only, so it contains no inert
-//! errors; under the seeded E2 set 43 of the 50 stack flips and 135 of
-//! the 150 RAM flips classify (89 % overall — the dead stack covers
-//! ≈ 83 % of addresses and the `reserved` fill block dominates the
-//! 417-byte RAM map).
+//! How many errors of each set classify is in `docs/PROOFS.md`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use arrestor::{EaSet, MasterNode};
-use memsim::{BitFlip, Region, StackHit, StackLayout};
+use arrestor::reach;
+use memsim::{BitFlip, Region};
 use simenv::TestCase;
 
 use crate::experiment::{run_reference_trial_with, Trial};
@@ -49,11 +35,11 @@ use crate::protocol::Protocol;
 /// Which static argument proves a flip inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneClass {
-    /// The flip lands in dead stack space — outside every frame of the
-    /// stack model, discarded by the injector, addressed by nothing.
+    /// The flip lands in dead stack space: outside every frame of the
+    /// reach table, discarded by the injector, addressed by nothing.
     DeadStack,
-    /// The flip lands in the `reserved` or `dbg_trace` RAM blocks —
-    /// allocated but never read or written by any module.
+    /// The flip lands in a RAM symbol the reach table marks unread:
+    /// allocated, but never read or written by any module.
     UnreadRam,
 }
 
@@ -67,54 +53,15 @@ impl PruneClass {
     }
 }
 
-/// One half-open address span in application RAM.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: usize,
-    end: usize,
-}
-
-impl Span {
-    fn contains(self, addr: usize) -> bool {
-        (self.start..self.end).contains(&addr)
-    }
-}
-
 /// The statically-inert coordinates of the master target, read off the
-/// same memory maps the nodes execute against (a throwaway
-/// [`MasterNode`], exactly as [`crate::error_set::e1`] reads signal
-/// addresses).
-#[derive(Debug)]
-pub struct InertMap {
-    stack: StackLayout,
-    unread_ram: Vec<Span>,
-}
+/// reach table that lays out its memory.
+#[derive(Debug, Default)]
+pub struct InertMap;
 
 impl InertMap {
-    /// Builds the map from the target's own stack model and RAM image.
-    ///
-    /// # Panics
-    ///
-    /// Never for the paper's memory maps: the `reserved` and
-    /// `dbg_trace` symbols are always allocated (covered by tests).
+    /// The map of the target's stack and RAM image.
     pub fn new() -> Self {
-        let (stack, _calc) = arrestor::stackmodel::master_stack();
-        let node = MasterNode::new(120, EaSet::ALL);
-        let unread_ram = ["reserved", "dbg_trace"]
-            .iter()
-            .map(|name| {
-                let sym = node
-                    .signals()
-                    .symbols()
-                    .symbol(name)
-                    .expect("allocated in every SignalMap");
-                Span {
-                    start: sym.addr,
-                    end: sym.addr + sym.width,
-                }
-            })
-            .collect();
-        InertMap { stack, unread_ram }
+        InertMap
     }
 
     /// Classifies a flip as provably inert, or `None` when it must be
@@ -123,20 +70,12 @@ impl InertMap {
     pub fn classify(&self, flip: BitFlip) -> Option<PruneClass> {
         match flip.region {
             Region::Stack => (flip.addr < memsim::STACK_BYTES
-                && self.stack.classify(flip.addr) == StackHit::Dead)
-                .then_some(PruneClass::DeadStack),
-            Region::AppRam => self
-                .unread_ram
-                .iter()
-                .any(|span| span.contains(flip.addr))
+                && reach::frame_at(flip.addr).is_none())
+            .then_some(PruneClass::DeadStack),
+            Region::AppRam => reach::ram_row(flip.addr)
+                .is_some_and(|(row, _)| !row.has(reach::READ))
                 .then_some(PruneClass::UnreadRam),
         }
-    }
-}
-
-impl Default for InertMap {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
