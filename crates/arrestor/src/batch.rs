@@ -282,7 +282,7 @@ mod tests {
     }
 
     /// The scalar checkpointed trial loop, verbatim (mirrors
-    /// `fic::experiment::run_trial_checkpointed_observed`).
+    /// `fic::experiment::run_trial_checkpointed_lane`).
     fn scalar_lane(
         prefix: &Snapshot,
         flip: BitFlip,

@@ -189,6 +189,7 @@ use memsim::{BitFlip, Region};
 
 use crate::consts::{mode, slot};
 use crate::kernel::KernelState;
+use crate::reach;
 use crate::system::System;
 
 /// A frozen, resumable copy of a [`System`] mid-run.
@@ -394,23 +395,16 @@ impl SettleDetector {
                 ea_core::RecoveryStrategy::None | ea_core::RecoveryStrategy::HoldPrevious
             )
         });
-        let sig = system.master().signals();
-        let locals = system.master().calc_locals();
-        let mscnt_addr = sig.mscnt.addr();
-        let prev_mscnt_addr = locals.prev_mscnt.addr();
-        let sys_mode_addr = sig.sys_mode.addr();
-        let in_cell = |region: Region, addr: usize, f: &BitFlip| {
-            f.region == region && (f.addr == addr || f.addr == addr + 1)
-        };
-        let flip_hits_mscnt = flip
-            .as_ref()
-            .is_some_and(|f| in_cell(Region::AppRam, mscnt_addr, f));
-        let mscnt_modulus = match &flip {
-            Some(f) if flip_hits_mscnt => {
-                let bit = (f.addr - mscnt_addr) * 8 + usize::from(f.bit);
-                1u32 << (bit + 1)
-            }
-            _ => 1,
+        let mscnt_addr = system.master().signals().mscnt.addr();
+        let prev_mscnt_addr = system.master().calc_locals().prev_mscnt.addr();
+        // The RAM row a flip hits and the flipped bit's index in it, off
+        // the reach table.
+        let ram_hit = flip.filter(|f| f.region == Region::AppRam).and_then(|f| {
+            reach::ram_row(f.addr).map(|(row, offset)| (row, offset * 8 + usize::from(f.bit)))
+        });
+        let (flip_hits_mscnt, mscnt_modulus) = match ram_hit {
+            Some((row, bit)) if row.has(reach::CLOCK) => (true, 1u32 << (bit + 1)),
+            _ => (false, 1),
         };
         // Fold the readout grid into the alignment so every recurrence
         // distance is a whole number of sample periods.
@@ -433,12 +427,11 @@ impl SettleDetector {
             ea6_name: crate::detectors::EaId::Ea6.signal_name(),
             flip_hits_mscnt,
             mscnt_modulus,
-            flip_hits_prev_mscnt: flip
-                .as_ref()
-                .is_some_and(|f| in_cell(Region::Stack, prev_mscnt_addr, f)),
-            flip_hits_sys_mode: flip
-                .as_ref()
-                .is_some_and(|f| in_cell(Region::AppRam, sys_mode_addr, f)),
+            flip_hits_prev_mscnt: flip.is_some_and(|f| {
+                f.region == Region::Stack
+                    && (f.addr == prev_mscnt_addr || f.addr == prev_mscnt_addr + 1)
+            }),
+            flip_hits_sys_mode: ram_hit.is_some_and(|(row, _)| row.name == "sys_mode"),
             readout_every_ms,
             analytic: false,
             recovery_noncovariant,
@@ -459,8 +452,7 @@ impl SettleDetector {
     /// never-recurring decays (e.g. towards a zero command) a sound
     /// early verdict — and the record-final and command-final stops
     /// (module docs). Off by default, so a detector without it stops on
-    /// exact recurrence only; campaigns enable it
-    /// (`fic::CampaignRunner::with_analytic_settle` opts out). Has no
+    /// exact recurrence only; every campaign enables it. Has no
     /// effect in readout mode, where both would be unsound (samples
     /// record the raw pressure `f64`s).
     #[must_use]

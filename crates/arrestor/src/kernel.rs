@@ -32,7 +32,7 @@ pub struct KernelState {
     hung: bool,
     calc_halted: bool,
     skip_slot: bool,
-    skip_module: Option<String>,
+    skip_module: Option<&'static str>,
 }
 
 impl KernelState {
@@ -63,9 +63,7 @@ impl KernelState {
             ControlFlowFault::Hang => self.hung = true,
             ControlFlowFault::CalcHalt => self.calc_halted = true,
             ControlFlowFault::SkipSlotOnce => self.skip_slot = true,
-            ControlFlowFault::SkipModuleOnce(module) => {
-                self.skip_module = Some(module.to_owned());
-            }
+            ControlFlowFault::SkipModuleOnce(module) => self.skip_module = Some(module),
         }
     }
 
@@ -76,7 +74,7 @@ impl KernelState {
             self.skip_slot = false;
             return true;
         }
-        if self.skip_module.as_deref() == Some(module) {
+        if self.skip_module == Some(module) {
             self.skip_module = None;
             return true;
         }
@@ -86,7 +84,7 @@ impl KernelState {
     /// Whether a run of an every-tick module (CLOCK, DIST_S) should be
     /// skipped; consumes the matching one-shot effect.
     pub fn consume_module_skip(&mut self, module: &str) -> bool {
-        if self.skip_module.as_deref() == Some(module) {
+        if self.skip_module == Some(module) {
             self.skip_module = None;
             return true;
         }

@@ -3,7 +3,7 @@
 //! second drum).
 
 use ea_core::Millis;
-use memsim::{BitFlip, MemoryMap, Ram, TargetMemory};
+use memsim::{BitFlip, MemoryMap, Ram, Region, TargetMemory};
 
 use crate::consts::slot;
 use crate::control;
@@ -62,8 +62,8 @@ impl MasterNode {
     /// sweeps, custom parameterisations). The bank must hold EA1..EA7
     /// in order.
     pub fn with_detectors(mass_cfg_100kg: u16, det: Detectors) -> Self {
-        let (layout, locals) = master_stack();
-        let mut mem = TargetMemory::new(layout);
+        let (_, locals) = master_stack();
+        let mut mem = TargetMemory::new();
         let sig = SignalMap::allocate().expect("the image fits the paper RAM");
         sig.init(mem.app_mut(), mass_cfg_100kg);
         MasterNode {
@@ -154,7 +154,7 @@ impl MasterNode {
                 s + 1
             }
         };
-        if let Ok(Some(_)) = self.mem.inject(flip) {
+        if self.mem.inject(flip).is_ok() && flip.region == Region::Stack {
             if let Some(fault) = interpret_stack_hit(flip.addr, upcoming_slot) {
                 self.kernel.apply(fault);
             }

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use arrestor::{EaId, EaSet, MasterNode};
+use arrestor::{EaId, SignalMap};
 use ea_core::coverage::CoverageModel;
 use ea_core::stats::{LatencyStats, Proportion, Z_95};
 use memsim::{BitFlip, Region};
@@ -89,15 +89,14 @@ impl Default for MonitoredMap {
 }
 
 impl MonitoredMap {
-    /// Reads the monitored-signal addresses off a throwaway node.
+    /// Reads the monitored-signal addresses off the target's RAM map.
     pub fn new() -> Self {
-        let node = MasterNode::new(120, EaSet::ALL);
-        let monitored = node.signals().monitored();
-        let mut addrs = [0usize; 7];
-        for (slot, (_, addr)) in monitored.iter().enumerate() {
-            addrs[slot] = *addr;
+        let monitored = SignalMap::allocate()
+            .expect("the image fits the paper RAM")
+            .monitored();
+        MonitoredMap {
+            addrs: monitored.map(|(_, addr)| addr),
         }
-        MonitoredMap { addrs }
     }
 
     /// The assertion directly monitoring the flipped location, when the

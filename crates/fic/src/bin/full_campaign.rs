@@ -20,11 +20,13 @@
 //! and dumps a `fic::trace::ReproBundle` JSON under `--repro-dir`
 //! (default `results/repro`).
 //!
-//! Throughput: trials run checkpointed by default — the grid is grouped
-//! by test case, the fault-free prefix is simulated once per case and
-//! forked by every trial, and settled runs fast-forward to the end of
-//! the window (bit-identical results; see PERFORMANCE.md).
-//! `--no-checkpoint` forces the straight-line replay of every trial.
+//! Throughput: every campaign runs one path — the grid is grouped by
+//! test case, the fault-free prefix is simulated once per case and
+//! forked by every trial, statically inert errors share one reference
+//! trial per case, and trials stop once their outputs are provably
+//! final (bit-identical results; see PERFORMANCE.md). The differential
+//! test suites check it against `fic::run_trial`, which replays each
+//! trial from t = 0.
 //!
 //! Observability: every live run collects campaign/cache/settle/
 //! journal metrics, renders a live progress line on stderr (when it is
@@ -46,7 +48,7 @@
 //! Cost profiling: every live run counts each assertion check per EA,
 //! samples per-check wall clock afterwards, and writes the
 //! schema-versioned cost profile under `<out>/profile/` (none when no
-//! checkpointed trial ran, as under `--no-checkpoint`). Join it with
+//! trial ran, as on a resume with nothing left to run). Join it with
 //! the attribution report via the `detox_report` binary for the
 //! coverage-per-op Pareto table.
 //!

@@ -1,18 +1,19 @@
 //! Parallel campaign execution: fan out ⟨error, test case⟩ pairs over
 //! worker threads, stream completed trials back to a single collector.
 //!
-//! By default trials run **checkpointed**: the grid is grouped by
-//! injection point (test case), the fault-free prefix of each case is
-//! simulated once and cached in a [`CheckpointCache`] shared across
-//! workers, and every trial of that case forks from the cached
-//! [`arrestor::Snapshot`] instead of replaying the prefix from t = 0.
-//! The trials of a case step in lockstep work items of at most
-//! [`DEFAULT_BATCH_SIZE`] live lanes ([`lockstep_items`]); statically
-//! inert errors ride along without a lane. Combined with the
-//! steady-state fast-forward of [`arrestor::SettleDetector`], this cuts
-//! campaign wall clock without changing a single bit of any result (see
-//! `PERFORMANCE.md`); [`CampaignRunner::with_checkpointing`]`(false)`
-//! forces full replay, the paper-faithful oracle.
+//! Every campaign runs one path: the grid is grouped by injection
+//! point (test case), the fault-free prefix of each case is simulated
+//! once and cached in a [`CheckpointCache`] shared across workers, and
+//! every trial of that case forks from the cached [`arrestor::Snapshot`]
+//! instead of replaying the prefix from t = 0. The trials of a case
+//! step in lockstep work items of at most [`DEFAULT_BATCH_SIZE`] live
+//! lanes ([`lockstep_items`]) with the analytic stops of
+//! [`arrestor::SettleDetector`] on; statically inert errors ride along
+//! without a lane and share the case's reference trial
+//! ([`crate::prune`]). None of this changes a bit of any result (see
+//! `PERFORMANCE.md`): the differential suites replay every trial from
+//! t = 0 with [`crate::experiment::run_trial`], the paper-faithful
+//! oracle, and require byte-identical journals and tables.
 //!
 //! The collector (the calling thread) folds every trial into the report
 //! *and* appends it to the optional crash-safe [`crate::journal`], so a killed
@@ -35,7 +36,7 @@ use simenv::TestCase;
 use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap, OracleVerdicts};
 use crate::convergence::{CellKey, ConvergenceAggregate};
 use crate::error_set::{E1Error, E2Error};
-use crate::experiment::{fault_free_prefix, run_case_batch_with, run_trial, BatchTrial, Trial};
+use crate::experiment::{fault_free_prefix, run_case_batch_with, BatchTrial, Trial};
 use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter, ShardSpec};
 use crate::protocol::Protocol;
 use crate::prune::{CaseCells, PruneClass};
@@ -326,8 +327,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 8;
 /// whichever item it falls in; a new item starts only at a live error
 /// that would overfill the current item, so every item but the last
 /// holds exactly [`DEFAULT_BATCH_SIZE`] live errors. With everything
-/// live (pruning off, or replay) the items are
-/// `chunks(DEFAULT_BATCH_SIZE)`.
+/// live the items are `chunks(DEFAULT_BATCH_SIZE)`.
 pub fn lockstep_items(classes: &[Option<PruneClass>]) -> Vec<Range<usize>> {
     let mut items = Vec::new();
     let (mut start, mut live) = (0, 0);
@@ -350,9 +350,6 @@ pub fn lockstep_items(classes: &[Option<PruneClass>]) -> Vec<Range<usize>> {
 #[derive(Debug, Clone)]
 pub struct CampaignRunner {
     protocol: Protocol,
-    checkpointing: bool,
-    analytic_settle: bool,
-    pruning: bool,
     telemetry: Option<Arc<telemetry::Registry>>,
     progress: bool,
     shard: Option<ShardSpec>,
@@ -362,21 +359,17 @@ pub struct CampaignRunner {
 }
 
 impl CampaignRunner {
-    /// A runner for the given protocol. Checkpointed execution is on by
-    /// default: all trials of a test case fork from the cached prefix
-    /// and step in lockstep batches of at most [`DEFAULT_BATCH_SIZE`]
-    /// live lanes ([`crate::experiment::run_case_batch_with`]). Disable
-    /// checkpointing with [`CampaignRunner::with_checkpointing`]`(false)`
-    /// to replay every trial from t = 0 ([`crate::experiment::run_trial`]),
-    /// the paper-faithful oracle. Results are bit-identical across the
-    /// two paths. Telemetry, progress and sharding are all off by
-    /// default.
+    /// A runner for the given protocol: all trials of a test case fork
+    /// from the cached prefix and step in lockstep batches of at most
+    /// [`DEFAULT_BATCH_SIZE`] live lanes
+    /// ([`crate::experiment::run_case_batch_with`]), and statically
+    /// inert errors share the case's reference trial. Results are
+    /// bit-identical to replaying every trial from t = 0
+    /// ([`crate::experiment::run_trial`]). Telemetry, progress and
+    /// sharding are all off by default.
     pub fn new(protocol: Protocol) -> Self {
         CampaignRunner {
             protocol,
-            checkpointing: true,
-            analytic_settle: true,
-            pruning: true,
             telemetry: None,
             progress: false,
             shard: None,
@@ -384,42 +377,6 @@ impl CampaignRunner {
             profile: None,
             convergence: None,
         }
-    }
-
-    /// Enables or disables the settle detector's analytic absorbing-band
-    /// relaxation (on by default). Results are bit-identical either way
-    /// — the band changes when a trial is proven final, never what it
-    /// produced. Off is the exact-recurrence reference run that
-    /// `tests/settle_prune_equivalence.rs` compares against; it trades
-    /// the ≈5 s settle tail back for plain exact-recurrence proofs.
-    #[must_use]
-    pub fn with_analytic_settle(mut self, enabled: bool) -> Self {
-        self.analytic_settle = enabled;
-        self
-    }
-
-    /// Whether settle proofs may use the analytic absorbing band.
-    pub const fn analytic_settle(&self) -> bool {
-        self.analytic_settle
-    }
-
-    /// Enables or disables dominance pruning of statically-inert errors
-    /// (on by default; off is the reference run the equivalence tests
-    /// compare against). A pruned trial
-    /// is never simulated: it shares its test case's reference trial
-    /// (see [`crate::prune`]), which is bit-identical to what executing
-    /// it would produce. Requires checkpointing — under
-    /// [`CampaignRunner::with_checkpointing`]`(false)` every trial runs
-    /// in full.
-    #[must_use]
-    pub fn with_pruning(mut self, enabled: bool) -> Self {
-        self.pruning = enabled;
-        self
-    }
-
-    /// Whether statically-inert errors skip execution.
-    pub const fn pruning(&self) -> bool {
-        self.pruning
     }
 
     /// Enables assertion-level attribution: every completed trial also
@@ -442,10 +399,7 @@ impl CampaignRunner {
     /// per-mechanism check counts are folded into it (and pruned trials
     /// counted). Same observer contract as telemetry — results are
     /// bit-identical with or without profiling (pinned by
-    /// `tests/profile_equivalence.rs`). Replay mode
-    /// ([`CampaignRunner::with_checkpointing`]`(false)`) does not carry
-    /// execution-shape facts, so a replay campaign leaves the recorder
-    /// empty.
+    /// `tests/profile_equivalence.rs`).
     #[must_use]
     pub fn with_profile(mut self, recorder: Arc<crate::profile::ProfileRecorder>) -> Self {
         self.profile = Some(recorder);
@@ -467,21 +421,6 @@ impl CampaignRunner {
     pub fn with_convergence(mut self, sink: Arc<ConvergenceSink>) -> Self {
         self.convergence = Some(sink);
         self
-    }
-
-    /// Enables or disables checkpointed trial execution (prefix
-    /// forking plus steady-state fast-forward). Results are
-    /// bit-identical either way; replay mode exists as a cross-check
-    /// and baseline.
-    #[must_use]
-    pub fn with_checkpointing(mut self, enabled: bool) -> Self {
-        self.checkpointing = enabled;
-        self
-    }
-
-    /// Whether trials fork from cached fault-free prefixes.
-    pub const fn checkpointing(&self) -> bool {
-        self.checkpointing
     }
 
     /// Attaches a metrics registry: campaign/cache/settle metrics are
@@ -861,25 +800,17 @@ impl CampaignRunner {
     {
         let cases: Vec<TestCase> = self.protocol.grid.cases();
         let workers = self.protocol.effective_workers().max(1);
+        // Group the grid by injection point (case-major order): all
+        // trials of a test case run back to back, so its fault-free
+        // prefix is built once and stays hot in the cache.
         let mut pending: Vec<(usize, usize)> = pending.to_vec();
-        if self.checkpointing {
-            // Group the grid by injection point (case-major order): all
-            // trials of a test case run back to back, so its fault-free
-            // prefix is built once and stays hot in the cache.
-            pending.sort_unstable_by_key(|&(ei, ci)| (ci, ei));
-        }
-        let cache = self.checkpointing.then(|| Arc::new(CheckpointCache::new()));
-        // Pruning rides on the checkpoint machinery (the reference
-        // trial forks from the cached prefix), so replay mode executes
-        // everything.
-        let prune =
-            (self.pruning && self.checkpointing).then(|| Arc::new(crate::prune::PruneCache::new()));
+        pending.sort_unstable_by_key(|&(ei, ci)| (ci, ei));
+        let cache = CheckpointCache::new();
+        let prune = crate::prune::PruneCache::new();
         // Each error's prune class, decided once here: it both cuts the
         // work items and tells the worker which lanes to skip.
-        let classes: Vec<Option<PruneClass>> = errors
-            .iter()
-            .map(|e| prune.as_ref().and_then(|p| p.classify(e.flip())))
-            .collect();
+        let classes: Vec<Option<PruneClass>> =
+            errors.iter().map(|e| prune.classify(e.flip())).collect();
         let attribution = self.attribution_fold();
 
         let tel = self.telemetry.as_ref().map(CampaignTelemetry::register);
@@ -904,12 +835,10 @@ impl CampaignRunner {
             }
         });
 
-        // Work items cut each run of one test case's pairs at every
+        // Work items cut each test case's pairs at every
         // [`DEFAULT_BATCH_SIZE`] live errors ([`lockstep_items`]), in
-        // pending order. Checkpointed pending lists are case-major, so a
-        // 1-worker campaign completes trials in (case, error) order
-        // whatever the prune classes; replay keeps the caller's
-        // error-major order.
+        // case-major pending order, so a 1-worker campaign completes
+        // trials in (case, error) order whatever the prune classes.
         let (work_tx, work_rx) = channel::unbounded::<(usize, Vec<usize>)>();
         for (ci, eis) in group_by_case(&pending) {
             let case_classes: Vec<Option<PruneClass>> = eis.iter().map(|&ei| classes[ei]).collect();
@@ -929,10 +858,8 @@ impl CampaignRunner {
                 let result_tx = result_tx.clone();
                 let cases = &cases;
                 let protocol = &self.protocol;
-                let cache = cache.clone();
-                let prune = prune.clone();
+                let (cache, prune) = (&cache, &prune);
                 let classes = &classes;
-                let analytic = self.analytic_settle;
                 let tel = tel.clone();
                 let profile = self.profile.clone();
                 scope.spawn(move || {
@@ -947,89 +874,65 @@ impl CampaignRunner {
                                 u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
                             t.queue_wait_us.record(micros);
                         }
-                        let trials: Vec<Trial> = match &cache {
-                            // Replay: every trial from t = 0.
-                            None => eis
-                                .iter()
-                                .map(|&ei| {
-                                    if let Some(t) = &tel {
-                                        t.trials_full_window.inc();
-                                        t.window_ms_simulated.add(protocol.observation_ms);
-                                    }
-                                    run_trial(protocol, errors[ei].flip(), cases[ci])
-                                })
-                                .collect(),
-                            Some(cache) => {
-                                // One prefix lookup per trial, not per item:
-                                // `campaign.checkpoint.cache.{hits,misses}` then
-                                // count trials, which is the ground truth that
-                                // `telemetry_check --journal` and the benchmark
-                                // ledger's traced mirror both re-derive.
-                                let mut prefix = None;
-                                for _ in &eis {
-                                    prefix = Some(cache.prefix_observed(
-                                        protocol,
-                                        ci,
-                                        cases[ci],
-                                        tel.as_ref(),
-                                    ));
+                        // One prefix lookup per trial, not per item:
+                        // `campaign.checkpoint.cache.{hits,misses}` then
+                        // count trials, which is the ground truth that
+                        // `telemetry_check --journal` and the benchmark
+                        // ledger's traced mirror both re-derive.
+                        let mut prefix = None;
+                        for _ in &eis {
+                            prefix =
+                                Some(cache.prefix_observed(protocol, ci, cases[ci], tel.as_ref()));
+                        }
+                        let prefix = prefix.expect("work items are never empty");
+                        // Partition the item: statically-inert errors skip
+                        // execution and share the case's reference trial;
+                        // live lanes run the lockstep batch. Results are
+                        // emitted in item order either way.
+                        let live: Vec<usize> = (0..eis.len())
+                            .filter(|&i| classes[eis[i]].is_none())
+                            .collect();
+                        let flips: Vec<memsim::BitFlip> =
+                            live.iter().map(|&i| errors[eis[i]].flip()).collect();
+                        let mut trials: Vec<Option<Trial>> = vec![None; eis.len()];
+                        // One observation per executed batch: an item whose
+                        // errors all prune runs none.
+                        if let Some(t) = tel.as_ref().filter(|_| !flips.is_empty()) {
+                            t.lockstep_lanes.record(flips.len() as u64);
+                        }
+                        for lane in run_case_batch_with(protocol, &flips, cases[ci], &prefix, true)
+                        {
+                            if let Some(t) = &tel {
+                                t.observe_lane(&lane);
+                            }
+                            if let Some(pr) = &profile {
+                                pr.record_execution(&lane.execution);
+                            }
+                            trials[live[lane.slot]] = Some(lane.trial);
+                        }
+                        if live.len() < eis.len() {
+                            let (reference, built) =
+                                prune.reference(protocol, ci, cases[ci], &prefix, true);
+                            if built {
+                                if let Some(t) = &tel {
+                                    t.prune_references.inc();
                                 }
-                                let prefix = prefix.expect("work items are never empty");
-                                // Partition the item: statically-inert errors
-                                // skip execution and share the case's reference
-                                // trial; live lanes run the lockstep batch.
-                                // Results are emitted in item order either way,
-                                // so journal bytes never depend on the prune
-                                // setting.
-                                let live: Vec<usize> = (0..eis.len())
-                                    .filter(|&i| classes[eis[i]].is_none())
-                                    .collect();
-                                let flips: Vec<memsim::BitFlip> =
-                                    live.iter().map(|&i| errors[eis[i]].flip()).collect();
-                                let mut trials: Vec<Option<Trial>> = vec![None; eis.len()];
-                                // One observation per executed batch: an item
-                                // whose errors all prune runs none.
-                                if let Some(t) = tel.as_ref().filter(|_| !flips.is_empty()) {
-                                    t.lockstep_lanes.record(flips.len() as u64);
-                                }
-                                for lane in run_case_batch_with(
-                                    protocol, &flips, cases[ci], &prefix, analytic,
-                                ) {
+                            }
+                            for (i, &ei) in eis.iter().enumerate() {
+                                if let Some(class) = classes[ei] {
                                     if let Some(t) = &tel {
-                                        t.observe_lane(&lane);
+                                        t.observe_prune(class);
                                     }
                                     if let Some(pr) = &profile {
-                                        pr.record_execution(&lane.execution);
+                                        pr.record_prune();
                                     }
-                                    trials[live[lane.slot]] = Some(lane.trial);
+                                    trials[i] = Some((*reference).clone());
                                 }
-                                if live.len() < eis.len() {
-                                    let p = prune.as_ref().expect("pruned lanes imply a cache");
-                                    let (reference, built) =
-                                        p.reference(protocol, ci, cases[ci], &prefix, analytic);
-                                    if built {
-                                        if let Some(t) = &tel {
-                                            t.prune_references.inc();
-                                        }
-                                    }
-                                    for (i, &ei) in eis.iter().enumerate() {
-                                        if let Some(class) = classes[ei] {
-                                            if let Some(t) = &tel {
-                                                t.observe_prune(class);
-                                            }
-                                            if let Some(pr) = &profile {
-                                                pr.record_prune();
-                                            }
-                                            trials[i] = Some((*reference).clone());
-                                        }
-                                    }
-                                }
-                                trials
-                                    .into_iter()
-                                    .map(|trial| trial.expect("every lane resolved"))
-                                    .collect()
                             }
-                        };
+                        }
+                        let trials = trials
+                            .into_iter()
+                            .map(|trial| trial.expect("every lane resolved"));
                         for (ei, trial) in eis.into_iter().zip(trials) {
                             if let Some(c) = &worker_trials {
                                 c.inc();
@@ -1250,18 +1153,6 @@ mod tests {
         // Every mscnt error is caught by EA6 within a short window.
         let row = &report.rows[EaId::Ea6.index()];
         assert_eq!(row.cells[EaId::Ea6.index()].all.detected(), 16);
-    }
-
-    #[test]
-    fn checkpointed_run_equals_replay_run() {
-        let protocol = Protocol::scaled(2, 1_500);
-        let runner = CampaignRunner::new(protocol);
-        assert!(runner.checkpointing());
-        let errors = error_set::e1();
-        let subset = &errors[78..84]; // spans the SetValue/mscnt boundary
-        let fast = runner.run_e1(subset);
-        let slow = runner.clone().with_checkpointing(false).run_e1(subset);
-        assert_eq!(fast, slow);
     }
 
     #[test]

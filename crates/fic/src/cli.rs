@@ -24,13 +24,15 @@
 //!   (`fic::trace::ReproBundle`) for the offending ⟨error, case⟩;
 //! * `--repro-dir <dir>` — where reproducer bundles go (default
 //!   `results/repro`);
-//! * `--no-checkpoint` — disable checkpointed trial execution (prefix
-//!   forking and steady-state fast-forward) and replay every trial from
-//!   t = 0. Results are bit-identical either way; this is the
-//!   paper-faithful oracle the lockstep path is checked against;
 //! * `--shard k/n` — run only shard `k` of `n` (1-based) of the trial
 //!   grid: a deterministic slice recorded in the journal header.
 //!   Combine shard journals with `merge_journals`.
+//!
+//! There is one execution path: every live run forks cached fault-free
+//! prefixes, steps lockstep batches with the analytic stops on and
+//! prunes statically inert errors (`fic::campaign`). Replaying every
+//! trial from t = 0 (`fic::run_trial`) is the oracle the differential
+//! test suites compare it against, not a flag.
 //!
 //! The observers need no flag. Every live run ([`CliOptions::runner`])
 //! records telemetry (with the live progress line), attribution and the
@@ -81,9 +83,6 @@ pub struct CliOptions {
     pub trace: bool,
     /// Where reproducer bundles are written.
     pub repro_dir: PathBuf,
-    /// Replay every trial from t = 0 instead of forking cached
-    /// fault-free prefixes.
-    pub no_checkpoint: bool,
     /// Run only this deterministic slice of the trial grid:
     /// `(index, count)`, 1-based, from `--shard k/n`.
     pub shard: Option<(usize, usize)>,
@@ -104,7 +103,6 @@ impl Default for CliOptions {
             golden_dir: PathBuf::from("results/golden"),
             trace: false,
             repro_dir: PathBuf::from("results/repro"),
-            no_checkpoint: false,
             shard: None,
         }
     }
@@ -122,7 +120,7 @@ impl CliOptions {
                     "usage: [--scale n] [--observation ms] [--workers n] [--out dir] \
                      [--journal file] [--resume] [--from-journal file] \
                      [--check-golden] [--refresh-golden] [--golden-dir dir] \
-                     [--trace] [--repro-dir dir] [--no-checkpoint] [--shard k/n]"
+                     [--trace] [--repro-dir dir] [--shard k/n]"
                 );
                 std::process::exit(2);
             }
@@ -170,7 +168,6 @@ impl CliOptions {
                 "--golden-dir" => options.golden_dir = PathBuf::from(value("--golden-dir")?),
                 "--trace" => options.trace = true,
                 "--repro-dir" => options.repro_dir = PathBuf::from(value("--repro-dir")?),
-                "--no-checkpoint" => options.no_checkpoint = true,
                 "--shard" => options.shard = Some(parse_shard(&value("--shard")?)?),
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -201,13 +198,12 @@ impl CliOptions {
         protocol
     }
 
-    /// A campaign runner configured from these options (checkpointing,
-    /// shard slice) with every observer attached: a fresh metrics
+    /// A campaign runner configured from these options (protocol, shard
+    /// slice) with every observer attached: a fresh metrics
     /// registry with the live progress line, attribution and the cost
     /// profile recorder.
     pub fn runner(&self) -> CampaignRunner {
         let runner = CampaignRunner::new(self.protocol())
-            .with_checkpointing(!self.no_checkpoint)
             .with_telemetry(Arc::new(telemetry::Registry::new()))
             .with_progress()
             .with_attribution(true)
@@ -222,20 +218,14 @@ impl CliOptions {
     /// shares. A live run describes its own settings under `protocol`
     /// and is labelled `producer`, shard-suffixed so parallel shard
     /// runs never clobber each other; a `--from-journal` replay
-    /// describes the journal's `protocol`, checkpointed and unsharded.
+    /// describes the journal's `protocol`, unsharded.
     fn report_meta(&self, producer: &str, protocol: &Protocol) -> (String, RunMetadata) {
-        if self.from_journal.is_some() {
-            return (
-                producer.to_owned(),
-                RunMetadata::for_run(protocol, true, None),
-            );
-        }
-        let label = match self.shard {
+        let shard = self.shard.filter(|_| self.from_journal.is_none());
+        let label = match shard {
             Some((index, count)) => format!("{producer}-shard-{index}-of-{count}"),
             None => producer.to_owned(),
         };
-        let run = RunMetadata::for_run(protocol, !self.no_checkpoint, self.shard);
-        (label, run)
+        (label, RunMetadata::for_run(protocol, true, shard))
     }
 
     /// Writes one `kind` of report under `<out>/<kind>/` and names the
@@ -309,9 +299,8 @@ impl CliOptions {
     /// End-of-campaign profile emission: samples per-check wall clock,
     /// prints the cost league table on stderr and writes the
     /// schema-versioned report under `<out>/profile/`. A run that
-    /// executed no checkpointed trial (`--no-checkpoint`, or a resume
-    /// with nothing left to run) recorded nothing, so it writes no
-    /// report.
+    /// executed no trial (a resume with nothing left to run) recorded
+    /// nothing, so it writes no report.
     ///
     /// # Errors
     ///
@@ -323,7 +312,7 @@ impl CliOptions {
         recorder: &profile::ProfileRecorder,
     ) -> io::Result<()> {
         if recorder.trials() + recorder.pruned_trials() == 0 {
-            eprintln!("no checkpointed trial ran; no profile written");
+            eprintln!("no trial ran; no profile written");
             return Ok(());
         }
         let wall = profile::sample_wall_ns();
@@ -416,9 +405,7 @@ mod tests {
         assert!(options.journal.is_none() && options.from_journal.is_none());
         assert!(!options.trace);
         assert_eq!(options.repro_dir, PathBuf::from("results/repro"));
-        assert!(!options.no_checkpoint);
         let runner = options.runner();
-        assert!(runner.checkpointing() && runner.analytic_settle() && runner.pruning());
         assert!(runner.telemetry().is_some());
         assert!(runner.attribution().is_some() && runner.profile().is_some());
     }
@@ -429,12 +416,6 @@ mod tests {
         assert!(options.trace);
         assert_eq!(options.repro_dir, PathBuf::from("/tmp/repro"));
         assert!(CliOptions::parse(&args(&["--repro-dir"])).is_err());
-    }
-
-    #[test]
-    fn parses_no_checkpoint() {
-        let options = CliOptions::parse(&args(&["--no-checkpoint"])).unwrap();
-        assert!(options.no_checkpoint);
     }
 
     /// Every flag documented in the README's flag tables must be one
@@ -611,6 +592,7 @@ mod tests {
             "--no-telemetry",
             "--telemetry-jsonl",
             "--metrics-file",
+            "--no-checkpoint",
         ] {
             for list in [args(&[flag]), args(&[flag, "x"])] {
                 let err = CliOptions::parse(&list).unwrap_err();

@@ -1,6 +1,6 @@
 //! The error sets E1 and E2 of paper Section 3.4 (Table 6).
 
-use arrestor::{EaId, EaSet, MasterNode};
+use arrestor::{EaId, SignalMap};
 use memsim::{BitFlip, Region, APP_RAM_BYTES, STACK_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,10 +42,11 @@ pub struct E2Error {
 /// 7 × 16 = 112 errors, in Table 6 order (S1 = SetValue bit 0, …,
 /// S112 = OutValue bit 15).
 pub fn e1() -> Vec<E1Error> {
-    // The signal addresses are deterministic; read them off a throwaway
-    // node exactly as the FIC would download them from the target map.
-    let node = MasterNode::new(120, EaSet::ALL);
-    let monitored = node.signals().monitored();
+    // The signal addresses are deterministic; read them off the target's
+    // RAM map exactly as the FIC would download them.
+    let monitored = SignalMap::allocate()
+        .expect("the image fits the paper RAM")
+        .monitored();
     let mut errors = Vec::with_capacity(112);
     for (slot, (name, addr)) in monitored.iter().enumerate() {
         let ea = EaId::from_index(slot).expect("seven monitored signals");

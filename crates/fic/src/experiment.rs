@@ -124,48 +124,23 @@ pub struct TrialExecution {
 /// [`run_trial`] resumed from a fault-free prefix [`arrestor::Snapshot`]
 /// instead of replaying the prefix from t = 0, with steady-state
 /// fast-forward: once the [`arrestor::SettleDetector`] proves the run's
-/// outputs are final, the remaining window is skipped.
+/// outputs are final, the remaining window is skipped. Returns the
+/// trial and the [`TrialExecution`] shape the telemetry layer records.
 ///
 /// The returned [`Trial`] is bit-identical to [`run_trial`]'s — the
 /// prefix fork is a deep copy of a deterministic simulation, and the
-/// detector only fires on a proven state recurrence (see
-/// [`arrestor::checkpoint`] for the argument). The equivalence is
-/// enforced by the checkpoint-equivalence test suite and by the
-/// committed table fixtures.
+/// detector only stops a run it has proven final (see
+/// [`arrestor::checkpoint`] for the argument). `analytic_settle`
+/// switches the detector's analytic stops on
+/// ([`arrestor::SettleDetector::with_analytic`]), as every campaign
+/// runs them, or off, leaving exact recurrence alone; it changes
+/// *when* a run is proven final, never what its outputs are, so the
+/// execution shape (stop time, proof kind) differs between the two. It
+/// is the scalar reference the lockstep lanes of [`run_case_batch_with`]
+/// are tested against.
 ///
 /// `prefix` must come from [`fault_free_prefix`] for the same protocol
 /// and case (checked in debug builds).
-pub fn run_trial_checkpointed(
-    protocol: &Protocol,
-    flip: BitFlip,
-    case: TestCase,
-    prefix: &arrestor::Snapshot,
-) -> Trial {
-    run_trial_checkpointed_observed(protocol, flip, case, prefix).0
-}
-
-/// [`run_trial_checkpointed`] plus the [`TrialExecution`] shape the
-/// telemetry layer records. The [`Trial`] is the same either way —
-/// observing execution never influences it.
-pub fn run_trial_checkpointed_observed(
-    protocol: &Protocol,
-    flip: BitFlip,
-    case: TestCase,
-    prefix: &arrestor::Snapshot,
-) -> (Trial, TrialExecution) {
-    run_trial_checkpointed_observed_with(protocol, flip, case, prefix, false)
-}
-
-/// [`run_trial_checkpointed_observed`] with the settle detector's
-/// analytic absorbing-band relaxation switched on or off
-/// ([`arrestor::SettleDetector::with_analytic`]). The [`Trial`] is
-/// bit-identical either way — the band only changes *when* a run is
-/// proven final, never what its outputs are — but the execution shape
-/// (stop time, proof kind) differs, which is why the plain name pins
-/// the historical `false` and callers that mirror a campaign pass its
-/// [`crate::CampaignRunner::with_analytic_settle`] setting here
-/// explicitly. It is the scalar reference the lockstep lanes of
-/// [`run_case_batch_with`] are tested against.
 pub fn run_trial_checkpointed_observed_with(
     protocol: &Protocol,
     flip: BitFlip,
@@ -224,15 +199,15 @@ pub fn run_trial_checkpointed_lane(
     }
 }
 
-/// One lane's outcome from [`run_case_batch`]: the slot ties it back
-/// to the flip slice (and hence the campaign's error index).
+/// One lane's outcome from [`run_case_batch_with`]: the slot ties it
+/// back to the flip slice (and hence the campaign's error index).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchTrial {
     /// Index of this trial's flip in the slice given to
-    /// [`run_case_batch`].
+    /// [`run_case_batch_with`].
     pub slot: usize,
     /// The trial outcome — bit-identical to the scalar
-    /// [`run_trial_checkpointed_observed`] result for the same flip.
+    /// [`run_trial_checkpointed_observed_with`] result for the same flip.
     pub trial: Trial,
     /// The execution shape, for telemetry.
     pub execution: TrialExecution,
@@ -248,23 +223,10 @@ pub struct BatchTrial {
 /// environment until their command histories diverge.
 ///
 /// Each returned [`Trial`] and [`TrialExecution`] is bit-identical to
-/// what [`run_trial_checkpointed_observed`] produces for the same
-/// flip — the batch changes the execution schedule, never the
-/// results. Pinned by `tests/batch_equivalence.rs` and the lane
-/// invariance properties in `tests/prop_batch.rs`.
-pub fn run_case_batch(
-    protocol: &Protocol,
-    flips: &[BitFlip],
-    case: TestCase,
-    prefix: &arrestor::Snapshot,
-) -> Vec<BatchTrial> {
-    run_case_batch_with(protocol, flips, case, prefix, false)
-}
-
-/// [`run_case_batch`] with the analytic settle relaxation switched on
-/// or off — the batched counterpart of
-/// [`run_trial_checkpointed_observed_with`], with the same contract:
-/// identical [`Trial`]s, different execution shape.
+/// what [`run_trial_checkpointed_observed_with`] produces for the same
+/// flip and `analytic_settle` — the batch changes the execution
+/// schedule, never the results. Pinned by `tests/batch_equivalence.rs`
+/// and the lane invariance properties in `tests/prop_batch.rs`.
 pub fn run_case_batch_with(
     protocol: &Protocol,
     flips: &[BitFlip],
@@ -333,7 +295,7 @@ pub fn run_reference_trial_with(
     finish_trial(system, period).0
 }
 
-/// [`run_trial_checkpointed`] for a readout-recording run: the prefix
+/// [`run_trial_checkpointed_observed_with`] for a readout-recording run: the prefix
 /// must come from [`fault_free_prefix_recorded`] with the same sample
 /// period. The settle detector stays enabled — its alignment absorbs
 /// the sample grid — and when it stops the run early, the missing
@@ -373,7 +335,7 @@ pub fn run_trial_checkpointed_recorded(
 
 /// Simulates the fault-free prefix of a trial — everything strictly
 /// before the first injection instant — and freezes it for forking
-/// with [`run_trial_checkpointed`].
+/// with [`run_trial_checkpointed_observed_with`].
 pub fn fault_free_prefix(protocol: &Protocol, case: TestCase) -> arrestor::Snapshot {
     prefix_with_config(
         protocol,
@@ -555,11 +517,11 @@ mod tests {
             BitFlip::new(Region::AppRam, signal_addr("mscnt") + 1, 7),
             BitFlip::new(Region::Stack, 10, 3),
         ];
-        let batched = run_case_batch(&protocol, &flips, case, &prefix);
+        let batched = run_case_batch_with(&protocol, &flips, case, &prefix, false);
         assert_eq!(batched.len(), flips.len());
         for (slot, &flip) in flips.iter().enumerate() {
             let (trial, execution) =
-                run_trial_checkpointed_observed(&protocol, flip, case, &prefix);
+                run_trial_checkpointed_observed_with(&protocol, flip, case, &prefix, false);
             assert_eq!(batched[slot].slot, slot);
             assert_eq!(batched[slot].trial, trial, "flip {flip:?}");
             assert_eq!(batched[slot].execution, execution, "flip {flip:?}");

@@ -74,8 +74,8 @@ pub use campaign::{
 pub use convergence::{CampaignCoverage, ConvergenceAggregate, ConvergenceReport};
 pub use error_set::{E1Error, E2Error};
 pub use experiment::{
-    fault_free_prefix, fault_free_prefix_recorded, run_trial, run_trial_checkpointed,
-    run_trial_checkpointed_recorded, run_trial_recorded, run_trial_traced, Trial,
+    fault_free_prefix, fault_free_prefix_recorded, run_trial, run_trial_checkpointed_recorded,
+    run_trial_recorded, run_trial_traced, Trial,
 };
 pub use fleet::{FleetError, FleetSummary, Server, ServerOptions, WorkerOptions, WorkerSummary};
 pub use journal::{CampaignKind, Journal, JournalError, JournalWriter, ShardSpec, TrialRecord};

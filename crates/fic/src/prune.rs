@@ -18,8 +18,9 @@
 //! per test case ([`PruneCache`], executed by
 //! [`crate::experiment::run_reference_trial_with`]) across all inert
 //! errors of that case, and counts the skips exactly in the fold —
-//! journal bytes, tables and attribution stay byte-identical to a
-//! run with pruning off (pinned by `tests/settle_prune_equivalence.rs`).
+//! journal bytes, tables and attribution stay byte-identical to
+//! replaying every trial from t = 0 (pinned by
+//! `tests/settle_prune_equivalence.rs`).
 //! How many errors of each set classify is in `docs/PROOFS.md`.
 
 use std::collections::HashMap;
@@ -174,7 +175,7 @@ impl Default for PruneCache {
 mod tests {
     use super::*;
     use crate::error_set;
-    use crate::experiment::{fault_free_prefix, run_trial_checkpointed_observed};
+    use crate::experiment::{fault_free_prefix, run_trial_checkpointed_observed_with};
 
     #[test]
     fn dead_stack_and_unread_ram_classify() {
@@ -236,7 +237,8 @@ mod tests {
         assert!(cache.classify(flip).is_some());
         let (reference, built) = cache.reference(&protocol, 0, case, &prefix, false);
         assert!(built);
-        let (executed, _) = run_trial_checkpointed_observed(&protocol, flip, case, &prefix);
+        let (executed, _) =
+            run_trial_checkpointed_observed_with(&protocol, flip, case, &prefix, false);
         assert_eq!(*reference, executed);
         // Second lookup shares, never rebuilds.
         let (again, built) = cache.reference(&protocol, 0, case, &prefix, false);

@@ -6,37 +6,30 @@ use serde::{Deserialize, Serialize};
 use crate::error::Error;
 use crate::inject::{BitFlip, Region};
 use crate::ram::Ram;
-use crate::stack::{StackHit, StackLayout};
 use crate::{APP_RAM_BYTES, STACK_BYTES};
 
-/// Both memory banks of the paper's master node, with the stack layout
-/// needed to interpret stack hits.
+/// Both memory banks of the paper's master node. What a stack flip
+/// lands on is the application's business: it classifies the address
+/// against its own frame table ([`crate::StackLayout`] models one).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TargetMemory {
     app: Ram,
     stack: Ram,
-    layout: StackLayout,
     injections: u64,
 }
 
+impl Default for TargetMemory {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TargetMemory {
-    /// Banks with the paper's sizes (417 B RAM, 1008 B stack) and the
-    /// given stack layout.
-    pub fn new(layout: StackLayout) -> Self {
+    /// Banks with the paper's sizes (417 B RAM, 1008 B stack).
+    pub fn new() -> Self {
         TargetMemory {
             app: Ram::new(APP_RAM_BYTES),
             stack: Ram::new(STACK_BYTES),
-            layout,
-            injections: 0,
-        }
-    }
-
-    /// Custom bank sizes (tests, other targets).
-    pub fn with_sizes(app_bytes: usize, stack_bytes: usize, layout: StackLayout) -> Self {
-        TargetMemory {
-            app: Ram::new(app_bytes),
-            stack: Ram::new(stack_bytes),
-            layout,
             injections: 0,
         }
     }
@@ -61,35 +54,22 @@ impl TargetMemory {
         &mut self.stack
     }
 
-    /// The stack layout used to classify stack hits.
-    pub fn layout(&self) -> &StackLayout {
-        &self.layout
-    }
-
     /// Simultaneous mutable access to both banks (application code that
     /// touches RAM variables and stack locals in one pass).
     pub fn banks_mut(&mut self) -> (&mut Ram, &mut Ram) {
         (&mut self.app, &mut self.stack)
     }
 
-    /// Applies one bit flip; returns what the flip hit (dead space or
-    /// frame part) for stack flips, `None` for RAM flips (attribution of
-    /// RAM flips goes through the application's [`crate::MemoryMap`]).
+    /// Applies one bit flip to the bank `flip.region` names.
     ///
     /// # Errors
     ///
     /// [`Error::OutOfBounds`] / [`Error::BadBit`] for bad coordinates.
-    pub fn inject(&mut self, flip: BitFlip) -> Result<Option<StackHit>, Error> {
+    pub fn inject(&mut self, flip: BitFlip) -> Result<(), Error> {
         self.injections += 1;
         match flip.region {
-            Region::AppRam => {
-                self.app.flip_bit(flip.addr, flip.bit)?;
-                Ok(None)
-            }
-            Region::Stack => {
-                self.stack.flip_bit(flip.addr, flip.bit)?;
-                Ok(Some(self.layout.classify(flip.addr)))
-            }
+            Region::AppRam => self.app.flip_bit(flip.addr, flip.bit),
+            Region::Stack => self.stack.flip_bit(flip.addr, flip.bit),
         }
     }
 
@@ -109,52 +89,34 @@ impl TargetMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::Liveness;
-
-    fn target() -> TargetMemory {
-        let mut layout = StackLayout::new(STACK_BYTES);
-        layout.push_frame("CALC", 4, 16, Liveness::Always).unwrap();
-        TargetMemory::new(layout)
-    }
 
     #[test]
     fn paper_sizes() {
-        let t = target();
+        let t = TargetMemory::new();
         assert_eq!(t.app().len(), 417);
         assert_eq!(t.stack().len(), 1008);
     }
 
     #[test]
     fn ram_injection_flips_app_bank() {
-        let mut t = target();
+        let mut t = TargetMemory::new();
         t.inject(BitFlip::new(Region::AppRam, 10, 3)).unwrap();
         assert_eq!(t.app().read_u8(10).unwrap(), 1 << 3);
         assert_eq!(t.injections(), 1);
     }
 
     #[test]
-    fn stack_injection_reports_hit() {
-        let mut t = target();
-        // CALC frame occupies the top 20 bytes of the stack.
-        let calc_base = STACK_BYTES - 20;
-        let hit = t
-            .inject(BitFlip::new(Region::Stack, calc_base + 1, 0))
-            .unwrap()
+    fn stack_injection_flips_stack_bank() {
+        let mut t = TargetMemory::new();
+        t.inject(BitFlip::new(Region::Stack, STACK_BYTES - 19, 0))
             .unwrap();
-        match hit {
-            StackHit::Frame { module, .. } => assert_eq!(module, "CALC"),
-            StackHit::Dead => panic!("expected frame hit"),
-        }
-        let dead = t
-            .inject(BitFlip::new(Region::Stack, 0, 0))
-            .unwrap()
-            .unwrap();
-        assert_eq!(dead, StackHit::Dead);
+        assert_eq!(t.stack().read_u8(STACK_BYTES - 19).unwrap(), 1);
+        assert!(t.app().as_bytes().iter().all(|&b| b == 0));
     }
 
     #[test]
     fn bad_coordinates_error() {
-        let mut t = target();
+        let mut t = TargetMemory::new();
         assert!(t.inject(BitFlip::new(Region::AppRam, 417, 0)).is_err());
         assert!(t.inject(BitFlip::new(Region::Stack, 2000, 0)).is_err());
         assert!(t.inject(BitFlip::new(Region::AppRam, 0, 9)).is_err());
@@ -162,7 +124,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let mut t = target();
+        let mut t = TargetMemory::new();
         t.inject(BitFlip::new(Region::AppRam, 10, 3)).unwrap();
         t.app_mut().write_u16(0, 99).unwrap();
         t.stack_mut().write_u16(0, 99).unwrap();

@@ -4,23 +4,31 @@
 //!
 //! Three layers of evidence:
 //!
-//! * per-trial: [`run_trial_checkpointed`] equals [`run_trial`] across
-//!   error classes chosen to stress every matching rule of the settle
-//!   detector (mscnt errors shift the clock, stack errors corrupt CALC
-//!   locals or hang the node, signal errors perturb the plant);
-//! * per-campaign: checkpointed and replay campaigns render Tables 6–9
-//!   byte-identically, and both match the committed fixtures in
-//!   `tests/fixtures/` — the same files the snapshot suite pins;
+//! * per-trial: the recurrence-only checkpointed trial
+//!   ([`run_trial_checkpointed_observed_with`] with the analytic stops
+//!   off) equals [`run_trial`] across error classes chosen to stress
+//!   every matching rule of the settle detector (mscnt errors shift the
+//!   clock, stack errors corrupt CALC locals or hang the node, signal
+//!   errors perturb the plant);
+//! * per-campaign: the campaign's journal, Tables 6–9, attribution and
+//!   counters equal the t = 0 replay oracle of
+//!   `common::assert_matches_replay`, and its tables match the committed
+//!   fixtures in `tests/fixtures/` — the same files the snapshot suite
+//!   pins;
 //! * per-tick: a trace recorded across a snapshot/resume boundary shows
 //!   zero divergence against a straight recorded run under the
 //!   differential oracle of `fic::trace`.
 
+mod common;
+
 use std::path::PathBuf;
 
+use common::{assert_matches_replay, Slice};
 use ea_repro::arrestor::{RunConfig, System};
+use ea_repro::fic::experiment::run_trial_checkpointed_observed_with;
 use ea_repro::fic::{
-    error_set, fault_free_prefix, fault_free_prefix_recorded, run_trial, run_trial_checkpointed,
-    run_trial_checkpointed_recorded, run_trial_recorded, tables, trace, CampaignRunner, Protocol,
+    error_set, fault_free_prefix, fault_free_prefix_recorded, run_trial,
+    run_trial_checkpointed_recorded, run_trial_recorded, trace, Protocol,
 };
 use ea_repro::memsim::{BitFlip, Region, STACK_BYTES};
 
@@ -63,7 +71,7 @@ fn per_trial_equality_across_error_classes() {
 
     for (label, flip) in flips {
         let slow = run_trial(&protocol, flip, case);
-        let fast = run_trial_checkpointed(&protocol, flip, case, &prefix);
+        let (fast, _) = run_trial_checkpointed_observed_with(&protocol, flip, case, &prefix, false);
         assert_eq!(slow, fast, "{label}: checkpointed trial diverged");
     }
 }
@@ -81,7 +89,7 @@ fn per_trial_equality_with_long_window_fast_forward() {
     for k in [81, 96, 112] {
         let flip = e1[k - 1].flip;
         let slow = run_trial(&protocol, flip, case);
-        let fast = run_trial_checkpointed(&protocol, flip, case, &prefix);
+        let (fast, _) = run_trial_checkpointed_observed_with(&protocol, flip, case, &prefix, false);
         assert_eq!(slow, fast, "S{k}: fast-forwarded trial diverged");
     }
 }
@@ -158,36 +166,28 @@ fn recorded_checkpointed_trials_reconstruct_exact_readouts() {
 #[test]
 fn checkpointed_tables_match_replay_and_committed_fixtures() {
     let protocol = snapshot_protocol();
-    let e1_errors: Vec<_> = error_set::e1()
-        .into_iter()
-        .filter(|e| e.signal_bit == 0 || e.signal_bit == 15)
-        .collect();
-    let e2_errors: Vec<_> = error_set::e2().into_iter().step_by(25).collect();
-
-    let fast = CampaignRunner::new(protocol.clone());
-    let slow = fast.clone().with_checkpointing(false);
-
-    let e1_fast = fast.run_e1(&e1_errors);
-    let e1_slow = slow.run_e1(&e1_errors);
-    assert_eq!(e1_fast, e1_slow, "E1 reports diverged");
-    let e2_fast = fast.run_e2(&e2_errors);
-    let e2_slow = slow.run_e2(&e2_errors);
-    assert_eq!(e2_fast, e2_slow, "E2 reports diverged");
-
-    for (name, rendered) in [
-        (
-            "table6.txt",
-            tables::render_table6(&e1_errors, protocol.cases_per_error()),
-        ),
-        ("table7.txt", tables::render_table7(&e1_fast)),
-        ("table8.txt", tables::render_table8(&e1_fast)),
-        ("table9.txt", tables::render_table9(&e2_fast)),
+    let e1 = error_set::e1().into_iter();
+    let e1 = e1.filter(|e| e.signal_bit == 0 || e.signal_bit == 15);
+    let e2 = error_set::e2().into_iter().step_by(25);
+    for slice in [
+        Slice::e1(e1.map(|e| e.number)),
+        Slice::e2(e2.map(|e| e.number)),
     ] {
-        assert_eq!(
-            fixture(name),
-            rendered,
-            "checkpointed {name} differs from the committed fixture"
+        let campaign = assert_matches_replay(&protocol, &slice).unwrap();
+        // Every trial forks its prefix, so the campaign simulates less
+        // than its trials' whole windows.
+        let snapshot = campaign.snapshot;
+        assert!(
+            snapshot.counter("campaign.window_ms.simulated")
+                < snapshot.counter("campaign.trials") * protocol.observation_ms
         );
+        for (name, rendered) in campaign.tables {
+            assert_eq!(
+                fixture(name),
+                rendered,
+                "checkpointed {name} differs from the committed fixture"
+            );
+        }
     }
 }
 

@@ -13,31 +13,21 @@
 //!   whose clock jumps — each through the checkpointed
 //!   scalar loop and the lockstep batch, must equal their `run_trial`
 //!   replay from t = 0 and must all have taken a command-final stop;
-//! * the journals and tables of E1 and E2 campaign slices must be
-//!   byte-identical to the same slices run with
-//!   `with_analytic_settle(false)`, which keeps the stop off.
+//! * the journals, tables, attribution and trial-derived counters of
+//!   E1 and E2 campaign slices must equal the t = 0 replay oracle of
+//!   `common::assert_matches_replay`, with command-final stops taken.
 //!
 //! The whole paper grid is replayed by the ignored
 //! `record_final_equivalence::every_paper_pair_equals_its_replay`.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+mod common;
 
+use common::{assert_matches_replay, Slice};
 use ea_repro::fic::experiment::{
     fault_free_prefix, run_case_batch_with, run_trial, run_trial_checkpointed_lane,
 };
-use ea_repro::fic::telemetry::Registry;
-use ea_repro::fic::{error_set, tables, CampaignRunner, JournalWriter, Protocol};
+use ea_repro::fic::{error_set, Protocol};
 use ea_repro::memsim::BitFlip;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ea-repro-command-final-{}-{name}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// E1 errors 62 (`pulscnt` bit 13), 90 and 96 (`mscnt` bits 9 and 15):
 /// overruns that never arrest.
@@ -115,69 +105,24 @@ fn e2_clock_and_hang_errors_stop_command_final_and_equal_their_replay() {
     pairs_take_command_final_stops(&flips, &E2_PAIRS);
 }
 
-/// One journaled campaign slice at the paper's window on a 2 × 2 grid:
-/// its journal bytes, rendered tables and telemetry counters.
-fn run_slice(e1: bool, numbers: &[usize], analytic: bool) -> (Vec<u8>, String, Arc<Registry>) {
+/// Checks a campaign slice at the paper's window on a 2 × 2 grid
+/// against the replay oracle; the witness is that some trial stopped
+/// command-final.
+fn assert_slice_matches_replay(slice: &Slice) {
     let mut protocol = Protocol::scaled(2, 40_000);
     protocol.workers = 1; // deterministic journal append order
-    let registry = Arc::new(Registry::new());
-    let runner = CampaignRunner::new(protocol.clone())
-        .with_analytic_settle(analytic)
-        .with_telemetry(Arc::clone(&registry));
-    let tag = format!(
-        "{}-{}",
-        if e1 { "e1" } else { "e2" },
-        if analytic { "fast" } else { "exact" }
-    );
-    let path = temp_dir(&tag).join("journal.jsonl");
-    let mut journal = JournalWriter::create(&path, &protocol).unwrap();
-    let tables = if e1 {
-        let full = error_set::e1();
-        let subset: Vec<_> = numbers.iter().map(|n| full[n - 1]).collect();
-        let report = runner.run_e1_journaled(&subset, &mut journal).unwrap();
-        format!(
-            "{}\n{}\n{}",
-            tables::render_table6(&subset, protocol.cases_per_error()),
-            tables::render_table7(&report),
-            tables::render_table8(&report)
-        )
-    } else {
-        let full = error_set::e2();
-        let subset: Vec<_> = numbers.iter().map(|n| full[n - 1]).collect();
-        let report = runner.run_e2_journaled(&subset, &mut journal).unwrap();
-        tables::render_table9(&report)
-    };
-    journal.finish().unwrap();
-    (std::fs::read(&path).unwrap(), tables, registry)
-}
-
-fn assert_slice_matches_exact(e1: bool, numbers: &[usize]) {
-    let (exact_journal, exact_tables, exact) = run_slice(e1, numbers, false);
-    let (fast_journal, fast_tables, fast) = run_slice(e1, numbers, true);
-    assert!(exact_journal == fast_journal, "journals differ");
-    assert_eq!(exact_tables, fast_tables);
-    let (exact, fast) = (exact.snapshot(), fast.snapshot());
-    assert_eq!(exact.counter("campaign.settle.command_final.stops"), 0);
-    assert!(fast.counter("campaign.settle.command_final.stops") > 0);
-    assert!(
-        fast.counter("campaign.window_ms.simulated")
-            < exact.counter("campaign.window_ms.simulated")
-    );
+    let snapshot = assert_matches_replay(&protocol, slice).unwrap().snapshot;
+    assert!(snapshot.counter("campaign.settle.command_final.stops") > 0);
 }
 
 #[test]
 fn e1_slice_journal_and_tables_match_the_exact_path() {
-    let numbers: Vec<usize> = E1_OVERRUNS
-        .iter()
-        .chain(&E1_ROLLERS)
-        .map(|&(n, _)| n)
-        .chain([1, 40])
-        .collect();
-    assert_slice_matches_exact(true, &numbers);
+    let numbers = E1_OVERRUNS.iter().chain(&E1_ROLLERS).map(|&(n, _)| n);
+    assert_slice_matches_replay(&Slice::e1(numbers.chain([1, 40])));
 }
 
 #[test]
 fn e2_slice_journal_and_tables_match_the_exact_path() {
-    let numbers: Vec<usize> = E2_PAIRS.iter().map(|&(n, _)| n).chain([120]).collect();
-    assert_slice_matches_exact(false, &numbers);
+    let numbers = E2_PAIRS.iter().map(|&(n, _)| n).chain([120]);
+    assert_slice_matches_replay(&Slice::e2(numbers));
 }

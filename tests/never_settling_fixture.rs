@@ -15,9 +15,10 @@
 //! stops record-final at 25.76 s: its state never recurs, but its
 //! record is final. Inside any window shorter than its
 //! exact-recurrence instant, a tail trial therefore runs to the
-//! horizon with the analytic settle switched off
-//! (`with_analytic_settle(false)`) while the analytic absorbing-band
-//! proof still gives it a sound early verdict.
+//! horizon on the recurrence-only lane (`analytic_settle = false` in
+//! `run_trial_checkpointed_observed_with`; campaigns always run the
+//! analytic stops) while the analytic absorbing-band proof still gives
+//! it a sound early verdict.
 //!
 //! This file pins the worst band tail — R183 case 1, analytic stop at
 //! 10 360 ms, exact recurrence at 14 000 ms — inside a 12 s window and

@@ -1,6 +1,10 @@
-//! Property-based tests of the memory substrate.
+//! Property-based tests of the memory substrate. Pruning and the reach
+//! table rest on them: a flip is its own inverse, injecting the same
+//! flip twice is the identity, and out-of-bounds flips are rejected.
 
-use memsim::{BitFlip, Liveness, MemoryMap, Ram, Region, StackLayout, TargetMemory};
+use ea_repro::memsim::{
+    self, BitFlip, Liveness, MemoryMap, Ram, Region, StackLayout, TargetMemory,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -100,8 +104,7 @@ proptest! {
         addr in 0usize..417,
         bit in 0u8..8,
     ) {
-        let layout = StackLayout::new(memsim::STACK_BYTES);
-        let mut mem = TargetMemory::new(layout);
+        let mut mem = TargetMemory::new();
         mem.inject(BitFlip::new(Region::AppRam, addr, bit)).unwrap();
         prop_assert_eq!(mem.app().read_u8(addr).unwrap(), 1u8 << bit);
         // The stack bank is untouched.
@@ -126,7 +129,7 @@ proptest! {
         } else {
             (Region::Stack, addr)
         };
-        let mut mem = TargetMemory::new(StackLayout::new(memsim::STACK_BYTES));
+        let mut mem = TargetMemory::new();
         for a in 0..memsim::APP_RAM_BYTES {
             mem.app_mut().write_u8(a, ram_fill).unwrap();
         }
@@ -157,7 +160,7 @@ proptest! {
         } else {
             (Region::Stack, memsim::STACK_BYTES)
         };
-        let mut mem = TargetMemory::new(StackLayout::new(memsim::STACK_BYTES));
+        let mut mem = TargetMemory::new();
         prop_assert!(mem.inject(BitFlip::new(region, size + beyond, bit)).is_err());
         for a in 0..memsim::APP_RAM_BYTES {
             prop_assert_eq!(mem.app().read_u8(a).unwrap(), 0);

@@ -11,19 +11,20 @@
 //! * a seeded sample of E1 and E2 pairs, each through the checkpointed
 //!   scalar loop and the lockstep batch, must equal its `run_trial`
 //!   replay from t = 0;
-//! * journals, tables and the trial-derived counters of a campaign
-//!   slice must be byte-identical to the same slice run with
-//!   `with_analytic_settle(false)`, which turns the record-final stop
-//!   off together with the absorbing band;
+//! * the journals, tables, attribution and trial-derived counters of
+//!   E1 and E2 campaign slices must equal the t = 0 replay oracle of
+//!   `common::assert_matches_replay`, with record-final stops taken;
 //! * the envelope lemmas the certificates rest on are property-tested
 //!   against the real `Plant::step`, `pres_s::run` and `pid_step`
 //!   arithmetic;
 //! * an ignored exhaustive check replays all 2 800 E1 and 5 000 E2
 //!   paper pairs (CI runs it in release).
 
-use std::path::PathBuf;
-use std::sync::Arc;
+mod common;
 
+use std::path::PathBuf;
+
+use common::{assert_matches_replay, Slice};
 use ea_repro::arrestor::control::pid_step;
 use ea_repro::arrestor::modules::pres_s;
 use ea_repro::arrestor::record_final::{is_value_step_pu, out_value_envelope, IS_VALUE_MAX_PU};
@@ -32,8 +33,7 @@ use ea_repro::fic::experiment::{
     fault_free_prefix, run_case_batch_with, run_trial, run_trial_checkpointed_observed_with,
 };
 use ea_repro::fic::journal::{CampaignKind, Journal};
-use ea_repro::fic::telemetry::Registry;
-use ea_repro::fic::{error_set, tables, CampaignRunner, JournalWriter, Protocol};
+use ea_repro::fic::{error_set, CampaignRunner, JournalWriter, Protocol};
 use ea_repro::memsim::{BitFlip, Ram, APP_RAM_BYTES};
 use ea_repro::simenv::{Plant, TestCase};
 use proptest::prelude::*;
@@ -124,59 +124,17 @@ fn sampled_e2_pairs_equal_their_replay() {
     assert!(stops > 0, "the sample never reached a record-final stop");
 }
 
-/// One journaled campaign slice: its journal bytes, rendered tables and
-/// telemetry counters.
-fn run_slice(e1: bool, numbers: &[usize], analytic: bool) -> (Vec<u8>, String, Arc<Registry>) {
+/// Checks a campaign slice against the replay oracle; the witness is
+/// that some trial stopped record-final and the slice simulated fewer
+/// window milliseconds than its trials' whole windows.
+fn assert_slice_matches_replay(slice: &Slice) {
     let protocol = protocol();
-    let registry = Arc::new(Registry::new());
-    let runner = CampaignRunner::new(protocol.clone())
-        .with_analytic_settle(analytic)
-        .with_telemetry(Arc::clone(&registry));
-    let tag = format!(
-        "{}-{}",
-        if e1 { "e1" } else { "e2" },
-        if analytic { "fast" } else { "exact" }
-    );
-    let path = temp_dir(&tag).join("journal.jsonl");
-    let mut journal = JournalWriter::create(&path, &protocol).unwrap();
-    let tables = if e1 {
-        let full = error_set::e1();
-        let subset: Vec<_> = numbers.iter().map(|n| full[n - 1]).collect();
-        let report = runner.run_e1_journaled(&subset, &mut journal).unwrap();
-        format!(
-            "{}\n{}\n{}",
-            tables::render_table6(&subset, protocol.cases_per_error()),
-            tables::render_table7(&report),
-            tables::render_table8(&report)
-        )
-    } else {
-        let full = error_set::e2();
-        let subset: Vec<_> = numbers.iter().map(|n| full[n - 1]).collect();
-        let report = runner.run_e2_journaled(&subset, &mut journal).unwrap();
-        tables::render_table9(&report)
-    };
-    journal.finish().unwrap();
-    (std::fs::read(&path).unwrap(), tables, registry)
-}
-
-fn assert_slice_matches_exact(e1: bool, numbers: &[usize]) {
-    let (exact_journal, exact_tables, exact) = run_slice(e1, numbers, false);
-    let (fast_journal, fast_tables, fast) = run_slice(e1, numbers, true);
-    assert!(exact_journal == fast_journal, "journals differ");
-    assert_eq!(exact_tables, fast_tables);
-    let (exact, fast) = (exact.snapshot(), fast.snapshot());
-    for name in [
-        "campaign.trials",
-        "campaign.prune.trials",
-        "campaign.checkpoint.cache.hits",
-    ] {
-        assert_eq!(exact.counter(name), fast.counter(name), "{name}");
-    }
-    assert_eq!(exact.counter("campaign.settle.record_final.stops"), 0);
-    assert!(fast.counter("campaign.settle.record_final.stops") > 0);
+    let snapshot = assert_matches_replay(&protocol, slice).unwrap().snapshot;
+    assert!(snapshot.counter("campaign.settle.record_final.stops") > 0);
+    let trials = snapshot.counter("campaign.trials");
     assert!(
-        fast.counter("campaign.window_ms.simulated")
-            < exact.counter("campaign.window_ms.simulated")
+        snapshot.counter("campaign.window_ms.simulated")
+            < trials * (protocol.observation_ms - protocol.injection_period_ms)
     );
 }
 
@@ -185,18 +143,14 @@ fn e1_slice_journal_and_tables_match_the_exact_path() {
     // One error per monitored signal, mid-word bits: fired and unfired
     // mechanisms both occur at the stop.
     let errors = error_set::e1();
-    let numbers: Vec<usize> = (0..7).map(|k| errors[16 * k + 9].number).collect();
-    assert_slice_matches_exact(true, &numbers);
+    let numbers = (0..7).map(|k| errors[16 * k + 9].number);
+    assert_slice_matches_replay(&Slice::e1(numbers));
 }
 
 #[test]
 fn e2_slice_journal_and_tables_match_the_exact_path() {
-    let numbers: Vec<usize> = error_set::e2()
-        .iter()
-        .step_by(25)
-        .map(|e| e.number)
-        .collect();
-    assert_slice_matches_exact(false, &numbers);
+    let slice = Slice::e2(error_set::e2().iter().step_by(25).map(|e| e.number));
+    assert_slice_matches_replay(&slice);
 }
 
 /// The PRES_S filter fed by the real plant: consecutive readings of
