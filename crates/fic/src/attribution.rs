@@ -11,7 +11,8 @@
 //! into an [`AttributionAggregate`] whose merge is associative and
 //! permutation-invariant — the same algebra as
 //! [`crate::telemetry::TelemetrySnapshot`] — so worker completion
-//! order, `--resume`, and shard merging cannot change the result.
+//! order, `--resume`, and the fleet's worker fan-in cannot change the
+//! result.
 //!
 //! Attribution is observation-only and zero-cost when disabled: the
 //! cheap event fields are a *pure function* of ⟨error, case, trial⟩,
@@ -20,8 +21,7 @@
 //! [`aggregate_journal`] can rebuild the whole aggregate from any
 //! trial journal after the fact; only the oracle enrichment
 //! ([`enrich_event`]) adds information, and that is persisted as
-//! attribution lines in the journal so it survives `--resume` and
-//! `merge_journals`.
+//! attribution lines in the journal so it survives `--resume`.
 
 use std::collections::HashMap;
 use std::io;
@@ -321,7 +321,7 @@ impl OracleStats {
 /// The event stream folded down: every counter adds, every proportion
 /// and latency merges — associative, commutative, and therefore
 /// invariant under worker count, completion order, resume points and
-/// shard groupings (pinned by `prop_attribution`).
+/// fleet slices (pinned by `prop_attribution`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AttributionAggregate {
     /// E1 events folded in.
@@ -410,7 +410,7 @@ impl AttributionAggregate {
         }
     }
 
-    /// Merges another aggregate (shards, workers, resumed segments).
+    /// Merges another aggregate.
     pub fn merge(&mut self, other: &AttributionAggregate) {
         self.e1_trials += other.e1_trials;
         self.e2_trials += other.e2_trials;

@@ -31,7 +31,7 @@
 //!   empirical `Pprop` sample. Expensive — each enrichment is a full
 //!   traced observation window;
 //! * `--save-oracle` — append the freshly enriched events to the
-//!   journal so the verdicts survive `--resume` and `merge_journals`.
+//!   journal so the verdicts survive `--resume` and `--from-journal`.
 //!
 //! Exits 0 when the report validates (and, when requested, matches the
 //! goldens), 1 otherwise.
@@ -118,8 +118,7 @@ fn main() -> ExitCode {
         aggregate.record(event);
     }
 
-    let shard = journal.header.shard.map(|s| (s.index, s.count));
-    let run = RunMetadata::for_run(&journal.header.protocol, true, shard);
+    let run = RunMetadata::for_run(&journal.header.protocol, true, None);
     let report = AttributionReport::assemble("attribution_report", run, aggregate);
 
     print!("{}", attribution::render_league(&report.aggregate));

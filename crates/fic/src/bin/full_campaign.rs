@@ -33,9 +33,9 @@
 //! a terminal) and writes a schema-versioned report under
 //! `<out>/telemetry/` at the end (see OBSERVABILITY.md).
 //!
-//! Scale-out: `--shard k/n` runs only the k-th of n deterministic grid
-//! slices; shard journals are combined with the `merge_journals`
-//! binary and rendered with `--from-journal`.
+//! Scale-out: the fleet (`fleet_server` plus `fleet_worker`s) leases
+//! the same grid to workers on any number of hosts and renders the
+//! same tables.
 //!
 //! Attribution: every run folds one assertion-level event per trial
 //! (first-firing assertion, signal class, latency split) and writes
@@ -52,7 +52,7 @@
 //! the attribution report via the `detox_report` binary for the
 //! coverage-per-op Pareto table.
 //!
-//! Convergence: every run (live, resumed, sharded or `--from-journal`)
+//! Convergence: every run (live, resumed or `--from-journal`)
 //! derives the per-cell Wilson-CI coverage estimates from its final
 //! reports, prints the advisory "trials remaining to reach ±δ"
 //! forecast on stderr and writes the schema-versioned convergence
@@ -66,7 +66,7 @@ use std::time::Instant;
 
 use fic::cli::CliOptions;
 use fic::error_set::E1Error;
-use fic::journal::{Journal, JournalWriter, ShardSpec};
+use fic::journal::{Journal, JournalWriter};
 use fic::trace::{self, ReproBundle, ReproError};
 use fic::{error_set, golden, run_trial_traced, tables, Protocol};
 
@@ -118,14 +118,6 @@ fn main() {
 
         let runner = options.runner();
         let registry = runner.telemetry().expect("CLI runners record telemetry");
-        if let Some((index, count)) = options.shard {
-            eprintln!("shard {index}/{count}: running that slice of the grid only");
-            if options.check_golden {
-                eprintln!(
-                    "warning: a shard's tables cover a grid slice; the golden check will diverge"
-                );
-            }
-        }
         let e2_errors = error_set::e2();
 
         let t1 = Instant::now();
@@ -150,10 +142,7 @@ fn main() {
                 eprintln!("      done ({:.1?})", t2.elapsed());
             }
             Some(journal_path) => {
-                let shard = options
-                    .shard
-                    .map(|(index, count)| ShardSpec { index, count });
-                let mut writer = JournalWriter::create_sharded(journal_path, &protocol, shard)
+                let mut writer = JournalWriter::create(journal_path, &protocol)
                     .expect("create journal")
                     .with_telemetry(fic::journal::JournalTelemetry::register(registry));
                 e1_report = runner
@@ -236,14 +225,16 @@ fn main() {
     eprintln!("artefacts written to {}", options.out_dir.display());
 
     if options.refresh_golden {
-        golden::refresh_dir(
+        if let Err(e) = golden::refresh_dir(
             &options.golden_dir,
             &e1_errors,
             protocol.cases_per_error(),
             &e1_report,
             &e2_report,
-        )
-        .expect("write golden artefacts");
+        ) {
+            eprintln!("error: goldens not refreshed: {e}");
+            std::process::exit(1);
+        }
         eprintln!("goldens refreshed in {}", options.golden_dir.display());
     }
 

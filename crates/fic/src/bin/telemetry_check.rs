@@ -25,16 +25,12 @@
 //!   `campaign.lockstep.lanes` histogram: a fresh run cuts each test
 //!   case's live trials into batches of `DEFAULT_BATCH_SIZE`
 //!   ([`fic::campaign::lockstep_items`]), so its count is
-//!   `Σ ⌈live / 8⌉` over ⟨campaign, shard, case⟩ and its sum is the
+//!   `Σ ⌈live / 8⌉` over ⟨campaign, case⟩ and its sum is the
 //!   live trials. Each record is
 //!   first resolved to its paper error ([`fic::journal::PaperErrors`]);
-//!   an unknown error number fails the check with a message naming it;
-//! * `--shards <n>` — the report (and journal) came from `n` shard
-//!   runs merged together (`merge_telemetry` / `merge_journals`). Each
-//!   shard execution had its own checkpoint cache, so the ground truth
-//!   becomes `misses = Σ over shards of distinct cases in that shard's
-//!   slice`, recomputed from the canonical pair index
-//!   `(error − 1) · cases + case`.
+//!   an unknown error number fails the check with a message naming it.
+//!   A fleet journal passes too: the fleet runs one slice per
+//!   ⟨campaign, case⟩, so its caches see what one process's would;
 //! * `--attribution <file>` — parse a `results/attribution/*.json`
 //!   report, run its structural validation
 //!   ([`fic::attribution::AttributionReport::validate`]) and the
@@ -67,7 +63,7 @@ use memsim::BitFlip;
 fn usage() -> ! {
     eprintln!(
         "usage: telemetry_check [--report file] [--journal file] \
-         [--shards n] [--attribution file] [--convergence file]"
+         [--attribution file] [--convergence file]"
     );
     std::process::exit(2);
 }
@@ -77,7 +73,6 @@ fn main() -> ExitCode {
     let mut journal_path: Option<PathBuf> = None;
     let mut attribution_path: Option<PathBuf> = None;
     let mut convergence_path: Option<PathBuf> = None;
-    let mut shards = 1usize;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -92,17 +87,10 @@ fn main() -> ExitCode {
             "--journal" => journal_path = Some(PathBuf::from(value("--journal"))),
             "--attribution" => attribution_path = Some(PathBuf::from(value("--attribution"))),
             "--convergence" => convergence_path = Some(PathBuf::from(value("--convergence"))),
-            "--shards" => {
-                shards = value("--shards").parse().unwrap_or_else(|e| {
-                    eprintln!("--shards: {e}");
-                    usage();
-                });
-                if shards == 0 {
-                    eprintln!("--shards must be at least 1");
-                    usage();
-                }
+            other => {
+                eprintln!("unknown flag `{other}`");
+                usage();
             }
-            _ => usage(),
         }
     }
     if report_path.is_none() && attribution_path.is_none() && convergence_path.is_none() {
@@ -158,10 +146,10 @@ fn main() -> ExitCode {
     if let (Some(report), Some(path)) = (&report, &journal_path) {
         match load_flips(path) {
             Ok((journal, flips)) => {
-                let executions = executions(&journal, shards);
+                let executions = executions(&journal);
                 match check_cache_counters(report, &journal, &executions) {
                     Ok((hits, misses)) => println!(
-                        "journal {}: cache counters match ({hits} hits, {misses} misses, {shards} shard(s))",
+                        "journal {}: cache counters match ({hits} hits, {misses} misses)",
                         path.display()
                     ),
                     Err(e) => {
@@ -298,18 +286,12 @@ fn load_flips(path: &std::path::Path) -> Result<(Journal, Vec<BitFlip>), String>
 }
 
 /// The journal's record indices grouped by the execution that produced
-/// them: one group per ⟨campaign, shard⟩, each run with its own
-/// checkpoint and prune caches. With `shards > 1` the journal is a
-/// merge of that many shard runs; a record's shard is recomputed from
-/// the canonical pair index `(error − 1) · cases + case` (the same
-/// formula `CampaignRunner::with_shard` slices by).
-fn executions(journal: &Journal, shards: usize) -> Vec<Vec<usize>> {
-    let cases_per_error = journal.header.protocol.cases_per_error();
-    let mut groups = vec![Vec::new(); 2 * shards];
+/// them: one group per campaign, each run with its own checkpoint and
+/// prune caches.
+fn executions(journal: &Journal) -> Vec<Vec<usize>> {
+    let mut groups = vec![Vec::new(); 2];
     for (k, r) in journal.records.iter().enumerate() {
-        let pair = (r.error_number - 1) * cases_per_error + r.case_index;
-        let kind = usize::from(r.campaign == fic::CampaignKind::E2);
-        groups[kind * shards + pair % shards].push(k);
+        groups[usize::from(r.campaign == fic::CampaignKind::E2)].push(k);
     }
     groups
 }
@@ -330,7 +312,7 @@ const STOP_LABELS: [&str; 7] = [
 /// The report's trial counters balance: each settled trial carries
 /// exactly one stop label, and each trial was pruned, settled or run to
 /// its horizon. Both equations are sums of per-trial increments, so
-/// they hold for merged shard and fleet reports too. Returns the
+/// they hold for merged fleet reports too. Returns the
 /// settled and total trial counts.
 fn check_trial_accounting(report: &TelemetryReport) -> Result<(u64, u64), String> {
     let counter = |name: &str| report.snapshot.counter(name);
@@ -388,7 +370,7 @@ fn check_cache_counters(
 /// trials into work items of at most `DEFAULT_BATCH_SIZE` live lanes
 /// ([`fic::campaign::lockstep_items`]), every item but the last full,
 /// and runs one batch per item holding a live lane. So per
-/// ⟨campaign, shard, case⟩ the batches are `⌈live / 8⌉`, where "live"
+/// ⟨campaign, case⟩ the batches are `⌈live / 8⌉`, where "live"
 /// means the records [`InertMap`] does not classify, and the lanes sum
 /// to the live trials. Returns the batch and lane counts.
 fn check_lockstep_lanes(
@@ -433,7 +415,7 @@ fn check_lockstep_lanes(
 /// classifies here exactly as it did inside the runner:
 /// `prune.trials` (split by class) counts the classifying records, and
 /// `prune.references` counts one shared reference execution per
-/// ⟨campaign, shard, test case⟩ holding at least one of them (each
+/// ⟨campaign, test case⟩ holding at least one of them (each
 /// execution has its own [`fic::PruneCache`], mirroring the
 /// checkpoint-cache model above). Returns the pruned-trial and
 /// reference counts.

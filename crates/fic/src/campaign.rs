@@ -37,7 +37,7 @@ use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap, O
 use crate::convergence::{CellKey, ConvergenceAggregate};
 use crate::error_set::{E1Error, E2Error};
 use crate::experiment::{fault_free_prefix, run_case_batch_with, BatchTrial, Trial};
-use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter, ShardSpec};
+use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter};
 use crate::protocol::Protocol;
 use crate::prune::{CaseCells, PruneClass};
 use crate::results::{E1Report, E2Report};
@@ -352,7 +352,6 @@ pub struct CampaignRunner {
     protocol: Protocol,
     telemetry: Option<Arc<telemetry::Registry>>,
     progress: bool,
-    shard: Option<ShardSpec>,
     attribution: Option<Arc<AttributionSink>>,
     profile: Option<Arc<crate::profile::ProfileRecorder>>,
     convergence: Option<Arc<ConvergenceSink>>,
@@ -365,14 +364,13 @@ impl CampaignRunner {
     /// ([`crate::experiment::run_case_batch_with`]), and statically
     /// inert errors share the case's reference trial. Results are
     /// bit-identical to replaying every trial from t = 0
-    /// ([`crate::experiment::run_trial`]). Telemetry, progress and
-    /// sharding are all off by default.
+    /// ([`crate::experiment::run_trial`]). Telemetry and progress are
+    /// off by default.
     pub fn new(protocol: Protocol) -> Self {
         CampaignRunner {
             protocol,
             telemetry: None,
             progress: false,
-            shard: None,
             attribution: None,
             profile: None,
             convergence: None,
@@ -444,40 +442,6 @@ impl CampaignRunner {
     pub fn with_progress(mut self) -> Self {
         self.progress = true;
         self
-    }
-
-    /// Restricts execution to one deterministic slice of the trial
-    /// grid: shard `index` of `count` (1-based, as in `--shard k/n`)
-    /// keeps exactly the ⟨error, case⟩ pairs whose canonical pair
-    /// index `ei · cases + ci` is `≡ index − 1 (mod count)`. The
-    /// slices partition the grid, so `count` shard reports (or
-    /// journals, via [`crate::journal::merge`]) combine into exactly
-    /// the unsharded result.
-    ///
-    /// # Panics
-    ///
-    /// When `index` is not in `1..=count`.
-    #[must_use]
-    pub fn with_shard(mut self, index: usize, count: usize) -> Self {
-        assert!(
-            (1..=count).contains(&index),
-            "shard index {index} out of range 1..={count}"
-        );
-        self.shard = Some(ShardSpec { index, count });
-        self
-    }
-
-    /// The grid slice this runner executes, if sharded.
-    pub const fn shard(&self) -> Option<ShardSpec> {
-        self.shard
-    }
-
-    /// Whether a canonical pair index belongs to this runner's shard.
-    fn in_shard(&self, pair_index: usize) -> bool {
-        match self.shard {
-            Some(s) => pair_index % s.count == s.index - 1,
-            None => true,
-        }
     }
 
     /// The protocol in use.
@@ -692,17 +656,6 @@ impl CampaignRunner {
                         .to_owned(),
                 ));
             }
-            if journal.header.shard != self.shard {
-                let describe = |s: Option<ShardSpec>| {
-                    s.map_or_else(|| "unsharded".to_owned(), |s| format!("shard {s}"))
-                };
-                return Err(JournalError::Mismatch(format!(
-                    "journal is {} but this run is {} — resume with the \
-                     same --shard, or combine shards with merge_journals",
-                    describe(journal.header.shard),
-                    describe(self.shard),
-                )));
-            }
             let attribution = self
                 .attribution_fold()
                 .map(|fold| (fold, OracleVerdicts::from_journal(&journal)));
@@ -738,7 +691,7 @@ impl CampaignRunner {
                 }
             }
         }
-        let mut writer = JournalWriter::append_to_sharded(path, &self.protocol, self.shard)?;
+        let mut writer = JournalWriter::append_to(path, &self.protocol)?;
         if let Some(registry) = &self.telemetry {
             writer = writer.with_telemetry(crate::journal::JournalTelemetry::register(registry));
         }
@@ -768,13 +721,11 @@ impl CampaignRunner {
             .map(|sink| (Arc::clone(sink), MonitoredMap::new()))
     }
 
-    /// Every ⟨error index, case index⟩ pair of a fresh campaign (the
-    /// runner's shard of them, when sharded).
+    /// Every ⟨error index, case index⟩ pair of a fresh campaign.
     fn all_pairs(&self, error_count: usize) -> Vec<(usize, usize)> {
         let cases = self.protocol.cases_per_error();
         (0..error_count)
             .flat_map(|ei| (0..cases).map(move |ci| (ei, ci)))
-            .filter(|&(ei, ci)| self.in_shard(ei * cases + ci))
             .collect()
     }
 

@@ -23,10 +23,10 @@
 //!   or golden-table failure, dump a minimal reproducer bundle
 //!   (`fic::trace::ReproBundle`) for the offending ⟨error, case⟩;
 //! * `--repro-dir <dir>` — where reproducer bundles go (default
-//!   `results/repro`);
-//! * `--shard k/n` — run only shard `k` of `n` (1-based) of the trial
-//!   grid: a deterministic slice recorded in the journal header.
-//!   Combine shard journals with `merge_journals`.
+//!   `results/repro`).
+//!
+//! A campaign is spread over hosts by the fleet (`fleet_server` and
+//! `fleet_worker`), not by a flag of these binaries.
 //!
 //! There is one execution path: every live run forks cached fault-free
 //! prefixes, steps lockstep batches with the analytic stops on and
@@ -83,9 +83,6 @@ pub struct CliOptions {
     pub trace: bool,
     /// Where reproducer bundles are written.
     pub repro_dir: PathBuf,
-    /// Run only this deterministic slice of the trial grid:
-    /// `(index, count)`, 1-based, from `--shard k/n`.
-    pub shard: Option<(usize, usize)>,
 }
 
 impl Default for CliOptions {
@@ -103,7 +100,6 @@ impl Default for CliOptions {
             golden_dir: PathBuf::from("results/golden"),
             trace: false,
             repro_dir: PathBuf::from("results/repro"),
-            shard: None,
         }
     }
 }
@@ -120,7 +116,7 @@ impl CliOptions {
                     "usage: [--scale n] [--observation ms] [--workers n] [--out dir] \
                      [--journal file] [--resume] [--from-journal file] \
                      [--check-golden] [--refresh-golden] [--golden-dir dir] \
-                     [--trace] [--repro-dir dir] [--shard k/n]"
+                     [--trace] [--repro-dir dir]"
                 );
                 std::process::exit(2);
             }
@@ -168,7 +164,6 @@ impl CliOptions {
                 "--golden-dir" => options.golden_dir = PathBuf::from(value("--golden-dir")?),
                 "--trace" => options.trace = true,
                 "--repro-dir" => options.repro_dir = PathBuf::from(value("--repro-dir")?),
-                "--shard" => options.shard = Some(parse_shard(&value("--shard")?)?),
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -198,34 +193,15 @@ impl CliOptions {
         protocol
     }
 
-    /// A campaign runner configured from these options (protocol, shard
-    /// slice) with every observer attached: a fresh metrics
-    /// registry with the live progress line, attribution and the cost
-    /// profile recorder.
+    /// A campaign runner configured from these options' protocol with
+    /// every observer attached: a fresh metrics registry with the live
+    /// progress line, attribution and the cost profile recorder.
     pub fn runner(&self) -> CampaignRunner {
-        let runner = CampaignRunner::new(self.protocol())
+        CampaignRunner::new(self.protocol())
             .with_telemetry(Arc::new(telemetry::Registry::new()))
             .with_progress()
             .with_attribution(true)
-            .with_profile(Arc::new(profile::ProfileRecorder::new()));
-        match self.shard {
-            Some((index, count)) => runner.with_shard(index, count),
-            None => runner,
-        }
-    }
-
-    /// The file label and run metadata every end-of-campaign report
-    /// shares. A live run describes its own settings under `protocol`
-    /// and is labelled `producer`, shard-suffixed so parallel shard
-    /// runs never clobber each other; a `--from-journal` replay
-    /// describes the journal's `protocol`, unsharded.
-    fn report_meta(&self, producer: &str, protocol: &Protocol) -> (String, RunMetadata) {
-        let shard = self.shard.filter(|_| self.from_journal.is_none());
-        let label = match shard {
-            Some((index, count)) => format!("{producer}-shard-{index}-of-{count}"),
-            None => producer.to_owned(),
-        };
-        (label, RunMetadata::for_run(protocol, true, shard))
+            .with_profile(Arc::new(profile::ProfileRecorder::new()))
     }
 
     /// Writes one `kind` of report under `<out>/<kind>/` and names the
@@ -264,10 +240,10 @@ impl CliOptions {
     ) -> io::Result<()> {
         let snapshot = registry.snapshot();
         eprint!("{}", telemetry::render_summary(&snapshot));
-        let (label, run) = self.report_meta(producer, protocol);
+        let run = RunMetadata::for_run(protocol, true, None);
         let report = telemetry::TelemetryReport::assemble(producer, run, snapshot);
         self.save_report("telemetry", |dir| {
-            telemetry::write_report(dir, &label, &report)
+            telemetry::write_report(dir, producer, &report)
         })
     }
 
@@ -285,14 +261,14 @@ impl CliOptions {
         aggregate: AttributionAggregate,
     ) -> io::Result<()> {
         eprint!("{}", attribution::render_league(&aggregate));
-        let (label, run) = self.report_meta(producer, protocol);
+        let run = RunMetadata::for_run(protocol, true, None);
         let report = attribution::AttributionReport::assemble(producer, run, aggregate);
         eprint!(
             "{}",
             attribution::render_decomposition(&report.decomposition)
         );
         self.save_report("attribution", |dir| {
-            attribution::write_report(dir, &label, &report)
+            attribution::write_report(dir, producer, &report)
         })
     }
 
@@ -316,10 +292,12 @@ impl CliOptions {
             return Ok(());
         }
         let wall = profile::sample_wall_ns();
-        let (label, run) = self.report_meta(producer, protocol);
+        let run = RunMetadata::for_run(protocol, true, None);
         let report = profile::ProfileReport::assemble(producer, run, recorder, Some(wall));
         eprint!("{}", profile::render_league(&report));
-        self.save_report("profile", |dir| profile::write_report(dir, &label, &report))
+        self.save_report("profile", |dir| {
+            profile::write_report(dir, producer, &report)
+        })
     }
 
     /// End-of-campaign convergence emission, on every run: derives the
@@ -344,10 +322,11 @@ impl CliOptions {
             "{}",
             convergence::render_coverage(&aggregate.coverage(producer, delta))
         );
-        let (mut label, run) = self.report_meta(producer, protocol);
-        if let Some(stem) = self.from_journal.as_deref().and_then(Path::file_stem) {
-            label = stem.to_string_lossy().into_owned();
-        }
+        let label = match self.from_journal.as_deref().and_then(Path::file_stem) {
+            Some(stem) => stem.to_string_lossy().into_owned(),
+            None => producer.to_owned(),
+        };
+        let run = RunMetadata::for_run(protocol, true, None);
         let report = convergence::ConvergenceReport::assemble(producer, run, aggregate, delta);
         self.save_report("convergence", |dir| {
             convergence::write_report(dir, &label, &report)
@@ -364,25 +343,6 @@ pub(crate) fn parse_scale(value: &str) -> Result<usize, String> {
         Ok(n) => Ok(n),
         Err(e) => Err(format!("--scale: {e}")),
     }
-}
-
-/// Parses a `k/n` shard spec (1-based, `1 ≤ k ≤ n`).
-fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
-    let (index, count) = spec
-        .split_once('/')
-        .ok_or_else(|| format!("--shard: `{spec}` is not of the form k/n"))?;
-    let index: usize = index
-        .parse()
-        .map_err(|e| format!("--shard index `{index}`: {e}"))?;
-    let count: usize = count
-        .parse()
-        .map_err(|e| format!("--shard count `{count}`: {e}"))?;
-    if count == 0 || index == 0 || index > count {
-        return Err(format!(
-            "--shard: index must satisfy 1 ≤ k ≤ n, got {index}/{count}"
-        ));
-    }
-    Ok((index, count))
 }
 
 #[cfg(test)]
@@ -445,8 +405,7 @@ mod tests {
             // A plausible value for flags that take one; harmless
             // trailing junk is an "unknown flag" error for those that
             // don't, so probe both shapes.
-            let value = if flag == "--shard" { "1/2" } else { "1" };
-            let with_value = args(&[&flag, value]);
+            let with_value = args(&[&flag, "1"]);
             let bare = args(&[&flag]);
             let cli_knows =
                 !(unknown(&CliOptions::parse(&with_value)) && unknown(&CliOptions::parse(&bare)));
@@ -562,26 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_shard_flag() {
-        let options = CliOptions::parse(&args(&["--shard", "2/4"])).unwrap();
-        assert_eq!(options.shard, Some((2, 4)));
-        assert_eq!(
-            options.runner().shard().map(|s| (s.index, s.count)),
-            Some((2, 4))
-        );
-    }
-
-    #[test]
-    fn rejects_bad_shards() {
-        for bad in ["0/4", "5/4", "2", "a/b", "1/0", "/3"] {
-            assert!(
-                CliOptions::parse(&args(&["--shard", bad])).is_err(),
-                "accepted --shard {bad}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_the_removed_flags() {
         for flag in [
             "--load",
@@ -593,6 +532,7 @@ mod tests {
             "--telemetry-jsonl",
             "--metrics-file",
             "--no-checkpoint",
+            "--shard",
         ] {
             for list in [args(&[flag]), args(&[flag, "x"])] {
                 let err = CliOptions::parse(&list).unwrap_err();

@@ -13,8 +13,8 @@
 //!
 //! Every producer derives the aggregate from the final campaign
 //! reports ([`ConvergenceAggregate::from_reports`]): `full_campaign`
-//! (live, resumed, sharded or `--from-journal`), the fleet server and
-//! `campaign_watch`. A journal's aggregate is therefore
+//! (live, resumed or `--from-journal`) and the fleet server. A
+//! journal's aggregate is therefore
 //! `from_reports(&journal.replay()?)` — the artefact is a pure function
 //! of the journaled trials and cannot drift from the tables. The
 //! aggregate's `merge` is associative, commutative and
@@ -84,7 +84,7 @@ impl ConvergenceAggregate {
         }
     }
 
-    /// Merges another aggregate (worker fan-in, shard merge). The
+    /// Merges another aggregate. The
     /// operation is associative, commutative and permutation-invariant.
     pub fn merge(&mut self, other: &ConvergenceAggregate) {
         for (mine, theirs) in self.per_signal.iter_mut().zip(&other.per_signal) {
@@ -171,8 +171,7 @@ impl ConvergenceAggregate {
     }
 
     /// One self-describing coverage view (the `/coverage` payload per
-    /// campaign, the end-of-run summary and the campaign_watch frame
-    /// all share this shape).
+    /// campaign and the end-of-run summary share this shape).
     pub fn coverage(&self, name: &str, delta: f64) -> CampaignCoverage {
         CampaignCoverage {
             name: name.to_owned(),
@@ -313,7 +312,7 @@ pub struct CampaignCoverage {
 pub struct CoverageSnapshot {
     /// [`SCHEMA_VERSION`].
     pub schema_version: u32,
-    /// Always [`REPORT_KIND`] — lets pollers such as `campaign_watch`
+    /// Always [`REPORT_KIND`] — lets pollers of `/coverage`
     /// sanity-check the URL.
     pub kind: String,
     /// One entry per campaign.
@@ -452,8 +451,8 @@ pub fn write_report(dir: &Path, label: &str, report: &ConvergenceReport) -> io::
 
 /// Renders one coverage view as a fixed-width TTY table: cell name,
 /// detections, point estimate, Wilson interval, half-width and the
-/// forecast — the frame `campaign_watch` repaints and the summary
-/// `full_campaign` prints at the end of every run.
+/// forecast — the summary `full_campaign` prints at the end of every
+/// run.
 pub fn render_coverage(coverage: &CampaignCoverage) -> String {
     let mut out = String::new();
     out.push_str(&format!(

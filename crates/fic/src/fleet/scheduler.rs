@@ -21,7 +21,7 @@
 //! it. Results are deduplicated first-wins — if a presumed-dead worker
 //! resurfaces and submits after its slice was reassigned, whichever
 //! submission arrives first is the one that counts, exactly the
-//! [`crate::journal::merge`] rule — so reassignment can duplicate
+//! [`crate::journal::Journal::walk`] rule — so reassignment can duplicate
 //! *work* but never duplicates *results*.
 
 use std::collections::HashMap;

@@ -125,7 +125,7 @@ pub enum Response {
     ResultAck {
         /// `false` when another worker's result won the first-wins
         /// race (the records were discarded, matching
-        /// [`crate::journal::merge`] semantics).
+        /// [`crate::journal::Journal::walk`]'s first-wins rule).
         accepted: bool,
     },
     /// The command was refused; the connection stays usable unless the

@@ -34,7 +34,7 @@ use std::sync::Mutex;
 use ea_core::stats::Z_95;
 use simenv::TestCase;
 
-use crate::error_set::E1Error;
+use crate::error_set::{self, E1Error};
 use crate::experiment::{fault_free_prefix, run_reference_trial_with};
 use crate::protocol::Protocol;
 use crate::results::{Cell, E1Report, E2Report, VERSION_LABELS};
@@ -295,11 +295,15 @@ pub fn check_dir(
 
 /// Writes the golden artefacts for the given campaign results into
 /// `golden_dir`: `e1.json`, `e2.json` and the rendered `table6.txt` …
-/// `table9.txt`.
+/// `table9.txt`. Only a whole campaign may become a golden: E1 must
+/// hold `|e1_errors| × cases_per_error` trials and E2 one per paper E2
+/// error and case. Reports of a partial run (a crashed campaign's
+/// journal) are refused before anything is written.
 ///
 /// # Errors
 ///
-/// Any filesystem failure.
+/// [`io::ErrorKind::InvalidInput`] naming the expected and actual
+/// trial counts of a partial report, or any filesystem failure.
 pub fn refresh_dir(
     golden_dir: &Path,
     e1_errors: &[E1Error],
@@ -307,6 +311,21 @@ pub fn refresh_dir(
     e1: &E1Report,
     e2: &E2Report,
 ) -> io::Result<()> {
+    let e2_errors = error_set::E2_RAM_ERRORS + error_set::E2_STACK_ERRORS;
+    for (name, expected, actual) in [
+        ("E1", e1_errors.len() * cases_per_error, e1.trials()),
+        ("E2", e2_errors * cases_per_error, e2.trials()),
+    ] {
+        if actual != expected {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "refusing to refresh goldens from a partial campaign: \
+                     {name} holds {actual} trials, a whole one {expected}"
+                ),
+            ));
+        }
+    }
     std::fs::create_dir_all(golden_dir)?;
     std::fs::write(
         golden_dir.join("e1.json"),
@@ -444,7 +463,9 @@ mod tests {
         let errors = error_set::e1();
         let e1 = synthetic_e1(2, 100);
         let e2 = synthetic_e2(true);
-        refresh_dir(&dir, &errors, 25, &e1, &e2).unwrap();
+        // The synthetic reports hold one trial per error: a whole
+        // campaign on a one-case grid.
+        refresh_dir(&dir, &errors, 1, &e1, &e2).unwrap();
         for name in [
             "e1.json",
             "e2.json",
@@ -456,11 +477,11 @@ mod tests {
             assert!(dir.join(name).exists(), "{name} missing");
         }
         // Same results check clean...
-        let divergences = check_dir(&dir, &errors, 25, &e1, &e2).unwrap();
+        let divergences = check_dir(&dir, &errors, 1, &e1, &e2).unwrap();
         assert!(divergences.is_empty(), "unexpected: {divergences:?}");
         // ...a disabled detector does not.
         let broken = synthetic_e1(usize::MAX, 100);
-        let divergences = check_dir(&dir, &errors, 25, &broken, &e2).unwrap();
+        let divergences = check_dir(&dir, &errors, 1, &broken, &e2).unwrap();
         assert!(!divergences.is_empty());
         // ...and a different protocol breaks the exact Table 6 diff.
         let divergences = check_dir(&dir, &errors, 4, &e1, &e2).unwrap();

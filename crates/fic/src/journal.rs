@@ -18,7 +18,7 @@
 //!   the differential oracle's re-derives from the trials, so
 //!   attribution lines hold oracle verdicts
 //!   (`attribution_report --save-oracle`). Older journals that carry
-//!   an un-enriched line per trial still load, resume and merge; their
+//!   an un-enriched line per trial still load and resume; their
 //!   un-enriched lines are skipped.
 //!
 //! Writes are batched and `fsync`'d every [`JournalWriter::batch_size`]
@@ -80,37 +80,16 @@ impl CampaignKind {
     }
 }
 
-/// Which deterministic slice of the trial grid a sharded campaign ran
-/// (`--shard k/n`): shard `index` of `count`, 1-based.
-///
-/// Recorded in the journal header so shard journals are
-/// self-describing and [`merge`] can verify it is combining distinct
-/// slices of the same grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardSpec {
-    /// 1-based shard index (`k` in `k/n`).
-    pub index: usize,
-    /// Total shard count (`n` in `k/n`).
-    pub count: usize,
-}
-
-impl fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
 /// First line of every journal file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JournalHeader {
     /// Format version ([`FORMAT_VERSION`]).
     pub format_version: u32,
-    /// The protocol every journaled trial was run under.
+    /// The protocol every journaled trial was run under. Keys this
+    /// struct does not name are ignored on load, so a journal whose
+    /// header names a grid slice loads as a partial journal that
+    /// `--resume` completes.
     pub protocol: Protocol,
-    /// The grid slice this journal covers; `None` for an unsharded
-    /// campaign (and for journals written before sharding existed —
-    /// the field deserialises to `None` when absent).
-    pub shard: Option<ShardSpec>,
 }
 
 /// One completed trial: the deterministic key plus the full outcome.
@@ -303,20 +282,6 @@ impl JournalWriter {
     ///
     /// Any filesystem failure.
     pub fn create(path: &Path, protocol: &Protocol) -> io::Result<Self> {
-        Self::create_sharded(path, protocol, None)
-    }
-
-    /// [`JournalWriter::create`] for a sharded campaign: the header
-    /// records which grid slice this journal covers.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure.
-    pub fn create_sharded(
-        path: &Path,
-        protocol: &Protocol,
-        shard: Option<ShardSpec>,
-    ) -> io::Result<Self> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -339,7 +304,6 @@ impl JournalWriter {
         let header = JournalHeader {
             format_version: FORMAT_VERSION,
             protocol: protocol.clone(),
-            shard,
         };
         let line = serde_json::to_string(&header).expect("header serialises");
         writer.buffer.push_str(&line);
@@ -358,26 +322,11 @@ impl JournalWriter {
     ///
     /// Any filesystem failure.
     pub fn append_to(path: &Path, protocol: &Protocol) -> io::Result<Self> {
-        Self::append_to_sharded(path, protocol, None)
-    }
-
-    /// [`JournalWriter::append_to`] for a sharded campaign (the shard
-    /// is only written when the file is created fresh; an existing
-    /// header is left untouched).
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure.
-    pub fn append_to_sharded(
-        path: &Path,
-        protocol: &Protocol,
-        shard: Option<ShardSpec>,
-    ) -> io::Result<Self> {
         let exists = std::fs::metadata(path)
             .map(|m| m.len() > 0)
             .unwrap_or(false);
         if !exists {
-            return Self::create_sharded(path, protocol, shard);
+            return Self::create(path, protocol);
         }
         let content = std::fs::read(path)?;
         if let Some(pos) = content.iter().rposition(|&b| b == b'\n') {
@@ -668,128 +617,6 @@ impl Journal {
         })?;
         Ok((e1_report, e2_report))
     }
-
-    /// Writes this journal (header plus records) to `path` as a fresh
-    /// file — the inverse of [`Journal::load`].
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&serde_json::to_string(&self.header).expect("header serialises"));
-        out.push('\n');
-        for record in &self.records {
-            out.push_str(&serde_json::to_string(record).expect("record serialises"));
-            out.push('\n');
-        }
-        for event in &self.attribution {
-            let line = AttributionLine {
-                attribution: event.clone(),
-            };
-            out.push_str(&serde_json::to_string(&line).expect("attribution serialises"));
-            out.push('\n');
-        }
-        std::fs::write(path, out)
-    }
-}
-
-/// Merges shard journals (`--shard k/n` runs) into one journal
-/// covering the union of their trials — the second half of the
-/// ROADMAP "campaign sharding" item: fan the grid out across jobs,
-/// then combine the journals and rebuild the tables with
-/// `--from-journal`.
-///
-/// Requirements checked:
-///
-/// * every journal's protocol is compatible with the first's
-///   (injection timing, window, grid);
-/// * no two journals claim the same shard of the same count (distinct
-///   slices — merging a shard with itself is almost certainly a
-///   pipeline mistake; duplicate ⟨campaign, error, case⟩ keys are
-///   still deduplicated first-wins, so re-merging a merged journal
-///   stays idempotent).
-///
-/// Attribution lines keep only oracle verdicts: un-enriched lines are
-/// dropped, so the first *enriched* line per key wins, as in
-/// [`crate::attribution::OracleVerdicts`]. The merged header carries
-/// `shard: None` (it covers the whole recorded slice union).
-///
-/// # Errors
-///
-/// Load failures of any input, or a protocol/shard mismatch.
-pub fn merge(paths: &[std::path::PathBuf]) -> Result<Journal, JournalError> {
-    let Some((first_path, rest)) = paths.split_first() else {
-        return Err(JournalError::Mismatch(
-            "merge needs at least one journal".to_owned(),
-        ));
-    };
-    let first = Journal::load(first_path)?;
-    let mut seen_shards: Vec<ShardSpec> = first.header.shard.into_iter().collect();
-    let mut truncated_tail = first.truncated_tail;
-    let mut records = first.records;
-    let mut keys: std::collections::HashSet<(CampaignKind, usize, usize)> =
-        records.iter().map(TrialRecord::key).collect();
-    records.retain({
-        // Dedup the first journal itself (first occurrence wins), with
-        // the same key set the later journals are checked against.
-        let mut kept = std::collections::HashSet::new();
-        move |r| kept.insert(r.key())
-    });
-    let mut attribution = Vec::new();
-    let mut attribution_keys = std::collections::HashSet::new();
-    let mut keep_verdicts = |events: Vec<AttributionEvent>| {
-        for event in events {
-            if event.enriched() && attribution_keys.insert(event.key()) {
-                attribution.push(event);
-            }
-        }
-    };
-    keep_verdicts(first.attribution);
-    for path in rest {
-        let journal = Journal::load(path)?;
-        if !journal
-            .header
-            .protocol
-            .compatible_with(&first.header.protocol)
-        {
-            return Err(JournalError::Mismatch(format!(
-                "{} was recorded under a different protocol",
-                path.display()
-            )));
-        }
-        if let Some(shard) = journal.header.shard {
-            if seen_shards.contains(&shard) {
-                return Err(JournalError::Mismatch(format!(
-                    "{} duplicates shard {shard}",
-                    path.display()
-                )));
-            }
-            seen_shards.push(shard);
-        }
-        truncated_tail |= journal.truncated_tail;
-        for record in journal.records {
-            if keys.insert(record.key()) {
-                records.push(record);
-            }
-        }
-        keep_verdicts(journal.attribution);
-    }
-    Ok(Journal {
-        header: JournalHeader {
-            format_version: FORMAT_VERSION,
-            protocol: first.header.protocol,
-            shard: None,
-        },
-        records,
-        attribution,
-        truncated_tail,
-    })
 }
 
 // HashSet key needs Hash; CampaignKind is a two-variant field-less enum.
@@ -981,37 +808,6 @@ mod tests {
         }
     }
 
-    /// An old journal's un-enriched line must not shadow a later
-    /// oracle verdict for the same key: the merged (and re-merged)
-    /// journal still carries the verdict.
-    #[test]
-    fn merge_keeps_the_first_enriched_verdict() {
-        let path = temp_path("merge-verdict");
-        let protocol = Protocol::scaled(1, 1_000);
-        let error = error_set::e1()[0];
-        let trial = sample_trial(None);
-        let plain = AttributionEvent::for_e1(&error, 0, &trial);
-        let mut enriched = plain.clone();
-        enriched.first_divergence_ms = Some(2_000);
-        enriched.propagation = Some(crate::attribution::PROPAGATION_MASKED.to_owned());
-        let mut writer = JournalWriter::create(&path, &protocol).unwrap();
-        writer
-            .append(CampaignKind::E1, error.number, 0, &trial)
-            .unwrap();
-        writer.append_attribution(&plain).unwrap();
-        writer.append_attribution(&enriched).unwrap();
-        writer.finish().unwrap();
-
-        let merged = merge(std::slice::from_ref(&path)).unwrap();
-        assert_eq!(merged.attribution, vec![enriched.clone()]);
-        let remerged_path = temp_path("merge-verdict-again");
-        merged.write_to(&remerged_path).unwrap();
-        for journal in [merged, merge(&[remerged_path]).unwrap()] {
-            let events = crate::attribution::events_from_journal(&journal).unwrap();
-            assert_eq!(events, vec![enriched.clone()]);
-        }
-    }
-
     #[test]
     fn rejects_missing_or_bad_header() {
         let path = temp_path("badheader");
@@ -1045,7 +841,6 @@ mod tests {
             header: JournalHeader {
                 format_version: FORMAT_VERSION,
                 protocol: Protocol::scaled(2, 1_000),
-                shard: None,
             },
             records: records
                 .iter()

@@ -78,7 +78,7 @@ pub use experiment::{
     run_trial_recorded, run_trial_traced, Trial,
 };
 pub use fleet::{FleetError, FleetSummary, Server, ServerOptions, WorkerOptions, WorkerSummary};
-pub use journal::{CampaignKind, Journal, JournalError, JournalWriter, ShardSpec, TrialRecord};
+pub use journal::{CampaignKind, Journal, JournalError, JournalWriter, TrialRecord};
 pub use profile::{ProfileRecorder, ProfileReport};
 pub use protocol::Protocol;
 pub use prune::{InertMap, PruneCache, PruneClass};

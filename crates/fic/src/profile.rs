@@ -400,14 +400,7 @@ mod tests {
     use super::*;
 
     fn run_meta() -> RunMetadata {
-        RunMetadata {
-            git_sha: "test".to_owned(),
-            workers: 1,
-            checkpointing: true,
-            cases_per_error: 4,
-            observation_ms: 2_000,
-            shard: None,
-        }
+        RunMetadata::for_run(&crate::Protocol::scaled(2, 2_000), true, None)
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   [`Histogram`], all lock-free atomics; [`Registry`] hands out
 //!   shared handles by name and freezes the whole catalogue into a
 //!   [`TelemetrySnapshot`]. Snapshots merge associatively and
-//!   commutatively (the same algebra as the campaign reports), so
-//!   per-shard telemetry merges exactly like per-shard journals.
+//!   commutatively (the same algebra as the campaign reports), so the
+//!   fleet server folds its workers' telemetry in any arrival order.
 //! * **Progress** — [`Progress`] renders a throttled single-line TTY
 //!   status (trials done/total, trials/sec, ETA, cache hit rate).
 //! * **Reports** — [`TelemetryReport`] is the end-of-campaign
@@ -105,8 +105,8 @@ impl Gauge {
 /// Buckets are defined by inclusive upper bounds; an observation lands
 /// in the first bucket whose bound is `≥` the value, or in the
 /// implicit overflow bucket past the last bound. Bounds are fixed at
-/// construction, so histograms recorded by different workers (or
-/// different shards) over the same metric merge by plain
+/// construction, so histograms recorded by different workers over
+/// the same metric merge by plain
 /// bucket-wise addition — the merge is associative and commutative,
 /// which the telemetry property tests pin down.
 #[derive(Debug)]
@@ -412,9 +412,9 @@ impl TelemetrySnapshot {
 
     /// Merges another snapshot: counters add, gauges keep the maximum
     /// (the only gauge semantics that stay commutative), histograms
-    /// merge bucket-wise. Used to combine per-shard telemetry; the
-    /// operation is associative and permutation-invariant (see
-    /// `prop_telemetry`).
+    /// merge bucket-wise. The fleet server folds its workers'
+    /// telemetry with it; the operation is associative and
+    /// permutation-invariant (see `prop_telemetry`).
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         for (name, value) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += value;
@@ -449,12 +449,17 @@ pub struct RunMetadata {
     pub cases_per_error: usize,
     /// Observation window, ms.
     pub observation_ms: u64,
-    /// Shard as `k/n` when the campaign ran sharded.
+    /// Always `null`: campaigns are no longer split into static grid
+    /// slices. Kept so the report schema and the benchmark ledger,
+    /// which builds its reports through [`RunMetadata::for_run`], stay
+    /// unchanged.
     pub shard: Option<String>,
 }
 
 impl RunMetadata {
-    /// Metadata for a protocol-driven campaign run.
+    /// Metadata for a protocol-driven campaign run. Every caller in
+    /// this workspace passes `None` for `shard`; the parameter stays
+    /// for the benchmark ledger, which calls this signature.
     pub fn for_run(
         protocol: &crate::Protocol,
         checkpointing: bool,
@@ -860,14 +865,7 @@ mod tests {
         assert_eq!(SCHEMA_VERSION, 1);
         let report = TelemetryReport::assemble(
             "test",
-            RunMetadata {
-                git_sha: "abc".into(),
-                workers: 1,
-                checkpointing: true,
-                cases_per_error: 4,
-                observation_ms: 1_000,
-                shard: None,
-            },
+            RunMetadata::for_run(&crate::Protocol::scaled(2, 1_000), true, None),
             TelemetrySnapshot::new(),
         );
         let json = serde_json::to_string(&report).unwrap();
@@ -978,14 +976,7 @@ mod tests {
     fn validate_catches_tampered_histograms() {
         let mut report = TelemetryReport::assemble(
             "test",
-            RunMetadata {
-                git_sha: "abc".into(),
-                workers: 1,
-                checkpointing: false,
-                cases_per_error: 1,
-                observation_ms: 1,
-                shard: Some("1/2".into()),
-            },
+            RunMetadata::for_run(&crate::Protocol::scaled(1, 1), false, None),
             TelemetrySnapshot::new(),
         );
         let h = Histogram::new(&[10]);

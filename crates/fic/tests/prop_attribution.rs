@@ -1,7 +1,7 @@
 //! Property tests for the attribution aggregate algebra.
 //!
 //! The campaign collector folds worker events in completion order,
-//! `merge_journals` combines shard streams in path order, and resumed
+//! the fleet server folds slice results in arrival order, and resumed
 //! runs replay journaled events before live ones. All of that is only
 //! sound if [`AttributionAggregate::merge`] is associative,
 //! commutative, and permutation-invariant — and if a fold of singleton
@@ -128,8 +128,8 @@ proptest! {
         prop_assert_eq!(&right, &aggregate);
     }
 
-    /// (a ∪ b) ∪ c == a ∪ (b ∪ c): shard aggregates may be combined in
-    /// any grouping (tree-reduce vs. a serial fold).
+    /// (a ∪ b) ∪ c == a ∪ (b ∪ c): partial aggregates may be combined
+    /// in any grouping (tree-reduce vs. a serial fold).
     #[test]
     fn merge_associative(
         a in proptest::collection::vec(spec_strategy(), 0..6),
@@ -168,7 +168,7 @@ proptest! {
 
     /// A fold of per-event singleton aggregates, in any order, equals
     /// one aggregate that recorded every event — the exact worker
-    /// fan-in and `merge_journals` shape.
+    /// fan-in and fleet-server fold shape.
     #[test]
     fn fold_of_singletons_is_order_invariant(
         specs in proptest::collection::vec(spec_strategy(), 1..10),

@@ -1,7 +1,7 @@
 //! Property tests for the convergence estimator algebra.
 //!
 //! The campaign collector folds trials in completion order, the fleet
-//! server folds slice results in arrival order, and `campaign_watch`
+//! server folds slice results in arrival order, and `--from-journal`
 //! re-derives the same state from a journal in record order. That is
 //! only sound if [`ConvergenceAggregate::merge`] is associative,
 //! commutative, and permutation-invariant — and if a fold of singleton
@@ -71,8 +71,8 @@ proptest! {
         prop_assert_eq!(right, aggregate);
     }
 
-    /// (a ∪ b) ∪ c == a ∪ (b ∪ c): shard aggregates may be combined in
-    /// any grouping (tree-reduce vs. a serial fold).
+    /// (a ∪ b) ∪ c == a ∪ (b ∪ c): partial aggregates may be combined
+    /// in any grouping (tree-reduce vs. a serial fold).
     #[test]
     fn merge_associative(
         a in proptest::collection::vec(spec_strategy(), 0..12),

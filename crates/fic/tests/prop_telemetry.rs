@@ -1,10 +1,9 @@
 //! Property tests for the telemetry snapshot algebra.
 //!
-//! Sharded campaigns merge per-shard `TelemetrySnapshot`s into one
-//! fleet-wide view, and the journal collector folds worker snapshots in
-//! completion order. Both are only sound if merging is associative and
-//! permutation-invariant — the same algebraic contract `prop_reports`
-//! pins for the campaign reports themselves.
+//! The fleet server merges its workers' `TelemetrySnapshot`s into one
+//! fleet-wide view in arrival order. That is only sound if merging is
+//! associative and permutation-invariant — the same algebraic contract
+//! `prop_reports` pins for the campaign reports themselves.
 
 use fic::telemetry::{latency_bounds_ms, Registry, TelemetrySnapshot};
 use proptest::prelude::*;
@@ -74,8 +73,8 @@ proptest! {
         prop_assert_eq!(&right, &snapshot);
     }
 
-    /// (a ∪ b) ∪ c == a ∪ (b ∪ c): shards may be combined in any
-    /// grouping (e.g. tree-reduce vs. a serial fold).
+    /// (a ∪ b) ∪ c == a ∪ (b ∪ c): worker snapshots may be combined in
+    /// any grouping (e.g. tree-reduce vs. a serial fold).
     #[test]
     fn merge_associative(
         a in spec_strategy(),
@@ -105,8 +104,8 @@ proptest! {
         prop_assert_eq!(ab, ba);
     }
 
-    /// Folding any permutation of a shard list yields the same total —
-    /// the property `merge_journals` and the worker collector rely on.
+    /// Folding any permutation of a snapshot list yields the same
+    /// total — the property the fleet server's fold relies on.
     #[test]
     fn merge_permutation_invariant(
         specs in proptest::collection::vec(spec_strategy(), 1..6),

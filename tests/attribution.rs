@@ -3,7 +3,7 @@
 //! The attribution stream must be a pure observer (enabling it cannot
 //! change any campaign report), a pure function of the trials (any
 //! journal re-derives the exact aggregate, whatever the worker count or
-//! shard split that produced it), and durable (oracle verdicts survive
+//! resume point that produced it), and durable (oracle verdicts survive
 //! the journal round trip). The committed full-grid artefacts must
 //! decompose into the golden Tables 7–9 within Wilson-CI tolerance.
 
@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use fic::attribution::{self, AttributionReport, REGION_APP_RAM};
 use fic::fleet::{CampaignSpec, Server, ServerOptions};
-use fic::journal::{self, Journal, JournalWriter, ShardSpec};
+use fic::journal::{Journal, JournalWriter};
 use fic::trace::ReferenceCache;
 use fic::{error_set, CampaignRunner, E1Report, E2Report, Protocol};
 
@@ -136,46 +136,6 @@ fn resume_preserves_attribution() {
         resumed.attribution().unwrap().snapshot(),
         fresh.attribution().unwrap().snapshot(),
         "replayed + live trials must fold to the fresh aggregate"
-    );
-}
-
-/// Sharded journals merge into one journal whose re-derived
-/// attribution aggregate equals the unsharded run's; neither the
-/// shards nor the merge carry attribution lines.
-#[test]
-fn merged_shard_journals_rederive_the_unsharded_aggregate() {
-    let dir = temp_dir("shards");
-    let protocol = small_protocol();
-    let subset = &error_set::e1()[10..13];
-
-    let unsharded = CampaignRunner::new(protocol.clone()).with_attribution(true);
-    unsharded.run_e1(subset);
-
-    let count = 2;
-    let mut paths = Vec::new();
-    for index in 1..=count {
-        let path = dir.join(format!("shard{index}.jsonl"));
-        let spec = ShardSpec { index, count };
-        let mut writer = JournalWriter::create_sharded(&path, &protocol, Some(spec)).unwrap();
-        CampaignRunner::new(protocol.clone())
-            .with_shard(index, count)
-            .with_attribution(true)
-            .run_e1_journaled(subset, &mut writer)
-            .unwrap();
-        drop(writer);
-        paths.push(path);
-    }
-
-    let merged = journal::merge(&paths).unwrap();
-    assert_eq!(merged.records.len(), subset.len() * 4);
-    assert!(
-        merged.attribution.is_empty(),
-        "shard campaigns journal no attribution lines"
-    );
-    assert_eq!(
-        attribution::aggregate_journal(&merged).unwrap(),
-        unsharded.attribution().unwrap().snapshot(),
-        "merged shards must re-derive the unsharded aggregate"
     );
 }
 

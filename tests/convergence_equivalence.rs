@@ -179,7 +179,7 @@ fn fleet_serves_coverage() {
     assert_eq!(render(outcome), render(&bare.campaigns[0]));
 
     // The pre-completion probes: /coverage parses as a snapshot (the
-    // campaign_watch contract), /status carries the liveness
+    // contract its pollers rely on), /status carries the liveness
     // scoreboard fields.
     let (coverage, status) = probed.unwrap();
     let (head, body) = coverage.split_once("\r\n\r\n").unwrap();

@@ -73,6 +73,58 @@ fn resumed_e1_campaign_is_byte_identical() {
     assert_eq!(keys.len(), 4 * 4);
 }
 
+/// A journal written by a campaign that ran one static slice of the
+/// grid (the removed `--shard 1/2`) names that slice in its header and
+/// holds the pairs whose canonical index `ei · cases + ci` is even. The
+/// header key is ignored on load, so the journal is a partial one, and
+/// resuming it completes the unsharded report.
+#[test]
+fn old_sharded_journal_resumes_to_the_unsharded_report() {
+    let path = temp_journal("old-shard");
+    let protocol = small_protocol();
+    let runner = CampaignRunner::new(protocol.clone());
+    let subset = &error_set::e1()[40..44];
+    let cases = protocol.cases_per_error();
+    let uninterrupted = runner.run_e1(subset);
+
+    let mut writer = JournalWriter::create(&path, &protocol).unwrap();
+    runner.run_e1_journaled(subset, &mut writer).unwrap();
+    drop(writer);
+    let content = std::fs::read_to_string(&path).unwrap();
+    let mut lines = content.lines();
+    let header = lines.next().unwrap();
+    let header = format!(
+        "{},\"shard\":{{\"index\":1,\"count\":2}}}}",
+        header.strip_suffix('}').unwrap()
+    );
+    let mut old = header + "\n";
+    for line in lines {
+        let record: fic::TrialRecord = serde_json::from_str(line).unwrap();
+        let ei = subset
+            .iter()
+            .position(|e| e.number == record.error_number)
+            .unwrap();
+        if (ei * cases + record.case_index).is_multiple_of(2) {
+            old.push_str(line);
+            old.push('\n');
+        }
+    }
+    std::fs::write(&path, old).unwrap();
+    let partial = Journal::load(&path).unwrap();
+    assert_eq!(partial.records.len(), subset.len() * cases / 2);
+
+    let resumed = runner.resume_e1(subset, &path).unwrap();
+    assert_eq!(
+        serde_json::to_string_pretty(&resumed).unwrap(),
+        serde_json::to_string_pretty(&uninterrupted).unwrap(),
+        "resuming a half-grid journal must complete the unsharded report"
+    );
+    assert_eq!(
+        Journal::load(&path).unwrap().records.len(),
+        subset.len() * cases
+    );
+}
+
 #[test]
 fn resumed_e2_campaign_is_byte_identical() {
     let path = temp_journal("e2");

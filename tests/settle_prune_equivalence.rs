@@ -11,7 +11,10 @@
 //! that both shortcuts engaged: the pruned trials are exactly those
 //! the `InertMap` classifies, and a slice that pruned or stopped early
 //! simulated fewer window milliseconds than running every trial's
-//! whole window after its forked prefix.
+//! whole window after its forked prefix. The 1.5 s windows of the CI
+//! slices and proptests end before any trial can stop early, so one
+//! gate runs the paper's 40 s window over the errors whose trials take
+//! analytic band stops.
 //!
 //! The soundness arguments behind both shortcuts — why an analytic
 //! stop can never change a verdict, and why an inert error's trial
@@ -21,25 +24,38 @@
 mod common;
 
 use common::{assert_matches_replay, Slice};
+use ea_repro::fic::telemetry::TelemetrySnapshot;
 use ea_repro::fic::{error_set, InertMap, Protocol};
 use proptest::prelude::*;
 
-fn protocol() -> Protocol {
-    let mut protocol = Protocol::scaled(2, 1_500);
-    protocol.workers = 1; // deterministic journal append order
+/// A 2 × 2 grid at one worker (deterministic journal append order)
+/// with an `observation_ms` window.
+fn protocol(observation_ms: u64) -> Protocol {
+    let mut protocol = Protocol::scaled(2, observation_ms);
+    protocol.workers = 1;
     protocol
 }
 
-/// Checks the slice against the replay oracle and the witness; returns
-/// the pruned trial count.
+/// Checks the slice against the replay oracle and the witness under a
+/// 1.5 s window; returns the pruned trial count.
 fn assert_shortcuts_are_sound(numbers: &[usize], e1: bool) -> Result<u64, TestCaseError> {
-    let protocol = protocol();
+    let snapshot = assert_sound_under(&protocol(1_500), numbers, e1)?;
+    Ok(snapshot.counter("campaign.prune.trials"))
+}
+
+/// Checks the slice against the replay oracle and the witness under
+/// `protocol`; returns the campaign's telemetry.
+fn assert_sound_under(
+    protocol: &Protocol,
+    numbers: &[usize],
+    e1: bool,
+) -> Result<TelemetrySnapshot, TestCaseError> {
     let slice = if e1 {
         Slice::e1(numbers.iter().copied())
     } else {
         Slice::e2(numbers.iter().copied())
     };
-    let snapshot = assert_matches_replay(&protocol, &slice)?.snapshot;
+    let snapshot = assert_matches_replay(protocol, &slice)?.snapshot;
     let map = InertMap::new();
     let inert = if e1 {
         0
@@ -68,17 +84,31 @@ fn assert_shortcuts_are_sound(numbers: &[usize], e1: bool) -> Result<u64, TestCa
             whole_windows
         );
     }
-    Ok(pruned)
+    Ok(snapshot)
 }
 
 /// The deterministic E1 CI gate: monitored-signal errors, nothing to
-/// prune. No trial arrests inside the 1.5 s window, so the stops that
-/// need arrest are left to the 40 s windows of the record-final and
-/// command-final gates.
+/// prune. No trial of this slice stops early inside the 1.5 s window
+/// (`campaign.trials.settled` reads 0), so it exercises no settle stop
+/// at all; the 40 s gate below and the record-final and command-final
+/// gates do.
 #[test]
 fn ci_slice_e1_fast_path_is_byte_identical() {
     let numbers: Vec<usize> = (77..=84).collect();
     assert_eq!(assert_shortcuts_are_sound(&numbers, true).unwrap(), 0);
+}
+
+/// The analytic band gate: every `ms_slot_nbr` error (E1 S65–S80) over
+/// the paper's 40 s window, where the slot counter's trials take the
+/// campaign's analytic band stops, against the replay oracle.
+#[test]
+fn ms_slot_nbr_analytic_band_stops_are_byte_identical() {
+    let numbers: Vec<usize> = (65..=80).collect();
+    let snapshot = assert_sound_under(&protocol(40_000), &numbers, true).unwrap();
+    assert!(
+        snapshot.counter("campaign.settle.proof.analytic_band") > 0,
+        "no trial of the slice took an analytic band stop"
+    );
 }
 
 /// The deterministic E2 CI gate: a slice guaranteed to hold inert

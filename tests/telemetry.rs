@@ -2,17 +2,16 @@
 //!
 //! The observability layer must be a pure observer: enabling it cannot
 //! change any result-bearing artifact, and its counters must agree
-//! with ground truth derivable from the journal. Sharded runs must
-//! partition the grid exactly and merge back to the unsharded answer.
+//! with ground truth derivable from the journal.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fic::campaign::DEFAULT_BATCH_SIZE;
 use fic::error_set::E2Error;
-use fic::journal::{self, CampaignKind, Journal, JournalWriter, ShardSpec};
+use fic::journal::{CampaignKind, Journal, JournalWriter};
 use fic::telemetry::{self, Registry};
-use fic::{error_set, CampaignRunner, E1Report, Protocol};
+use fic::{error_set, CampaignRunner, Protocol};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -324,113 +323,6 @@ fn raw_chunk_lane_histogram_fails_the_journal_check() {
     );
 }
 
-/// Shards partition the grid: disjoint, exhaustive, and their merged
-/// reports equal the unsharded campaign exactly.
-#[test]
-fn shard_union_equals_unsharded_run() {
-    let protocol = small_protocol();
-    let subset = &error_set::e1()[40..44];
-    let full = CampaignRunner::new(protocol.clone()).run_e1(subset);
-
-    let count = 3;
-    let mut union = E1Report::new();
-    let mut total_trials = 0;
-    for index in 1..=count {
-        let shard = CampaignRunner::new(protocol.clone())
-            .with_shard(index, count)
-            .run_e1(subset);
-        total_trials += shard.trials();
-        union.merge(&shard);
-    }
-    assert_eq!(total_trials, full.trials(), "shards must not overlap");
-    assert_eq!(
-        serde_json::to_string_pretty(&union).unwrap(),
-        serde_json::to_string_pretty(&full).unwrap(),
-        "merged shard reports must equal the unsharded report"
-    );
-}
-
-/// Sharded journals merge into one journal that replays to the full
-/// answer; the merged journal carries no shard marker, so an unsharded
-/// resume accepts it and finds nothing left to run.
-#[test]
-fn merged_shard_journals_replay_to_full_report() {
-    let dir = temp_dir("merge");
-    let protocol = small_protocol();
-    let subset = &error_set::e1()[10..13];
-    let full = CampaignRunner::new(protocol.clone()).run_e1(subset);
-
-    let count = 2;
-    let mut paths = Vec::new();
-    for index in 1..=count {
-        let path = dir.join(format!("shard{index}.jsonl"));
-        let spec = ShardSpec { index, count };
-        let mut writer = JournalWriter::create_sharded(&path, &protocol, Some(spec)).unwrap();
-        CampaignRunner::new(protocol.clone())
-            .with_shard(index, count)
-            .run_e1_journaled(subset, &mut writer)
-            .unwrap();
-        drop(writer);
-        paths.push(path);
-    }
-
-    let merged = journal::merge(&paths).unwrap();
-    assert_eq!(merged.records.len(), 3 * 4);
-    assert!(merged.header.shard.is_none());
-    let merged_path = dir.join("merged.jsonl");
-    merged.write_to(&merged_path).unwrap();
-
-    let resumed = CampaignRunner::new(protocol.clone())
-        .resume_e1(subset, &merged_path)
-        .unwrap();
-    assert_eq!(
-        serde_json::to_string_pretty(&resumed).unwrap(),
-        serde_json::to_string_pretty(&full).unwrap(),
-        "replaying merged shards must reproduce the unsharded report"
-    );
-
-    // Merging the same shard twice is refused (double-counting guard).
-    let twice = vec![paths[0].clone(), paths[0].clone()];
-    assert!(journal::merge(&twice).is_err());
-
-    // Merging is idempotent over an already-merged journal.
-    let again = journal::merge(std::slice::from_ref(&merged_path)).unwrap();
-    assert_eq!(again.records.len(), merged.records.len());
-}
-
-/// A sharded runner refuses to resume from a journal written by a
-/// different shard (or an unsharded run): silent partial replays would
-/// corrupt the campaign.
-#[test]
-fn shard_mismatch_is_rejected_on_resume() {
-    let dir = temp_dir("mismatch");
-    let protocol = small_protocol();
-    let subset = &error_set::e1()[..2];
-
-    let path = dir.join("shard1.jsonl");
-    let spec = ShardSpec { index: 1, count: 2 };
-    let mut writer = JournalWriter::create_sharded(&path, &protocol, Some(spec)).unwrap();
-    CampaignRunner::new(protocol.clone())
-        .with_shard(1, 2)
-        .run_e1_journaled(subset, &mut writer)
-        .unwrap();
-    drop(writer);
-
-    // Same shard resumes fine.
-    assert!(CampaignRunner::new(protocol.clone())
-        .with_shard(1, 2)
-        .resume_e1(subset, &path)
-        .is_ok());
-    // Wrong shard and unsharded both refuse.
-    assert!(CampaignRunner::new(protocol.clone())
-        .with_shard(2, 2)
-        .resume_e1(subset, &path)
-        .is_err());
-    assert!(CampaignRunner::new(protocol)
-        .resume_e1(subset, &path)
-        .is_err());
-}
-
 /// The assembled report validates, round-trips through JSON with maps
 /// as objects, and pins the schema version.
 #[test]
@@ -443,12 +335,11 @@ fn telemetry_report_round_trips_and_validates() {
 
     let report = telemetry::TelemetryReport::assemble(
         "integration-test",
-        telemetry::RunMetadata::for_run(&protocol, true, Some((2, 4))),
+        telemetry::RunMetadata::for_run(&protocol, true, None),
         registry.snapshot(),
     );
     report.validate().expect("assembled report must validate");
     assert_eq!(report.schema_version, telemetry::SCHEMA_VERSION);
-    assert_eq!(report.run.shard.as_deref(), Some("2/4"));
 
     let json = serde_json::to_string_pretty(&report).unwrap();
     assert!(
