@@ -8,18 +8,17 @@
 //! responsible assertion, detection time versus (optionally) the
 //! differential oracle's first-divergence time, and for undetected
 //! trials a masked/silent/reached propagation verdict. Events fold
-//! into an [`AttributionAggregate`] whose merge is associative and
-//! permutation-invariant — the same algebra as
-//! [`crate::telemetry::TelemetrySnapshot`] — so worker completion
-//! order, `--resume`, and the fleet's worker fan-in cannot change the
-//! result.
+//! into an [`AttributionAggregate`] whose fold is invariant under
+//! arrival order, so worker completion order, `--resume`, and the
+//! fleet's worker fan-in cannot change the result.
 //!
 //! Attribution is observation-only and zero-cost when disabled: the
 //! cheap event fields are a *pure function* of ⟨error, case, trial⟩,
 //! derived by the campaign collector after the trial has already been
 //! recorded. The same purity means
-//! [`aggregate_journal`] can rebuild the whole aggregate from any
-//! trial journal after the fact; only the oracle enrichment
+//! [`crate::results::CampaignFold::from_journal`] can rebuild the
+//! whole aggregate from any trial journal after the fact; only the
+//! oracle enrichment
 //! ([`enrich_event`]) adds information, and that is persisted as
 //! attribution lines in the journal so it survives `--resume`.
 
@@ -263,14 +262,6 @@ pub struct AssertionStats {
     pub latency: LatencyStats,
 }
 
-impl AssertionStats {
-    fn merge(&mut self, other: &AssertionStats) {
-        self.firings += other.firings;
-        self.first_firings += other.first_firings;
-        self.latency.merge(other.latency);
-    }
-}
-
 /// Per-signal `Pds` evidence: E1 errors placed in this signal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SignalAttribution {
@@ -278,13 +269,6 @@ pub struct SignalAttribution {
     pub detected: Proportion,
     /// Detection latency over this signal's detected trials.
     pub latency: LatencyStats,
-}
-
-impl SignalAttribution {
-    fn merge(&mut self, other: &SignalAttribution) {
-        self.detected.merge(other.detected);
-        self.latency.merge(other.latency);
-    }
 }
 
 /// Differential-oracle evidence folded out of enriched events.
@@ -306,22 +290,10 @@ pub struct OracleStats {
     pub p_prop: Proportion,
 }
 
-impl OracleStats {
-    fn merge(&mut self, other: &OracleStats) {
-        self.enriched += other.enriched;
-        self.masked += other.masked;
-        self.silent += other.silent;
-        self.reached_undetected += other.reached_undetected;
-        self.divergence_to_detection
-            .merge(other.divergence_to_detection);
-        self.p_prop.merge(other.p_prop);
-    }
-}
-
-/// The event stream folded down: every counter adds, every proportion
-/// and latency merges — associative, commutative, and therefore
-/// invariant under worker count, completion order, resume points and
-/// fleet slices (pinned by `prop_attribution`).
+/// The event stream folded down: every counter adds and every
+/// proportion and latency accumulates, so the fold is invariant under
+/// the order events arrive in — worker count, completion order, resume
+/// points and fleet slices (pinned by `prop_attribution`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AttributionAggregate {
     /// E1 events folded in.
@@ -343,7 +315,7 @@ pub struct AttributionAggregate {
 }
 
 impl AttributionAggregate {
-    /// An empty aggregate (the merge identity).
+    /// An empty aggregate.
     pub fn new() -> Self {
         AttributionAggregate::default()
     }
@@ -408,22 +380,6 @@ impl AttributionAggregate {
                 .divergence_to_detection
                 .record(detected.saturating_sub(diverged));
         }
-    }
-
-    /// Merges another aggregate.
-    pub fn merge(&mut self, other: &AttributionAggregate) {
-        self.e1_trials += other.e1_trials;
-        self.e2_trials += other.e2_trials;
-        for (mine, theirs) in self.per_signal.iter_mut().zip(&other.per_signal) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self.assertions.iter_mut().zip(&other.assertions) {
-            mine.merge(theirs);
-        }
-        self.e2_monitored.merge(other.e2_monitored);
-        self.e2_unmonitored_ram.merge(other.e2_unmonitored_ram);
-        self.e2_stack.merge(other.e2_stack);
-        self.oracle.merge(&other.oracle);
     }
 
     /// The E1 Total-row proportion (all signals merged) — `Pds`.
@@ -817,20 +773,6 @@ pub fn events_from_journal(journal: &Journal) -> Result<Vec<AttributionEvent>, J
     Ok(events)
 }
 
-/// Rebuilds the full aggregate from a journal — the entry point of
-/// `attribution_report` and of `full_campaign --from-journal`.
-///
-/// # Errors
-///
-/// Same conditions as [`events_from_journal`].
-pub fn aggregate_journal(journal: &Journal) -> Result<AttributionAggregate, JournalError> {
-    let mut aggregate = AttributionAggregate::new();
-    for event in events_from_journal(journal)? {
-        aggregate.record(&event);
-    }
-    Ok(aggregate)
-}
-
 /// Runs the differential oracle for one event's trial: re-executes the
 /// trial traced, diffs it against the cached fault-free reference, and
 /// fills [`AttributionEvent::first_divergence_ms`] and
@@ -997,7 +939,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_merge_equals_combined_fold() {
+    fn aggregate_routes_both_campaigns_and_regions() {
         let errors = error_set::e1();
         let e2_errors = error_set::e2();
         let map = MonitoredMap::new();
@@ -1013,16 +955,6 @@ mod tests {
         for e in &events {
             whole.record(e);
         }
-        let mut left = AttributionAggregate::new();
-        left.record(&events[0]);
-        left.record(&events[1]);
-        let mut right = AttributionAggregate::new();
-        right.record(&events[2]);
-        right.record(&events[3]);
-        let mut merged = AttributionAggregate::new();
-        merged.merge(&left);
-        merged.merge(&right);
-        assert_eq!(merged, whole);
         assert_eq!(whole.e1_trials, 2);
         assert_eq!(whole.e2_trials, 2);
         assert_eq!(whole.e2_stack.total(), 1);

@@ -8,11 +8,16 @@
 //!
 //! Crash safety: with `--journal results/campaign.jsonl` every
 //! completed trial is streamed to a JSONL journal; re-running with
-//! `--resume` replays the journal and executes only the missing trials.
+//! `--resume` folds the journal and executes only the missing trials.
 //! `--from-journal <file>` rebuilds the tables from a journal without
 //! running anything. `--check-golden` compares the resulting reports
 //! against the committed goldens (exit 1 on divergence) and
 //! `--refresh-golden` rewrites them.
+//!
+//! One fold, one writer: a live run, `--resume` and `--from-journal`
+//! all end in a `fic::results::CampaignFold` written by
+//! `fic::results::write_artefacts` — the writer the fleet server
+//! uses — so a journal replays to the artefacts its campaign wrote.
 //!
 //! With `--trace`, failures produce a minimal reproducer: the
 //! differential oracle re-runs the offending ⟨error, case⟩ with
@@ -59,40 +64,36 @@
 //! report under `<out>/convergence/` (named after the journal stem
 //! under `--from-journal`).
 //!
-//! No observer changes a result bit. A report that cannot be written
-//! fails the run (exit 1, naming the directory).
+//! No observer changes a result bit. A journal that cannot be read or
+//! does not match the paper error sets, and an artefact or report that
+//! cannot be written, fail the run (exit 1, naming the file).
 
+use std::fmt::Display;
 use std::time::Instant;
 
 use fic::cli::CliOptions;
 use fic::error_set::E1Error;
 use fic::journal::{Journal, JournalWriter};
+use fic::results::{self, CampaignFold};
 use fic::trace::{self, ReproBundle, ReproError};
 use fic::{error_set, golden, run_trial_traced, tables, Protocol};
 
 fn main() {
     let options = CliOptions::from_env();
-    std::fs::create_dir_all(&options.out_dir).expect("create out dir");
-
     let e1_errors = error_set::e1();
-    let (protocol, e1_report, e2_report) = if let Some(path) = &options.from_journal {
-        let journal = Journal::load(path).expect("readable --from-journal file");
+    let (protocol, fold, runner) = if let Some(path) = &options.from_journal {
+        let journal = Journal::load(path).unwrap_or_else(|e| fail(path.display(), e));
         if journal.truncated_tail {
             eprintln!("note: journal has a torn final line (crash evidence); dropped");
         }
-        let (e1, e2) = journal
-            .replay()
-            .expect("journal matches the paper error sets");
+        let fold = CampaignFold::from_journal(&journal).unwrap_or_else(|e| fail(path.display(), e));
         eprintln!(
             "replayed {} journaled trials ({} E1 + {} E2)",
             journal.records.len(),
-            e1.trials(),
-            e2.trials()
+            fold.e1.trials(),
+            fold.e2.trials()
         );
-        let aggregate = fic::attribution::aggregate_journal(&journal)
-            .expect("journal matches the paper error sets");
-        written(options.emit_attribution("full_campaign", &journal.header.protocol, aggregate));
-        (journal.header.protocol, e1, e2)
+        (journal.header.protocol, fold, None)
     } else {
         let protocol = options.protocol();
         eprintln!(
@@ -104,7 +105,7 @@ fn main() {
         );
 
         let t0 = Instant::now();
-        eprintln!("[1/3] golden-run validation...");
+        eprintln!("[1/2] golden-run validation...");
         if let Err(violation) = golden::validate_fault_free(&protocol) {
             eprintln!("golden-run validation FAILED: {violation}");
             if options.trace {
@@ -117,110 +118,71 @@ fn main() {
         eprintln!("      ok ({:.1?})", t0.elapsed());
 
         let runner = options.runner();
-        let registry = runner.telemetry().expect("CLI runners record telemetry");
         let e2_errors = error_set::e2();
-
         let t1 = Instant::now();
         eprintln!(
-            "[2/3] E1: {} errors x {} cases...",
+            "[2/2] E1: {} errors, then E2: {} errors, x {} cases...",
             e1_errors.len(),
+            e2_errors.len(),
             protocol.cases_per_error()
         );
-        let e1_report;
-        let e2_report;
-        match &options.journal {
-            Some(journal_path) if options.resume => {
-                e1_report = runner
-                    .resume_e1(&e1_errors, journal_path)
-                    .expect("resume E1 from journal");
-                eprintln!("      done ({:.1?})", t1.elapsed());
-                let t2 = Instant::now();
-                eprintln!("[3/3] E2: {} errors...", e2_errors.len());
-                e2_report = runner
-                    .resume_e2(&e2_errors, journal_path)
-                    .expect("resume E2 from journal");
-                eprintln!("      done ({:.1?})", t2.elapsed());
+        let fold = match &options.journal {
+            Some(path) => {
+                if !options.resume {
+                    JournalWriter::create(path, &protocol)
+                        .and_then(JournalWriter::finish)
+                        .unwrap_or_else(|e| fail(path.display(), e));
+                }
+                runner
+                    .resume(&e1_errors, &e2_errors, path)
+                    .unwrap_or_else(|e| fail(path.display(), e))
             }
-            Some(journal_path) => {
-                let mut writer = JournalWriter::create(journal_path, &protocol)
-                    .expect("create journal")
-                    .with_telemetry(fic::journal::JournalTelemetry::register(registry));
-                e1_report = runner
-                    .run_e1_journaled(&e1_errors, &mut writer)
-                    .expect("journaled E1 campaign");
-                eprintln!("      done ({:.1?})", t1.elapsed());
-                let t2 = Instant::now();
-                eprintln!("[3/3] E2: {} errors...", e2_errors.len());
-                e2_report = runner
-                    .run_e2_journaled(&e2_errors, &mut writer)
-                    .expect("journaled E2 campaign");
-                writer.finish().expect("flush final journal batch");
-                eprintln!("      done ({:.1?})", t2.elapsed());
-            }
-            None => {
-                e1_report = runner.run_e1(&e1_errors);
-                eprintln!("      done ({:.1?})", t1.elapsed());
-                let t2 = Instant::now();
-                eprintln!("[3/3] E2: {} errors...", e2_errors.len());
-                e2_report = runner.run_e2(&e2_errors);
-                eprintln!("      done ({:.1?})", t2.elapsed());
-            }
-        }
-
-        written(options.emit_telemetry("full_campaign", &protocol, registry));
-        if let Some(sink) = runner.attribution() {
-            written(options.emit_attribution("full_campaign", &protocol, sink.snapshot()));
-        }
-        if let Some(recorder) = runner.profile() {
-            written(options.emit_profile("full_campaign", &protocol, recorder));
-        }
-        (protocol, e1_report, e2_report)
+            None => runner.run(&e1_errors, &e2_errors),
+        };
+        eprintln!("      done ({:.1?})", t1.elapsed());
+        (protocol, fold, Some(runner))
     };
-    written(options.emit_convergence("full_campaign", &protocol, &e1_report, &e2_report));
 
-    // Artefacts.
-    std::fs::write(
-        options.out_dir.join("e1.json"),
-        serde_json::to_string_pretty(&e1_report).unwrap(),
-    )
-    .expect("write e1.json");
-    std::fs::write(
-        options.out_dir.join("e2.json"),
-        serde_json::to_string_pretty(&e2_report).unwrap(),
-    )
-    .expect("write e2.json");
-
-    let table6 = tables::render_table6(&e1_errors, protocol.cases_per_error());
-    let table7 = tables::render_table7(&e1_report);
-    let table8 = tables::render_table8(&e1_report);
-    let table9 = tables::render_table9(&e2_report);
-    for (name, text) in [
-        ("table6.txt", &table6),
-        ("table7.txt", &table7),
-        ("table8.txt", &table8),
-        ("table9.txt", &table9),
-    ] {
-        std::fs::write(options.out_dir.join(name), text).expect("write table");
+    // Under --from-journal the convergence report is named after the
+    // journal it replays.
+    let label = match options.from_journal.as_deref().and_then(|p| p.file_stem()) {
+        Some(stem) => stem.to_string_lossy().into_owned(),
+        None => "full_campaign".to_owned(),
+    };
+    let telemetry = runner
+        .as_ref()
+        .and_then(|r| r.telemetry())
+        .map(|registry| registry.snapshot());
+    if let Err(e) = results::write_artefacts(
+        &options.out_dir,
+        "full_campaign",
+        &label,
+        &protocol,
+        &e1_errors,
+        &fold,
+        telemetry.as_ref(),
+        runner.as_ref().and_then(|r| r.profile()).map(AsRef::as_ref),
+    ) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
-
-    println!("{table6}");
-    println!("{table7}");
-    println!("{table8}");
-    println!("{table9}");
+    let (e1_report, e2_report) = (&fold.e1, &fold.e2);
+    println!(
+        "{}",
+        tables::render_table6(&e1_errors, protocol.cases_per_error())
+    );
+    println!("{}", tables::render_table7(e1_report));
+    println!("{}", tables::render_table8(e1_report));
+    println!("{}", tables::render_table9(e2_report));
     if let Some(p_ds) = e1_report.p_ds() {
         println!("Pds (E1 total, all mechanisms)    = {:.1}%", p_ds * 100.0);
     }
     if let Some(p) = e2_report.p_detect() {
         println!("Pdetect (E2 total)                = {:.1}%", p * 100.0);
     }
-    if let Some(analysis) = fic::coverage_report::analyse(&e1_report, &e2_report) {
+    if let Some(analysis) = fic::coverage_report::analyse(e1_report, e2_report) {
         println!();
         print!("{}", fic::coverage_report::render(&analysis));
-        std::fs::write(
-            options.out_dir.join("coverage_analysis.json"),
-            serde_json::to_string_pretty(&analysis).unwrap(),
-        )
-        .expect("write coverage_analysis.json");
     }
     eprintln!("artefacts written to {}", options.out_dir.display());
 
@@ -229,8 +191,8 @@ fn main() {
             &options.golden_dir,
             &e1_errors,
             protocol.cases_per_error(),
-            &e1_report,
-            &e2_report,
+            e1_report,
+            e2_report,
         ) {
             eprintln!("error: goldens not refreshed: {e}");
             std::process::exit(1);
@@ -243,10 +205,10 @@ fn main() {
             &options.golden_dir,
             &e1_errors,
             protocol.cases_per_error(),
-            &e1_report,
-            &e2_report,
+            e1_report,
+            e2_report,
         )
-        .expect("readable golden artefacts");
+        .unwrap_or_else(|e| fail(options.golden_dir.display(), e));
         if divergences.is_empty() {
             eprintln!("golden check: ok (within Powell-style confidence tolerances)");
         } else {
@@ -264,13 +226,10 @@ fn main() {
     }
 }
 
-/// Exits 1 when an observer report could not be written: every run
-/// promises its reports, so a run without one has failed.
-fn written(result: std::io::Result<()>) {
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
+/// Exits 1 naming the file a run could not read or write.
+fn fail(file: impl Display, error: impl Display) -> ! {
+    eprintln!("error: {file}: {error}");
+    std::process::exit(1);
 }
 
 /// Reproducer for a fault-free violation: two independent fault-free

@@ -56,6 +56,7 @@ use fic::attribution::{self, AttributionReport};
 use fic::campaign::DEFAULT_BATCH_SIZE;
 use fic::convergence::{ConvergenceAggregate, ConvergenceReport};
 use fic::journal::{Journal, PaperError, PaperErrors};
+use fic::results::CampaignFold;
 use fic::telemetry::TelemetryReport;
 use fic::{InertMap, PruneClass};
 use memsim::BitFlip;
@@ -185,6 +186,17 @@ fn main() -> ExitCode {
         }
     }
 
+    // The journal folded once, as every producer folds it, for both the
+    // attribution and the convergence cross-check.
+    let fold = journal_path
+        .as_ref()
+        .filter(|_| attribution_path.is_some() || convergence_path.is_some())
+        .map(|path| {
+            Journal::load(path)
+                .and_then(|journal| CampaignFold::from_journal(&journal))
+                .map_err(|e| e.to_string())
+        });
+
     if let Some(path) = &attribution_path {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {}: {e}", path.display());
@@ -214,8 +226,8 @@ fn main() -> ExitCode {
                 failures += 1;
             }
         }
-        if let Some(journal_path) = &journal_path {
-            match check_attribution_against_journal(&report, journal_path) {
+        if let Some(fold) = &fold {
+            match check_attribution_against_journal(&report, fold) {
                 Ok(events) => println!(
                     "attribution {}: aggregate re-derives exactly from {} journaled event(s)",
                     path.display(),
@@ -248,8 +260,8 @@ fn main() -> ExitCode {
                 failures += 1;
             }
         }
-        if let Some(journal_path) = &journal_path {
-            match check_convergence_against_journal(&report, journal_path) {
+        if let Some(fold) = &fold {
+            match check_convergence_against_journal(&report, fold) {
                 Ok(trials) => println!(
                     "convergence {}: aggregate re-derives exactly from {} journaled trial(s)",
                     path.display(),
@@ -461,15 +473,14 @@ fn check_prune_counters(
 /// records re-derive — the estimator is a pure function of the trials,
 /// so any difference means the report and journal are not from the
 /// same campaign (or one of them was tampered with). The journal's
-/// aggregate is derived from its replayed reports, as every producer
+/// aggregate is derived from its folded reports, as every producer
 /// derives it.
 fn check_convergence_against_journal(
     report: &ConvergenceReport,
-    path: &std::path::Path,
+    fold: &Result<CampaignFold, String>,
 ) -> Result<u64, String> {
-    let journal = Journal::load(path).map_err(|e| e.to_string())?;
-    let (e1, e2) = journal.replay().map_err(|e| e.to_string())?;
-    let derived = ConvergenceAggregate::from_reports(&e1, &e2);
+    let fold = fold.as_ref()?;
+    let derived = ConvergenceAggregate::from_reports(&fold.e1, &fold.e2);
     if derived != report.aggregate {
         return Err(format!(
             "journal re-derives {} E1 + {} E2 trials but the report aggregates \
@@ -492,11 +503,10 @@ fn check_convergence_against_journal(
 /// if the report saw the same enrichment; CI pairs fresh artefacts.
 fn check_attribution_against_journal(
     report: &AttributionReport,
-    path: &std::path::Path,
+    fold: &Result<CampaignFold, String>,
 ) -> Result<usize, String> {
-    let journal = Journal::load(path).map_err(|e| e.to_string())?;
-    let derived = attribution::aggregate_journal(&journal).map_err(|e| e.to_string())?;
-    if derived != report.aggregate {
+    let derived = &fold.as_ref()?.attribution;
+    if *derived != report.aggregate {
         return Err(format!(
             "journal re-derives {} E1 + {} E2 events but the report aggregates \
              {} + {}; the aggregates differ",

@@ -17,13 +17,13 @@
 //!
 //! The collector (the calling thread) folds every trial into the report
 //! *and* appends it to the optional crash-safe [`crate::journal`], so a killed
-//! campaign can be resumed with [`CampaignRunner::resume_e1`] /
-//! [`CampaignRunner::resume_e2`]: recorded trials are replayed from the
-//! journal and only the missing ⟨error, case⟩ pairs are re-executed.
+//! campaign can be resumed with [`CampaignRunner::resume`]: the journal
+//! is loaded once and folded into a [`CampaignFold`], and only the
+//! missing ⟨error, case⟩ pairs are executed and folded after it.
 //! Reports are commutative accumulators, so the result is independent
 //! of worker count, completion order, and interruption points.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
@@ -33,14 +33,14 @@ use std::time::Instant;
 use crossbeam::channel;
 use simenv::TestCase;
 
-use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap, OracleVerdicts};
+use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap};
 use crate::convergence::{CellKey, ConvergenceAggregate};
 use crate::error_set::{E1Error, E2Error};
 use crate::experiment::{fault_free_prefix, run_case_batch_with, BatchTrial, Trial};
-use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter};
+use crate::journal::{CampaignKind, Journal, JournalError, JournalWriter, PaperError, TrialRecord};
 use crate::protocol::Protocol;
 use crate::prune::{CaseCells, PruneClass};
-use crate::results::{E1Report, E2Report};
+use crate::results::{CampaignFold, E1Report, E2Report};
 use crate::telemetry;
 
 /// Fault-free prefix snapshots shared across campaign workers, one per
@@ -380,7 +380,7 @@ impl CampaignRunner {
     /// Enables assertion-level attribution: every completed trial also
     /// yields an [`AttributionEvent`] folded into a shared
     /// [`AttributionSink`]. The journal never carries these events —
-    /// they re-derive from its trials ([`crate::attribution::aggregate_journal`]).
+    /// they re-derive from its trials ([`CampaignFold::from_journal`]).
     /// Disabled by default and zero-cost when off.
     #[must_use]
     pub fn with_attribution(mut self, enabled: bool) -> Self {
@@ -457,11 +457,9 @@ impl CampaignRunner {
         self.execute(
             errors,
             &self.all_pairs(errors.len()),
-            &mut report,
-            E1Report::record,
             CampaignKind::E1,
             None,
-            None,
+            |ei, _, trial| report.record(&errors[ei], trial),
         )
         .expect("journal-less campaigns do no I/O");
         report
@@ -478,20 +476,7 @@ impl CampaignRunner {
         errors: &[E1Error],
         pairs: &[(usize, usize)],
     ) -> Vec<(usize, usize, Trial)> {
-        let mut report = E1Report::new();
-        let mut trials = Vec::with_capacity(pairs.len());
-        self.execute(
-            errors,
-            pairs,
-            &mut report,
-            E1Report::record,
-            CampaignKind::E1,
-            None,
-            Some(&mut trials),
-        )
-        .expect("journal-less campaigns do no I/O");
-        trials.sort_unstable_by_key(|t| (t.1, t.0));
-        trials
+        self.run_pairs(errors, pairs, CampaignKind::E1)
     }
 
     /// Runs exactly the given ⟨error index, case index⟩ E2 pairs; see
@@ -501,17 +486,19 @@ impl CampaignRunner {
         errors: &[E2Error],
         pairs: &[(usize, usize)],
     ) -> Vec<(usize, usize, Trial)> {
-        let mut report = E2Report::new();
+        self.run_pairs(errors, pairs, CampaignKind::E2)
+    }
+
+    fn run_pairs<E: Sync + InjectableError>(
+        &self,
+        errors: &[E],
+        pairs: &[(usize, usize)],
+        kind: CampaignKind,
+    ) -> Vec<(usize, usize, Trial)> {
         let mut trials = Vec::with_capacity(pairs.len());
-        self.execute(
-            errors,
-            pairs,
-            &mut report,
-            E2Report::record,
-            CampaignKind::E2,
-            None,
-            Some(&mut trials),
-        )
+        self.execute(errors, pairs, kind, None, |ei, ci, trial| {
+            trials.push((ei, ci, trial.clone()));
+        })
         .expect("journal-less campaigns do no I/O");
         trials.sort_unstable_by_key(|t| (t.1, t.0));
         trials
@@ -524,11 +511,9 @@ impl CampaignRunner {
         self.execute(
             errors,
             &self.all_pairs(errors.len()),
-            &mut report,
-            E2Report::record,
             CampaignKind::E2,
             None,
-            None,
+            |ei, _, trial| report.record(&errors[ei], trial),
         )
         .expect("journal-less campaigns do no I/O");
         report
@@ -549,11 +534,9 @@ impl CampaignRunner {
         self.execute(
             errors,
             &self.all_pairs(errors.len()),
-            &mut report,
-            E1Report::record,
             CampaignKind::E1,
-            Some(journal),
-            None,
+            Some(&mut *journal),
+            |ei, _, trial| report.record(&errors[ei], trial),
         )?;
         journal.sync()?;
         Ok(report)
@@ -574,79 +557,42 @@ impl CampaignRunner {
         self.execute(
             errors,
             &self.all_pairs(errors.len()),
-            &mut report,
-            E2Report::record,
             CampaignKind::E2,
-            Some(journal),
-            None,
+            Some(&mut *journal),
+            |ei, _, trial| report.record(&errors[ei], trial),
         )?;
         journal.sync()?;
         Ok(report)
     }
 
-    /// Resumes (or starts) a journaled E1 campaign: trials already in
-    /// the journal at `path` are replayed into the report (and into
-    /// every attached observer, with any persisted oracle verdicts), only
-    /// missing ⟨error, case⟩ pairs are executed, and their outcomes are
-    /// appended to the same journal. With no journal file present this
-    /// is a fresh journaled campaign.
+    /// Runs both campaigns without a journal, folding every trial into
+    /// a [`CampaignFold`] (reports and attribution aggregate).
+    pub fn run(&self, e1: &[E1Error], e2: &[E2Error]) -> CampaignFold {
+        let mut fold = CampaignFold::new();
+        self.fold_campaigns(e1, e2, &mut fold, None)
+            .expect("journal-less campaigns do no I/O");
+        fold
+    }
+
+    /// Resumes (or starts) a journaled campaign of both error sets: the
+    /// journal at `path`, if any, is loaded once and folded
+    /// ([`CampaignFold::from_journal`], persisted oracle verdicts
+    /// included), then only the missing ⟨error, case⟩ pairs of E1 and
+    /// then E2 are executed, folded and appended to the same journal.
+    /// With no journal file present this is a fresh journaled campaign.
+    /// Attached observers see the executed trials only.
     ///
     /// # Errors
     ///
     /// Journal I/O or parse failures, or a journal recorded under an
-    /// incompatible protocol / unknown error numbers.
-    pub fn resume_e1(&self, errors: &[E1Error], path: &Path) -> Result<E1Report, JournalError> {
-        let mut report = E1Report::new();
-        self.resume(
-            errors,
-            path,
-            CampaignKind::E1,
-            &mut report,
-            E1Report::record,
-        )?;
-        Ok(report)
-    }
-
-    /// Resumes (or starts) a journaled E2 campaign; see
-    /// [`CampaignRunner::resume_e1`].
-    ///
-    /// # Errors
-    ///
-    /// Journal I/O or parse failures, or an incompatible journal.
-    pub fn resume_e2(&self, errors: &[E2Error], path: &Path) -> Result<E2Report, JournalError> {
-        let mut report = E2Report::new();
-        self.resume(
-            errors,
-            path,
-            CampaignKind::E2,
-            &mut report,
-            E2Report::record,
-        )?;
-        Ok(report)
-    }
-
-    /// Loads the journal at `path` (if any), folds the `kind` campaign's
-    /// recorded trials (first record per key wins) into `report` and
-    /// the observers, then executes the still-missing ⟨error index,
-    /// case index⟩ pairs, appending them to the same journal.
-    fn resume<E, R>(
+    /// incompatible protocol or naming an error outside `e1`/`e2`.
+    pub fn resume(
         &self,
-        errors: &[E],
+        e1: &[E1Error],
+        e2: &[E2Error],
         path: &Path,
-        kind: CampaignKind,
-        report: &mut R,
-        record: fn(&mut R, &E, &Trial),
-    ) -> Result<(), JournalError>
-    where
-        E: Sync + InjectableError,
-    {
-        let cases = self.protocol.cases_per_error();
-        let by_number: HashMap<usize, usize> = errors
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.number(), i))
-            .collect();
-        let mut done: HashSet<(usize, usize)> = HashSet::new();
+    ) -> Result<CampaignFold, JournalError> {
+        let mut fold = CampaignFold::new();
         if path.exists() {
             let journal = Journal::load(path)?;
             if !journal.header.protocol.compatible_with(&self.protocol) {
@@ -656,61 +602,78 @@ impl CampaignRunner {
                         .to_owned(),
                 ));
             }
-            let attribution = self
-                .attribution_fold()
-                .map(|fold| (fold, OracleVerdicts::from_journal(&journal)));
-            for entry in &journal.records {
-                if entry.campaign != kind {
-                    continue;
-                }
-                let Some(&idx) = by_number.get(&entry.error_number) else {
-                    return Err(JournalError::Mismatch(format!(
-                        "journal records error number {} absent from the \
-                         current error set",
-                        entry.error_number
-                    )));
-                };
-                if entry.case_index >= cases {
-                    return Err(JournalError::Mismatch(format!(
-                        "journal case index {} out of range ({} cases/error)",
-                        entry.case_index, cases
-                    )));
-                }
-                if !done.insert((idx, entry.case_index)) {
-                    continue;
-                }
-                let error = &errors[idx];
-                record(report, error, &entry.trial);
-                if let Some(((sink, map), verdicts)) = &attribution {
-                    let mut event = error.attribution_event(entry.case_index, &entry.trial, map);
-                    verdicts.overlay(&mut event);
-                    sink.record(&event);
-                }
-                if let Some(sink) = &self.convergence {
-                    sink.record(error.convergence_key(), &entry.trial);
-                }
+            fold = CampaignFold::from_journal(&journal)?;
+            let known: HashSet<(CampaignKind, usize)> =
+                (e1.iter().map(|e| (CampaignKind::E1, e.number)))
+                    .chain(e2.iter().map(|e| (CampaignKind::E2, e.number)))
+                    .collect();
+            if let Some(record) = journal
+                .records
+                .iter()
+                .find(|r| !known.contains(&(r.campaign, r.error_number)))
+            {
+                return Err(JournalError::Mismatch(format!(
+                    "journal records {} error number {} absent from the \
+                     current error set",
+                    record.campaign.label(),
+                    record.error_number
+                )));
             }
         }
         let mut writer = JournalWriter::append_to(path, &self.protocol)?;
         if let Some(registry) = &self.telemetry {
             writer = writer.with_telemetry(crate::journal::JournalTelemetry::register(registry));
         }
+        self.fold_campaigns(e1, e2, &mut fold, Some(&mut writer))?;
+        writer.finish()?;
+        Ok(fold)
+    }
+
+    /// Executes every pair of `e1` and then `e2` that `fold` has not
+    /// recorded, folding each trial and appending it to `journal`,
+    /// which is synced after each campaign.
+    fn fold_campaigns(
+        &self,
+        e1: &[E1Error],
+        e2: &[E2Error],
+        fold: &mut CampaignFold,
+        mut journal: Option<&mut JournalWriter>,
+    ) -> io::Result<()> {
+        self.fold_campaign(e1, CampaignKind::E1, fold, journal.as_deref_mut())?;
+        self.fold_campaign(e2, CampaignKind::E2, fold, journal)
+    }
+
+    fn fold_campaign<E: Sync + InjectableError>(
+        &self,
+        errors: &[E],
+        kind: CampaignKind,
+        fold: &mut CampaignFold,
+        mut journal: Option<&mut JournalWriter>,
+    ) -> io::Result<()> {
         let pending: Vec<(usize, usize)> = self
             .all_pairs(errors.len())
             .into_iter()
-            .filter(|key| !done.contains(key))
+            .filter(|&(ei, ci)| !fold.is_recorded((kind, errors[ei].number(), ci)))
             .collect();
         self.execute(
             errors,
             &pending,
-            report,
-            record,
             kind,
-            Some(&mut writer),
-            None,
+            journal.as_deref_mut(),
+            |ei, ci, trial| {
+                let record = TrialRecord {
+                    campaign: kind,
+                    error_number: errors[ei].number(),
+                    case_index: ci,
+                    trial: trial.clone(),
+                };
+                fold.record(&record, errors[ei].paper());
+            },
         )?;
-        writer.sync()?;
-        Ok(())
+        match journal {
+            Some(writer) => writer.sync(),
+            None => Ok(()),
+        }
     }
 
     /// The sink plus the address map event derivation needs — built
@@ -731,20 +694,17 @@ impl CampaignRunner {
 
     /// Generic worker fan-out: workers pull per-case work items of
     /// ⟨error, case⟩ pairs from a shared queue and stream completed
-    /// trials back; the collector (on
-    /// the calling thread) folds them into the report in arrival order
-    /// and appends each to the journal. Reports are commutative, so
+    /// trials back; the collector (on the calling thread) hands each
+    /// ⟨error index, case index, trial⟩ to `on_trial` in arrival order
+    /// and appends it to the journal. Reports are commutative, so
     /// arrival order does not affect the result.
-    #[allow(clippy::too_many_arguments)]
-    fn execute<E, R>(
+    fn execute<E>(
         &self,
         errors: &[E],
         pending: &[(usize, usize)],
-        report: &mut R,
-        record: fn(&mut R, &E, &Trial),
         kind: CampaignKind,
         mut journal: Option<&mut JournalWriter>,
-        mut collect: Option<&mut Vec<(usize, usize, Trial)>>,
+        mut on_trial: impl FnMut(usize, usize, &Trial),
     ) -> io::Result<()>
     where
         E: Sync + InjectableError,
@@ -899,10 +859,7 @@ impl CampaignRunner {
 
             while let Ok((ei, ci, trial)) = result_rx.recv() {
                 let error = &errors[ei];
-                record(report, error, &trial);
-                if let Some(out) = collect.as_deref_mut() {
-                    out.push((ei, ci, trial.clone()));
-                }
+                on_trial(ei, ci, &trial);
                 if let Some((sink, map)) = &attribution {
                     sink.record(&error.attribution_event(ci, &trial, map));
                 }
@@ -962,6 +919,8 @@ pub trait InjectableError {
     fn flip(&self) -> memsim::BitFlip;
     /// The paper's 1-based error number.
     fn number(&self) -> usize;
+    /// This error as the paper error a journal record names.
+    fn paper(&self) -> PaperError<'_>;
     /// The attribution event for one completed trial of this error
     /// (`map` locates monitored signals; E1 errors carry their target
     /// directly and ignore it).
@@ -983,6 +942,9 @@ impl InjectableError for E1Error {
     fn number(&self) -> usize {
         self.number
     }
+    fn paper(&self) -> PaperError<'_> {
+        PaperError::E1(self)
+    }
     fn attribution_event(
         &self,
         case_index: usize,
@@ -1002,6 +964,9 @@ impl InjectableError for E2Error {
     }
     fn number(&self) -> usize {
         self.number
+    }
+    fn paper(&self) -> PaperError<'_> {
+        PaperError::E2(self)
     }
     fn attribution_event(
         &self,
@@ -1169,8 +1134,8 @@ mod tests {
         let runner = CampaignRunner::new(protocol);
         let errors = error_set::e1();
         let subset = &errors[0..2];
-        let resumed = runner.resume_e1(subset, &path).unwrap();
-        assert_eq!(resumed, runner.run_e1(subset));
+        let resumed = runner.resume(subset, &[], &path).unwrap();
+        assert_eq!(resumed.e1, runner.run_e1(subset));
     }
 
     #[test]
@@ -1191,8 +1156,8 @@ mod tests {
         let keep = 1 + (lines.len() - 1) / 2; // header + half the records
         std::fs::write(&path, format!("{}\n", lines[..keep].join("\n"))).unwrap();
 
-        let resumed = runner.resume_e2(subset, &path).unwrap();
-        assert_eq!(resumed, full);
+        let resumed = runner.resume(&[], subset, &path).unwrap();
+        assert_eq!(resumed.e2, full);
         // The journal is complete again afterwards.
         assert_eq!(Journal::load(&path).unwrap().records.len(), 4 * 4);
     }
@@ -1203,10 +1168,10 @@ mod tests {
         let errors = error_set::e1();
         let subset = &errors[0..1];
         let runner = CampaignRunner::new(Protocol::scaled(1, 1_000));
-        runner.resume_e1(subset, &path).unwrap();
+        runner.resume(subset, &[], &path).unwrap();
         let other = CampaignRunner::new(Protocol::scaled(1, 2_000));
         assert!(matches!(
-            other.resume_e1(subset, &path),
+            other.resume(subset, &[], &path),
             Err(JournalError::Mismatch(_))
         ));
     }

@@ -35,26 +35,19 @@
 //! test suites compare it against, not a flag.
 //!
 //! The observers need no flag. Every live run ([`CliOptions::runner`])
-//! records telemetry (with the live progress line), attribution and the
-//! per-EA cost profile, and the `emit_*` methods write their reports
-//! under `<out>/{telemetry,attribution,profile}/`;
-//! [`CliOptions::emit_convergence`] derives the coverage-convergence
-//! report (`fic::convergence`) from the final reports of every run. No
-//! observer changes a result bit. A report that cannot be written is an
-//! error the `emit_*` methods return, naming the directory, so the run
-//! fails instead of finishing without it.
+//! records telemetry (with the live progress line) and the per-EA cost
+//! profile, and folds attribution with its reports; every run, live or
+//! `--from-journal`, ends in [`crate::results::write_artefacts`], which
+//! writes the tables and every report. No observer changes a result
+//! bit.
 
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use crate::attribution::{self, AttributionAggregate};
 use crate::campaign::CampaignRunner;
-use crate::convergence::{self, ConvergenceAggregate};
 use crate::profile;
 use crate::protocol::Protocol;
-use crate::results::{E1Report, E2Report};
-use crate::telemetry::{self, RunMetadata};
+use crate::telemetry;
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -195,142 +188,14 @@ impl CliOptions {
 
     /// A campaign runner configured from these options' protocol with
     /// every observer attached: a fresh metrics registry with the live
-    /// progress line, attribution and the cost profile recorder.
+    /// progress line and the cost profile recorder. Attribution is
+    /// folded by [`CampaignRunner::run`] and [`CampaignRunner::resume`]
+    /// themselves.
     pub fn runner(&self) -> CampaignRunner {
         CampaignRunner::new(self.protocol())
             .with_telemetry(Arc::new(telemetry::Registry::new()))
             .with_progress()
-            .with_attribution(true)
             .with_profile(Arc::new(profile::ProfileRecorder::new()))
-    }
-
-    /// Writes one `kind` of report under `<out>/<kind>/` and names the
-    /// file on stderr, or returns the error naming the directory.
-    fn save_report(
-        &self,
-        kind: &str,
-        write: impl FnOnce(&Path) -> io::Result<PathBuf>,
-    ) -> io::Result<()> {
-        let dir = self.out_dir.join(kind);
-        let path = write(&dir).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!(
-                    "cannot write the {kind} report under {}: {e}",
-                    dir.display()
-                ),
-            )
-        })?;
-        eprintln!("{kind} report written to {}", path.display());
-        Ok(())
-    }
-
-    /// End-of-campaign telemetry emission: prints the human summary on
-    /// stderr and writes the schema-versioned report under
-    /// `<out>/telemetry/`.
-    ///
-    /// # Errors
-    ///
-    /// The report could not be written; the error names the directory.
-    pub fn emit_telemetry(
-        &self,
-        producer: &str,
-        protocol: &Protocol,
-        registry: &telemetry::Registry,
-    ) -> io::Result<()> {
-        let snapshot = registry.snapshot();
-        eprint!("{}", telemetry::render_summary(&snapshot));
-        let run = RunMetadata::for_run(protocol, true, None);
-        let report = telemetry::TelemetryReport::assemble(producer, run, snapshot);
-        self.save_report("telemetry", |dir| {
-            telemetry::write_report(dir, producer, &report)
-        })
-    }
-
-    /// End-of-campaign attribution emission: prints the league table
-    /// and coverage decomposition on stderr and writes the
-    /// schema-versioned report under `<out>/attribution/`.
-    ///
-    /// # Errors
-    ///
-    /// The report could not be written; the error names the directory.
-    pub fn emit_attribution(
-        &self,
-        producer: &str,
-        protocol: &Protocol,
-        aggregate: AttributionAggregate,
-    ) -> io::Result<()> {
-        eprint!("{}", attribution::render_league(&aggregate));
-        let run = RunMetadata::for_run(protocol, true, None);
-        let report = attribution::AttributionReport::assemble(producer, run, aggregate);
-        eprint!(
-            "{}",
-            attribution::render_decomposition(&report.decomposition)
-        );
-        self.save_report("attribution", |dir| {
-            attribution::write_report(dir, producer, &report)
-        })
-    }
-
-    /// End-of-campaign profile emission: samples per-check wall clock,
-    /// prints the cost league table on stderr and writes the
-    /// schema-versioned report under `<out>/profile/`. A run that
-    /// executed no trial (a resume with nothing left to run) recorded
-    /// nothing, so it writes no report.
-    ///
-    /// # Errors
-    ///
-    /// The report could not be written; the error names the directory.
-    pub fn emit_profile(
-        &self,
-        producer: &str,
-        protocol: &Protocol,
-        recorder: &profile::ProfileRecorder,
-    ) -> io::Result<()> {
-        if recorder.trials() + recorder.pruned_trials() == 0 {
-            eprintln!("no trial ran; no profile written");
-            return Ok(());
-        }
-        let wall = profile::sample_wall_ns();
-        let run = RunMetadata::for_run(protocol, true, None);
-        let report = profile::ProfileReport::assemble(producer, run, recorder, Some(wall));
-        eprint!("{}", profile::render_league(&report));
-        self.save_report("profile", |dir| {
-            profile::write_report(dir, producer, &report)
-        })
-    }
-
-    /// End-of-campaign convergence emission, on every run: derives the
-    /// per-cell coverage estimates from the final reports, prints the
-    /// precision forecast on stderr and writes the schema-versioned
-    /// report under `<out>/convergence/`. A `--from-journal` replay
-    /// names the report after the journal's file stem.
-    ///
-    /// # Errors
-    ///
-    /// The report could not be written; the error names the directory.
-    pub fn emit_convergence(
-        &self,
-        producer: &str,
-        protocol: &Protocol,
-        e1: &E1Report,
-        e2: &E2Report,
-    ) -> io::Result<()> {
-        let aggregate = ConvergenceAggregate::from_reports(e1, e2);
-        let delta = convergence::DEFAULT_DELTA;
-        eprint!(
-            "{}",
-            convergence::render_coverage(&aggregate.coverage(producer, delta))
-        );
-        let label = match self.from_journal.as_deref().and_then(Path::file_stem) {
-            Some(stem) => stem.to_string_lossy().into_owned(),
-            None => producer.to_owned(),
-        };
-        let run = RunMetadata::for_run(protocol, true, None);
-        let report = convergence::ConvergenceReport::assemble(producer, run, aggregate, delta);
-        self.save_report("convergence", |dir| {
-            convergence::write_report(dir, &label, &report)
-        })
     }
 }
 
@@ -366,8 +231,7 @@ mod tests {
         assert!(!options.trace);
         assert_eq!(options.repro_dir, PathBuf::from("results/repro"));
         let runner = options.runner();
-        assert!(runner.telemetry().is_some());
-        assert!(runner.attribution().is_some() && runner.profile().is_some());
+        assert!(runner.telemetry().is_some() && runner.profile().is_some());
     }
 
     #[test]
@@ -569,26 +433,5 @@ mod tests {
         ]))
         .is_err());
         assert!(CliOptions::parse(&args(&["--from-journal", "a.jsonl", "--resume"])).is_err());
-    }
-
-    /// A report directory that cannot be created is an error the
-    /// caller sees (and `full_campaign` exits on), naming the
-    /// directory — not a line on stderr and a run that exits 0.
-    #[test]
-    fn an_unwritable_report_directory_is_an_error() {
-        let out = std::env::temp_dir().join(format!("fic-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&out).unwrap();
-        std::fs::write(out.join("telemetry"), "a file, not a directory").unwrap();
-        let options = CliOptions::parse(&args(&["--out", out.to_str().unwrap()])).unwrap();
-        let registry = telemetry::Registry::new();
-        let err = options
-            .emit_telemetry("cli-test", &options.protocol(), &registry)
-            .unwrap_err();
-        let message = err.to_string();
-        std::fs::remove_dir_all(&out).unwrap();
-        assert!(
-            message.contains(&out.join("telemetry").display().to_string()),
-            "{message}"
-        );
     }
 }

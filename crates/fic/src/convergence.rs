@@ -12,13 +12,15 @@
 //! forecast ("trials remaining to reach a ±δ half-width").
 //!
 //! Every producer derives the aggregate from the final campaign
-//! reports ([`ConvergenceAggregate::from_reports`]): `full_campaign`
-//! (live, resumed or `--from-journal`) and the fleet server. A
-//! journal's aggregate is therefore
-//! `from_reports(&journal.replay()?)` — the artefact is a pure function
-//! of the journaled trials and cannot drift from the tables. The
-//! aggregate's `merge` is associative, commutative and
-//! permutation-invariant (`crates/fic/tests/prop_convergence.rs`).
+//! reports ([`ConvergenceAggregate::from_reports`]) in
+//! [`crate::results::write_artefacts`]: `full_campaign` (live, resumed
+//! or `--from-journal`) and the fleet server. A journal's aggregate is
+//! therefore `from_reports` of its
+//! [`crate::results::CampaignFold::from_journal`] — the artefact is a
+//! pure function of the journaled trials and cannot drift from the
+//! tables. The per-trial [`record`](ConvergenceAggregate::record) fold
+//! is invariant under arrival order
+//! (`crates/fic/tests/prop_convergence.rs`).
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -67,7 +69,7 @@ pub struct ConvergenceAggregate {
 }
 
 impl ConvergenceAggregate {
-    /// An empty aggregate (the identity of [`merge`](Self::merge)).
+    /// An empty aggregate.
     pub fn new() -> Self {
         ConvergenceAggregate::default()
     }
@@ -82,17 +84,6 @@ impl ConvergenceAggregate {
             CellKey::Region(Region::AppRam) => self.e2_ram.record(detected),
             CellKey::Region(Region::Stack) => self.e2_stack.record(detected),
         }
-    }
-
-    /// Merges another aggregate. The
-    /// operation is associative, commutative and permutation-invariant.
-    pub fn merge(&mut self, other: &ConvergenceAggregate) {
-        for (mine, theirs) in self.per_signal.iter_mut().zip(&other.per_signal) {
-            mine.merge(*theirs);
-        }
-        self.e1_total.merge(other.e1_total);
-        self.e2_ram.merge(other.e2_ram);
-        self.e2_stack.merge(other.e2_stack);
     }
 
     /// Derives the aggregate from already-folded campaign reports — the

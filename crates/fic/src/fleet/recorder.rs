@@ -140,8 +140,7 @@ impl FlightLog {
     /// Builds a log from events in any arrival order: the canonical
     /// sort key is `(campaign, slice_id, at_ms, kind, worker)`, so two
     /// recorders that saw the same transitions in different
-    /// interleavings fold to byte-identical logs — the same
-    /// permutation-invariance contract as journal merge
+    /// interleavings fold to byte-identical logs
     /// (`crates/fic/tests/prop_flight.rs`).
     pub fn from_events(mut events: Vec<SpanEvent>) -> Self {
         events.sort_by(|a, b| {
@@ -158,15 +157,6 @@ impl FlightLog {
             kind: FLIGHT_KIND.to_owned(),
             events,
         }
-    }
-
-    /// Merges two logs into one canonical log (associative and
-    /// commutative, like every other fleet fold).
-    #[must_use]
-    pub fn merge(&self, other: &FlightLog) -> FlightLog {
-        let mut events = self.events.clone();
-        events.extend(other.events.iter().cloned());
-        FlightLog::from_events(events)
     }
 
     /// Keeps only one campaign's events (for per-campaign artefacts).
@@ -368,15 +358,6 @@ mod tests {
         shuffled.swap(1, 4);
         assert_eq!(FlightLog::from_events(shuffled), forward);
         forward.validate().expect("canonical log validates");
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let all = lifecycle();
-        let a = FlightLog::from_events(all[..3].to_vec());
-        let b = FlightLog::from_events(all[3..].to_vec());
-        assert_eq!(a.merge(&b), b.merge(&a));
-        assert_eq!(a.merge(&b), FlightLog::from_events(all));
     }
 
     #[test]

@@ -8,33 +8,32 @@
 //! to the HTTP handler, anything else is the first frame of a worker
 //! conversation.
 //!
-//! Durability is the PR 4–5 algebra: every accepted slice result is
-//! appended to the campaign's crash-safe journal (trials only — the
-//! attribution events re-derive from them), and the in-memory reports
-//! are the same commutative folds a journal replay performs — so a
-//! restarted server resumes by loading the journal, pre-folding the
-//! recorded trials (with any persisted oracle verdicts) and queueing
-//! only the missing ⟨kind, case⟩ slices, and the final tables are
-//! byte-identical no matter how the fleet interleaved
-//! (`tests/fleet_equivalence.rs`).
+//! Durability: every accepted slice result is appended to the
+//! campaign's crash-safe journal (trials only — the attribution events
+//! re-derive from them) and folded into the campaign's
+//! [`CampaignFold`], the fold a journal replay and `full_campaign`
+//! perform — so a restarted server resumes by folding the journal
+//! ([`CampaignFold::from_journal`], persisted oracle verdicts included)
+//! and queueing only the missing ⟨kind, case⟩ slices. A finished
+//! campaign's artefacts come from the writer `full_campaign` uses
+//! ([`crate::results::write_artefacts`]), plus the flight log, so they
+//! are byte-identical to a single-process run's no matter how the
+//! fleet interleaved (`tests/fleet_equivalence.rs`).
 
-use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::attribution::{AttributionAggregate, MonitoredMap, OracleVerdicts};
-use crate::campaign::InjectableError;
-use crate::convergence::{self, ConvergenceAggregate};
+use crate::attribution::AttributionAggregate;
+use crate::convergence::ConvergenceAggregate;
 use crate::error_set::{self, E1Error};
-use crate::journal::{CampaignKind, Journal, JournalWriter, PaperError, PaperErrors, TrialRecord};
+use crate::journal::{CampaignKind, Journal, JournalWriter, PaperErrors, TrialRecord};
 use crate::protocol::Protocol;
-use crate::results::{E1Report, E2Report};
+use crate::results::{self, CampaignFold, E1Report, E2Report};
 use crate::telemetry::{self, TelemetrySnapshot};
-use crate::{attribution, tables};
 
 use super::http;
 use super::recorder::{FlightLog, FlightRecorder, SpanEvent, SpanKind};
@@ -260,10 +259,7 @@ struct CampaignState {
     journal: JournalWriter,
     journal_path: PathBuf,
     out_dir: PathBuf,
-    recorded: HashSet<(CampaignKind, usize, usize)>,
-    e1_report: E1Report,
-    e2_report: E2Report,
-    attribution: AttributionAggregate,
+    fold: CampaignFold,
     telemetry: TelemetrySnapshot,
     trials: u64,
     finalized: bool,
@@ -294,7 +290,6 @@ pub(super) struct Shared {
     registry: Arc<telemetry::Registry>,
     flight: Option<FlightRecorder>,
     errors: PaperErrors,
-    monitored: MonitoredMap,
 }
 
 impl Shared {
@@ -347,8 +342,6 @@ impl Server {
         let listener = TcpListener::bind(&options.listen)?;
         listener.set_nonblocking(true)?;
 
-        let monitored = MonitoredMap::new();
-
         // The server clock truncates to whole ms, so a lease stamped at
         // floor(t) + lease_ms could lapse up to 1 ms of real time early.
         // One more logical ms keeps every lease alive for at least
@@ -357,21 +350,16 @@ impl Server {
         let mut states = Vec::with_capacity(campaigns.len());
         for (ci, spec) in campaigns.into_iter().enumerate() {
             let journal_path = options.journal_path(&spec.name);
-            let out_dir = options.out_dir.join(&spec.name);
-            let mut state = CampaignState {
+            let state = CampaignState {
+                fold: fold_recorded(&journal_path, &spec.protocol)?,
                 journal: JournalWriter::append_to(&journal_path, &spec.protocol)?,
                 journal_path,
-                out_dir,
-                recorded: HashSet::new(),
-                e1_report: E1Report::new(),
-                e2_report: E2Report::new(),
-                attribution: AttributionAggregate::new(),
+                out_dir: options.out_dir.join(&spec.name),
                 telemetry: TelemetrySnapshot::new(),
                 trials: 0,
                 finalized: false,
                 spec,
             };
-            replay_recorded(&mut state, &monitored)?;
             queue_slices(&mut scheduler, ci, &state);
             states.push(state);
         }
@@ -402,7 +390,6 @@ impl Server {
             start: Instant::now(),
             registry: Arc::new(telemetry::Registry::new()),
             errors: PaperErrors::new(),
-            monitored,
         });
         for (slice_id, campaign) in enqueued {
             shared.record_span(0, &campaign, slice_id, SpanKind::Enqueued, None);
@@ -468,9 +455,9 @@ impl Server {
                     name: c.spec.name.clone(),
                     journal_path: c.journal_path.clone(),
                     out_dir: c.out_dir.clone(),
-                    e1_report: c.e1_report.clone(),
-                    e2_report: c.e2_report.clone(),
-                    attribution: c.attribution.clone(),
+                    e1_report: c.fold.e1.clone(),
+                    e2_report: c.fold.e2.clone(),
+                    attribution: c.fold.attribution.clone(),
                     telemetry: c.telemetry.clone(),
                     trials: c.trials,
                 })
@@ -479,77 +466,20 @@ impl Server {
     }
 }
 
-/// Loads an existing journal (if any) and pre-folds its records:
-/// every distinct trial of [`Journal::walk`] into the reports, the
-/// attribution aggregate (overlaid with the journal's oracle verdicts)
-/// and the recorded-key set, exactly as a replay would.
-fn replay_recorded(state: &mut CampaignState, monitored: &MonitoredMap) -> io::Result<()> {
-    if !state.journal_path.exists() {
-        return Ok(());
+/// Folds the campaign journal at `path`, if any: every distinct
+/// trial, with its persisted oracle verdicts
+/// ([`CampaignFold::from_journal`]).
+fn fold_recorded(path: &Path, protocol: &Protocol) -> io::Result<CampaignFold> {
+    if !path.exists() {
+        return Ok(CampaignFold::new());
     }
-    let journal = Journal::load(&state.journal_path).map_err(io::Error::other)?;
-    if !journal
-        .header
-        .protocol
-        .compatible_with(&state.spec.protocol)
-    {
-        return Err(io::Error::other(format!(
-            "journal {} was recorded under a different protocol",
-            state.journal_path.display()
-        )));
+    let named =
+        |e: &dyn std::fmt::Display| io::Error::other(format!("journal {}: {e}", path.display()));
+    let journal = Journal::load(path).map_err(|e| named(&e))?;
+    if !journal.header.protocol.compatible_with(protocol) {
+        return Err(named(&"recorded under a different protocol"));
     }
-    let path = state.journal_path.display().to_string();
-    let verdicts = OracleVerdicts::from_journal(&journal);
-    journal
-        .walk(|record, error| {
-            state.recorded.insert(record.key());
-            fold_record(state, record, error, monitored, Some(&verdicts));
-        })
-        .map_err(|e| io::Error::other(format!("journal {path}: {e}")))
-}
-
-/// Folds one resolved record into a campaign's reports and attribution
-/// aggregate, overlaying its persisted oracle verdict, if any.
-fn fold_record(
-    state: &mut CampaignState,
-    record: &TrialRecord,
-    error: PaperError<'_>,
-    monitored: &MonitoredMap,
-    verdicts: Option<&OracleVerdicts>,
-) {
-    let mut event = match error {
-        PaperError::E1(error) => {
-            state.e1_report.record(error, &record.trial);
-            error.attribution_event(record.case_index, &record.trial, monitored)
-        }
-        PaperError::E2(error) => {
-            state.e2_report.record(error, &record.trial);
-            error.attribution_event(record.case_index, &record.trial, monitored)
-        }
-    };
-    if let Some(verdicts) = verdicts {
-        verdicts.overlay(&mut event);
-    }
-    state.attribution.record(&event);
-}
-
-/// Folds one worker-submitted record and appends it to the campaign
-/// journal.
-fn fold_and_append(
-    state: &mut CampaignState,
-    record: &TrialRecord,
-    shared: &Shared,
-) -> io::Result<()> {
-    let error = shared.errors.resolve(record).map_err(io::Error::other)?;
-    fold_record(state, record, error, &shared.monitored, None);
-    state.journal.append(
-        record.campaign,
-        record.error_number,
-        record.case_index,
-        &record.trial,
-    )?;
-    state.trials += 1;
-    Ok(())
+    CampaignFold::from_journal(&journal).map_err(|e| named(&e))
 }
 
 /// Queues one slice per still-incomplete ⟨kind, case⟩ cell: every
@@ -567,7 +497,7 @@ fn queue_slices(scheduler: &mut Scheduler, campaign: usize, state: &CampaignStat
             let pending: Vec<usize> = numbers
                 .iter()
                 .copied()
-                .filter(|&n| !state.recorded.contains(&(kind, n, case_index)))
+                .filter(|&n| !state.fold.is_recorded((kind, n, case_index)))
                 .collect();
             if !pending.is_empty() {
                 scheduler.push(SliceSpec {
@@ -612,21 +542,13 @@ fn finalize_ready(shared: &Shared, core: &mut Core) {
     }
 }
 
-/// Writes one finished campaign's artefacts: the JSON reports, Tables
-/// 6–9, the merged telemetry report, the attribution report and (when
-/// the flight recorder is on) the canonical flight log — the same
-/// layout `full_campaign` produces, nested under the campaign's name.
+/// Writes one finished campaign's artefacts with the writer
+/// `full_campaign` uses ([`results::write_artefacts`]: the JSON
+/// reports, Tables 6–9, `coverage_analysis.json` and the telemetry,
+/// attribution and convergence reports), nested under the campaign's
+/// name, plus the canonical flight log when the flight recorder is on.
 fn finalize_campaign(state: &mut CampaignState, flight: Option<&FlightRecorder>) -> io::Result<()> {
     state.journal.sync()?;
-    std::fs::create_dir_all(&state.out_dir)?;
-    std::fs::write(
-        state.out_dir.join("e1.json"),
-        serde_json::to_string_pretty(&state.e1_report).expect("report serialises"),
-    )?;
-    std::fs::write(
-        state.out_dir.join("e2.json"),
-        serde_json::to_string_pretty(&state.e2_report).expect("report serialises"),
-    )?;
     let e1_errors: Vec<E1Error> = {
         let full = error_set::e1();
         state
@@ -636,44 +558,15 @@ fn finalize_campaign(state: &mut CampaignState, flight: Option<&FlightRecorder>)
             .filter_map(|&n| full.get(n - 1).copied())
             .collect()
     };
-    let cases = state.spec.protocol.cases_per_error();
-    for (name, text) in [
-        ("table6.txt", tables::render_table6(&e1_errors, cases)),
-        ("table7.txt", tables::render_table7(&state.e1_report)),
-        ("table8.txt", tables::render_table8(&state.e1_report)),
-        ("table9.txt", tables::render_table9(&state.e2_report)),
-    ] {
-        std::fs::write(state.out_dir.join(name), text)?;
-    }
-    let run = telemetry::RunMetadata::for_run(&state.spec.protocol, true, None);
-    let telemetry_report =
-        telemetry::TelemetryReport::assemble("fleet_server", run.clone(), state.telemetry.clone());
-    telemetry::write_report(
-        &state.out_dir.join("telemetry"),
+    results::write_artefacts(
+        &state.out_dir,
         "fleet_server",
-        &telemetry_report,
-    )?;
-    let attribution_report = attribution::AttributionReport::assemble(
         "fleet_server",
-        run.clone(),
-        state.attribution.clone(),
-    );
-    attribution::write_report(
-        &state.out_dir.join("attribution"),
-        "fleet_server",
-        &attribution_report,
-    )?;
-    let aggregate = ConvergenceAggregate::from_reports(&state.e1_report, &state.e2_report);
-    let convergence_report = convergence::ConvergenceReport::assemble(
-        "fleet_server",
-        run,
-        aggregate,
-        convergence::DEFAULT_DELTA,
-    );
-    convergence::write_report(
-        &state.out_dir.join("convergence"),
-        "fleet_server",
-        &convergence_report,
+        &state.spec.protocol,
+        &e1_errors,
+        &state.fold,
+        Some(&state.telemetry),
+        None,
     )?;
     if let Some(flight) = flight {
         let log = FlightLog::from_events(flight.snapshot()).for_campaign(&state.spec.name);
@@ -950,11 +843,24 @@ fn handle_result(
     );
     let state = &mut core.campaigns[spec.campaign];
     for record in &records {
-        if !state.recorded.insert(record.key()) {
-            continue;
-        }
-        if let Err(e) = fold_and_append(state, record, shared) {
-            eprintln!("fleet_server: journal append failed: {e}");
+        let folded = match shared.errors.resolve(record) {
+            Ok(error) => state.fold.record(record, error),
+            Err(e) => {
+                eprintln!("fleet_server: {e}");
+                continue;
+            }
+        };
+        if folded {
+            let appended = state.journal.append(
+                record.campaign,
+                record.error_number,
+                record.case_index,
+                &record.trial,
+            );
+            match appended {
+                Ok(()) => state.trials += 1,
+                Err(e) => eprintln!("fleet_server: journal append failed: {e}"),
+            }
         }
     }
     state.telemetry.merge(&telemetry);
@@ -1016,8 +922,8 @@ impl Core {
                     trials: c.trials,
                     finalized: c.finalized,
                     telemetry: c.telemetry.clone(),
-                    attribution: c.attribution.clone(),
-                    coverage: ConvergenceAggregate::from_reports(&c.e1_report, &c.e2_report),
+                    attribution: c.fold.attribution.clone(),
+                    coverage: ConvergenceAggregate::from_reports(&c.fold.e1, &c.fold.e2),
                     protocol: c.spec.protocol.clone(),
                 }
             })

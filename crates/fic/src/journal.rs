@@ -45,7 +45,6 @@ use crate::attribution::AttributionEvent;
 use crate::error_set::{self, E1Error, E2Error};
 use crate::experiment::Trial;
 use crate::protocol::Protocol;
-use crate::results::{E1Report, E2Report};
 use crate::telemetry;
 
 /// Journal format version written into every header.
@@ -313,10 +312,11 @@ impl JournalWriter {
     }
 
     /// Opens an existing journal for appending (resume); creates a
-    /// fresh one if `path` does not exist or is empty. A torn final
-    /// line left by a crash is truncated away so new records start on
-    /// a fresh line. Header validity is the reader's concern —
-    /// [`Journal::load`] before resuming.
+    /// fresh one if `path` does not exist, is empty or holds no whole
+    /// line. A torn final line left by a crash — any bytes after the
+    /// last newline, the ones [`Journal::load`] drops — is truncated
+    /// away so new records start on a fresh line. Header validity is
+    /// the reader's concern — [`Journal::load`] before resuming.
     ///
     /// # Errors
     ///
@@ -329,12 +329,14 @@ impl JournalWriter {
             return Self::create(path, protocol);
         }
         let content = std::fs::read(path)?;
-        if let Some(pos) = content.iter().rposition(|&b| b == b'\n') {
-            if pos + 1 < content.len() {
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len((pos + 1) as u64)?;
-                f.sync_data()?;
-            }
+        let Some(pos) = content.iter().rposition(|&b| b == b'\n') else {
+            // Not even the header line is whole: start afresh.
+            return Self::create(path, protocol);
+        };
+        if pos + 1 < content.len() {
+            let f = OpenOptions::new().write(true).open(path)?;
+            f.set_len((pos + 1) as u64)?;
+            f.sync_data()?;
         }
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(JournalWriter {
@@ -510,9 +512,10 @@ pub struct Journal {
 
 impl Journal {
     /// Loads and parses a journal file. A partial final line (the
-    /// expected signature of a crash mid-append) is dropped and flagged
-    /// in [`Journal::truncated_tail`]; unparseable content anywhere
-    /// else is a [`JournalError::Corrupt`].
+    /// expected signature of a crash mid-append: unparseable, or
+    /// missing its newline) is dropped and flagged in
+    /// [`Journal::truncated_tail`]; unparseable content anywhere else
+    /// is a [`JournalError::Corrupt`].
     ///
     /// # Errors
     ///
@@ -538,7 +541,17 @@ impl Journal {
         let mut records = Vec::new();
         let mut attribution = Vec::new();
         let mut truncated_tail = false;
+        let newline_ended = content.trim_end_matches([' ', '\t', '\r']).ends_with('\n');
         while let Some((index, line)) = lines.next() {
+            let last = lines.peek().is_none();
+            if last && !newline_ended {
+                // A line is written whole, newline included, so a final
+                // line without one is torn even if it parses. The
+                // writer cuts it off on resume ([`JournalWriter::append_to`]),
+                // and the trial is re-run.
+                truncated_tail = true;
+                break;
+            }
             // Parse once, then dispatch: an attribution line is the only
             // record type with an `attribution` key.
             let parsed =
@@ -548,10 +561,9 @@ impl Journal {
                 });
             match parsed {
                 Ok(()) => {}
-                Err(e) if lines.peek().is_none() => {
+                Err(_) if last => {
                     // Torn final line: the crash signature. Drop it;
                     // the trial will simply be re-run.
-                    let _ = e;
                     truncated_tail = true;
                 }
                 Err(e) => {
@@ -601,22 +613,6 @@ impl Journal {
         }
         Ok(())
     }
-
-    /// Rebuilds both campaign reports from this journal's
-    /// [`walk`](Self::walk).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Journal::walk`].
-    pub fn replay(&self) -> Result<(E1Report, E2Report), JournalError> {
-        let mut e1_report = E1Report::new();
-        let mut e2_report = E2Report::new();
-        self.walk(|record, error| match error {
-            PaperError::E1(error) => e1_report.record(error, &record.trial),
-            PaperError::E2(error) => e2_report.record(error, &record.trial),
-        })?;
-        Ok((e1_report, e2_report))
-    }
 }
 
 // HashSet key needs Hash; CampaignKind is a two-variant field-less enum.
@@ -632,6 +628,7 @@ impl std::hash::Hash for CampaignKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::results::CampaignFold;
     use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -818,7 +815,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_deduplicates_and_routes_campaigns() {
+    fn fold_deduplicates_and_routes_campaigns() {
         let path = temp_path("replay");
         let protocol = Protocol::scaled(2, 1_000);
         let mut writer = JournalWriter::create(&path, &protocol).unwrap();
@@ -830,9 +827,50 @@ mod tests {
         drop(writer);
 
         let journal = Journal::load(&path).unwrap();
-        let (e1, e2) = journal.replay().unwrap();
-        assert_eq!(e1.trials(), 1);
-        assert_eq!(e2.trials(), 1);
+        let fold = CampaignFold::from_journal(&journal).unwrap();
+        assert_eq!(fold.e1.trials(), 1);
+        assert_eq!(fold.e2.trials(), 1);
+        assert_eq!(fold.attribution.e1_trials + fold.attribution.e2_trials, 2);
+        assert!(fold.is_recorded((CampaignKind::E2, 1, 2)));
+    }
+
+    #[test]
+    fn a_final_line_without_its_newline_is_torn() {
+        let path = temp_path("no-newline");
+        let protocol = Protocol::scaled(1, 1_000);
+        let mut writer = JournalWriter::create(&path, &protocol).unwrap();
+        for number in [1, 2] {
+            writer
+                .append(CampaignKind::E1, number, 0, &sample_trial(None))
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let whole = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, whole.trim_end()).unwrap();
+
+        // Load and the writer agree: the record is dropped by one and
+        // cut off by the other, so a resume re-runs it.
+        let journal = Journal::load(&path).unwrap();
+        assert!(journal.truncated_tail);
+        assert_eq!(journal.records.len(), 1);
+        JournalWriter::append_to(&path, &protocol)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let reopened = Journal::load(&path).unwrap();
+        assert!(!reopened.truncated_tail);
+        assert_eq!(reopened.records, journal.records);
+
+        // A header without its newline is the whole file: the writer
+        // starts afresh instead of appending to the header's line.
+        let header = whole.lines().next().unwrap();
+        std::fs::write(&path, header).unwrap();
+        let mut writer = JournalWriter::append_to(&path, &protocol).unwrap();
+        writer
+            .append(CampaignKind::E1, 1, 0, &sample_trial(None))
+            .unwrap();
+        writer.finish().unwrap();
+        assert_eq!(Journal::load(&path).unwrap().records.len(), 1);
     }
 
     /// A journal under a 2 × 2 grid holding `records` in order.
@@ -905,7 +943,7 @@ mod tests {
             let journal = journal_of(&[(campaign, number, 0, sample_trial(None))]);
             assert_eq!(walk_error(&journal), message);
             assert!(matches!(
-                journal.replay(),
+                CampaignFold::from_journal(&journal),
                 Err(JournalError::Mismatch(m)) if m == message
             ));
         }

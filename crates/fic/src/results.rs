@@ -1,12 +1,33 @@
-//! Aggregation of trial outcomes into the paper's result tables.
+//! Aggregation of trial outcomes into the paper's result tables, and
+//! the one fold and one writer every producer shares.
+//!
+//! [`CampaignFold`] turns trials into the E1/E2 reports and the
+//! attribution aggregate; [`write_artefacts`] turns a fold into
+//! `e1.json`, `e2.json`, `table6.txt`–`table9.txt`,
+//! `coverage_analysis.json` and the observer reports. `full_campaign`
+//! (live, `--resume` or `--from-journal`) and the fleet server both end
+//! in them, so a journal replays to the artefacts its campaign wrote.
+
+use std::collections::HashSet;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use arrestor::{EaId, EaSet};
 use ea_core::stats::{LatencyStats, Proportion};
 use memsim::Region;
 use serde::{Deserialize, Serialize};
 
+use crate::attribution::{
+    self, AttributionAggregate, AttributionEvent, MonitoredMap, OracleVerdicts,
+};
+use crate::convergence::{self, ConvergenceAggregate};
 use crate::error_set::{E1Error, E2Error};
 use crate::experiment::Trial;
+use crate::journal::{CampaignKind, Journal, JournalError, PaperError, TrialRecord};
+use crate::profile::{self, ProfileRecorder};
+use crate::protocol::Protocol;
+use crate::telemetry::{self, RunMetadata, TelemetrySnapshot};
+use crate::{coverage_report, tables};
 
 /// The eight software versions of the evaluation, column order of
 /// Tables 7 and 8: EA1..EA7 alone, then all seven.
@@ -50,15 +71,6 @@ impl Cell {
             }
         }
     }
-
-    /// Merges another cell (parallel workers).
-    pub fn merge(&mut self, other: &Cell) {
-        self.all.merge(other.all);
-        self.fail.merge(other.fail);
-        self.no_fail.merge(other.no_fail);
-        self.latency.merge(other.latency);
-        self.latency_fail.merge(other.latency_fail);
-    }
 }
 
 /// One Table 7/8 row: a monitored signal across the eight versions.
@@ -91,19 +103,6 @@ impl E1Report {
         for (v, version) in versions().iter().enumerate() {
             self.rows[row].cells[v].record(trial, *version);
             self.totals.cells[v].record(trial, *version);
-        }
-    }
-
-    /// Merges a partial report from a worker.
-    pub fn merge(&mut self, other: &E1Report) {
-        self.trials += other.trials;
-        for (row, other_row) in self.rows.iter_mut().zip(&other.rows) {
-            for (cell, other_cell) in row.cells.iter_mut().zip(&other_row.cells) {
-                cell.merge(other_cell);
-            }
-        }
-        for (cell, other_cell) in self.totals.cells.iter_mut().zip(&other.totals.cells) {
-            cell.merge(other_cell);
         }
     }
 
@@ -153,14 +152,6 @@ impl E2Report {
         self.total.record(trial, EaSet::ALL);
     }
 
-    /// Merges a partial report from a worker.
-    pub fn merge(&mut self, other: &E2Report) {
-        self.trials += other.trials;
-        self.ram.merge(&other.ram);
-        self.stack.merge(&other.stack);
-        self.total.merge(&other.total);
-    }
-
     /// Number of trials recorded.
     pub fn trials(&self) -> usize {
         self.trials
@@ -170,6 +161,177 @@ impl E2Report {
     pub fn p_detect(&self) -> Option<f64> {
         self.total.all.estimate()
     }
+}
+
+/// Everything a campaign's trials fold into: both reports, the
+/// attribution aggregate and the keys of the trials folded so far.
+/// Trials fold first-wins by ⟨campaign, error, case⟩ key, and the
+/// oracle verdicts a journal persists overlay their trials' events.
+#[derive(Debug, Default)]
+pub struct CampaignFold {
+    /// The E1 report (Tables 7 and 8).
+    pub e1: E1Report,
+    /// The E2 report (Table 9).
+    pub e2: E2Report,
+    /// The attribution aggregate.
+    pub attribution: AttributionAggregate,
+    recorded: HashSet<(CampaignKind, usize, usize)>,
+    verdicts: OracleVerdicts,
+    monitored: MonitoredMap,
+}
+
+impl CampaignFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        CampaignFold::default()
+    }
+
+    /// Folds every distinct trial of `journal` ([`Journal::walk`]),
+    /// overlaying the oracle verdicts it persists; later
+    /// [`record`](Self::record)s get the same overlay.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Journal::walk`].
+    pub fn from_journal(journal: &Journal) -> Result<Self, JournalError> {
+        let mut fold = CampaignFold {
+            verdicts: OracleVerdicts::from_journal(journal),
+            ..CampaignFold::default()
+        };
+        journal.walk(|record, error| {
+            fold.record(record, error);
+        })?;
+        Ok(fold)
+    }
+
+    /// Folds one trial of the paper error `error` into the reports and
+    /// the attribution aggregate, unless a trial with the same key is
+    /// already folded. Returns whether it was folded.
+    pub fn record(&mut self, record: &TrialRecord, error: PaperError<'_>) -> bool {
+        if !self.recorded.insert(record.key()) {
+            return false;
+        }
+        let (case, trial) = (record.case_index, &record.trial);
+        let mut event = match error {
+            PaperError::E1(error) => {
+                self.e1.record(error, trial);
+                AttributionEvent::for_e1(error, case, trial)
+            }
+            PaperError::E2(error) => {
+                self.e2.record(error, trial);
+                AttributionEvent::for_e2(error, case, trial, &self.monitored)
+            }
+        };
+        self.verdicts.overlay(&mut event);
+        self.attribution.record(&event);
+        true
+    }
+
+    /// Whether the trial keyed ⟨campaign, error number, case index⟩ is
+    /// folded.
+    pub fn is_recorded(&self, key: (CampaignKind, usize, usize)) -> bool {
+        self.recorded.contains(&key)
+    }
+}
+
+/// Writes a campaign's artefacts under `out`: `e1.json`, `e2.json`,
+/// `table6.txt`–`table9.txt` (Table 6 lists `e1_errors`),
+/// `coverage_analysis.json` (when both campaigns have trials), and the
+/// observer reports under `<out>/{telemetry,attribution,profile,
+/// convergence}/`, each named after `producer` except the convergence
+/// report, which is named `label`. The telemetry report is written when
+/// a snapshot is given; the profile when a recorder is given that
+/// counted a trial. The observer summaries are printed on stderr.
+///
+/// # Errors
+///
+/// The first file or report that could not be written, naming it.
+#[allow(clippy::too_many_arguments)]
+pub fn write_artefacts(
+    out: &Path,
+    producer: &str,
+    label: &str,
+    protocol: &Protocol,
+    e1_errors: &[E1Error],
+    fold: &CampaignFold,
+    telemetry: Option<&TelemetrySnapshot>,
+    profile: Option<&ProfileRecorder>,
+) -> io::Result<()> {
+    let named = |what: String| {
+        move |e: io::Error| io::Error::new(e.kind(), format!("cannot write {what}: {e}"))
+    };
+    std::fs::create_dir_all(out).map_err(named(out.display().to_string()))?;
+    fn json(value: &impl Serialize) -> String {
+        serde_json::to_string_pretty(value).expect("reports serialise")
+    }
+    let mut files = vec![
+        ("e1.json", json(&fold.e1)),
+        ("e2.json", json(&fold.e2)),
+        (
+            "table6.txt",
+            tables::render_table6(e1_errors, protocol.cases_per_error()),
+        ),
+        ("table7.txt", tables::render_table7(&fold.e1)),
+        ("table8.txt", tables::render_table8(&fold.e1)),
+        ("table9.txt", tables::render_table9(&fold.e2)),
+    ];
+    if let Some(analysis) = coverage_report::analyse(&fold.e1, &fold.e2) {
+        files.push(("coverage_analysis.json", json(&analysis)));
+    }
+    for (name, text) in files {
+        let path = out.join(name);
+        std::fs::write(&path, text).map_err(named(path.display().to_string()))?;
+    }
+
+    // Each report goes to `<out>/<kind>/`, named on stderr.
+    let save = |kind: &str, write: &dyn Fn(&Path) -> io::Result<PathBuf>| {
+        let dir = out.join(kind);
+        let path =
+            write(&dir).map_err(named(format!("the {kind} report under {}", dir.display())))?;
+        eprintln!("{kind} report written to {}", path.display());
+        io::Result::Ok(())
+    };
+    let run = RunMetadata::for_run(protocol, true, None);
+    if let Some(snapshot) = telemetry {
+        eprint!("{}", telemetry::render_summary(snapshot));
+        let report = telemetry::TelemetryReport::assemble(producer, run.clone(), snapshot.clone());
+        save("telemetry", &|dir| {
+            telemetry::write_report(dir, producer, &report)
+        })?;
+    }
+    eprint!("{}", attribution::render_league(&fold.attribution));
+    let report =
+        attribution::AttributionReport::assemble(producer, run.clone(), fold.attribution.clone());
+    eprint!(
+        "{}",
+        attribution::render_decomposition(&report.decomposition)
+    );
+    save("attribution", &|dir| {
+        attribution::write_report(dir, producer, &report)
+    })?;
+    if let Some(recorder) = profile {
+        if recorder.trials() + recorder.pruned_trials() == 0 {
+            eprintln!("no trial ran; no profile written");
+        } else {
+            let wall = profile::sample_wall_ns();
+            let report =
+                profile::ProfileReport::assemble(producer, run.clone(), recorder, Some(wall));
+            eprint!("{}", profile::render_league(&report));
+            save("profile", &|dir| {
+                profile::write_report(dir, producer, &report)
+            })?;
+        }
+    }
+    let aggregate = ConvergenceAggregate::from_reports(&fold.e1, &fold.e2);
+    let delta = convergence::DEFAULT_DELTA;
+    eprint!(
+        "{}",
+        convergence::render_coverage(&aggregate.coverage(producer, delta))
+    );
+    let report = convergence::ConvergenceReport::assemble(producer, run, aggregate, delta);
+    save("convergence", &|dir| {
+        convergence::write_report(dir, label, &report)
+    })
 }
 
 #[cfg(test)]
@@ -226,18 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn e1_report_merge() {
-        let mut a = E1Report::new();
-        a.record(&e1_error(EaId::Ea1), &trial(Some(EaId::Ea1), false, 50));
-        let mut b = E1Report::new();
-        b.record(&e1_error(EaId::Ea1), &trial(None, true, 0));
-        a.merge(&b);
-        assert_eq!(a.trials(), 2);
-        assert_eq!(a.rows[0].cells[0].all.total(), 2);
-        assert_eq!(a.rows[0].cells[0].all.detected(), 1);
-    }
-
-    #[test]
     fn e2_report_splits_regions() {
         let mut report = E2Report::new();
         let ram_err = E2Error {
@@ -262,6 +412,43 @@ mod tests {
         let mut report = E1Report::new();
         report.record(&e1_error(EaId::Ea2), &trial(Some(EaId::Ea2), false, 30));
         assert_eq!(report.p_ds(), Some(1.0));
+    }
+
+    /// An artefact that cannot be written is an error naming it — the
+    /// file for the tables and JSON reports, the directory for the
+    /// observer reports — not a panic or a run that exits 0.
+    #[test]
+    fn an_unwritable_artefact_is_an_error_naming_it() {
+        let root = std::env::temp_dir().join(format!("fic-results-test-{}", std::process::id()));
+        let mut fold = CampaignFold::new();
+        fold.e1
+            .record(&e1_error(EaId::Ea1), &trial(Some(EaId::Ea1), false, 50));
+        let protocol = Protocol::scaled(1, 1_000);
+        for (blocked, is_dir) in [("e1.json", true), ("telemetry", false)] {
+            let out = root.join(blocked);
+            std::fs::create_dir_all(&out).unwrap();
+            let path = out.join(blocked);
+            if is_dir {
+                std::fs::create_dir_all(&path).unwrap();
+            } else {
+                std::fs::write(&path, "a file, not a directory").unwrap();
+            }
+            let snapshot = TelemetrySnapshot::new();
+            let err = write_artefacts(
+                &out,
+                "test",
+                "test",
+                &protocol,
+                &[],
+                &fold,
+                Some(&snapshot),
+                None,
+            )
+            .unwrap_err();
+            let message = err.to_string();
+            assert!(message.contains(&path.display().to_string()), "{message}");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

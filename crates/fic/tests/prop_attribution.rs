@@ -2,11 +2,9 @@
 //!
 //! The campaign collector folds worker events in completion order,
 //! the fleet server folds slice results in arrival order, and resumed
-//! runs replay journaled events before live ones. All of that is only
-//! sound if [`AttributionAggregate::merge`] is associative,
-//! commutative, and permutation-invariant — and if a fold of singleton
-//! aggregates equals one aggregate recording every event (the exact
-//! shape of the worker fan-in).
+//! runs fold journaled events before live ones. All of that is only
+//! sound if [`AttributionAggregate::record`] gives the same aggregate
+//! whatever order the events arrive in.
 
 use std::sync::OnceLock;
 
@@ -106,90 +104,25 @@ fn recorded(events: &[AttributionEvent]) -> AttributionAggregate {
     aggregate
 }
 
-fn merged(parts: &[AttributionAggregate]) -> AttributionAggregate {
-    let mut acc = AttributionAggregate::new();
-    for part in parts {
-        acc.merge(part);
-    }
-    acc
-}
-
 proptest! {
-    /// The empty aggregate is the identity of merge, on both sides.
+    /// Recording the events in any order gives the same aggregate —
+    /// the worker fan-in, a resume's replay-then-live fold and the
+    /// fleet server's arrival-order fold all depend on it.
     #[test]
-    fn merge_identity(specs in proptest::collection::vec(spec_strategy(), 0..8)) {
-        let events: Vec<AttributionEvent> = specs.iter().map(build).collect();
-        let aggregate = recorded(&events);
-        let mut left = AttributionAggregate::new();
-        left.merge(&aggregate);
-        prop_assert_eq!(&left, &aggregate);
-        let mut right = aggregate.clone();
-        right.merge(&AttributionAggregate::new());
-        prop_assert_eq!(&right, &aggregate);
-    }
-
-    /// (a ∪ b) ∪ c == a ∪ (b ∪ c): partial aggregates may be combined
-    /// in any grouping (tree-reduce vs. a serial fold).
-    #[test]
-    fn merge_associative(
-        a in proptest::collection::vec(spec_strategy(), 0..6),
-        b in proptest::collection::vec(spec_strategy(), 0..6),
-        c in proptest::collection::vec(spec_strategy(), 0..6),
-    ) {
-        let build_all = |specs: &[EventSpec]| {
-            recorded(&specs.iter().map(build).collect::<Vec<_>>())
-        };
-        let (sa, sb, sc) = (build_all(&a), build_all(&b), build_all(&c));
-        let mut left = sa.clone();
-        left.merge(&sb);
-        left.merge(&sc);
-        let mut bc = sb.clone();
-        bc.merge(&sc);
-        let mut right = sa;
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    /// a ∪ b == b ∪ a: every field merges commutatively (counts add,
-    /// latency extrema take min/max).
-    #[test]
-    fn merge_commutative(
-        a in proptest::collection::vec(spec_strategy(), 0..8),
-        b in proptest::collection::vec(spec_strategy(), 0..8),
-    ) {
-        let sa = recorded(&a.iter().map(build).collect::<Vec<_>>());
-        let sb = recorded(&b.iter().map(build).collect::<Vec<_>>());
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb;
-        ba.merge(&sa);
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// A fold of per-event singleton aggregates, in any order, equals
-    /// one aggregate that recorded every event — the exact worker
-    /// fan-in and fleet-server fold shape.
-    #[test]
-    fn fold_of_singletons_is_order_invariant(
+    fn record_order_is_irrelevant(
         specs in proptest::collection::vec(spec_strategy(), 1..10),
         rotation in 0usize..10,
     ) {
         let events: Vec<AttributionEvent> = specs.iter().map(build).collect();
         let combined = recorded(&events);
 
-        let parts: Vec<AttributionAggregate> = events
-            .iter()
-            .map(|e| recorded(std::slice::from_ref(e)))
-            .collect();
-        prop_assert_eq!(&merged(&parts), &combined);
-
-        let mut rotated = parts.clone();
+        let mut rotated = events.clone();
         let split = rotation % rotated.len();
         rotated.rotate_left(split);
-        prop_assert_eq!(&merged(&rotated), &combined);
+        prop_assert_eq!(&recorded(&rotated), &combined);
 
-        let mut reversed = parts;
+        let mut reversed = events;
         reversed.reverse();
-        prop_assert_eq!(&merged(&reversed), &combined);
+        prop_assert_eq!(&recorded(&reversed), &combined);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the fleet flight recorder's fold algebra.
 //!
 //! The flight log must obey the same contract as every other fleet
-//! fan-in (journal merge, telemetry merge, attribution fold): the
+//! fan-in (telemetry merge, the report and attribution fold): the
 //! canonical artefact is a pure function of the *set* of recorded
 //! transitions, never of the interleaving in which connection threads
 //! observed them. Otherwise two runs of the same fleet could ship
@@ -68,25 +68,10 @@ proptest! {
         );
     }
 
-    /// Merge is commutative and agrees with folding the union directly,
-    /// however the events are split across recorders.
+    /// Per-campaign restriction commutes with folding: filtering the
+    /// fleet-wide log equals folding that campaign's events alone.
     #[test]
-    fn merge_is_order_free(
-        events in proptest::collection::vec(event_strategy(), 0..40),
-        cut in 0usize..41,
-    ) {
-        let cut = cut.min(events.len());
-        let a = FlightLog::from_events(events[..cut].to_vec());
-        let b = FlightLog::from_events(events[cut..].to_vec());
-        let union = FlightLog::from_events(events.clone());
-        prop_assert_eq!(&a.merge(&b), &union);
-        prop_assert_eq!(&b.merge(&a), &union);
-    }
-
-    /// Per-campaign restriction commutes with merge: filtering the
-    /// fleet-wide log equals merging per-campaign logs.
-    #[test]
-    fn campaign_filter_commutes_with_merge(
+    fn campaign_filter_commutes_with_the_fold(
         events in proptest::collection::vec(event_strategy(), 0..40),
     ) {
         let fleet = FlightLog::from_events(events.clone());

@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use fic::attribution::{self, AttributionReport, REGION_APP_RAM};
 use fic::fleet::{CampaignSpec, Server, ServerOptions};
 use fic::journal::{Journal, JournalWriter};
+use fic::results::CampaignFold;
 use fic::trace::ReferenceCache;
 use fic::{error_set, CampaignRunner, E1Report, E2Report, Protocol};
 
@@ -99,7 +100,7 @@ fn journal_rederives_the_live_aggregate() {
         journal.attribution.is_empty(),
         "a campaign journals trials only; its events re-derive from them"
     );
-    let derived = attribution::aggregate_journal(&journal).unwrap();
+    let derived = CampaignFold::from_journal(&journal).unwrap().attribution;
     assert_eq!(
         derived,
         runner.attribution().unwrap().snapshot(),
@@ -107,8 +108,8 @@ fn journal_rederives_the_live_aggregate() {
     );
 }
 
-/// Resuming a partial journal replays the journaled trials into the
-/// sink: the resumed aggregate equals a fresh full run's.
+/// Resuming a partial journal folds the journaled trials before the
+/// live ones: the resumed aggregate equals a fresh full run's.
 #[test]
 fn resume_preserves_attribution() {
     let path = temp_dir("resume").join("campaign.jsonl");
@@ -122,18 +123,19 @@ fn resume_preserves_attribution() {
         .unwrap();
     drop(writer);
 
-    let resumed = CampaignRunner::new(protocol.clone()).with_attribution(true);
-    let report = resumed.resume_e1(subset, &path).unwrap();
+    let resumed = CampaignRunner::new(protocol.clone())
+        .resume(subset, &[], &path)
+        .unwrap();
 
     let fresh = CampaignRunner::new(protocol).with_attribution(true);
     let fresh_report = fresh.run_e1(subset);
 
     assert_eq!(
-        serde_json::to_string_pretty(&report).unwrap(),
+        serde_json::to_string_pretty(&resumed.e1).unwrap(),
         serde_json::to_string_pretty(&fresh_report).unwrap()
     );
     assert_eq!(
-        resumed.attribution().unwrap().snapshot(),
+        resumed.attribution,
         fresh.attribution().unwrap().snapshot(),
         "replayed + live trials must fold to the fresh aggregate"
     );
@@ -185,15 +187,15 @@ fn oracle_verdicts_survive_the_journal_round_trip() {
         overlaid[index].propagation.as_deref(),
         Some(verdict.as_str())
     );
-    let aggregate = attribution::aggregate_journal(&reloaded).unwrap();
+    let aggregate = CampaignFold::from_journal(&reloaded).unwrap().attribution;
     assert_eq!(aggregate.oracle.enriched, 1);
 
-    let resumed = CampaignRunner::new(protocol.clone()).with_attribution(true);
-    resumed.resume_e2(subset, &path).unwrap();
+    let resumed = CampaignRunner::new(protocol.clone())
+        .resume(&[], subset, &path)
+        .unwrap();
     assert_eq!(
-        resumed.attribution().unwrap().snapshot(),
-        aggregate,
-        "resume must replay the persisted verdict into the sink"
+        resumed.attribution, aggregate,
+        "resume must fold the persisted verdict"
     );
 
     // The journal is complete, so the restarted server only folds it.
@@ -225,7 +227,7 @@ fn oracle_verdicts_survive_the_journal_round_trip() {
 fn committed_artifacts_match_the_golden_tables() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let journal = Journal::load(&root.join("results/campaign.jsonl")).unwrap();
-    let aggregate = attribution::aggregate_journal(&journal).unwrap();
+    let aggregate = CampaignFold::from_journal(&journal).unwrap().attribution;
 
     let load = |path: &str| std::fs::read_to_string(root.join(path)).unwrap();
     let golden_e1: E1Report = serde_json::from_str(&load("results/golden/e1.json")).unwrap();

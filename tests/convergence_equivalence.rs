@@ -19,10 +19,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ea_repro::fic::campaign::ConvergenceSink;
-use ea_repro::fic::cli::CliOptions;
 use ea_repro::fic::convergence::{self, ConvergenceAggregate, ConvergenceReport, CoverageSnapshot};
 use ea_repro::fic::fleet::{run_worker, CampaignSpec, Server, ServerOptions, WorkerOptions};
 use ea_repro::fic::journal::Journal;
+use ea_repro::fic::results::{self, CampaignFold};
 use ea_repro::fic::{error_set, tables, CampaignRunner, JournalWriter, Protocol};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -81,22 +81,21 @@ fn convergence_is_a_pure_observer() {
     // writes from its final reports.
     let aggregate = sink.snapshot();
     let journal = Journal::load(&journal_path).unwrap();
-    let (replayed_e1, replayed_e2) = journal.replay().unwrap();
+    let replayed = CampaignFold::from_journal(&journal).unwrap();
     assert_eq!(
         aggregate,
-        ConvergenceAggregate::from_reports(&replayed_e1, &replayed_e2)
+        ConvergenceAggregate::from_reports(&replayed.e1, &replayed.e2)
     );
     let cases = protocol.cases_per_error() as u64;
     assert_eq!(aggregate.e1_trials(), e1_errors.len() as u64 * cases);
     assert_eq!(aggregate.e2_trials(), e2_errors.len() as u64 * cases);
 
-    let options = CliOptions {
-        out_dir: dir.clone(),
-        ..CliOptions::default()
-    };
-    options
-        .emit_convergence("conv-eq", &protocol, &conv_e1, &conv_e2)
-        .expect("convergence report written");
+    let mut fold = CampaignFold::new();
+    (fold.e1, fold.e2) = (conv_e1, conv_e2);
+    results::write_artefacts(
+        &dir, "conv-eq", "conv-eq", &protocol, e1_errors, &fold, None, None,
+    )
+    .expect("artefacts written");
     let written = dir.join("convergence").join("conv-eq.json");
     let report: ConvergenceReport =
         serde_json::from_str(&std::fs::read_to_string(written).unwrap()).unwrap();
@@ -207,13 +206,10 @@ fn fleet_serves_coverage() {
     let report: ConvergenceReport =
         serde_json::from_str(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
     report.validate().unwrap();
-    let (e1, e2) = Journal::load(&outcome.journal_path)
-        .unwrap()
-        .replay()
-        .unwrap();
+    let fold = CampaignFold::from_journal(&Journal::load(&outcome.journal_path).unwrap()).unwrap();
     assert_eq!(
         report.aggregate,
-        ConvergenceAggregate::from_reports(&e1, &e2)
+        ConvergenceAggregate::from_reports(&fold.e1, &fold.e2)
     );
     let cases = protocol.cases_per_error() as u64;
     assert_eq!(

@@ -22,11 +22,11 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ea_repro::fic::attribution::aggregate_journal;
 use ea_repro::fic::fleet::{
     run_worker, CampaignSpec, Server, ServerOptions, WorkerOptions, WorkerSummary,
 };
 use ea_repro::fic::journal::Journal;
+use ea_repro::fic::results::{self, CampaignFold};
 use ea_repro::fic::telemetry::{Registry, TelemetrySnapshot};
 use ea_repro::fic::{error_set, tables, CampaignRunner, JournalWriter, Protocol};
 
@@ -206,17 +206,48 @@ fn fleet_with_worker_death_matches_single_process_reference() {
         fleet_journal.attribution.is_empty(),
         "the fleet journals trials only; attribution re-derives from them"
     );
-    assert_eq!(aggregate_journal(&fleet_journal).unwrap(), ref_attribution);
+    let fleet_fold = CampaignFold::from_journal(&fleet_journal).unwrap();
+    assert_eq!(fleet_fold.attribution, ref_attribution);
 
     // --- Journal replay: the fleet journal re-folds to the reference
     // reports, exactly like the reference journal does.
-    let (replay_e1, replay_e2) = fleet_journal.replay().unwrap();
-    assert_eq!(replay_e1, ref_e1);
-    assert_eq!(replay_e2, ref_e2);
-    let (ref_replay_e1, ref_replay_e2) =
-        Journal::load(&ref_journal_path).unwrap().replay().unwrap();
-    assert_eq!(ref_replay_e1, ref_e1);
-    assert_eq!(ref_replay_e2, ref_e2);
+    assert_eq!(fleet_fold.e1, ref_e1);
+    assert_eq!(fleet_fold.e2, ref_e2);
+    let ref_fold = CampaignFold::from_journal(&Journal::load(&ref_journal_path).unwrap()).unwrap();
+    assert_eq!(ref_fold.e1, ref_e1);
+    assert_eq!(ref_fold.e2, ref_e2);
+
+    // --- Artefacts: the reference journal's fold through the writer
+    // `full_campaign --from-journal` uses gives the files the fleet
+    // wrote, byte for byte.
+    let ref_out = dir.join("ref-out");
+    results::write_artefacts(
+        &ref_out,
+        "full_campaign",
+        "reference",
+        &protocol,
+        e1_errors,
+        &ref_fold,
+        None,
+        None,
+    )
+    .unwrap();
+    assert!(ref_out.join("coverage_analysis.json").is_file());
+    for name in [
+        "e1.json",
+        "e2.json",
+        "coverage_analysis.json",
+        "table6.txt",
+        "table7.txt",
+        "table8.txt",
+        "table9.txt",
+    ] {
+        assert_eq!(
+            std::fs::read(outcome.out_dir.join(name)).unwrap(),
+            std::fs::read(ref_out.join(name)).unwrap(),
+            "fleet {name} diverges from the single-process reference"
+        );
+    }
 
     // --- Telemetry: result-derived counters and deterministic
     // histograms merge across workers to the single-process values.

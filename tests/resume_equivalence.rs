@@ -7,6 +7,7 @@ use std::path::PathBuf;
 
 use fic::campaign::DEFAULT_BATCH_SIZE;
 use fic::journal::{CampaignKind, Journal, JournalWriter};
+use fic::results::CampaignFold;
 use fic::{error_set, CampaignRunner, InertMap, Protocol};
 
 fn temp_journal(name: &str) -> PathBuf {
@@ -51,7 +52,7 @@ fn resumed_e1_campaign_is_byte_identical() {
 
     // Kill at ~50% with a torn trailing line, then resume.
     truncate_journal(&path, "{\"campaign\":\"E1\",\"error_number\":83,\"case_");
-    let resumed = runner.resume_e1(subset, &path).unwrap();
+    let resumed = runner.resume(subset, &[], &path).unwrap().e1;
 
     let fresh_bytes = serde_json::to_string_pretty(&uninterrupted).unwrap();
     let resumed_bytes = serde_json::to_string_pretty(&resumed).unwrap();
@@ -113,7 +114,7 @@ fn old_sharded_journal_resumes_to_the_unsharded_report() {
     let partial = Journal::load(&path).unwrap();
     assert_eq!(partial.records.len(), subset.len() * cases / 2);
 
-    let resumed = runner.resume_e1(subset, &path).unwrap();
+    let resumed = runner.resume(subset, &[], &path).unwrap().e1;
     assert_eq!(
         serde_json::to_string_pretty(&resumed).unwrap(),
         serde_json::to_string_pretty(&uninterrupted).unwrap(),
@@ -139,7 +140,7 @@ fn resumed_e2_campaign_is_byte_identical() {
     drop(writer);
 
     truncate_journal(&path, "{\"not even\": \"a record");
-    let resumed = runner.resume_e2(subset, &path).unwrap();
+    let resumed = runner.resume(&[], subset, &path).unwrap().e2;
     assert_eq!(
         serde_json::to_string_pretty(&uninterrupted).unwrap(),
         serde_json::to_string_pretty(&resumed).unwrap(),
@@ -166,8 +167,8 @@ fn tables_from_resumed_journal_match_uninterrupted() {
     drop(writer);
     truncate_journal(&path, "");
 
-    let e1_resumed = runner.resume_e1(&e1_errors, &path).unwrap();
-    let e2_resumed = runner.resume_e2(&e2_errors, &path).unwrap();
+    let resumed = runner.resume(&e1_errors, &e2_errors, &path).unwrap();
+    let (e1_resumed, e2_resumed) = (resumed.e1, resumed.e2);
 
     assert_eq!(
         fic::tables::render_table7(&e1_full),
@@ -220,7 +221,7 @@ fn batched_resume_after_mid_case_kill_is_byte_identical() {
     // order at 1 worker), case 1 torn at 2 of 4, plus a half-written
     // trailing line.
     truncate_after_records(&path, 6, "{\"campaign\":\"E1\",\"error_number\":3");
-    let resumed = runner.resume_e1(subset, &path).unwrap();
+    let resumed = runner.resume(subset, &[], &path).unwrap().e1;
     assert_eq!(
         serde_json::to_string_pretty(&uninterrupted).unwrap(),
         serde_json::to_string_pretty(&resumed).unwrap(),
@@ -234,8 +235,10 @@ fn batched_resume_after_mid_case_kill_is_byte_identical() {
     assert_eq!(std::fs::read(&path).unwrap(), uninterrupted_bytes);
     let journal = Journal::load(&path).unwrap();
     assert!(!journal.truncated_tail);
-    let (replay_e1, _) = journal.replay().unwrap();
-    assert_eq!(replay_e1, uninterrupted);
+    assert_eq!(
+        CampaignFold::from_journal(&journal).unwrap().e1,
+        uninterrupted
+    );
 
     // Same drill on E2 with a split case: nine live errors per case run
     // as work items of DEFAULT_BATCH_SIZE (8) live lanes + 1, the first
@@ -255,7 +258,7 @@ fn batched_resume_after_mid_case_kill_is_byte_identical() {
     e2_runner.run_e2_journaled(e2_subset, &mut writer).unwrap();
     drop(writer);
     truncate_after_records(&e2_path, 5, "");
-    let e2_resumed = e2_runner.resume_e2(e2_subset, &e2_path).unwrap();
+    let e2_resumed = e2_runner.resume(&[], e2_subset, &e2_path).unwrap().e2;
     assert_eq!(
         serde_json::to_string_pretty(&e2_uninterrupted).unwrap(),
         serde_json::to_string_pretty(&e2_resumed).unwrap(),
@@ -299,7 +302,7 @@ fn corrupt_trailing_line_is_tolerated_but_midfile_corruption_is_not() {
     runner.run_e1_journaled(subset, &mut writer).unwrap();
     drop(writer);
     let other_subset = &errors[50..52];
-    assert!(runner.resume_e1(other_subset, &path).is_err());
+    assert!(runner.resume(other_subset, &[], &path).is_err());
 
     // Journal streams are also campaign-kind safe: E1 records never
     // leak into an E2 resume (kind tags differ).
@@ -308,4 +311,47 @@ fn corrupt_trailing_line_is_tolerated_but_midfile_corruption_is_not() {
         .records
         .iter()
         .all(|r| r.campaign == CampaignKind::E1));
+}
+
+/// A crash can stop a record's write just before its newline. Such a
+/// line parses, but it is not whole: the resume must re-run its trial,
+/// because the writer cuts the line off before it appends. After the
+/// resume the journal must fold to exactly the resumed reports, with
+/// the cut record at the E1 tail and at the E2 tail alike.
+#[test]
+fn a_record_missing_only_its_newline_is_rerun_on_resume() {
+    let protocol = small_protocol();
+    let runner = CampaignRunner::new(protocol.clone());
+    let e1_errors = &error_set::e1()[..3];
+    let e2_errors = &error_set::e2()[..3];
+    let uninterrupted = runner.run(e1_errors, e2_errors);
+    let e1_records = e1_errors.len() * protocol.cases_per_error();
+
+    for (name, keep) in [("e1-tail", e1_records / 2), ("e2-tail", e1_records + 5)] {
+        let path = temp_journal(name);
+        let mut writer = JournalWriter::create(&path, &protocol).unwrap();
+        runner.run_e1_journaled(e1_errors, &mut writer).unwrap();
+        runner.run_e2_journaled(e2_errors, &mut writer).unwrap();
+        writer.finish().unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = content.lines().collect();
+        std::fs::write(&path, lines[..=keep].join("\n")).unwrap();
+
+        let resumed = runner.resume(e1_errors, e2_errors, &path).unwrap();
+        assert_eq!(resumed.e1, uninterrupted.e1, "{name}");
+        assert_eq!(resumed.e2, uninterrupted.e2, "{name}");
+        let journal = Journal::load(&path).unwrap();
+        assert!(!journal.truncated_tail, "{name}");
+        let replayed = CampaignFold::from_journal(&journal).unwrap();
+        assert_eq!(
+            serde_json::to_string_pretty(&replayed.e1).unwrap(),
+            serde_json::to_string_pretty(&resumed.e1).unwrap(),
+            "{name}: the journal must replay to the resumed E1 report"
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&replayed.e2).unwrap(),
+            serde_json::to_string_pretty(&resumed.e2).unwrap(),
+            "{name}: the journal must replay to the resumed E2 report"
+        );
+    }
 }
