@@ -107,11 +107,11 @@ struct Lane {
 ///
 /// # Panics
 ///
-/// When the prefix was built with trace capture or periodic readout
-/// enabled: shared lanes do not integrate their own environments, so
-/// per-tick recording cannot be attributed to them. (The campaign
-/// never enables either; the scalar path remains available for runs
-/// that do.)
+/// When the prefix was built for a run that may not stop early
+/// ([`crate::RunConfig::stops_early`]): such a run traces, captures
+/// readouts or writes repairs back, and shared lanes neither integrate
+/// their own environments nor stop early. The campaign never builds
+/// one; such runs execute their full window one at a time.
 pub fn run_lockstep(
     prefix: &Snapshot,
     flips: &[BitFlip],
@@ -119,13 +119,8 @@ pub fn run_lockstep(
 ) -> Vec<RetiredLane> {
     let mut reference = prefix.resume();
     assert!(
-        !reference.config().trace,
-        "lockstep batching cannot record per-tick traces"
-    );
-    assert_eq!(
-        reference.config().record_every_ms,
-        0,
-        "lockstep batching cannot capture periodic readouts"
+        reference.config().stops_early(),
+        "lockstep batching cannot record per-tick traces, capture readouts or write repairs back"
     );
 
     let observation_ms = config.observation_ms;

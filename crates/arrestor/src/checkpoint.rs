@@ -87,13 +87,12 @@
 //! The two valve pressures are *not* part of the invariant byte
 //! projection. They are compared separately, under either of two
 //! rules: bit-exact equality (the historical behaviour, always
-//! accepted), or — when [`SettleDetector::with_analytic`] is enabled
-//! and no readout capture is active — the absorbing-band bound of
-//! [`crate::settle`]: if the valve commands have been constant since
-//! before the older capture ([`System::tick_nodes`] tracks the last
-//! change instant) and, per valve, the padded hull of both pressures
-//! and the effective command lies inside a single 0.01 bar sensor
-//! cell, then the pressure trajectory was inside that cell for the
+//! accepted), or, when [`SettleDetector::with_analytic`] is enabled,
+//! the absorbing-band bound of [`crate::settle`]: if the valve commands
+//! have been constant since before the older capture
+//! ([`System::tick_nodes`] tracks the last change instant) and, per
+//! valve, the padded hull of both pressures and the effective command
+//! lies inside a single 0.01 bar sensor cell, then the pressure trajectory was inside that cell for the
 //! whole matched interval and remains inside it forever (first-order
 //! contraction towards the command, see `crate::settle` and
 //! `docs/PROOFS.md`). The controller only ever reads the quantised
@@ -103,84 +102,47 @@
 //! `f64` pressure bits never recur (for a zero command the decay
 //! `p ← p·(149/150)` needs ≳110 s to reach 0 — the settle tail
 //! PERFORMANCE.md measures). Such matches are reported as
-//! [`SettleProof::AnalyticBand`]. In readout mode the relaxation is
-//! unsound — samples record the raw pressure `f64`s — and is gated
-//! off; exact-bit recurrence (whose samples replay exactly) remains.
+//! [`SettleProof::AnalyticBand`].
 //!
 //! # The record-final stop
 //!
 //! A recurrence proves the *whole* state final; the record only needs
 //! its verdict and first detections final. With the analytic
-//! relaxation enabled (and no readout capture, trace or recovery), each
-//! due check after arrest first asks [`crate::record_final::is_final`]
-//! whether the verdict is frozen, the set point is absorbing, the
-//! schedule is nominal and every mechanism that has not fired carries a
-//! certificate that it never will. If so the trial stops there with no state proof:
-//! [`SettleDetector::check`] returns `true` while
-//! [`SettleDetector::proof`] and [`SettleDetector::recurrence_ms`] stay
-//! `None`. Callers report that pairing (a stop instant without a proof)
-//! as a record-final stop. The argument is in `docs/PROOFS.md`
+//! relaxation enabled, each due check after arrest first asks
+//! [`crate::record_final::is_final`] whether the verdict is frozen, the
+//! set point is absorbing, the schedule is nominal and every mechanism
+//! that has not fired carries a certificate that it never will. If so
+//! the trial stops there with no state proof: [`SettleDetector::check`]
+//! returns `true` while [`SettleDetector::proof`] stays `None`. Callers
+//! report that pairing (a stop instant without a proof) as a
+//! record-final stop. The argument is in `docs/PROOFS.md`
 //! §Record-final certificates.
 //!
 //! # The command-final stop
 //!
 //! Before arrest the record still needs the final distance, so no
-//! check proves it final. Under the same gating, each due check while
-//! the aircraft rolls asks [`crate::record_final::commands_final`]
-//! whether the node can no longer change the valve commands or log a
-//! detection. If so the trial stops there, again with no state proof,
-//! and [`System::finish`] completes the window on the plant alone;
-//! callers tell the two proof-less stops apart by whether the plant had
-//! arrested at the stop. The argument is in `docs/PROOFS.md`
-//! §Command-final tails.
-//!
-//! # Recovery write-back
-//!
-//! Runs with recovery enabled keep the detector: a repair writes
-//! [`ea_core::SignalMonitor::last_committed`] — which *is* the monitor's
-//! previous sample, part of the invariant projection — back into the
-//! monitored cell, so repairs replay under recurrence like any other
-//! module write. The one exception is the clock cell `mscnt` (EA6):
-//! under a translated recurrence (δ ≠ 0) a repair must write a
-//! δ-translated value for the offset to survive. `HoldPrevious`
-//! (write the previous sample) and `None` (commit without writing)
-//! are translation-covariant; `Clamp`, `Force` and `RateProject` can
-//! write absolute values into the clock. For those strategies a
-//! δ ≠ 0 translation is rejected whenever an EA6 repair could occur
-//! during the replayed interval: when the flip targets the clock, or
-//! when EA6 has already fired (if EA6 has never fired by `t`, it
-//! fired nowhere in `(t − d, t]`, and by induction over the replay it
-//! never fires — so no clock repair ever happens and the translation
-//! stands). This applies whether the pressures matched bit-exactly or
-//! via the analytic band. The
-//! retired-clock rule survives any strategy: every cell a clock repair
-//! touches is inside the ignored trio, `sys_mode` is not a monitored
-//! signal (repairs cannot un-stop it), and EA6 outcomes are
-//! output-irrelevant once its first detection is logged.
-//!
-//! The detector disables itself — falling back to full-window
-//! execution — only when a run records per-tick traces, which an
-//! early stop could never reproduce. Periodic readout
-//! capture (`record_every_ms != 0`) is *not* such a case: the readout
-//! samples are [`simenv::PlantState`] rows, and every `PlantState`
-//! field except `time_ms` is inside the invariant projection, so a
-//! proven recurrence at distance `d` makes the plant-state sequence
-//! `d`-periodic from the match onward. The detector then folds the
-//! sample grid into its alignment period (`d` becomes a multiple of
-//! `record_every_ms`), reports the distance via
-//! [`SettleDetector::recurrence_ms`], and the caller reconstructs the
-//! remaining samples by replaying the last `d / record_every_ms`
-//! captured rows with patched timestamps
-//! ([`System::backfill_readout`]). The [`SettleProof::FrozenHung`]
-//! shortcut is skipped in readout mode: a hung node over an arrested
-//! plant has frozen *outputs*, but its plant pressures may still be
-//! decaying toward the frozen valve commands, so sample constancy is
-//! only proven by the byte-exact recurrence rules.
+//! check proves it final. With the analytic relaxation enabled, each
+//! due check while the aircraft rolls asks
+//! [`crate::record_final::commands_final`] whether the node can no
+//! longer change the valve commands or log a detection. If so the trial
+//! stops there, again with no state proof, and [`System::finish`]
+//! completes the window on the plant alone; callers tell the two
+//! proof-less stops apart by whether the plant had arrested at the
+//! stop. The argument is in `docs/PROOFS.md` §Command-final tails.
 //!
 //! Captures only start once the failure monitor has seen an arrested
 //! plant: while the aircraft still rolls, `distance_m` strictly
 //! increases every tick, so no earlier state can recur and
 //! fingerprinting would be wasted work.
+//!
+//! # The one run shape that stops early
+//!
+//! Every argument above is made for the paper's detection-only run: no
+//! per-tick trace, no readout capture and no recovery write-back
+//! ([`crate::RunConfig::stops_early`]). A trace or a readout records
+//! state an early stop would leave out, and a repair writes absolute
+//! values the translation rule does not cover, so for any other run the
+//! detector disables itself and the run executes its full window.
 
 use std::collections::VecDeque;
 
@@ -304,42 +266,20 @@ pub struct SettleDetector {
     mscnt_modulus: u32,
     flip_hits_prev_mscnt: bool,
     flip_hits_sys_mode: bool,
-    /// Readout decimation of the run, ms; 0 when no capture. When
-    /// non-zero the FrozenHung shortcut is unsound (see module docs)
-    /// and the alignment period absorbs the sample grid.
-    readout_every_ms: u64,
-    /// Whether the analytic absorbing-band relaxation
-    /// ([`SettleDetector::with_analytic`]) may replace bit-exact
-    /// pressure recurrence. Ignored (treated as off) in readout mode.
+    /// Whether the analytic stops ([`SettleDetector::with_analytic`])
+    /// are on.
     analytic: bool,
-    /// Whether the run's recovery strategy can write absolute values
-    /// into the clock cell (module docs §Recovery write-back): when
-    /// true, δ ≠ 0 translations are rejected if an EA6 repair could
-    /// occur during the replayed interval.
-    recovery_noncovariant: bool,
     /// What the trial's flip can reach after arrest (record-final
     /// certificates).
     reach: crate::record_final::FlipReach,
-    /// Whether record-final stops are sound for this run at all: no
-    /// readout capture (samples record raw state), no recovery
-    /// write-back (repairs by fired mechanisms write cells) and a flip
-    /// that leaves the premises reachable. Used only with `analytic`.
-    record_final: bool,
     /// The trial's flip: a command-final stop needs the system to have
     /// recorded it, since [`System::finish`] continues on that record.
     flip: Option<BitFlip>,
-    /// Whether command-final stops are sound for this run: no readout
-    /// capture and no recovery write-back, exactly where
-    /// [`System::finish`] continues. Used only with `analytic`.
-    command_final: bool,
     /// Fingerprints taken so far (telemetry: fingerprinting cost).
     captures: u64,
     /// What proved the run settled, once [`SettleDetector::check`]
     /// has returned `true`.
     proof: Option<SettleProof>,
-    /// Distance of the proven recurrence, ms (`None` while live or
-    /// when the proof carries no distance, i.e. FrozenHung).
-    recurrence_ms: Option<u64>,
 }
 
 /// One aligned state capture: an invariant byte projection (prefixed
@@ -379,22 +319,11 @@ impl SettleDetector {
     /// A detector for a run of `system`, injected with `flip` (None
     /// for a fault-free run) every `injection_period_ms`.
     ///
-    /// The detector starts disabled only when the run records per-tick
-    /// state (trace): early exit would truncate that output. Recovery
-    /// write-back runs stay enabled — repairs replay under recurrence
-    /// (module docs §Recovery write-back). Periodic
-    /// readout capture stays enabled — the sample grid is folded into
-    /// the alignment period and settled runs reconstruct their
-    /// remaining samples (see module docs).
+    /// The detector starts disabled, and the run executes its full
+    /// window, unless the run may stop early
+    /// ([`crate::RunConfig::stops_early`]): a trace, a readout capture or
+    /// a recovery write-back needs every tick of the node.
     pub fn new(system: &System, flip: Option<BitFlip>, injection_period_ms: u64) -> Self {
-        let config = system.config();
-        let disabled = config.trace;
-        let recovery_noncovariant = config.recovery.as_ref().is_some_and(|s| {
-            !matches!(
-                s,
-                ea_core::RecoveryStrategy::None | ea_core::RecoveryStrategy::HoldPrevious
-            )
-        });
         let mscnt_addr = system.master().signals().mscnt.addr();
         let prev_mscnt_addr = system.master().calc_locals().prev_mscnt.addr();
         // The RAM row a flip hits and the flipped bit's index in it, off
@@ -406,18 +335,13 @@ impl SettleDetector {
             Some((row, bit)) if row.has(reach::CLOCK) => (true, 1u32 << (bit + 1)),
             _ => (false, 1),
         };
-        // Fold the readout grid into the alignment so every recurrence
-        // distance is a whole number of sample periods.
-        let readout_every_ms = config.record_every_ms;
-        let reach = crate::record_final::FlipReach::of(flip, injection_period_ms);
-        let command_final = readout_every_ms == 0 && config.recovery.is_none();
-        let record_final = command_final && reach.admits_certificates();
-        let period_ms = lcm(
-            lcm(u64::from(slot::COUNT), injection_period_ms.max(1)),
-            readout_every_ms.max(1),
-        );
+        let period_ms = lcm(u64::from(slot::COUNT), injection_period_ms.max(1));
         SettleDetector {
-            next_check_ms: if disabled { u64::MAX } else { 0 },
+            next_check_ms: if system.config().stops_early() {
+                0
+            } else {
+                u64::MAX
+            },
             period_ms,
             stride_ms: period_ms,
             misses_at_stride: 0,
@@ -432,16 +356,11 @@ impl SettleDetector {
                     && (f.addr == prev_mscnt_addr || f.addr == prev_mscnt_addr + 1)
             }),
             flip_hits_sys_mode: ram_hit.is_some_and(|(row, _)| row.name == "sys_mode"),
-            readout_every_ms,
             analytic: false,
-            recovery_noncovariant,
-            reach,
-            record_final,
+            reach: crate::record_final::FlipReach::of(flip, injection_period_ms),
             flip,
-            command_final,
             captures: 0,
             proof: None,
-            recurrence_ms: None,
         }
     }
 
@@ -452,9 +371,8 @@ impl SettleDetector {
     /// never-recurring decays (e.g. towards a zero command) a sound
     /// early verdict — and the record-final and command-final stops
     /// (module docs). Off by default, so a detector without it stops on
-    /// exact recurrence only; every campaign enables it. Has no
-    /// effect in readout mode, where both would be unsound (samples
-    /// record the raw pressure `f64`s).
+    /// exact recurrence only; every campaign enables it. Has no effect
+    /// on a detector that disabled itself ([`SettleDetector::new`]).
     #[must_use]
     pub const fn with_analytic(mut self, enabled: bool) -> Self {
         self.analytic = enabled;
@@ -486,17 +404,6 @@ impl SettleDetector {
         self.proof
     }
 
-    /// Distance `d` of the proven recurrence, ms: the state at the stop
-    /// instant `t` recurs from `t − d`, so the run is `d`-periodic from
-    /// `t` onward. `None` while the run is live or when the proof was
-    /// [`SettleProof::FrozenHung`] (which carries no distance; that
-    /// shortcut is skipped when readout capture is active). When
-    /// readout capture is active, `d` is always a multiple of the
-    /// sample period.
-    pub const fn recurrence_ms(&self) -> Option<u64> {
-        self.recurrence_ms
-    }
-
     /// Observes the system at the top of a tick-loop iteration (before
     /// any injection). Returns `true` once the run's observable
     /// outputs are provably final.
@@ -513,12 +420,8 @@ impl SettleDetector {
         // module (or assertion) will ever run again and the failure
         // accumulators cannot move. Checking only at stride points
         // delays the exit by under one stride of a frozen system,
-        // which cannot change any output. With readout capture active
-        // this shortcut is unsound — the plant pressures may still be
-        // decaying toward the frozen valve commands, changing future
-        // samples — so sample constancy must come from the byte-exact
-        // recurrence rules below.
-        if self.readout_every_ms == 0 && system.master().hung() && system.failmon().arrested() {
+        // which cannot change any output.
+        if system.master().hung() && system.failmon().arrested() {
             self.proof = Some(SettleProof::FrozenHung);
             return true;
         }
@@ -532,25 +435,20 @@ impl SettleDetector {
         // node half may still stop once its commands are final:
         // `System::finish` then completes the window on the plant alone.
         if !system.failmon().arrested() {
-            return self.analytic
-                && self.command_final
-                && system.injected() == self.flip
-                && system.commands_final();
+            return self.analytic && system.injected() == self.flip && system.commands_final();
         }
         // The record can be final long before the state recurs; the
         // certificates cost a few cell reads, a capture far more.
-        if self.analytic && self.record_final && crate::record_final::is_final(system, self.reach) {
+        if self.analytic
+            && self.reach.admits_certificates()
+            && crate::record_final::is_final(system, self.reach)
+        {
             return true;
         }
         let current = self.capture(system);
         self.captures += 1;
-        if let Some((proof, from_ms)) = self
-            .ring
-            .iter()
-            .find_map(|old| self.matches(&current, old).map(|p| (p, old.at_ms)))
-        {
+        if let Some(proof) = self.ring.iter().find_map(|old| self.matches(&current, old)) {
             self.proof = Some(proof);
-            self.recurrence_ms = Some(t - from_ms);
             return true;
         }
         if self.ring.len() == RING {
@@ -662,7 +560,7 @@ impl SettleDetector {
         let exact_pressures =
             current.p_master_bits == old.p_master_bits && current.p_slave_bits == old.p_slave_bits;
         if !exact_pressures {
-            if !self.analytic || self.readout_every_ms != 0 {
+            if !self.analytic {
                 return None;
             }
             // Equal command latches at the endpoints are already in
@@ -727,15 +625,6 @@ impl SettleDetector {
             return None;
         }
         if delta != 0 && self.flip_hits_mscnt && u32::from(delta) % self.mscnt_modulus != 0 {
-            return None;
-        }
-        // Non-covariant recovery can write absolute values into the
-        // clock; reject translations whenever an EA6 repair could occur
-        // during the replayed interval (module docs §Recovery
-        // write-back). `ea6_decided` is monotone, so `current` covers
-        // `old` too.
-        if delta != 0 && self.recovery_noncovariant && (self.flip_hits_mscnt || current.ea6_decided)
-        {
             return None;
         }
         let proof = if delta == 0 {
@@ -916,19 +805,26 @@ mod tests {
         // Two detectors over one system: the analytic one must stop
         // strictly earlier (it does not wait for the f64 pressure bits
         // to recur) and the early outputs must equal the full window's.
-        // Recovery write-back turns the record-final stop off, so the
-        // band is the first analytic stop; a fault-free run never
-        // repairs anything.
-        let config = RunConfig {
-            recovery: Some(ea_core::RecoveryStrategy::HoldPrevious),
-            ..RunConfig::default()
-        };
-        let mut system = System::new(TestCase::new(12_000.0, 55.0), config);
-        let mut plain = SettleDetector::new(&system, None, 20);
-        let mut analytic = SettleDetector::new(&system, None, 20).with_analytic(true);
+        // A flip into `ms_slot_nbr` admits no record-final certificate
+        // (it shifts the slot phase), so the band is the first analytic
+        // stop, as for every E1 band stop of the paper campaign.
+        let mut system = system();
+        let flip = BitFlip::new(
+            Region::AppRam,
+            system.master().signals().ms_slot_nbr.addr() + 1,
+            7,
+        );
+        let mut plain = SettleDetector::new(&system, Some(flip), 20);
+        let mut analytic = SettleDetector::new(&system, Some(flip), 20).with_analytic(true);
         let mut analytic_at = None;
         let mut plain_at = None;
         let mut early = None;
+        let inject = |system: &mut System| {
+            let t = system.time_ms();
+            if t > 0 && t.is_multiple_of(20) {
+                system.inject(flip);
+            }
+        };
         while system.time_ms() < 40_000 && plain_at.is_none() {
             if analytic_at.is_none() && analytic.check(&system) {
                 analytic_at = Some(system.time_ms());
@@ -937,6 +833,7 @@ mod tests {
             if plain.check(&system) {
                 plain_at = Some(system.time_ms());
             }
+            inject(&mut system);
             system.tick();
         }
         let ta = analytic_at.expect("analytic detector settles inside the window");
@@ -944,7 +841,11 @@ mod tests {
         assert!(ta < te, "analytic {ta} ms must beat exact {te} ms");
         assert_eq!(analytic.proof(), Some(SettleProof::AnalyticBand));
         let early = early.expect("cloned at the analytic stop").finish();
-        let full = system.run_to_completion();
+        while system.time_ms() < 40_000 {
+            inject(&mut system);
+            system.tick();
+        }
+        let full = system.finish();
         assert_eq!(
             early.verdict.final_distance_m.to_bits(),
             full.verdict.final_distance_m.to_bits()
@@ -978,7 +879,6 @@ mod tests {
         let te = exact_at.expect("exact recurrence settles inside the window");
         assert!(tr < te, "record-final {tr} ms must beat exact {te} ms");
         assert_eq!(record.proof(), None);
-        assert_eq!(record.recurrence_ms(), None);
         assert!(record.captures() < exact.captures());
         let early = early.expect("cloned at the record-final stop").finish();
         let full = system.run_to_completion();
@@ -991,138 +891,95 @@ mod tests {
     }
 
     #[test]
-    fn recovery_run_keeps_detector_and_matches_full_window() {
-        // A write-back campaign with a covariant strategy must settle
-        // (the detector used to disable itself for every recovery run),
-        // and the settled outputs must match a full-window run with the
-        // same continued injections.
-        let config = RunConfig {
-            recovery: Some(ea_core::RecoveryStrategy::HoldPrevious),
+    fn detector_disables_itself_for_runs_that_do_not_stop_early() {
+        // A hung master over a rolling aircraft: its commands are final
+        // seconds in, so a detection-only run stops there and `finish`
+        // completes the window on the plant alone. A run that traces,
+        // captures readouts or writes repairs back does neither.
+        let flip = BitFlip::new(Region::Stack, memsim::STACK_BYTES - 4, 0);
+        let observation_ms = 15_000;
+        let run = |config: RunConfig| {
+            let mut system = System::new(TestCase::new(12_000.0, 55.0), config);
+            let mut detector = SettleDetector::new(&system, Some(flip), 20).with_analytic(true);
+            let mut stopped_at = None;
+            let mut cut = None;
+            while system.time_ms() < observation_ms {
+                let t = system.time_ms();
+                if stopped_at.is_none() && detector.check(&system) {
+                    stopped_at = Some(t);
+                }
+                if cut.is_none() && t > 0 && t.is_multiple_of(140) && system.commands_final() {
+                    cut = Some(system.clone());
+                }
+                if t > 0 && t.is_multiple_of(20) {
+                    system.inject(flip);
+                }
+                system.tick();
+            }
+            let cut = cut.expect("a hung master's commands become final");
+            assert!(!cut.plant_state().arrested);
+            let cut_distance = cut.plant_state().distance_m;
+            (stopped_at, cut_distance, cut.finish())
+        };
+        let detection_only = RunConfig {
+            observation_ms,
             ..RunConfig::default()
         };
-        let case = TestCase::new(12_000.0, 55.0);
-        let mut system = System::new(case, config.clone());
-        let flip = BitFlip::new(
-            Region::AppRam,
-            system.master().signals().set_value.addr() + 1,
-            7,
+        assert!(detection_only.stops_early());
+        let (stopped_at, cut_distance, outcome) = run(detection_only.clone());
+        assert!(stopped_at.is_some(), "a detection-only run stops early");
+        assert!(
+            outcome.verdict.final_distance_m > cut_distance,
+            "no plant tail"
         );
-        let mut detector = SettleDetector::new(&system, Some(flip), 20);
-        let mut settled = None;
-        while system.time_ms() < config.observation_ms {
-            let t = system.time_ms();
-            if detector.check(&system) {
-                settled = Some(t);
-                break;
-            }
-            if t > 0 && t.is_multiple_of(20) {
-                system.inject(flip);
-            }
-            system.tick();
-        }
-        let t = settled.expect("recovery campaigns must settle, not self-disable");
-        assert!(t < config.observation_ms);
-        let mut reference = System::new(case, config.clone());
-        while reference.time_ms() < config.observation_ms {
-            let rt = reference.time_ms();
-            if rt > 0 && rt.is_multiple_of(20) {
-                reference.inject(flip);
-            }
-            reference.tick();
-        }
-        let early = system.finish();
-        let full = reference.finish();
-        assert_eq!(
-            early.verdict.final_distance_m.to_bits(),
-            full.verdict.final_distance_m.to_bits()
-        );
-        assert_eq!(early.verdict.failed(), full.verdict.failed());
-        // The log holds per-EA first detections only, so settling must
-        // leave it final: no monitor may fire for the first time after
-        // the stop.
-        assert_eq!(early.detections, full.detections);
-    }
 
-    #[test]
-    fn detector_disables_itself_for_traced_runs() {
-        let config = RunConfig {
-            trace: true,
-            ..RunConfig::default()
-        };
-        let mut system = System::new(TestCase::new(12_000.0, 55.0), config);
-        let mut detector = SettleDetector::new(&system, None, 20);
-        for _ in 0..30_000 {
-            assert!(!detector.check(&system));
-            system.tick();
-        }
-    }
-
-    #[test]
-    fn readout_run_settles_and_reconstructs_exact_samples() {
-        let config = RunConfig {
-            record_every_ms: 100,
-            ..RunConfig::default()
-        };
-        let case = TestCase::new(12_000.0, 55.0);
-        let mut system = System::new(case, config.clone());
-        let mut detector = SettleDetector::new(&system, None, 20);
-        let mut settled = None;
-        while system.time_ms() < config.observation_ms {
-            if detector.check(&system) {
-                settled = Some(system.time_ms());
-                break;
-            }
-            system.tick();
-        }
-        let t = settled.expect("a nominal readout run settles inside the window");
-        let d = detector
-            .recurrence_ms()
-            .expect("readout-mode proofs carry a distance");
-        assert!(d > 0 && d.is_multiple_of(100), "distance {d} off-grid");
-        // lcm(slot cycle, injection period, sample grid) alignment.
-        assert!(t.is_multiple_of(lcm(lcm(7, 20), 100)));
-
-        system.backfill_readout(d, config.observation_ms);
-        let early = system.finish();
-        let full = System::new(case, config).run_to_completion();
-        assert_eq!(early.readout.samples().len(), full.readout.samples().len());
-        for (a, b) in early.readout.samples().iter().zip(full.readout.samples()) {
-            assert_eq!(a.time_ms, b.time_ms);
-            assert_eq!(a.distance_m.to_bits(), b.distance_m.to_bits());
-            assert_eq!(a.velocity_ms.to_bits(), b.velocity_ms.to_bits());
+        for (name, config) in [
+            (
+                "trace",
+                RunConfig {
+                    trace: true,
+                    ..detection_only.clone()
+                },
+            ),
+            (
+                "readout",
+                RunConfig {
+                    record_every_ms: 100,
+                    ..detection_only.clone()
+                },
+            ),
+            (
+                "hold-previous",
+                RunConfig {
+                    recovery: Some(ea_core::RecoveryStrategy::HoldPrevious),
+                    ..detection_only.clone()
+                },
+            ),
+            (
+                "rate-project",
+                RunConfig {
+                    recovery: Some(ea_core::RecoveryStrategy::RateProject),
+                    ..detection_only.clone()
+                },
+            ),
+        ] {
+            assert!(!config.stops_early(), "{name}");
+            let (stopped_at, cut_distance, outcome) = run(config);
+            assert_eq!(stopped_at, None, "{name}: the detector stopped the run");
             assert_eq!(
-                a.pressure_master_bar.to_bits(),
-                b.pressure_master_bar.to_bits()
+                outcome.verdict.final_distance_m.to_bits(),
+                cut_distance.to_bits(),
+                "{name}: finish ran the plant tail"
             );
-            assert_eq!(
-                a.pressure_slave_bar.to_bits(),
-                b.pressure_slave_bar.to_bits()
-            );
-            assert_eq!(a.arrested, b.arrested);
         }
-        assert_eq!(early.detections, full.detections);
-        assert_eq!(
-            early.verdict.final_distance_m.to_bits(),
-            full.verdict.final_distance_m.to_bits()
-        );
     }
 
     #[test]
-    fn alignment_period_covers_slots_injections_and_readout() {
+    fn alignment_period_covers_slots_and_injections() {
         assert_eq!(lcm(7, 20), 140);
         assert_eq!(lcm(7, 7), 7);
         assert_eq!(gcd(12, 18), 6);
-        // With a 100 ms readout the alignment absorbs the sample grid.
-        let config = RunConfig {
-            record_every_ms: 100,
-            ..RunConfig::default()
-        };
-        let system = System::new(TestCase::new(12_000.0, 55.0), config);
-        let detector = SettleDetector::new(&system, None, 20);
-        assert_eq!(detector.period_ms, 700);
-        assert!(
-            detector.next_check_ms < u64::MAX,
-            "readout must not disable"
-        );
+        let detector = SettleDetector::new(&system(), None, 20);
+        assert_eq!(detector.period_ms, 140);
     }
 }

@@ -35,6 +35,18 @@ pub struct RunConfig {
     pub trace: bool,
 }
 
+impl RunConfig {
+    /// Whether a run may stop before its window ends: only the paper's
+    /// detection-only run shape, which traces nothing, captures no
+    /// readout and writes no repair back. Every other run needs each
+    /// tick of the node for its outputs and executes its full window
+    /// ([`crate::checkpoint::SettleDetector::new`], [`System::finish`],
+    /// [`crate::batch::run_lockstep`]).
+    pub const fn stops_early(&self) -> bool {
+        !self.trace && self.record_every_ms == 0 && self.recovery.is_none()
+    }
+}
+
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
@@ -218,21 +230,6 @@ impl System {
         self.failmon = other.failmon.clone();
     }
 
-    /// Reconstructs the periodic readout samples a settled run would
-    /// have captured up to `until_ms`, by replaying the last
-    /// `recurrence_ms / record_every_ms` samples cyclically with
-    /// patched timestamps.
-    ///
-    /// Sound only after a [`crate::checkpoint::SettleDetector`] proof:
-    /// `recurrence_ms` must be the distance returned by
-    /// [`crate::checkpoint::SettleDetector::recurrence_ms`] for *this*
-    /// system at its current instant, which makes the plant-state
-    /// sequence exactly periodic from here on. A no-op when readout
-    /// capture is disabled.
-    pub fn backfill_readout(&mut self, recurrence_ms: u64, until_ms: u64) {
-        self.readout.extend_periodic(recurrence_ms, until_ms);
-    }
-
     /// Advances the whole system by one millisecond.
     pub fn tick(&mut self) {
         // Sensors sample the plant at the start of the tick; one frame
@@ -351,14 +348,12 @@ impl System {
     /// and final distance are then bit-identical to running the node
     /// on; `docs/PROOFS.md` §Command-final tails has the argument. Any
     /// other run is classified as it stands. The continuation is off for
-    /// runs that trace, capture readouts or write repairs back, whose
+    /// runs that may not stop early ([`RunConfig::stops_early`]), whose
     /// outputs need every tick of the node.
     pub fn finish(mut self) -> RunOutcome {
         if self.config.observation_ms > self.time_ms
             && !self.failmon.arrested()
-            && !self.config.trace
-            && self.config.record_every_ms == 0
-            && self.config.recovery.is_none()
+            && self.config.stops_early()
             && self.commands_final()
         {
             self.run_plant_tail();

@@ -144,11 +144,20 @@ fn main() -> ExitCode {
         }
     }
 
-    if let (Some(report), Some(path)) = (&report, &journal_path) {
-        match load_flips(path) {
+    // The journal, loaded once for every cross-check that reads it.
+    let journal = journal_path
+        .as_ref()
+        .map(|path| (path, Journal::load(path).map_err(|e| e.to_string())));
+
+    if let (Some(report), Some((path, journal))) = (&report, &journal) {
+        let resolved = journal.as_ref().map_err(Clone::clone).and_then(|journal| {
+            let flips = resolve_flips(journal)?;
+            Ok((journal, flips))
+        });
+        match resolved {
             Ok((journal, flips)) => {
-                let executions = executions(&journal);
-                match check_cache_counters(report, &journal, &executions) {
+                let executions = executions(journal);
+                match check_cache_counters(report, journal, &executions) {
                     Ok((hits, misses)) => println!(
                         "journal {}: cache counters match ({hits} hits, {misses} misses)",
                         path.display()
@@ -158,7 +167,7 @@ fn main() -> ExitCode {
                         failures += 1;
                     }
                 }
-                match check_lockstep_lanes(report, &journal, &flips, &executions) {
+                match check_lockstep_lanes(report, journal, &flips, &executions) {
                     Ok((batches, lanes)) => println!(
                         "journal {}: lockstep lanes match ({batches} batches, {lanes} live lanes)",
                         path.display()
@@ -168,7 +177,7 @@ fn main() -> ExitCode {
                         failures += 1;
                     }
                 }
-                match check_prune_counters(report, &journal, &flips, &executions) {
+                match check_prune_counters(report, journal, &flips, &executions) {
                     Ok((pruned, references)) => println!(
                         "journal {}: prune counters match ({pruned} pruned, {references} reference(s))",
                         path.display()
@@ -188,13 +197,12 @@ fn main() -> ExitCode {
 
     // The journal folded once, as every producer folds it, for both the
     // attribution and the convergence cross-check.
-    let fold = journal_path
+    let fold = journal
         .as_ref()
         .filter(|_| attribution_path.is_some() || convergence_path.is_some())
-        .map(|path| {
-            Journal::load(path)
-                .and_then(|journal| CampaignFold::from_journal(&journal))
-                .map_err(|e| e.to_string())
+        .map(|(_, journal)| {
+            let journal = journal.as_ref().map_err(Clone::clone)?;
+            CampaignFold::from_journal(journal).map_err(|e| e.to_string())
         });
 
     if let Some(path) = &attribution_path {
@@ -282,19 +290,17 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Loads a journal and resolves every record, duplicates included, to
-/// the flip of the paper error it names, so the counter checks below
-/// can index by error number safely.
-fn load_flips(path: &std::path::Path) -> Result<(Journal, Vec<BitFlip>), String> {
-    let journal = Journal::load(path).map_err(|e| e.to_string())?;
+/// Resolves every journal record, duplicates included, to the flip of
+/// the paper error it names, so the counter checks below can index by
+/// error number safely.
+fn resolve_flips(journal: &Journal) -> Result<Vec<BitFlip>, String> {
     let errors = PaperErrors::new();
-    let flips = journal
+    journal
         .records
         .iter()
         .map(|record| errors.resolve(record).map(PaperError::flip))
         .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
-    Ok((journal, flips))
+        .map_err(|e| e.to_string())
 }
 
 /// The journal's record indices grouped by the execution that produced
@@ -423,7 +429,7 @@ fn check_lockstep_lanes(
 /// The report's `campaign.prune.*` counters equal the values the
 /// journal implies. The inert coordinates are a pure function of the
 /// target's memory maps ([`InertMap`]), so each record's flip —
-/// `flips[k]` for `journal.records[k]`, from [`load_flips`] —
+/// `flips[k]` for `journal.records[k]`, from [`resolve_flips`] —
 /// classifies here exactly as it did inside the runner:
 /// `prune.trials` (split by class) counts the classifying records, and
 /// `prune.references` counts one shared reference execution per

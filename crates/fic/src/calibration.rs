@@ -8,10 +8,11 @@
 //! the assertions fire on healthy behaviour; far above it, coverage is
 //! thrown away.
 
-use arrestor::{EaSet, RunConfig, System};
+use arrestor::RunConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::error_set::E1Error;
+use crate::experiment::run_full_window;
 use crate::protocol::Protocol;
 
 /// One point of the calibration sweep.
@@ -45,30 +46,21 @@ impl CalibrationPoint {
     }
 }
 
-fn run(
+/// Whether a full-window run with rate bounds at `scale` % detects
+/// anything.
+fn detected(
     protocol: &Protocol,
     scale: u16,
     flip: Option<memsim::BitFlip>,
     case: simenv::TestCase,
 ) -> bool {
     let config = RunConfig {
-        observation_ms: protocol.observation_ms,
-        version: EaSet::ALL,
         rate_scale_percent: Some(scale),
         ..RunConfig::default()
     };
-    let mut system = System::new(case, config);
-    let period = protocol.injection_period_ms.max(1);
-    while system.time_ms() < protocol.observation_ms {
-        let t = system.time_ms();
-        if let Some(flip) = flip {
-            if t > 0 && t.is_multiple_of(period) {
-                system.inject(flip);
-            }
-        }
-        system.tick();
-    }
-    system.detected()
+    !run_full_window(protocol, case, flip, config)
+        .detections
+        .is_empty()
 }
 
 /// Sweeps the given scales over golden runs and the error subset.
@@ -86,12 +78,13 @@ pub fn sweep(protocol: &Protocol, errors: &[E1Error], scales: &[u16]) -> Vec<Cal
             };
             for case in &cases {
                 point.golden_runs += 1;
-                point.false_positive_runs += u64::from(run(protocol, scale, None, *case));
+                point.false_positive_runs += u64::from(detected(protocol, scale, None, *case));
             }
             for error in errors {
                 for case in &cases {
                     point.injected_runs += 1;
-                    point.detected_runs += u64::from(run(protocol, scale, Some(error.flip), *case));
+                    point.detected_runs +=
+                        u64::from(detected(protocol, scale, Some(error.flip), *case));
                 }
             }
             point

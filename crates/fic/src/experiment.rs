@@ -47,7 +47,8 @@ impl Trial {
 /// (injections may race the assertions, as in the paper), all mechanisms
 /// log detections, and the run is classified for failure at the end.
 pub fn run_trial(protocol: &Protocol, flip: BitFlip, case: TestCase) -> Trial {
-    run_trial_impl(protocol, flip, case, false).0
+    let outcome = run_full_window(protocol, case, Some(flip), RunConfig::default());
+    trial_of(&outcome, protocol.injection_period_ms.max(1))
 }
 
 /// [`run_trial`] with per-tick trace capture, for the differential
@@ -58,36 +59,42 @@ pub fn run_trial_traced(
     flip: BitFlip,
     case: TestCase,
 ) -> (Trial, arrestor::Trace) {
-    let (trial, trace) = run_trial_impl(protocol, flip, case, true);
-    (trial, trace.expect("tracing was enabled"))
+    let config = RunConfig {
+        trace: true,
+        ..RunConfig::default()
+    };
+    let outcome = run_full_window(protocol, case, Some(flip), config);
+    let trial = trial_of(&outcome, protocol.injection_period_ms.max(1));
+    (trial, outcome.trace.expect("tracing was enabled"))
 }
 
-/// [`run_trial`] with periodic plant readout capture every
-/// `record_every_ms` milliseconds, replayed straight through the full
-/// window (the baseline the checkpointed recorded path is checked
-/// against). The returned [`Trial`] is identical to [`run_trial`]'s.
-pub fn run_trial_recorded(
+/// Runs `case` for the protocol's whole observation window under
+/// `config` (its `observation_ms` is replaced by the protocol's),
+/// injecting `flip`, if any, every [`Protocol::injection_period_ms`].
+/// No settle detector runs: this is the paper's trial as it defines
+/// it, and the loop behind [`run_trial`], the calibration sweep
+/// ([`crate::calibration`]) and the recovery ablation
+/// ([`crate::recovery_study`]).
+pub fn run_full_window(
     protocol: &Protocol,
-    flip: BitFlip,
     case: TestCase,
-    record_every_ms: u64,
-) -> (Trial, simenv::Readout) {
+    flip: Option<BitFlip>,
+    config: RunConfig,
+) -> arrestor::RunOutcome {
     let config = RunConfig {
         observation_ms: protocol.observation_ms,
-        record_every_ms,
-        ..RunConfig::default()
+        ..config
     };
     let mut system = System::new(case, config);
     let period = protocol.injection_period_ms.max(1);
     while system.time_ms() < protocol.observation_ms {
         let t = system.time_ms();
-        if t > 0 && t.is_multiple_of(period) {
+        if let Some(flip) = flip.filter(|_| t > 0 && t.is_multiple_of(period)) {
             system.inject(flip);
         }
         system.tick();
     }
-    let (trial, outcome) = finish_outcome(system, period);
-    (trial, outcome.readout)
+    system.finish()
 }
 
 /// How a checkpointed trial actually executed — the execution-shape
@@ -194,7 +201,7 @@ pub fn run_trial_checkpointed_lane(
     BatchTrial {
         slot: 0,
         arrested_at_stop: system.plant_state().arrested,
-        trial: finish_trial(system, period).0,
+        trial: finish_trial(system, period),
         execution,
     }
 }
@@ -256,7 +263,7 @@ pub fn run_case_batch_with(
             BatchTrial {
                 slot: lane.slot,
                 arrested_at_stop: lane.system.plant_state().arrested,
-                trial: finish_trial(lane.system, period).0,
+                trial: finish_trial(lane.system, period),
                 execution,
             }
         })
@@ -292,84 +299,17 @@ pub fn run_reference_trial_with(
         }
         system.tick();
     }
-    finish_trial(system, period).0
-}
-
-/// [`run_trial_checkpointed_observed_with`] for a readout-recording run: the prefix
-/// must come from [`fault_free_prefix_recorded`] with the same sample
-/// period. The settle detector stays enabled — its alignment absorbs
-/// the sample grid — and when it stops the run early, the missing
-/// periodic samples are reconstructed from the proven recurrence
-/// ([`arrestor::System::backfill_readout`]), so both the [`Trial`] and
-/// the returned sample series are bit-identical to
-/// [`run_trial_recorded`]'s.
-pub fn run_trial_checkpointed_recorded(
-    protocol: &Protocol,
-    flip: BitFlip,
-    case: TestCase,
-    prefix: &arrestor::Snapshot,
-) -> (Trial, simenv::Readout) {
-    debug_assert_eq!(prefix.case(), case, "prefix belongs to another case");
-    let mut system = prefix.resume();
-    let period = protocol.injection_period_ms.max(1);
-    let mut settle = arrestor::SettleDetector::new(&system, Some(flip), period);
-
-    while system.time_ms() < protocol.observation_ms {
-        let t = system.time_ms();
-        if settle.check(&system) {
-            let d = settle
-                .recurrence_ms()
-                .expect("readout-mode settle proofs carry a distance");
-            system.backfill_readout(d, protocol.observation_ms);
-            break;
-        }
-        if t > 0 && t.is_multiple_of(period) {
-            system.inject(flip);
-        }
-        system.tick();
-    }
-
-    let (trial, outcome) = finish_outcome(system, period);
-    (trial, outcome.readout)
+    finish_trial(system, period)
 }
 
 /// Simulates the fault-free prefix of a trial — everything strictly
 /// before the first injection instant — and freezes it for forking
 /// with [`run_trial_checkpointed_observed_with`].
 pub fn fault_free_prefix(protocol: &Protocol, case: TestCase) -> arrestor::Snapshot {
-    prefix_with_config(
-        protocol,
-        case,
-        RunConfig {
-            observation_ms: protocol.observation_ms,
-            ..RunConfig::default()
-        },
-    )
-}
-
-/// [`fault_free_prefix`] with readout capture enabled, for forking
-/// with [`run_trial_checkpointed_recorded`].
-pub fn fault_free_prefix_recorded(
-    protocol: &Protocol,
-    case: TestCase,
-    record_every_ms: u64,
-) -> arrestor::Snapshot {
-    prefix_with_config(
-        protocol,
-        case,
-        RunConfig {
-            observation_ms: protocol.observation_ms,
-            record_every_ms,
-            ..RunConfig::default()
-        },
-    )
-}
-
-fn prefix_with_config(
-    protocol: &Protocol,
-    case: TestCase,
-    config: RunConfig,
-) -> arrestor::Snapshot {
+    let config = RunConfig {
+        observation_ms: protocol.observation_ms,
+        ..RunConfig::default()
+    };
     let mut system = System::new(case, config);
     let first_injection = protocol
         .injection_period_ms
@@ -381,38 +321,11 @@ fn prefix_with_config(
     system.checkpoint()
 }
 
-fn run_trial_impl(
-    protocol: &Protocol,
-    flip: BitFlip,
-    case: TestCase,
-    trace: bool,
-) -> (Trial, Option<arrestor::Trace>) {
-    let config = RunConfig {
-        observation_ms: protocol.observation_ms,
-        trace,
-        ..RunConfig::default()
-    };
-    let mut system = System::new(case, config);
-    let period = protocol.injection_period_ms.max(1);
-
-    while system.time_ms() < protocol.observation_ms {
-        let t = system.time_ms();
-        if t > 0 && t.is_multiple_of(period) {
-            system.inject(flip);
-        }
-        system.tick();
-    }
-
-    finish_trial(system, period)
+fn finish_trial(system: System, first_injection_ms: u64) -> Trial {
+    trial_of(&system.finish(), first_injection_ms)
 }
 
-fn finish_trial(system: System, first_injection_ms: u64) -> (Trial, Option<arrestor::Trace>) {
-    let (trial, outcome) = finish_outcome(system, first_injection_ms);
-    (trial, outcome.trace)
-}
-
-fn finish_outcome(system: System, first_injection_ms: u64) -> (Trial, arrestor::RunOutcome) {
-    let outcome = system.finish();
+fn trial_of(outcome: &arrestor::RunOutcome, first_injection_ms: u64) -> Trial {
     let mut per_ea_first_ms: [Option<u64>; 7] = [None; 7];
     for event in &outcome.detections {
         let idx = event.monitor.0;
@@ -420,13 +333,12 @@ fn finish_outcome(system: System, first_injection_ms: u64) -> (Trial, arrestor::
             per_ea_first_ms[idx] = Some(event.at);
         }
     }
-    let trial = Trial {
+    Trial {
         failed: outcome.verdict.failed(),
         per_ea_first_ms,
         first_injection_ms,
         final_distance_m: outcome.verdict.final_distance_m,
-    };
-    (trial, outcome)
+    }
 }
 
 #[cfg(test)]

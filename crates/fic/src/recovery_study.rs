@@ -7,13 +7,12 @@
 //! failure rates — quantifying how much of the arresting system's
 //! dependability the recovery step buys on top of detection.
 
-use arrestor::{RunConfig, System};
+use arrestor::RunConfig;
 use ea_core::RecoveryStrategy;
-use memsim::BitFlip;
 use serde::{Deserialize, Serialize};
-use simenv::TestCase;
 
 use crate::error_set::E1Error;
+use crate::experiment::run_full_window;
 use crate::protocol::Protocol;
 
 /// Aggregate outcome of one configuration over a campaign.
@@ -49,30 +48,6 @@ pub struct RecoveryStudy {
     pub rate_project: RecoveryOutcome,
 }
 
-fn run_one(
-    protocol: &Protocol,
-    flip: BitFlip,
-    case: TestCase,
-    recovery: Option<RecoveryStrategy>,
-) -> (bool, bool) {
-    let config = RunConfig {
-        observation_ms: protocol.observation_ms,
-        recovery,
-        ..RunConfig::default()
-    };
-    let mut system = System::new(case, config);
-    let period = protocol.injection_period_ms.max(1);
-    while system.time_ms() < protocol.observation_ms {
-        let t = system.time_ms();
-        if t > 0 && t.is_multiple_of(period) {
-            system.inject(flip);
-        }
-        system.tick();
-    }
-    let outcome = system.finish();
-    (outcome.verdict.failed(), !outcome.detections.is_empty())
-}
-
 /// Selects the [`RecoveryStudy`] slot a configuration accumulates into.
 type OutcomeSlot = fn(&mut RecoveryStudy) -> &mut RecoveryOutcome;
 
@@ -90,11 +65,15 @@ pub fn run_study(protocol: &Protocol, errors: &[E1Error]) -> RecoveryStudy {
     for error in errors {
         for case in &cases {
             for (recovery, pick) in configs {
-                let (failed, detected) = run_one(protocol, error.flip, *case, recovery);
+                let config = RunConfig {
+                    recovery,
+                    ..RunConfig::default()
+                };
+                let run = run_full_window(protocol, *case, Some(error.flip), config);
                 let outcome = pick(&mut study);
                 outcome.runs += 1;
-                outcome.failures += u64::from(failed);
-                outcome.detected += u64::from(detected);
+                outcome.failures += u64::from(run.verdict.failed());
+                outcome.detected += u64::from(!run.detections.is_empty());
             }
         }
     }

@@ -44,45 +44,6 @@ impl Readout {
         self.every_ms
     }
 
-    /// Extends the capture to `until_ms` by replaying the last
-    /// `period_ms / every_ms` samples cyclically with patched
-    /// timestamps.
-    ///
-    /// Sound only when the caller has *proven* that the recorded system
-    /// is `period_ms`-periodic from the last captured sample onward
-    /// (e.g. via a settle-detector recurrence); the reconstruction is
-    /// then bit-identical to continuing the run. `period_ms` must be a
-    /// non-zero multiple of the capture decimation and at least one
-    /// full period must already be captured.
-    pub fn extend_periodic(&mut self, period_ms: u64, until_ms: u64) {
-        if self.every_ms == 0 {
-            return;
-        }
-        assert!(
-            period_ms != 0 && period_ms.is_multiple_of(self.every_ms),
-            "period {period_ms} ms is not aligned to the {} ms sample grid",
-            self.every_ms
-        );
-        let cycle = usize::try_from(period_ms / self.every_ms).expect("cycle fits usize");
-        assert!(
-            self.samples.len() >= cycle,
-            "need one full period of samples to replay"
-        );
-        let base = self.samples.len() - cycle;
-        let mut next = self
-            .samples
-            .last()
-            .map_or(self.every_ms, |s| s.time_ms + self.every_ms);
-        let mut k = 0;
-        while next <= until_ms {
-            let mut sample = self.samples[base + k % cycle];
-            sample.time_ms = next;
-            self.samples.push(sample);
-            next += self.every_ms;
-            k += 1;
-        }
-    }
-
     /// Renders a CSV with a header row (used by the figure binaries).
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
@@ -122,48 +83,6 @@ mod tests {
         assert_eq!(readout.samples().len(), 10);
         assert_eq!(readout.samples()[0].time_ms, 100);
         assert_eq!(readout.samples()[9].time_ms, 1_000);
-    }
-
-    #[test]
-    fn extend_periodic_replays_the_last_cycle() {
-        let mut plant = Plant::new(TestCase::new(10_000.0, 50.0));
-        let mut readout = Readout::new(10);
-        for _ in 0..100 {
-            let state = plant.step(20.0, 20.0);
-            readout.offer(&state);
-        }
-        assert_eq!(readout.samples().len(), 10);
-        let cycle: Vec<_> = readout.samples()[7..10].to_vec();
-        readout.extend_periodic(30, 190);
-        assert_eq!(readout.samples().len(), 19);
-        for (k, sample) in readout.samples()[10..].iter().enumerate() {
-            let source = &cycle[k % 3];
-            assert_eq!(sample.time_ms, 110 + 10 * k as u64);
-            assert_eq!(sample.distance_m.to_bits(), source.distance_m.to_bits());
-            assert_eq!(sample.velocity_ms.to_bits(), source.velocity_ms.to_bits());
-        }
-        // Extending no further than the last sample is a no-op.
-        readout.extend_periodic(30, 190);
-        assert_eq!(readout.samples().len(), 19);
-    }
-
-    #[test]
-    fn extend_periodic_is_a_noop_when_disabled() {
-        let mut readout = Readout::new(0);
-        readout.extend_periodic(30, 500);
-        assert!(readout.samples().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "not aligned")]
-    fn extend_periodic_rejects_off_grid_periods() {
-        let mut plant = Plant::new(TestCase::new(10_000.0, 50.0));
-        let mut readout = Readout::new(10);
-        for _ in 0..100 {
-            let state = plant.step(20.0, 20.0);
-            readout.offer(&state);
-        }
-        readout.extend_periodic(25, 200);
     }
 
     #[test]

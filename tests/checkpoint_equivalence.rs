@@ -26,10 +26,7 @@ use std::path::PathBuf;
 use common::{assert_matches_replay, Slice};
 use ea_repro::arrestor::{RunConfig, System};
 use ea_repro::fic::experiment::run_trial_checkpointed_observed_with;
-use ea_repro::fic::{
-    error_set, fault_free_prefix, fault_free_prefix_recorded, run_trial,
-    run_trial_checkpointed_recorded, run_trial_recorded, trace, Protocol,
-};
+use ea_repro::fic::{error_set, fault_free_prefix, run_trial, trace, Protocol};
 use ea_repro::memsim::{BitFlip, Region, STACK_BYTES};
 
 fn fixture(name: &str) -> String {
@@ -91,75 +88,6 @@ fn per_trial_equality_with_long_window_fast_forward() {
         let slow = run_trial(&protocol, flip, case);
         let (fast, _) = run_trial_checkpointed_observed_with(&protocol, flip, case, &prefix, false);
         assert_eq!(slow, fast, "S{k}: fast-forwarded trial diverged");
-    }
-}
-
-#[test]
-fn recorded_checkpointed_trials_reconstruct_exact_readouts() {
-    // Readout-compatible checkpointing: with periodic plant capture
-    // enabled, the settle detector stays on, and a settled run
-    // reconstructs its remaining samples from the proven recurrence.
-    // Both the trial and the complete sample series must be
-    // bit-identical to a full straight replay. The window runs long
-    // past arrest so the fast-forward genuinely engages, and the error
-    // mix covers clock errors (translation rules), a node-hanging
-    // stack error (FrozenHung is skipped in readout mode), and inert
-    // flips.
-    let protocol = Protocol::scaled(1, 30_000);
-    let case = protocol.grid.cases()[0];
-    let record_every_ms = 100;
-    let prefix = fault_free_prefix_recorded(&protocol, case, record_every_ms);
-
-    let e1 = error_set::e1();
-    let mut flips: Vec<(String, BitFlip)> = [16, 81, 96, 112]
-        .iter()
-        .map(|&k| (format!("S{k}"), e1[k - 1].flip))
-        .collect();
-    flips.push(("stack-dead".to_owned(), BitFlip::new(Region::Stack, 10, 3)));
-    flips.push((
-        "stack-top".to_owned(),
-        BitFlip::new(Region::Stack, STACK_BYTES - 4, 0),
-    ));
-
-    for (label, flip) in flips {
-        let (slow_trial, slow_readout) = run_trial_recorded(&protocol, flip, case, record_every_ms);
-        let (fast_trial, fast_readout) =
-            run_trial_checkpointed_recorded(&protocol, flip, case, &prefix);
-        assert_eq!(slow_trial, fast_trial, "{label}: recorded trial diverged");
-        let slow_samples = slow_readout.samples();
-        let fast_samples = fast_readout.samples();
-        assert_eq!(
-            slow_samples.len(),
-            fast_samples.len(),
-            "{label}: sample counts diverged"
-        );
-        for (a, b) in slow_samples.iter().zip(fast_samples) {
-            assert_eq!(a.time_ms, b.time_ms, "{label}: sample grid diverged");
-            for (field, x, y) in [
-                ("distance_m", a.distance_m, b.distance_m),
-                ("velocity_ms", a.velocity_ms, b.velocity_ms),
-                ("retardation_ms2", a.retardation_ms2, b.retardation_ms2),
-                ("cable_force_n", a.cable_force_n, b.cable_force_n),
-                (
-                    "pressure_master_bar",
-                    a.pressure_master_bar,
-                    b.pressure_master_bar,
-                ),
-                (
-                    "pressure_slave_bar",
-                    a.pressure_slave_bar,
-                    b.pressure_slave_bar,
-                ),
-            ] {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{label}: {field} diverged at t = {} ms",
-                    a.time_ms
-                );
-            }
-            assert_eq!(a.arrested, b.arrested, "{label}: arrested flag diverged");
-        }
     }
 }
 
