@@ -32,8 +32,8 @@
 //! The detector therefore compares:
 //!
 //! 1. **Invariant projection** — every byte of state *except* those
-//!    three cells, bit-exact: application RAM, stack, slave RAM (minus
-//!    the slave's write-only clock), plant state and failure-monitor
+//!    three cells, bit-exact: application RAM, stack, the slave's words
+//!    (minus its write-only clock), plant state and failure-monitor
 //!    accumulators (as `f64` bit patterns), kernel control-flow state,
 //!    node latches, the inter-node mailbox, and each signal monitor's
 //!    mode and previous sample.
@@ -474,12 +474,18 @@ impl SettleDetector {
         let mem = master.memory();
         push_masked(&mut bytes, mem.app().as_bytes(), self.mscnt_addr);
         push_masked(&mut bytes, mem.stack().as_bytes(), self.prev_mscnt_addr);
+        // The slave's words but its clock, as the master's RAM above.
         let slave = system.slave();
-        push_masked(
-            &mut bytes,
-            slave.ram().as_bytes(),
-            slave.signals().mscnt.addr(),
-        );
+        for v in [
+            slave.ms_slot_nbr,
+            slave.set_value,
+            slave.is_value,
+            slave.out_value,
+            slave.pid_integ,
+            slave.pid_prev_err,
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
 
         // The valve pressures stay out of the invariant projection:
         // `matches` compares them separately (bit-exact or via the

@@ -156,7 +156,6 @@ impl Default for EaSet {
 #[derive(Debug, Clone)]
 pub struct Detectors {
     bank: DetectorBank,
-    ids: [MonitorId; 7],
     write_back: bool,
 }
 
@@ -168,18 +167,8 @@ impl Detectors {
     /// Panics if the bank does not hold exactly seven monitors.
     pub fn from_bank(bank: DetectorBank) -> Self {
         assert_eq!(bank.len(), 7, "expected the seven mechanisms EA1..EA7");
-        let ids = [
-            MonitorId(0),
-            MonitorId(1),
-            MonitorId(2),
-            MonitorId(3),
-            MonitorId(4),
-            MonitorId(5),
-            MonitorId(6),
-        ];
         Detectors {
             bank,
-            ids,
             write_back: false,
         }
     }
@@ -199,8 +188,7 @@ impl Detectors {
     /// Restricts logging to the mechanisms of `version`.
     pub fn set_version(&mut self, version: EaSet) {
         for ea in EaId::ALL {
-            self.bank
-                .set_enabled(self.ids[ea.index()], version.contains(ea));
+            self.bank.set_enabled(id(ea), version.contains(ea));
         }
     }
 
@@ -209,18 +197,27 @@ impl Detectors {
     /// module must store the repaired value back into the signal.
     /// Detection-only banks (the paper's experiment) always return
     /// `None` — the verdict still lands in the log.
-    #[inline]
+    ///
+    /// A passing sample costs its compares at the call site
+    /// ([`DetectorBank::observe`]); a violation runs out of line.
+    #[inline(always)]
     pub fn check(&mut self, ea: EaId, value: u16, at: Millis) -> Option<u16> {
-        let id = self.ids[ea.index()];
-        match self.bank.observe(id, i64::from(value), at) {
+        match self.bank.observe(id(ea), i64::from(value), at) {
             Ok(_) => None,
-            Err(_) if self.write_back && self.bank.is_enabled(id) => self
-                .bank
-                .monitor(id)
-                .last_committed()
-                .map(|v| v.clamp(0, i64::from(u16::MAX)) as u16),
-            Err(_) => None,
+            Err(_) => self.repaired(ea),
         }
+    }
+
+    /// The write-back value after a violation of `ea`, if write-back is
+    /// on and `ea` is enabled.
+    #[inline(never)]
+    fn repaired(&self, ea: EaId) -> Option<u16> {
+        if !self.write_back || !self.is_enabled(ea) {
+            return None;
+        }
+        self.monitor(ea)
+            .last_committed()
+            .map(|v| v.clamp(0, i64::from(u16::MAX)) as u16)
     }
 
     /// Each enabled mechanism's first detection, in firing order.
@@ -230,17 +227,17 @@ impl Detectors {
 
     /// Whether mechanism `ea` has a detection in the log.
     pub fn has_detected(&self, ea: EaId) -> bool {
-        self.bank.has_detected(self.ids[ea.index()])
+        self.bank.has_detected(id(ea))
     }
 
     /// Whether mechanism `ea` logs detections in this version.
     pub fn is_enabled(&self, ea: EaId) -> bool {
-        self.bank.is_enabled(self.ids[ea.index()])
+        self.bank.is_enabled(id(ea))
     }
 
     /// Mechanism `ea`'s monitor: its parameters and previous sample.
     pub fn monitor(&self, ea: EaId) -> &ea_core::SignalMonitor {
-        self.bank.monitor(self.ids[ea.index()])
+        self.bank.monitor(id(ea))
     }
 
     /// Maps a logged monitor id back to its mechanism.
@@ -278,6 +275,13 @@ impl Detectors {
         }
         costs
     }
+}
+
+/// The bank index of `ea`: [`Detectors::from_bank`] holds EA1..EA7 in
+/// order.
+#[inline(always)]
+const fn id(ea: EaId) -> MonitorId {
+    MonitorId(ea.index())
 }
 
 #[cfg(test)]

@@ -66,6 +66,6 @@ pub use detectors::{Detectors, EaId, EaSet};
 pub use instrument::{build_detectors, placement_plan};
 pub use kernel::{ControlFlowFault, KernelState};
 pub use node::{MasterNode, SlaveNode};
-pub use signals::{CalcLocals, SignalMap, SlaveSignals};
+pub use signals::{CalcLocals, SignalMap};
 pub use system::{RunConfig, RunOutcome, System};
 pub use trace::{FieldValue, SignalSnapshot, TickRecord, Trace};

@@ -10,6 +10,7 @@ use crate::signals::SignalMap;
 /// One CLOCK run: advances `mscnt` and `ms_slot_nbr`, tests both
 /// (EA6 on the clock, EA5 on the slot), and returns the slot to
 /// dispatch this tick.
+#[inline]
 pub fn run(sig: &SignalMap, ram: &mut Ram, det: &mut Detectors, t: Millis) -> u16 {
     let ms = sig.mscnt.add_wrapping(ram, 1);
     if let Some(repaired) = det.check(EaId::Ea6, ms, t) {

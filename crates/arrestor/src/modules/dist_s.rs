@@ -9,6 +9,7 @@ use crate::signals::SignalMap;
 
 /// One DIST_S run: adds the pulses delivered by the sensor interface
 /// since the last run and tests the total (EA4).
+#[inline]
 pub fn run(sig: &SignalMap, ram: &mut Ram, det: &mut Detectors, pulse_delta: u16, t: Millis) {
     let total = sig.pulscnt.add_wrapping(ram, pulse_delta);
     if let Some(repaired) = det.check(EaId::Ea4, total, t) {

@@ -8,6 +8,7 @@ use crate::signals::SignalMap;
 
 /// One PRES_A run: tests `OutValue` (EA7) and returns the value latched
 /// into the valve's command register (hardware, outside RAM).
+#[inline]
 pub fn run(sig: &SignalMap, ram: &mut Ram, det: &mut Detectors, t: Millis) -> u16 {
     let out = sig.out_value.read(ram);
     match det.check(EaId::Ea7, out, t) {

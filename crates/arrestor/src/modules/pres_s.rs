@@ -13,6 +13,7 @@ use crate::signals::{SignalMap, FILTER_DEPTH};
 
 /// One PRES_S run: pushes the raw sensor reading into the filter ring
 /// and latches the average into `IsValue`.
+#[inline]
 pub fn run(sig: &SignalMap, ram: &mut Ram, sensor_units: u16) {
     let idx = sig.filt_idx.read(ram) as usize;
     sig.filt_write(ram, idx, sensor_units);

@@ -10,6 +10,7 @@ use crate::signals::SignalMap;
 
 /// One V_REG run: tests the inputs as they arrive (EA1 on `SetValue`,
 /// EA2 on `IsValue`), then computes `OutValue`.
+#[inline]
 pub fn run(sig: &SignalMap, ram: &mut Ram, det: &mut Detectors, t: Millis) {
     let mut sv = sig.set_value.read(ram);
     if let Some(repaired) = det.check(EaId::Ea1, sv, t) {

@@ -3,7 +3,7 @@
 //! second drum).
 
 use ea_core::Millis;
-use memsim::{BitFlip, MemoryMap, Ram, Region, TargetMemory};
+use memsim::{BitFlip, Region, TargetMemory};
 
 use crate::consts::slot;
 use crate::control;
@@ -11,7 +11,7 @@ use crate::detectors::{Detectors, EaSet};
 use crate::instrument::build_detectors;
 use crate::kernel::{interpret_stack_hit, KernelState};
 use crate::modules::{calc, clock, dist_s, pres_a, pres_s, v_reg};
-use crate::signals::{CalcLocals, SignalMap, SlaveSignals};
+use crate::signals::{CalcLocals, SignalMap};
 use crate::stackmodel::{frame, master_stack};
 
 /// Sensor values delivered to a node at the start of a tick.
@@ -235,84 +235,72 @@ impl MasterNode {
     }
 }
 
-/// The slave node: CLOCK, PRES_S, V_REG, PRES_A over its own small RAM;
-/// no DIST_S/CALC (paper Section 3.1), no assertions, never injected.
-#[derive(Debug, Clone)]
+/// The slave node: CLOCK, PRES_S, V_REG, PRES_A; no DIST_S/CALC (paper
+/// Section 3.1), no assertions. It is never injected (the paper injects
+/// only into the master), so its seven variables are plain words rather
+/// than a RAM image.
+#[derive(Debug, Clone, Default)]
 pub struct SlaveNode {
-    ram: Ram,
-    sig: SlaveSignals,
+    /// Slave millisecond clock.
+    pub(crate) mscnt: u16,
+    /// Slave scheduler slot.
+    pub(crate) ms_slot_nbr: u16,
+    /// Set point received from the master.
+    pub(crate) set_value: u16,
+    /// Slave pressure-sensor reading, pu.
+    pub(crate) is_value: u16,
+    /// Slave valve command, pu.
+    pub(crate) out_value: u16,
+    /// Slave PID integral accumulator.
+    pub(crate) pid_integ: u16,
+    /// Slave PID previous error (derivative term).
+    pub(crate) pid_prev_err: u16,
     valve_latch: u16,
 }
 
 impl SlaveNode {
     /// A fresh slave node.
     pub fn new() -> Self {
-        let mut map = MemoryMap::new(SlaveSignals::BYTES);
-        let sig = SlaveSignals::allocate(&mut map).expect("slave image fits");
-        SlaveNode {
-            ram: Ram::new(SlaveSignals::BYTES),
-            sig,
-            valve_latch: 0,
-        }
+        SlaveNode::default()
     }
 
     /// One 1 ms tick. `incoming_set` is the set point received from the
     /// master (applied immediately when present).
     pub fn tick(&mut self, pressure_units: u16, incoming_set: Option<u16>) -> u16 {
-        let ram = &mut self.ram;
-        self.sig.mscnt.add_wrapping(ram, 1);
-        let slot_old = self.sig.ms_slot_nbr.read(ram);
-        let slot_new = if slot_old >= slot::COUNT - 1 {
+        self.mscnt = self.mscnt.wrapping_add(1);
+        self.ms_slot_nbr = if self.ms_slot_nbr >= slot::COUNT - 1 {
             0
         } else {
-            slot_old + 1
+            self.ms_slot_nbr + 1
         };
-        self.sig.ms_slot_nbr.write(ram, slot_new);
 
         if let Some(sv) = incoming_set {
-            self.sig.set_value.write(ram, sv);
+            self.set_value = sv;
         }
 
-        match slot_new {
-            slot::PRES_S => self.sig.is_value.write(ram, pressure_units),
+        match self.ms_slot_nbr {
+            slot::PRES_S => self.is_value = pressure_units,
             slot::V_REG => {
-                let (out, integ, err_bits) = control::pid_step(
-                    self.sig.set_value.read(ram),
-                    self.sig.is_value.read(ram),
-                    self.sig.pid_integ.read(ram),
-                    self.sig.pid_prev_err.read(ram),
+                (self.out_value, self.pid_integ, self.pid_prev_err) = control::pid_step(
+                    self.set_value,
+                    self.is_value,
+                    self.pid_integ,
+                    self.pid_prev_err,
                 );
-                self.sig.out_value.write(ram, out);
-                self.sig.pid_integ.write(ram, integ);
-                self.sig.pid_prev_err.write(ram, err_bits);
             }
-            slot::PRES_A => self.valve_latch = self.sig.out_value.read(ram),
+            slot::PRES_A => self.valve_latch = self.out_value,
             _ => {}
         }
         self.valve_latch
     }
 
     /// The current set point held by the slave.
-    pub fn set_value(&self) -> u16 {
-        self.sig.set_value.read(&self.ram)
-    }
-
-    pub(crate) const fn ram(&self) -> &Ram {
-        &self.ram
-    }
-
-    pub(crate) const fn signals(&self) -> &SlaveSignals {
-        &self.sig
+    pub const fn set_value(&self) -> u16 {
+        self.set_value
     }
 
     pub(crate) const fn valve_latch(&self) -> u16 {
         self.valve_latch
-    }
-}
-
-impl Default for SlaveNode {
-    fn default() -> Self {
-        SlaveNode::new()
     }
 }
 

@@ -619,12 +619,9 @@ pub fn commands_final(system: &System, reach: CommandReach) -> bool {
 /// and reading are the ones it will keep receiving, its PID update is a
 /// fixed point, and its latch holds the output.
 fn slave_at_fixed_point(slave: &SlaveNode, set_value: u16, reading: u16) -> bool {
-    let ram = slave.ram();
-    let sig = slave.signals();
-    let out = sig.out_value.read(ram);
-    let (integ, prev_err) = (sig.pid_integ.read(ram), sig.pid_prev_err.read(ram));
-    sig.set_value.read(ram) == set_value
-        && sig.is_value.read(ram) == reading
+    let (out, integ, prev_err) = (slave.out_value, slave.pid_integ, slave.pid_prev_err);
+    slave.set_value == set_value
+        && slave.is_value == reading
         && pid_step(set_value, reading, integ, prev_err) == (out, integ, prev_err)
         && slave.valve_latch() == out
 }

@@ -1,6 +1,6 @@
 //! The memory image of the target software: every variable of the master
 //! node allocated at a fixed address in application RAM, plus the CALC
-//! background process's stack-resident locals and the slave node's image.
+//! background process's stack-resident locals.
 //!
 //! All module code reads and writes *through* these cells, so an injected
 //! bit flip in the RAM image perturbs real program state.
@@ -222,48 +222,6 @@ impl CalcLocals {
     }
 }
 
-/// The slave node's small RAM image (never injected; the paper injects
-/// only into the master).
-#[derive(Debug, Clone)]
-pub struct SlaveSignals {
-    /// Slave millisecond clock.
-    pub mscnt: CellU16,
-    /// Slave scheduler slot.
-    pub ms_slot_nbr: CellU16,
-    /// Set point received from the master.
-    pub set_value: CellU16,
-    /// Slave pressure-sensor reading, pu.
-    pub is_value: CellU16,
-    /// Slave valve command, pu.
-    pub out_value: CellU16,
-    /// Slave PID integral accumulator.
-    pub pid_integ: CellU16,
-    /// Slave PID previous error (derivative term).
-    pub pid_prev_err: CellU16,
-}
-
-impl SlaveSignals {
-    /// Bytes of slave RAM needed.
-    pub const BYTES: usize = 14;
-
-    /// Allocates the slave image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocator errors; cannot occur for `BYTES`-sized RAM.
-    pub fn allocate(map: &mut MemoryMap) -> Result<Self, Error> {
-        Ok(SlaveSignals {
-            mscnt: map.alloc_u16("s_mscnt")?,
-            ms_slot_nbr: map.alloc_u16("s_ms_slot_nbr")?,
-            set_value: map.alloc_u16("s_SetValue")?,
-            is_value: map.alloc_u16("s_IsValue")?,
-            out_value: map.alloc_u16("s_OutValue")?,
-            pid_integ: map.alloc_u16("s_pid_integ")?,
-            pid_prev_err: map.alloc_u16("s_pid_prev_err")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,13 +312,5 @@ mod tests {
             // Indices wrap modulo the depth.
             assert_eq!(sig.filt_read(&ram, k + FILTER_DEPTH), (100 * k) as u16);
         }
-    }
-
-    #[test]
-    fn slave_allocation_fits_declared_size() {
-        let mut map = MemoryMap::new(SlaveSignals::BYTES);
-        let slave = SlaveSignals::allocate(&mut map).unwrap();
-        assert_eq!(map.remaining(), 0);
-        assert_eq!(slave.pid_prev_err.addr(), 12);
     }
 }

@@ -303,29 +303,6 @@ impl System {
         }
     }
 
-    /// Whether any assertion has fired so far.
-    pub fn detected(&self) -> bool {
-        !self.master.detectors().events().is_empty()
-    }
-
-    /// Whether the arrestment outcome is already decided: the aircraft
-    /// has stopped, the node has hung with the aircraft still rolling
-    /// (inevitably an overrun), or a constraint is already breached.
-    pub fn outcome_decided(&self) -> bool {
-        let state = self.plant.state();
-        if state.arrested {
-            return true;
-        }
-        self.failmon
-            .verdict(&self.config.constraints, self.case)
-            .causes
-            .iter()
-            .any(|c| {
-                *c != simenv::FailureCause::Overrun
-                    || state.distance_m >= self.config.constraints.runway_m
-            })
-    }
-
     /// Runs the remaining window without injections and returns the
     /// outcome.
     pub fn run_to_completion(mut self) -> RunOutcome {
@@ -566,7 +543,7 @@ mod tests {
             }
             system.tick();
         }
-        assert!(system.detected());
+        assert!(!system.master().detectors().events().is_empty());
     }
 
     #[test]

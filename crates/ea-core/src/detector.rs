@@ -157,15 +157,36 @@ impl DetectorBank {
     /// and this is its first violation, the violation is appended to the
     /// detection log (the paper's "digital output pin" plus the FIC3
     /// timestamp).
-    #[inline]
+    ///
+    /// A sample the monitor's pass kernel admits costs its compares at
+    /// the call site; everything else runs out of line.
+    #[inline(always)]
     pub fn observe(
         &mut self,
         id: MonitorId,
         sample: Sample,
         at: Millis,
     ) -> Result<Checked, Violation> {
+        match self.monitors[id.0].admit(sample) {
+            Some(pass) => Ok(Checked {
+                pass,
+                committed: sample,
+            }),
+            None => self.observe_full(id, sample, at),
+        }
+    }
+
+    /// The Table 2 / Table 3 procedure and the first-detection log for a
+    /// sample the pass kernel did not admit.
+    #[inline(never)]
+    fn observe_full(
+        &mut self,
+        id: MonitorId,
+        sample: Sample,
+        at: Millis,
+    ) -> Result<Checked, Violation> {
         let committed = self.monitors[id.0].previous();
-        let result = self.monitors[id.0].check(sample);
+        let result = self.monitors[id.0].check_full(sample);
         if let Err(violation) = &result {
             if self.enabled[id.0] && !self.has_detected(id) {
                 self.events.push(DetectionEvent {

@@ -9,7 +9,9 @@
 //! verdict for an unchanged sample of a continuous signal; a base value,
 //! a domain mask and per-value transition masks for a discrete signal
 //! whose domain spans at most [`KERNEL_DOMAIN_SPAN`] values.
-//! [`SignalMonitor::check`] consults it before anything else.
+//! [`SignalMonitor::check`] consults it before anything else. That pass
+//! path inlines into the caller; only a sample the kernel does not admit
+//! calls out of line.
 //!
 //! Its contract:
 //!
@@ -337,23 +339,34 @@ impl SignalMonitor {
     /// value which is committed instead, and the violation is returned so
     /// the caller can log it, raise the detection pin, and (optionally)
     /// write the repaired value back with [`Self::last_committed`].
-    #[inline]
+    #[inline(always)]
     pub fn check(&mut self, sample: Sample) -> Result<Checked, Violation> {
-        self.checks += 1;
-        if let Some(pass) = self.kernel.admit(self.previous, sample) {
-            self.previous = Some(sample);
-            return Ok(Checked {
+        match self.admit(sample) {
+            Some(pass) => Ok(Checked {
                 pass,
                 committed: sample,
-            });
+            }),
+            None => self.check_full(sample),
         }
-        self.check_full(sample)
+    }
+
+    /// The pass path of [`check`](Self::check): when the pass kernel
+    /// admits `sample`, counts the check, commits the sample and returns
+    /// the pass. Otherwise nothing changes, and the caller finishes the
+    /// check with [`check_full`](Self::check_full), which counts it.
+    #[inline(always)]
+    pub(crate) fn admit(&mut self, sample: Sample) -> Option<Pass> {
+        let pass = self.kernel.admit(self.previous, sample)?;
+        self.checks += 1;
+        self.previous = Some(sample);
+        Some(pass)
     }
 
     /// The Table 2 / Table 3 procedure for a sample the kernel did not
-    /// admit (the check is already counted).
+    /// admit.
     #[inline(never)]
-    fn check_full(&mut self, sample: Sample) -> Result<Checked, Violation> {
+    pub(crate) fn check_full(&mut self, sample: Sample) -> Result<Checked, Violation> {
+        self.checks += 1;
         let params = self
             .params
             .params_for(self.mode)

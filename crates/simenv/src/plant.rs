@@ -132,14 +132,10 @@ impl Plant {
     /// [`Plant::sensor_readout`]).
     pub fn pulse_count(&self) -> u16 {
         let payout = self.geometry.payout_m(self.x_m);
-        let pulses = (payout / spec::METERS_PER_PULSE).floor();
-        if pulses < 0.0 {
-            0
-        } else if pulses > f64::from(u16::MAX) {
-            u16::MAX
-        } else {
-            pulses as u16
-        }
+        // Whole pulses, saturated to `u16`: `as` truncates towards zero,
+        // which is the floor of every value it keeps, and reads NaN and
+        // negatives as 0 and anything past `u16::MAX` as `u16::MAX`.
+        (payout / spec::METERS_PER_PULSE) as u16
     }
 
     /// Master pressure-sensor reading in software units (0.01 bar).
@@ -193,14 +189,15 @@ pub fn clamp_pressure(bar: f64) -> f64 {
 /// the analytic settle bound (`arrestor::settle`) uses it to delimit the
 /// sensor cell a pressure trajectory must stay inside.
 pub fn to_units(bar: f64) -> u16 {
-    let units = (bar * spec::PRESSURE_UNITS_PER_BAR).round();
-    if units < 0.0 {
-        0
-    } else if units > f64::from(u16::MAX) {
-        u16::MAX
-    } else {
-        units as u16
-    }
+    let units = bar * spec::PRESSURE_UNITS_PER_BAR;
+    // `f64::round` (half away from zero) without its library call, on
+    // the sensor hot path: `as` floors a non-negative value, saturating,
+    // and reads NaN and negatives as 0; below 2³² the fraction is exact.
+    let whole = units as u32;
+    let half_up = units - f64::from(whole) >= 0.5;
+    whole
+        .saturating_add(u32::from(half_up))
+        .min(u32::from(u16::MAX)) as u16
 }
 
 #[cfg(test)]
@@ -332,6 +329,67 @@ mod tests {
             plant.state().distance_m
         };
         assert!(run(18_000.0) > run(9_000.0));
+    }
+
+    /// The sensor quantisation as `f64::round`/`f64::floor` and a
+    /// saturating clamp spell it.
+    fn reference_quantise(value: f64, round: bool) -> u16 {
+        let whole = if round { value.round() } else { value.floor() };
+        if whole < 0.0 {
+            0
+        } else if whole > f64::from(u16::MAX) {
+            u16::MAX
+        } else {
+            whole as u16
+        }
+    }
+
+    /// Each value, its neighbours one ulp away, and every half-unit
+    /// boundary the sweep crosses with its neighbours.
+    fn quantisation_inputs() -> Vec<f64> {
+        let mut values = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+            4_294_967_295.5,
+            4_294_967_296.0,
+        ];
+        for k in -2_000..140_000i64 {
+            let half = k as f64 / 2.0;
+            values.extend([half, half + 0.25, 0.37 * half]);
+        }
+        values
+            .into_iter()
+            .flat_map(|v| [v.next_down(), v, v.next_up()])
+            .collect()
+    }
+
+    #[test]
+    fn pressure_units_round_half_away_from_zero() {
+        for units in quantisation_inputs() {
+            let bar = units / spec::PRESSURE_UNITS_PER_BAR;
+            assert_eq!(
+                to_units(bar),
+                reference_quantise(bar * spec::PRESSURE_UNITS_PER_BAR, true),
+                "{bar:e} bar"
+            );
+        }
+    }
+
+    #[test]
+    fn pulse_counts_floor() {
+        for pulses in quantisation_inputs() {
+            assert_eq!(
+                pulses as u16,
+                reference_quantise(pulses, false),
+                "{pulses:e}"
+            );
+        }
     }
 
     #[test]

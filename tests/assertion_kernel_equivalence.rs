@@ -10,6 +10,14 @@
 //! The two must agree on every `Result`, on `previous`, `checks` and
 //! `violations`, and on every logged detection event.
 //!
+//! One level up, `arrestor::Detectors::check` answers a passing sample
+//! inline and leaves everything else to an out-of-line path. A third
+//! property feeds random streams of the seven mechanisms' samples to it,
+//! detection-only and with write-back, and to a reference that calls
+//! `DetectorBank::observe` for every sample: return values, logged
+//! events, `check_counts()` and each monitor's `previous` and
+//! `violations` must agree, since the cost profile reads those counts.
+//!
 //! Parameter sets cover every class of paper Table 1 (monotone static
 //! and dynamic rate in both directions, random; wrap on and off) and
 //! every discrete class (linear, non-linear, random, with and without
@@ -17,7 +25,8 @@
 //! kernel's span limit. Inputs are drawn from one `u64` seed per case; a
 //! failure prints it.
 
-use arrestor::{build_detectors, EaId, EaSet};
+use arrestor::instrument::placement_plan_with;
+use arrestor::{build_detectors, Detectors, EaId, EaSet};
 use ea_core::monitor::{Checked, KERNEL_DOMAIN_SPAN};
 use ea_core::prelude::*;
 use proptest::prelude::*;
@@ -421,8 +430,114 @@ fn run_bank_case(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// The reference for `Detectors::check`: `DetectorBank::observe` on
+/// every sample, and on a violation of an enabled mechanism with
+/// write-back on, the value its monitor committed.
+fn reference_check(
+    bank: &mut DetectorBank,
+    write_back: bool,
+    ea: EaId,
+    value: u16,
+    at: Millis,
+) -> Option<u16> {
+    let id = MonitorId(ea.index());
+    match bank.observe(id, Sample::from(value), at) {
+        Ok(_) => None,
+        Err(_) if write_back && bank.is_enabled(id) => bank
+            .monitor(id)
+            .last_committed()
+            .map(|v| v.clamp(0, i64::from(u16::MAX)) as u16),
+        Err(_) => None,
+    }
+}
+
+/// What a `Detectors` case exercised: checks that passed and that
+/// violated, and write-backs returned.
+#[derive(Debug, Default)]
+struct DetectorsCoverage {
+    passes: u64,
+    violations: u64,
+    repairs: u64,
+}
+
+fn run_detectors_case(seed: u64) -> Result<DetectorsCoverage, String> {
+    let mut g = Gen(seed);
+    let version = EaId::ALL
+        .into_iter()
+        .filter(|_| g.chance(60))
+        .fold(EaSet::NONE, |set, ea| set.union(EaSet::only(ea)));
+    let write_back = g.chance(50);
+    let recovery = random_recovery(&mut g);
+    let mut reference = placement_plan_with(recovery)
+        .expect("the paper's plan")
+        .build_bank();
+    let mut detectors = Detectors::from_bank(reference.clone());
+    if write_back {
+        detectors = detectors.with_write_back();
+    }
+    detectors.set_version(version);
+    for ea in EaId::ALL {
+        reference.set_enabled(MonitorId(ea.index()), version.contains(ea));
+    }
+    let mut coverage = DetectorsCoverage::default();
+    for at in 0..600 {
+        let ea = g.pick(&EaId::ALL);
+        let monitor = detectors.monitor(ea);
+        let value = match monitor.previous() {
+            // A bit flip of the last committed value.
+            Some(prev) if g.chance(10) => (prev as u16) ^ (1 << g.range(0, 15)),
+            previous => random_sample(&mut g, monitor.active_params(), previous) as u16,
+        };
+        let got = detectors.check(ea, value, at);
+        let want = reference_check(&mut reference, write_back, ea, value, at);
+        if got != want {
+            return Err(format!("t {at}: {ea} check({value}) {got:?} vs {want:?}"));
+        }
+        coverage.repairs += u64::from(got.is_some());
+        let (monitor, expected) = (
+            detectors.monitor(ea),
+            reference.monitor(MonitorId(ea.index())),
+        );
+        let state = |m: &SignalMonitor| (m.previous(), m.violations());
+        if state(monitor) != state(expected) {
+            return Err(format!(
+                "t {at}: {ea} (previous, violations) {:?} vs {:?}",
+                state(monitor),
+                state(expected)
+            ));
+        }
+        if detectors.events() != reference.events() {
+            return Err(format!(
+                "t {at}: events {:?} vs {:?}",
+                detectors.events(),
+                reference.events()
+            ));
+        }
+        let counts: Vec<u64> = reference.iter().map(|(_, m)| m.checks()).collect();
+        if detectors.check_counts().as_slice() != counts.as_slice() {
+            return Err(format!(
+                "t {at}: check_counts {:?} vs {counts:?}",
+                detectors.check_counts()
+            ));
+        }
+    }
+    coverage.violations = EaId::ALL
+        .iter()
+        .map(|&ea| detectors.monitor(ea).violations())
+        .sum();
+    coverage.passes = detectors.check_counts().iter().sum::<u64>() - coverage.violations;
+    Ok(coverage)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn detectors_match_the_bank(seed: u64) {
+        if let Err(e) = run_detectors_case(seed) {
+            prop_assert!(false, "seed {seed}: {e}");
+        }
+    }
 
     #[test]
     fn monitor_matches_the_table_procedures(seed: u64) {
@@ -494,6 +609,23 @@ fn generators_cover_both_paths() {
         assert!(passes.contains(pass), "no {pass} pass in {passes:?}");
     }
     assert_eq!(violations.len(), 7, "violation kinds seen: {violations:?}");
+}
+
+/// The `Detectors` streams reach both halves of the check: passes,
+/// violations, and with write-back on, repaired values handed back.
+#[test]
+fn detectors_streams_cover_violations_and_repairs() {
+    let coverage = (0..64).fold(DetectorsCoverage::default(), |mut total, seed| {
+        let case = run_detectors_case(seed).expect("agrees with the bank");
+        total.passes += case.passes;
+        total.violations += case.violations;
+        total.repairs += case.repairs;
+        total
+    });
+    assert!(
+        coverage.passes > 5_000 && coverage.violations > 5_000 && coverage.repairs > 1_000,
+        "{coverage:?}"
+    );
 }
 
 #[test]
