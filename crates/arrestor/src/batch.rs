@@ -369,8 +369,7 @@ mod tests {
         let prefix = prefix_at(case, 20);
         let diverging = BitFlip::new(Region::AppRam, 5, 7);
         let dead = BitFlip::new(Region::Stack, 10, 3);
-        let (stack, _) = crate::stackmodel::master_stack();
-        assert_eq!(stack.classify(dead.addr), memsim::StackHit::Dead);
+        assert_eq!(crate::reach::frame_at(dead.addr), None);
         assert_eq!(
             first_command_divergence(&prefix, dead, 20, config.observation_ms),
             None,

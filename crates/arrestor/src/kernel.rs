@@ -108,16 +108,17 @@ pub fn interpret_stack_hit(addr: usize, upcoming_slot: u16) -> Option<ControlFlo
 mod tests {
     use super::*;
     use crate::consts::slot;
-    use crate::stackmodel::{frame, master_stack};
-    use memsim::FramePart;
+    use crate::reach::{frame_layout, FramePart};
+    use crate::stackmodel::frame;
 
     /// The first byte of `module`'s frame part in the master stack.
     fn at(module: &str, part: FramePart) -> usize {
-        let (layout, _) = master_stack();
-        let frame = layout.frame(module).expect("a master frame");
+        let (row, span) = frame_layout()
+            .find(|(row, _)| row.name == module)
+            .expect("a master frame");
         match part {
-            FramePart::Control => frame.base,
-            FramePart::Locals => frame.base + frame.control,
+            FramePart::Control => span.start,
+            FramePart::Locals => span.start + row.control,
         }
     }
 

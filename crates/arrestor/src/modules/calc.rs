@@ -131,7 +131,7 @@ mod tests {
     use super::*;
     use crate::detectors::EaSet;
     use crate::instrument::build_detectors;
-    use crate::stackmodel::master_stack;
+    use crate::stackmodel::calc_locals;
     use memsim::{Ram, APP_RAM_BYTES, STACK_BYTES};
 
     struct Fix {
@@ -143,14 +143,13 @@ mod tests {
     }
 
     fn setup() -> Fix {
-        let sig = SignalMap::allocate().unwrap();
+        let sig = SignalMap::allocate();
         let mut ram = Ram::new(APP_RAM_BYTES);
         sig.init(&mut ram, 140);
-        let (_, loc) = master_stack();
         Fix {
             sig,
             ram,
-            loc,
+            loc: calc_locals(),
             stack: Ram::new(STACK_BYTES),
             det: build_detectors(EaSet::ALL),
         }

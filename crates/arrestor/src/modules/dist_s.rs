@@ -25,7 +25,7 @@ mod tests {
     use memsim::APP_RAM_BYTES;
 
     fn setup() -> (SignalMap, Ram, Detectors) {
-        let sig = SignalMap::allocate().unwrap();
+        let sig = SignalMap::allocate();
         let mut ram = Ram::new(APP_RAM_BYTES);
         sig.init(&mut ram, 120);
         (sig, ram, build_detectors(EaSet::ALL))

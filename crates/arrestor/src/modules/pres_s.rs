@@ -32,7 +32,7 @@ mod tests {
     use memsim::APP_RAM_BYTES;
 
     fn setup() -> (SignalMap, Ram) {
-        let sig = SignalMap::allocate().unwrap();
+        let sig = SignalMap::allocate();
         let mut ram = Ram::new(APP_RAM_BYTES);
         sig.init(&mut ram, 120);
         (sig, ram)
@@ -90,8 +90,8 @@ mod tests {
         // Corrupt ring entry 1's MSB (entry 0 is the next write slot
         // after 8 runs): the average moves by 32768/4.
         assert_eq!(sig.filt_read(&ram, 1), 4_000);
-        let sym = sig.symbols().symbol("filt_buf").unwrap();
-        ram.flip_bit(sym.addr + 3, 7).unwrap();
+        let filt_buf = crate::reach::ram_span("filt_buf").unwrap();
+        ram.flip_bit(filt_buf.start + 3, 7).unwrap();
         run(&sig, &mut ram, 4_000);
         assert_eq!(sig.is_value.read(&ram), 4_000 + 32_768 / 4);
     }

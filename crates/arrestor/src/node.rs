@@ -12,7 +12,7 @@ use crate::instrument::build_detectors;
 use crate::kernel::{interpret_stack_hit, KernelState};
 use crate::modules::{calc, clock, dist_s, pres_a, pres_s, v_reg};
 use crate::signals::{CalcLocals, SignalMap};
-use crate::stackmodel::{frame, master_stack};
+use crate::stackmodel::{calc_locals, frame};
 
 /// Sensor values delivered to a node at the start of a tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,14 +62,13 @@ impl MasterNode {
     /// sweeps, custom parameterisations). The bank must hold EA1..EA7
     /// in order.
     pub fn with_detectors(mass_cfg_100kg: u16, det: Detectors) -> Self {
-        let (_, locals) = master_stack();
         let mut mem = TargetMemory::new();
-        let sig = SignalMap::allocate().expect("the image fits the paper RAM");
+        let sig = SignalMap::allocate();
         sig.init(mem.app_mut(), mass_cfg_100kg);
         MasterNode {
             mem,
             sig,
-            locals,
+            locals: calc_locals(),
             det,
             kernel: KernelState::new(),
             valve_latch: 0,

@@ -1,10 +1,11 @@
-//! The reach table: what a flip in each RAM symbol and each stack-frame
-//! part of the master can touch, stated once.
+//! The reach table: where each RAM symbol and stack frame of the master
+//! sits, and what a flip into it can touch, stated once.
 //!
-//! [`RAM`] is the application-RAM image ([`crate::SignalMap::allocate`]
-//! allocates its rows in order) and [`FRAMES`] the stack
-//! ([`crate::stackmodel::master_stack`] pushes its rows from the top of
-//! the bank down; the ≈ 83 % below the deepest frame is dead space).
+//! [`RAM`] is the application-RAM image in address order
+//! ([`ram_layout`] places its rows; [`crate::SignalMap::allocate`] binds
+//! its cells to them) and [`FRAMES`] the stack, top of the bank down
+//! ([`frame_layout`] places its frames; the ≈ 83 % below the deepest
+//! frame is dead space, see [`crate::stackmodel`]).
 //! Dominance pruning (`fic::InertMap`), both certificate reaches
 //! ([`crate::record_final::FlipReach`], [`crate::record_final::CommandReach`])
 //! and the stack fault model ([`crate::kernel::interpret_stack_hit`])
@@ -14,7 +15,7 @@
 
 use std::ops::Range;
 
-use memsim::{FramePart, Liveness, APP_RAM_BYTES, STACK_BYTES};
+use memsim::{APP_RAM_BYTES, STACK_BYTES};
 
 use crate::consts::{slot, CHECKPOINT_X_CM, SLEW_PU_PER_MS};
 use crate::detectors::EaId::{self, Ea1, Ea2, Ea3, Ea4, Ea6, Ea7};
@@ -143,12 +144,28 @@ pub fn ram_layout() -> impl Iterator<Item = (&'static RamRow, Range<usize>)> {
     })
 }
 
+/// The address span of the RAM row called `name`.
+pub fn ram_span(name: &str) -> Option<Range<usize>> {
+    ram_layout()
+        .find(|(row, _)| row.name == name)
+        .map(|(_, span)| span)
+}
+
 /// The RAM row covering `addr` and `addr`'s offset in it; `None` past
 /// the bank.
 pub fn ram_row(addr: usize) -> Option<(&'static RamRow, usize)> {
     ram_layout()
         .find(|(_, span)| span.contains(&addr))
         .map(|(row, span)| (row, addr - span.start))
+}
+
+/// Which part of a stack frame a byte belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FramePart {
+    /// Return address / saved registers: corruption derails control flow.
+    Control,
+    /// Local variables.
+    Locals,
 }
 
 /// One frame of the master's stack and the faults a flip into it raises.
@@ -177,15 +194,6 @@ impl FrameRow {
             return None;
         }
         self.part_fault(part)
-    }
-
-    /// Whether the frame stays on the stack for the whole mission or is
-    /// pushed per run: the frames whose faults skip their module's run.
-    pub(crate) const fn liveness(&self) -> Liveness {
-        match self.on_control {
-            Some(SkipModuleOnce(_)) => Liveness::WhenScheduled,
-            _ => Liveness::Always,
-        }
     }
 
     /// The fault a flip into `part` raises in the slots its frame is
@@ -229,23 +237,26 @@ pub const FRAMES: [FrameRow; 8] = [
     frame_row(frame::PRES_A,  4,  8,  Some(slot::PRES_A),  Some(SkipModuleOnce(frame::PRES_A)), Some(SkipModuleOnce(frame::PRES_A))),
 ];
 
+/// The [`FRAMES`] rows with their address spans, packed from the top of
+/// the stack bank down.
+pub fn frame_layout() -> impl Iterator<Item = (&'static FrameRow, Range<usize>)> {
+    FRAMES.iter().scan(STACK_BYTES, |top, row| {
+        let end = *top;
+        *top -= row.control + row.locals;
+        Some((row, *top..end))
+    })
+}
+
 /// The frame row and part covering stack byte `addr`; `None` for dead
 /// space and past the bank.
 pub fn frame_at(addr: usize) -> Option<(&'static FrameRow, FramePart)> {
-    let mut top = STACK_BYTES;
-    for row in &FRAMES {
-        let base = top - row.control - row.locals;
-        if (base..top).contains(&addr) {
-            let part = if addr < base + row.control {
-                FramePart::Control
-            } else {
-                FramePart::Locals
-            };
-            return Some((row, part));
-        }
-        top = base;
-    }
-    None
+    let (row, span) = frame_layout().find(|(_, span)| span.contains(&addr))?;
+    let part = if addr < span.start + row.control {
+        FramePart::Control
+    } else {
+        FramePart::Locals
+    };
+    Some((row, part))
 }
 
 /// Whether some slot phase turns a flip into stack byte `addr` into a

@@ -1,11 +1,11 @@
 //! The memory image of the target software: every variable of the master
-//! node allocated at a fixed address in application RAM, plus the CALC
+//! node bound to a fixed address in application RAM, plus the CALC
 //! background process's stack-resident locals.
 //!
 //! All module code reads and writes *through* these cells, so an injected
 //! bit flip in the RAM image perturbs real program state.
 
-use memsim::{CellU16, Error, MemoryMap, Ram, APP_RAM_BYTES};
+use memsim::{CellU16, Ram};
 
 use crate::consts::{self, mode};
 use crate::math::{distance_cm_from_payout, isqrt};
@@ -58,31 +58,19 @@ pub struct SignalMap {
     filt_buf: usize,
     cp_table: usize,
     cap_table: usize,
-    /// The full symbol table (for attributing injections to variables).
-    map: MemoryMap,
 }
 
 /// Depth of the PRES_S moving-average filter.
 pub const FILTER_DEPTH: usize = 4;
 
 impl SignalMap {
-    /// Allocates the complete master RAM image (exactly
-    /// [`APP_RAM_BYTES`] bytes): the [`crate::reach::RAM`] table, in
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocator errors; cannot occur with the paper's sizes
-    /// (covered by tests).
-    pub fn allocate() -> Result<Self, Error> {
-        let mut map = MemoryMap::new(APP_RAM_BYTES);
-        for (row, span) in reach::ram_layout() {
-            map.alloc_block(row.name, span.len())?;
-        }
-        debug_assert_eq!(map.remaining(), 0);
-        let at = |name: &str| map.symbol(name).expect("a row of the table").addr;
+    /// Binds the complete master RAM image (exactly
+    /// [`memsim::APP_RAM_BYTES`] bytes) to the addresses
+    /// [`reach::ram_layout`] gives the [`crate::reach::RAM`] rows.
+    pub fn allocate() -> Self {
+        let at = |name: &str| reach::ram_span(name).expect("a row of the table").start;
         let cell = |name: &str| CellU16::at(at(name));
-        Ok(SignalMap {
+        SignalMap {
             mscnt: cell("mscnt"),
             ms_slot_nbr: cell("ms_slot_nbr"),
             pulscnt: cell("pulscnt"),
@@ -102,8 +90,7 @@ impl SignalMap {
             filt_buf: at("filt_buf"),
             cp_table: at("cp_table"),
             cap_table: at("cap_table"),
-            map,
-        })
+        }
     }
 
     /// Initialises the RAM image for a new mission: zeroes everything,
@@ -155,11 +142,6 @@ impl SignalMap {
         }
         ram.read_u16(self.cp_table + 2 * usize::from(idx))
             .unwrap_or(u16::MAX)
-    }
-
-    /// The symbol table of the image.
-    pub fn symbols(&self) -> &MemoryMap {
-        &self.map
     }
 
     /// `(signal name, start address)` of the seven monitored signals, in
@@ -225,17 +207,11 @@ impl CalcLocals {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn image_fills_the_paper_ram_exactly() {
-        let sig = SignalMap::allocate().unwrap();
-        assert_eq!(sig.symbols().used(), APP_RAM_BYTES);
-        assert_eq!(sig.symbols().remaining(), 0);
-    }
+    use memsim::APP_RAM_BYTES;
 
     #[test]
     fn monitored_signals_have_distinct_addresses() {
-        let sig = SignalMap::allocate().unwrap();
+        let sig = SignalMap::allocate();
         let mut addrs: Vec<usize> = sig.monitored().iter().map(|(_, a)| *a).collect();
         addrs.sort_unstable();
         addrs.dedup();
@@ -244,7 +220,7 @@ mod tests {
 
     #[test]
     fn init_sets_mode_mass_and_checkpoints() {
-        let sig = SignalMap::allocate().unwrap();
+        let sig = SignalMap::allocate();
         let mut ram = Ram::new(APP_RAM_BYTES);
         sig.init(&mut ram, 120);
         assert_eq!(sig.mass_cfg.read(&ram), 120);
@@ -264,7 +240,7 @@ mod tests {
 
     #[test]
     fn controller_distance_matches_plant_geometry() {
-        let sig = SignalMap::allocate().unwrap();
+        let sig = SignalMap::allocate();
         let mut ram = Ram::new(APP_RAM_BYTES);
         sig.init(&mut ram, 120);
         // 400 pulses = 2000 cm payout → x = 4000 cm (3-4-5 triangle).
@@ -290,7 +266,7 @@ mod tests {
 
     #[test]
     fn cap_table_initialises_to_ceiling() {
-        let sig = SignalMap::allocate().unwrap();
+        let sig = SignalMap::allocate();
         let mut ram = Ram::new(APP_RAM_BYTES);
         sig.init(&mut ram, 120);
         for idx in 0..6 {
@@ -301,7 +277,7 @@ mod tests {
 
     #[test]
     fn filter_buffer_round_trips_and_wraps() {
-        let sig = SignalMap::allocate().unwrap();
+        let sig = SignalMap::allocate();
         let mut ram = Ram::new(APP_RAM_BYTES);
         sig.init(&mut ram, 120);
         for k in 0..FILTER_DEPTH {

@@ -1,15 +1,24 @@
-//! The master node's stack layout: the [`crate::reach::FRAMES`] table
-//! pushed top of the 1008-byte stack downwards, with everything below
-//! the deepest frame dead space.
+//! The master node's stack: the [`crate::reach::FRAMES`] table packed
+//! from the top of the 1008-byte bank downwards
+//! ([`crate::reach::frame_layout`]), with everything below the deepest
+//! frame dead space.
+//!
+//! A bit flip in the stack can hit (a) dead space below the deepest
+//! frame — no effect; (b) a frame's *locals* — a data error in the
+//! owning activation; or (c) a frame's *control* data (return address,
+//! saved registers) — typically a control-flow error. The paper observes
+//! that stack errors mostly cause control-flow errors, which signal-level
+//! assertions are not aimed at.
 //!
 //! The CALC frame's locals are *real storage*: [`crate::CalcLocals`]
-//! binds the velocity-estimation state to those bytes, so flips there
-//! are genuine data errors. Control-slot hits are interpreted by
-//! [`crate::kernel`] as control-flow faults.
+//! binds the velocity-estimation state to those bytes ([`calc_locals`]),
+//! so flips there are genuine data errors. Control-slot hits are
+//! interpreted by [`crate::kernel`] as control-flow faults. A periodic
+//! module's frame holds live data only while its slot runs; a flip at
+//! any other time is overwritten by the next push, which the table's
+//! `slot` column states.
 
-use memsim::{StackLayout, STACK_BYTES};
-
-use crate::reach::FRAMES;
+use crate::reach;
 use crate::signals::CalcLocals;
 
 /// Frame names used in the layout (shared with the node's dispatch).
@@ -32,65 +41,52 @@ pub mod frame {
     pub const PRES_A: &str = "PRES_A";
 }
 
-/// Builds the master's stack layout and the CALC locals binding.
-///
-/// # Panics
-///
-/// Never for the paper's stack size; the layout totals ≈ 170 bytes.
-pub fn master_stack() -> (StackLayout, CalcLocals) {
-    let mut layout = StackLayout::new(STACK_BYTES);
-    for row in &FRAMES {
-        layout
-            .push_frame(row.name, row.control, row.locals, row.liveness())
-            .expect("fits");
-    }
-    let calc = layout.frame(frame::CALC).expect("a row of the table");
-    let locals_base = calc.base + calc.control;
-    debug_assert!(CalcLocals::BYTES <= calc.locals);
-    (layout, CalcLocals::at(locals_base))
+/// The CALC locals, bound at the start of the CALC frame's locals part.
+pub fn calc_locals() -> CalcLocals {
+    let (row, span) = reach::frame_layout()
+        .find(|(row, _)| row.name == frame::CALC)
+        .expect("a row of the table");
+    debug_assert!(CalcLocals::BYTES <= row.locals);
+    CalcLocals::at(span.start + row.control)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::{FramePart, StackHit};
+    use crate::reach::{frame_at, frame_layout, FramePart};
+    use memsim::STACK_BYTES;
 
     #[test]
     fn layout_fits_with_dead_majority() {
-        let (layout, _) = master_stack();
-        assert!(layout.live_bytes() < STACK_BYTES / 5);
-        assert_eq!(layout.frames().len(), 8);
+        let live: usize = frame_layout().map(|(_, span)| span.len()).sum();
+        assert!(live < STACK_BYTES / 5);
+        assert_eq!(frame_layout().count(), 8);
     }
 
     #[test]
     fn calc_locals_land_in_calc_frame_locals() {
-        let (layout, locals) = master_stack();
+        let locals = calc_locals();
         for cell_addr in [
             locals.prev_pulscnt.addr(),
             locals.v_est.addr(),
             locals.last_pc.addr() + 1,
         ] {
-            match layout.classify(cell_addr) {
-                StackHit::Frame { module, part, .. } => {
-                    assert_eq!(module, frame::CALC);
-                    assert_eq!(part, FramePart::Locals);
-                }
-                StackHit::Dead => panic!("locals cell in dead space"),
-            }
+            let (row, part) = frame_at(cell_addr).expect("locals cell in dead space");
+            assert_eq!(row.name, frame::CALC);
+            assert_eq!(part, FramePart::Locals);
         }
     }
 
     #[test]
     fn isr_context_is_topmost() {
-        let (layout, _) = master_stack();
-        let isr = layout.frame(frame::ISR_CTX).unwrap();
-        assert_eq!(isr.base + isr.size(), STACK_BYTES);
+        let (row, span) = frame_layout().next().unwrap();
+        assert_eq!(row.name, frame::ISR_CTX);
+        assert_eq!(span.end, STACK_BYTES);
     }
 
     #[test]
     fn bottom_of_stack_is_dead() {
-        let (layout, _) = master_stack();
-        assert_eq!(layout.classify(0), StackHit::Dead);
-        assert_eq!(layout.classify(400), StackHit::Dead);
+        assert_eq!(frame_at(0), None);
+        assert_eq!(frame_at(400), None);
     }
 }

@@ -90,9 +90,7 @@ impl Default for MonitoredMap {
 impl MonitoredMap {
     /// Reads the monitored-signal addresses off the target's RAM map.
     pub fn new() -> Self {
-        let monitored = SignalMap::allocate()
-            .expect("the image fits the paper RAM")
-            .monitored();
+        let monitored = SignalMap::allocate().monitored();
         MonitoredMap {
             addrs: monitored.map(|(_, addr)| addr),
         }

@@ -9,8 +9,9 @@
 //! signal — is then solved for, which the paper describes but cannot do
 //! without the memory map.
 
-use arrestor::{EaSet, MasterNode};
+use arrestor::SignalMap;
 use ea_core::coverage::CoverageModel;
+use memsim::APP_RAM_BYTES;
 use serde::{Deserialize, Serialize};
 
 use crate::results::{E1Report, E2Report};
@@ -29,12 +30,11 @@ pub struct CoverageAnalysis {
     pub p_prop: Option<f64>,
 }
 
-/// Computes `Pem` from the live memory map: monitored bytes over total
-/// application-RAM bytes.
+/// Computes `Pem` from the memory map: the bytes of the seven 16-bit
+/// monitored signals over total application-RAM bytes.
 pub fn p_em_from_map() -> f64 {
-    let node = MasterNode::new(120, EaSet::ALL);
-    let monitored_bytes = node.signals().monitored().len() * 2;
-    monitored_bytes as f64 / node.memory().app().len() as f64
+    let monitored_bytes = SignalMap::allocate().monitored().len() * 2;
+    monitored_bytes as f64 / APP_RAM_BYTES as f64
 }
 
 /// Assembles the analysis from campaign reports.

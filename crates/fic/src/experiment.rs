@@ -344,7 +344,7 @@ fn trial_of(outcome: &arrestor::RunOutcome, first_injection_ms: u64) -> Trial {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arrestor::{EaId, EaSet, MasterNode};
+    use arrestor::{EaId, EaSet, SignalMap};
     use memsim::Region;
 
     fn short_protocol() -> Protocol {
@@ -352,8 +352,7 @@ mod tests {
     }
 
     fn signal_addr(name: &str) -> usize {
-        let node = MasterNode::new(120, EaSet::ALL);
-        node.signals()
+        SignalMap::allocate()
             .monitored()
             .iter()
             .find(|(n, _)| *n == name)

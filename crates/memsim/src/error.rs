@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors from memory accesses, allocation, and injection.
+/// Errors from memory accesses and injection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
@@ -20,25 +20,6 @@ pub enum Error {
         /// Offending bit index.
         bit: u8,
     },
-    /// The memory map ran out of space for an allocation.
-    OutOfMemory {
-        /// Name of the symbol that failed to allocate.
-        name: String,
-        /// Bytes requested.
-        requested: usize,
-        /// Bytes remaining.
-        remaining: usize,
-    },
-    /// A symbol name was allocated twice.
-    DuplicateSymbol {
-        /// The clashing name.
-        name: String,
-    },
-    /// A stack layout frame overflows the stack bank.
-    StackOverflow {
-        /// Name of the frame that did not fit.
-        frame: String,
-    },
 }
 
 impl fmt::Display for Error {
@@ -51,18 +32,6 @@ impl fmt::Display for Error {
                 )
             }
             Error::BadBit { bit } => write!(f, "bit index {bit} is outside 0..8"),
-            Error::OutOfMemory {
-                name,
-                requested,
-                remaining,
-            } => write!(
-                f,
-                "allocating `{name}` needs {requested} byte(s) but only {remaining} remain"
-            ),
-            Error::DuplicateSymbol { name } => write!(f, "symbol `{name}` allocated twice"),
-            Error::StackOverflow { frame } => {
-                write!(f, "stack frame `{frame}` does not fit in the stack bank")
-            }
         }
     }
 }

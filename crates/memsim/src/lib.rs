@@ -7,24 +7,23 @@
 //!
 //! * [`Ram`] — a bounds-checked byte array with 8/16-bit little-endian
 //!   accessors and [`Ram::flip_bit`];
-//! * [`MemoryMap`] — a bump allocator handing out named, typed cells
-//!   ([`CellU8`], [`CellU16`]) so the application reads and writes its
-//!   variables *through* the RAM image, making injected flips genuinely
-//!   perturb program state;
-//! * [`StackLayout`] / [`StackHit`] — a model of the stack area
-//!   (frames with control slots and locals, plus dead space) used to
-//!   classify where a stack flip lands; the *semantics* of a control-slot
-//!   corruption (control-flow error) belong to the application crate;
+//! * [`CellU16`] — a 16-bit variable at a fixed address, so the
+//!   application reads and writes its state *through* the RAM image,
+//!   making injected flips genuinely perturb program state;
 //! * [`TargetMemory`] — the pair of banks with the paper's sizes, plus
-//!   injection bookkeeping.
+//!   injection bookkeeping;
+//! * [`BitFlip`] / [`Region`] — the injection coordinates.
+//!
+//! Where each variable and stack frame sits, and what a flip there
+//! touches, is the application's business: the arrestor crate's reach
+//! table places them.
 //!
 //! # Example
 //!
 //! ```
-//! use memsim::{MemoryMap, Ram};
+//! use memsim::{CellU16, Ram};
 //!
-//! let mut map = MemoryMap::new(64);
-//! let counter = map.alloc_u16("counter")?;
+//! let counter = CellU16::at(8);
 //! let mut ram = Ram::new(64);
 //! counter.write(&mut ram, 41);
 //! ram.flip_bit(counter.addr(), 1)?; // SWIFI: flip bit 1 -> 41 ^ 2 = 43
@@ -37,16 +36,12 @@
 
 pub mod error;
 pub mod inject;
-pub mod map;
 pub mod ram;
-pub mod stack;
 pub mod target;
 
 pub use error::Error;
 pub use inject::{BitFlip, Region};
-pub use map::{CellU16, CellU8, MemoryMap, Symbol};
-pub use ram::Ram;
-pub use stack::{FramePart, Liveness, StackHit, StackLayout};
+pub use ram::{CellU16, Ram};
 pub use target::TargetMemory;
 
 /// Byte size of the application RAM area of the paper's target.

@@ -1,5 +1,6 @@
 //! A bounds-checked byte bank with little-endian word access and
-//! single-bit corruption.
+//! single-bit corruption, and the 16-bit cells the application keeps
+//! its variables in.
 
 use serde::{Deserialize, Serialize};
 
@@ -121,6 +122,50 @@ impl Ram {
     }
 }
 
+/// Handle to a little-endian 16-bit variable at a fixed address of a
+/// [`Ram`] bank.
+///
+/// The accessors are infallible by API: a read past the bank returns 0
+/// and a write past it is dropped. The application places every cell
+/// inside its bank (its layout tests check this), so neither happens in
+/// practice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CellU16 {
+    addr: usize,
+}
+
+impl CellU16 {
+    /// The cell at `addr`.
+    pub const fn at(addr: usize) -> Self {
+        CellU16 { addr }
+    }
+
+    /// Start address of the cell.
+    pub const fn addr(self) -> usize {
+        self.addr
+    }
+
+    /// Reads the current value from the RAM image.
+    #[inline]
+    pub fn read(self, ram: &Ram) -> u16 {
+        ram.read_u16(self.addr).unwrap_or(0)
+    }
+
+    /// Writes a value to the RAM image.
+    #[inline]
+    pub fn write(self, ram: &mut Ram, value: u16) {
+        let _ = ram.write_u16(self.addr, value);
+    }
+
+    /// Adds a wrapping delta (convenient for counters).
+    #[inline]
+    pub fn add_wrapping(self, ram: &mut Ram, delta: u16) -> u16 {
+        let value = self.read(ram).wrapping_add(delta);
+        self.write(ram, value);
+        value
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,5 +239,37 @@ mod tests {
         ram.flip_bit(0, 3).unwrap();
         ram.flip_bit(0, 3).unwrap();
         assert_eq!(ram.read_u8(0).unwrap(), 0x5A);
+    }
+
+    #[test]
+    fn cells_access_ram() {
+        let v = CellU16::at(0);
+        let mut ram = Ram::new(16);
+        v.write(&mut ram, 512);
+        assert_eq!(v.read(&ram), 512);
+        assert_eq!(v.add_wrapping(&mut ram, 10), 522);
+        assert_eq!(v.read(&ram), 522);
+        // A cell past the bank reads 0 and drops writes.
+        let outside = CellU16::at(15);
+        outside.write(&mut ram, 7);
+        assert_eq!(outside.read(&ram), 0);
+    }
+
+    #[test]
+    fn add_wrapping_wraps() {
+        let v = CellU16::at(0);
+        let mut ram = Ram::new(2);
+        v.write(&mut ram, u16::MAX);
+        assert_eq!(v.add_wrapping(&mut ram, 1), 0);
+    }
+
+    #[test]
+    fn flip_in_the_image_is_visible_through_the_cell() {
+        let v = CellU16::at(2);
+        let mut ram = Ram::new(4);
+        v.write(&mut ram, 0);
+        // Flip bit 12 of the 16-bit word = bit 4 of the high byte.
+        ram.flip_bit(v.addr() + 1, 4).unwrap();
+        assert_eq!(v.read(&ram), 1 << 12);
     }
 }

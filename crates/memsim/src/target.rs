@@ -10,7 +10,7 @@ use crate::{APP_RAM_BYTES, STACK_BYTES};
 
 /// Both memory banks of the paper's master node. What a stack flip
 /// lands on is the application's business: it classifies the address
-/// against its own frame table ([`crate::StackLayout`] models one).
+/// against its own frame table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TargetMemory {
     app: Ram,

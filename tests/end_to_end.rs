@@ -1,7 +1,7 @@
 //! Cross-crate integration: the control software, the plant, the memory
 //! substrate and the assertions working together.
 
-use ea_repro::arrestor::{EaId, EaSet, MasterNode, RunConfig, System};
+use ea_repro::arrestor::{reach, EaId, EaSet, MasterNode, RunConfig, System};
 use ea_repro::memsim::{BitFlip, Region};
 use ea_repro::simenv::{TestCase, TestCaseGrid};
 
@@ -91,15 +91,9 @@ fn each_monitored_signal_msb_error_is_detected_by_its_own_mechanism() {
 
 #[test]
 fn injections_into_reserved_ram_are_inert() {
-    let node = MasterNode::new(120, EaSet::ALL);
-    let reserved = node
-        .signals()
-        .symbols()
-        .symbol("reserved")
-        .expect("reserved block exists")
-        .clone();
+    let reserved = reach::ram_span("reserved").expect("reserved block exists");
     let mut system = System::new(TestCase::new(12_000.0, 55.0), RunConfig::default());
-    let flip = BitFlip::new(Region::AppRam, reserved.addr + reserved.width / 2, 4);
+    let flip = BitFlip::new(Region::AppRam, reserved.start + reserved.len() / 2, 4);
     while system.time_ms() < 20_000 {
         if system.time_ms() > 0 && system.time_ms().is_multiple_of(20) {
             system.inject(flip);

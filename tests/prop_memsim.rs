@@ -2,9 +2,7 @@
 //! table rest on them: a flip is its own inverse, injecting the same
 //! flip twice is the identity, and out-of-bounds flips are rejected.
 
-use ea_repro::memsim::{
-    self, BitFlip, Liveness, MemoryMap, Ram, Region, StackLayout, TargetMemory,
-};
+use ea_repro::memsim::{self, BitFlip, Ram, Region, TargetMemory};
 use proptest::prelude::*;
 
 proptest! {
@@ -37,66 +35,6 @@ proptest! {
         ram.flip_bit(addr, bit).unwrap();
         ram.flip_bit(addr, bit).unwrap();
         prop_assert_eq!(ram.read_u8(addr).unwrap(), value);
-    }
-
-    #[test]
-    fn allocations_never_overlap(widths in proptest::collection::vec(1usize..8, 1..30)) {
-        let mut map = MemoryMap::new(417);
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for (k, width) in widths.iter().enumerate() {
-            match map.alloc_block(&format!("b{k}"), *width) {
-                Ok(addr) => spans.push((addr, addr + width)),
-                Err(_) => break, // out of memory is fine
-            }
-        }
-        for (i, a) in spans.iter().enumerate() {
-            for b in &spans[i + 1..] {
-                prop_assert!(a.1 <= b.0 || b.1 <= a.0, "overlap {a:?} {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn symbol_at_agrees_with_allocation(widths in proptest::collection::vec(1usize..6, 1..20), probe in 0usize..417) {
-        let mut map = MemoryMap::new(417);
-        for (k, width) in widths.iter().enumerate() {
-            if map.alloc_block(&format!("b{k}"), *width).is_err() {
-                break;
-            }
-        }
-        match map.symbol_at(probe) {
-            Some(sym) => {
-                prop_assert!(sym.addr <= probe && probe < sym.addr + sym.width);
-            }
-            None => prop_assert!(probe >= map.used()),
-        }
-    }
-
-    #[test]
-    fn stack_classification_is_total_and_consistent(
-        frames in proptest::collection::vec((1usize..8, 0usize..16), 1..6),
-        probe in 0usize..1008,
-    ) {
-        let mut layout = StackLayout::new(1008);
-        for (k, (control, locals)) in frames.iter().enumerate() {
-            let liveness = if k % 2 == 0 { Liveness::Always } else { Liveness::WhenScheduled };
-            if layout.push_frame(format!("F{k}"), *control, *locals, liveness).is_err() {
-                break;
-            }
-        }
-        // classify() must give the same answer as scanning the frames.
-        let by_scan = layout
-            .frames()
-            .iter()
-            .find(|f| f.contains(probe))
-            .map(|f| f.module.clone());
-        match (layout.classify(probe), by_scan) {
-            (memsim::StackHit::Dead, None) => {}
-            (memsim::StackHit::Frame { module, .. }, Some(name)) => {
-                prop_assert_eq!(module, name);
-            }
-            (hit, scan) => prop_assert!(false, "mismatch: {hit:?} vs {scan:?}"),
-        }
     }
 
     #[test]
@@ -167,31 +105,6 @@ proptest! {
         }
         for a in 0..memsim::STACK_BYTES {
             prop_assert_eq!(mem.stack().read_u8(a).unwrap(), 0);
-        }
-    }
-
-    #[test]
-    fn memory_map_round_trips_name_and_address(
-        widths in proptest::collection::vec(1usize..6, 1..30),
-    ) {
-        // name → symbol → addr → symbol_at → name is the identity for
-        // every allocated symbol (the FIC's error-parameter download
-        // depends on this to target signals by name).
-        let mut map = MemoryMap::new(417);
-        let mut names = Vec::new();
-        for (k, width) in widths.iter().enumerate() {
-            let name = format!("sig{k}");
-            if map.alloc_block(&name, *width).is_err() {
-                break;
-            }
-            names.push(name);
-        }
-        for name in &names {
-            let symbol = map.symbol(name).expect("allocated symbol resolves");
-            for offset in 0..symbol.width {
-                let back = map.symbol_at(symbol.addr + offset).expect("covered address");
-                prop_assert_eq!(&back.name, name);
-            }
         }
     }
 }

@@ -12,13 +12,16 @@
 //! Every prune-inert flip must also reach nothing that a fault-free run
 //! does not.
 
+use arrestor::consts::CHECKPOINT_X_CM;
 use arrestor::kernel::interpret_stack_hit;
 use arrestor::reach;
+use arrestor::reach::FramePart;
 use arrestor::record_final::{CommandReach, FlipReach};
-use arrestor::stackmodel::master_stack;
+use arrestor::signals::FILTER_DEPTH;
+use arrestor::stackmodel::{calc_locals, frame};
 use arrestor::SignalMap;
 use fic::InertMap;
-use memsim::{BitFlip, Region, StackHit, APP_RAM_BYTES, STACK_BYTES};
+use memsim::{BitFlip, Ram, Region, APP_RAM_BYTES, STACK_BYTES};
 
 /// Injection periods around both absorption thresholds, ms.
 const PERIODS_MS: [u64; 4] = [1, 8, 9, 20];
@@ -72,42 +75,123 @@ fn every_coordinate_keeps_its_reach() {
 }
 
 /// Every byte of both banks lies in exactly one row of the reach table,
-/// and the rows are the memory the node runs on: the RAM image holds one
-/// symbol per row, in order (a symbol without a row fails here), and the
-/// frame rows classify every stack byte as the node's stack layout does
-/// (bytes in no frame are the dead space).
+/// and the rows are the memory the node runs on: the RAM rows tile the
+/// bank and every named cell and block of the image starts at its row,
+/// and the frame rows tile the stack down from its top, with the CALC
+/// locals inside CALC's locals part and the bytes below the deepest
+/// frame dead.
 #[test]
 fn the_table_covers_both_banks() {
-    let sig = SignalMap::allocate().unwrap();
-    let symbols: Vec<_> = sig
-        .symbols()
-        .symbols()
-        .map(|s| (s.name.clone(), s.addr..s.addr + s.width))
-        .collect();
-    let rows: Vec<_> = reach::ram_layout()
-        .map(|(row, span)| (row.name.to_owned(), span))
-        .collect();
-    assert_eq!(symbols, rows);
-    for addr in 0..APP_RAM_BYTES {
-        let covering = rows.iter().filter(|(_, span)| span.contains(&addr)).count();
-        assert_eq!(covering, 1, "RAM byte {addr}");
-        let (row, offset) = reach::ram_row(addr).unwrap();
-        let symbol = sig.symbols().symbol_at(addr).unwrap();
+    let rows: Vec<_> = reach::ram_layout().collect();
+    assert_eq!(rows.len(), reach::RAM.len());
+    let mut next = 0;
+    for (row, span) in &rows {
         assert_eq!(
-            (row.name, offset),
-            (symbol.name.as_str(), addr - symbol.addr)
+            span.start, next,
+            "{} does not follow its predecessor",
+            row.name
         );
+        assert!(!span.is_empty(), "{} is empty", row.name);
+        next = span.end;
+    }
+    assert_eq!(next, APP_RAM_BYTES);
+    for (row, span) in &rows {
+        for addr in span.clone() {
+            assert_eq!(reach::ram_row(addr), Some((*row, addr - span.start)));
+        }
     }
     assert!(reach::ram_row(APP_RAM_BYTES).is_none());
 
-    let (layout, _) = master_stack();
-    assert_eq!(layout.frames().len(), reach::FRAMES.len());
-    for addr in 0..STACK_BYTES + 1 {
-        let expected = match layout.classify(addr) {
-            StackHit::Dead => None,
-            StackHit::Frame { module, part, .. } => Some((module, part)),
-        };
-        let row = reach::frame_at(addr).map(|(row, part)| (row.name.to_owned(), part));
-        assert_eq!(row, expected, "stack byte {addr}");
+    let sig = SignalMap::allocate();
+    let cells = [
+        ("mscnt", sig.mscnt),
+        ("ms_slot_nbr", sig.ms_slot_nbr),
+        ("pulscnt", sig.pulscnt),
+        ("i", sig.i),
+        ("SetValue", sig.set_value),
+        ("IsValue", sig.is_value),
+        ("OutValue", sig.out_value),
+        ("mass_cfg", sig.mass_cfg),
+        ("sys_mode", sig.sys_mode),
+        ("set_target", sig.set_target),
+        ("link_out", sig.link_out),
+        ("pid_integ", sig.pid_integ),
+        ("pid_prev_err", sig.pid_prev_err),
+        ("calc_x_cm", sig.calc_x_cm),
+        ("calc_cos1000", sig.calc_cos1000),
+        ("filt_idx", sig.filt_idx),
+    ];
+    for (name, cell) in cells {
+        assert_eq!(
+            reach::ram_span(name),
+            Some(cell.addr()..cell.addr() + 2),
+            "{name}"
+        );
+        assert!(cell.addr() + 2 <= APP_RAM_BYTES, "{name}");
+    }
+    // The blocks: each row holds exactly the entries the image's
+    // accessors read, entry 0 at the row's start.
+    for (name, entries) in [
+        ("filt_buf", FILTER_DEPTH),
+        ("cp_table", CHECKPOINT_X_CM.len()),
+        ("cap_table", CHECKPOINT_X_CM.len()),
+    ] {
+        let span = reach::ram_span(name).expect("a row of the table");
+        assert_eq!(span.len(), 2 * entries, "{name}");
+        let mut ram = Ram::new(APP_RAM_BYTES);
+        for k in 0..entries {
+            ram.write_u16(span.start + 2 * k, 100 + k as u16).unwrap();
+        }
+        for k in 0..entries {
+            let entry = match name {
+                "filt_buf" => sig.filt_read(&ram, k),
+                "cp_table" => sig.cp_threshold(&ram, k as u16),
+                _ => sig.cap_for(&ram, k as u16),
+            };
+            assert_eq!(entry, 100 + k as u16, "{name}[{k}]");
+        }
+    }
+
+    let mut top = STACK_BYTES;
+    let mut spans = reach::frame_layout();
+    for row in &reach::FRAMES {
+        let base = top - row.control - row.locals;
+        assert_eq!(spans.next(), Some((row, base..top)), "{}", row.name);
+        for addr in base..top {
+            let part = if addr < base + row.control {
+                FramePart::Control
+            } else {
+                FramePart::Locals
+            };
+            assert_eq!(
+                reach::frame_at(addr),
+                Some((row, part)),
+                "stack byte {addr}"
+            );
+        }
+        top = base;
+    }
+    assert_eq!(spans.next(), None);
+    for addr in (0..top).chain([STACK_BYTES]) {
+        assert_eq!(reach::frame_at(addr), None, "stack byte {addr}");
+    }
+
+    let locals = calc_locals();
+    for cell in [
+        locals.prev_pulscnt,
+        locals.prev_mscnt,
+        locals.v_est,
+        locals.stall_ms,
+        locals.last_pc,
+    ] {
+        assert!(cell.addr() + 2 <= STACK_BYTES);
+        for addr in [cell.addr(), cell.addr() + 1] {
+            let (row, part) = reach::frame_at(addr).expect("a live stack byte");
+            assert_eq!(
+                (row.name, part),
+                (frame::CALC, FramePart::Locals),
+                "byte {addr}"
+            );
+        }
     }
 }

@@ -157,7 +157,7 @@ fn e2_slice_journal_and_tables_match_the_exact_path() {
 /// `IsValue` at the V_REG instants, for one command sequence.
 fn filtered_readings(commands: &[(u16, u16)], hold_ms: usize) -> Vec<i64> {
     let mut plant = Plant::new(TestCase::new(12_000.0, 55.0));
-    let sig = SignalMap::allocate().unwrap();
+    let sig = SignalMap::allocate();
     let mut ram = Ram::new(APP_RAM_BYTES);
     sig.init(&mut ram, 120);
     let mut readings = Vec::new();
