@@ -108,8 +108,8 @@ struct Lane {
 /// # Panics
 ///
 /// When the prefix was built for a run that may not stop early
-/// ([`crate::RunConfig::stops_early`]): such a run traces, captures
-/// readouts or writes repairs back, and shared lanes neither integrate
+/// ([`crate::RunConfig::stops_early`]): such a run traces or writes
+/// repairs back, and shared lanes neither integrate
 /// their own environments nor stop early. The campaign never builds
 /// one; such runs execute their full window one at a time.
 pub fn run_lockstep(
@@ -120,7 +120,7 @@ pub fn run_lockstep(
     let mut reference = prefix.resume();
     assert!(
         reference.config().stops_early(),
-        "lockstep batching cannot record per-tick traces, capture readouts or write repairs back"
+        "lockstep batching cannot record per-tick traces or write repairs back"
     );
 
     let observation_ms = config.observation_ms;

@@ -5,7 +5,7 @@
 //!
 //! * [`Snapshot`] — a frozen copy of the *complete* simulation state
 //!   (master node with RAM + stack + kernel + detectors, slave node,
-//!   plant, failure monitor, readout, trace). Campaigns snapshot the
+//!   plant, failure monitor, trace). Campaigns snapshot the
 //!   fault-free prefix of a test case once and fork every bit-flip
 //!   trial of that case from the snapshot instead of replaying it from
 //!   t = 0. Forking is a plain deep copy, so a resumed system is
@@ -138,9 +138,9 @@
 //! # The one run shape that stops early
 //!
 //! Every argument above is made for the paper's detection-only run: no
-//! per-tick trace, no readout capture and no recovery write-back
-//! ([`crate::RunConfig::stops_early`]). A trace or a readout records
-//! state an early stop would leave out, and a repair writes absolute
+//! per-tick trace and no recovery write-back
+//! ([`crate::RunConfig::stops_early`]). A trace records state an early
+//! stop would leave out, and a repair writes absolute
 //! values the translation rule does not cover, so for any other run the
 //! detector disables itself and the run executes its full window.
 
@@ -321,8 +321,8 @@ impl SettleDetector {
     ///
     /// The detector starts disabled, and the run executes its full
     /// window, unless the run may stop early
-    /// ([`crate::RunConfig::stops_early`]): a trace, a readout capture or
-    /// a recovery write-back needs every tick of the node.
+    /// ([`crate::RunConfig::stops_early`]): a trace or a recovery
+    /// write-back needs every tick of the node.
     pub fn new(system: &System, flip: Option<BitFlip>, injection_period_ms: u64) -> Self {
         let mscnt_addr = system.master().signals().mscnt.addr();
         let prev_mscnt_addr = system.master().calc_locals().prev_mscnt.addr();
@@ -900,8 +900,8 @@ mod tests {
     fn detector_disables_itself_for_runs_that_do_not_stop_early() {
         // A hung master over a rolling aircraft: its commands are final
         // seconds in, so a detection-only run stops there and `finish`
-        // completes the window on the plant alone. A run that traces,
-        // captures readouts or writes repairs back does neither.
+        // completes the window on the plant alone. A run that traces or
+        // writes repairs back does neither.
         let flip = BitFlip::new(Region::Stack, memsim::STACK_BYTES - 4, 0);
         let observation_ms = 15_000;
         let run = |config: RunConfig| {
@@ -944,13 +944,6 @@ mod tests {
                 "trace",
                 RunConfig {
                     trace: true,
-                    ..detection_only.clone()
-                },
-            ),
-            (
-                "readout",
-                RunConfig {
-                    record_every_ms: 100,
                     ..detection_only.clone()
                 },
             ),

@@ -3,7 +3,7 @@
 
 use ea_core::{DetectionEvent, Millis};
 use memsim::BitFlip;
-use simenv::{Constraints, FailureMonitor, Plant, PlantState, Readout, TestCase, Verdict};
+use simenv::{Constraints, FailureMonitor, Plant, PlantState, TestCase, Verdict};
 
 use crate::detectors::EaSet;
 use crate::node::{MasterNode, SensorFrame, SlaveNode};
@@ -17,8 +17,6 @@ pub struct RunConfig {
     pub version: EaSet,
     /// Observation window, ms (paper: 40 000).
     pub observation_ms: Millis,
-    /// Plant readout decimation, ms (0 = no capture).
-    pub record_every_ms: u64,
     /// Failure-classification constraints.
     pub constraints: Constraints,
     /// When set, detections repair the signal in place (recovery
@@ -37,13 +35,13 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Whether a run may stop before its window ends: only the paper's
-    /// detection-only run shape, which traces nothing, captures no
-    /// readout and writes no repair back. Every other run needs each
+    /// detection-only run shape, which traces nothing and writes no
+    /// repair back. Every other run needs each
     /// tick of the node for its outputs and executes its full window
     /// ([`crate::checkpoint::SettleDetector::new`], [`System::finish`],
     /// [`crate::batch::run_lockstep`]).
     pub const fn stops_early(&self) -> bool {
-        !self.trace && self.record_every_ms == 0 && self.recovery.is_none()
+        !self.trace && self.recovery.is_none()
     }
 }
 
@@ -52,7 +50,6 @@ impl Default for RunConfig {
         RunConfig {
             version: EaSet::ALL,
             observation_ms: simenv::spec::OBSERVATION_MS,
-            record_every_ms: 0,
             constraints: Constraints::default(),
             recovery: None,
             rate_scale_percent: None,
@@ -74,8 +71,6 @@ pub struct RunOutcome {
     /// was called at, even when it completed the window with the plant
     /// alone.
     pub duration_ms: Millis,
-    /// Captured plant readout (empty unless configured).
-    pub readout: Readout,
     /// Per-tick trace (present only with [`RunConfig::trace`]).
     pub trace: Option<crate::trace::Trace>,
 }
@@ -87,7 +82,6 @@ pub struct System {
     master: MasterNode,
     slave: SlaveNode,
     failmon: FailureMonitor,
-    readout: Readout,
     config: RunConfig,
     case: TestCase,
     time_ms: Millis,
@@ -121,7 +115,6 @@ impl System {
             master,
             slave: SlaveNode::new(),
             failmon: FailureMonitor::new(),
-            readout: Readout::new(config.record_every_ms),
             config,
             case,
             time_ms: 0,
@@ -275,7 +268,7 @@ impl System {
 
     /// The environment half of [`System::tick`]: integrates the plant
     /// under the valve commands set by [`System::tick_nodes`], folds
-    /// the new state into the failure monitor and the readout, and
+    /// the new state into the failure monitor, and
     /// (when tracing) records the tick. `sensors` must be the frame
     /// passed to the matching `tick_nodes` call; it only feeds the
     /// trace record.
@@ -285,7 +278,6 @@ impl System {
             f64::from(self.slave_valve_pu) / simenv::spec::PRESSURE_UNITS_PER_BAR,
         );
         self.failmon.observe(&state);
-        self.readout.offer(&state);
 
         if let Some(trace) = &mut self.trace {
             trace.push(crate::trace::TickRecord {
@@ -343,7 +335,6 @@ impl System {
             detections,
             first_detection_ms,
             duration_ms: self.time_ms,
-            readout: self.readout,
             trace: self.trace,
         }
     }
@@ -544,18 +535,5 @@ mod tests {
             system.tick();
         }
         assert!(!system.master().detectors().events().is_empty());
-    }
-
-    #[test]
-    fn readout_capture_when_configured() {
-        let config = RunConfig {
-            record_every_ms: 1_000,
-            observation_ms: 5_000,
-            ..RunConfig::default()
-        };
-        let system = System::new(TestCase::new(12_000.0, 55.0), config);
-        let outcome = system.run_to_completion();
-        assert_eq!(outcome.readout.samples().len(), 5);
-        assert_eq!(outcome.duration_ms, 5_000);
     }
 }

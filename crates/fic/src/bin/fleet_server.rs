@@ -1,20 +1,25 @@
 //! The fleet campaign server: serves named campaigns to `fleet_worker`
-//! processes over the length-prefixed wire protocol, journals every
-//! accepted slice crash-safely, and exposes live status as JSON over
-//! HTTP on the same port.
+//! processes over the length-prefixed wire protocol and journals every
+//! accepted slice crash-safely. The port speaks nothing else; a
+//! finished campaign's tables and reports are written under
+//! `<out>/<campaign>/`.
 //!
 //! ```text
 //! fleet_server [--listen host:port] [--campaign name]... [--once]
 //!              [--scale n] [--observation ms] [--e1-limit n] [--e2-limit n]
 //!              [--lease-ms ms] [--out dir] [--journal-dir dir]
+//!              [--flight-recorder]
 //! ```
 //!
 //! With `--once` the server exits after every campaign converges and
-//! the last worker disconnects, printing a per-campaign summary —
-//! the CI `fleet-smoke` topology; a campaign whose artefacts cannot be
-//! written makes it exit non-zero. Restarting against the same
-//! `--journal-dir` resumes: recorded trials are pre-folded and only the
-//! missing slices are queued.
+//! the last registered worker disconnects, printing a per-campaign
+//! summary — the CI `fleet-smoke` topology; a campaign whose artefacts
+//! cannot be written makes it exit non-zero. `--flight-recorder` also
+//! writes each campaign's slice lifecycle spans to
+//! `<out>/<campaign>/trace/flight_log.json` (convert it with
+//! `trace_export`). Restarting against the same `--journal-dir`
+//! resumes: recorded trials are pre-folded and only the missing slices
+//! are queued.
 
 use std::process::ExitCode;
 
@@ -29,7 +34,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: fleet_server [--listen host:port] [--campaign name]... [--once] \
                  [--scale n] [--observation ms] [--e1-limit n] [--e2-limit n] \
-                 [--lease-ms ms] [--out dir] [--journal-dir dir]"
+                 [--lease-ms ms] [--out dir] [--journal-dir dir] [--flight-recorder]"
             );
             return ExitCode::from(2);
         }

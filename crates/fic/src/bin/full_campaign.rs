@@ -19,11 +19,11 @@
 //! `fic::results::write_artefacts` — the writer the fleet server
 //! uses — so a journal replays to the artefacts its campaign wrote.
 //!
-//! With `--trace`, failures produce a minimal reproducer: the
-//! differential oracle re-runs the offending ⟨error, case⟩ with
+//! A golden-run or golden-check failure produces a minimal reproducer:
+//! the differential oracle re-runs the offending ⟨error, case⟩ with
 //! per-tick trace capture, diffs it against the fault-free reference,
 //! and dumps a `fic::trace::ReproBundle` JSON under `--repro-dir`
-//! (default `results/repro`).
+//! (default `results/repro`). Passing runs trace nothing.
 //!
 //! Throughput: every campaign runs one path — the grid is grouped by
 //! test case, the fault-free prefix is simulated once per case and
@@ -108,11 +108,7 @@ fn main() {
         eprintln!("[1/2] golden-run validation...");
         if let Err(violation) = golden::validate_fault_free(&protocol) {
             eprintln!("golden-run validation FAILED: {violation}");
-            if options.trace {
-                dump_fault_free_repro(&options, &protocol, &violation);
-            } else {
-                eprintln!("hint: re-run with --trace for a reproducer bundle");
-            }
+            dump_fault_free_repro(&options, &protocol, &violation);
             std::process::exit(1);
         }
         eprintln!("      ok ({:.1?})", t0.elapsed());
@@ -216,11 +212,7 @@ fn main() {
             for divergence in &divergences {
                 eprintln!("  {divergence}");
             }
-            if options.trace {
-                dump_golden_check_repro(&options, &protocol, &e1_errors, &divergences);
-            } else {
-                eprintln!("hint: re-run with --trace for a reproducer bundle");
-            }
+            dump_golden_check_repro(&options, &protocol, &e1_errors, &divergences);
             std::process::exit(1);
         }
     }

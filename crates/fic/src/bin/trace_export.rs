@@ -1,9 +1,8 @@
 //! Converts a fleet flight log into Chrome `trace_event` JSON.
 //!
 //! The fleet server (run with `--flight-recorder`) writes each
-//! campaign's slice lifecycle spans to `trace/flight_log.json` and
-//! serves the live fleet-wide view on `/trace`. This binary does the
-//! same conversion offline: load a flight log artefact, validate it
+//! campaign's slice lifecycle spans to `trace/flight_log.json`. This
+//! binary converts that artefact: load the flight log, validate it
 //! against the pinned schema, and write the Chrome trace — loadable in
 //! `chrome://tracing` or Perfetto, one process row per campaign, one
 //! thread row per slice.

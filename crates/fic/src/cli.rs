@@ -19,11 +19,10 @@
 //! * `--refresh-golden` — write the campaign's artefacts into the
 //!   golden directory;
 //! * `--golden-dir <dir>` — golden directory (default `results/golden`);
-//! * `--trace` — enable the differential trace oracle: on a golden-run
-//!   or golden-table failure, dump a minimal reproducer bundle
-//!   (`fic::trace::ReproBundle`) for the offending ⟨error, case⟩;
-//! * `--repro-dir <dir>` — where reproducer bundles go (default
-//!   `results/repro`).
+//! * `--repro-dir <dir>` — where the reproducer bundle
+//!   (`fic::trace::ReproBundle`) for the offending ⟨error, case⟩ of a
+//!   golden-run or golden-table failure goes (default `results/repro`);
+//!   every such failure writes one.
 //!
 //! A campaign is spread over hosts by the fleet (`fleet_server` and
 //! `fleet_worker`), not by a flag of these binaries.
@@ -72,9 +71,7 @@ pub struct CliOptions {
     pub refresh_golden: bool,
     /// Where the golden artefacts live.
     pub golden_dir: PathBuf,
-    /// Dump differential-oracle reproducer bundles on failure.
-    pub trace: bool,
-    /// Where reproducer bundles are written.
+    /// Where reproducer bundles are written on a golden failure.
     pub repro_dir: PathBuf,
 }
 
@@ -91,7 +88,6 @@ impl Default for CliOptions {
             check_golden: false,
             refresh_golden: false,
             golden_dir: PathBuf::from("results/golden"),
-            trace: false,
             repro_dir: PathBuf::from("results/repro"),
         }
     }
@@ -109,7 +105,7 @@ impl CliOptions {
                     "usage: [--scale n] [--observation ms] [--workers n] [--out dir] \
                      [--journal file] [--resume] [--from-journal file] \
                      [--check-golden] [--refresh-golden] [--golden-dir dir] \
-                     [--trace] [--repro-dir dir]"
+                     [--repro-dir dir]"
                 );
                 std::process::exit(2);
             }
@@ -155,7 +151,6 @@ impl CliOptions {
                 "--check-golden" => options.check_golden = true,
                 "--refresh-golden" => options.refresh_golden = true,
                 "--golden-dir" => options.golden_dir = PathBuf::from(value("--golden-dir")?),
-                "--trace" => options.trace = true,
                 "--repro-dir" => options.repro_dir = PathBuf::from(value("--repro-dir")?),
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -228,18 +223,17 @@ mod tests {
         assert_eq!(options.golden_dir, PathBuf::from("results/golden"));
         assert!(!options.resume && !options.check_golden && !options.refresh_golden);
         assert!(options.journal.is_none() && options.from_journal.is_none());
-        assert!(!options.trace);
         assert_eq!(options.repro_dir, PathBuf::from("results/repro"));
         let runner = options.runner();
         assert!(runner.telemetry().is_some() && runner.profile().is_some());
     }
 
     #[test]
-    fn parses_trace_flags() {
-        let options = CliOptions::parse(&args(&["--trace", "--repro-dir", "/tmp/repro"])).unwrap();
-        assert!(options.trace);
+    fn parses_repro_dir() {
+        let options = CliOptions::parse(&args(&["--repro-dir", "/tmp/repro"])).unwrap();
         assert_eq!(options.repro_dir, PathBuf::from("/tmp/repro"));
         assert!(CliOptions::parse(&args(&["--repro-dir"])).is_err());
+        assert!(CliOptions::parse(&args(&["--trace"])).is_err());
     }
 
     /// Every flag documented in the README's flag tables must be one

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::results::{E1Report, E2Report};
 use crate::telemetry::RunMetadata;
 
-/// Version stamp of [`ConvergenceReport`] and the `/coverage` payload.
+/// Version stamp of [`ConvergenceReport`].
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// The report's `kind` discriminator.
@@ -161,8 +161,8 @@ impl ConvergenceAggregate {
         cells
     }
 
-    /// One self-describing coverage view (the `/coverage` payload per
-    /// campaign and the end-of-run summary share this shape).
+    /// One self-describing coverage view (the shape the end-of-run
+    /// summary renders).
     pub fn coverage(&self, name: &str, delta: f64) -> CampaignCoverage {
         CampaignCoverage {
             name: name.to_owned(),
@@ -280,8 +280,7 @@ impl Recomposition {
     }
 }
 
-/// One campaign's coverage view: the `/coverage` payload carries one
-/// of these per queued campaign.
+/// One campaign's coverage view, as [`render_coverage`] prints it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignCoverage {
     /// Campaign (or producer) name.
@@ -296,29 +295,6 @@ pub struct CampaignCoverage {
     pub cells: Vec<CellEstimate>,
     /// The recomposed coverage algebra, once both campaigns have data.
     pub recomposition: Option<Recomposition>,
-}
-
-/// The `/coverage` endpoint's whole payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CoverageSnapshot {
-    /// [`SCHEMA_VERSION`].
-    pub schema_version: u32,
-    /// Always [`REPORT_KIND`] — lets pollers of `/coverage`
-    /// sanity-check the URL.
-    pub kind: String,
-    /// One entry per campaign.
-    pub campaigns: Vec<CampaignCoverage>,
-}
-
-impl CoverageSnapshot {
-    /// Wraps per-campaign views into the versioned payload.
-    pub fn new(campaigns: Vec<CampaignCoverage>) -> Self {
-        CoverageSnapshot {
-            schema_version: SCHEMA_VERSION,
-            kind: REPORT_KIND.to_owned(),
-            campaigns,
-        }
-    }
 }
 
 /// The persisted convergence artefact (`results/convergence/*.json`):

@@ -14,8 +14,11 @@
 //!   first-wins result dedup.
 //! - [`server`] — the `std::net::TcpListener` campaign server: a
 //!   multi-tenant queue of named campaigns, journals as the durability
-//!   layer (resume on restart), artefact finalization, and a JSON
-//!   HTTP status side-channel on the same port ([`http`]).
+//!   layer (resume on restart) and artefact finalization. Its port
+//!   speaks only the wire protocol; what a campaign produced is read
+//!   from the artefacts it writes, not from a live endpoint.
+//! - [`recorder`] — the optional flight recorder of slice lifecycle
+//!   spans, written per campaign as `trace/flight_log.json`.
 //! - [`worker`] — the stateless slice executor built on
 //!   [`crate::campaign::CampaignRunner`].
 //!
@@ -27,7 +30,6 @@
 //! acceptance gate in `tests/fleet_equivalence.rs` and the CI
 //! `fleet-smoke` job.
 
-pub mod http;
 pub mod recorder;
 pub mod scheduler;
 pub mod server;
@@ -38,9 +40,9 @@ use std::fmt;
 use std::io;
 
 pub use recorder::{FlightLog, FlightRecorder, SpanEvent, SpanKind};
-pub use scheduler::{Scheduler, SliceSpec, SliceStatus, WorkerEntry, WorkerLiveness};
+pub use scheduler::{Scheduler, SliceSpec, SliceStatus};
 pub use server::{CampaignOutcome, CampaignSpec, FleetSummary, Server, ServerOptions};
-pub use wire::{Command, FrameBuffer, FrameError, RefusalKind, Response, SliceLease, WIRE_VERSION};
+pub use wire::{Command, FrameError, RefusalKind, Response, SliceLease, WIRE_VERSION};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};
 
 /// Errors raised by the fleet client and server entry points.

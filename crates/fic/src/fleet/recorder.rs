@@ -24,8 +24,7 @@
 //! (`<out>/<campaign>/trace/flight_log.json`), canonically ordered so
 //! any arrival interleaving folds to identical bytes, and exportable
 //! as Chrome `trace_event` JSON (chrome://tracing, Perfetto) via
-//! [`FlightLog::to_chrome_trace`] — served live on the `/trace` HTTP
-//! route and offline by the `trace_export` binary.
+//! [`FlightLog::to_chrome_trace`] by the `trace_export` binary.
 //!
 //! Observer contract: recording appends to a mutex-guarded vector and
 //! touches no campaign state; result artefacts are byte-identical with

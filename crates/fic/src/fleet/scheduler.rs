@@ -24,7 +24,7 @@
 //! [`crate::journal::Journal::walk`] rule — so reassignment can duplicate
 //! *work* but never duplicates *results*.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::journal::CampaignKind;
 
@@ -54,9 +54,6 @@ pub enum SliceStatus {
         worker_id: u64,
         /// Logical instant the lease lapses without a heartbeat.
         expires_at_ms: u64,
-        /// Logical instant the lease was granted (survives heartbeat
-        /// extensions, so lease age is measurable).
-        leased_at_ms: u64,
     },
     /// A result was accepted.
     Done,
@@ -68,44 +65,13 @@ struct Slice {
     status: SliceStatus,
 }
 
-/// One registered worker.
-#[derive(Debug, Clone)]
-pub struct WorkerEntry {
-    /// Self-reported name (telemetry label).
-    pub name: String,
-    /// Slices completed by this worker (accepted results only).
-    pub completed: u64,
-    /// Whether the worker is still connected.
-    pub connected: bool,
-}
-
-/// Point-in-time liveness of one worker, derived from the slice table
-/// by [`Scheduler::liveness`] — the `/status` scoreboard row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerLiveness {
-    /// The worker's scheduler id.
-    pub worker_id: u64,
-    /// Self-reported name.
-    pub name: String,
-    /// Whether the worker is still connected.
-    pub connected: bool,
-    /// Slices completed (accepted results only).
-    pub completed: u64,
-    /// Slices currently leased to this worker.
-    pub slices_in_flight: usize,
-    /// Age of the oldest lease the worker holds (`None` when idle).
-    pub oldest_lease_age_ms: Option<u64>,
-    /// Time since the most-stale held lease last heartbeat (`None`
-    /// when idle); approaches the lease TTL as the worker goes silent.
-    pub heartbeat_staleness_ms: Option<u64>,
-}
-
 /// The fleet scheduler; see the module docs for the state machine.
 #[derive(Debug)]
 pub struct Scheduler {
     lease_ms: u64,
     slices: Vec<Slice>,
-    workers: HashMap<u64, WorkerEntry>,
+    /// Registered workers that have not disconnected.
+    connected: HashSet<u64>,
     next_worker_id: u64,
 }
 
@@ -115,7 +81,7 @@ impl Scheduler {
         Scheduler {
             lease_ms: lease_ms.max(1),
             slices: Vec::new(),
-            workers: HashMap::new(),
+            connected: HashSet::new(),
             next_worker_id: 1,
         }
     }
@@ -136,31 +102,22 @@ impl Scheduler {
     }
 
     /// Registers a worker and returns its id.
-    pub fn register(&mut self, name: &str) -> u64 {
+    pub fn register(&mut self) -> u64 {
         let id = self.next_worker_id;
         self.next_worker_id += 1;
-        self.workers.insert(
-            id,
-            WorkerEntry {
-                name: name.to_owned(),
-                completed: 0,
-                connected: true,
-            },
-        );
+        self.connected.insert(id);
         id
     }
 
     /// Whether `worker_id` is a currently-connected registration.
     pub fn knows_worker(&self, worker_id: u64) -> bool {
-        self.workers.get(&worker_id).is_some_and(|w| w.connected)
+        self.connected.contains(&worker_id)
     }
 
     /// Marks a worker gone (shutdown or disconnect) and releases every
     /// lease it held back to `Pending`. Returns the released slice ids.
     pub fn release_worker(&mut self, worker_id: u64) -> Vec<u64> {
-        if let Some(worker) = self.workers.get_mut(&worker_id) {
-            worker.connected = false;
-        }
+        self.connected.remove(&worker_id);
         let mut released = Vec::new();
         for (id, slice) in self.slices.iter_mut().enumerate() {
             if let SliceStatus::Leased {
@@ -220,7 +177,6 @@ impl Scheduler {
                 slice.status = SliceStatus::Leased {
                     worker_id,
                     expires_at_ms,
-                    leased_at_ms: now_ms,
                 };
                 return Some((id as u64, slice.spec.clone()));
             }
@@ -237,14 +193,11 @@ impl Scheduler {
         };
         match slice.status {
             SliceStatus::Leased {
-                worker_id: holder,
-                leased_at_ms,
-                ..
+                worker_id: holder, ..
             } if holder == worker_id => {
                 slice.status = SliceStatus::Leased {
                     worker_id,
                     expires_at_ms: now_ms.saturating_add(self.lease_ms),
-                    leased_at_ms,
                 };
                 true
             }
@@ -257,7 +210,7 @@ impl Scheduler {
     /// (a reassigned-but-alive worker's finished work still counts);
     /// every later result for the same slice is refused. Returns
     /// whether this submission won.
-    pub fn complete(&mut self, worker_id: u64, slice_id: u64) -> bool {
+    pub fn complete(&mut self, slice_id: u64) -> bool {
         let Some(slice) = self.slices.get_mut(slice_id as usize) else {
             return false;
         };
@@ -265,9 +218,6 @@ impl Scheduler {
             return false;
         }
         slice.status = SliceStatus::Done;
-        if let Some(worker) = self.workers.get_mut(&worker_id) {
-            worker.completed += 1;
-        }
         true
     }
 
@@ -294,22 +244,6 @@ impl Scheduler {
         self.slices.iter().all(|s| s.status == SliceStatus::Done)
     }
 
-    /// `(pending, leased, done)` slice counts for one campaign.
-    pub fn campaign_counts(&self, campaign: usize) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for slice in &self.slices {
-            if slice.spec.campaign != campaign {
-                continue;
-            }
-            match slice.status {
-                SliceStatus::Pending => counts.0 += 1,
-                SliceStatus::Leased { .. } => counts.1 += 1,
-                SliceStatus::Done => counts.2 += 1,
-            }
-        }
-        counts
-    }
-
     /// `(pending, leased, done)` slice counts.
     pub fn counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
@@ -321,62 +255,6 @@ impl Scheduler {
             }
         }
         counts
-    }
-
-    /// Point-in-time liveness of every registered worker at `now_ms`:
-    /// slices currently held, the age of the oldest held lease, and
-    /// how long ago the most-stale lease last heartbeat — all derived
-    /// from the slice table, so the view is exactly what the scheduler
-    /// will act on at the next expiry sweep.
-    pub fn liveness(&self, now_ms: u64) -> Vec<WorkerLiveness> {
-        let mut rows: Vec<WorkerLiveness> = self
-            .workers()
-            .into_iter()
-            .map(|(worker_id, entry)| WorkerLiveness {
-                worker_id,
-                name: entry.name,
-                connected: entry.connected,
-                completed: entry.completed,
-                slices_in_flight: 0,
-                oldest_lease_age_ms: None,
-                heartbeat_staleness_ms: None,
-            })
-            .collect();
-        for slice in &self.slices {
-            let SliceStatus::Leased {
-                worker_id,
-                expires_at_ms,
-                leased_at_ms,
-            } = slice.status
-            else {
-                continue;
-            };
-            let Some(row) = rows.iter_mut().find(|r| r.worker_id == worker_id) else {
-                continue;
-            };
-            row.slices_in_flight += 1;
-            let age = now_ms.saturating_sub(leased_at_ms);
-            row.oldest_lease_age_ms = Some(row.oldest_lease_age_ms.map_or(age, |a| a.max(age)));
-            // expires_at = last heartbeat + TTL, so the last heartbeat
-            // (or lease grant) instant is recoverable.
-            let staleness = now_ms.saturating_sub(expires_at_ms.saturating_sub(self.lease_ms));
-            row.heartbeat_staleness_ms = Some(
-                row.heartbeat_staleness_ms
-                    .map_or(staleness, |s| s.max(staleness)),
-            );
-        }
-        rows
-    }
-
-    /// Registered workers as `(id, entry)`, sorted by id.
-    pub fn workers(&self) -> Vec<(u64, WorkerEntry)> {
-        let mut workers: Vec<(u64, WorkerEntry)> = self
-            .workers
-            .iter()
-            .map(|(&id, entry)| (id, entry.clone()))
-            .collect();
-        workers.sort_by_key(|(id, _)| *id);
-        workers
     }
 }
 
@@ -398,15 +276,15 @@ mod tests {
         let mut s = Scheduler::new(1_000);
         s.push(spec(0, 0));
         s.push(spec(0, 1));
-        let w = s.register("w");
+        let w = s.register();
         let (id0, spec0) = s.lease(w, 0).unwrap();
         assert_eq!((id0, spec0.case_index), (0, 0));
         let (id1, _) = s.lease(w, 0).unwrap();
         assert_eq!(id1, 1);
         assert!(s.lease(w, 0).is_none());
-        assert!(s.complete(w, id0));
-        assert!(!s.complete(w, id0), "duplicate result must be refused");
-        assert!(s.complete(w, id1));
+        assert!(s.complete(id0));
+        assert!(!s.complete(id0), "duplicate result must be refused");
+        assert!(s.complete(id1));
         assert!(s.all_done());
     }
 
@@ -414,8 +292,8 @@ mod tests {
     fn expired_lease_is_reassigned() {
         let mut s = Scheduler::new(500);
         s.push(spec(0, 0));
-        let dead = s.register("dead");
-        let live = s.register("live");
+        let dead = s.register();
+        let live = s.register();
         let (id, _) = s.lease(dead, 0).unwrap();
         // Within the TTL the slice is not up for grabs...
         assert!(s.lease(live, 400).is_none());
@@ -434,14 +312,14 @@ mod tests {
         let mut s = Scheduler::new(500);
         s.push(spec(0, 0));
         s.push(spec(0, 1));
-        let w = s.register("w");
+        let w = s.register();
         assert_eq!(s.next_expiry(), None);
         let (id0, _) = s.lease(w, 0).unwrap();
         let (id1, _) = s.lease(w, 100).unwrap();
         assert_eq!(s.next_expiry(), Some(500));
         assert!(s.heartbeat(w, id0, 300));
         assert_eq!(s.next_expiry(), Some(600));
-        assert!(s.complete(w, id1));
+        assert!(s.complete(id1));
         assert_eq!(s.next_expiry(), Some(800));
         assert_eq!(s.expire(800), vec![id0]);
         assert_eq!(s.next_expiry(), None);
@@ -451,8 +329,8 @@ mod tests {
     fn release_worker_returns_leases() {
         let mut s = Scheduler::new(10_000);
         s.push(spec(0, 0));
-        let w1 = s.register("w1");
-        let w2 = s.register("w2");
+        let w1 = s.register();
+        let w2 = s.register();
         let (id, _) = s.lease(w1, 0).unwrap();
         assert_eq!(s.release_worker(w1), vec![id]);
         assert!(!s.knows_worker(w1));
@@ -461,52 +339,19 @@ mod tests {
     }
 
     #[test]
-    fn liveness_tracks_lease_age_and_staleness() {
-        let mut s = Scheduler::new(1_000);
-        s.push(spec(0, 0));
-        s.push(spec(0, 1));
-        let busy = s.register("busy");
-        let _idle = s.register("idle");
-        let (id0, _) = s.lease(busy, 100).unwrap();
-        let (_, _) = s.lease(busy, 200).unwrap();
-        assert!(s.heartbeat(busy, id0, 600));
-
-        let rows = s.liveness(700);
-        assert_eq!(rows.len(), 2);
-        let busy_row = &rows[0];
-        assert_eq!(busy_row.name, "busy");
-        assert_eq!(busy_row.slices_in_flight, 2);
-        // Oldest lease was granted at 100; the heartbeat at 600 does
-        // not reset its age.
-        assert_eq!(busy_row.oldest_lease_age_ms, Some(600));
-        // Slice 1 last heartbeat at its grant (200): staleness 500.
-        assert_eq!(busy_row.heartbeat_staleness_ms, Some(500));
-        let idle_row = &rows[1];
-        assert_eq!(idle_row.name, "idle");
-        assert_eq!(idle_row.slices_in_flight, 0);
-        assert_eq!(idle_row.oldest_lease_age_ms, None);
-        assert_eq!(idle_row.heartbeat_staleness_ms, None);
-
-        assert!(s.complete(busy, id0));
-        let rows = s.liveness(700);
-        assert_eq!(rows[0].slices_in_flight, 1);
-        assert_eq!(rows[0].completed, 1);
-    }
-
-    #[test]
     fn first_result_wins_even_after_reassignment() {
         let mut s = Scheduler::new(100);
         s.push(spec(0, 0));
-        let slow = s.register("slow");
-        let fast = s.register("fast");
+        let slow = s.register();
+        let fast = s.register();
         let (id, _) = s.lease(slow, 0).unwrap();
         // The lease lapses and is reassigned...
         let (re_id, _) = s.lease(fast, 250).unwrap();
         assert_eq!(re_id, id);
         // ...but the original holder finishes first: its result counts,
         // the reassigned worker's is refused.
-        assert!(s.complete(slow, id));
-        assert!(!s.complete(fast, id));
+        assert!(s.complete(id));
+        assert!(!s.complete(id));
         assert_eq!(s.counts(), (0, 0, 1));
     }
 }

@@ -1,12 +1,12 @@
 //! The campaign server: a multi-tenant queue of named campaigns served
-//! to workers over the wire protocol, journaled for durability, with a
-//! JSON-over-HTTP status side-channel.
+//! to workers over the wire protocol and journaled for durability.
 //!
-//! One `std::net::TcpListener` serves both protocols: the first four
-//! bytes of each connection route it — ASCII `"GET "` (a length prefix
-//! of ≈ 1.2 GiB, far above [`crate::fleet::wire::MAX_FRAME_LEN`]) goes
-//! to the HTTP handler, anything else is the first frame of a worker
-//! conversation.
+//! One `std::net::TcpListener` speaks one protocol: every connection
+//! is a worker conversation whose first frame must be a
+//! version-matched [`Command::Register`]. A connection counts toward
+//! `--once`'s "last worker disconnected" test only once that handshake
+//! is accepted, so a peer that connects and sends nothing, or sends
+//! bytes that are not a frame, cannot hold the server open.
 //!
 //! Durability: every accepted slice result is appended to the
 //! campaign's crash-safe journal (trials only — the attribution events
@@ -28,19 +28,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::attribution::AttributionAggregate;
-use crate::convergence::ConvergenceAggregate;
 use crate::error_set::{self, E1Error};
 use crate::journal::{CampaignKind, Journal, JournalWriter, PaperErrors, TrialRecord};
 use crate::protocol::Protocol;
 use crate::results::{self, CampaignFold, E1Report, E2Report};
-use crate::telemetry::{self, TelemetrySnapshot};
+use crate::telemetry::TelemetrySnapshot;
 
-use super::http;
 use super::recorder::{FlightLog, FlightRecorder, SpanEvent, SpanKind};
 use super::scheduler::{Scheduler, SliceSpec};
 use super::wire::{
-    read_frame, read_frame_after_prefix, write_frame, Command, RefusalKind, Response, SliceLease,
-    WIRE_VERSION,
+    read_frame, write_frame, Command, RefusalKind, Response, SliceLease, WIRE_VERSION,
 };
 
 /// One named campaign in the server's queue.
@@ -110,8 +107,8 @@ pub struct ServerOptions {
     pub e1_limit: usize,
     /// E2 prefix limit for the binary's campaigns (0 = full set).
     pub e2_limit: usize,
-    /// Record slice lifecycle span events (the fleet flight recorder):
-    /// serves `/trace` and writes `trace/flight_log.json` per campaign.
+    /// Record slice lifecycle span events (the fleet flight recorder)
+    /// and write them to `trace/flight_log.json` per campaign.
     pub flight_recorder: bool,
 }
 
@@ -267,7 +264,7 @@ struct CampaignState {
 
 /// Scheduler plus campaign states — one lock, because every transition
 /// (lease, heartbeat, result, disconnect) must see both consistently.
-pub(super) struct Core {
+struct Core {
     scheduler: Scheduler,
     campaigns: Vec<CampaignState>,
     /// The first campaign whose artefacts could not be written;
@@ -275,25 +272,25 @@ pub(super) struct Core {
     finalize_error: Option<io::Error>,
 }
 
-/// State shared between the accept loop, connection threads and the
-/// HTTP handlers.
-pub(super) struct Shared {
-    pub(super) options: ServerOptions,
-    pub(super) core: Mutex<Core>,
+/// State shared between the accept loop and the connection threads.
+struct Shared {
+    options: ServerOptions,
+    core: Mutex<Core>,
     /// Signalled whenever a slice may have become leasable or the
     /// fleet may be done (a result folded, a lease was released), so
     /// idle lease requests wait here instead of workers polling.
     work: Condvar,
-    pub(super) done: AtomicBool,
+    done: AtomicBool,
+    /// Connections whose `Register` was accepted and that have not
+    /// closed yet.
     worker_conns: AtomicUsize,
     start: Instant,
-    registry: Arc<telemetry::Registry>,
     flight: Option<FlightRecorder>,
     errors: PaperErrors,
 }
 
 impl Shared {
-    pub(super) fn now_ms(&self) -> u64 {
+    fn now_ms(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
@@ -388,7 +385,6 @@ impl Server {
             done: AtomicBool::new(false),
             worker_conns: AtomicUsize::new(0),
             start: Instant::now(),
-            registry: Arc::new(telemetry::Registry::new()),
             errors: PaperErrors::new(),
         });
         for (slice_id, campaign) in enqueued {
@@ -415,8 +411,9 @@ impl Server {
     }
 
     /// Serves the fleet. In `once` mode, returns the summary when
-    /// every campaign is complete and the last worker connection
-    /// closed; otherwise runs until the process dies.
+    /// every campaign is complete and the last registered worker's
+    /// connection closed (connections that never registered do not
+    /// count); otherwise runs until the process dies.
     ///
     /// # Errors
     ///
@@ -429,7 +426,7 @@ impl Server {
             match listener.accept() {
                 Ok((stream, _addr)) => {
                     let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || handle_connection(&shared, stream));
+                    std::thread::spawn(move || serve_worker(&shared, stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if shared.options.once
@@ -578,8 +575,8 @@ fn finalize_campaign(state: &mut CampaignState, flight: Option<&FlightRecorder>)
     Ok(())
 }
 
-/// Decrements the worker-connection count when a connection thread
-/// unwinds, however it exits.
+/// Decrements the worker-connection count when a registered worker's
+/// connection thread unwinds, however it exits.
 struct ConnGuard<'a>(&'a Shared);
 
 impl Drop for ConnGuard<'_> {
@@ -588,54 +585,24 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
-/// Routes one accepted connection: HTTP for `"GET "` prefixes, the
-/// framed worker protocol for everything else.
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let mut prefix = [0u8; 4];
-    if let Err(e) = std::io::Read::read_exact(&mut stream, &mut prefix) {
-        let _ = e;
-        return;
-    }
-    if &prefix == b"GET " {
-        http::handle(shared, stream);
-        return;
-    }
-    shared.worker_conns.fetch_add(1, Ordering::SeqCst);
-    let guard = ConnGuard(shared);
-    serve_worker(shared, stream, prefix);
-    drop(guard);
-}
-
 /// The worker conversation: register-first handshake, then a strict
 /// command/response loop. Disconnects — clean or abrupt — release the
 /// worker's leases immediately.
-fn serve_worker(shared: &Shared, mut stream: TcpStream, prefix: [u8; 4]) {
+fn serve_worker(shared: &Shared, mut stream: TcpStream) {
+    if stream.set_nonblocking(false).is_err() {
+        return;
+    }
     // First frame must be a version-matched Register.
-    let first: Command = match read_frame_after_prefix(&mut stream, prefix) {
-        Ok(command) => command,
-        Err(_) => return,
+    let Ok(Some(first)) = read_frame::<_, Command>(&mut stream) else {
+        return;
     };
     let worker_id = match first {
-        Command::Register {
-            wire_version,
-            worker,
-        } if wire_version == WIRE_VERSION => {
-            let mut core = shared.core.lock().expect("no panics while holding lock");
-            let id = core.scheduler.register(&worker);
-            drop(core);
-            shared.registry.counter("fleet.workers.registered").inc();
-            let response = Response::Registered {
-                worker_id: id,
-                lease_ms: shared.options.lease_ms,
-            };
-            if write_frame(&mut stream, &response).is_err() {
-                return;
-            }
-            id
-        }
+        Command::Register { wire_version, .. } if wire_version == WIRE_VERSION => shared
+            .core
+            .lock()
+            .expect("no panics while holding lock")
+            .scheduler
+            .register(),
         Command::Register { wire_version, .. } => {
             let refusal = Response::Refused {
                 kind: RefusalKind::VersionMismatch,
@@ -655,10 +622,35 @@ fn serve_worker(shared: &Shared, mut stream: TcpStream, prefix: [u8; 4]) {
             return;
         }
     };
+    shared.worker_conns.fetch_add(1, Ordering::SeqCst);
+    let _guard = ConnGuard(shared);
+    let registered = Response::Registered {
+        worker_id,
+        lease_ms: shared.options.lease_ms,
+    };
+    if write_frame(&mut stream, &registered).is_ok() {
+        serve_commands(shared, &mut stream, worker_id);
+    }
 
+    let now = shared.now_ms();
+    let mut core = shared.core.lock().expect("no panics while holding lock");
+    let released = core.scheduler.release_worker(worker_id);
+    for &slice_id in &released {
+        if let Some(name) = core.campaign_name_of(slice_id) {
+            shared.record_span(now, &name, slice_id, SpanKind::Reassigned, Some(worker_id));
+        }
+    }
+    drop(core);
+    if !released.is_empty() {
+        shared.work.notify_all();
+    }
+}
+
+/// A registered worker's command loop.
+fn serve_commands(shared: &Shared, stream: &mut TcpStream, worker_id: u64) {
     // Clean EOF or any transport/framing failure ends the loop: the
     // worker is gone; its leases go back to the queue.
-    while let Ok(Some(command)) = read_frame::<_, Command>(&mut stream) {
+    while let Ok(Some(command)) = read_frame::<_, Command>(stream) {
         let response = match command {
             Command::Register { .. } => Some(Response::Refused {
                 kind: RefusalKind::Malformed,
@@ -686,8 +678,6 @@ fn serve_worker(shared: &Shared, mut stream: TcpStream, prefix: [u8; 4]) {
                         );
                     }
                 }
-                drop(core);
-                shared.registry.counter("fleet.heartbeats").inc();
                 None
             }
             Command::SliceResult {
@@ -701,27 +691,10 @@ fn serve_worker(shared: &Shared, mut stream: TcpStream, prefix: [u8; 4]) {
             Command::Shutdown { .. } => break,
         };
         if let Some(response) = response {
-            if write_frame(&mut stream, &response).is_err() {
+            if write_frame(stream, &response).is_err() {
                 break;
             }
         }
-    }
-
-    let now = shared.now_ms();
-    let mut core = shared.core.lock().expect("no panics while holding lock");
-    let released = core.scheduler.release_worker(worker_id);
-    for &slice_id in &released {
-        if let Some(name) = core.campaign_name_of(slice_id) {
-            shared.record_span(now, &name, slice_id, SpanKind::Reassigned, Some(worker_id));
-        }
-    }
-    drop(core);
-    if !released.is_empty() {
-        shared.work.notify_all();
-        shared
-            .registry
-            .counter("fleet.slices.reassigned")
-            .add(released.len() as u64);
     }
 }
 
@@ -767,7 +740,6 @@ fn handle_lease(shared: &Shared, worker_id: u64, claimed: u64) -> Response {
                 SpanKind::Leased,
                 Some(worker_id),
             );
-            shared.registry.counter("fleet.slices.leased").inc();
             return Response::Lease { slice };
         }
         let done = core.scheduler.all_done();
@@ -822,7 +794,7 @@ fn handle_result(
     }
     let now = shared.now_ms();
     let campaign_name = core.campaigns[spec.campaign].spec.name.clone();
-    if !core.scheduler.complete(worker_id, slice_id) {
+    if !core.scheduler.complete(slice_id) {
         drop(core);
         shared.record_span(
             now,
@@ -831,7 +803,6 @@ fn handle_result(
             SpanKind::Deduped,
             Some(worker_id),
         );
-        shared.registry.counter("fleet.results.duplicate").inc();
         return Response::ResultAck { accepted: false };
     }
     shared.record_span(
@@ -874,75 +845,16 @@ fn handle_result(
     finalize_ready(shared, &mut core);
     drop(core);
     shared.work.notify_all();
-    shared.registry.counter("fleet.slices.completed").inc();
-    shared
-        .registry
-        .counter(&format!("fleet.worker.{worker_id}.slices"))
-        .inc();
     Response::ResultAck { accepted: true }
 }
 
-impl Shared {
-    /// The fleet's own metric registry (lease/result/heartbeat
-    /// counters, served by the HTTP telemetry endpoint alongside the
-    /// merged worker snapshots).
-    pub(super) fn registry(&self) -> &Arc<telemetry::Registry> {
-        &self.registry
-    }
-
-    /// The flight recorder, when `--flight-recorder` is on.
-    pub(super) fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-}
-
 impl Core {
-    pub(super) fn scheduler(&self) -> &Scheduler {
-        &self.scheduler
-    }
-
     /// The campaign name a slice belongs to (for span events).
     fn campaign_name_of(&self, slice_id: u64) -> Option<String> {
         self.scheduler
             .spec(slice_id)
             .map(|spec| self.campaigns[spec.campaign].spec.name.clone())
     }
-
-    pub(super) fn campaign_views(&self) -> Vec<CampaignView> {
-        self.campaigns
-            .iter()
-            .enumerate()
-            .map(|(ci, c)| {
-                let (pending, leased, done) = self.scheduler.campaign_counts(ci);
-                CampaignView {
-                    name: c.spec.name.clone(),
-                    pending,
-                    leased,
-                    done,
-                    trials: c.trials,
-                    finalized: c.finalized,
-                    telemetry: c.telemetry.clone(),
-                    attribution: c.fold.attribution.clone(),
-                    coverage: ConvergenceAggregate::from_reports(&c.fold.e1, &c.fold.e2),
-                    protocol: c.spec.protocol.clone(),
-                }
-            })
-            .collect()
-    }
-}
-
-/// A read-only snapshot of one campaign for the HTTP side-channel.
-pub(super) struct CampaignView {
-    pub(super) name: String,
-    pub(super) pending: usize,
-    pub(super) leased: usize,
-    pub(super) done: usize,
-    pub(super) trials: u64,
-    pub(super) finalized: bool,
-    pub(super) telemetry: TelemetrySnapshot,
-    pub(super) attribution: AttributionAggregate,
-    pub(super) coverage: ConvergenceAggregate,
-    pub(super) protocol: Protocol,
 }
 
 #[cfg(test)]

@@ -9,10 +9,11 @@
 //! with a typed error instead of a parse failure halfway into a
 //! campaign.
 //!
-//! Decoding is incremental and never panics on hostile input:
-//! [`FrameBuffer`] consumes bytes in arbitrary chunk sizes (pinned by
-//! the frame-boundary fuzz in `crates/fic/tests/fleet_wire.rs`), a
-//! partial frame simply stays pending, an oversized length prefix is a
+//! [`read_frame`] is the one decoder, on both ends of the connection.
+//! It never panics on hostile input: a stream that ends mid-frame is a
+//! typed [`FrameError::Truncated`] whatever chunk sizes the transport
+//! delivers it in (pinned by the chunked-reader proptests in
+//! `crates/fic/tests/fleet_wire.rs`), an oversized length prefix is a
 //! typed [`FrameError::Oversize`], and a payload that is not valid
 //! JSON for the expected type is a [`FrameError::Parse`].
 
@@ -32,9 +33,7 @@ pub const WIRE_VERSION: u32 = 1;
 /// Upper bound on one frame's payload, bytes. Large enough for a
 /// whole-case slice result at the paper protocol, small enough that a
 /// corrupt or malicious length prefix cannot make the receiver
-/// allocate unbounded memory. ASCII `"GET "` read as a big-endian
-/// length (≈ 1.2 GiB) is far above this bound, which is how the
-/// server's single listening port tells HTTP clients from workers.
+/// allocate unbounded memory.
 pub const MAX_FRAME_LEN: usize = 32 << 20;
 
 /// One leased unit of campaign work: every still-pending trial of one
@@ -64,7 +63,8 @@ pub enum Command {
     Register {
         /// The worker's [`WIRE_VERSION`].
         wire_version: u32,
-        /// Human-readable worker name (telemetry label only).
+        /// Human-readable worker name (a label for the worker's own
+        /// logs; the server does not keep it).
         worker: String,
     },
     /// Ask for a slice of work.
@@ -221,60 +221,6 @@ pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, FrameError> {
     serde_json::from_str(text).map_err(|e| FrameError::Parse(e.to_string()))
 }
 
-/// Incremental frame decoder: feed bytes in any chunk sizes, take
-/// complete payloads out. Never panics on hostile input; a partial
-/// frame stays buffered until more bytes arrive.
-#[derive(Debug, Default)]
-pub struct FrameBuffer {
-    buffer: Vec<u8>,
-}
-
-impl FrameBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends raw bytes from the transport.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
-    }
-
-    /// Whether a partial frame is currently buffered (a clean stream
-    /// must end on a frame boundary).
-    pub fn mid_frame(&self) -> bool {
-        !self.buffer.is_empty()
-    }
-
-    /// Takes the next complete payload, if one is buffered.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Oversize`] when the pending length prefix exceeds
-    /// [`MAX_FRAME_LEN`]; the buffer is then poisoned garbage and the
-    /// connection should be dropped.
-    pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if self.buffer.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([
-            self.buffer[0],
-            self.buffer[1],
-            self.buffer[2],
-            self.buffer[3],
-        ]) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(FrameError::Oversize(len));
-        }
-        if self.buffer.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = self.buffer[4..4 + len].to_vec();
-        self.buffer.drain(..4 + len);
-        Ok(Some(payload))
-    }
-}
-
 /// Writes one message as a frame and flushes.
 ///
 /// # Errors
@@ -300,19 +246,6 @@ pub fn read_frame<R: Read, T: Deserialize>(reader: &mut R) -> Result<Option<T>, 
         ReadOutcome::Partial => return Err(FrameError::Truncated),
         ReadOutcome::Full => {}
     }
-    read_frame_after_prefix(reader, prefix).map(Some)
-}
-
-/// [`read_frame`] when the 4-byte prefix was already consumed (the
-/// server peeks it to route HTTP clients away from the worker path).
-///
-/// # Errors
-///
-/// Same conditions as [`read_frame`], minus the clean-EOF case.
-pub fn read_frame_after_prefix<R: Read, T: Deserialize>(
-    reader: &mut R,
-    prefix: [u8; 4],
-) -> Result<T, FrameError> {
     let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversize(len));
@@ -322,7 +255,7 @@ pub fn read_frame_after_prefix<R: Read, T: Deserialize>(
         ReadOutcome::Full => {}
         ReadOutcome::Eof | ReadOutcome::Partial => return Err(FrameError::Truncated),
     }
-    decode_payload(&payload)
+    decode_payload(&payload).map(Some)
 }
 
 enum ReadOutcome {

@@ -28,7 +28,8 @@ use super::FleetError;
 pub struct WorkerOptions {
     /// Server address to connect to.
     pub connect: String,
-    /// Self-reported name (telemetry label on the server).
+    /// Label printed in the worker's own log lines (sent on
+    /// `Register`; the server does not keep it).
     pub name: String,
     /// Worker threads per slice (0 = all available cores).
     pub threads: usize,

@@ -3,25 +3,25 @@
 //! The frame layer must round-trip every command and response variant,
 //! survive hostile input (truncated frames, corrupt payloads, absurd
 //! length prefixes) without panicking, and refuse version-mismatched
-//! workers with a typed error rather than a parse failure. Chunk-size
-//! independence of the incremental decoder is pinned by a proptest fuzz
-//! that re-slices encoded streams at random frame boundaries.
+//! workers with a typed error rather than a parse failure. That
+//! [`read_frame`] does not depend on how the transport chunks the
+//! stream is pinned by a proptest fuzz that reads encoded streams
+//! through a reader returning them in generated chunk sizes.
 
-use std::io::Cursor;
+use std::io::{self, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use fic::attribution::AttributionReport;
 use fic::fleet::wire::{
-    decode_payload, encode_frame, read_frame, write_frame, Command, FrameBuffer, FrameError,
-    RefusalKind, Response, SliceLease, MAX_FRAME_LEN, WIRE_VERSION,
+    decode_payload, encode_frame, read_frame, write_frame, Command, FrameError, RefusalKind,
+    Response, SliceLease, WIRE_VERSION,
 };
 use fic::fleet::{run_worker, CampaignSpec, Server, ServerOptions, WorkerOptions};
 use fic::journal::{CampaignKind, TrialRecord};
-use fic::telemetry::{Registry, TelemetryReport, TelemetrySnapshot};
+use fic::telemetry::{Registry, TelemetrySnapshot};
 use fic::{Protocol, Trial};
 use proptest::prelude::*;
-use serde::{Deserialize, Value};
 
 fn sample_trial(detected_at: Option<u64>) -> Trial {
     let mut per_ea_first_ms = [None; 7];
@@ -195,22 +195,6 @@ fn oversized_prefixes_are_refused_without_allocating() {
     let mut cursor = Cursor::new(frame);
     match read_frame::<_, Command>(&mut cursor) {
         Err(FrameError::Oversize(len)) => assert_eq!(len, u32::MAX as usize),
-        other => panic!("expected Oversize, got {other:?}"),
-    }
-
-    // The single-port design depends on ASCII "GET " decoding as an
-    // oversized length — that is how HTTP clients are told apart from
-    // workers. Pin it.
-    let get = u32::from_be_bytes(*b"GET ") as usize;
-    assert!(
-        get > MAX_FRAME_LEN,
-        "\"GET \" as a length prefix ({get}) must exceed MAX_FRAME_LEN ({MAX_FRAME_LEN})"
-    );
-
-    let mut buffer = FrameBuffer::new();
-    buffer.extend(b"GET /status HTTP/1.1\r\n");
-    match buffer.next_payload() {
-        Err(FrameError::Oversize(len)) => assert_eq!(len, get),
         other => panic!("expected Oversize, got {other:?}"),
     }
 }
@@ -435,14 +419,40 @@ fn conversation_strategy() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
     )
 }
 
+/// A transport that returns `bytes` in the generated chunk sizes
+/// (cycling), then end-of-stream.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    chunks: std::iter::Cycle<std::slice::Iter<'a, u8>>,
+}
+
+impl<'a> Chunked<'a> {
+    fn new(bytes: &'a [u8], chunks: &'a [u8]) -> Self {
+        Chunked {
+            bytes,
+            chunks: chunks.iter().cycle(),
+        }
+    }
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let chunk = usize::from(*self.chunks.next().expect("chunk sizes are never empty"));
+        let take = chunk.min(buf.len()).min(self.bytes.len());
+        buf[..take].copy_from_slice(&self.bytes[..take]);
+        self.bytes = &self.bytes[take..];
+        Ok(take)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Feeding a multi-frame stream to the incremental decoder in
-    /// arbitrary chunk sizes yields exactly the encoded messages, in
-    /// order, and ends on a frame boundary.
+    /// Reading a multi-frame stream that arrives in arbitrary chunk
+    /// sizes yields exactly the encoded messages, in order, and then a
+    /// clean end-of-stream on the frame boundary.
     #[test]
-    fn frame_buffer_is_chunk_size_independent(spec in conversation_strategy()) {
+    fn read_frame_is_chunk_size_independent(spec in conversation_strategy()) {
         let (picks, chunks) = spec;
         let pool = all_commands();
         let sent: Vec<Command> = picks
@@ -451,28 +461,21 @@ proptest! {
             .collect();
         let stream: Vec<u8> = sent.iter().flat_map(encode_frame).collect();
 
-        let mut buffer = FrameBuffer::new();
+        let mut reader = Chunked::new(&stream, &chunks);
         let mut received: Vec<Command> = Vec::new();
-        let mut offset = 0;
-        let mut chunk_iter = chunks.iter().cycle();
-        while offset < stream.len() {
-            let take = (*chunk_iter.next().unwrap() as usize).min(stream.len() - offset);
-            buffer.extend(&stream[offset..offset + take]);
-            offset += take;
-            while let Some(payload) = buffer.next_payload().unwrap() {
-                received.push(decode_payload(&payload).unwrap());
-            }
+        while let Some(command) = read_frame(&mut reader).unwrap() {
+            received.push(command);
         }
         prop_assert_eq!(&received, &sent);
-        prop_assert!(!buffer.mid_frame(), "clean stream must end on a boundary");
     }
 
-    /// Truncating the stream anywhere never panics: complete frames
-    /// before the cut decode, and the buffer reports a partial frame
-    /// exactly when the cut is mid-frame.
+    /// Truncating the stream anywhere never panics: the complete frames
+    /// before the cut decode, and the read then ends cleanly exactly
+    /// when the cut falls on a frame boundary, and as
+    /// [`FrameError::Truncated`] otherwise.
     #[test]
     fn truncation_anywhere_is_detected(spec in conversation_strategy(), cut_seed in 0usize..10_000) {
-        let (picks, _) = spec;
+        let (picks, chunks) = spec;
         let pool = all_commands();
         let sent: Vec<Command> = picks
             .iter()
@@ -481,103 +484,35 @@ proptest! {
         let stream: Vec<u8> = sent.iter().flat_map(encode_frame).collect();
         let cut = cut_seed % (stream.len() + 1);
 
-        let mut buffer = FrameBuffer::new();
-        buffer.extend(&stream[..cut]);
+        let mut reader = Chunked::new(&stream[..cut], &chunks);
         let mut decoded = 0usize;
-        while let Some(payload) = buffer.next_payload().unwrap() {
-            let _: Command = decode_payload(&payload).unwrap();
-            decoded += 1;
+        let end = loop {
+            match read_frame::<_, Command>(&mut reader) {
+                Ok(Some(command)) => {
+                    prop_assert_eq!(&command, &sent[decoded]);
+                    decoded += 1;
+                }
+                end => break end,
+            }
+        };
+        // Every frame that fits before the cut decodes.
+        let mut boundary = 0usize;
+        let mut whole = 0usize;
+        for command in &sent {
+            let len = encode_frame(command).len();
+            if boundary + len > cut {
+                break;
+            }
+            boundary += len;
+            whole += 1;
         }
-        prop_assert!(decoded <= sent.len());
-        // The cut is mid-frame iff undecoded bytes remain buffered.
-        let consumed: usize = sent[..decoded].iter().map(|c| encode_frame(c).len()).sum();
-        prop_assert_eq!(buffer.mid_frame(), cut != consumed);
+        prop_assert_eq!(decoded, whole);
+        if cut == boundary {
+            prop_assert!(matches!(end, Ok(None)), "cut on a boundary: {:?}", end);
+        } else {
+            prop_assert!(matches!(end, Err(FrameError::Truncated)), "cut mid-frame: {:?}", end);
+        }
     }
-}
-
-/// Spins a server (optionally with the flight recorder) and returns its
-/// address; the serve loop runs on a detached thread.
-fn spin_http_server(tag: &str, flight_recorder: bool) -> std::net::SocketAddr {
-    let dir = std::env::temp_dir().join(format!("fic-fleet-http-{tag}-{}", std::process::id()));
-    let options = ServerOptions {
-        listen: "127.0.0.1:0".to_owned(),
-        out_dir: dir.clone(),
-        journal_dir: Some(dir),
-        flight_recorder,
-        ..ServerOptions::default()
-    };
-    let spec = CampaignSpec::with_limits("wire", Protocol::scaled(2, 500), 1, 0);
-    let server = Server::bind(options, vec![spec]).unwrap();
-    let addr = server.local_addr().unwrap();
-    std::thread::spawn(move || server.run());
-    addr
-}
-
-/// Issues a raw HTTP GET and returns the full response text.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: fleet\r\n\r\n").as_bytes())
-        .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    response
-}
-
-/// The JSON body of a response, after asserting its status line and
-/// the JSON content type.
-fn json_response(response: &str, status: &str) -> Value {
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    assert!(
-        head.starts_with(&format!("HTTP/1.1 {status}\r\n")),
-        "status line pinned: {head}"
-    );
-    assert!(head.contains("Content-Type: application/json"), "{head}");
-    serde_json::parse_value(body).unwrap()
-}
-
-/// The second expositions are gone: `/metrics`, `/dashboard` and
-/// `/events` fall through to the `no such route` 404.
-#[test]
-fn removed_routes_answer_no_such_route() {
-    let addr = spin_http_server("removed", false);
-    for path in ["/metrics", "/dashboard", "/events"] {
-        let body = json_response(&http_get(addr, path), "404 Not Found");
-        assert_eq!(
-            body,
-            Value::Object(vec![(
-                "error".to_owned(),
-                Value::Str(format!("no such route `{path}`"))
-            )]),
-            "{path}"
-        );
-    }
-}
-
-/// `/telemetry` and `/attribution` answer 200 JSON whose per-campaign
-/// documents are valid reports, and `/telemetry` carries the fleet's
-/// own counters under `fleet`, their one exposition.
-#[test]
-fn telemetry_and_attribution_endpoints_serve_valid_reports() {
-    let addr = spin_http_server("reports", false);
-    let campaign = |body: &Value| {
-        body.get("campaigns")
-            .and_then(|campaigns| campaigns.get("wire"))
-            .cloned()
-            .expect("a document for the served campaign")
-    };
-    let telemetry = json_response(&http_get(addr, "/telemetry"), "200 OK");
-    TelemetryReport::from_value(&campaign(&telemetry))
-        .unwrap()
-        .validate()
-        .unwrap();
-    TelemetrySnapshot::from_value(telemetry.get("fleet").expect("fleet counters")).unwrap();
-    let attribution = json_response(&http_get(addr, "/attribution"), "200 OK");
-    AttributionReport::from_value(&campaign(&attribution))
-        .unwrap()
-        .validate()
-        .unwrap();
 }
 
 /// A campaign whose artefact directory cannot be created fails a
@@ -621,33 +556,72 @@ fn a_once_server_fails_when_a_campaign_cannot_be_finalized() {
     );
 }
 
-/// Pins the `/trace` response shape in both server configurations:
-/// with `--flight-recorder` it is Chrome `trace_event` JSON; without,
-/// a 404 naming the flag that would enable it.
+/// Only a registered worker holds a `once` server open. A peer that
+/// connects and sends nothing, an HTTP request, random bytes, or the
+/// length prefix of a frame and then nothing more never completes the
+/// `Register` handshake, so the server still returns once the campaign
+/// is done and the one real worker has left, with those connections
+/// still open.
 #[test]
-fn trace_endpoint_serves_chrome_trace_or_a_typed_404() {
-    let addr = spin_http_server("trace-on", true);
-    let response = http_get(addr, "/trace");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    assert!(
-        head.starts_with("HTTP/1.1 200 OK\r\n"),
-        "status line pinned: {head}"
-    );
-    assert!(head.contains("Content-Type: application/json"));
-    assert!(
-        body.contains("traceEvents"),
-        "Chrome trace envelope pinned: {body}"
-    );
+fn connections_that_never_register_do_not_hold_a_once_server_open() {
+    let dir = std::env::temp_dir().join(format!("fic-fleet-idle-{}", std::process::id()));
+    let options = ServerOptions {
+        listen: "127.0.0.1:0".to_owned(),
+        out_dir: dir.join("out"),
+        journal_dir: Some(dir.join("journal")),
+        once: true,
+        ..ServerOptions::default()
+    };
+    let spec = CampaignSpec {
+        name: "idle".to_owned(),
+        protocol: Protocol::scaled(1, 500),
+        e1_numbers: vec![1, 2],
+        e2_numbers: Vec::new(),
+    };
+    let server = Server::bind(options, vec![spec]).unwrap();
+    let addr = server.local_addr().unwrap();
+    let (done, finished) = mpsc::channel();
+    let server_thread = std::thread::spawn(move || {
+        let summary = server.run();
+        let _ = done.send(());
+        summary
+    });
 
-    let addr = spin_http_server("trace-off", false);
-    let response = http_get(addr, "/trace");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap();
-    assert!(
-        head.starts_with("HTTP/1.1 404 Not Found\r\n"),
-        "status line pinned: {head}"
-    );
-    assert!(
-        body.contains("--flight-recorder"),
-        "the 404 must name the enabling flag: {body}"
-    );
+    let silent = TcpStream::connect(addr).unwrap();
+    let mut http = TcpStream::connect(addr).unwrap();
+    http.write_all(b"GET /status HTTP/1.1\r\n\r\n").unwrap();
+    let mut random = TcpStream::connect(addr).unwrap();
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let noise: Vec<u8> = (0..64)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.to_be_bytes()[0]
+        })
+        .collect();
+    random.write_all(&noise).unwrap();
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    let register = encode_frame(&Command::Register {
+        wire_version: WIRE_VERSION,
+        worker: "stalled".to_owned(),
+    });
+    stalled.write_all(&register[..4]).unwrap();
+
+    let worker = run_worker(&WorkerOptions {
+        connect: addr.to_string(),
+        name: "idle-worker".to_owned(),
+        threads: 1,
+        ..WorkerOptions::default()
+    })
+    .unwrap();
+    assert_eq!(worker.trials, 2);
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("connections that never registered held the once server open");
+    let summary = server_thread.join().unwrap().unwrap();
+    assert_eq!(summary.campaigns.len(), 1);
+    assert_eq!(summary.campaigns[0].trials, 2);
+    drop((silent, http, random, stalled));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

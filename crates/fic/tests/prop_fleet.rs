@@ -55,8 +55,8 @@ proptest! {
     ) {
         let mut s = Scheduler::new(lease_ms);
         s.push(slice(0));
-        let holder = s.register("holder");
-        let vulture = s.register("vulture");
+        let holder = s.register();
+        let vulture = s.register();
         let (id, _) = s.lease(holder, 0).unwrap();
 
         // Heartbeat at strictly-increasing instants, each within the
@@ -73,7 +73,7 @@ proptest! {
         prop_assert!(s.lease(vulture, expiry - 1).is_none());
         prop_assert_eq!(
             s.status(id),
-            Some(SliceStatus::Leased { worker_id: holder, expires_at_ms: expiry, leased_at_ms: 0 })
+            Some(SliceStatus::Leased { worker_id: holder, expires_at_ms: expiry })
         );
         // At the TTL it is handed to the next asker, and the old
         // holder's heartbeat becomes a no-op.
@@ -94,7 +94,7 @@ proptest! {
         for c in 0..n_slices {
             s.push(slice(c));
         }
-        let workers: Vec<u64> = (0..n_workers).map(|i| s.register(&format!("w{i}"))).collect();
+        let workers: Vec<u64> = (0..n_workers).map(|_| s.register()).collect();
         // Everyone ends up holding (or having held) everything: lease
         // each slice, let it lapse, lease it again with another worker.
         for (i, &w) in workers.iter().enumerate() {
@@ -102,13 +102,12 @@ proptest! {
             while s.lease(w, at).is_some() {}
         }
 
-        // Submit (slice, worker) attempts in a generated order, with
-        // repeats; count the accepted ones per slice.
+        // Submit results in a generated order, with repeats; count the
+        // accepted ones per slice.
         let mut accepted = vec![0usize; n_slices];
-        for (step, seed) in order_seed.iter().enumerate() {
+        for seed in &order_seed {
             let slice_id = (seed % n_slices) as u64;
-            let worker = workers[(seed / n_slices + step) % n_workers];
-            if s.complete(worker, slice_id) {
+            if s.complete(slice_id) {
                 accepted[slice_id as usize] += 1;
             }
         }
@@ -189,8 +188,8 @@ fn released_worker_slices_requeue_in_id_order() {
     for c in 0..4 {
         s.push(slice(c));
     }
-    let doomed = s.register("doomed");
-    let survivor = s.register("survivor");
+    let doomed = s.register();
+    let survivor = s.register();
     let (a, _) = s.lease(doomed, 0).unwrap();
     let (b, _) = s.lease(doomed, 0).unwrap();
     let (c, _) = s.lease(survivor, 0).unwrap();
@@ -203,10 +202,9 @@ fn released_worker_slices_requeue_in_id_order() {
     assert_eq!(next, b);
     let (next, _) = s.lease(survivor, 1).unwrap();
     assert_eq!(next, 3);
-    assert!(s.complete(survivor, a));
-    assert!(s.complete(survivor, b));
-    assert!(s.complete(survivor, c));
-    assert!(s.complete(survivor, 3));
-    assert!(s.all_done());
-    assert_eq!(s.campaign_counts(0), (0, 0, 4));
+    for id in [a, b, c, 3] {
+        assert!(s.complete(id));
+    }
+    assert!(s.campaign_done(0));
+    assert_eq!(s.counts(), (0, 0, 4));
 }

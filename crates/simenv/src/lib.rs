@@ -14,9 +14,10 @@
 //! * [`failure`] — the pessimistic failure classification of Section 3.3:
 //!   retardation `r < 2.8 g`, retardation force `Fret < Fmax(m, v)`
 //!   (bilinear interpolation over a specification table), stopping
-//!   distance `d < 335 m`;
-//! * [`Readout`] — time-series capture for figure generation and
-//!   post-run analysis.
+//!   distance `d < 335 m`.
+//!
+//! A run's plant states are recorded by the target system's per-tick
+//! trace (`arrestor::trace::Trace`, one `PlantState` per tick).
 //!
 //! # Example
 //!
@@ -38,12 +39,10 @@
 pub mod failure;
 pub mod geometry;
 pub mod plant;
-pub mod readout;
 pub mod spec;
 pub mod testcase;
 
 pub use failure::{Constraints, FailureCause, FailureMonitor, FmaxTable, Verdict};
 pub use geometry::CableGeometry;
 pub use plant::{Plant, PlantState, SensorReadout};
-pub use readout::Readout;
 pub use testcase::{TestCase, TestCaseGrid};

@@ -19,14 +19,19 @@ fn main() {
         case.kinetic_energy_j() / 1e6
     );
 
-    // Fault-free arrestment with a 500 ms readout.
+    // Fault-free arrestment, traced; every 500th tick is printed.
     let config = RunConfig {
-        record_every_ms: 500,
+        trace: true,
         ..RunConfig::default()
     };
     let outcome = System::new(case, config.clone()).run_to_completion();
     println!("\n--- fault-free run ---");
-    for state in outcome.readout.samples().iter().take_while(|s| !s.arrested) {
+    let trace = outcome.trace.expect("a traced run returns its trace");
+    let states = trace.records.iter().map(|record| record.plant);
+    for state in states
+        .filter(|state| state.time_ms.is_multiple_of(500))
+        .take_while(|state| !state.arrested)
+    {
         println!(
             "t={:>6} ms  x={:>6.1} m  v={:>5.1} m/s  P={:>5.1} bar  F={:>6.1} kN  r={:.2} g",
             state.time_ms,

@@ -12,14 +12,14 @@
 //!   aggregate of the report `full_campaign` writes —
 //!   `results/convergence/*.json` is a pure function of the journal;
 //! * a fleet run finalizes a valid convergence artefact whose
-//!   aggregate re-derives exactly from the fleet journal, and serves
-//!   `/coverage` (a parseable snapshot) over the status port.
+//!   aggregate re-derives exactly from the fleet journal, next to
+//!   tables identical to a single-process run's.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use ea_repro::fic::campaign::ConvergenceSink;
-use ea_repro::fic::convergence::{self, ConvergenceAggregate, ConvergenceReport, CoverageSnapshot};
+use ea_repro::fic::convergence::{ConvergenceAggregate, ConvergenceReport};
 use ea_repro::fic::fleet::{run_worker, CampaignSpec, Server, ServerOptions, WorkerOptions};
 use ea_repro::fic::journal::Journal;
 use ea_repro::fic::results::{self, CampaignFold};
@@ -108,95 +108,55 @@ fn convergence_is_a_pure_observer() {
 }
 
 /// The fleet server derives convergence from the same folded reports
-/// it serves everywhere else: the finalized artefact validates and
-/// re-derives from the fleet journal, `/coverage` parses as a
-/// coverage snapshot, and serving it leaves the tables identical to a
-/// bare fleet run.
+/// as every other producer: the finalized artefact validates and
+/// re-derives from the fleet journal, and the fleet's tables are
+/// identical to a single-process run of the same grid.
 #[test]
 fn fleet_serves_coverage() {
     let protocol = protocol();
     let e1_limit = 4usize;
     let e2_limit = 2usize;
 
-    let fleet = |label: &str, probe_http: bool| {
-        let dir = temp_dir(label);
-        let options = ServerOptions {
-            listen: "127.0.0.1:0".to_owned(),
-            lease_ms: 60_000,
-            out_dir: dir.join("out"),
-            journal_dir: Some(dir.join("journal")),
-            once: true,
-            ..ServerOptions::default()
-        };
-        let spec = CampaignSpec {
-            name: "conv".to_owned(),
-            protocol: protocol.clone(),
-            e1_numbers: (1..=e1_limit).collect(),
-            e2_numbers: (1..=e2_limit).collect(),
-        };
-        let server = Server::bind(options, vec![spec]).unwrap();
-        let addr = server.local_addr().unwrap();
-        let server_thread = std::thread::spawn(move || server.run().unwrap());
-        let worker_options = WorkerOptions {
-            connect: addr.to_string(),
-            name: format!("{label}-worker"),
-            threads: 1,
-            ..WorkerOptions::default()
-        };
-        let worker_thread = std::thread::spawn(move || run_worker(&worker_options).unwrap());
-        // Probe while the worker is live so the scoreboard has a row;
-        // registration happens as the worker connects, long before
-        // the campaign completes.
-        let probed = probe_http.then(|| {
-            let coverage = http_get(addr, "/coverage");
-            let mut status = http_get(addr, "/status");
-            for _ in 0..300 {
-                if status.contains("slices_in_flight") {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                status = http_get(addr, "/status");
-            }
-            (coverage, status)
-        });
-        worker_thread.join().unwrap();
-        (server_thread.join().unwrap(), probed)
+    let dir = temp_dir("fleet");
+    let options = ServerOptions {
+        listen: "127.0.0.1:0".to_owned(),
+        lease_ms: 60_000,
+        out_dir: dir.join("out"),
+        journal_dir: Some(dir.join("journal")),
+        once: true,
+        ..ServerOptions::default()
     };
-
-    let (with_probe, probed) = fleet("http-on", true);
-    let (bare, _) = fleet("http-off", false);
-
-    // Serving the endpoints perturbs nothing: same tables either way.
-    let render = |outcome: &ea_repro::fic::fleet::CampaignOutcome| {
-        format!(
-            "{}\n{}",
-            tables::render_table7(&outcome.e1_report),
-            tables::render_table9(&outcome.e2_report),
-        )
+    let spec = CampaignSpec {
+        name: "conv".to_owned(),
+        protocol: protocol.clone(),
+        e1_numbers: (1..=e1_limit).collect(),
+        e2_numbers: (1..=e2_limit).collect(),
     };
-    let outcome = &with_probe.campaigns[0];
-    assert_eq!(render(outcome), render(&bare.campaigns[0]));
+    let server = Server::bind(options, vec![spec]).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run().unwrap());
+    run_worker(&WorkerOptions {
+        connect: addr.to_string(),
+        name: "conv-worker".to_owned(),
+        threads: 1,
+        ..WorkerOptions::default()
+    })
+    .unwrap();
+    let summary = server_thread.join().unwrap();
+    let outcome = &summary.campaigns[0];
 
-    // The pre-completion probes: /coverage parses as a snapshot (the
-    // contract its pollers rely on), /status carries the liveness
-    // scoreboard fields.
-    let (coverage, status) = probed.unwrap();
-    let (head, body) = coverage.split_once("\r\n\r\n").unwrap();
-    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
-    assert!(head.contains("Content-Type: application/json"));
-    let snapshot: CoverageSnapshot = serde_json::from_str(body).unwrap();
-    assert_eq!(snapshot.kind, convergence::REPORT_KIND);
-    assert_eq!(snapshot.campaigns.len(), 1);
-    assert_eq!(snapshot.campaigns[0].name, "conv");
-
-    let (_, body) = status.split_once("\r\n\r\n").unwrap();
-    for field in [
-        "slices_in_flight",
-        "oldest_lease_age_ms",
-        "heartbeat_staleness_ms",
-    ] {
-        assert!(body.contains(field), "/status must carry {field}");
-    }
+    // The same tables as a single-process run of the same grid.
+    let runner = CampaignRunner::new(protocol.clone());
+    let e1 = runner.run_e1(&error_set::e1()[..e1_limit]);
+    let e2 = runner.run_e2(&error_set::e2()[..e2_limit]);
+    assert_eq!(
+        tables::render_table7(&outcome.e1_report),
+        tables::render_table7(&e1)
+    );
+    assert_eq!(
+        tables::render_table9(&outcome.e2_report),
+        tables::render_table9(&e2)
+    );
 
     // The finalized artefact is a pure function of the fleet journal.
     let report_path = outcome
@@ -216,16 +176,4 @@ fn fleet_serves_coverage() {
         report.aggregate.trials(),
         (e1_limit + e2_limit) as u64 * cases
     );
-}
-
-/// Issues a raw HTTP GET and returns the full response text.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: fleet\r\n\r\n").as_bytes())
-        .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    response
 }
