@@ -27,7 +27,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use arrestor::{EaId, SignalMap};
-use ea_core::coverage::CoverageModel;
 use ea_core::stats::{LatencyStats, Proportion, Z_95};
 use memsim::{BitFlip, Region};
 use serde::{Deserialize, Serialize};
@@ -445,28 +444,17 @@ impl Decomposition {
         let p_ds = aggregate.e1_totals().estimate();
         let p_detect_ram = aggregate.e2_ram().estimate();
         let p_detect_stack = aggregate.e2_stack.estimate();
-        let p_prop_inferred = match (p_ds, p_detect_ram) {
-            // Pprop = 0.5 is a dummy for the inversion call, exactly as
-            // in `coverage_report::analyse`.
-            (Some(ds), Some(pd)) => CoverageModel::new(p_em, 0.5, ds)
-                .ok()
-                .and_then(|model| model.infer_p_prop(pd)),
-            _ => None,
+        let (p_prop_inferred, p_prop_clamped) = match (p_ds, p_detect_ram) {
+            (Some(ds), Some(pd)) => crate::coverage_report::solve_p_prop(ds, pd),
+            _ => (None, None),
         };
         let p_prop_empirical = aggregate.oracle.p_prop.estimate();
         // Recomposition uses, in order: the oracle's empirical Pprop,
         // the exact inferred solution, or — when the inversion lands
         // outside [0, 1] (sampling noise around a true Pprop of 0 or
-        // 1) — the clamped endpoint. Recomposed Pdetect is monotone in
-        // Pprop, so the clamped endpoint is the closest attainable
-        // recomposition and `check_algebra` still tests something real:
+        // 1) — the clamped endpoint, the closest attainable
+        // recomposition, so `check_algebra` still tests something real:
         // whether even that point stays inside the measured interval.
-        let p_prop_clamped = match (p_ds, p_detect_ram) {
-            (Some(ds), Some(pd)) if ds > 0.0 && p_en > 0.0 => {
-                Some(((pd / ds - p_em) / p_en).clamp(0.0, 1.0))
-            }
-            _ => None,
-        };
         let p_prop = p_prop_empirical.or(p_prop_inferred).or(p_prop_clamped);
         let p_detect_recomposed = match (p_ds, p_prop) {
             (Some(ds), Some(prop)) => Some((p_en * prop + p_em) * ds),

@@ -4,14 +4,19 @@
 //! detection-only configuration the paper evaluated.
 //!
 //! Uses the high-order bit errors (the failure-causing ones) of every
-//! monitored signal. `--scale`/`--observation` shrink the run.
+//! monitored signal. `--scale`/`--observation` shrink the run and
+//! `--out <dir>` takes `recovery_study.json` (default `results`).
 
-use fic::cli::CliOptions;
-use fic::{error_set, recovery_study};
+use std::path::PathBuf;
+
+use fic::{cli, error_set, recovery_study};
 
 fn main() {
-    let options = CliOptions::from_env();
-    let protocol = options.protocol();
+    let (protocol, out_dir) = cli::ABLATION_RECOVERY.from_env(|args| {
+        let out_dir: PathBuf = args.value("--out")?.unwrap_or_else(|| "results".into());
+        let observation_ms = args.value("--observation")?;
+        Ok((cli::protocol(args.scale()?, observation_ms, None), out_dir))
+    });
     let errors: Vec<_> = error_set::e1()
         .into_iter()
         .filter(|e| e.signal_bit >= 12)
@@ -23,9 +28,9 @@ fn main() {
     );
     let study = recovery_study::run_study(&protocol, &errors);
     print!("{}", recovery_study::render(&study));
-    std::fs::create_dir_all(&options.out_dir).expect("create out dir");
+    std::fs::create_dir_all(&out_dir).expect("create out dir");
     std::fs::write(
-        options.out_dir.join("recovery_study.json"),
+        out_dir.join("recovery_study.json"),
         serde_json::to_string_pretty(&study).unwrap(),
     )
     .expect("write recovery_study.json");

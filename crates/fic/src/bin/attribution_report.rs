@@ -40,59 +40,40 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fic::attribution::{self, AttributionReport};
+use fic::cli::{self, Args};
 use fic::journal::{Journal, JournalWriter};
 use fic::telemetry::RunMetadata;
 use fic::trace::ReferenceCache;
 use fic::{error_set, E1Report, E2Report};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: attribution_report <journal.jsonl> [--out dir] [--label name] \
-         [--check-golden] [--golden-dir dir] [--oracle n] [--save-oracle]"
-    );
-    std::process::exit(2);
+struct Options {
+    journal_path: PathBuf,
+    out_dir: PathBuf,
+    golden_dir: PathBuf,
+    label: Option<String>,
+    check_golden: bool,
+    oracle: usize,
+    save_oracle: bool,
+}
+
+fn options(args: &Args) -> Result<Options, String> {
+    Ok(Options {
+        journal_path: PathBuf::from(&args.operands()[0]),
+        out_dir: args.value("--out")?.unwrap_or_else(|| "results".into()),
+        golden_dir: args
+            .value("--golden-dir")?
+            .unwrap_or_else(|| "results/golden".into()),
+        label: args.value("--label")?,
+        check_golden: args.has("--check-golden"),
+        oracle: args.value("--oracle")?.unwrap_or(0),
+        save_oracle: args.has("--save-oracle"),
+    })
 }
 
 fn main() -> ExitCode {
-    let mut journal_path: Option<PathBuf> = None;
-    let mut out_dir = PathBuf::from("results");
-    let mut golden_dir = PathBuf::from("results/golden");
-    let mut label: Option<String> = None;
-    let mut check_golden = false;
-    let mut oracle = 0usize;
-    let mut save_oracle = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage();
-            })
-        };
-        match arg.as_str() {
-            "--out" => out_dir = PathBuf::from(value("--out")),
-            "--golden-dir" => golden_dir = PathBuf::from(value("--golden-dir")),
-            "--label" => label = Some(value("--label")),
-            "--check-golden" => check_golden = true,
-            "--save-oracle" => save_oracle = true,
-            "--oracle" => {
-                oracle = value("--oracle").parse().unwrap_or_else(|e| {
-                    eprintln!("--oracle: {e}");
-                    usage();
-                });
-            }
-            other if other.starts_with("--") => usage(),
-            other if journal_path.is_none() => journal_path = Some(PathBuf::from(other)),
-            _ => usage(),
-        }
-    }
-    let Some(journal_path) = journal_path else {
-        usage();
-    };
-
-    let journal = Journal::load(&journal_path).unwrap_or_else(|e| {
-        eprintln!("cannot load {}: {e}", journal_path.display());
+    let options = cli::ATTRIBUTION_REPORT.from_env(options);
+    let journal = Journal::load(&options.journal_path).unwrap_or_else(|e| {
+        eprintln!("cannot load {}: {e}", options.journal_path.display());
         std::process::exit(1);
     });
     if journal.truncated_tail {
@@ -109,8 +90,14 @@ fn main() -> ExitCode {
         journal.records.len()
     );
 
-    if oracle > 0 {
-        run_oracle(&journal, &mut events, oracle, save_oracle, &journal_path);
+    if options.oracle > 0 {
+        run_oracle(
+            &journal,
+            &mut events,
+            options.oracle,
+            options.save_oracle,
+            &options.journal_path,
+        );
     }
 
     let mut aggregate = attribution::AttributionAggregate::new();
@@ -144,9 +131,9 @@ fn main() -> ExitCode {
         }
     }
 
-    if check_golden {
-        let golden_e1: E1Report = load_json(&golden_dir.join("e1.json"));
-        let golden_e2: E2Report = load_json(&golden_dir.join("e2.json"));
+    if options.check_golden {
+        let golden_e1: E1Report = load_json(&options.golden_dir.join("e1.json"));
+        let golden_e2: E2Report = load_json(&options.golden_dir.join("e2.json"));
         let divergences =
             attribution::check_against_golden(&report.aggregate, &golden_e1, &golden_e2);
         if divergences.is_empty() {
@@ -160,13 +147,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let stem = label.unwrap_or_else(|| {
-        journal_path.file_stem().map_or_else(
+    let stem = options.label.unwrap_or_else(|| {
+        options.journal_path.file_stem().map_or_else(
             || "campaign".to_owned(),
             |s| s.to_string_lossy().into_owned(),
         )
     });
-    match attribution::write_report(&out_dir.join("attribution"), &stem, &report) {
+    match attribution::write_report(&options.out_dir.join("attribution"), &stem, &report) {
         Ok(path) => eprintln!("attribution report written to {}", path.display()),
         Err(e) => {
             eprintln!("failed to write attribution report: {e}");

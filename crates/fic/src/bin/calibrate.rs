@@ -1,17 +1,23 @@
 //! Parameter-calibration sweep (paper §2.2): how the rate-bound
 //! tightness trades detection coverage against false positives on
-//! fault-free runs.
+//! fault-free runs. `--scale`/`--observation` shrink the run (the
+//! window defaults to 15 s) and `--out <dir>` takes `calibration.json`
+//! (default `results`).
 
-use fic::cli::CliOptions;
-use fic::{calibration, error_set};
+use std::path::PathBuf;
+
+use fic::{calibration, cli, error_set};
 
 fn main() {
-    let options = CliOptions::from_env();
-    let mut protocol = options.protocol();
-    if options.observation_ms.is_none() {
+    let (protocol, out_dir) = cli::CALIBRATE.from_env(|args| {
         // The sweep needs only the arrestment phase, not the full 40 s.
-        protocol.observation_ms = 15_000;
-    }
+        let observation_ms = args.value("--observation")?.unwrap_or(15_000);
+        let out_dir: PathBuf = args.value("--out")?.unwrap_or_else(|| "results".into());
+        Ok((
+            cli::protocol(args.scale()?, Some(observation_ms), None),
+            out_dir,
+        ))
+    });
     // Mid-bit errors of the continuous signals: the population the bound
     // position decides about (MSBs always fire, LSBs never do).
     let errors: Vec<_> = error_set::e1()
@@ -32,9 +38,9 @@ fn main() {
     );
     let points = calibration::sweep(&protocol, &errors, &scales);
     print!("{}", calibration::render(&points));
-    std::fs::create_dir_all(&options.out_dir).expect("create out dir");
+    std::fs::create_dir_all(&out_dir).expect("create out dir");
     std::fs::write(
-        options.out_dir.join("calibration.json"),
+        out_dir.join("calibration.json"),
         serde_json::to_string_pretty(&points).unwrap(),
     )
     .expect("write calibration.json");

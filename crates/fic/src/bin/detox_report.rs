@@ -35,6 +35,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use arrestor::{EaId, EaSet};
+use fic::cli;
 use fic::journal::{Journal, JournalError};
 use fic::profile::ProfileReport;
 use fic::Trial;
@@ -45,11 +46,6 @@ const DETOX_SCHEMA_VERSION: u32 = 1;
 
 /// The artefact's `kind` discriminator.
 const DETOX_KIND: &str = "assertion-detox-report";
-
-fn usage() -> ! {
-    eprintln!("usage: detox_report <journal> --profile <file> [--out dir]");
-    std::process::exit(2);
-}
 
 /// One subset's joined row.
 struct SubsetRow {
@@ -70,30 +66,13 @@ struct SubsetRow {
 }
 
 fn main() -> ExitCode {
-    let mut journal_path: Option<PathBuf> = None;
-    let mut profile_path: Option<PathBuf> = None;
-    let mut out_dir = PathBuf::from("results");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage();
-            })
+    let (journal_path, profile_path, out_dir) = cli::DETOX_REPORT.from_env(|args| {
+        let Some(profile) = args.value::<PathBuf>("--profile")? else {
+            return Err("--profile <file> is required".to_owned());
         };
-        match arg.as_str() {
-            "--profile" => profile_path = Some(PathBuf::from(value("--profile"))),
-            "--out" => out_dir = PathBuf::from(value("--out")),
-            other if other.starts_with("--") => usage(),
-            other if journal_path.is_none() => journal_path = Some(PathBuf::from(other)),
-            _ => usage(),
-        }
-    }
-    let (Some(journal_path), Some(profile_path)) = (journal_path, profile_path) else {
-        usage();
-    };
-
+        let out_dir: PathBuf = args.value("--out")?.unwrap_or_else(|| "results".into());
+        Ok((PathBuf::from(&args.operands()[0]), profile, out_dir))
+    });
     let trials = match distinct_trials(&journal_path) {
         Ok(trials) => trials,
         Err(e) => {

@@ -2,14 +2,16 @@
 //! the three continuous-signal examples (Fig 2, as CSV artefacts with a
 //! cross-classification check), the non-linear state machine (Fig 3),
 //! the software architecture with assertion placements (Fig 5/6 and
-//! Table 4).
+//! Table 4). `--out <dir>` is where the CSVs go (default `results`).
 
-use fic::cli::CliOptions;
-use fic::figures;
+use std::path::PathBuf;
+
+use fic::{cli, figures};
 
 fn main() {
-    let options = CliOptions::from_env();
-    std::fs::create_dir_all(&options.out_dir).expect("create out dir");
+    let out_dir: PathBuf =
+        cli::FIGURES.from_env(|args| Ok(args.value("--out")?.unwrap_or_else(|| "results".into())));
+    std::fs::create_dir_all(&out_dir).expect("create out dir");
 
     println!("{}", figures::fig1_taxonomy());
 
@@ -20,9 +22,7 @@ fn main() {
         "Sub", "Class", "Samples", "vs (a)", "vs (b)", "vs (c)"
     );
     for s in &series {
-        let path = options
-            .out_dir
-            .join(format!("fig2{}.csv", s.label.trim_matches(['(', ')'])));
+        let path = out_dir.join(format!("fig2{}.csv", s.label.trim_matches(['(', ')'])));
         std::fs::write(&path, s.to_csv()).expect("write fig2 csv");
         let violations: Vec<String> = series
             .iter()

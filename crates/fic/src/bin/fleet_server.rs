@@ -23,22 +23,11 @@
 
 use std::process::ExitCode;
 
+use fic::cli;
 use fic::fleet::{Server, ServerOptions};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match ServerOptions::parse(&args) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("fleet_server: {e}");
-            eprintln!(
-                "usage: fleet_server [--listen host:port] [--campaign name]... [--once] \
-                 [--scale n] [--observation ms] [--e1-limit n] [--e2-limit n] \
-                 [--lease-ms ms] [--out dir] [--journal-dir dir] [--flight-recorder]"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    let options = cli::FLEET_SERVER.from_env(ServerOptions::from_args);
     let campaigns = options.campaign_specs();
     let server = match Server::bind(options, campaigns) {
         Ok(server) => server,

@@ -14,21 +14,11 @@
 
 use std::process::ExitCode;
 
+use fic::cli;
 use fic::fleet::{run_worker, WorkerOptions};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match WorkerOptions::parse(&args) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("fleet_worker: {e}");
-            eprintln!(
-                "usage: fleet_worker [--connect host:port] [--name label] [--threads n] \
-                 [--connect-timeout-ms ms] [--die-after-leases n]"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    let options = cli::FLEET_WORKER.from_env(WorkerOptions::from_args);
     match run_worker(&options) {
         Ok(summary) if summary.died => {
             eprintln!(

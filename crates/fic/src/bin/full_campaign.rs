@@ -71,7 +71,7 @@
 use std::fmt::Display;
 use std::time::Instant;
 
-use fic::cli::CliOptions;
+use fic::cli::{self, CliOptions};
 use fic::error_set::E1Error;
 use fic::journal::{Journal, JournalWriter};
 use fic::results::{self, CampaignFold};
@@ -79,7 +79,7 @@ use fic::trace::{self, ReproBundle, ReproError};
 use fic::{error_set, golden, run_trial_traced, tables, Protocol};
 
 fn main() {
-    let options = CliOptions::from_env();
+    let options = cli::FULL_CAMPAIGN.from_env(CliOptions::from_args);
     let e1_errors = error_set::e1();
     let (protocol, fold, runner) = if let Some(path) = &options.from_journal {
         let journal = Journal::load(path).unwrap_or_else(|e| fail(path.display(), e));
@@ -95,7 +95,7 @@ fn main() {
         );
         (journal.header.protocol, fold, None)
     } else {
-        let protocol = options.protocol();
+        let protocol = cli::protocol(options.scale, options.observation_ms, options.workers);
         eprintln!(
             "protocol: {} cases/error, {} ms window, {} ms injection period, {} workers",
             protocol.cases_per_error(),
@@ -113,7 +113,7 @@ fn main() {
         }
         eprintln!("      ok ({:.1?})", t0.elapsed());
 
-        let runner = options.runner();
+        let runner = cli::runner(protocol.clone());
         let e2_errors = error_set::e2();
         let t1 = Instant::now();
         eprintln!(

@@ -54,6 +54,7 @@ use std::process::ExitCode;
 
 use fic::attribution::{self, AttributionReport};
 use fic::campaign::DEFAULT_BATCH_SIZE;
+use fic::cli;
 use fic::convergence::{ConvergenceAggregate, ConvergenceReport};
 use fic::journal::{Journal, PaperError, PaperErrors};
 use fic::results::CampaignFold;
@@ -61,52 +62,22 @@ use fic::telemetry::TelemetryReport;
 use fic::{InertMap, PruneClass};
 use memsim::BitFlip;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: telemetry_check [--report file] [--journal file] \
-         [--attribution file] [--convergence file]"
-    );
-    std::process::exit(2);
-}
-
 fn main() -> ExitCode {
-    let mut report_path: Option<PathBuf> = None;
-    let mut journal_path: Option<PathBuf> = None;
-    let mut attribution_path: Option<PathBuf> = None;
-    let mut convergence_path: Option<PathBuf> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage();
-            })
-        };
-        match flag.as_str() {
-            "--report" => report_path = Some(PathBuf::from(value("--report"))),
-            "--journal" => journal_path = Some(PathBuf::from(value("--journal"))),
-            "--attribution" => attribution_path = Some(PathBuf::from(value("--attribution"))),
-            "--convergence" => convergence_path = Some(PathBuf::from(value("--convergence"))),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
+    let (report_path, journal_path, attribution_path, convergence_path) = cli::TELEMETRY_CHECK
+        .from_env(|args| {
+            let report: Option<PathBuf> = args.value("--report")?;
+            let journal: Option<PathBuf> = args.value("--journal")?;
+            let attribution: Option<PathBuf> = args.value("--attribution")?;
+            let convergence: Option<PathBuf> = args.value("--convergence")?;
+            if report.is_none() && attribution.is_none() && convergence.is_none() {
+                let needs = "--report, --attribution or --convergence";
+                return Err(match journal {
+                    Some(_) => format!("--journal cross-checks a report; it needs {needs}"),
+                    None => format!("nothing to check: give {needs}"),
+                });
             }
-        }
-    }
-    if report_path.is_none() && attribution_path.is_none() && convergence_path.is_none() {
-        usage();
-    }
-    if journal_path.is_some()
-        && report_path.is_none()
-        && attribution_path.is_none()
-        && convergence_path.is_none()
-    {
-        eprintln!(
-            "--journal cross-checks a report; it needs --report, --attribution or --convergence"
-        );
-        return ExitCode::from(2);
-    }
+            Ok((report, journal, attribution, convergence))
+        });
 
     let mut failures = 0usize;
 

@@ -17,12 +17,13 @@
 //!
 //! ```text
 //! trace_diff [--scale n] [--observation ms] [--case idx]
-//!            [--error S<k>] [--e2 <n>] [--repro-dir dir]
+//!            [--error S<k>] [--e2 n] [--repro-dir dir]
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use fic::cli::{self, Args};
 use fic::error_set;
 use fic::trace::{self, ReferenceCache, ReproBundle, ReproError};
 use fic::{run_trial_traced, telemetry, Protocol};
@@ -30,103 +31,72 @@ use memsim::BitFlip;
 use simenv::TestCase;
 
 struct Options {
-    scale: Option<usize>,
-    observation_ms: Option<u64>,
-    case: Option<usize>,
+    protocol: Protocol,
+    cases: Vec<TestCase>,
     error: Option<(String, BitFlip)>,
     repro_dir: PathBuf,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace_diff [--scale n] [--observation ms] [--case idx] \
-         [--error S<k>] [--e2 <n>] [--repro-dir dir]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Options {
-    let mut options = Options {
-        scale: None,
-        observation_ms: None,
-        case: None,
-        error: None,
-        repro_dir: PathBuf::from("results/repro"),
+fn options(args: &Args) -> Result<Options, String> {
+    let protocol = cli::protocol(args.scale()?, args.value("--observation")?, None);
+    let all_cases = protocol.grid.cases();
+    let cases = match args.value::<usize>("--case")? {
+        Some(idx) => match all_cases.get(idx) {
+            Some(case) => vec![*case],
+            None => {
+                return Err(format!(
+                    "--case: index {idx} is outside 0..{}",
+                    all_cases.len()
+                ))
+            }
+        },
+        None => all_cases,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage();
-            })
-        };
-        match flag.as_str() {
-            "--scale" => options.scale = Some(parse_num(&value("--scale"), "--scale")),
-            "--observation" => {
-                options.observation_ms = Some(parse_num(&value("--observation"), "--observation"));
-            }
-            "--case" => options.case = Some(parse_num(&value("--case"), "--case")),
-            "--error" => {
-                let spec = value("--error");
-                let k: usize = parse_num(spec.trim_start_matches(['S', 's']), "--error");
-                let errors = error_set::e1();
-                let Some(error) = errors.get(k.wrapping_sub(1)) else {
-                    eprintln!("--error: S{k} is outside S1..S{}", errors.len());
-                    std::process::exit(2);
-                };
-                options.error = Some((format!("S{k}"), error.flip));
-            }
-            "--e2" => {
-                let k: usize = parse_num(&value("--e2"), "--e2");
-                let errors = error_set::e2();
-                let Some(error) = errors.get(k.wrapping_sub(1)) else {
-                    eprintln!("--e2: {k} is outside 1..{}", errors.len());
-                    std::process::exit(2);
-                };
-                options.error = Some((format!("E2#{k}"), error.flip));
-            }
-            "--repro-dir" => options.repro_dir = PathBuf::from(value("--repro-dir")),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+    let error = match (
+        args.value::<String>("--error")?,
+        args.value::<usize>("--e2")?,
+    ) {
+        (Some(_), Some(_)) => {
+            return Err("--error and --e2 each name the injected error; give one".to_owned())
         }
-    }
-    options
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    text.parse().unwrap_or_else(|e| {
-        eprintln!("{flag}: {e}");
-        usage();
+        (Some(spec), None) => {
+            let k: usize = spec
+                .trim_start_matches(['S', 's'])
+                .parse()
+                .map_err(|e| format!("--error: {e}"))?;
+            let errors = error_set::e1();
+            let Some(e) = errors.get(k.wrapping_sub(1)) else {
+                return Err(format!("--error: S{k} is outside S1..S{}", errors.len()));
+            };
+            Some((format!("S{k}"), e.flip))
+        }
+        (None, Some(k)) => {
+            let errors = error_set::e2();
+            let Some(e) = errors.get(k.wrapping_sub(1)) else {
+                return Err(format!("--e2: {k} is outside 1..{}", errors.len()));
+            };
+            Some((format!("E2#{k}"), e.flip))
+        }
+        (None, None) => None,
+    };
+    let repro_dir = args
+        .value("--repro-dir")?
+        .unwrap_or_else(|| "results/repro".into());
+    Ok(Options {
+        protocol,
+        cases,
+        error,
+        repro_dir,
     })
 }
 
 fn main() -> ExitCode {
-    let options = parse_args();
-    let mut protocol = match options.scale {
-        Some(n) => Protocol::scaled(n, simenv::spec::OBSERVATION_MS),
-        None => Protocol::paper(),
-    };
-    if let Some(ms) = options.observation_ms {
-        protocol.observation_ms = ms;
-    }
-    let all_cases = protocol.grid.cases();
-    let cases: Vec<TestCase> = match options.case {
-        Some(idx) => {
-            let Some(case) = all_cases.get(idx) else {
-                eprintln!("--case: index {idx} is outside 0..{}", all_cases.len());
-                return ExitCode::from(2);
-            };
-            vec![*case]
-        }
-        None => all_cases,
-    };
+    let Options {
+        protocol,
+        cases,
+        error,
+        repro_dir,
+    } = cli::TRACE_DIFF.from_env(options);
     eprintln!(
         "protocol: {} case(s), {} ms window, {} ms injection period",
         cases.len(),
@@ -158,7 +128,7 @@ fn main() -> ExitCode {
                 &reference,
                 &rerun,
             );
-            match trace::write_repro(&options.repro_dir, &format!("nondet-case{idx}"), &bundle) {
+            match trace::write_repro(&repro_dir, &format!("nondet-case{idx}"), &bundle) {
                 Ok(path) => eprintln!("reproducer written to {}", path.display()),
                 Err(e) => eprintln!("failed to write reproducer: {e}"),
             }
@@ -172,7 +142,7 @@ fn main() -> ExitCode {
     println!("determinism gate: ok ({} case(s))", cases.len());
 
     // Phase 2: divergence analysis of one injected error.
-    let Some((label, flip)) = options.error else {
+    let Some((label, flip)) = error else {
         return ExitCode::SUCCESS;
     };
     println!();
@@ -261,11 +231,7 @@ fn main() -> ExitCode {
                 &reference,
                 &observed,
             );
-            match trace::write_repro(
-                &options.repro_dir,
-                &format!("oracle-{label}-case{idx}"),
-                &bundle,
-            ) {
+            match trace::write_repro(&repro_dir, &format!("oracle-{label}-case{idx}"), &bundle) {
                 Ok(path) => eprintln!("reproducer written to {}", path.display()),
                 Err(e) => eprintln!("failed to write reproducer: {e}"),
             }

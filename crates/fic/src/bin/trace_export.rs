@@ -15,15 +15,14 @@
 
 use std::process::ExitCode;
 
+use fic::cli;
 use fic::fleet::FlightLog;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [input, output] = args.as_slice() else {
-        eprintln!("usage: trace_export <flight_log.json> <out.json>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(input) {
+    // The parser guarantees both operands.
+    let (input, output) = cli::TRACE_EXPORT
+        .from_env(|args| Ok((args.operands()[0].clone(), args.operands()[1].clone())));
+    let text = match std::fs::read_to_string(&input) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("cannot read {input}: {e}");
@@ -42,7 +41,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let trace = serde_json::to_string_pretty(&log.to_chrome_trace()).expect("trace serialises");
-    if let Err(e) = std::fs::write(output, format!("{trace}\n")) {
+    if let Err(e) = std::fs::write(&output, format!("{trace}\n")) {
         eprintln!("cannot write {output}: {e}");
         return ExitCode::FAILURE;
     }

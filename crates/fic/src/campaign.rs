@@ -27,10 +27,10 @@ use std::collections::HashSet;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel;
 use simenv::TestCase;
 
 use crate::attribution::{AttributionAggregate, AttributionEvent, MonitoredMap};
@@ -692,8 +692,8 @@ impl CampaignRunner {
             .collect()
     }
 
-    /// Generic worker fan-out: workers pull per-case work items of
-    /// ⟨error, case⟩ pairs from a shared queue and stream completed
+    /// Generic worker fan-out: workers claim per-case work items of
+    /// ⟨error, case⟩ pairs through a shared cursor and stream completed
     /// trials back; the collector (on the calling thread) hands each
     /// ⟨error index, case index, trial⟩ to `on_trial` in arrival order
     /// and appends it to the journal. Reports are commutative, so
@@ -750,22 +750,22 @@ impl CampaignRunner {
         // [`DEFAULT_BATCH_SIZE`] live errors ([`lockstep_items`]), in
         // case-major pending order, so a 1-worker campaign completes
         // trials in (case, error) order whatever the prune classes.
-        let (work_tx, work_rx) = channel::unbounded::<(usize, Vec<usize>)>();
+        // Every item is listed before any worker starts, so workers
+        // claim them through one shared cursor, in this order.
+        let mut items: Vec<(usize, Vec<usize>)> = Vec::new();
         for (ci, eis) in group_by_case(&pending) {
             let case_classes: Vec<Option<PruneClass>> = eis.iter().map(|&ei| classes[ei]).collect();
             for item in lockstep_items(&case_classes) {
-                work_tx
-                    .send((ci, eis[item].to_vec()))
-                    .expect("queue is open");
+                items.push((ci, eis[item].to_vec()));
             }
         }
-        drop(work_tx);
-        let (result_tx, result_rx) = channel::unbounded::<(usize, usize, Trial)>();
+        let next = AtomicUsize::new(0);
+        let (result_tx, result_rx) = mpsc::channel::<(usize, usize, Trial)>();
 
         let mut journal_error: Option<io::Error> = None;
         std::thread::scope(|scope| {
             for w in 0..workers {
-                let work_rx = work_rx.clone();
+                let (items, next) = (&items, &next);
                 let result_tx = result_tx.clone();
                 let cases = &cases;
                 let protocol = &self.protocol;
@@ -779,7 +779,10 @@ impl CampaignRunner {
                         .map(|t| t.registry.counter(&format!("campaign.worker.{w}.trials")));
                     loop {
                         let waiting = tel.as_ref().map(|_| Instant::now());
-                        let Ok((ci, eis)) = work_rx.recv() else { break };
+                        let Some(&(ci, ref eis)) = items.get(next.fetch_add(1, Ordering::Relaxed))
+                        else {
+                            break;
+                        };
                         if let (Some(t), Some(started)) = (&tel, waiting) {
                             let micros =
                                 u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -791,7 +794,7 @@ impl CampaignRunner {
                         // `telemetry_check --journal` and the benchmark
                         // ledger's traced mirror both re-derive.
                         let mut prefix = None;
-                        for _ in &eis {
+                        for _ in eis {
                             prefix =
                                 Some(cache.prefix_observed(protocol, ci, cases[ci], tel.as_ref()));
                         }
@@ -844,7 +847,7 @@ impl CampaignRunner {
                         let trials = trials
                             .into_iter()
                             .map(|trial| trial.expect("every lane resolved"));
-                        for (ei, trial) in eis.into_iter().zip(trials) {
+                        for (&ei, trial) in eis.iter().zip(trials) {
                             if let Some(c) = &worker_trials {
                                 c.inc();
                             }

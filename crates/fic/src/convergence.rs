@@ -235,8 +235,9 @@ impl CellEstimate {
     }
 }
 
-/// The §2.4 coverage algebra recomposed from the live cells, the same
-/// clamped inversion `attribution::Decomposition` uses: `Pem` is exact
+/// The §2.4 coverage algebra recomposed from the live cells, with the
+/// clamped inversion every report reads
+/// ([`crate::coverage_report::solve_p_prop`]): `Pem` is exact
 /// from the memory map, `Pds` comes from the E1 total, `Pprop` is
 /// inverted from the E2 RAM measurement (clamped into `[0, 1]` against
 /// sampling noise), and `Pdetect = (Pen·Pprop + Pem)·Pds`.
@@ -264,11 +265,9 @@ impl Recomposition {
         let p_detect_ram = aggregate.e2_ram.estimate()?;
         let p_em = crate::coverage_report::p_em_from_map();
         let p_en = 1.0 - p_em;
-        let p_prop = if p_ds > 0.0 && p_en > 0.0 {
-            ((p_detect_ram / p_ds - p_em) / p_en).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
+        let p_prop = crate::coverage_report::solve_p_prop(p_ds, p_detect_ram)
+            .1
+            .unwrap_or(0.0);
         Some(Recomposition {
             p_em,
             p_en,

@@ -10,7 +10,6 @@
 //! without the memory map.
 
 use arrestor::SignalMap;
-use ea_core::coverage::CoverageModel;
 use memsim::APP_RAM_BYTES;
 use serde::{Deserialize, Serialize};
 
@@ -37,22 +36,34 @@ pub fn p_em_from_map() -> f64 {
     monitored_bytes as f64 / APP_RAM_BYTES as f64
 }
 
+/// Solves `Pdetect = (Pen·Pprop + Pem)·Pds` for `Pprop`, the one
+/// inversion every report reads. Returns the exact solution when it
+/// lies in `[0, 1]` (`None` when the measurements are inconsistent
+/// with the algebra), and the solution clamped into `[0, 1]`: recomposed
+/// `Pdetect` is monotone in `Pprop`, so the clamped endpoint is the
+/// closest attainable recomposition. Both are `None` when `Pds` is 0.
+pub fn solve_p_prop(p_ds: f64, p_detect_ram: f64) -> (Option<f64>, Option<f64>) {
+    let p_em = p_em_from_map();
+    let p_en = 1.0 - p_em;
+    if p_ds == 0.0 || p_en == 0.0 {
+        return (None, None);
+    }
+    let p_prop = (p_detect_ram / p_ds - p_em) / p_en;
+    let exact = (0.0..=1.0).contains(&p_prop).then_some(p_prop);
+    (exact, Some(p_prop.clamp(0.0, 1.0)))
+}
+
 /// Assembles the analysis from campaign reports.
 ///
 /// Returns `None` when either report is empty.
 pub fn analyse(e1: &E1Report, e2: &E2Report) -> Option<CoverageAnalysis> {
     let p_ds = e1.p_ds()?;
     let p_detect_ram = e2.ram.all.estimate()?;
-    let p_em = p_em_from_map();
-    // CoverageModel validates the probabilities; Pprop = 0.5 is a dummy
-    // placeholder for the inversion call.
-    let model = CoverageModel::new(p_em, 0.5, p_ds).ok()?;
-    let p_prop = model.infer_p_prop(p_detect_ram);
     Some(CoverageAnalysis {
-        p_em,
+        p_em: p_em_from_map(),
         p_ds,
         p_detect_ram,
-        p_prop,
+        p_prop: solve_p_prop(p_ds, p_detect_ram).0,
     })
 }
 

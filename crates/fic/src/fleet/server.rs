@@ -6,7 +6,9 @@
 //! version-matched [`Command::Register`]. A connection counts toward
 //! `--once`'s "last worker disconnected" test only once that handshake
 //! is accepted, so a peer that connects and sends nothing, or sends
-//! bytes that are not a frame, cannot hold the server open.
+//! bytes that are not a frame, cannot hold the server open. Nor can it
+//! hold a server thread: a connection that has not sent its first
+//! frame within one lease interval (`lease_ms`) is closed.
 //!
 //! Durability: every accepted slice result is appended to the
 //! campaign's crash-safe journal (trials only — the attribution events
@@ -28,6 +30,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::attribution::AttributionAggregate;
+use crate::cli::{self, Args};
 use crate::error_set::{self, E1Error};
 use crate::journal::{CampaignKind, Journal, JournalWriter, PaperErrors, TrialRecord};
 use crate::protocol::Protocol;
@@ -137,68 +140,37 @@ impl ServerOptions {
     ///
     /// A human-readable message naming the offending flag or value.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut options = ServerOptions::default();
-        let mut iter = args.iter();
-        while let Some(flag) = iter.next() {
-            let mut value = |name: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match flag.as_str() {
-                "--listen" => options.listen = value("--listen")?,
-                "--campaign" => options.campaigns.push(value("--campaign")?),
-                "--lease-ms" => {
-                    options.lease_ms = value("--lease-ms")?
-                        .parse()
-                        .map_err(|e| format!("--lease-ms: {e}"))?;
-                }
-                "--out" => options.out_dir = PathBuf::from(value("--out")?),
-                "--journal-dir" => {
-                    options.journal_dir = Some(PathBuf::from(value("--journal-dir")?));
-                }
-                "--once" => options.once = true,
-                "--scale" => options.scale = Some(crate::cli::parse_scale(&value("--scale")?)?),
-                "--observation" => {
-                    options.observation_ms = Some(
-                        value("--observation")?
-                            .parse()
-                            .map_err(|e| format!("--observation: {e}"))?,
-                    );
-                }
-                "--e1-limit" => {
-                    options.e1_limit = value("--e1-limit")?
-                        .parse()
-                        .map_err(|e| format!("--e1-limit: {e}"))?;
-                }
-                "--e2-limit" => {
-                    options.e2_limit = value("--e2-limit")?
-                        .parse()
-                        .map_err(|e| format!("--e2-limit: {e}"))?;
-                }
-                "--flight-recorder" => options.flight_recorder = true,
-                other => return Err(format!("unknown flag `{other}`")),
-            }
+        Self::from_args(&cli::FLEET_SERVER.parse(args)?)
+    }
+
+    /// Builds the options from parsed [`cli::FLEET_SERVER`] arguments.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse, or a zero `--lease-ms`.
+    pub fn from_args(args: &Args) -> Result<Self, String> {
+        let defaults = ServerOptions::default();
+        let mut campaigns: Vec<String> = args.values("--campaign").map(str::to_owned).collect();
+        if campaigns.is_empty() {
+            campaigns.push("campaign".to_owned());
         }
+        let options = ServerOptions {
+            listen: args.value("--listen")?.unwrap_or(defaults.listen),
+            lease_ms: args.value("--lease-ms")?.unwrap_or(defaults.lease_ms),
+            out_dir: args.value("--out")?.unwrap_or(defaults.out_dir),
+            journal_dir: args.value("--journal-dir")?,
+            once: args.has("--once"),
+            campaigns,
+            scale: args.scale()?,
+            observation_ms: args.value("--observation")?,
+            e1_limit: args.value("--e1-limit")?.unwrap_or(defaults.e1_limit),
+            e2_limit: args.value("--e2-limit")?.unwrap_or(defaults.e2_limit),
+            flight_recorder: args.has("--flight-recorder"),
+        };
         if options.lease_ms == 0 {
             return Err("--lease-ms must be positive".to_owned());
         }
-        if options.campaigns.is_empty() {
-            options.campaigns.push("campaign".to_owned());
-        }
         Ok(options)
-    }
-
-    /// The protocol the binary's flags describe.
-    pub fn protocol(&self) -> Protocol {
-        let mut protocol = match self.scale {
-            Some(n) => Protocol::scaled(n, simenv::spec::OBSERVATION_MS),
-            None => Protocol::paper(),
-        };
-        if let Some(ms) = self.observation_ms {
-            protocol.observation_ms = ms;
-        }
-        protocol
     }
 
     /// One [`CampaignSpec`] per `--campaign`, sharing the binary's
@@ -207,7 +179,8 @@ impl ServerOptions {
         self.campaigns
             .iter()
             .map(|name| {
-                CampaignSpec::with_limits(name, self.protocol(), self.e1_limit, self.e2_limit)
+                let protocol = cli::protocol(self.scale, self.observation_ms, None);
+                CampaignSpec::with_limits(name, protocol, self.e1_limit, self.e2_limit)
             })
             .collect()
     }
@@ -589,10 +562,13 @@ impl Drop for ConnGuard<'_> {
 /// command/response loop. Disconnects — clean or abrupt — release the
 /// worker's leases immediately.
 fn serve_worker(shared: &Shared, mut stream: TcpStream) {
-    if stream.set_nonblocking(false).is_err() {
+    // A peer gets one lease interval to send its first frame, which
+    // must be a version-matched Register; one that stays silent, or
+    // stalls inside a frame, is dropped instead of holding this thread.
+    let lease = Duration::from_millis(shared.options.lease_ms);
+    if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(lease)).is_err() {
         return;
     }
-    // First frame must be a version-matched Register.
     let Ok(Some(first)) = read_frame::<_, Command>(&mut stream) else {
         return;
     };
@@ -628,7 +604,9 @@ fn serve_worker(shared: &Shared, mut stream: TcpStream) {
         worker_id,
         lease_ms: shared.options.lease_ms,
     };
-    if write_frame(&mut stream, &registered).is_ok() {
+    // A registered worker may go quiet for as long as it likes: its
+    // lease expiry, not the socket, reclaims its work.
+    if write_frame(&mut stream, &registered).is_ok() && stream.set_read_timeout(None).is_ok() {
         serve_commands(shared, &mut stream, worker_id);
     }
 
@@ -869,11 +847,11 @@ mod tests {
     fn parses_protocol_flags() {
         let options =
             ServerOptions::parse(&args(&["--scale", "2", "--observation", "1500"])).unwrap();
-        let protocol = options.protocol();
+        let protocol = &options.campaign_specs()[0].protocol;
         assert_eq!(protocol.cases_per_error(), 4);
         assert_eq!(protocol.observation_ms, 1_500);
         assert_eq!(
-            ServerOptions::parse(&[]).unwrap().protocol(),
+            ServerOptions::parse(&[]).unwrap().campaign_specs()[0].protocol,
             Protocol::paper()
         );
     }

@@ -16,6 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::campaign::CampaignRunner;
+use crate::cli::{self, Args};
 use crate::error_set;
 use crate::journal::{CampaignKind, TrialRecord};
 use crate::telemetry::{Registry, TelemetrySnapshot};
@@ -60,38 +61,25 @@ impl WorkerOptions {
     ///
     /// A human-readable message naming the offending flag or value.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut options = WorkerOptions::default();
-        let mut iter = args.iter();
-        while let Some(flag) = iter.next() {
-            let mut value = |name: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match flag.as_str() {
-                "--connect" => options.connect = value("--connect")?,
-                "--name" => options.name = value("--name")?,
-                "--threads" => {
-                    options.threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--connect-timeout-ms" => {
-                    options.connect_timeout_ms = value("--connect-timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--connect-timeout-ms: {e}"))?;
-                }
-                "--die-after-leases" => {
-                    options.die_after_leases = Some(
-                        value("--die-after-leases")?
-                            .parse()
-                            .map_err(|e| format!("--die-after-leases: {e}"))?,
-                    );
-                }
-                other => return Err(format!("unknown flag `{other}`")),
-            }
-        }
-        Ok(options)
+        Self::from_args(&cli::FLEET_WORKER.parse(args)?)
+    }
+
+    /// Builds the options from parsed [`cli::FLEET_WORKER`] arguments.
+    ///
+    /// # Errors
+    ///
+    /// `--flag: <why>` for a value that does not parse.
+    pub fn from_args(args: &Args) -> Result<Self, String> {
+        let defaults = WorkerOptions::default();
+        Ok(WorkerOptions {
+            connect: args.value("--connect")?.unwrap_or(defaults.connect),
+            name: args.value("--name")?.unwrap_or(defaults.name),
+            threads: args.value("--threads")?.unwrap_or(defaults.threads),
+            connect_timeout_ms: args
+                .value("--connect-timeout-ms")?
+                .unwrap_or(defaults.connect_timeout_ms),
+            die_after_leases: args.value("--die-after-leases")?,
+        })
     }
 }
 

@@ -625,3 +625,51 @@ fn connections_that_never_register_do_not_hold_a_once_server_open() {
     drop((silent, http, random, stalled));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Nor does such a peer hold a server thread: a connection that has
+/// not sent its first frame within one lease interval is closed, so a
+/// silent client and one stalled inside its `Register` frame both read
+/// EOF from the server.
+#[test]
+fn connections_that_never_register_are_closed_after_one_lease() {
+    let dir = std::env::temp_dir().join(format!("fic-fleet-quiet-{}", std::process::id()));
+    let options = ServerOptions {
+        listen: "127.0.0.1:0".to_owned(),
+        lease_ms: 200,
+        out_dir: dir.join("out"),
+        journal_dir: Some(dir.join("journal")),
+        once: true,
+        ..ServerOptions::default()
+    };
+    // A campaign with nothing to run: the `once` server returns as soon
+    // as it has accepted the two connections below.
+    let spec = CampaignSpec {
+        name: "quiet".to_owned(),
+        protocol: Protocol::scaled(1, 500),
+        e1_numbers: Vec::new(),
+        e2_numbers: Vec::new(),
+    };
+    let server = Server::bind(options, vec![spec]).unwrap();
+    let addr = server.local_addr().unwrap();
+    let mut silent = TcpStream::connect(addr).unwrap();
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    let register = encode_frame(&Command::Register {
+        wire_version: WIRE_VERSION,
+        worker: "stalled".to_owned(),
+    });
+    stalled.write_all(&register[..4]).unwrap();
+    server.run().unwrap();
+
+    for stream in [&mut silent, &mut stalled] {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        let read = stream.read(&mut byte);
+        assert!(
+            matches!(read, Ok(0)),
+            "an unregistered connection must be closed after one lease, read {read:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -4,7 +4,9 @@
 //! `Journal::walk`, so an unknown error number fails (exit 1) with a
 //! message naming it instead of a panic, and a repeated ⟨campaign,
 //! error, case⟩ key counts once; `full_campaign` names the file it
-//! could not write and exits 1.
+//! could not write and exits 1. Every binary refuses a flag it does not
+//! read (exit 2, naming the flag, with its own usage line) before it
+//! writes anything.
 
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
@@ -54,11 +56,18 @@ fn write_journal(path: &Path, records: &[(CampaignKind, usize, Trial)]) {
 
 /// Runs one `fic` binary, built on demand in this test's profile.
 fn run(bin: &str, args: &[&Path]) -> Output {
+    run_in(Path::new(env!("CARGO_MANIFEST_DIR")), bin, args)
+}
+
+/// [`run`] with `dir` as the binary's working directory.
+fn run_in(dir: &Path, bin: &str, args: &[&Path]) -> Output {
     let mut command = Command::new(env!("CARGO"));
-    command.current_dir(env!("CARGO_MANIFEST_DIR")).args([
+    command.current_dir(dir).args([
         "run",
         "--quiet",
         "--offline",
+        "--manifest-path",
+        concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml"),
         "-p",
         "fic",
         "--bin",
@@ -249,5 +258,54 @@ fn full_campaign_names_an_artefact_it_cannot_write() {
             &[arg("--from-journal"), &journal, arg("--out"), out],
         );
         assert_fails_naming(&replay, &[named.to_str().unwrap()]);
+    }
+}
+
+/// Every binary refuses a flag it does not read — including flags
+/// another binary reads, which `fic::cli` once accepted and ignored —
+/// with exit 2, the flag named, its own usage line, and nothing
+/// written to its working directory.
+#[test]
+fn every_binary_refuses_a_flag_it_does_not_read() {
+    let cases: [(&str, &[&str], &str); 11] = [
+        ("full_campaign", &["--shard", "0/2"], "--shard"),
+        ("figures", &["--check-golden"], "--check-golden"),
+        ("calibrate", &["--workers", "2"], "--workers"),
+        ("ablation_recovery", &["--resume"], "--resume"),
+        ("trace_diff", &["--scale", "0"], "--scale"),
+        ("attribution_report", &["j.jsonl", "--bogus"], "--bogus"),
+        (
+            "telemetry_check",
+            &["--report", "r.json", "--out", "o"],
+            "--out",
+        ),
+        (
+            "detox_report",
+            &["j.jsonl", "--profile", "p.json", "--scale", "2"],
+            "--scale",
+        ),
+        ("fleet_server", &["--once", "--workers", "2"], "--workers"),
+        ("fleet_worker", &["--scale", "2"], "--scale"),
+        ("trace_export", &["--bogus"], "--bogus"),
+    ];
+    for (bin, args, flag) in cases {
+        let dir = temp_dir(&format!("refuses-{bin}"));
+        let args: Vec<&Path> = args.iter().map(|a| arg(a)).collect();
+        let out = run_in(&dir, bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: stderr:\n{stderr}");
+        assert!(stderr.contains(flag), "{bin} must name {flag}:\n{stderr}");
+        let usage = fic::cli::ALL
+            .iter()
+            .find(|cli| cli.bin() == bin)
+            .expect("every binary declares its command line")
+            .usage();
+        assert!(
+            stderr.lines().any(|line| line == usage),
+            "{bin} must print `{usage}`:\n{stderr}"
+        );
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(written.is_empty(), "{bin} wrote {written:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
