@@ -14,6 +14,9 @@
 //! `Pds` can be assessed independently of the error-occurrence
 //! distribution (the paper's error set E1 does exactly that); `Pdetect`
 //! is what a random-location campaign (error set E2) estimates directly.
+//! [`CoverageModel::p_detect`] evaluates the expression forward and
+//! [`CoverageModel::infer`] solves it backwards for `Pprop`; no other
+//! code evaluates it.
 
 use serde::{Deserialize, Serialize};
 
@@ -94,19 +97,46 @@ impl CoverageModel {
         (self.p_en() * self.p_prop() + self.p_em()) * self.p_ds()
     }
 
-    /// Solves the expression backwards for `Pprop`, given a measured
-    /// `Pdetect` (e.g. from error set E2) and this model's `Pem`/`Pds`.
+    /// The model that explains a measured `Pdetect` (e.g. from error
+    /// set E2) with `Pem` and `Pds`: `Pprop = (Pdetect/Pds − Pem)/Pen`.
     ///
-    /// Returns `None` when the equation has no solution in `[0, 1]` —
-    /// i.e. the measured coverage is inconsistent with `Pem` and `Pds`
-    /// (or `Pds = 0` / `Pen = 0` makes `Pprop` unidentifiable).
-    pub fn infer_p_prop(&self, p_detect: f64) -> Option<f64> {
-        if self.p_ds() == 0.0 || self.p_en() == 0.0 {
-            return None;
+    /// A solution outside `[0, 1]` means the measurement is inconsistent
+    /// with `Pem` and `Pds` (sampling noise around a true `Pprop` of 0 or
+    /// 1). It is clamped into `[0, 1]`: `Pdetect` is monotone in
+    /// `Pprop`, so the clamped model recomposes the closest attainable
+    /// `Pdetect`. [`Inference::exact`] tells the two cases apart.
+    ///
+    /// Returns `Ok(None)` when `Pds = 0` or `Pen = 0` makes `Pprop`
+    /// unidentifiable.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidProbability`] if any argument is outside `[0, 1]`.
+    pub fn infer(p_em: f64, p_ds: f64, p_detect: f64) -> Result<Option<Inference>, Error> {
+        let p_detect = Probability::new("Pdetect", p_detect)?;
+        let model = CoverageModel::new(p_em, 0.0, p_ds)?;
+        if model.p_ds() == 0.0 || model.p_en() == 0.0 {
+            return Ok(None);
         }
-        let p_prop = (p_detect / self.p_ds() - self.p_em()) / self.p_en();
-        (0.0..=1.0).contains(&p_prop).then_some(p_prop)
+        let p_prop = (p_detect.value() / model.p_ds() - model.p_em()) / model.p_en();
+        Ok(Some(Inference {
+            model: CoverageModel {
+                p_prop: Probability(p_prop.clamp(0.0, 1.0)),
+                ..model
+            },
+            exact: (0.0..=1.0).contains(&p_prop),
+        }))
     }
+}
+
+/// A `Pprop` solved from a measured `Pdetect` ([`CoverageModel::infer`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Inference {
+    /// The model with the solved `Pprop`, clamped into `[0, 1]`.
+    pub model: CoverageModel,
+    /// Whether the solution lay in `[0, 1]` unclamped, so that the
+    /// model recomposes the measured `Pdetect`.
+    pub exact: bool,
 }
 
 #[cfg(test)]
@@ -151,26 +181,34 @@ mod tests {
     }
 
     #[test]
-    fn infer_p_prop_round_trips() {
-        let model = CoverageModel::new(0.2, 0.5, 0.8).unwrap();
-        let measured = model.p_detect();
-        let inferred = model.infer_p_prop(measured).unwrap();
-        assert!((inferred - 0.5).abs() < 1e-12);
+    fn infer_round_trips() {
+        let measured = CoverageModel::new(0.2, 0.5, 0.8).unwrap().p_detect();
+        let inference = CoverageModel::infer(0.2, 0.8, measured).unwrap().unwrap();
+        assert!(inference.exact);
+        assert!((inference.model.p_prop() - 0.5).abs() < 1e-12);
+        assert!((inference.model.p_detect() - measured).abs() < 1e-12);
     }
 
     #[test]
-    fn infer_p_prop_rejects_inconsistent_measurements() {
-        let model = CoverageModel::new(0.2, 0.0, 0.5).unwrap();
-        // Pdetect cannot exceed Pds: 0.6 > 0.5 is impossible.
-        assert_eq!(model.infer_p_prop(0.6), None);
+    fn infer_clamps_inconsistent_measurements() {
+        // Pdetect cannot exceed Pds: 0.6 > 0.5 solves to Pprop = 1.25.
+        let above = CoverageModel::infer(0.2, 0.5, 0.6).unwrap().unwrap();
+        assert!(!above.exact);
+        assert_eq!(above.model.p_prop(), 1.0);
+        assert!((above.model.p_detect() - 0.5).abs() < 1e-12);
+        // Pdetect below Pem·Pds solves to Pprop < 0: clamped to 0, the
+        // model recomposes Pem·Pds.
+        let below = CoverageModel::infer(0.2, 1.0, 0.0).unwrap().unwrap();
+        assert!(!below.exact);
+        assert_eq!(below.model.p_prop(), 0.0);
+        assert!((below.model.p_detect() - 0.2).abs() < 1e-12);
     }
 
     #[test]
-    fn infer_p_prop_unidentifiable_cases() {
-        let no_ds = CoverageModel::new(0.2, 0.5, 0.0).unwrap();
-        assert_eq!(no_ds.infer_p_prop(0.0), None);
-        let all_monitored = CoverageModel::new(1.0, 0.5, 0.9).unwrap();
-        assert_eq!(all_monitored.infer_p_prop(0.9), None);
+    fn infer_unidentifiable_cases() {
+        assert_eq!(CoverageModel::infer(0.2, 0.0, 0.0), Ok(None));
+        assert_eq!(CoverageModel::infer(1.0, 0.9, 0.9), Ok(None));
+        assert!(CoverageModel::infer(0.2, 0.5, 1.5).is_err());
     }
 
     #[test]

@@ -1,6 +1,10 @@
-//! Assertion-level attribution: a per-trial event stream that
-//! empirically decomposes the Section 2.4 coverage algebra
-//! `Pdetect = (Pen·Pprop + Pem)·Pds`.
+//! Assertion-level attribution: a per-trial event stream that measures
+//! the terms of the Section 2.4 coverage algebra
+//! `Pdetect = (Pen·Pprop + Pem)·Pds` — per-signal `Pds`, the E2
+//! monitored (`Pem`) and unmonitored (`Pen·Pprop`) RAM cells, and the
+//! differential oracle's empirical `Pprop`. The algebra itself is
+//! evaluated by [`ea_core::coverage::CoverageModel`] alone
+//! ([`check_algebra`], [`crate::coverage_report`]).
 //!
 //! Every completed ⟨error, test case⟩ trial yields one
 //! [`AttributionEvent`] — the full detection story: which assertion
@@ -23,10 +27,9 @@
 //! attribution lines in the journal so it survives `--resume`.
 
 use std::collections::HashMap;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use arrestor::{EaId, SignalMap};
+use ea_core::coverage::CoverageModel;
 use ea_core::stats::{LatencyStats, Proportion, Z_95};
 use memsim::{BitFlip, Region};
 use serde::{Deserialize, Serialize};
@@ -34,11 +37,13 @@ use serde::{Deserialize, Serialize};
 use crate::error_set::{E1Error, E2Error};
 use crate::experiment::Trial;
 use crate::journal::{CampaignKind, Journal, JournalError, PaperError};
-use crate::results::{E1Report, E2Report};
+pub use crate::results::write_report;
 use crate::telemetry::RunMetadata;
 
-/// Schema version written into every attribution report.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Schema version written into every attribution report. Version 2
+/// dropped the `decomposition` object: `coverage_analysis.json` is the
+/// one artefact of the Section 2.4 quantities.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Artefact discriminator of [`AttributionReport::kind`].
 pub const REPORT_KIND: &str = "assertion-attribution";
@@ -404,76 +409,6 @@ impl AttributionAggregate {
     }
 }
 
-/// The Section 2.4 quantities estimated from an aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Decomposition {
-    /// `Pem`: exact, from the memory map (monitored bytes / app RAM).
-    pub p_em: f64,
-    /// `Pen = 1 − Pem`.
-    pub p_en: f64,
-    /// Per-signal `Pds` estimates, Table 6 row order.
-    pub p_ds_per_signal: [Option<f64>; 7],
-    /// `Pds`: E1 total detection proportion.
-    pub p_ds: Option<f64>,
-    /// Measured `Pdetect` over E2's application-RAM portion.
-    pub p_detect_ram: Option<f64>,
-    /// Measured detection proportion over E2's stack portion.
-    pub p_detect_stack: Option<f64>,
-    /// `Pprop` solved from the algebra (`None` when the measurements
-    /// are inconsistent with it).
-    pub p_prop_inferred: Option<f64>,
-    /// `Pprop` measured directly by the differential oracle over
-    /// enriched unmonitored-RAM trials (`None` without enrichment).
-    pub p_prop_empirical: Option<f64>,
-    /// `(Pen·Pprop + Pem)·Pds` with the empirical `Pprop` when
-    /// available, the inferred one otherwise; when the inversion has no
-    /// solution in `[0, 1]`, the clamped endpoint (the closest
-    /// attainable recomposition) is used.
-    pub p_detect_recomposed: Option<f64>,
-}
-
-impl Decomposition {
-    /// Computes every estimable quantity from `aggregate`.
-    pub fn from_aggregate(aggregate: &AttributionAggregate) -> Self {
-        let p_em = crate::coverage_report::p_em_from_map();
-        let p_en = 1.0 - p_em;
-        let mut p_ds_per_signal = [None; 7];
-        for (slot, row) in aggregate.per_signal.iter().enumerate() {
-            p_ds_per_signal[slot] = row.detected.estimate();
-        }
-        let p_ds = aggregate.e1_totals().estimate();
-        let p_detect_ram = aggregate.e2_ram().estimate();
-        let p_detect_stack = aggregate.e2_stack.estimate();
-        let (p_prop_inferred, p_prop_clamped) = match (p_ds, p_detect_ram) {
-            (Some(ds), Some(pd)) => crate::coverage_report::solve_p_prop(ds, pd),
-            _ => (None, None),
-        };
-        let p_prop_empirical = aggregate.oracle.p_prop.estimate();
-        // Recomposition uses, in order: the oracle's empirical Pprop,
-        // the exact inferred solution, or — when the inversion lands
-        // outside [0, 1] (sampling noise around a true Pprop of 0 or
-        // 1) — the clamped endpoint, the closest attainable
-        // recomposition, so `check_algebra` still tests something real:
-        // whether even that point stays inside the measured interval.
-        let p_prop = p_prop_empirical.or(p_prop_inferred).or(p_prop_clamped);
-        let p_detect_recomposed = match (p_ds, p_prop) {
-            (Some(ds), Some(prop)) => Some((p_en * prop + p_em) * ds),
-            _ => None,
-        };
-        Decomposition {
-            p_em,
-            p_en,
-            p_ds_per_signal,
-            p_ds,
-            p_detect_ram,
-            p_detect_stack,
-            p_prop_inferred,
-            p_prop_empirical,
-            p_detect_recomposed,
-        }
-    }
-}
-
 /// The schema-versioned attribution artefact
 /// (`results/attribution/*.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -488,27 +423,23 @@ pub struct AttributionReport {
     pub run: RunMetadata,
     /// The folded event stream.
     pub aggregate: AttributionAggregate,
-    /// The coverage algebra estimated from the aggregate.
-    pub decomposition: Decomposition,
 }
 
 impl AttributionReport {
-    /// Assembles a report (the decomposition is derived on the spot).
+    /// Assembles a report.
     pub fn assemble(producer: &str, run: RunMetadata, aggregate: AttributionAggregate) -> Self {
-        let decomposition = Decomposition::from_aggregate(&aggregate);
         AttributionReport {
             schema_version: SCHEMA_VERSION,
             kind: REPORT_KIND.to_owned(),
             producer: producer.to_owned(),
             run,
             aggregate,
-            decomposition,
         }
     }
 
-    /// Structural validation: version, discriminator, count
-    /// conservation laws, and decomposition consistency (used by
-    /// `telemetry_check --attribution` and CI).
+    /// Structural validation: version, discriminator and count
+    /// conservation laws (used by `telemetry_check --attribution` and
+    /// CI).
     ///
     /// # Errors
     ///
@@ -572,69 +503,43 @@ impl AttributionReport {
         if oracle.p_prop.total() > oracle.enriched {
             return Err("Pprop sample larger than enriched event count".to_owned());
         }
-        let expected = Decomposition::from_aggregate(agg);
-        let close = |a: Option<f64>, b: Option<f64>| match (a, b) {
-            (None, None) => true,
-            (Some(x), Some(y)) => (x - y).abs() <= 1e-9,
-            _ => false,
-        };
-        let d = &self.decomposition;
-        if !close(Some(d.p_em), Some(expected.p_em))
-            || !close(Some(d.p_en), Some(expected.p_en))
-            || !close(d.p_ds, expected.p_ds)
-            || !close(d.p_detect_ram, expected.p_detect_ram)
-            || !close(d.p_detect_stack, expected.p_detect_stack)
-            || !close(d.p_prop_inferred, expected.p_prop_inferred)
-            || !close(d.p_prop_empirical, expected.p_prop_empirical)
-            || !close(d.p_detect_recomposed, expected.p_detect_recomposed)
-            || d.p_ds_per_signal
-                .iter()
-                .zip(&expected.p_ds_per_signal)
-                .any(|(a, b)| !close(*a, *b))
-        {
-            return Err("decomposition does not follow from the aggregate".to_owned());
-        }
         Ok(())
     }
 }
 
-/// Writes `report` as pretty JSON to `dir/<label>.json`, creating the
-/// directory.
-///
-/// # Errors
-///
-/// Any filesystem failure.
-pub fn write_report(dir: &Path, label: &str, report: &AttributionReport) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{label}.json"));
-    let json = serde_json::to_string_pretty(report).expect("report serialises");
-    std::fs::write(&path, format!("{json}\n"))?;
-    Ok(path)
-}
-
-/// Cross-checks the recomposed `Pdetect` against the measured E2 RAM
-/// proportion: the recomposition must land inside the measurement's
-/// Wilson 95 % interval. With the *inferred* `Pprop` the two agree by
-/// construction; with a *clamped* `Pprop` (inversion outside `[0, 1]`)
-/// this tests whether any valid `Pprop` recomposes into the interval;
-/// with the *empirical* `Pprop` it genuinely tests the algebra against
-/// independent oracle evidence.
+/// Cross-checks the algebra against the measured E2 RAM proportion:
+/// [`CoverageModel`] recomposes `Pdetect` from `Pem` (the memory map),
+/// `Pds` (the E1 total) and a `Pprop`, and the recomposition must land
+/// inside the measurement's Wilson 95 % interval. `Pprop` is, in order,
+/// the oracle's empirical estimate, the exact inversion of the
+/// measurement, or — when the inversion lies outside `[0, 1]` — its
+/// clamped endpoint. With the *empirical* `Pprop` this genuinely tests
+/// the algebra against independent oracle evidence; with a *clamped*
+/// one it tests whether any valid `Pprop` recomposes into the interval;
+/// with the *inferred* one the two agree by construction.
 ///
 /// # Errors
 ///
 /// A description of the violation (unidentifiable `Pprop`, or a
 /// recomposition outside the interval).
 pub fn check_algebra(aggregate: &AttributionAggregate) -> Result<(), String> {
-    let decomposition = Decomposition::from_aggregate(aggregate);
     let ram = aggregate.e2_ram();
-    if ram.is_empty() || decomposition.p_ds.is_none() {
+    let (Some(p_ds), Some(p_detect_ram)) = (aggregate.e1_totals().estimate(), ram.estimate())
+    else {
         return Ok(()); // nothing to cross-check yet
-    }
-    let Some(recomposed) = decomposition.p_detect_recomposed else {
+    };
+    let p_em = crate::coverage_report::p_em_from_map();
+    let inferred = CoverageModel::infer(p_em, p_ds, p_detect_ram)
+        .map_err(|e| e.to_string())?
+        .map(|inference| inference.model.p_prop());
+    let Some(p_prop) = aggregate.oracle.p_prop.estimate().or(inferred) else {
         return Err(
             "Pprop is unidentifiable (Pds or Pen is zero); nothing to recompose".to_owned(),
         );
     };
+    let recomposed = CoverageModel::new(p_em, p_prop, p_ds)
+        .map_err(|e| e.to_string())?
+        .p_detect();
     let (lo, hi) = ram.interval_wilson(Z_95).expect("non-empty proportion");
     if recomposed < lo - 1e-12 || recomposed > hi + 1e-12 {
         return Err(format!(
@@ -643,66 +548,6 @@ pub fn check_algebra(aggregate: &AttributionAggregate) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Cross-checks the aggregate against golden Tables 7–9 reports: every
-/// per-signal `Pds`, the E1 total, and the E2 region proportions must
-/// be Wilson-equivalent to the goldens, and the recomposed `Pdetect`
-/// must land inside the golden E2 RAM interval. Returns every failure
-/// (empty = pass).
-pub fn check_against_golden(
-    aggregate: &AttributionAggregate,
-    golden_e1: &E1Report,
-    golden_e2: &E2Report,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut check = |label: &str, mine: Proportion, golden: Proportion| {
-        if !mine.equivalent(&golden, Z_95) {
-            failures.push(format!(
-                "{label}: {}/{} vs golden {}/{} (Wilson 95% intervals disjoint)",
-                mine.detected(),
-                mine.total(),
-                golden.detected(),
-                golden.total()
-            ));
-        }
-    };
-    for (k, row) in aggregate.per_signal.iter().enumerate() {
-        check(
-            &format!("Table 7 `{}` Pds", E1Report::row_label(k)),
-            row.detected,
-            golden_e1.rows[k].cells[7].all,
-        );
-    }
-    check(
-        "Table 7 total Pds",
-        aggregate.e1_totals(),
-        golden_e1.totals.cells[7].all,
-    );
-    check("Table 9 RAM Pdetect", aggregate.e2_ram(), golden_e2.ram.all);
-    check(
-        "Table 9 stack P(d)",
-        aggregate.e2_stack,
-        golden_e2.stack.all,
-    );
-    check(
-        "Table 9 total Pdetect",
-        aggregate.e2_total(),
-        golden_e2.total.all,
-    );
-    let decomposition = Decomposition::from_aggregate(aggregate);
-    if let (Some(recomposed), Some((lo, hi))) = (
-        decomposition.p_detect_recomposed,
-        golden_e2.ram.all.interval_wilson(Z_95),
-    ) {
-        if recomposed < lo - 1e-12 || recomposed > hi + 1e-12 {
-            failures.push(format!(
-                "recomposed Pdetect {recomposed:.4} outside the golden E2 RAM \
-                 Wilson interval [{lo:.4}, {hi:.4}]"
-            ));
-        }
-    }
-    failures
 }
 
 /// The differential-oracle verdicts persisted in a journal's
@@ -824,42 +669,6 @@ pub fn render_league(aggregate: &AttributionAggregate) -> String {
             stats.first_firings,
         ));
     }
-    out
-}
-
-/// Renders the coverage decomposition as explanatory text.
-pub fn render_decomposition(decomposition: &Decomposition) -> String {
-    let fmt = |v: Option<f64>| v.map_or_else(|| "n/a".to_owned(), |p| format!("{p:.4}"));
-    let mut out = String::from("coverage decomposition: Pdetect = (Pen*Pprop + Pem)*Pds\n");
-    out.push_str(&format!(
-        "  Pem = {:.4}  Pen = {:.4}  (exact, from the memory map)\n",
-        decomposition.p_em, decomposition.p_en
-    ));
-    for (k, p_ds) in decomposition.p_ds_per_signal.iter().enumerate() {
-        out.push_str(&format!(
-            "  Pds[{:<12}] = {}\n",
-            E1Report::row_label(k),
-            fmt(*p_ds)
-        ));
-    }
-    out.push_str(&format!(
-        "  Pds (total)        = {}\n",
-        fmt(decomposition.p_ds)
-    ));
-    out.push_str(&format!(
-        "  Pdetect (E2 RAM)   = {}   Pdetect (stack) = {}\n",
-        fmt(decomposition.p_detect_ram),
-        fmt(decomposition.p_detect_stack)
-    ));
-    out.push_str(&format!(
-        "  Pprop inferred     = {}   Pprop empirical = {}\n",
-        fmt(decomposition.p_prop_inferred),
-        fmt(decomposition.p_prop_empirical)
-    ));
-    out.push_str(&format!(
-        "  Pdetect recomposed = {}\n",
-        fmt(decomposition.p_detect_recomposed)
-    ));
     out
 }
 
@@ -989,9 +798,12 @@ mod tests {
         wrong_kind.kind = "telemetry".to_owned();
         assert!(wrong_kind.validate().is_err());
 
-        let mut wrong_decomposition = report;
-        wrong_decomposition.decomposition.p_ds = Some(0.123);
-        assert!(wrong_decomposition.validate().is_err());
+        let mut schema_1 = report;
+        schema_1.schema_version = 1;
+        assert_eq!(
+            schema_1.validate().unwrap_err(),
+            "schema_version 1 (this build reads 2)"
+        );
     }
 
     #[test]
@@ -1017,36 +829,57 @@ mod tests {
         check_algebra(&aggregate).expect("inferred recomposition is inside its own interval");
     }
 
-    #[test]
-    fn algebra_check_clamps_an_out_of_range_inversion() {
-        // All E1 trials detected (Pds = 1) but no E2 RAM detections at
-        // all: the exact inversion gives Pprop < 0, so recomposition
-        // clamps to Pprop = 0 and must still land inside the measured
-        // Wilson interval (it does for a small sample around zero).
-        let errors = error_set::e1();
-        let e2_errors = error_set::e2();
+    /// Fourteen detected E1 trials (`Pds` = 1) and eight undetected
+    /// E2 trials, each an unmonitored application-RAM flip with the
+    /// given oracle verdict (`None` = not enriched).
+    fn undetected_ram_aggregate(verdict: Option<&str>) -> AttributionAggregate {
         let map = MonitoredMap::new();
         let mut detected = [None; 7];
         detected[2] = Some(90);
         let mut aggregate = AttributionAggregate::new();
-        for error in errors.iter().take(14) {
+        for error in error_set::e1().iter().take(14) {
             aggregate.record(&AttributionEvent::for_e1(error, 0, &trial(detected, false)));
         }
-        for error in e2_errors.iter().take(8) {
-            aggregate.record(&AttributionEvent::for_e2(
-                error,
-                0,
-                &trial([None; 7], false),
-                &map,
-            ));
+        let unmonitored = error_set::e2()
+            .into_iter()
+            .filter(|e| e.flip.region == Region::AppRam && map.monitored_ea(e.flip).is_none());
+        for error in unmonitored.take(8) {
+            let mut event = AttributionEvent::for_e2(&error, 0, &trial([None; 7], false), &map);
+            event.propagation = verdict.map(str::to_owned);
+            aggregate.record(&event);
         }
-        let decomposition = Decomposition::from_aggregate(&aggregate);
-        assert_eq!(decomposition.p_prop_inferred, None);
-        let recomposed = decomposition
-            .p_detect_recomposed
-            .expect("clamped recomposition exists");
-        assert!((recomposed - decomposition.p_em).abs() < 1e-12);
+        aggregate
+    }
+
+    #[test]
+    fn algebra_check_clamps_an_out_of_range_inversion() {
+        // Pds = 1 but no E2 RAM detection at all: the exact inversion
+        // gives Pprop < 0, so the model clamps it to Pprop = 0, which
+        // recomposes Pdetect = Pem — inside the measured Wilson interval
+        // for a small sample around zero.
+        let aggregate = undetected_ram_aggregate(None);
+        let p_em = crate::coverage_report::p_em_from_map();
+        let inference = CoverageModel::infer(p_em, 1.0, 0.0)
+            .unwrap()
+            .expect("Pds and Pen are non-zero");
+        assert!(!inference.exact);
+        assert_eq!(inference.model.p_prop(), 0.0);
+        assert!((inference.model.p_detect() - p_em).abs() < 1e-12);
         check_algebra(&aggregate).expect("clamped recomposition is inside the interval");
+    }
+
+    #[test]
+    fn algebra_check_rejects_a_recomposition_outside_the_interval() {
+        // The oracle saw every undetected RAM error reach a monitored
+        // signal (empirical Pprop = 1), so the model recomposes
+        // Pdetect ≈ Pds = 1, far above the measured 0/8.
+        let aggregate = undetected_ram_aggregate(Some(PROPAGATION_REACHED));
+        assert_eq!(aggregate.oracle.p_prop.estimate(), Some(1.0));
+        let err = check_algebra(&aggregate).unwrap_err();
+        assert!(
+            err.starts_with("recomposed Pdetect 1.0000 outside the measured E2 RAM"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Rebuilds the assertion-level attribution report from a trial
-//! journal: the per-assertion firing/latency league table, the
-//! per-signal `Pen`/`Pprop`/`Pem`/`Pds` coverage decomposition, and the
-//! algebra cross-check (`Pdetect = (Pen·Pprop + Pem)·Pds` recomposed
-//! against the measured E2 RAM proportion's Wilson interval).
+//! journal: the per-assertion firing/latency league table, the Section
+//! 2.4 coverage analysis of the journal's fold
+//! ([`fic::coverage_report::render`]), and the algebra cross-check
+//! (`Pdetect = (Pen·Pprop + Pem)·Pds` recomposed against the measured
+//! E2 RAM proportion's Wilson interval, [`attribution::check_algebra`]).
 //!
 //! Events are a pure function of the journaled trials, so any journal —
 //! including ones written before attribution existed, like the
-//! committed `results/campaign.jsonl` — decomposes after the fact.
+//! committed `results/campaign.jsonl` — is attributed after the fact.
 //! The journal's attribution lines hold the differential-oracle
 //! verdicts of earlier `--oracle … --save-oracle` passes; they overlay
 //! the derived events (un-enriched lines that older campaigns wrote
@@ -14,16 +15,12 @@
 //!
 //! ```text
 //! attribution_report <journal.jsonl> [--out dir] [--label name]
-//!     [--check-golden] [--golden-dir dir] [--oracle n] [--save-oracle]
+//!     [--oracle n] [--save-oracle]
 //! ```
 //!
 //! * `--out dir` — artefact directory (default `results`; the report
 //!   goes to `<out>/attribution/<label>.json`);
 //! * `--label name` — report file stem (default: the journal's);
-//! * `--check-golden` — cross-check every proportion against the golden
-//!   `e1.json`/`e2.json` within Wilson-CI tolerance (exit 1 on
-//!   divergence);
-//! * `--golden-dir dir` — golden directory (default `results/golden`);
 //! * `--oracle n` — run the differential oracle over the first `n`
 //!   not-yet-enriched unmonitored-RAM E2 events (deterministic key
 //!   order): each is re-run traced and diffed against the fault-free
@@ -33,25 +30,28 @@
 //! * `--save-oracle` — append the freshly enriched events to the
 //!   journal so the verdicts survive `--resume` and `--from-journal`.
 //!
-//! Exits 0 when the report validates (and, when requested, matches the
-//! goldens), 1 otherwise.
+//! The journal's tables are checked against the goldens by
+//! `full_campaign --from-journal <journal> --check-golden`.
+//!
+//! Exits 0 when the report validates and the algebra check passes, 1
+//! otherwise.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fic::attribution::{self, AttributionReport};
+use fic::attribution::{self, AttributionAggregate, AttributionReport};
 use fic::cli::{self, Args};
+use fic::coverage_report;
+use fic::error_set;
 use fic::journal::{Journal, JournalWriter};
+use fic::results::CampaignFold;
 use fic::telemetry::RunMetadata;
 use fic::trace::ReferenceCache;
-use fic::{error_set, E1Report, E2Report};
 
 struct Options {
     journal_path: PathBuf,
     out_dir: PathBuf,
-    golden_dir: PathBuf,
     label: Option<String>,
-    check_golden: bool,
     oracle: usize,
     save_oracle: bool,
 }
@@ -60,11 +60,7 @@ fn options(args: &Args) -> Result<Options, String> {
     Ok(Options {
         journal_path: PathBuf::from(&args.operands()[0]),
         out_dir: args.value("--out")?.unwrap_or_else(|| "results".into()),
-        golden_dir: args
-            .value("--golden-dir")?
-            .unwrap_or_else(|| "results/golden".into()),
         label: args.value("--label")?,
-        check_golden: args.has("--check-golden"),
         oracle: args.value("--oracle")?.unwrap_or(0),
         save_oracle: args.has("--save-oracle"),
     })
@@ -79,41 +75,35 @@ fn main() -> ExitCode {
     if journal.truncated_tail {
         eprintln!("note: journal has a torn final line (crash evidence); dropped");
     }
-    let mut events = attribution::events_from_journal(&journal).unwrap_or_else(|e| {
+    let fold = CampaignFold::from_journal(&journal).unwrap_or_else(|e| {
         eprintln!("journal does not match the paper error sets: {e}");
         std::process::exit(1);
     });
-    let enriched_before = events.iter().filter(|e| e.propagation.is_some()).count();
+    let mut aggregate = fold.attribution.clone();
     eprintln!(
-        "{} events derived from {} journaled trials ({enriched_before} carrying oracle verdicts)",
-        events.len(),
-        journal.records.len()
+        "{} events derived from {} journaled trials ({} carrying oracle verdicts)",
+        aggregate.e1_trials + aggregate.e2_trials,
+        journal.records.len(),
+        aggregate.oracle.enriched
     );
 
     if options.oracle > 0 {
-        run_oracle(
+        aggregate = run_oracle(
             &journal,
-            &mut events,
             options.oracle,
             options.save_oracle,
             &options.journal_path,
         );
     }
 
-    let mut aggregate = attribution::AttributionAggregate::new();
-    for event in &events {
-        aggregate.record(event);
-    }
-
     let run = RunMetadata::for_run(&journal.header.protocol, true, None);
     let report = AttributionReport::assemble("attribution_report", run, aggregate);
 
     print!("{}", attribution::render_league(&report.aggregate));
-    println!();
-    print!(
-        "{}",
-        attribution::render_decomposition(&report.decomposition)
-    );
+    if let Some(analysis) = coverage_report::analyse(&fold.e1, &fold.e2) {
+        println!();
+        print!("{}", coverage_report::render(&analysis));
+    }
 
     let mut failures = 0usize;
     match report.validate() {
@@ -128,22 +118,6 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("coverage algebra: FAILED: {e}");
             failures += 1;
-        }
-    }
-
-    if options.check_golden {
-        let golden_e1: E1Report = load_json(&options.golden_dir.join("e1.json"));
-        let golden_e2: E2Report = load_json(&options.golden_dir.join("e2.json"));
-        let divergences =
-            attribution::check_against_golden(&report.aggregate, &golden_e1, &golden_e2);
-        if divergences.is_empty() {
-            println!("golden check: every proportion Wilson-equivalent to Tables 7-9");
-        } else {
-            eprintln!("golden check FAILED: {} divergence(s)", divergences.len());
-            for divergence in &divergences {
-                eprintln!("  {divergence}");
-            }
-            failures += divergences.len();
         }
     }
 
@@ -168,27 +142,17 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn load_json<T: serde::Deserialize>(path: &std::path::Path) -> T {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("{} does not parse: {e}", path.display());
-        std::process::exit(1);
-    })
-}
-
 /// Enriches up to `budget` unmonitored-RAM E2 events with differential
 /// oracle verdicts (deterministic key order), optionally persisting
-/// them back into the journal.
+/// them back into the journal, and folds the enriched event stream.
 fn run_oracle(
     journal: &Journal,
-    events: &mut [attribution::AttributionEvent],
     budget: usize,
     save: bool,
     journal_path: &std::path::Path,
-) {
+) -> AttributionAggregate {
+    let mut events =
+        attribution::events_from_journal(journal).expect("the journal folded, so it resolves");
     let e2_errors = error_set::e2();
     let reference = ReferenceCache::new(journal.header.protocol.clone());
     let mut candidates: Vec<usize> = (0..events.len())
@@ -236,4 +200,9 @@ fn run_oracle(
             Err(e) => eprintln!("oracle: failed to persist verdicts: {e}"),
         }
     }
+    let mut aggregate = AttributionAggregate::new();
+    for event in &events {
+        aggregate.record(event);
+    }
+    aggregate
 }

@@ -12,11 +12,12 @@
 //! * **measured coverage** of a subset `S` — the fraction of distinct
 //!   journaled trials where at least one mechanism in `S` detected;
 //! * **predicted coverage** — the independence composition
-//!   `1 − Π_{i∈S} (1 − pᵢ)` from the per-EA singleton rates, the same
-//!   algebra the attribution decomposition uses; the gap between the
-//!   two columns is the overlap structure the paper discusses
-//!   (mechanisms watching the same signals fire together, so the
-//!   independence bound overshoots);
+//!   `1 − Π_{i∈S} (1 − pᵢ)` from the per-EA singleton rates, which
+//!   assumes the mechanisms fire independently (it composes
+//!   mechanisms, not error locations as the Section 2.4 algebra
+//!   does); the gap between the two columns is the overlap structure
+//!   the paper discusses (mechanisms watching the same signals fire
+//!   together, so the independence bound overshoots);
 //! * **cost** — `Σ_{i∈S} checks · ops_per_check` from the profile
 //!   report, plus the sampled wall-clock view when the profile carries
 //!   one.

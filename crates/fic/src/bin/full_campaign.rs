@@ -44,8 +44,8 @@
 //!
 //! Attribution: every run folds one assertion-level event per trial
 //! (first-firing assertion, signal class, latency split) and writes
-//! the aggregate report with the empirical coverage decomposition
-//! under `<out>/attribution/` (see OBSERVABILITY.md). The events are a
+//! the aggregate report under `<out>/attribution/` (see
+//! OBSERVABILITY.md). The events are a
 //! pure function of the trials, so the journal does not carry them;
 //! `--from-journal` re-derives them, with any oracle verdicts
 //! `attribution_report --save-oracle` persisted.

@@ -17,8 +17,12 @@
 //!
 //! ```text
 //! trace_diff [--scale n] [--observation ms] [--case idx]
-//!            [--error S<k>] [--e2 n] [--repro-dir dir]
+//!            [--error S<k>] [--e2 n] [--out dir] [--repro-dir dir]
 //! ```
+//!
+//! With an error, the run's telemetry report goes to
+//! `<out>/telemetry/trace_diff.json` (`--out` defaults to `results`);
+//! a report that cannot be written exits 1.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -34,6 +38,7 @@ struct Options {
     protocol: Protocol,
     cases: Vec<TestCase>,
     error: Option<(String, BitFlip)>,
+    out_dir: PathBuf,
     repro_dir: PathBuf,
 }
 
@@ -79,14 +84,14 @@ fn options(args: &Args) -> Result<Options, String> {
         }
         (None, None) => None,
     };
-    let repro_dir = args
-        .value("--repro-dir")?
-        .unwrap_or_else(|| "results/repro".into());
     Ok(Options {
         protocol,
         cases,
         error,
-        repro_dir,
+        out_dir: args.value("--out")?.unwrap_or_else(|| "results".into()),
+        repro_dir: args
+            .value("--repro-dir")?
+            .unwrap_or_else(|| "results/repro".into()),
     })
 }
 
@@ -95,6 +100,7 @@ fn main() -> ExitCode {
         protocol,
         cases,
         error,
+        out_dir,
         repro_dir,
     } = cli::TRACE_DIFF.from_env(options);
     eprintln!(
@@ -258,9 +264,16 @@ fn main() -> ExitCode {
         telemetry::RunMetadata::for_run(&protocol, false, None),
         snapshot,
     );
-    match telemetry::write_report(&PathBuf::from("results/telemetry"), "trace_diff", &report) {
+    let dir = out_dir.join("telemetry");
+    match telemetry::write_report(&dir, "trace_diff", &report) {
         Ok(path) => eprintln!("telemetry report written to {}", path.display()),
-        Err(e) => eprintln!("failed to write telemetry report: {e}"),
+        Err(e) => {
+            eprintln!(
+                "error: cannot write the telemetry report under {}: {e}",
+                dir.display()
+            );
+            return ExitCode::FAILURE;
+        }
     }
 
     if failures > 0 {

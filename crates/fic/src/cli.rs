@@ -91,12 +91,12 @@ pub const ABLATION_RECOVERY: Cli =
 /// `trace_diff`: the determinism gate and divergence analysis.
 pub const TRACE_DIFF: Cli = Cli(
     "trace_diff [--scale n] [--observation ms] [--case idx] [--error S<k>] [--e2 n] \
-     [--repro-dir dir]",
+     [--out dir] [--repro-dir dir]",
 );
 /// `attribution_report`: the attribution report of a journal.
 pub const ATTRIBUTION_REPORT: Cli = Cli(
-    "attribution_report <journal.jsonl> [--out dir] [--label name] [--check-golden] \
-     [--golden-dir dir] [--oracle n] [--save-oracle]",
+    "attribution_report <journal.jsonl> [--out dir] [--label name] [--oracle n] \
+     [--save-oracle]",
 );
 /// `telemetry_check`: the report validators.
 pub const TELEMETRY_CHECK: Cli = Cli(
@@ -488,7 +488,7 @@ mod tests {
             assert_eq!(names.len(), cli.flags().count(), "{}", cli.bin());
             total += names.len();
         }
-        assert_eq!(total, 52);
+        assert_eq!(total, 51);
         let server: Vec<_> = FLEET_SERVER.flags().take(3).collect();
         assert_eq!(
             server,
@@ -519,9 +519,18 @@ mod tests {
             CALIBRATE.parse(&args(&["--workers", "2"])).unwrap_err(),
             "unknown flag `--workers`"
         );
+        for cli in [&FIGURES, &ATTRIBUTION_REPORT] {
+            assert_eq!(
+                cli.parse(&args(&["j.jsonl", "--check-golden"]))
+                    .unwrap_err(),
+                "unknown flag `--check-golden`"
+            );
+        }
         assert_eq!(
-            FIGURES.parse(&args(&["--check-golden"])).unwrap_err(),
-            "unknown flag `--check-golden`"
+            ATTRIBUTION_REPORT
+                .parse(&args(&["j.jsonl", "--golden-dir", "g"]))
+                .unwrap_err(),
+            "unknown flag `--golden-dir`"
         );
         // A value is taken as given, even when it looks like a flag.
         let parsed = FIGURES.parse(&args(&["--out", "--scale"])).unwrap();
@@ -557,7 +566,7 @@ mod tests {
             .parse(&args(&["--out", "o", "j.jsonl", "--save-oracle"]))
             .unwrap();
         assert_eq!(parsed.operands(), ["j.jsonl"]);
-        assert!(parsed.has("--save-oracle") && !parsed.has("--check-golden"));
+        assert!(parsed.has("--save-oracle") && !parsed.has("--oracle"));
         assert_eq!(
             ATTRIBUTION_REPORT
                 .parse(&args(&["--out", "o"]))

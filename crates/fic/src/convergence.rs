@@ -8,8 +8,9 @@
 //! reports as a [`ConvergenceAggregate`]: one [`Proportion`] per E1
 //! signal cell (the All-version column of
 //! Table 7), the E1 total, and the two E2 region cells of Table 9 —
-//! plus the recomposed §2.4 `Pdetect` and a per-cell precision
-//! forecast ("trials remaining to reach a ±δ half-width").
+//! plus a per-cell precision forecast ("trials remaining to reach a ±δ
+//! half-width"). The §2.4 algebra over the same cells is
+//! `coverage_analysis.json` ([`crate::coverage_report`]).
 //!
 //! Every producer derives the aggregate from the final campaign
 //! reports ([`ConvergenceAggregate::from_reports`]) in
@@ -22,18 +23,18 @@
 //! is invariant under arrival order
 //! (`crates/fic/tests/prop_convergence.rs`).
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use ea_core::stats::{Proportion, Z_95};
 use memsim::Region;
 use serde::{Deserialize, Serialize};
 
+pub use crate::results::write_report;
 use crate::results::{E1Report, E2Report};
 use crate::telemetry::RunMetadata;
 
-/// Version stamp of [`ConvergenceReport`].
-pub const SCHEMA_VERSION: u32 = 1;
+/// Version stamp of [`ConvergenceReport`]. Version 2 dropped the
+/// `recomposition` object: `coverage_analysis.json` is the one artefact
+/// of the Section 2.4 quantities.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The report's `kind` discriminator.
 pub const REPORT_KIND: &str = "coverage-convergence";
@@ -170,7 +171,6 @@ impl ConvergenceAggregate {
             e1_trials: self.e1_trials(),
             e2_trials: self.e2_trials(),
             cells: self.cells(delta),
-            recomposition: Recomposition::from_aggregate(self),
         }
     }
 }
@@ -235,50 +235,6 @@ impl CellEstimate {
     }
 }
 
-/// The §2.4 coverage algebra recomposed from the live cells, with the
-/// clamped inversion every report reads
-/// ([`crate::coverage_report::solve_p_prop`]): `Pem` is exact
-/// from the memory map, `Pds` comes from the E1 total, `Pprop` is
-/// inverted from the E2 RAM measurement (clamped into `[0, 1]` against
-/// sampling noise), and `Pdetect = (Pen·Pprop + Pem)·Pds`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Recomposition {
-    /// Monitored fraction of application RAM (exact, from the map).
-    pub p_em: f64,
-    /// `1 − Pem`.
-    pub p_en: f64,
-    /// The E1 total detection estimate.
-    pub p_ds: f64,
-    /// The measured E2 RAM detection estimate.
-    pub p_detect_ram: f64,
-    /// Propagation probability inverted from the algebra, clamped.
-    pub p_prop: f64,
-    /// `(Pen·Pprop + Pem)·Pds`.
-    pub p_detect_recomposed: f64,
-}
-
-impl Recomposition {
-    /// Recomposes from an aggregate; `None` until both the E1 total
-    /// and the E2 RAM cell have trials.
-    pub fn from_aggregate(aggregate: &ConvergenceAggregate) -> Option<Self> {
-        let p_ds = aggregate.e1_total.estimate()?;
-        let p_detect_ram = aggregate.e2_ram.estimate()?;
-        let p_em = crate::coverage_report::p_em_from_map();
-        let p_en = 1.0 - p_em;
-        let p_prop = crate::coverage_report::solve_p_prop(p_ds, p_detect_ram)
-            .1
-            .unwrap_or(0.0);
-        Some(Recomposition {
-            p_em,
-            p_en,
-            p_ds,
-            p_detect_ram,
-            p_prop,
-            p_detect_recomposed: (p_en * p_prop + p_em) * p_ds,
-        })
-    }
-}
-
 /// One campaign's coverage view, as [`render_coverage`] prints it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignCoverage {
@@ -292,8 +248,6 @@ pub struct CampaignCoverage {
     pub e2_trials: u64,
     /// Per-cell estimates in render order.
     pub cells: Vec<CellEstimate>,
-    /// The recomposed coverage algebra, once both campaigns have data.
-    pub recomposition: Option<Recomposition>,
 }
 
 /// The persisted convergence artefact (`results/convergence/*.json`):
@@ -315,13 +269,11 @@ pub struct ConvergenceReport {
     pub aggregate: ConvergenceAggregate,
     /// Per-cell estimates derived from the aggregate.
     pub cells: Vec<CellEstimate>,
-    /// The recomposed coverage algebra derived from the aggregate.
-    pub recomposition: Option<Recomposition>,
 }
 
 impl ConvergenceReport {
-    /// Assembles a report (cells and recomposition are derived on the
-    /// spot, so they can never disagree with the aggregate).
+    /// Assembles a report (the cells are derived on the spot, so they
+    /// can never disagree with the aggregate).
     pub fn assemble(
         producer: &str,
         run: RunMetadata,
@@ -335,14 +287,13 @@ impl ConvergenceReport {
             run,
             delta,
             cells: aggregate.cells(delta),
-            recomposition: Recomposition::from_aggregate(&aggregate),
             aggregate,
         }
     }
 
     /// Structural validation: version, discriminator, conservation
-    /// laws, and that the derived cells and recomposition re-derive
-    /// from the aggregate (used by `telemetry_check --convergence`).
+    /// laws, and that the derived cells re-derive from the aggregate
+    /// (used by `telemetry_check --convergence`).
     ///
     /// # Errors
     ///
@@ -381,38 +332,8 @@ impl ConvergenceReport {
         if self.cells != expected_cells {
             return Err("cells do not re-derive from the aggregate".to_owned());
         }
-        let expected = Recomposition::from_aggregate(agg);
-        match (&self.recomposition, &expected) {
-            (None, None) => {}
-            (Some(mine), Some(theirs)) => {
-                let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
-                if !(close(mine.p_em, theirs.p_em)
-                    && close(mine.p_en, theirs.p_en)
-                    && close(mine.p_ds, theirs.p_ds)
-                    && close(mine.p_detect_ram, theirs.p_detect_ram)
-                    && close(mine.p_prop, theirs.p_prop)
-                    && close(mine.p_detect_recomposed, theirs.p_detect_recomposed))
-                {
-                    return Err("recomposition does not follow from the aggregate".to_owned());
-                }
-            }
-            _ => return Err("recomposition presence disagrees with the aggregate".to_owned()),
-        }
         Ok(())
     }
-}
-
-/// Writes a report as `<dir>/<label>.json` (pretty-printed).
-///
-/// # Errors
-///
-/// Directory creation or write failures.
-pub fn write_report(dir: &Path, label: &str, report: &ConvergenceReport) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{label}.json"));
-    let json = serde_json::to_string_pretty(report).expect("report serialises");
-    std::fs::write(&path, format!("{json}\n"))?;
-    Ok(path)
 }
 
 /// Renders one coverage view as a fixed-width TTY table: cell name,
@@ -449,12 +370,6 @@ pub fn render_coverage(coverage: &CampaignCoverage) -> String {
         out.push_str(&format!(
             "{:<10} {:>6}/{:<6} {:>7} {:>17} {:>7} {:>10}\n",
             cell.label, cell.detected, cell.trials, p, interval, half, need
-        ));
-    }
-    if let Some(r) = &coverage.recomposition {
-        out.push_str(&format!(
-            "Pdetect = (Pen·Pprop + Pem)·Pds = ({:.4}·{:.4} + {:.4})·{:.4} = {:.4}  (measured RAM {:.4})\n",
-            r.p_en, r.p_prop, r.p_em, r.p_ds, r.p_detect_recomposed, r.p_detect_ram
         ));
     }
     out
@@ -494,7 +409,7 @@ mod tests {
 
     #[test]
     fn schema_version_is_pinned() {
-        assert_eq!(SCHEMA_VERSION, 1);
+        assert_eq!(SCHEMA_VERSION, 2);
         assert_eq!(REPORT_KIND, "coverage-convergence");
     }
 
@@ -573,11 +488,12 @@ mod tests {
         stale_cells.cells[0].detected += 1;
         assert!(stale_cells.validate().is_err());
 
-        let mut bad_recomposition = good;
-        if let Some(r) = &mut bad_recomposition.recomposition {
-            r.p_detect_recomposed += 0.5;
-        }
-        assert!(bad_recomposition.validate().is_err());
+        let mut schema_1 = good;
+        schema_1.schema_version = 1;
+        assert_eq!(
+            schema_1.validate().unwrap_err(),
+            "schema_version 1 (this build reads 2)"
+        );
     }
 
     #[test]
@@ -587,6 +503,5 @@ mod tests {
         for label in ["E1 total", "E2 RAM", "E2 stack", "E2 total"] {
             assert!(rendered.contains(label), "missing {label}:\n{rendered}");
         }
-        assert!(rendered.contains("Pdetect"));
     }
 }

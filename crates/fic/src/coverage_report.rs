@@ -6,10 +6,16 @@
 //! RAM), and `Pem` is known exactly from the memory map (the fraction of
 //! RAM bytes occupied by monitored signals). The one unknown, `Pprop` —
 //! the probability that an unmonitored error propagates into a monitored
-//! signal — is then solved for, which the paper describes but cannot do
-//! without the memory map.
+//! signal — is then solved for by [`ea_core::coverage::CoverageModel`],
+//! which the paper describes but cannot do without the memory map.
+//!
+//! [`analyse`] is the one artefact of these quantities,
+//! `coverage_analysis.json`; the attribution and convergence reports
+//! carry only their measurements. `attribution::check_algebra`
+//! evaluates the same model against the oracle's empirical `Pprop`.
 
 use arrestor::SignalMap;
+use ea_core::coverage::CoverageModel;
 use memsim::APP_RAM_BYTES;
 use serde::{Deserialize, Serialize};
 
@@ -36,34 +42,22 @@ pub fn p_em_from_map() -> f64 {
     monitored_bytes as f64 / APP_RAM_BYTES as f64
 }
 
-/// Solves `Pdetect = (Pen·Pprop + Pem)·Pds` for `Pprop`, the one
-/// inversion every report reads. Returns the exact solution when it
-/// lies in `[0, 1]` (`None` when the measurements are inconsistent
-/// with the algebra), and the solution clamped into `[0, 1]`: recomposed
-/// `Pdetect` is monotone in `Pprop`, so the clamped endpoint is the
-/// closest attainable recomposition. Both are `None` when `Pds` is 0.
-pub fn solve_p_prop(p_ds: f64, p_detect_ram: f64) -> (Option<f64>, Option<f64>) {
-    let p_em = p_em_from_map();
-    let p_en = 1.0 - p_em;
-    if p_ds == 0.0 || p_en == 0.0 {
-        return (None, None);
-    }
-    let p_prop = (p_detect_ram / p_ds - p_em) / p_en;
-    let exact = (0.0..=1.0).contains(&p_prop).then_some(p_prop);
-    (exact, Some(p_prop.clamp(0.0, 1.0)))
-}
-
 /// Assembles the analysis from campaign reports.
 ///
 /// Returns `None` when either report is empty.
 pub fn analyse(e1: &E1Report, e2: &E2Report) -> Option<CoverageAnalysis> {
     let p_ds = e1.p_ds()?;
     let p_detect_ram = e2.ram.all.estimate()?;
+    let p_em = p_em_from_map();
+    let inference = CoverageModel::infer(p_em, p_ds, p_detect_ram)
+        .expect("measured proportions are probabilities");
     Some(CoverageAnalysis {
-        p_em: p_em_from_map(),
+        p_em,
         p_ds,
         p_detect_ram,
-        p_prop: solve_p_prop(p_ds, p_detect_ram).0,
+        p_prop: inference
+            .filter(|inference| inference.exact)
+            .map(|inference| inference.model.p_prop()),
     })
 }
 
@@ -146,8 +140,8 @@ mod tests {
         assert_eq!(analysis.p_detect_ram, 0.5);
         let p_prop = analysis.p_prop.expect("consistent");
         // Check the algebra forward: (Pen·Pprop + Pem)·Pds == Pdetect.
-        let forward = ((1.0 - analysis.p_em) * p_prop + analysis.p_em) * analysis.p_ds;
-        assert!((forward - 0.5).abs() < 1e-12);
+        let forward = CoverageModel::new(analysis.p_em, p_prop, analysis.p_ds).unwrap();
+        assert!((forward.p_detect() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -65,9 +65,7 @@ pub mod tables;
 pub mod telemetry;
 pub mod trace;
 
-pub use attribution::{
-    AttributionAggregate, AttributionEvent, AttributionReport, Decomposition, MonitoredMap,
-};
+pub use attribution::{AttributionAggregate, AttributionEvent, AttributionReport, MonitoredMap};
 pub use campaign::{
     AttributionSink, CampaignRunner, CampaignTelemetry, CheckpointCache, ConvergenceSink,
 };

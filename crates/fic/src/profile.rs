@@ -29,8 +29,6 @@
 //! (`tests/profile_equivalence.rs`) pins journals, tables and
 //! attribution byte-identical with profiling on and off.
 
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -39,6 +37,7 @@ use ea_core::Params;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::TrialExecution;
+pub use crate::results::write_report;
 use crate::telemetry::RunMetadata;
 
 /// Schema version stamped into every profile report. Bump on any
@@ -228,20 +227,6 @@ impl ProfileReport {
         }
         Ok(())
     }
-}
-
-/// Writes `report` as pretty JSON to `dir/<label>.json`, creating the
-/// directory (same layout contract as telemetry reports).
-///
-/// # Errors
-///
-/// Any filesystem failure.
-pub fn write_report(dir: &Path, label: &str, report: &ProfileReport) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{label}.json"));
-    let json = serde_json::to_string_pretty(report).expect("report serialises");
-    std::fs::write(&path, format!("{json}\n"))?;
-    Ok(path)
 }
 
 /// Renders the cost league table, most expensive mechanism first.

@@ -4,9 +4,10 @@
 //! [`CampaignFold`] turns trials into the E1/E2 reports and the
 //! attribution aggregate; [`write_artefacts`] turns a fold into
 //! `e1.json`, `e2.json`, `table6.txt`–`table9.txt`,
-//! `coverage_analysis.json` and the observer reports. `full_campaign`
-//! (live, `--resume` or `--from-journal`) and the fleet server both end
-//! in them, so a journal replays to the artefacts its campaign wrote.
+//! `coverage_analysis.json` and the observer reports, each through
+//! [`write_report`]. `full_campaign` (live, `--resume` or
+//! `--from-journal`) and the fleet server both end in them, so a
+//! journal replays to the artefacts its campaign wrote.
 
 use std::collections::HashSet;
 use std::io;
@@ -295,20 +296,12 @@ pub fn write_artefacts(
     if let Some(snapshot) = telemetry {
         eprint!("{}", telemetry::render_summary(snapshot));
         let report = telemetry::TelemetryReport::assemble(producer, run.clone(), snapshot.clone());
-        save("telemetry", &|dir| {
-            telemetry::write_report(dir, producer, &report)
-        })?;
+        save("telemetry", &|dir| write_report(dir, producer, &report))?;
     }
     eprint!("{}", attribution::render_league(&fold.attribution));
     let report =
         attribution::AttributionReport::assemble(producer, run.clone(), fold.attribution.clone());
-    eprint!(
-        "{}",
-        attribution::render_decomposition(&report.decomposition)
-    );
-    save("attribution", &|dir| {
-        attribution::write_report(dir, producer, &report)
-    })?;
+    save("attribution", &|dir| write_report(dir, producer, &report))?;
     if let Some(recorder) = profile {
         if recorder.trials() + recorder.pruned_trials() == 0 {
             eprintln!("no trial ran; no profile written");
@@ -317,9 +310,7 @@ pub fn write_artefacts(
             let report =
                 profile::ProfileReport::assemble(producer, run.clone(), recorder, Some(wall));
             eprint!("{}", profile::render_league(&report));
-            save("profile", &|dir| {
-                profile::write_report(dir, producer, &report)
-            })?;
+            save("profile", &|dir| write_report(dir, producer, &report))?;
         }
     }
     let aggregate = ConvergenceAggregate::from_reports(&fold.e1, &fold.e2);
@@ -329,9 +320,22 @@ pub fn write_artefacts(
         convergence::render_coverage(&aggregate.coverage(producer, delta))
     );
     let report = convergence::ConvergenceReport::assemble(producer, run, aggregate, delta);
-    save("convergence", &|dir| {
-        convergence::write_report(dir, label, &report)
-    })
+    save("convergence", &|dir| write_report(dir, label, &report))
+}
+
+/// Writes a report as pretty JSON to `dir/<label>.json`, creating the
+/// directory: the one writer of the telemetry, attribution, profile and
+/// convergence reports (re-exported as each module's `write_report`).
+///
+/// # Errors
+///
+/// Any filesystem failure.
+pub fn write_report<T: Serialize>(dir: &Path, label: &str, report: &T) -> io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{label}.json"));
+    let json = serde_json::to_string_pretty(report).expect("report serialises");
+    std::fs::write(&path, format!("{json}\n"))?;
+    Ok(path)
 }
 
 #[cfg(test)]

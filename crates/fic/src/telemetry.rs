@@ -36,12 +36,14 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, IsTerminal, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+pub use crate::results::write_report;
 
 /// Schema version stamped into every telemetry report and every JSONL
 /// snapshot event. Bump on any breaking change to
@@ -584,20 +586,6 @@ impl TelemetryReport {
         }
         Ok(())
     }
-}
-
-/// Writes `report` as pretty JSON to `dir/<label>.json`, creating the
-/// directory.
-///
-/// # Errors
-///
-/// Any filesystem failure.
-pub fn write_report(dir: &Path, label: &str, report: &TelemetryReport) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{label}.json"));
-    let json = serde_json::to_string_pretty(report).expect("report serialises");
-    std::fs::write(&path, format!("{json}\n"))?;
-    Ok(path)
 }
 
 /// Renders the human summary table printed on stderr at the end of a
