@@ -89,22 +89,6 @@ impl Proportion {
         Some(((centre - half).max(0.0), (centre + half).min(1.0)))
     }
 
-    /// Statistical equivalence gate for golden-table regression checks:
-    /// two proportions are equivalent when their Wilson score intervals
-    /// at quantile `z` overlap (Powell-style coverage estimation gives
-    /// each campaign measurement an interval, not a point; two runs of
-    /// the same system should produce overlapping intervals, while a
-    /// disabled detector collapses a cell to 0 far outside the golden
-    /// interval). Two empty proportions are equivalent; an empty one
-    /// never matches a populated one.
-    pub fn equivalent(&self, other: &Proportion, z: f64) -> bool {
-        match (self.interval_wilson(z), other.interval_wilson(z)) {
-            (None, None) => true,
-            (Some((lo_a, hi_a)), Some((lo_b, hi_b))) => lo_a <= hi_b && lo_b <= hi_a,
-            _ => false,
-        }
-    }
-
     /// Formats as the paper does: `55.5±4.1` (percent), or `100.0` with
     /// no interval when the estimate is degenerate, or `-` when empty.
     pub fn paper_cell(&self) -> String {
@@ -187,20 +171,6 @@ impl LatencyStats {
     /// Mean latency, if any observation was recorded.
     pub fn average(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Tolerant comparison for golden-table regression checks: two
-    /// latency aggregations are consistent when both are empty or their
-    /// observed `[min, max]` ranges overlap. Latencies have no
-    /// binomial interval, so range overlap is the per-cell tolerance.
-    pub fn consistent_with(&self, other: &LatencyStats) -> bool {
-        match ((self.min, self.max), (other.min, other.max)) {
-            ((None, _), (None, _)) => true,
-            ((Some(min_a), Some(max_a)), (Some(min_b), Some(max_b))) => {
-                min_a <= max_b && min_b <= max_a
-            }
-            _ => false,
-        }
     }
 
     /// Formats one Table 8 cell triple: `(min, avg, max)` or `-`.
@@ -371,50 +341,5 @@ mod tests {
         let (lo, hi) = all.interval_wilson(Z_95).unwrap();
         assert!((lo - 0.866_808).abs() < 1e-5, "lo = {lo}");
         assert_eq!(hi, 1.0);
-    }
-
-    #[test]
-    fn equivalent_accepts_overlapping_campaigns() {
-        // Two campaigns of the same system: 20/25 and 23/25 detected.
-        // Wilson intervals ≈ [0.609, 0.911] and [0.751, 0.977] overlap.
-        let golden = Proportion::new(20, 25);
-        let rerun = Proportion::new(23, 25);
-        assert!(golden.equivalent(&rerun, Z_95));
-        assert!(rerun.equivalent(&golden, Z_95));
-    }
-
-    #[test]
-    fn equivalent_rejects_disabled_detector() {
-        // Golden: 24/25 detected. Disabled detector: 0/25. The Wilson
-        // intervals [0.804, 0.999] and [0.0, 0.133] are disjoint.
-        let golden = Proportion::new(24, 25);
-        let disabled = Proportion::new(0, 25);
-        assert!(!golden.equivalent(&disabled, Z_95));
-    }
-
-    #[test]
-    fn equivalent_handles_empty_cells() {
-        let empty = Proportion::new(0, 0);
-        assert!(empty.equivalent(&empty, Z_95));
-        assert!(!empty.equivalent(&Proportion::new(3, 10), Z_95));
-        assert!(!Proportion::new(3, 10).equivalent(&empty, Z_95));
-    }
-
-    #[test]
-    fn latency_consistency_is_range_overlap() {
-        let mut golden = LatencyStats::new();
-        golden.record(4);
-        golden.record(120);
-        let mut overlapping = LatencyStats::new();
-        overlapping.record(100);
-        overlapping.record(400);
-        let mut disjoint = LatencyStats::new();
-        disjoint.record(10_000);
-        assert!(golden.consistent_with(&overlapping));
-        assert!(!golden.consistent_with(&disjoint));
-        let empty = LatencyStats::new();
-        assert!(empty.consistent_with(&empty));
-        assert!(!empty.consistent_with(&golden));
-        assert!(!golden.consistent_with(&empty));
     }
 }

@@ -30,13 +30,16 @@
 //! * `--save-oracle` — append the freshly enriched events to the
 //!   journal so the verdicts survive `--resume` and `--from-journal`.
 //!
-//! The journal's tables are checked against the goldens by
-//! `full_campaign --from-journal <journal> --check-golden`.
+//! The journal's tables are rebuilt by `full_campaign --from-journal
+//! <journal>`; the committed `results/` is checked against a live paper
+//! campaign by `tests/paper_campaign.rs`.
 //!
-//! Exits 0 when the report validates and the algebra check passes, 1
-//! otherwise.
+//! Exits 0 when the report validates, the algebra check passes and the
+//! report (and, under `--save-oracle`, the verdicts) are written; 1
+//! otherwise, naming what failed.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fic::attribution::{self, AttributionAggregate, AttributionReport};
@@ -87,13 +90,22 @@ fn main() -> ExitCode {
         aggregate.oracle.enriched
     );
 
+    let mut failures = 0usize;
     if options.oracle > 0 {
-        aggregate = run_oracle(
+        let (enriched, persisted) = run_oracle(
             &journal,
             options.oracle,
             options.save_oracle,
             &options.journal_path,
         );
+        aggregate = enriched;
+        if let Err(e) = persisted {
+            eprintln!(
+                "oracle: cannot persist verdicts to {}: {e}",
+                options.journal_path.display()
+            );
+            failures += 1;
+        }
     }
 
     let run = RunMetadata::for_run(&journal.header.protocol, true, None);
@@ -105,7 +117,6 @@ fn main() -> ExitCode {
         print!("{}", coverage_report::render(&analysis));
     }
 
-    let mut failures = 0usize;
     match report.validate() {
         Ok(()) => println!("report structure: ok"),
         Err(e) => {
@@ -145,12 +156,14 @@ fn main() -> ExitCode {
 /// Enriches up to `budget` unmonitored-RAM E2 events with differential
 /// oracle verdicts (deterministic key order), optionally persisting
 /// them back into the journal, and folds the enriched event stream.
+/// Returns the fold and whether the verdicts were persisted (`Ok` when
+/// there was nothing to persist).
 fn run_oracle(
     journal: &Journal,
     budget: usize,
     save: bool,
-    journal_path: &std::path::Path,
-) -> AttributionAggregate {
+    journal_path: &Path,
+) -> (AttributionAggregate, io::Result<()>) {
     let mut events =
         attribution::events_from_journal(journal).expect("the journal folded, so it resolves");
     let e2_errors = error_set::e2();
@@ -182,8 +195,9 @@ fn run_oracle(
         }
     }
     eprintln!("oracle: {} event(s) enriched", enriched.len());
+    let mut persisted = Ok(());
     if save && !enriched.is_empty() {
-        let result = JournalWriter::append_to(journal_path, &journal.header.protocol).and_then(
+        persisted = JournalWriter::append_to(journal_path, &journal.header.protocol).and_then(
             |mut writer| {
                 for event in &enriched {
                     writer.append_attribution(event)?;
@@ -191,18 +205,17 @@ fn run_oracle(
                 writer.finish()
             },
         );
-        match result {
-            Ok(()) => eprintln!(
+        if persisted.is_ok() {
+            eprintln!(
                 "oracle: {} verdict(s) appended to {}",
                 enriched.len(),
                 journal_path.display()
-            ),
-            Err(e) => eprintln!("oracle: failed to persist verdicts: {e}"),
+            );
         }
     }
     let mut aggregate = AttributionAggregate::new();
     for event in &events {
         aggregate.record(event);
     }
-    aggregate
+    (aggregate, persisted)
 }

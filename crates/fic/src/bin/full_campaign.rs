@@ -10,19 +10,21 @@
 //! completed trial is streamed to a JSONL journal; re-running with
 //! `--resume` folds the journal and executes only the missing trials.
 //! `--from-journal <file>` rebuilds the tables from a journal without
-//! running anything. `--check-golden` compares the resulting reports
-//! against the committed goldens (exit 1 on divergence) and
-//! `--refresh-golden` rewrites them.
+//! running anything.
+//!
+//! The committed `results/` is the one reference for the tables: the
+//! campaign is deterministic, and `tests/paper_campaign.rs` requires a
+//! live paper run to rewrite its journal lines and artefacts byte for
+//! byte.
 //!
 //! One fold, one writer: a live run, `--resume` and `--from-journal`
 //! all end in a `fic::results::CampaignFold` written by
 //! `fic::results::write_artefacts` — the writer the fleet server
 //! uses — so a journal replays to the artefacts its campaign wrote.
 //!
-//! A golden-run or golden-check failure produces a minimal reproducer:
-//! the differential oracle re-runs the offending ⟨error, case⟩ with
-//! per-tick trace capture, diffs it against the fault-free reference,
-//! and dumps a `fic::trace::ReproBundle` JSON under `--repro-dir`
+//! A golden-run failure produces a minimal reproducer: two traced
+//! fault-free recordings of the offending case, diffed against each
+//! other, in a `fic::trace::ReproBundle` JSON under `--repro-dir`
 //! (default `results/repro`). Passing runs trace nothing.
 //!
 //! Throughput: every campaign runs one path — the grid is grouped by
@@ -72,11 +74,10 @@ use std::fmt::Display;
 use std::time::Instant;
 
 use fic::cli::{self, CliOptions};
-use fic::error_set::E1Error;
 use fic::journal::{Journal, JournalWriter};
 use fic::results::{self, CampaignFold};
-use fic::trace::{self, ReproBundle, ReproError};
-use fic::{error_set, golden, run_trial_traced, tables, Protocol};
+use fic::trace::{self, ReproBundle};
+use fic::{error_set, golden, tables, Protocol};
 
 fn main() {
     let options = cli::FULL_CAMPAIGN.from_env(CliOptions::from_args);
@@ -181,41 +182,6 @@ fn main() {
         print!("{}", fic::coverage_report::render(&analysis));
     }
     eprintln!("artefacts written to {}", options.out_dir.display());
-
-    if options.refresh_golden {
-        if let Err(e) = golden::refresh_dir(
-            &options.golden_dir,
-            &e1_errors,
-            protocol.cases_per_error(),
-            e1_report,
-            e2_report,
-        ) {
-            eprintln!("error: goldens not refreshed: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("goldens refreshed in {}", options.golden_dir.display());
-    }
-
-    if options.check_golden {
-        let divergences = golden::check_dir(
-            &options.golden_dir,
-            &e1_errors,
-            protocol.cases_per_error(),
-            e1_report,
-            e2_report,
-        )
-        .unwrap_or_else(|e| fail(options.golden_dir.display(), e));
-        if divergences.is_empty() {
-            eprintln!("golden check: ok (within Powell-style confidence tolerances)");
-        } else {
-            eprintln!("golden check FAILED: {} divergent cells", divergences.len());
-            for divergence in &divergences {
-                eprintln!("  {divergence}");
-            }
-            dump_golden_check_repro(&options, &protocol, &e1_errors, &divergences);
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Exits 1 naming the file a run could not read or write.
@@ -245,60 +211,6 @@ fn dump_fault_free_repro(
         &rerun,
     );
     match trace::write_repro(&options.repro_dir, "fault-free-violation", &bundle) {
-        Ok(path) => eprintln!("reproducer written to {}", path.display()),
-        Err(e) => eprintln!("failed to write reproducer: {e}"),
-    }
-}
-
-/// Reproducer for a golden-table divergence: the first divergent
-/// Table 7/8 row names a monitored signal; its MSB error injected into
-/// the middle grid case, traced and diffed against the fault-free
-/// reference, shows where the behaviour departs. Table 9 (or
-/// Total-row-only) divergences fall back to the mscnt MSB error — the
-/// fastest-detected probe of the whole detection pipeline.
-fn dump_golden_check_repro(
-    options: &CliOptions,
-    protocol: &Protocol,
-    e1_errors: &[E1Error],
-    divergences: &[golden::Divergence],
-) {
-    let named = divergences
-        .iter()
-        .filter(|d| d.table == "Table 7" || d.table == "Table 8")
-        .find_map(|d| {
-            e1_errors
-                .iter()
-                .find(|e| e.signal_bit == 15 && d.location.starts_with(e.signal_name()))
-        });
-    let error = named.or_else(|| {
-        e1_errors
-            .iter()
-            .find(|e| e.signal_bit == 15 && e.signal_name() == "mscnt")
-    });
-    let Some(error) = error else {
-        eprintln!("no representative E1 error found; skipping reproducer");
-        return;
-    };
-    let cases = protocol.grid.cases();
-    let case = cases[cases.len() / 2];
-    let reference = trace::record_reference(protocol, case);
-    let (trial, observed) = run_trial_traced(protocol, error.flip, case);
-    let bundle = ReproBundle::assemble(
-        format!(
-            "golden check diverged ({} cells); probe error S{} on {}",
-            divergences.len(),
-            error.number,
-            error.signal_name()
-        ),
-        protocol,
-        case,
-        Some(ReproError::new(format!("S{}", error.number), error.flip)),
-        Some(trial),
-        &reference,
-        &observed,
-    );
-    let label = format!("golden-check-S{}", error.number);
-    match trace::write_repro(&options.repro_dir, &label, &bundle) {
         Ok(path) => eprintln!("reproducer written to {}", path.display()),
         Err(e) => eprintln!("failed to write reproducer: {e}"),
     }

@@ -9,11 +9,13 @@
 //! thrown away.
 
 use arrestor::RunConfig;
+use memsim::BitFlip;
 use serde::{Deserialize, Serialize};
+use simenv::TestCase;
 
 use crate::error_set::E1Error;
 use crate::experiment::run_full_window;
-use crate::protocol::Protocol;
+use crate::protocol::{map_indexed, Protocol};
 
 /// One point of the calibration sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,12 +50,7 @@ impl CalibrationPoint {
 
 /// Whether a full-window run with rate bounds at `scale` % detects
 /// anything.
-fn detected(
-    protocol: &Protocol,
-    scale: u16,
-    flip: Option<memsim::BitFlip>,
-    case: simenv::TestCase,
-) -> bool {
+fn detected(protocol: &Protocol, scale: u16, flip: Option<BitFlip>, case: TestCase) -> bool {
     let config = RunConfig {
         rate_scale_percent: Some(scale),
         ..RunConfig::default()
@@ -63,31 +60,40 @@ fn detected(
         .is_empty()
 }
 
-/// Sweeps the given scales over golden runs and the error subset.
+/// Sweeps the given scales over golden runs and the error subset; the
+/// runs fan out over [`Protocol::effective_workers`] threads.
 pub fn sweep(protocol: &Protocol, errors: &[E1Error], scales: &[u16]) -> Vec<CalibrationPoint> {
     let cases = protocol.grid.cases();
+    // Every run of the sweep, scale by scale: the golden runs (no
+    // flip), then each error over the grid.
+    let flips: Vec<Option<BitFlip>> = std::iter::once(None)
+        .chain(errors.iter().map(|e| Some(e.flip)))
+        .collect();
+    let mut runs: Vec<(u16, Option<BitFlip>, TestCase)> = Vec::new();
+    for &scale in scales {
+        for &flip in &flips {
+            runs.extend(cases.iter().map(|&case| (scale, flip, case)));
+        }
+    }
+    let detections = map_indexed(runs.len(), protocol.effective_workers(), |i| {
+        let (scale, flip, case) = runs[i];
+        detected(protocol, scale, flip, case)
+    });
+    let per_scale = flips.len() * cases.len();
     scales
         .iter()
-        .map(|&scale| {
-            let mut point = CalibrationPoint {
+        .enumerate()
+        .map(|(k, &scale)| {
+            let (golden, injected) =
+                detections[k * per_scale..(k + 1) * per_scale].split_at(cases.len());
+            let count = |runs: &[bool]| runs.iter().filter(|&&d| d).count() as u64;
+            CalibrationPoint {
                 rate_scale_percent: scale,
-                false_positive_runs: 0,
-                golden_runs: 0,
-                detected_runs: 0,
-                injected_runs: 0,
-            };
-            for case in &cases {
-                point.golden_runs += 1;
-                point.false_positive_runs += u64::from(detected(protocol, scale, None, *case));
+                false_positive_runs: count(golden),
+                golden_runs: golden.len() as u64,
+                detected_runs: count(injected),
+                injected_runs: injected.len() as u64,
             }
-            for error in errors {
-                for case in &cases {
-                    point.injected_runs += 1;
-                    point.detected_runs +=
-                        u64::from(detected(protocol, scale, Some(error.flip), *case));
-                }
-            }
-            point
         })
         .collect()
 }

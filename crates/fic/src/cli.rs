@@ -29,15 +29,14 @@
 //!   the missing trials;
 //! * `--from-journal <file>` — rebuild the reports from a journal
 //!   instead of running any trials;
-//! * `--check-golden` — after the campaign, compare the reports against
-//!   the committed goldens (exit 1 on divergence);
-//! * `--refresh-golden` — write the campaign's artefacts into the
-//!   golden directory;
-//! * `--golden-dir <dir>` — golden directory (default `results/golden`);
 //! * `--repro-dir <dir>` — where the reproducer bundle
-//!   (`fic::trace::ReproBundle`) for the offending ⟨error, case⟩ of a
-//!   golden-run or golden-table failure goes (default `results/repro`);
-//!   every such failure writes one.
+//!   (`fic::trace::ReproBundle`) of the offending case of a golden-run
+//!   failure goes (default `results/repro`); every such failure writes
+//!   one.
+//!
+//! No flag compares a run with the committed tables: `results/` is
+//! their one reference, and `tests/paper_campaign.rs` requires a live
+//! paper campaign to rewrite it byte for byte.
 //!
 //! The README has one flag table per binary, and this module's tests
 //! hold those tables equal to the declarations here.
@@ -78,8 +77,7 @@ pub struct Cli(pub &'static str);
 /// `full_campaign`: the paper's whole evaluation ([`CliOptions`]).
 pub const FULL_CAMPAIGN: Cli = Cli(
     "full_campaign [--scale n] [--observation ms] [--workers n] [--out dir] \
-     [--journal file] [--resume] [--from-journal file] [--check-golden] [--refresh-golden] \
-     [--golden-dir dir] [--repro-dir dir]",
+     [--journal file] [--resume] [--from-journal file] [--repro-dir dir]",
 );
 /// `figures`: Figures 1–3 and 5/6.
 pub const FIGURES: Cli = Cli("figures [--out dir]");
@@ -317,13 +315,7 @@ pub struct CliOptions {
     pub resume: bool,
     /// Rebuild reports from a completed journal; no trials run.
     pub from_journal: Option<PathBuf>,
-    /// Compare the results against the committed goldens.
-    pub check_golden: bool,
-    /// Overwrite the committed goldens with the current results.
-    pub refresh_golden: bool,
-    /// Where the golden artefacts live.
-    pub golden_dir: PathBuf,
-    /// Where reproducer bundles are written on a golden failure.
+    /// Where reproducer bundles are written on a golden-run failure.
     pub repro_dir: PathBuf,
 }
 
@@ -352,11 +344,6 @@ impl CliOptions {
             journal: args.value("--journal")?,
             resume: args.has("--resume"),
             from_journal: args.value("--from-journal")?,
-            check_golden: args.has("--check-golden"),
-            refresh_golden: args.has("--refresh-golden"),
-            golden_dir: args
-                .value("--golden-dir")?
-                .unwrap_or_else(|| "results/golden".into()),
             repro_dir: args
                 .value("--repro-dir")?
                 .unwrap_or_else(|| "results/repro".into()),
@@ -391,8 +378,7 @@ mod tests {
         assert_eq!(protocol.cases_per_error(), 25);
         assert_eq!(protocol.observation_ms, 40_000);
         assert_eq!(options.out_dir, PathBuf::from("results"));
-        assert_eq!(options.golden_dir, PathBuf::from("results/golden"));
-        assert!(!options.resume && !options.check_golden && !options.refresh_golden);
+        assert!(!options.resume);
         assert!(options.journal.is_none() && options.from_journal.is_none());
         assert_eq!(options.repro_dir, PathBuf::from("results/repro"));
         let runner = runner(protocol);
@@ -457,7 +443,7 @@ mod tests {
                 checked += 1;
             }
         }
-        assert!(checked >= 50, "README flag tables went missing ({checked})");
+        assert_eq!(checked, 48, "README flag tables went missing");
     }
 
     /// The reverse direction: every binary has a README section, and
@@ -488,7 +474,7 @@ mod tests {
             assert_eq!(names.len(), cli.flags().count(), "{}", cli.bin());
             total += names.len();
         }
-        assert_eq!(total, 51);
+        assert_eq!(total, 48);
         let server: Vec<_> = FLEET_SERVER.flags().take(3).collect();
         assert_eq!(
             server,
@@ -521,16 +507,15 @@ mod tests {
         );
         for cli in [&FIGURES, &ATTRIBUTION_REPORT] {
             assert_eq!(
-                cli.parse(&args(&["j.jsonl", "--check-golden"]))
-                    .unwrap_err(),
-                "unknown flag `--check-golden`"
+                cli.parse(&args(&["j.jsonl", "--resume"])).unwrap_err(),
+                "unknown flag `--resume`"
             );
         }
         assert_eq!(
             ATTRIBUTION_REPORT
-                .parse(&args(&["j.jsonl", "--golden-dir", "g"]))
+                .parse(&args(&["j.jsonl", "--repro-dir", "r"]))
                 .unwrap_err(),
-            "unknown flag `--golden-dir`"
+            "unknown flag `--repro-dir`"
         );
         // A value is taken as given, even when it looks like a flag.
         let parsed = FIGURES.parse(&args(&["--out", "--scale"])).unwrap();
@@ -629,28 +614,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_journal_and_golden_flags() {
-        let options = CliOptions::parse(&args(&[
-            "--journal",
-            "results/campaign.jsonl",
-            "--resume",
-            "--check-golden",
-            "--golden-dir",
-            "results/golden-alt",
-        ]))
-        .unwrap();
+    fn parses_journal_flags() {
+        let options =
+            CliOptions::parse(&args(&["--journal", "results/campaign.jsonl", "--resume"])).unwrap();
         assert_eq!(
             options.journal,
             Some(PathBuf::from("results/campaign.jsonl"))
         );
         assert!(options.resume);
-        assert!(options.check_golden);
-        assert_eq!(options.golden_dir, PathBuf::from("results/golden-alt"));
 
-        let options =
-            CliOptions::parse(&args(&["--from-journal", "x.jsonl", "--refresh-golden"])).unwrap();
+        let options = CliOptions::parse(&args(&["--from-journal", "x.jsonl"])).unwrap();
         assert_eq!(options.from_journal, Some(PathBuf::from("x.jsonl")));
-        assert!(options.refresh_golden);
     }
 
     #[test]

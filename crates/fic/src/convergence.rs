@@ -21,7 +21,7 @@
 //! pure function of the journaled trials and cannot drift from the
 //! tables. The per-trial [`record`](ConvergenceAggregate::record) fold
 //! is invariant under arrival order
-//! (`crates/fic/tests/prop_convergence.rs`).
+//! (`tests/prop_convergence.rs`).
 
 use ea_core::stats::{Proportion, Z_95};
 use memsim::Region;

@@ -1,4 +1,9 @@
-//! Experimental protocol constants (paper Section 3.4).
+//! Experimental protocol constants (paper Section 3.4), and the
+//! index-ordered fan-out ([`map_indexed`]) of the runs that are not
+//! campaign trials: golden runs, the calibration sweep and the recovery
+//! ablation.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 use simenv::TestCaseGrid;
@@ -73,6 +78,37 @@ impl Default for Protocol {
     }
 }
 
+/// `f(0)`, …, `f(n - 1)`, in index order, computed on up to `workers`
+/// scoped threads (at least one while `n > 0`, at most `n`) that claim
+/// indices through one shared cursor. The result does not depend on
+/// the worker count, so a caller passes
+/// [`Protocol::effective_workers`].
+pub fn map_indexed<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1).min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break mine;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,5 +146,14 @@ mod tests {
         let mut p = Protocol::paper();
         p.workers = 3;
         assert_eq!(p.effective_workers(), 3);
+    }
+
+    #[test]
+    fn map_indexed_keeps_index_order_at_every_worker_count() {
+        let squares: Vec<usize> = (0..37).map(|i| i * i).collect();
+        for workers in [0, 1, 2, 8, 64] {
+            assert_eq!(map_indexed(37, workers, |i| i * i), squares, "{workers}");
+        }
+        assert!(map_indexed(0, 4, |i| i).is_empty());
     }
 }

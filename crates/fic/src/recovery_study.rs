@@ -10,10 +10,11 @@
 use arrestor::RunConfig;
 use ea_core::RecoveryStrategy;
 use serde::{Deserialize, Serialize};
+use simenv::TestCase;
 
 use crate::error_set::E1Error;
 use crate::experiment::run_full_window;
-use crate::protocol::Protocol;
+use crate::protocol::{map_indexed, Protocol};
 
 /// Aggregate outcome of one configuration over a campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,10 +52,10 @@ pub struct RecoveryStudy {
 /// Selects the [`RecoveryStudy`] slot a configuration accumulates into.
 type OutcomeSlot = fn(&mut RecoveryStudy) -> &mut RecoveryOutcome;
 
-/// Runs the three configurations over the given errors and grid.
+/// Runs the three configurations over the given errors and grid; the
+/// runs fan out over [`Protocol::effective_workers`] threads.
 pub fn run_study(protocol: &Protocol, errors: &[E1Error]) -> RecoveryStudy {
     let cases = protocol.grid.cases();
-    let mut study = RecoveryStudy::default();
     let configs: [(Option<RecoveryStrategy>, OutcomeSlot); 3] = [
         (None, |s| &mut s.detection_only),
         (Some(RecoveryStrategy::HoldPrevious), |s| {
@@ -62,20 +63,29 @@ pub fn run_study(protocol: &Protocol, errors: &[E1Error]) -> RecoveryStudy {
         }),
         (Some(RecoveryStrategy::RateProject), |s| &mut s.rate_project),
     ];
-    for error in errors {
-        for case in &cases {
-            for (recovery, pick) in configs {
-                let config = RunConfig {
-                    recovery,
-                    ..RunConfig::default()
-                };
-                let run = run_full_window(protocol, *case, Some(error.flip), config);
-                let outcome = pick(&mut study);
-                outcome.runs += 1;
-                outcome.failures += u64::from(run.verdict.failed());
-                outcome.detected += u64::from(!run.detections.is_empty());
-            }
-        }
+    let runs: Vec<(&E1Error, TestCase, usize)> = errors
+        .iter()
+        .flat_map(|error| {
+            cases
+                .iter()
+                .flat_map(move |&case| (0..configs.len()).map(move |k| (error, case, k)))
+        })
+        .collect();
+    let verdicts = map_indexed(runs.len(), protocol.effective_workers(), |i| {
+        let (error, case, k) = runs[i];
+        let config = RunConfig {
+            recovery: configs[k].0,
+            ..RunConfig::default()
+        };
+        let run = run_full_window(protocol, case, Some(error.flip), config);
+        (run.verdict.failed(), !run.detections.is_empty())
+    });
+    let mut study = RecoveryStudy::default();
+    for (&(_, _, k), (failed, detected)) in runs.iter().zip(verdicts) {
+        let outcome = configs[k].1(&mut study);
+        outcome.runs += 1;
+        outcome.failures += u64::from(failed);
+        outcome.detected += u64::from(detected);
     }
     study
 }

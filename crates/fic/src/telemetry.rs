@@ -28,8 +28,8 @@
 //!
 //! Determinism: trial results never depend on telemetry, and no
 //! wall-clock value is ever written into a result-bearing artefact
-//! (tables, reports, journals, goldens). Timing lives only in
-//! telemetry files, which the golden checks do not read.
+//! (tables, reports, journals). Timing lives only in telemetry
+//! files, which the table gate does not read.
 //!
 //! See `OBSERVABILITY.md` for the metric catalogue and the report
 //! schema.

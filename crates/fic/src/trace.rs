@@ -18,10 +18,11 @@
 //!   path never reaches a monitored signal cannot be detected by an
 //!   assertion on that signal.
 //!
-//! On a golden-gate or assertion failure, [`ReproBundle`] packages the
-//! offending ⟨error, case⟩ with the divergence report and a trace
-//! excerpt into `results/repro/` so the failure replays from one JSON
-//! file (see EXPERIMENTS.md, "Tracing & differential oracle").
+//! On a golden-run, table-gate or assertion failure, [`ReproBundle`]
+//! packages the offending ⟨error, case⟩ with the divergence report and
+//! a trace excerpt into one JSON file (under `results/repro/`, or
+//! `target/batch-repro/` for the test suites) so the failure replays
+//! from it (see EXPERIMENTS.md, "Tracing & differential oracle").
 
 use std::collections::HashMap;
 use std::io;
@@ -296,8 +297,8 @@ pub struct ReproTick {
 pub struct ReproBundle {
     /// [`REPRO_SCHEMA_VERSION`].
     pub schema_version: u32,
-    /// Why the bundle was dumped (golden-gate divergence, spurious
-    /// detection, …).
+    /// Why the bundle was dumped (a journal line that departs from
+    /// its reference, a spurious detection, …).
     pub reason: String,
     /// The protocol the trial ran under.
     pub protocol: Protocol,

@@ -4,14 +4,13 @@
 //! change any campaign report), a pure function of the trials (any
 //! journal re-derives the exact aggregate, whatever the worker count or
 //! resume point that produced it), and durable (oracle verdicts survive
-//! the journal round trip). The committed full-grid artefacts must be
-//! exactly what the committed journal re-derives.
+//! the journal round trip). That the committed full-grid artefacts are
+//! exactly what the committed journal re-derives is checked beside the
+//! live paper campaign, in `tests/paper_campaign.rs`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use fic::attribution::{self, AttributionReport, REGION_APP_RAM};
-use fic::convergence::{ConvergenceAggregate, ConvergenceReport};
-use fic::coverage_report;
+use fic::attribution::{self, REGION_APP_RAM};
 use fic::fleet::{CampaignSpec, Server, ServerOptions};
 use fic::journal::{Journal, JournalWriter};
 use fic::results::CampaignFold;
@@ -218,58 +217,5 @@ fn oracle_verdicts_survive_the_journal_round_trip() {
     assert_eq!(
         summary.campaigns[0].attribution, aggregate,
         "a fleet restart must replay the persisted verdict"
-    );
-}
-
-/// Acceptance gate: every committed artefact of the full-grid journal
-/// is what that journal re-derives — `e1.json`, `e2.json` and
-/// `coverage_analysis.json` byte for byte, the attribution and
-/// convergence reports by their aggregates — and the coverage algebra
-/// holds on it. `full_campaign --from-journal … --check-golden` checks
-/// the same fold's tables against the goldens.
-#[test]
-fn committed_artifacts_rederive_from_the_journal() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let journal = Journal::load(&root.join("results/campaign.jsonl")).unwrap();
-    let fold = CampaignFold::from_journal(&journal).unwrap();
-
-    let load = |path: &str| std::fs::read_to_string(root.join(path)).unwrap();
-    let analysis = coverage_report::analyse(&fold.e1, &fold.e2).expect("both campaigns ran");
-    for (path, derived) in [
-        ("results/e1.json", serde_json::to_string_pretty(&fold.e1)),
-        ("results/e2.json", serde_json::to_string_pretty(&fold.e2)),
-        (
-            "results/coverage_analysis.json",
-            serde_json::to_string_pretty(&analysis),
-        ),
-    ] {
-        let derived = derived.unwrap();
-        assert!(
-            load(path) == derived,
-            "{path} differs from the journal's fold"
-        );
-    }
-
-    attribution::check_algebra(&fold.attribution)
-        .expect("recomposed Pdetect inside the Wilson interval");
-    let report: AttributionReport =
-        serde_json::from_str(&load("results/attribution/campaign.json")).unwrap();
-    report
-        .validate()
-        .expect("committed attribution report must validate");
-    assert_eq!(
-        report.aggregate, fold.attribution,
-        "committed attribution report must equal the journal's re-derivation"
-    );
-
-    let report: ConvergenceReport =
-        serde_json::from_str(&load("results/convergence/campaign.json")).unwrap();
-    report
-        .validate()
-        .expect("committed convergence report must validate");
-    assert_eq!(
-        report.aggregate,
-        ConvergenceAggregate::from_reports(&fold.e1, &fold.e2),
-        "committed convergence report must equal the journal's re-derivation"
     );
 }

@@ -33,7 +33,7 @@ use ea_repro::fic::trace::{self, ReproError};
 use ea_repro::fic::{
     error_set, run_trial, run_trial_traced, tables, AttributionAggregate, CampaignKind,
     CampaignRunner, E1Error, E1Report, E2Error, E2Report, InertMap, Journal, JournalWriter,
-    MonitoredMap, Protocol, PruneClass, ReproBundle, Trial,
+    MonitoredMap, Protocol, PruneClass, ReproBundle, Trial, TrialRecord,
 };
 use ea_repro::memsim::BitFlip;
 use proptest::prelude::{prop_assert_eq, TestCaseError};
@@ -309,9 +309,8 @@ fn reference_counters(protocol: &Protocol, errors: &[(usize, BitFlip)]) -> Vec<(
 }
 
 /// Names the first record at which the campaign's journal departs from
-/// the replay's, re-runs that pair under the trace oracle and writes a
-/// repro bundle naming its lane and the instant its fault's trace
-/// departs the fault-free reference. Returns the failure message.
+/// the replay's and writes its repro bundle ([`write_divergence_bundle`]).
+/// Returns the failure message.
 fn dump_divergence(protocol: &Protocol, slice: &Slice, campaign: &Path, replay: &Path) -> String {
     let (ours, theirs) = (
         Journal::load(campaign).unwrap(),
@@ -326,6 +325,30 @@ fn dump_divergence(protocol: &Protocol, slice: &Slice, campaign: &Path, replay: 
         return format!("the campaign journal ends at record #{at}, before the replay's");
     };
     let expected = theirs.records.get(at);
+    let path = write_divergence_bundle(
+        protocol,
+        slice,
+        record,
+        &format!("campaign/replay divergence: journal record #{at} differs from run_trial's"),
+    );
+    format!(
+        "campaign journal record #{at} differs from the t = 0 replay's: \
+         campaign {record:?} vs replay {expected:?}; repro bundle: {}",
+        path.display()
+    )
+}
+
+/// Re-runs `record`'s ⟨error, case⟩ pair of `slice` under the trace
+/// oracle and writes a repro bundle to `target/batch-repro/`, its
+/// reason `what` followed by the pair, its lane and the instant its
+/// fault's trace departs the fault-free reference. Returns the
+/// bundle's path.
+pub fn write_divergence_bundle(
+    protocol: &Protocol,
+    slice: &Slice,
+    record: &TrialRecord,
+    what: &str,
+) -> PathBuf {
     let errors = slice.flips();
     let position = errors
         .iter()
@@ -368,8 +391,7 @@ fn dump_divergence(protocol: &Protocol, slice: &Slice, campaign: &Path, replay: 
     );
     let first_tick = bundle.divergence.first_divergence_ms();
     bundle.reason = format!(
-        "campaign/replay divergence: journal record #{at} is {:?} #{} case {} \
-         ({lane}) and differs from run_trial's; the fault's trace first \
+        "{what}: {:?} #{} case {} ({lane}); the fault's trace first \
          departs the fault-free reference at t={} ms",
         record.campaign,
         record.error_number,
@@ -381,12 +403,7 @@ fn dump_divergence(protocol: &Protocol, slice: &Slice, campaign: &Path, replay: 
         record.campaign, record.error_number, record.case_index
     );
     let repro_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/batch-repro");
-    let path = trace::write_repro(&repro_dir, &label, &bundle).unwrap();
-    format!(
-        "campaign journal record #{at} differs from the t = 0 replay's: \
-         campaign {record:?} vs replay {expected:?}; repro bundle: {}",
-        path.display()
-    )
+    trace::write_repro(&repro_dir, &label, &bundle).unwrap()
 }
 
 /// Runs `slice` through the campaign and asserts its journal bytes,

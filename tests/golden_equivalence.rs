@@ -8,13 +8,12 @@
 //! (absent) detections and a bit-identical final arrest distance — for
 //! every paper test case, with the analytic settle band on and off. It
 //! also pins that the parallel check reports the same violation at
-//! every worker count, and that golden tables are only refreshed from a
-//! whole campaign.
+//! every worker count.
 
 use ea_repro::arrestor::{RunConfig, System};
 use ea_repro::fic::experiment::{fault_free_prefix, run_reference_trial_with};
-use ea_repro::fic::golden::{refresh_dir, validate_fault_free, GoldenViolation};
-use ea_repro::fic::{error_set, CampaignRunner, E2Report, Protocol};
+use ea_repro::fic::golden::{validate_fault_free, GoldenViolation};
+use ea_repro::fic::Protocol;
 
 /// Checks the proof-stopped reference trial of every case of
 /// `protocol` against a full-window run; returns how many cases
@@ -97,34 +96,4 @@ fn the_lowest_case_violation_wins_at_every_worker_count() {
             "{workers} workers"
         );
     }
-}
-
-/// Reports folded from part of the grid — a crashed campaign's journal
-/// replayed with `--from-journal` — must not become the goldens:
-/// `refresh_dir` names the expected and actual trial counts and writes
-/// nothing.
-#[test]
-fn a_partial_campaign_refreshes_no_golden() {
-    let dir = std::env::temp_dir().join(format!("ea-repro-partial-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let protocol = Protocol::scaled(2, 1_200);
-    let errors = error_set::e1();
-    let partial = CampaignRunner::new(protocol.clone()).run_e1(&errors[..2]);
-
-    let err = refresh_dir(
-        &dir,
-        &errors,
-        protocol.cases_per_error(),
-        &partial,
-        &E2Report::new(),
-    )
-    .unwrap_err();
-    let message = err.to_string();
-    let whole = (errors.len() * protocol.cases_per_error()).to_string();
-    assert!(
-        message.contains("E1 holds 8 trials") && message.contains(&whole),
-        "{message}"
-    );
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-    std::fs::remove_dir(&dir).unwrap();
 }

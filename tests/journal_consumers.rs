@@ -4,9 +4,10 @@
 //! `Journal::walk`, so an unknown error number fails (exit 1) with a
 //! message naming it instead of a panic, and a repeated ⟨campaign,
 //! error, case⟩ key counts once; `full_campaign` names the file it
-//! could not write and exits 1. Every binary refuses a flag it does not
-//! read (exit 2, naming the flag, with its own usage line) before it
-//! writes anything.
+//! could not write and exits 1, and so does `attribution_report` when
+//! `--save-oracle` cannot append to its journal. Every binary refuses a
+//! flag it does not read (exit 2, naming the flag, with its own usage
+//! line) before it writes anything.
 
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
@@ -54,16 +55,11 @@ fn write_journal(path: &Path, records: &[(CampaignKind, usize, Trial)]) {
     writer.finish().unwrap();
 }
 
-/// Runs one `fic` binary, built on demand in this test's profile.
-fn run(bin: &str, args: &[&Path]) -> Output {
-    run_in(Path::new(env!("CARGO_MANIFEST_DIR")), bin, args)
-}
-
-/// [`run`] with `dir` as the binary's working directory.
-fn run_in(dir: &Path, bin: &str, args: &[&Path]) -> Output {
+/// `cargo <subcommand>` of one `fic` binary, in this test's profile.
+fn cargo(subcommand: &str, bin: &str) -> Command {
     let mut command = Command::new(env!("CARGO"));
-    command.current_dir(dir).args([
-        "run",
+    command.args([
+        subcommand,
         "--quiet",
         "--offline",
         "--manifest-path",
@@ -77,10 +73,29 @@ fn run_in(dir: &Path, bin: &str, args: &[&Path]) -> Output {
         command.arg("--release");
     }
     command
+}
+
+/// Runs one `fic` binary, built on demand in this test's profile.
+fn run(bin: &str, args: &[&Path]) -> Output {
+    run_in(Path::new(env!("CARGO_MANIFEST_DIR")), bin, args)
+}
+
+/// [`run`] with `dir` as the binary's working directory.
+fn run_in(dir: &Path, bin: &str, args: &[&Path]) -> Output {
+    cargo("run", bin)
+        .current_dir(dir)
         .arg("--")
         .args(args.iter().map(|a| a.as_os_str()))
         .output()
         .unwrap()
+}
+
+/// Builds one `fic` binary in this test's profile and returns its path:
+/// the profile directory, beside this test's own `deps/`.
+fn built(bin: &str) -> PathBuf {
+    assert!(cargo("build", bin).status().unwrap().success(), "{bin}");
+    let exe = std::env::current_exe().unwrap();
+    exe.parent().and_then(Path::parent).unwrap().join(bin)
 }
 
 /// Asserts `out` exited 1, not with a panic, and that its stderr names
@@ -267,9 +282,12 @@ fn full_campaign_names_an_artefact_it_cannot_write() {
 /// written to its working directory.
 #[test]
 fn every_binary_refuses_a_flag_it_does_not_read() {
-    let cases: [(&str, &[&str], &str); 11] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         ("full_campaign", &["--shard", "0/2"], "--shard"),
-        ("figures", &["--check-golden"], "--check-golden"),
+        ("full_campaign", &["--check-golden"], "--check-golden"),
+        ("full_campaign", &["--refresh-golden"], "--refresh-golden"),
+        ("full_campaign", &["--golden-dir", "x"], "--golden-dir"),
+        ("figures", &["--journal", "j.jsonl"], "--journal"),
         ("calibrate", &["--workers", "2"], "--workers"),
         ("ablation_recovery", &["--resume"], "--resume"),
         ("trace_diff", &["--scale", "0"], "--scale"),
@@ -308,4 +326,49 @@ fn every_binary_refuses_a_flag_it_does_not_read() {
         assert!(written.is_empty(), "{bin} wrote {written:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// `attribution_report --save-oracle` that cannot append its verdicts
+/// exits 1 naming the journal, after it has written its report. Only
+/// the binary's append fails: `sh` caps the file size of the process it
+/// execs (RLIMIT_FSIZE, `ulimit -f` in 512-byte blocks) at the
+/// journal's and ignores SIGXFSZ, so the append gets EFBIG, the way a
+/// full disk would, and root cannot write past it as it can past a
+/// read-only mode. The journal is large enough that the report fits
+/// under the cap.
+#[test]
+fn attribution_report_names_a_journal_it_cannot_append_to() {
+    let dir = temp_dir("save-oracle");
+    let journal = dir.join("campaign.jsonl");
+    let mut writer = JournalWriter::create(&journal, &Protocol::scaled(1, 1_500)).unwrap();
+    for number in 1..=100 {
+        writer
+            .append(CampaignKind::E2, number, 0, &trial(None))
+            .unwrap();
+    }
+    writer.finish().unwrap();
+    let size = std::fs::metadata(&journal).unwrap().len();
+    let out = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -f \"$1\" && trap '' XFSZ && shift && exec \"$@\"",
+            "sh",
+            &(size / 512).to_string(),
+        ])
+        .arg(built("attribution_report"))
+        .arg(&journal)
+        .arg("--out")
+        .arg(dir.join("out"))
+        .args(["--oracle", "1", "--save-oracle"])
+        .output()
+        .unwrap();
+    assert_fails_naming(
+        &out,
+        &[
+            &format!("cannot persist verdicts to {}", journal.display()),
+            "attribution report written to",
+        ],
+    );
+    assert_eq!(std::fs::metadata(&journal).unwrap().len(), size);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

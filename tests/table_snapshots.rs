@@ -1,11 +1,12 @@
 //! Snapshot tests pinning the exact rendered text of Tables 6–9 on a
 //! tiny fixed campaign.
 //!
-//! The golden-table gate (`fic::golden`) compares *statistically*, with
-//! Wilson-interval tolerances; these snapshots compare *byte for byte*,
-//! so any change to table layout, headers, rounding or cell formatting
-//! shows up as a readable diff against the committed fixtures in
-//! `tests/fixtures/`.
+//! The paper-protocol tables are pinned byte for byte against
+//! `results/` by `tests/paper_campaign.rs`, which names the differing
+//! files; these snapshots pin the table layout on a campaign small
+//! enough to diff by eye, so any change to layout, headers, rounding or
+//! cell formatting shows up as a readable diff against the committed
+//! fixtures in `tests/fixtures/`.
 //!
 //! To regenerate after an intentional format change:
 //!
